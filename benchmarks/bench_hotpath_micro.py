@@ -8,8 +8,9 @@ GEMMs.  These micro-benchmarks time each vectorized unit in isolation:
   (keys/s through the whole lifecycle);
 - **workflow**: ``FlecheEmbeddingLayer.query`` replaying one steady-state
   batch (batches/s through encode/dedup/index/fetch/copy — phases 1-4);
-- **router**: :func:`~repro.cluster.router.plan_primary_streams` over a
-  vectorised-policy arrival stream (requests planned/s).
+- **router**: the cluster router's array planner plus
+  :func:`~repro.cluster.router.plan_primary_streams` over one arrival
+  stream, fault-free and with a replica crashed (requests planned/s).
 
 ``--pin`` rewrites the pinned ``BENCH_hotpath_micro_baseline.json``;
 ``check_regression.py`` fails CI when any unit drops below
@@ -27,9 +28,11 @@ from repro import FlecheConfig, default_platform
 from repro.bench.reporting import (
     emit, emit_json, format_rate, format_table, load_artifact,
 )
+from repro.cluster import ClusterConfig, ClusterRouter
 from repro.cluster.router import plan_primary_streams
-from repro.cluster.routing import make_policy
 from repro.core.workflow import FlecheEmbeddingLayer
+from repro.faults import BreakerConfig, FaultSchedule, ReplicaCrash
+from repro.faults.retry import CircuitBreaker
 from repro.gpusim.executor import Executor
 from repro.serving.arrivals import PoissonArrivals
 from repro.serving.pipeline import InFlightMissTable
@@ -100,34 +103,64 @@ def run_workflow_micro(hw, batch_size=4_096, rounds=32):
     }
 
 
-def run_router_micro(num_replicas=8, num_requests=20_000, rounds=12):
-    """Fault-free dispatch planning (policy + stream grouping) plans/s."""
+def run_router_micro(hw, num_replicas=8, num_requests=20_000, rounds=6):
+    """Dispatch planning plans/s: policy, array planner, stream grouping.
+
+    Each round plans the same arrival stream twice through the router's
+    one planner — on an empty fault schedule, and with one replica
+    crashed mid-stream so the lost-send / breaker / failover masks and
+    the ring walk all run — then groups the planned rows into streams.
+    """
     dataset = uniform_tables_spec(
         num_tables=4, corpus_size=20_000, alpha=-1.2, dim=16,
     )
     requests = PoissonArrivals(dataset, 1_000_000.0, seed=11).generate(
         num_requests
     )
-    policy = make_policy("hash", num_replicas)
     arrivals = np.fromiter(
         (r.arrival_time for r in requests), np.float64, count=num_requests
     )
     request_ids = np.fromiter(
         (r.request_id for r in requests), np.int64, count=num_requests
     )
-    started = time.perf_counter()
-    for _ in range(rounds):
-        owners = policy.primary_many(requests)
-        plans = plan_primary_streams(owners, arrivals, request_ids)
-    elapsed = time.perf_counter() - started
-    planned = sum(m.size for m in plans.values())
-    assert planned == num_requests
+    horizon = float(arrivals[-1])
+    config = ClusterConfig(
+        num_replicas=num_replicas, policy="hash", hot_keys=0,
+        breaker=BreakerConfig(),
+    )
+    schedules = {
+        "fault_free": FaultSchedule(),
+        "crash": FaultSchedule([ReplicaCrash(
+            replica=0, start=0.3 * horizon, duration=0.5 * horizon,
+        )]),
+    }
+    elapsed = {}
+    for name, schedule in schedules.items():
+        router = ClusterRouter(dataset, hw, config, schedule=schedule)
+        _, episodes = router._detect(arrivals)
+        started = time.perf_counter()
+        for _ in range(rounds):
+            router.breakers = {
+                r: CircuitBreaker(config.breaker) for r in range(num_replicas)
+            }
+            owners = router.policy.primary_many(requests)
+            table = router._plan_arrays(owners, arrivals, episodes)
+            plans = plan_primary_streams(
+                table.replica * 2 + table.incarnation, table.at,
+                request_ids[table.index],
+            )
+        elapsed[name] = time.perf_counter() - started
+        planned = sum(m.size for m in plans.values())
+        assert planned == len(table.index) >= num_requests * 0.9
+    total = sum(elapsed.values())
     return {
-        "plans_per_s": rounds * num_requests / elapsed,
+        "plans_per_s": len(schedules) * rounds * num_requests / total,
+        "fault_free_plans_per_s": rounds * num_requests / elapsed["fault_free"],
+        "crash_plans_per_s": rounds * num_requests / elapsed["crash"],
         "replicas": num_replicas,
         "requests": num_requests,
         "rounds": rounds,
-        "elapsed_s": elapsed,
+        "elapsed_s": total,
     }
 
 
@@ -144,7 +177,7 @@ def run_micro(hw):
     return {
         "miss_table": run_miss_table_micro(),
         "workflow": run_workflow_micro(hw),
-        "router": run_router_micro(),
+        "router": run_router_micro(hw),
     }
 
 

@@ -33,7 +33,11 @@ import sys
 HOT_PATH_FILES = {
     "src/repro/serving/pipeline.py": 3,   # match / publish / retire
     "src/repro/core/workflow.py": 3,      # encode / dedup / _query_stages
-    "src/repro/cluster/router.py": 2,     # plan_primary_streams / fault-free
+    # plan_primary_streams / _fallback_targets / _plan_arrays /
+    # _run_streams / _merge
+    "src/repro/cluster/router.py": 5,
+    "src/repro/cluster/health.py": 1,     # routable_many
+    "src/repro/faults/schedule.py": 2,    # crashed_many / slow_factor_many
     "src/repro/serving/batcher.py": 1,    # form_batches
     "src/repro/hashindex/slab_hash.py": 3,  # lookup / insert / erase
     "src/repro/tables/embedding_table.py": 1,  # lookup

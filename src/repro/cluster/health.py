@@ -33,6 +33,8 @@ from dataclasses import dataclass
 from math import ceil
 from typing import Callable, Dict, List, Optional, Tuple
 
+import numpy as np
+
 from ..errors import ConfigError
 from ..obs.alerts import FIRING, RESOLVED, Alert
 from ..obs.registry import MetricsRegistry, Observable
@@ -99,6 +101,9 @@ class ReplicaHealth:
         if not self.transitions or self.transitions[0].at != 0.0:
             raise ConfigError("timeline must start at t=0")
         self._times = [t.at for t in self.transitions]
+        self._routable = np.array(
+            [t.state == HEALTHY for t in self.transitions]
+        )
 
     def state_at(self, now: float) -> str:
         """The replica's detector state at ``now``."""
@@ -107,6 +112,12 @@ class ReplicaHealth:
 
     def routable_at(self, now: float) -> bool:
         return self.state_at(now) == HEALTHY
+
+    # hot-path: vectorized
+    def routable_many(self, times: np.ndarray) -> np.ndarray:
+        """:meth:`routable_at` for an array of instants."""
+        i = np.searchsorted(self._times, times, side="right") - 1
+        return self._routable[np.maximum(i, 0)]
 
     def first(self, state: str, after: float = 0.0) -> Optional[float]:
         """Instant of the first transition into ``state`` at/after

@@ -7,22 +7,30 @@ separated from execution so a run stays a pure function of
 
 1. **Detect** — the :class:`~repro.cluster.health.HealthMonitor`
    precomputes every replica's health timeline from the fault schedule.
-2. **Plan** — each request is walked in arrival order: the routing
-   policy names a primary; crash windows turn dispatches into lost
-   sends (re-dispatched to the next live replica after
-   ``dispatch_timeout``, or immediately once the per-replica circuit
-   breaker opens); detected-dead and suspect windows fail over at
-   dispatch time; slowdown windows add a cross-replica hedge copy after
-   ``hedge_delay``.
-3. **Execute** — each ``(replica, incarnation)`` stream is served
-   through its own :class:`~repro.serving.pipeline.
-   PipelinedInferenceServer`.  Crash victims run first so in-flight
-   losses can spawn failover copies; the victim then crashes, restores
-   its snapshot, replays the shared update log to the version frontier,
-   and its post-rejoin incarnation serves like any other stream.
+2. **Plan** — every send of the run becomes one row of a dispatch
+   table held as columns (``index, replica, incarnation, at, kind_rank,
+   cause, finish, valid, pos``).  The routing policy names the
+   primaries; crash windows turn sends into lost ones (re-sent to the
+   next live replica after ``dispatch_timeout``, or at once when the
+   per-replica circuit breaker is open); detected-dead and suspect
+   windows fail over at dispatch time; slowdown windows add a
+   cross-replica hedge copy after ``hedge_delay``.  A policy that
+   answers ``primary_many`` is planned as array masks over the whole
+   stream, faults or not — only the breakers, whose state depends on
+   request order, are advanced one request at a time.  A policy that
+   cannot (``least-outstanding`` chooses from its dispatch history) is
+   planned request by request into the same columns.
+3. **Execute** — the rows are grouped into ``(replica, incarnation)``
+   streams ordered by ``(at, request_id)``, each served through its own
+   :class:`~repro.serving.pipeline.PipelinedInferenceServer`, and
+   ``finish = at + latency x slow_factor`` is stamped per stream.
+   Crash victims run first so sends lost in flight can be re-planned;
+   the victim then crashes, restores its snapshot, replays the shared
+   update log to the version frontier, and its post-rejoin incarnation
+   serves like any other stream.
 4. **Merge** — per request, the earliest valid completion wins
-   (primary beats failover beats hedge on ties); requests with no valid
-   completion are shed.
+   (primary beats failover beats hedge on ties, one lexsort over the
+   columns); requests with no valid completion are shed.
 
 Conservation is audited on the router's own registry: routed requests
 equal served-primary + served-failover + served-hedge + shed, hedge
@@ -74,6 +82,11 @@ DISPATCH_HEDGE = "hedge"
 SHED = "shed"
 
 _KIND_RANK = {DISPATCH_PRIMARY: 0, DISPATCH_FAILOVER: 1, DISPATCH_HEDGE: 2}
+#: Disposition of each winning ``kind_rank``; the last entry marks no winner.
+_DISPOSITIONS = (*_KIND_RANK, SHED)
+#: Why a failover was planned (the table's ``cause`` column indexes this;
+#: 0 = not a failover).  "breaker" marks fast-fails in the trace.
+_CAUSES = ("", "health", "timeout", "breaker", "inflight")
 
 
 @dataclass(frozen=True)
@@ -113,23 +126,48 @@ class ClusterConfig:
             raise ConfigError("hedge_delay must be positive when set")
 
 
-@dataclass
-class _Dispatch:
-    """One planned send of one request to one replica incarnation."""
+#: The dispatch table's columns.  One row per planned send of one request
+#: to one replica incarnation, in plan order.
+_COLUMNS = {
+    "index": np.int64,        # the request's position in the served stream
+    "replica": np.int64,
+    "incarnation": np.int64,  # 0 before the replica's restart, 1 from it on
+    "at": np.float64,         # send instant: arrival (+ timeout / hedge delay)
+    "kind_rank": np.int64,    # _KIND_RANK of primary / failover / hedge
+    "cause": np.int64,        # index into _CAUSES
+    "finish": np.float64,     # completion instant; inf until executed
+    "valid": np.bool_,        # executed and not lost in a crash
+    "pos": np.int64,          # position in its executed stream; -1 until run
+}
 
-    index: int
-    replica: int
-    incarnation: int
-    at: float
-    kind: str
-    finish: float = inf
-    valid: bool = False
-    #: position within the sorted execution stream (set at run time;
-    #: the stream tracer's batch records are indexed by it).
-    pos: int = -1
-    #: why a failover was planned ("breaker", "timeout", "inflight",
-    #: "health") — distinguishes breaker fast-fails in the trace.
-    cause: str = ""
+
+class _DispatchTable:
+    """Every planned send of one ``serve`` call, held as columns."""
+
+    def __init__(self, restart_at: np.ndarray):
+        #: Per replica, the instant from which sends reach its post-crash
+        #: incarnation (inf for a replica that never restarts).
+        self.restart_at = restart_at
+        for name, dtype in _COLUMNS.items():
+            setattr(self, name, np.empty(0, dtype))
+
+    def append(self, index, replica, at, kind_rank, cause) -> None:
+        """Add one chunk of sends (scalars broadcast over ``index``)."""
+        m = len(index)
+        replica = np.broadcast_to(np.asarray(replica, np.int64), m)
+        at = np.broadcast_to(np.asarray(at, np.float64), m)
+        chunk = {
+            "index": index, "replica": replica, "at": at,
+            "incarnation": at >= self.restart_at[replica],
+            "kind_rank": np.broadcast_to(kind_rank, m),
+            "cause": np.broadcast_to(cause, m),
+            "finish": np.full(m, inf), "valid": np.zeros(m, bool),
+            "pos": np.full(m, -1),
+        }
+        for name, dtype in _COLUMNS.items():
+            setattr(self, name, np.concatenate(
+                [getattr(self, name), np.asarray(chunk[name], dtype)]
+            ))
 
 
 @dataclass(frozen=True)
@@ -279,13 +317,14 @@ def plan_primary_streams(
     arrivals: np.ndarray,
     request_ids: np.ndarray,
 ) -> "Dict[int, np.ndarray]":
-    """Group fault-free primary dispatches into per-replica streams.
+    """Group dispatches into per-owner streams in execution order.
 
-    The planning kernel of :meth:`ClusterRouter._serve_fault_free` (and
-    the unit ``bench_hotpath_micro.py`` times): one ``np.lexsort`` per
-    owning replica orders its stream by ``(arrival, request_id)`` with
-    ties kept stable — ``np.lexsort``'s last key is primary.  Returns
-    ``owner -> member index array`` in ascending owner order.
+    The grouping kernel of the router's execute stage (and a unit
+    ``bench_hotpath_micro.py`` times): one ``np.lexsort`` per stream
+    orders it by ``(send instant, request_id)`` with ties kept stable —
+    ``np.lexsort``'s last key is primary.  ``owners`` is any integer
+    stream key.  Returns ``owner -> member index array`` in ascending
+    owner order.
     """
     streams: Dict[int, np.ndarray] = {}
     for owner in np.unique(owners).tolist():  # lint: allow-loop (per replica)
@@ -426,17 +465,19 @@ class ClusterRouter(Observable):
             )
         return episodes
 
-    def _incarnation_at(
-        self, replica: int, at: float, episodes: Dict[int, _CrashEpisode]
-    ) -> int:
-        episode = episodes.get(replica)
-        if episode is None:
-            return 0
-        boundary = (
+    def _restart_at(self, episode: _CrashEpisode) -> float:
+        """When the victim serves again: readmission when routed, the
+        end of restart + replay in the unrouted baseline."""
+        return (
             episode.rejoin_at if self.config.failover
             else episode.recover_done
         )
-        return 1 if at >= boundary else 0
+
+    def _new_table(self, episodes: Dict[int, _CrashEpisode]) -> _DispatchTable:
+        restart_at = np.full(self.config.num_replicas, inf)
+        for r, episode in episodes.items():
+            restart_at[r] = self._restart_at(episode)
+        return _DispatchTable(restart_at)
 
     def _fallback_target(self, owner: int, at: float) -> Optional[int]:
         """Next replica on the ring that is routable *and* actually up."""
@@ -448,104 +489,383 @@ class ClusterRouter(Observable):
                 return cand
         return None
 
-    # ------------------------------------------------------------ serving
-
-    def _fault_free(self, episodes: Dict[int, _CrashEpisode]) -> bool:
-        """True when no fault machinery can engage in this run.
-
-        Requires an empty fault schedule (so every slow factor is 1.0 and
-        nothing is ever lost), no crash episodes, and every precomputed
-        health timeline pinned at healthy — under which the per-request
-        planner reduces to "dispatch each request to its primary".
-        """
-        if episodes or self.schedule.events:
-            return False
-        return all(
-            len(h.transitions) == 1 and h.transitions[0].state == HEALTHY
-            for h in self.health.values()
-        )
+    # hot-path: vectorized
+    def _fallback_targets(
+        self, owners: np.ndarray, at: np.ndarray
+    ) -> np.ndarray:
+        """:meth:`_fallback_target` for arrays; -1 where no replica is up."""
+        num = self.config.num_replicas
+        live = np.stack([
+            self.health[r].routable_many(at)
+            & ~self.schedule.crashed_many(r, at)
+            for r in range(num)
+        ])
+        sends = np.arange(len(at))
+        targets = np.full(len(at), -1, np.int64)
+        for k in range(num - 1, 0, -1):  # lint: allow-loop (per ring step; the nearest live replica is written last)
+            cand = (owners + k) % num
+            hit = live[cand, sends]
+            targets[hit] = cand[hit]
+        return targets
 
     # hot-path: vectorized
-    def _serve_fault_free(
+    def _plan_arrays(
+        self,
+        owners: np.ndarray,
+        arrivals: np.ndarray,
+        episodes: Dict[int, _CrashEpisode],
+    ) -> _DispatchTable:
+        """Plan a whole arrival stream against the precomputed timelines.
+
+        Every branch of :meth:`_plan_per_request` becomes a mask over the
+        stream: where an arrival falls against its owner's crash episode
+        (before it, lost undetected, detected, rejoined) is a comparison,
+        and each replica's health or slowdown one ``searchsorted`` over
+        it.  Only the circuit breakers see requests one at a time.
+        """
+        cfg = self.config
+        t, n = arrivals, len(arrivals)
+        table = self._new_table(episodes)
+        start, detect_at = np.full((2, cfg.num_replicas), inf)
+        for r, episode in episodes.items():  # lint: allow-loop (per victim)
+            start[r], detect_at[r] = episode.start, episode.detect_at
+        post = t >= start[owners]
+        rejoined = post & (t >= table.restart_at[owners])
+        # Two slots per request — its first send and its hedge — so that
+        # reading the slots row by row is plan order.  -1 = no send.
+        replica = np.full((n, 2), -1)
+        at = np.stack([t, t], axis=1)
+        kind_rank = np.zeros((n, 2), np.int64)
+        cause = np.zeros((n, 2), np.int64)
+        if not cfg.failover:
+            # Unrouted baseline: shed while the owner is down or still
+            # replaying after its restart.
+            primary = ~post | rejoined
+        else:
+            detected = post & ~rejoined & (t >= detect_at[owners])
+            # Undetected-dead window: the send is lost, and re-sent
+            # after the dispatch timeout unless an open breaker already
+            # knows to skip the dead replica.
+            lost = post & ~rejoined & ~detected
+            replicas, every = range(cfg.num_replicas), np.arange(n)
+            steady = ~post & np.stack([
+                self.health[r].routable_many(t) for r in replicas
+            ])[owners, every]
+            fast_fail = self._advance_breakers(
+                owners, t, lost, steady & np.isfinite(start[owners])
+            )
+            timeout = lost & ~fast_fail
+            self.obs.inc("cluster.breaker_rejections", int(fast_fail.sum()))
+            self.obs.inc("cluster.lost_dispatches", int(timeout.sum()))
+            # Whatever else is not sent to its owner fails over for
+            # health: detected dead, or suspect from lost heartbeats.
+            primary = rejoined | steady
+            away = np.flatnonzero(~primary)
+            at[timeout, 0] += cfg.dispatch_timeout
+            replica[away, 0] = self._fallback_targets(
+                owners[away], at[away, 0]
+            )
+            kind_rank[away, 0] = _KIND_RANK[DISPATCH_FAILOVER]
+            cause[away, 0] = _CAUSES.index("health")
+            cause[timeout, 0] = _CAUSES.index("timeout")
+            cause[fast_fail, 0] = _CAUSES.index("breaker")
+            if cfg.hedge_delay is not None:
+                # A cross-replica copy of every primary sent into a
+                # slowdown window (a rejoined victim's are not hedged).
+                hedged = np.flatnonzero(steady & (np.stack([
+                    self.schedule.slow_factor_many(r, t) for r in replicas
+                ])[owners, every] > 1.0))
+                at[hedged, 1] += cfg.hedge_delay
+                replica[hedged, 1] = self._fallback_targets(
+                    owners[hedged], at[hedged, 1]
+                )
+                kind_rank[:, 1] = _KIND_RANK[DISPATCH_HEDGE]
+        replica[primary, 0] = owners[primary]
+        sends = np.flatnonzero(replica.ravel() >= 0)
+        table.append(sends // 2, *(
+            column.ravel()[sends]
+            for column in (replica, at, kind_rank, cause)
+        ))
+        return table
+
+    def _advance_breakers(
+        self,
+        owners: np.ndarray,
+        t: np.ndarray,
+        lost: np.ndarray,
+        succeeded: np.ndarray,
+    ) -> np.ndarray:
+        """Feed the victims' breakers in stream order; returns the mask
+        of ``lost`` sends an open breaker rejected without a timeout.
+
+        The breakers are the one piece of planning state that depends
+        on request order, and only a crash victim's requests up to its
+        detection touch them — successes before the crash, lost sends
+        after — so the scalar loop runs over that subset alone.
+        """
+        fast_fail = np.zeros(len(t), bool)
+        if not self.breakers:
+            return fast_fail
+        touched = np.flatnonzero(lost | succeeded)
+        for i, owner, at, failed in zip(
+            touched.tolist(), owners[touched].tolist(),
+            t[touched].tolist(), lost[touched].tolist(),
+        ):
+            breaker = self.breakers[owner]
+            if not failed:
+                breaker.record(True, at)
+            elif breaker.allow(at):
+                breaker.record(False, at)
+            else:
+                fast_fail[i] = True
+        return fast_fail
+
+    def _plan_per_request(
+        self, requests: Sequence, episodes: Dict[int, _CrashEpisode]
+    ) -> _DispatchTable:
+        """Plan one request at a time, in stream order.
+
+        The path for policies that cannot answer ``primary_many`` —
+        their choice depends on the healthy set at each arrival and on
+        their own dispatch history — and the reference the array
+        planner is tested against.
+        """
+        cfg = self.config
+        reg = self.obs
+        rows: List[Tuple[int, int, float, int, int]] = []
+        for index, request in enumerate(requests):
+            t = request.arrival_time
+            healthy = (
+                [r for r in range(cfg.num_replicas)
+                 if self.health[r].routable_at(t)]
+                if cfg.failover else list(range(cfg.num_replicas))
+            )
+            owner = self.policy.primary(request, healthy)
+            episode = episodes.get(owner)
+            breaker = self.breakers.get(owner)
+            at, cause, hedge = t, "", False
+            if not cfg.failover:
+                # Unrouted baseline: shed while the owner is down or
+                # still replaying after its restart.
+                if episode is not None and (
+                    episode.start <= t < episode.recover_done
+                ):
+                    continue
+            elif episode is not None and t >= episode.start:
+                if t >= episode.rejoin_at:
+                    pass
+                elif t >= episode.detect_at:
+                    cause = "health"
+                elif breaker is not None and not breaker.allow(t):
+                    # Undetected-dead window, breaker open: skip the dead
+                    # replica without waiting out the dispatch timeout.
+                    reg.inc("cluster.breaker_rejections")
+                    cause = "breaker"
+                else:
+                    # The send is lost; the breaker learns from it.
+                    if breaker is not None:
+                        breaker.record(False, t)
+                    reg.inc("cluster.lost_dispatches")
+                    at, cause = t + cfg.dispatch_timeout, "timeout"
+            elif not self.health[owner].routable_at(t):
+                # Suspect/dead from heartbeat loss alone: route away.
+                cause = "health"
+            else:
+                if episode is not None and breaker is not None:
+                    breaker.record(True, t)
+                hedge = cfg.hedge_delay is not None and (
+                    self.schedule.replica_slow_factor(owner, t) > 1.0
+                )
+            sends = [(
+                DISPATCH_FAILOVER if cause else DISPATCH_PRIMARY,
+                self._fallback_target(owner, at) if cause else owner,
+                at, cause,
+            )]
+            if hedge:
+                hedge_at = t + cfg.hedge_delay
+                sends.append((
+                    DISPATCH_HEDGE, self._fallback_target(owner, hedge_at),
+                    hedge_at, "",
+                ))
+            for kind, replica, send_at, why in sends:
+                if replica is not None:
+                    rows.append((
+                        index, replica, send_at,
+                        _KIND_RANK[kind], _CAUSES.index(why),
+                    ))
+                    self.policy.note_dispatch(replica, send_at)
+        table = self._new_table(episodes)
+        if rows:
+            table.append(*(np.array(column) for column in zip(*rows)))
+        return table
+
+    # ---------------------------------------------------------- execution
+
+    # hot-path: vectorized
+    def _run_streams(
         self,
         requests: Sequence,
+        arrivals: np.ndarray,
+        request_ids: np.ndarray,
+        table: _DispatchTable,
+        rows: np.ndarray,
+        tracers: Dict[Tuple[int, int], RequestTracer],
+    ) -> None:
+        """Serve table ``rows`` through their ``(replica, incarnation)``
+        streams, each ordered by ``(at, request_id)``, and stamp
+        ``finish = at + latency x slow_factor``."""
+        streams = plan_primary_streams(
+            table.replica[rows] * 2 + table.incarnation[rows],
+            table.at[rows], request_ids[table.index[rows]],
+        )
+        for key, member in streams.items():  # lint: allow-loop (per stream)
+            replica = self.replicas[key // 2]
+            sent = rows[member]
+            index, at = table.index[sent], table.at[sent]
+            stream = [requests[i] for i in index.tolist()]
+            moved = np.flatnonzero(at != arrivals[index])
+            for j, send_at in zip(moved.tolist(), at[moved].tolist()):  # lint: allow-loop (re-sent copies only)
+                stream[j] = dataclasses.replace(
+                    stream[j], arrival_time=send_at
+                )
+            if self.trace_config is not None:
+                # One non-finalizing tracer per stream: it records batch
+                # timing only (no sampling, no counters); the router
+                # materializes winner traces from it at merge time.  The
+                # row's ``pos`` indexes into its records.
+                tracer = tracers[divmod(key, 2)] = RequestTracer(
+                    self.trace_config, finalize_on_serve=False
+                )
+                replica.attach_reqtracer(tracer)
+            report = replica.serve(stream)
+            if self.trace_config is not None:
+                replica.attach_reqtracer(None)
+            table.finish[sent] = at + (
+                np.asarray(report.latencies, np.float64)
+                * self.schedule.slow_factor_many(replica.replica_id, at)
+            )
+            table.valid[sent] = True
+            table.pos[sent] = np.arange(len(sent))
+
+    def _execute(
+        self,
+        requests: Sequence,
+        arrivals: np.ndarray,
+        request_ids: np.ndarray,
+        table: _DispatchTable,
         episodes: Dict[int, _CrashEpisode],
-        horizon: float,
-        before,
-    ) -> Optional[ClusterReport]:
-        """Steady-state serving as per-replica array operations.
+    ) -> Dict[Tuple[int, int], RequestTracer]:
+        """Run every stream, crash victims first.
 
-        The hot path of a healthy cluster: plan every primary in one
-        vectorised policy call, group requests per replica with one
-        lexsort, and skip the dispatch-copy merge entirely (exactly one
-        valid primary completion per request, so the winner is known).
-        Byte-identical to the general planner because on an empty
-        schedule every slow factor is 1.0 (``x * 1.0 == x``), no hedge
-        or failover can fire, and the per-stream execution order —
-        ``(arrival, request_id)``, stable — is reproduced by the
-        lexsort.  Returns None whenever any fault machinery could
-        engage; the exact per-request planner runs instead.  Tracing
-        also routes through the general planner — it needs per-dispatch
-        stream tracers — which is timing-safe precisely because the two
-        paths are equivalent.
+        A victim's pre-crash stream runs before anything else so the
+        sends still in flight at the crash can be re-planned; the victim
+        then crashes, restores its snapshot and replays the update log,
+        and its post-rejoin incarnation serves like any other stream.
         """
-        if self.trace_config is not None:
-            return None
-        if not self._fault_free(episodes):
-            return None
-        owners = self.policy.primary_many(requests)
-        if owners is None:
-            return None
-        reg = self.obs
         cfg = self.config
-        n = len(requests)
-        arrivals = np.fromiter(
-            (r.arrival_time for r in requests), np.float64, count=n
-        )
-        request_ids = np.fromiter(
-            (r.request_id for r in requests), np.int64, count=n
-        )
-        latencies = np.full(n, inf)
-        stream_counts: Dict[Tuple[int, int], int] = {}
-        plans = plan_primary_streams(owners, arrivals, request_ids)
-        for owner, member in plans.items():  # lint: allow-loop (per replica)
-            stream = self.replicas[owner].serve(
-                [requests[i] for i in member]
+        reg = self.obs
+        tracers: Dict[Tuple[int, int], RequestTracer] = {}
+        run = (requests, arrivals, request_ids, table)
+        for victim in sorted(episodes, key=lambda r: episodes[r].start):
+            episode = episodes[victim]
+            rows = np.flatnonzero(
+                (table.replica == victim) & (table.incarnation == 0)
             )
-            # finish = at + latency * slow_factor with factor == 1.0.
-            finish = arrivals[member] + np.asarray(
-                stream.latencies, dtype=np.float64
+            self._run_streams(*run, rows, tracers)
+            # In flight when the replica died: the response never
+            # arrives.  The router only learns at detection, so the
+            # retry dispatches then.
+            inflight = rows[table.finish[rows] > episode.start]
+            table.valid[inflight] = False
+            reg.inc("cluster.lost_inflight", len(inflight))
+            target = (
+                self._fallback_target(victim, episode.detect_at)
+                if cfg.failover and isfinite(episode.detect_at) else None
             )
-            latencies[member] = finish - arrivals[member]
-            stream_counts[(owner, 0)] = int(member.size)
-        dispositions: List[str] = [DISPATCH_PRIMARY] * n
-        reg.inc("cluster.served_primary", n)
-        reg.inc("cluster.served_failover", 0)
-        reg.inc("cluster.served_hedge", 0)
-        reg.inc("cluster.shed", 0)
-
-        alerts = (
-            self.monitor.health_alerts(self.health) if cfg.failover else []
+            if target is not None and len(inflight):
+                table.append(
+                    table.index[inflight], target, episode.detect_at,
+                    _KIND_RANK[DISPATCH_FAILOVER], _CAUSES.index("inflight"),
+                )
+                for _ in range(len(inflight)):
+                    self.policy.note_dispatch(target, episode.detect_at)
+            replica = self.replicas[victim]
+            replica.crash()
+            if isfinite(self._restart_at(episode)):
+                if replica.snapshot_ is not None:
+                    reg.inc(
+                        "cluster.replayed_batches",
+                        replica.recover(self._restart_at(episode)),
+                    )
+                else:
+                    # No snapshot (refresh not wired): cold restart.
+                    replica.cold_restart()
+                    replica.warm_hot_keys(self.warm_seed, cfg.hot_keys)
+        # A victim's pre-crash stream never runs twice: a send planned
+        # into it after the crash stays unexecuted.
+        spent = np.isin(table.replica, list(episodes)) & (
+            table.incarnation == 0
         )
-        alerts.extend(self._staleness_alerts(episodes, horizon))
-        for replica in self.replicas:  # lint: allow-loop (per replica)
-            if replica.subscriber is not None:
-                replica.subscriber.catch_up(horizon)
-                replica.subscriber.refresh_gauges(horizon)
-        per_replica = self._replica_summaries(stream_counts, horizon)
-
-        reg.check()
-        delta = reg.snapshot().diff(before)
-        return ClusterReport(
-            latencies=latencies,
-            arrival_times=arrivals,
-            dispositions=dispositions,
-            per_replica=per_replica,
-            health=self.health,
-            alerts=alerts,
-            episodes=[],
-            metrics=delta,
+        self._run_streams(*run, np.flatnonzero(~spent), tracers)
+        sent = np.bincount(table.kind_rank, minlength=len(_KIND_RANK))
+        reg.inc(
+            "cluster.failovers_dispatched",
+            int(sent[_KIND_RANK[DISPATCH_FAILOVER]]),
         )
+        reg.inc("cluster.hedges_fired", int(sent[_KIND_RANK[DISPATCH_HEDGE]]))
+        return tracers
+
+    # ------------------------------------------------------------ merging
+
+    # hot-path: vectorized
+    def _merge(
+        self, table: _DispatchTable, arrivals: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Per request the earliest valid completion wins.
+
+        Ties prefer primary over failover over hedge, then plan order —
+        one stable lexsort of the valid rows by ``(index, finish,
+        kind_rank)``, taking each index's first row.  Returns the
+        latencies (inf = shed) and each request's winning table row
+        (-1 = shed).
+        """
+        latencies = np.full(len(arrivals), inf)
+        winner = np.full(len(arrivals), -1, np.int64)
+        valid = np.flatnonzero(table.valid)
+        order = valid[np.lexsort((
+            table.kind_rank[valid], table.finish[valid], table.index[valid],
+        ))]
+        served, first = np.unique(table.index[order], return_index=True)
+        winner[served] = order[first]
+        latencies[served] = table.finish[order[first]] - arrivals[served]
+        return latencies, winner
+
+    # ------------------------------------------------------------ serving
+
+    def _detect(self, arrivals: np.ndarray):
+        """Observe every replica's health out to the run's horizon;
+        returns the horizon and the crash episodes."""
+        cfg = self.config
+        finite_ends = [
+            e.end for e in self.schedule.events if isfinite(e.end)
+        ]
+        horizon0 = max([float(arrivals.max())] + finite_ends)
+
+        def replay_seconds(r: int, at: float) -> float:
+            return (
+                self.replicas[r].pending_replay_keys(at)
+                / cfg.health.replay_keys_per_s
+            )
+
+        horizon = (
+            horizon0
+            + max(replay_seconds(r, horizon0) for r in range(cfg.num_replicas))
+            + cfg.health.heartbeat_interval * (cfg.health.dead_after + 8)
+        )
+        self.health = self.monitor.observe(
+            horizon, replay_seconds=replay_seconds
+        )
+        return horizon, self._episodes()
 
     def serve(self, requests: Sequence) -> ClusterReport:
         if not requests:
@@ -556,250 +876,36 @@ class ClusterRouter(Observable):
         before = reg.snapshot()
         n = len(requests)
         reg.inc("cluster.requests", n)
-
-        last_arrival = max(r.arrival_time for r in requests)
-        finite_ends = [
-            e.end for e in self.schedule.events if isfinite(e.end)
-        ]
-        horizon0 = max([last_arrival] + finite_ends)
-        replay_margin = max(
-            (
-                replica.pending_replay_keys(horizon0)
-                / cfg.health.replay_keys_per_s
-                for replica in self.replicas
-            ),
-            default=0.0,
+        arrivals = np.fromiter(
+            (r.arrival_time for r in requests), np.float64, count=n
         )
-        horizon = (
-            horizon0 + replay_margin
-            + cfg.health.heartbeat_interval * (cfg.health.dead_after + 8)
+        request_ids = np.fromiter(
+            (r.request_id for r in requests), np.int64, count=n
         )
+        horizon, episodes = self._detect(arrivals)
 
-        def replay_seconds(r: int, at: float) -> float:
-            return (
-                self.replicas[r].pending_replay_keys(at)
-                / cfg.health.replay_keys_per_s
-            )
-
-        self.health = self.monitor.observe(
-            horizon, replay_seconds=replay_seconds
+        # Plan -> execute -> merge over one dispatch table.  A policy
+        # that names every primary up front is planned as arrays; one
+        # that cannot (its choice depends on dispatch history) is
+        # planned request by request into the same columns.
+        owners = self.policy.primary_many(requests)
+        table = (
+            self._plan_arrays(owners, arrivals, episodes)
+            if owners is not None
+            else self._plan_per_request(requests, episodes)
         )
-        episodes = self._episodes()
+        tracers = self._execute(
+            requests, arrivals, request_ids, table, episodes
+        )
+        latencies, winner = self._merge(table, arrivals)
 
-        report = self._serve_fault_free(requests, episodes, horizon, before)
-        if report is not None:
-            return report
-
-        streams: Dict[Tuple[int, int], List[_Dispatch]] = {}
-        per_index: List[List[_Dispatch]] = [[] for _ in range(n)]
-
-        def plan(index, replica, at, kind, cause=""):
-            incarnation = self._incarnation_at(replica, at, episodes)
-            dispatch = _Dispatch(
-                index, replica, incarnation, at, kind, cause=cause
-            )
-            streams.setdefault((replica, incarnation), []).append(dispatch)
-            per_index[index].append(dispatch)
-            self.policy.note_dispatch(replica, at)
-            if kind == DISPATCH_FAILOVER:
-                reg.inc("cluster.failovers_dispatched")
-            elif kind == DISPATCH_HEDGE:
-                reg.inc("cluster.hedges_fired")
-            return dispatch
-
-        def plan_failover(index, owner, at, cause):
-            target = self._fallback_target(owner, at)
-            if target is None:
-                return None
-            return plan(index, target, at, DISPATCH_FAILOVER, cause=cause)
-
-        for index, request in enumerate(requests):
-            t = request.arrival_time
-            healthy = (
-                [r for r in range(cfg.num_replicas)
-                 if self.health[r].routable_at(t)]
-                if cfg.failover else list(range(cfg.num_replicas))
-            )
-            owner = self.policy.primary(request, healthy)
-            episode = episodes.get(owner)
-
-            if not cfg.failover:
-                # Unrouted baseline: shed while the owner is down or
-                # still replaying after its restart.
-                if episode is not None and (
-                    episode.start <= t < episode.recover_done
-                ):
-                    continue
-                plan(index, owner, t, DISPATCH_PRIMARY)
-                continue
-
-            if episode is not None and t >= episode.start:
-                if t >= episode.rejoin_at:
-                    plan(index, owner, t, DISPATCH_PRIMARY)
-                elif t >= episode.detect_at:
-                    plan_failover(index, owner, t, "health")
-                else:
-                    # Undetected-dead window: the send is lost.  The
-                    # breaker learns from the failure; once open, the
-                    # router skips the dead replica without waiting out
-                    # the dispatch timeout.
-                    breaker = self.breakers.get(owner)
-                    if breaker is not None and not breaker.allow(t):
-                        reg.inc("cluster.breaker_rejections")
-                        plan_failover(index, owner, t, "breaker")
-                    else:
-                        if breaker is not None:
-                            breaker.record(False, t)
-                        reg.inc("cluster.lost_dispatches")
-                        plan_failover(
-                            index, owner, t + cfg.dispatch_timeout, "timeout"
-                        )
-                continue
-
-            if not self.health[owner].routable_at(t):
-                # Suspect/dead from heartbeat loss alone: route away.
-                plan_failover(index, owner, t, "health")
-                continue
-
-            plan(index, owner, t, DISPATCH_PRIMARY)
-            if episode is not None:
-                breaker = self.breakers.get(owner)
-                if breaker is not None:
-                    breaker.record(True, t)
-            slow = self.schedule.replica_slow_factor(owner, t)
-            if cfg.hedge_delay is not None and slow > 1.0:
-                hedge_at = t + cfg.hedge_delay
-                target = self._fallback_target(owner, hedge_at)
-                if target is not None:
-                    plan(index, target, hedge_at, DISPATCH_HEDGE)
-
-        # ---------------------------------------------------- execution
-        stream_tracers: Dict[Tuple[int, int], RequestTracer] = {}
-
-        def run_stream(key):
-            replica_id, incarnation = key
-            dispatches = sorted(
-                streams[key],
-                key=lambda d: (d.at, requests[d.index].request_id),
-            )
-            stream_requests = [
-                requests[d.index]
-                if d.at == requests[d.index].arrival_time
-                else dataclasses.replace(
-                    requests[d.index], arrival_time=d.at
-                )
-                for d in dispatches
-            ]
-            tracer = None
-            if self.trace_config is not None:
-                # One non-finalizing tracer per stream: it records batch
-                # timing only (no sampling, no counters); the router
-                # materializes winner traces from it at merge time.  The
-                # dispatch's stream position indexes into its records.
-                tracer = RequestTracer(
-                    self.trace_config, finalize_on_serve=False
-                )
-                for j, dispatch in enumerate(dispatches):  # lint: allow-loop (per dispatch, trace-enabled runs only)
-                    dispatch.pos = j
-                self.replicas[replica_id].attach_reqtracer(tracer)
-                stream_tracers[key] = tracer
-            report = self.replicas[replica_id].serve(stream_requests)
-            if tracer is not None:
-                self.replicas[replica_id].attach_reqtracer(None)
-            for dispatch, latency in zip(dispatches, report.latencies):
-                factor = self.schedule.replica_slow_factor(
-                    replica_id, dispatch.at
-                )
-                dispatch.finish = dispatch.at + float(latency) * factor
-                dispatch.valid = True
-            return report
-
-        victims = sorted(episodes, key=lambda r: episodes[r].start)
-        for victim in victims:
-            episode = episodes[victim]
-            key = (victim, 0)
-            if key in streams:
-                run_stream(key)
-                for dispatch in streams[key]:
-                    if dispatch.finish > episode.start:
-                        # In flight when the replica died: the response
-                        # never arrives.  The router only learns at
-                        # detection, so the retry dispatches then.
-                        dispatch.valid = False
-                        reg.inc("cluster.lost_inflight")
-                        if cfg.failover and isfinite(episode.detect_at):
-                            plan_failover(
-                                dispatch.index, victim, episode.detect_at,
-                                "inflight",
-                            )
-            restart_at = (
-                episode.rejoin_at if cfg.failover else episode.recover_done
-            )
-            self.replicas[victim].crash()
-            if isfinite(restart_at):
-                if self.replicas[victim].snapshot_ is not None:
-                    replayed = self.replicas[victim].recover(restart_at)
-                    reg.inc("cluster.replayed_batches", replayed)
-                else:
-                    # No snapshot (refresh not wired): cold restart.
-                    self.replicas[victim].cold_restart()
-                    self.replicas[victim].warm_hot_keys(
-                        self.warm_seed, cfg.hot_keys
-                    )
-
-        for key in sorted(streams):
-            if key[0] in episodes and key[1] == 0:
-                continue  # victim pre-crash streams already ran
-            run_stream(key)
-
-        # ------------------------------------------------------- merging
-        # Per request the earliest valid completion wins; ties prefer
-        # primary over failover over hedge, then plan order — i.e. the
-        # first minimum of ``(finish, kind_rank)`` in each request's
-        # dispatch list.  One lexsort over every valid dispatch finds
-        # all winners at once: sort by (index, finish, rank, seq) and
-        # take each index's first row (seq = plan order, so ties
-        # reproduce Python ``min``'s first-wins behaviour).
-        latencies = np.full(n, inf)
-        dispositions: List[str] = [SHED] * n
-        winner_by_index: Dict[int, _Dispatch] = {}
-        valid_d = [d for lst in per_index for d in lst if d.valid]
-        if valid_d:
-            m = len(valid_d)
-            d_index = np.fromiter(
-                (d.index for d in valid_d), np.int64, count=m
-            )
-            d_finish = np.fromiter(
-                (d.finish for d in valid_d), np.float64, count=m
-            )
-            d_rank = np.fromiter(
-                (_KIND_RANK[d.kind] for d in valid_d), np.int64, count=m
-            )
-            order = np.lexsort(
-                (np.arange(m), d_rank, d_finish, d_index)
-            )
-            served_idx, first = np.unique(
-                d_index[order], return_index=True
-            )
-            winners = order[first]
-            arrival_arr = np.fromiter(
-                (r.arrival_time for r in requests), np.float64, count=n
-            )
-            latencies[served_idx] = (
-                d_finish[winners] - arrival_arr[served_idx]
-            )
-            kind_by_rank = (
-                DISPATCH_PRIMARY, DISPATCH_FAILOVER, DISPATCH_HEDGE
-            )
-            for i, w, rank in zip(
-                served_idx.tolist(), winners.tolist(),
-                d_rank[winners].tolist(),
-            ):
-                dispositions[i] = kind_by_rank[rank]
-                winner_by_index[i] = valid_d[w]
-        counts = {k: 0 for k in (*_KIND_RANK, SHED)}
-        for d in dispositions:
-            counts[d] += 1
+        rank = np.full(n, _DISPOSITIONS.index(SHED))
+        rank[winner >= 0] = table.kind_rank[winner[winner >= 0]]
+        dispositions = [_DISPOSITIONS[k] for k in rank.tolist()]
+        counts = dict(zip(
+            _DISPOSITIONS,
+            np.bincount(rank, minlength=len(_DISPOSITIONS)).tolist(),
+        ))
         reg.inc("cluster.served_primary", counts[DISPATCH_PRIMARY])
         reg.inc("cluster.served_failover", counts[DISPATCH_FAILOVER])
         reg.inc("cluster.served_hedge", counts[DISPATCH_HEDGE])
@@ -810,8 +916,7 @@ class ClusterRouter(Observable):
         traces = rootcause = None
         if self.trace_config is not None:
             traces, rootcause = self._assemble_traces(
-                requests, latencies, dispositions, per_index,
-                winner_by_index, stream_tracers,
+                request_ids, arrivals, latencies, rank, table, winner, tracers
             )
 
         alerts = (
@@ -826,16 +931,13 @@ class ClusterRouter(Observable):
                 replica.subscriber.catch_up(horizon)
                 replica.subscriber.refresh_gauges(horizon)
         per_replica = self._replica_summaries(
-            {key: len(v) for key, v in streams.items()}, horizon
+            np.bincount(table.replica, minlength=cfg.num_replicas), horizon
         )
 
         reg.check()
-        delta = reg.snapshot().diff(before)
         return ClusterReport(
             latencies=latencies,
-            arrival_times=np.array(
-                [r.arrival_time for r in requests], dtype=float
-            ),
+            arrival_times=arrivals,
             dispositions=dispositions,
             per_replica=per_replica,
             health=self.health,
@@ -843,7 +945,7 @@ class ClusterRouter(Observable):
             episodes=sorted(
                 episodes.values(), key=lambda e: (e.start, e.replica)
             ),
-            metrics=delta,
+            metrics=reg.snapshot().diff(before),
             traces=traces,
             rootcause=rootcause,
         )
@@ -852,11 +954,12 @@ class ClusterRouter(Observable):
 
     def _assemble_traces(
         self,
-        requests: Sequence,
+        ids: np.ndarray,
+        arrivals: np.ndarray,
         latencies: np.ndarray,
-        dispositions: List[str],
-        per_index: List[List[_Dispatch]],
-        winner_by_index: Dict[int, _Dispatch],
+        rank: np.ndarray,
+        table: _DispatchTable,
+        winner: np.ndarray,
         stream_tracers: Dict[Tuple[int, int], "RequestTracer"],
     ):
         """Materialize the sampled trace set from the stream tracers.
@@ -875,13 +978,7 @@ class ClusterRouter(Observable):
         """
         reg = self.obs
         cfg = self.trace_config
-        n = len(requests)
-        ids = np.fromiter(
-            (r.request_id for r in requests), np.int64, count=n
-        )
-        arrivals = np.fromiter(
-            (r.arrival_time for r in requests), np.float64, count=n
-        )
+        n = len(ids)
         if cfg.head_interval:
             head = (ids % cfg.head_interval) == 0
         else:
@@ -891,12 +988,9 @@ class ClusterRouter(Observable):
         else:
             violating = np.zeros(n, dtype=bool)
         tail = violating & cfg.capture_tail
-        forced = np.fromiter(
-            (
-                len(per_index[i]) > 1 or dispositions[i] != DISPATCH_PRIMARY
-                for i in range(n)
-            ),
-            dtype=bool, count=n,
+        # More than one copy, or not won by its primary.
+        forced = (np.bincount(table.index, minlength=n) > 1) | (
+            rank != _KIND_RANK[DISPATCH_PRIMARY]
         )
         sampled = head | tail | forced
         n_sampled = int(sampled.sum())
@@ -920,8 +1014,8 @@ class ClusterRouter(Observable):
         causes: Dict[str, int] = {}
         conserved = 0
         for i in np.flatnonzero(sampled).tolist():  # lint: allow-loop (per sampled request, bounded by the sampling config)
-            winner = winner_by_index.get(i)
-            if winner is None:
+            row = int(winner[i])
+            if row < 0:
                 trace = RequestTrace(
                     context=TraceContext(int(ids[i]), dispatch=SHED),
                     arrival=float(arrivals[i]),
@@ -929,23 +1023,27 @@ class ClusterRouter(Observable):
                     batch_index=-1,
                 )
             else:
-                tracer = stream_tracers[(winner.replica, winner.incarnation)]
-                trace = tracer.trace_for(winner.pos)
+                replica = int(table.replica[row])
+                incarnation = int(table.incarnation[row])
+                kind = _DISPOSITIONS[rank[i]]
+                at = float(table.at[row])
+                trace = stream_tracers[(replica, incarnation)].trace_for(
+                    int(table.pos[row])
+                )
                 trace.context = TraceContext(
                     request_id=int(ids[i]),
-                    dispatch=winner.kind,
-                    replica=winner.replica,
-                    incarnation=winner.incarnation,
+                    dispatch=kind,
+                    replica=replica,
+                    incarnation=incarnation,
                 )
-                trace.scale = self.schedule.replica_slow_factor(
-                    winner.replica, winner.at
-                )
-                trace.route_wait = winner.at - float(arrivals[i])
-                if winner.kind == DISPATCH_HEDGE:
+                trace.scale = self.schedule.replica_slow_factor(replica, at)
+                trace.route_wait = at - float(arrivals[i])
+                if kind == DISPATCH_HEDGE:
                     trace.route_cause = "hedge_wait"
-                elif winner.kind == DISPATCH_FAILOVER:
+                elif kind == DISPATCH_FAILOVER:
                     trace.route_cause = (
-                        "breaker_fastfail" if winner.cause == "breaker"
+                        "breaker_fastfail"
+                        if _CAUSES[table.cause[row]] == "breaker"
                         else "failover_redispatch"
                     )
                 trace.arrival = float(arrivals[i])
@@ -997,10 +1095,7 @@ class ClusterRouter(Observable):
             snapshot = self.replicas[r].snapshot_
             if snapshot is None:
                 continue
-            resolve_at = (
-                episode.rejoin_at if self.config.failover
-                else episode.recover_done
-            )
+            resolve_at = self._restart_at(episode)
             limit = min(resolve_at, horizon)
             beat = int(ceil(episode.start / cfg.heartbeat_interval))
             fired_at = None
@@ -1036,20 +1131,17 @@ class ClusterRouter(Observable):
         return alerts
 
     def _replica_summaries(
-        self, stream_counts: Dict[Tuple[int, int], int], now: float
+        self, dispatched: np.ndarray, now: float
     ) -> Dict[int, dict]:
         summaries: Dict[int, dict] = {}
         for replica in self.replicas:
             r = replica.replica_id
-            dispatched = sum(
-                v for (rid, _), v in stream_counts.items() if rid == r
-            )
             state = self.health[r].state_at(now) if self.health else HEALTHY
             self.obs.set_gauge(
                 "cluster.replica_state", STATE_CODES[state], replica=str(r)
             )
             summary = {
-                "dispatched": dispatched,
+                "dispatched": int(dispatched[r]),
                 "incarnations": replica.incarnation + 1,
                 "state": state,
                 "transitions": (

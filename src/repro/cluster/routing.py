@@ -61,12 +61,14 @@ class RoutingPolicy:
     def primary_many(
         self, requests: Sequence[Request]
     ) -> Optional[np.ndarray]:
-        """Vectorised primaries for a whole arrival stream, assuming every
-        replica is routable throughout.
+        """Primaries for a whole arrival stream, as one array.
 
-        Returns None when the policy cannot answer in bulk (load-aware
-        policies depend on dispatch history and the per-request healthy
-        set); the router then falls back to per-request planning.
+        A policy answers only if its choice is a pure function of the
+        request — independent of the healthy set and of dispatch
+        history.  The router then plans the stream as arrays, faults or
+        not, and never calls :meth:`note_dispatch`.  Returns None when
+        the policy cannot answer in bulk (load-aware policies); the
+        router then plans request by request.
         """
         return None
 

@@ -12,7 +12,9 @@ run is therefore replayable from ``(schedule, seed)`` alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
+
+import numpy as np
 
 from ..errors import ConfigError
 
@@ -182,6 +184,10 @@ class FaultSchedule:
             if not isinstance(event, FaultEvent):
                 raise ConfigError(f"not a fault event: {event!r}")
         self.events: Tuple[FaultEvent, ...] = tuple(events)
+        #: ``(event type, replica) -> (breaks, levels)`` step functions
+        #: behind the ``*_many`` queries, built on first use (the event
+        #: set never changes, so neither do they).
+        self._timelines: Dict[tuple, Tuple[np.ndarray, np.ndarray]] = {}
 
     def __len__(self) -> int:
         return len(self.events)
@@ -261,6 +267,49 @@ class FaultSchedule:
             and e.active(now)
         ]
         return max(active) if active else 1.0
+
+    def _levels_many(
+        self, kind: type, replica: int, times: np.ndarray
+    ) -> np.ndarray:
+        """Strongest active ``kind`` event on ``replica`` at each instant.
+
+        The windows are folded once into a step function: ``levels[k]``
+        is the largest ``factor`` (1.0 for event types without one; 0.0
+        when nothing is active) on ``[breaks[k-1], breaks[k])``, so one
+        right-sided ``searchsorted`` answers a whole array with the
+        scalar queries' ``start <= now < end`` edges.
+        """
+        key = (kind, replica)
+        if key not in self._timelines:
+            events = [
+                e for e in self.events
+                if isinstance(e, kind) and e.replica == replica
+            ]
+            breaks = sorted({b for e in events for b in (e.start, e.end)})
+            levels = [0.0] + [
+                max(
+                    (getattr(e, "factor", 1.0) for e in events if e.active(b)),
+                    default=0.0,
+                )
+                for b in breaks
+            ]
+            self._timelines[key] = (
+                np.array(breaks, dtype=np.float64), np.array(levels),
+            )
+        breaks, levels = self._timelines[key]
+        return levels[np.searchsorted(breaks, times, side="right")]
+
+    # hot-path: vectorized
+    def crashed_many(self, replica: int, times: np.ndarray) -> np.ndarray:
+        """:meth:`replica_crashed` for an array of instants."""
+        return self._levels_many(ReplicaCrash, replica, times) > 0.0
+
+    # hot-path: vectorized
+    def slow_factor_many(self, replica: int, times: np.ndarray) -> np.ndarray:
+        """:meth:`replica_slow_factor` for an array of instants."""
+        return np.maximum(
+            self._levels_many(ReplicaSlowdown, replica, times), 1.0
+        )
 
     def heartbeat_lost(self, replica: int, now: float) -> bool:
         """Whether replica ``replica``'s heartbeats are lost at ``now``.

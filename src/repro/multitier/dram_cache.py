@@ -21,8 +21,11 @@ from ..obs.registry import Observable
 from ..tables.table_spec import TableSpec
 
 
-def pack_global_key(table_id: int, feature_id: int) -> int:
-    """One flat namespace over (table, feature) for the DRAM layer."""
+def pack_global_key(table_id: int, feature_id):
+    """One flat namespace over (table, feature) for the DRAM layer.
+
+    ``feature_id`` is one id or a ``uint64`` array of them.
+    """
     return (table_id << 48) | feature_id
 
 

@@ -14,8 +14,9 @@ they are trusted again.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Deque, List, Optional, Sequence
 
 import numpy as np
 
@@ -28,6 +29,12 @@ from ..tables.store import StoreQueryResult
 from ..tables.table_spec import TableSpec
 from .dram_cache import DramCacheLayer, pack_global_key
 from .remote_ps import RemoteParameterServer
+
+#: Degraded keys kept for :meth:`TieredParameterStore.take_degraded_keys`.
+#: Past this the oldest failed fetches are dropped (and counted in
+#: ``tier.degraded_log_dropped``), so an outage nobody drains the log
+#: during cannot grow it without limit.
+DEGRADED_LOG_MAX_KEYS = 1 << 20
 
 
 @dataclass
@@ -93,7 +100,12 @@ class TieredParameterStore(Observable):
         #: Simulated wall-clock of the current query (drives fault windows).
         self._now = 0.0
         self._dram_flushed = False
-        self._degraded_log: List[int] = []
+        #: One packed global-key array per failed fetch, oldest first.
+        self._degraded_log: Deque[np.ndarray] = deque()
+        self._degraded_logged = 0
+        #: Eviction notices held back while a ``query_many`` is running
+        #: (None outside one: notices are forwarded as they arrive).
+        self._held_evictions: Optional[List[np.ndarray]] = None
         #: breaker-open seconds already folded into the registry counter.
         self._breaker_time_seen = 0.0
         # The stale shadow is only maintained on the fault-aware path;
@@ -130,14 +142,22 @@ class TieredParameterStore(Observable):
         self.stats.degraded_keys += len(feature_ids)
         obs.inc("tier.remote_failures")
         obs.inc("tier.degraded_keys", len(feature_ids))
-        self._degraded_log.extend(
-            pack_global_key(table_id, int(fid)) for fid in feature_ids
-        )
+        self._log_degraded(pack_global_key(
+            table_id, np.asarray(feature_ids, dtype=np.uint64)
+        ))
         vectors, _ = degraded_vectors(
             self.degrade, self._stale, table_id, feature_ids,
             self.specs[table_id].dim,
         )
         return vectors, result.network_time, False
+
+    def _log_degraded(self, global_keys: np.ndarray) -> None:
+        self._degraded_log.append(global_keys)
+        self._degraded_logged += len(global_keys)
+        while self._degraded_logged > DEGRADED_LOG_MAX_KEYS:
+            dropped = len(self._degraded_log.popleft())
+            self._degraded_logged -= dropped
+            self.obs.inc("tier.degraded_log_dropped", dropped)
 
     # ------------------------------------------------------------------ info
 
@@ -187,6 +207,9 @@ class TieredParameterStore(Observable):
         self._invalidators.append(invalidator)
 
     def _forward_invalidation(self, global_keys: np.ndarray) -> None:
+        if self._held_evictions is not None:
+            self._held_evictions.append(global_keys)
+            return
         self.stats.pointer_invalidations += len(global_keys)
         self.obs.inc("tier.pointer_invalidations", len(global_keys))
         for invalidator in self._invalidators:
@@ -207,8 +230,12 @@ class TieredParameterStore(Observable):
 
         Feed these to the AUC machinery to quantify accuracy impact.
         """
-        keys = np.asarray(self._degraded_log, dtype=np.uint64)
-        self._degraded_log = []
+        keys = (
+            np.concatenate(self._degraded_log) if self._degraded_log
+            else np.empty(0, dtype=np.uint64)
+        )
+        self._degraded_log.clear()
+        self._degraded_logged = 0
         return keys
 
     def fault_stats(self) -> dict:
@@ -326,7 +353,15 @@ class TieredParameterStore(Observable):
         feature_ids: np.ndarray,
         indexed_mask: Optional[np.ndarray] = None,
     ) -> StoreQueryResult:
-        """Mixed-table batched query (same contract as EmbeddingStore)."""
+        """Mixed-table batched query (same contract as EmbeddingStore).
+
+        DRAM-tier eviction notices raised while the batch is served —
+        including a whole-tier flush when a failure window opens between
+        two of its tables — are forwarded to the pointer invalidators
+        once, in eviction order, before returning: nothing reads the GPU
+        index while the store is being queried, and one erase per batch
+        replaces one per table.
+        """
         table_ids = np.asarray(table_ids)
         feature_ids = np.asarray(feature_ids, dtype=np.uint64)
         if table_ids.shape != feature_ids.shape:
@@ -335,7 +370,8 @@ class TieredParameterStore(Observable):
             return StoreQueryResult(
                 np.zeros((0, 0), np.float32), host_query_cost(self.hw, 0, 0)
             )
-        dims = {self.specs[int(t)].dim for t in np.unique(table_ids)}
+        tables = np.unique(table_ids)
+        dims = {self.specs[int(t)].dim for t in tables}
         if len(dims) != 1:
             raise WorkloadError("query_many: tables must share one dimension")
         dim = dims.pop()
@@ -343,14 +379,22 @@ class TieredParameterStore(Observable):
         vectors = np.zeros((len(table_ids), dim), dtype=np.float32)
         remote_time = 0.0
         payload = 0
-        for table_id in np.unique(table_ids):
-            mask = table_ids == table_id
-            got, fetch_time = self._tier_lookup(
-                int(table_id), feature_ids[mask]
-            )
-            vectors[mask] = got
-            remote_time += fetch_time
-            payload += int(mask.sum()) * self.specs[int(table_id)].value_bytes
+        self._held_evictions = []
+        try:
+            for table_id in tables:
+                mask = table_ids == table_id
+                got, fetch_time = self._tier_lookup(
+                    int(table_id), feature_ids[mask]
+                )
+                vectors[mask] = got
+                remote_time += fetch_time
+                payload += (
+                    int(mask.sum()) * self.specs[int(table_id)].value_bytes
+                )
+        finally:
+            held, self._held_evictions = self._held_evictions, None
+            if held:
+                self._forward_invalidation(np.concatenate(held))
 
         if indexed_mask is None:
             keys_to_index = len(table_ids)

@@ -294,6 +294,30 @@ class TestDegradation:
         assert degraded.tolist() == [1, 2]
         assert store.take_degraded_keys().size == 0
 
+    def test_degraded_log_keeps_order_and_is_bounded(self, hw, monkeypatch):
+        from repro.multitier import hierarchy
+
+        # Tables 0 and 4 share the PS shard that is out.
+        specs = make_table_specs([2_000] * 5, [16] * 5)
+        store = self._faulted_store(specs, hw, DegradeConfig(policy="stale"))
+        store.advance_to(0.5)  # inside the outage: every fetch degrades
+        store.query(0, np.array([5, 3, 9], np.uint64))
+        store.query(4, np.array([7, 2], np.uint64))
+        # Below the cap: fetch order, then each fetch's (deduplicated,
+        # sorted) key order; the table id sits above bit 48.
+        assert store.take_degraded_keys().tolist() == [
+            3, 5, 9, (4 << 48) | 2, (4 << 48) | 7,
+        ]
+
+        monkeypatch.setattr(hierarchy, "DEGRADED_LOG_MAX_KEYS", 4)
+        for base in (10, 20, 30):
+            store.query(0, np.array([base, base + 1, base + 2], np.uint64))
+        # Nine keys against a cap of four: the two oldest fetches go.
+        assert store.take_degraded_keys().tolist() == [30, 31, 32]
+        counters = store.obs.snapshot().to_dict()["counters"]
+        assert counters["tier.degraded_log_dropped"] == 6
+        assert store.stats.degraded_keys == 14
+
     def test_degraded_fallback_never_pollutes_dram(self, specs, hw):
         store = self._faulted_store(
             specs, hw, DegradeConfig(policy="default-vector")

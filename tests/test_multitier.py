@@ -196,6 +196,73 @@ class TestTieredParameterStore:
         assert store.dram.resident(0, 1)
         assert all(count == 1 for count in fired.values())
 
+    def test_query_many_forwards_evictions_once_per_batch(self, specs, hw):
+        """Evictions raised by each table of one ``query_many`` reach the
+        invalidator as a single notice, in eviction order, every key
+        exactly once — the same keys per-table ``query`` calls forward
+        one notice at a time."""
+        batched = TieredParameterStore(specs, hw, dram_capacity=6)
+        per_table = TieredParameterStore(specs, hw, dram_capacity=6)
+        batched_notices, single_notices = [], []
+        batched.register_pointer_invalidator(
+            lambda keys: batched_notices.append(keys.tolist())
+        )
+        per_table.register_pointer_invalidator(
+            lambda keys: single_notices.append(keys.tolist())
+        )
+        table_ids = np.array([0, 1, 0, 1, 0, 1, 0, 1])
+        for base in (0, 10, 20):
+            ids = np.arange(base, base + 8, dtype=np.uint64)
+            batched.query_many(table_ids, ids)
+            for table in (0, 1):
+                per_table.query(table, ids[table_ids == table])
+        # Batch 1 fills the tier past capacity inside its second table;
+        # batches 2 and 3 evict in both tables.
+        assert len(single_notices) == 5 and len(batched_notices) == 3
+        flat = [k for notice in batched_notices for k in notice]
+        assert flat == [k for notice in single_notices for k in notice]
+        assert len(set(flat)) == len(flat)
+        assert batched.stats.pointer_invalidations == len(flat)
+        assert batched._held_evictions is None
+
+    def test_query_many_with_a_dram_flush_invalidates_exactly_once(
+        self, specs, hw
+    ):
+        """A failure window opening under a batch flushes the tier from
+        inside ``query_many``; the flush joins the batch's one notice."""
+        from repro.faults import DramTierFailure, FaultInjector, FaultSchedule
+
+        schedule = FaultSchedule([DramTierFailure(start=1.0, duration=1.0)])
+        store = TieredParameterStore(
+            specs, hw, dram_capacity=64,
+            remote=RemoteParameterServer(
+                specs, injector=FaultInjector(schedule, seed=0)
+            ),
+        )
+        notices = []
+        store.register_pointer_invalidator(
+            lambda keys: notices.append(keys.tolist())
+        )
+        table_ids = np.array([0, 1, 0, 1])
+        ids = np.array([1, 2, 3, 4], np.uint64)
+        store.query_many(table_ids, ids)  # healthy: populates the tier
+        assert notices == []
+
+        store.advance_to(1.2)  # inside the failure window
+        result = store.query_many(table_ids, ids)
+        for table in (0, 1):
+            mask = table_ids == table
+            np.testing.assert_array_equal(
+                result.vectors[mask], reference_vectors(table, ids[mask], 16)
+            )
+        assert len(notices) == 1
+        assert sorted(notices[0]) == sorted(
+            pack_global_key(int(t), int(i)) for t, i in zip(table_ids, ids)
+        )
+        store.query_many(table_ids, ids)  # still down: nothing new fires
+        assert len(notices) == 1
+        assert store.stats.pointer_invalidations == 4
+
     def test_full_inference_through_tiers(self, specs, hw, rng):
         """Fleche runs unchanged on the tiered store (§5's claim)."""
         store = TieredParameterStore(specs, hw, dram_capacity=400)
