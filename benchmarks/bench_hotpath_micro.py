@@ -10,7 +10,14 @@ GEMMs.  These micro-benchmarks time each vectorized unit in isolation:
   batch (batches/s through encode/dedup/index/fetch/copy — phases 1-4);
 - **router**: the cluster router's array planner plus
   :func:`~repro.cluster.router.plan_primary_streams` over one arrival
-  stream, fault-free and with a replica crashed (requests planned/s).
+  stream, fault-free and with a replica crashed (requests planned/s);
+- **slab insert**: ``SlabHashIndex.insert`` of replica-sized batches
+  into a full index, evicting (keys/s);
+- **demote**: the unified-index tuner's grow step,
+  ``FlatCache.set_unified_capacity`` turning cold entries into DRAM
+  pointers slot by slot (demoted keys/s);
+- **refresh apply**: ``UpdateSubscriber.catch_up`` over a log of
+  four-table batches, one fused apply each (log keys/s).
 
 ``--pin`` rewrites the pinned ``BENCH_hotpath_micro_baseline.json``;
 ``check_regression.py`` fails CI when any unit drops below
@@ -19,6 +26,7 @@ GEMMs.  These micro-benchmarks time each vectorized unit in isolation:
 """
 
 import argparse
+import copy
 import sys
 import time
 
@@ -30,13 +38,18 @@ from repro.bench.reporting import (
 )
 from repro.cluster import ClusterConfig, ClusterRouter
 from repro.cluster.router import plan_primary_streams
+from repro.core.flat_cache import FlatCache
 from repro.core.workflow import FlecheEmbeddingLayer
 from repro.faults import BreakerConfig, FaultSchedule, ReplicaCrash
 from repro.faults.retry import CircuitBreaker
 from repro.gpusim.executor import Executor
+from repro.hashindex.slab_hash import SlabHashIndex
+from repro.refresh import UpdateLog, UpdateSubscriber
 from repro.serving.arrivals import PoissonArrivals
 from repro.serving.pipeline import InFlightMissTable
+from repro.tables.embedding_table import reference_vectors
 from repro.tables.store import EmbeddingStore
+from repro.tables.table_spec import make_table_specs
 from repro.workloads.synthetic import synthetic_dataset, uniform_tables_spec
 
 #: Candidate throughput below ``min_fraction`` x pinned fails the gate.
@@ -164,11 +177,147 @@ def run_router_micro(hw, num_replicas=8, num_requests=20_000, rounds=6):
     }
 
 
-#: unit -> (runner needs hw?, headline metric key).
+#: Shape of one ``cluster_kill`` replica: 4 tables of 20 000 ids at
+#: dim 16 under a 5 % cache — ~2.7 K pool slots, ~5 K index slots — and
+#: batches of <= 64 requests.
+REPLICA_TABLES = 4
+REPLICA_CORPUS = 20_000
+REPLICA_DIM = 16
+
+
+def _replica_cache(fill_rounds=40):
+    """``(cache, per-table ids offered to it)``: a flat cache of that
+    shape, filled past its eviction watermark."""
+    cache = FlatCache(
+        make_table_specs(
+            [REPLICA_CORPUS] * REPLICA_TABLES, [REPLICA_DIM] * REPLICA_TABLES
+        ),
+        FlecheConfig(cache_ratio=0.05),
+    )
+    rng = np.random.default_rng(3)
+    offered = [[] for _ in range(REPLICA_TABLES)]
+    for _ in range(fill_rounds):
+        cache.tick()
+        for table in range(REPLICA_TABLES):
+            ids = np.unique(rng.integers(
+                0, REPLICA_CORPUS, size=48, dtype=np.uint64
+            ))
+            keys = cache.encode(table, ids)
+            fresh = ~cache.contains_cached(keys)
+            cache.admit_and_insert(
+                keys[fresh],
+                reference_vectors(table, ids[fresh], REPLICA_DIM),
+                REPLICA_DIM,
+            )
+            offered[table].append(ids)
+    cache.tick()
+    cache.tick()
+    return cache, [np.concatenate(ids) for ids in offered]
+
+
+def run_slab_insert_micro(batch=48, rounds=2_000):
+    """``SlabHashIndex.insert`` keys/s on a full, evicting index."""
+    rng = np.random.default_rng(5)
+    index = SlabHashIndex(capacity=3_600)
+    batches = [
+        np.unique(rng.integers(0, 1 << 40, size=batch, dtype=np.uint64))
+        for _ in range(rounds)
+    ]
+    for stamp, keys in enumerate(batches[:200]):  # fill every slab
+        index.insert(keys, keys, stamp=stamp)
+    total = 0
+    round_total = 0
+    started = time.perf_counter()
+    for stamp, keys in enumerate(batches[200:], start=200):
+        result = index.insert(keys, keys, stamp=stamp)
+        total += len(keys)
+        round_total += int(result.stats.dependent_hops)
+    elapsed = time.perf_counter() - started
+    return {
+        "keys_per_s": total / elapsed,
+        "keys": total,
+        "mean_rounds": round_total / (rounds - 200),
+        "batch": batch,
+        "elapsed_s": elapsed,
+    }
+
+
+def run_demote_micro(step=8, rounds=150, repeats=6):
+    """Cold entries turned into DRAM pointers per second, ``step`` per
+    tuner decision, over an index a replica's size."""
+    proto, _ = _replica_cache()
+    proto.set_unified_capacity(0)
+    demoted = 0
+    elapsed = 0.0
+    for _ in range(repeats):
+        cache = copy.deepcopy(proto)
+        started = time.perf_counter()
+        for _ in range(rounds):
+            cache.set_unified_capacity(cache.unified_entries + step)
+        elapsed += time.perf_counter() - started
+        demoted += cache.unified_entries
+    assert demoted == step * rounds * repeats
+    return {
+        "keys_per_s": demoted / elapsed,
+        "keys": demoted,
+        "index_entries": len(proto.index),
+        "step": step,
+        "elapsed_s": elapsed,
+    }
+
+
+def run_refresh_apply_micro(hw, batches=400, keys_per_table=16):
+    """Log keys/s through ``UpdateSubscriber.catch_up``: every batch
+    carries one delta per table and is applied in one fused pass.  Half
+    of each delta's ids were offered to the cache (so they are cached,
+    demoted to DRAM pointers, or evicted), half are drawn from the whole
+    corpus."""
+    cache, offered = _replica_cache()
+    cache.set_unified_capacity(400)
+    rng = np.random.default_rng(9)
+    half = keys_per_table // 2
+    log = UpdateLog(retention=batches)
+    for version in range(batches):
+        log.append(version + 1, {
+            table: (
+                np.concatenate((
+                    rng.choice(offered[table], size=half),
+                    rng.integers(
+                        0, REPLICA_CORPUS, size=keys_per_table - half,
+                        dtype=np.uint64,
+                    ),
+                )),
+                rng.random((keys_per_table, REPLICA_DIM), dtype=np.float32),
+            )
+            for table in range(REPLICA_TABLES)
+        })
+    subscriber = UpdateSubscriber(log, cache)
+    executor = Executor(hw)
+    started = time.perf_counter()
+    applied = subscriber.catch_up(1.0, executor=executor)
+    elapsed = time.perf_counter() - started
+    assert applied == batches
+    keys = subscriber.status()["applied_keys"]
+    return {
+        "keys_per_s": keys / elapsed,
+        "keys": keys,
+        "batches": batches,
+        "refreshed_keys": int(subscriber.obs.total("refresh.refreshed_keys")),
+        "invalidated_keys": int(
+            subscriber.obs.total("refresh.invalidated_keys")
+        ),
+        "elapsed_s": elapsed,
+    }
+
+
+#: unit -> headline metric key.
 UNITS = (
     ("miss_table", "keys_per_s"),
     ("workflow", "batches_per_s"),
     ("router", "plans_per_s"),
+    ("slab_insert", "keys_per_s"),
+    ("demote", "keys_per_s"),
+    ("refresh_apply", "keys_per_s"),
 )
 
 
@@ -178,6 +327,9 @@ def run_micro(hw):
         "miss_table": run_miss_table_micro(),
         "workflow": run_workflow_micro(hw),
         "router": run_router_micro(hw),
+        "slab_insert": run_slab_insert_micro(),
+        "demote": run_demote_micro(),
+        "refresh_apply": run_refresh_apply_micro(hw),
     }
 
 

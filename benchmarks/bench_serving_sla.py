@@ -199,10 +199,9 @@ def run_depth_sweep(hw, replicas=REPLICAS, depths=SWEEP_DEPTHS,
                     proto.engine,
                     {
                         id(store): store, id(model): model, id(hw): hw,
-                        # Pure memo caches (kernel specs / fusion plans
-                        # keyed on pure inputs): share, don't deep-copy.
+                        # Pure memo cache (kernel specs keyed on pure
+                        # inputs): share, don't deep-copy.
                         id(scheme0._spec_memo): scheme0._spec_memo,
-                        id(scheme0._fusion_memo): scheme0._fusion_memo,
                     },
                 )
             server.scheme = server.engine.scheme

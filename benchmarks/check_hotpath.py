@@ -39,8 +39,13 @@ HOT_PATH_FILES = {
     "src/repro/cluster/health.py": 1,     # routable_many
     "src/repro/faults/schedule.py": 2,    # crashed_many / slow_factor_many
     "src/repro/serving/batcher.py": 1,    # form_batches
-    "src/repro/hashindex/slab_hash.py": 3,  # lookup / insert / erase
-    "src/repro/tables/embedding_table.py": 1,  # lookup
+    # lookup / insert / _insert_round / erase
+    "src/repro/hashindex/slab_hash.py": 4,
+    # _row_numbers / lookup / update_rows
+    "src/repro/tables/embedding_table.py": 3,
+    "src/repro/tables/store.py": 1,        # query_many
+    "src/repro/core/updates.py": 1,        # apply_deltas
+    "src/repro/refresh/subscriber.py": 1,  # apply_next
     "src/repro/core/precision.py": 2,      # quantize / dequantize rows
     "src/repro/core/admission.py": 2,      # sketch observe / estimate
     "src/repro/obs/reqtrace.py": 1,        # sample_masks

@@ -84,7 +84,23 @@ class RoutingPolicy:
     def _routing_keys(
         self, requests: Sequence[Request], table: int
     ) -> np.ndarray:
-        """Routing keys of a whole stream as one uint64 array."""
+        """Routing keys of a whole stream as one uint64 array.
+
+        When every request carries a row of one shared id cube
+        (``Request.source``), the keys are one gather out of it.
+        """
+        sources = [r.source for r in requests]
+        cube = sources[0][0] if sources and sources[0] is not None else None
+        if (
+            cube is not None
+            and cube.ndim == 3
+            and cube.shape[2] > 0  # an empty id list routes by request id
+            and all(s is not None and s[0] is cube for s in sources)
+        ):
+            rows = np.fromiter(
+                (s[1] for s in sources), dtype=np.intp, count=len(sources)
+            )
+            return cube[rows, table, 0].astype(np.uint64, copy=False)
         return np.fromiter(
             (self._routing_key(r, table) for r in requests),
             dtype=np.uint64,

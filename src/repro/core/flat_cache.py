@@ -607,14 +607,12 @@ class FlatCache(Observable):
         Returns the number of entries removed.  Implemented as the same
         full-table scan the eviction pass uses.
         """
-        keys, values, _ = self.index.scan()
-        dram = is_dram_pointer(values)
-        if not dram.any():
-            self.unified_entries = 0
-            return 0
-        removed, _ = self.index.erase(keys[dram])
+        slots = self.index.cold_slots()
+        _, values, _ = self.index.slot_entries(slots)
+        pointers = slots[is_dram_pointer(values)]
+        self.index.erase_slots(pointers)
         self.unified_entries = 0
-        return int(removed.sum())
+        return len(pointers)
 
     def set_unified_capacity(self, capacity: int) -> None:
         """Apply a tuner decision.
@@ -625,13 +623,12 @@ class FlatCache(Observable):
         """
         capacity = max(0, int(capacity))
         if capacity < self.unified_entries:
-            keys, values, stamps = self.index.scan()
+            slots = self.index.cold_slots()
+            _, values, stamps = self.index.slot_entries(slots)
             dram = is_dram_pointer(values)
-            dram_keys = keys[dram]
             order = np.argsort(stamps[dram])
             surplus = self.unified_entries - capacity
-            victims = dram_keys[order[:surplus]]
-            self.index.erase(victims)
+            self.index.erase_slots(slots[dram][order[:surplus]])
             self.unified_entries = capacity
         elif capacity > self.unified_entries:
             self._demote_cold(capacity - self.unified_entries)
@@ -728,22 +725,18 @@ class FlatCache(Observable):
         """
         if count <= 0:
             return
-        keys, values, stamps = self.index.scan()
-        cold = ~is_dram_pointer(values) & (stamps <= self._clock - 2)
+        slots = self.index.cold_slots(self._clock - 2)
+        keys, values, stamps = self.index.slot_entries(slots)
+        cold = ~is_dram_pointer(values)
         if not cold.any():
             return
-        cache_keys = keys[cold]
-        cache_stamps = stamps[cold]
-        cache_locations = untag(values[cold])
-        order = np.argsort(cache_stamps)
-        victims = order[: min(count, len(order))]
-        self.index.insert(
-            cache_keys[victims],
-            tag_dram_pointer(cache_keys[victims]),
-            stamp=self._clock,
+        victims = np.flatnonzero(cold)[np.argsort(stamps[cold])[:count]]
+        self.index.retag_slots(
+            slots[victims], tag_dram_pointer(keys[victims]), self._clock
         )
-        self._record_entry_death(cache_locations[victims])
-        self.reclaimer.retire(cache_locations[victims])
+        locations = untag(values[victims])
+        self._record_entry_death(locations)
+        self.reclaimer.retire(locations)
         self.unified_entries += len(victims)
         self.obs.inc("cache.demotions", len(victims))
 
@@ -763,7 +756,8 @@ class FlatCache(Observable):
         reclaimer, so concurrent readers never observe reuse
         (read-after-delete safety).
         """
-        keys, values, stamps = self.index.scan()
+        slots = self.index.cold_slots()
+        keys, values, stamps = self.index.slot_entries(slots)
         cache_mask = ~is_dram_pointer(values)
         locations = untag(values[cache_mask])
         dims = self.pool.dim_of_locations(locations)
@@ -771,9 +765,10 @@ class FlatCache(Observable):
         if tier is not None:
             tier_codes = self.pool.tier_codes_of_locations(locations)
             in_class &= tier_codes == TIER_CODES[tier]
-        class_keys = keys[cache_mask][in_class]
-        class_stamps = stamps[cache_mask][in_class]
-        class_locations = locations[in_class]
+        #: positions, in the scanned columns, of this class's entries.
+        members = np.flatnonzero(cache_mask)[in_class]
+        class_keys = keys[members]
+        class_stamps = stamps[members]
         if len(class_keys) == 0:
             return
 
@@ -786,28 +781,23 @@ class FlatCache(Observable):
             if self._estimator is not None else None
         )
         order = self._eviction_policy.victim_order(class_stamps, counts)
-        victims = order[:to_evict]
-        victim_keys = class_keys[victims]
+        victims = members[order[:to_evict]]
 
         # Demote as many victims as the unified-index budget allows: their
         # index entries become DRAM pointers instead of disappearing (§3.3,
         # "replacing the cache of cold embeddings with CPU-DRAM pointers").
         demote = min(
             max(0, self.unified_capacity - self.unified_entries),
-            len(victim_keys),
+            len(victims),
         )
         if demote:
-            demoted_keys = victim_keys[:demote]
-            self.index.insert(
-                demoted_keys,
-                tag_dram_pointer(demoted_keys),
-                stamp=self._clock,
+            demoted = victims[:demote]
+            self.index.retag_slots(
+                slots[demoted], tag_dram_pointer(keys[demoted]), self._clock
             )
             self.unified_entries += demote
-            victim_keys = victim_keys[demote:]
-        if len(victim_keys):
-            self.index.erase(victim_keys)
-        self.reclaimer.retire(class_locations[victims])
+        self.index.erase_slots(slots[victims[demote:]])
+        self.reclaimer.retire(untag(values[victims]))
         self.obs.inc("cache.evictions", len(victims))
         if demote:
             self.obs.inc("cache.demotions", demote)

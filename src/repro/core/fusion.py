@@ -61,8 +61,28 @@ class FusionPlan:
     @property
     def metadata_bytes(self) -> int:
         """Host->device bytes for the scan and args arrays (GDRCopy-sized)."""
-        # scan: 4 bytes per entry; args: pointer+dim+count ~ 24 bytes/kernel.
-        return 4 * len(self.scan) + 24 * self.num_kernels
+        return fusion_metadata_bytes(self.num_kernels)
+
+
+def fusion_metadata_bytes(num_kernels: int) -> int:
+    """Scan (4 bytes per entry, one more entry than kernels) plus args
+    (pointer+dim+count ~ 24 bytes per kernel)."""
+    return 4 * (num_kernels + 1) + 24 * num_kernels
+
+
+def fused_kernel_spec(
+    kernels: Sequence[KernelSpec], name: str, warp_size: int = 32
+) -> KernelSpec:
+    """The single launch covering all of ``kernels``' work, each thread
+    count rounded up to a warp multiple."""
+    return KernelSpec(
+        name=name,
+        threads=sum(round_to_warp(k.threads, warp_size) for k in kernels),
+        stream_bytes=sum(k.stream_bytes for k in kernels),
+        random_transactions=sum(k.random_transactions for k in kernels),
+        dependent_hops=max((k.dependent_hops for k in kernels), default=0.0),
+        flops=sum(k.flops for k in kernels),
+    )
 
 
 def build_fusion_plan(
@@ -84,15 +104,7 @@ def build_fusion_plan(
     rounded = [round_to_warp(k.threads, warp_size) for k in kernels]
     scan = np.zeros(len(kernels) + 1, dtype=np.int64)
     np.cumsum(rounded, out=scan[1:])
-
-    fused = KernelSpec(
-        name=name,
-        threads=int(scan[-1]),
-        stream_bytes=sum(k.stream_bytes for k in kernels),
-        random_transactions=sum(k.random_transactions for k in kernels),
-        dependent_hops=max((k.dependent_hops for k in kernels), default=0.0),
-        flops=sum(k.flops for k in kernels),
-    )
+    fused = fused_kernel_spec(kernels, name, warp_size)
     args_tuple = tuple(args) if args is not None else tuple(
         k.name for k in kernels
     )

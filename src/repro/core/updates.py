@@ -10,6 +10,8 @@ conflicts" (§3.1) — and its deduplicating guarantees one writer per key.
 :class:`UpdateApplier` builds on that:
 
 * updates arrive as (table, feature_id, vector) batches from the trainer;
+  a log batch's per-table deltas are applied in one fused pass per
+  embedding dimension (:meth:`UpdateApplier.apply_deltas`);
 * duplicate IDs within a batch resolve **last-write-wins**: only the final
   row of each ID is applied, earlier ones are counted as ``duplicates``;
 * cached keys are *refreshed in place* (write the pool slot, bump the
@@ -28,7 +30,7 @@ The outcome partitions the batch exactly:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,7 +38,7 @@ from ..errors import WorkloadError
 from ..gpusim.executor import Executor
 from ..gpusim.stats import Category
 from .flat_cache import FlatCache
-from .unified_index import is_dram_pointer
+from .unified_index import is_dram_pointer, untag
 from .workflow import _copy_kernel_spec, _index_kernel_spec
 
 
@@ -103,68 +105,102 @@ class UpdateApplier:
             executor: when given, the refresh kernels are accounted on the
                 simulated timeline (category OTHER — off the query path).
         """
-        feature_ids = np.ascontiguousarray(feature_ids, dtype=np.uint64)
-        vectors = np.asarray(vectors, dtype=np.float32)
-        if vectors.shape[0] != len(feature_ids):
-            raise WorkloadError("updates: ids/vectors length mismatch")
-        dim = self.cache._dim_of_table[table_id]
-        if vectors.shape[1] != dim:
-            raise WorkloadError(
-                f"updates: expected dim {dim}, got {vectors.shape[1]}"
+        return self.apply_deltas(
+            [(table_id, feature_ids, vectors)], executor=executor
+        )
+
+    # hot-path: vectorized
+    def apply_deltas(
+        self,
+        deltas: Sequence[Tuple[int, np.ndarray, np.ndarray]],
+        executor: Optional[Executor] = None,
+    ) -> UpdateOutcome:
+        """Refresh the ``(table_id, feature_ids, vectors)`` deltas of one
+        log batch — at most one per table — and return the summed outcome.
+
+        Tables own disjoint flat keys, so deltas that share an embedding
+        dimension are applied in one pass (one index lookup, one pool
+        write, one re-stamp, one pointer invalidation) with exactly the
+        effect of applying them one after another.  Nothing is touched
+        unless every delta is well-formed.  With an executor, each
+        delta's two refresh kernels are charged in delta order.
+        """
+        cache = self.cache
+        if len({table_id for table_id, _, _ in deltas}) != len(deltas):
+            raise WorkloadError("updates: more than one delta for a table")
+        total = duplicates = 0
+        #: dim -> (positions in ``deltas``, their flat keys, their rows)
+        by_dim: Dict[int, Tuple[list, list, list]] = {}
+        for i, (table_id, feature_ids, vectors) in enumerate(deltas):  # lint: allow-loop (per delta: dedup + encode)
+            feature_ids = np.ascontiguousarray(feature_ids, dtype=np.uint64)
+            vectors = np.asarray(vectors, dtype=np.float32)
+            if vectors.shape[0] != len(feature_ids):
+                raise WorkloadError("updates: ids/vectors length mismatch")
+            dim = cache._dim_of_table[table_id]
+            if vectors.shape[1] != dim:
+                raise WorkloadError(
+                    f"updates: expected dim {dim}, got {vectors.shape[1]}"
+                )
+            total += len(feature_ids)
+            if len(feature_ids):
+                keep = _last_occurrence_mask(feature_ids)
+                if not keep.all():
+                    duplicates += len(keep) - int(keep.sum())
+                    feature_ids = feature_ids[keep]
+                    vectors = vectors[keep]
+            positions, key_parts, row_parts = by_dim.setdefault(
+                dim, ([], [], [])
             )
-        self.applied_batches += 1
+            positions.append(i)
+            key_parts.append(cache.encode(table_id, feature_ids))
+            row_parts.append(vectors)
+        self.applied_batches += len(deltas)
 
-        total = len(feature_ids)
-        duplicates = 0
-        if total:
-            keep = _last_occurrence_mask(feature_ids)
-            duplicates = int(total - keep.sum())
-            if duplicates:
-                feature_ids = feature_ids[keep]
-                vectors = vectors[keep]
-
-        keys = self.cache.encode(table_id, feature_ids)
-        found, pointers, _ = self.cache.index.lookup(keys)
-        dram = found & is_dram_pointer(pointers)
-        cached = found & ~dram
-
-        refreshed = 0
-        if cached.any():
-            # In-place refresh: write the pool slots, then bump versions.
-            from .unified_index import untag
-
-            locations = untag(pointers[cached])
-            self.cache.pool.write(locations, vectors[cached])
-            # Version bump = re-stamp via a lookup touch at current clock.
-            self.cache.index.lookup(keys[cached], stamp=self.cache._clock)
-            refreshed = int(cached.sum())
-            if executor is not None:
-                executor.launch(
-                    _copy_kernel_spec("update_copy", refreshed, dim,
-                                      executor.hw),
-                    stream=executor.stream("copy"),
-                    category=Category.OTHER,
-                )
-                executor.launch(
-                    _index_kernel_spec("update_index", refreshed),
-                    stream=executor.stream("main"),
-                    category=Category.OTHER,
-                )
-
+        refreshed_of = np.zeros(len(deltas), dtype=np.int64)
+        pointer_keys = 0
         invalidated = 0
-        skipped = 0
-        if dram.any():
-            if self.invalidate_pointers:
-                invalidated = self.cache.invalidate_dram_pointers(keys[dram])
-                skipped = int(dram.sum()) - invalidated
-            else:
-                skipped = int(dram.sum())
+        for positions, key_parts, row_parts in by_dim.values():  # lint: allow-loop (per embedding dimension)
+            keys = np.concatenate(key_parts)
+            vectors = np.concatenate(row_parts)
+            found, pointers, _ = cache.index.lookup(keys)
+            dram = found & is_dram_pointer(pointers)
+            cached = found & ~dram
+            if cached.any():
+                # In-place refresh: write the pool slots, then bump the
+                # versions (a lookup touch at the current clock).
+                cache.pool.write(untag(pointers[cached]), vectors[cached])
+                cache.index.lookup(keys[cached], stamp=cache._clock)
+                delta_of = np.repeat(positions, [len(k) for k in key_parts])
+                refreshed_of += np.bincount(
+                    delta_of[cached], minlength=len(deltas)
+                )
+            if dram.any():
+                pointer_keys += int(dram.sum())
+                if self.invalidate_pointers:
+                    invalidated += cache.invalidate_dram_pointers(keys[dram])
 
-        untracked = int(len(keys) - refreshed - int(dram.sum()))
+        if executor is not None:
+            for (table_id, _, _), refreshed in zip(deltas, refreshed_of.tolist()):  # lint: allow-loop (per delta: kernel launches)
+                if refreshed:
+                    executor.launch(
+                        _copy_kernel_spec(
+                            "update_copy", refreshed,
+                            cache._dim_of_table[table_id], executor.hw,
+                        ),
+                        stream=executor.stream("copy"),
+                        category=Category.OTHER,
+                    )
+                    executor.launch(
+                        _index_kernel_spec("update_index", refreshed),
+                        stream=executor.stream("main"),
+                        category=Category.OTHER,
+                    )
+
+        refreshed = int(refreshed_of.sum())
         return UpdateOutcome(
             refreshed=refreshed,
             pointers_invalidated=invalidated,
-            untracked=untracked,
+            untracked=total - duplicates - refreshed - pointer_keys,
             duplicates=duplicates,
-            pointers_skipped=skipped,
+            pointers_skipped=pointer_keys - invalidated,
         )

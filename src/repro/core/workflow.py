@@ -48,7 +48,7 @@ from .cache_base import (
 from .config import FlecheConfig
 from .dedup import dedup_kernel_spec, restore_kernel_spec
 from .flat_cache import FlatCache
-from .fusion import build_fusion_plan
+from .fusion import fused_kernel_spec, fusion_metadata_bytes
 from .unified_index import UnifiedIndexTuner
 
 #: Host cost of re-encoding one table's ID list: a lookup in the dozens-entry
@@ -192,12 +192,11 @@ class FlecheEmbeddingLayer(EmbeddingCacheScheme):
         register = getattr(store, "register_pointer_invalidator", None)
         if register is not None and config.use_unified_index:
             register(self._invalidate_stale_pointers)
-        #: Kernel-spec / fusion-plan memos: steady-state batches repeat a
-        #: small set of (table, key count, hit count) shapes, so spec
-        #: construction amortises to a dict hit (specs and plans are
-        #: frozen — safe to share across batches).
+        #: Kernel-spec memo: steady-state batches repeat a small set of
+        #: (table, key count, hit count) shapes, so spec construction
+        #: amortises to a dict hit (specs are frozen — safe to share
+        #: across batches).
         self._spec_memo: Dict[tuple, object] = {}
-        self._fusion_memo: Dict[tuple, object] = {}
         self._weighted_dim = (
             int(np.average(self._dim_of_table)) if len(store.specs) else 0
         )
@@ -427,21 +426,15 @@ class FlecheEmbeddingLayer(EmbeddingCacheScheme):
                 )
             ]
         if config.use_fusion:
-            fusion_key = tuple(per_table_specs)
-            plan = self._fusion_memo.get(fusion_key)
-            if plan is None:
-                plan = build_fusion_plan(
-                    per_table_specs, name="fc_index_fused"
-                )
-                if len(self._fusion_memo) >= 8192:
-                    self._fusion_memo.clear()
-                self._fusion_memo[fusion_key] = plan
+            # Per-table key counts almost never repeat from batch to
+            # batch, so the fused spec is summed afresh, not memoized.
             executor.copy(
-                plan.metadata_bytes, Category.CACHE_INDEX, async_stream=main_stream
+                fusion_metadata_bytes(len(per_table_specs)),
+                Category.CACHE_INDEX, async_stream=main_stream,
             )
             executor.launch(
-                plan.fused_spec, stream=main_stream,
-                category=Category.CACHE_INDEX,
+                fused_kernel_spec(per_table_specs, "fc_index_fused"),
+                stream=main_stream, category=Category.CACHE_INDEX,
             )
         else:
             for t, spec in enumerate(per_table_specs):  # lint: allow-loop (per table, unfused ablation only)

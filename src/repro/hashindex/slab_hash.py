@@ -40,8 +40,8 @@ _HASH_MULT = np.uint64(0x9E3779B97F4A7C15)
 
 
 def _bucket_of(keys: np.ndarray, num_buckets: int) -> np.ndarray:
-    """Multiplicative hash of flat keys onto buckets (vectorised)."""
-    mixed = keys.astype(np.uint64) * _HASH_MULT
+    """Multiplicative hash of uint64 flat keys onto buckets (vectorised)."""
+    mixed = keys * _HASH_MULT
     mixed ^= mixed >> np.uint64(29)
     return (mixed % np.uint64(num_buckets)).astype(np.int64)
 
@@ -185,73 +185,79 @@ class SlabHashIndex:
             )
 
         _, first = np.unique(keys, return_index=True)
-        keys, values = keys[np.sort(first)], values[np.sort(first)]
-        landed = np.full(len(keys), -1, dtype=np.int64)
+        if len(first) < len(keys):
+            first.sort()
+            keys, values = keys[first], values[first]
 
-        # Round assignment, computed once: key i runs in round r where r
-        # is i's rank among same-bucket keys in batch order — exactly the
-        # "first key per bucket per round" schedule the old per-round
-        # dedup produced, without re-sorting the shrinking pending set.
-        all_buckets = _bucket_of(keys, self.num_buckets)
-        order = np.argsort(all_buckets, kind="stable")
-        sorted_b = all_buckets[order]
-        run_starts = np.flatnonzero(
-            np.concatenate(([True], sorted_b[1:] != sorted_b[:-1]))
-        )
-        run_lengths = np.diff(np.concatenate((run_starts, [len(keys)])))
-        rank = np.arange(len(keys)) - np.repeat(run_starts, run_lengths)
+        # A round handles at most one key per bucket, so key i runs in
+        # round r where r is i's rank among same-bucket keys in batch
+        # order (a serving batch of ~50 keys over a few hundred buckets
+        # usually needs two rounds).
+        buckets = _bucket_of(keys, self.num_buckets)
+        order = np.argsort(buckets, kind="stable")
+        sorted_b = buckets[order]
         round_of = np.empty(len(keys), dtype=np.int64)
-        round_of[order] = rank
-
+        round_of[order] = np.arange(len(keys)) - np.searchsorted(
+            sorted_b, sorted_b
+        )
+        rounds = int(round_of.max()) + 1
+        landed = np.empty(len(keys), dtype=np.int64)
         evicted_chunks = []
-        transactions = 0
-        rounds = 0
-        for r in range(int(run_lengths.max())):  # lint: allow-loop (per insert round: max keys per bucket, not key count)
-            rounds += 1
+        for r in range(rounds):  # lint: allow-loop (per insert round: max keys per bucket, not key count)
             active = np.flatnonzero(round_of == r)
-            act_buckets = all_buckets[active]
-            act_keys = keys[active]
-            act_values = values[active]
-            transactions += 2 * len(active)  # read slab + write back
+            landed[active] = self._insert_round(
+                keys[active], values[active], buckets[active],
+                stamp, overwrite, evicted_chunks,
+            )
 
-            slab_keys = self._slabs()[act_buckets]
-            match = slab_keys == act_keys[:, None]
-            has_match = match.any(axis=1)
-            vacant = slab_keys == EMPTY_KEY
-            has_vacant = vacant.any(axis=1)
-
-            cols = np.empty(len(active), dtype=np.int64)
-            cols[has_match] = match.argmax(axis=1)[has_match]
-            use_vacant = ~has_match & has_vacant
-            cols[use_vacant] = vacant.argmax(axis=1)[use_vacant]
-            must_evict = ~has_match & ~has_vacant
-            if must_evict.any():
-                stamp_rows = self._stamps.reshape(
-                    self.num_buckets, SLAB_SLOTS
-                )[act_buckets[must_evict]]
-                cols[must_evict] = stamp_rows.argmin(axis=1)
-                evict_slots = (
-                    act_buckets[must_evict] * SLAB_SLOTS + cols[must_evict]
-                )
-                evicted_chunks.append(self._values[evict_slots].copy())
-
-            slots = act_buckets * SLAB_SLOTS + cols
-            fresh = ~has_match
-            self._keys[slots[fresh]] = act_keys[fresh]
-            self._values[slots[fresh]] = act_values[fresh]
-            if overwrite and has_match.any():
-                self._values[slots[has_match]] = act_values[has_match]
-            self._stamps[slots] = stamp
-            self._size += int(use_vacant.sum())
-            landed[active] = slots
-
-        stats = ProbeStats(len(keys), transactions, float(rounds))
+        # Every key reads its slab and writes it back once.
+        stats = ProbeStats(len(keys), 2 * len(keys), float(rounds))
         evicted = (
             np.concatenate(evicted_chunks)
             if evicted_chunks
             else np.zeros(0, np.uint64)
         )
         return InsertResult(evicted, landed, keys, stats)
+
+    # hot-path: vectorized
+    def _insert_round(
+        self,
+        keys: np.ndarray,
+        values: np.ndarray,
+        buckets: np.ndarray,
+        stamp: int,
+        overwrite: bool,
+        evicted_chunks: list,
+    ) -> np.ndarray:
+        """Place ``keys`` that fall in distinct ``buckets``; returns the
+        slot each landed in.  Displaced payloads are appended to
+        ``evicted_chunks``."""
+        slab_keys = self._slabs()[buckets]
+        match = slab_keys == keys[:, None]
+        has_match = match.any(axis=1)
+        vacant = slab_keys == EMPTY_KEY
+        fresh = ~has_match
+        use_vacant = fresh & vacant.any(axis=1)
+        cols = np.where(has_match, match.argmax(axis=1), vacant.argmax(axis=1))
+        must_evict = fresh & ~use_vacant
+        if must_evict.any():
+            stamp_rows = self._stamps.reshape(
+                self.num_buckets, SLAB_SLOTS
+            )[buckets[must_evict]]
+            cols[must_evict] = stamp_rows.argmin(axis=1)
+            evict_slots = buckets[must_evict] * SLAB_SLOTS + cols[must_evict]
+            evicted_chunks.append(self._values[evict_slots])
+
+        slots = buckets * SLAB_SLOTS + cols
+        fresh_slots = slots[fresh]
+        self._keys[fresh_slots] = keys[fresh]
+        if overwrite:
+            self._values[slots] = values
+        else:
+            self._values[fresh_slots] = values[fresh]
+        self._stamps[slots] = stamp
+        self._size += int(use_vacant.sum())
+        return slots
 
     # ------------------------------------------------------------------ erase
 
@@ -266,26 +272,49 @@ class SlabHashIndex:
         match = slab_keys == keys[:, None]
         found = match.any(axis=1)
         slots = buckets * SLAB_SLOTS + match.argmax(axis=1)
-        target = np.unique(slots[found])
-        self._keys[target] = EMPTY_KEY
-        self._values[target] = 0
-        self._stamps[target] = 0
-        self._size -= len(target)
+        self.erase_slots(np.unique(slots[found]))
         return found, ProbeStats(len(keys), 2 * len(keys), 1.0)
 
-    # ------------------------------------------------------------------ scans
+    # ------------------------------------------------------------------ slots
+    #
+    # Maintenance passes (eviction, demotion to DRAM pointers, unified-index
+    # shrink) stream the table once, pick victims by slot, and rewrite those
+    # slots in place: the scan already knows where every entry lives, so
+    # nothing is re-probed by key.
+
+    def cold_slots(self, before_stamp: Optional[int] = None) -> np.ndarray:
+        """Occupied slot numbers in ascending order — the full-table scan
+        (§3.1), narrowed to stamps ``<= before_stamp`` when given."""
+        mask = self._keys != EMPTY_KEY
+        if before_stamp is not None:
+            mask &= self._stamps <= before_stamp
+        return np.flatnonzero(mask)
+
+    def slot_entries(
+        self, slots: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Copies of ``(keys, values, stamps)`` held in ``slots``."""
+        return self._keys[slots], self._values[slots], self._stamps[slots]
+
+    def retag_slots(
+        self, slots: np.ndarray, values: np.ndarray, stamp: int
+    ) -> None:
+        """Overwrite the payloads of occupied, distinct ``slots`` in place
+        (keys stay put) and stamp them — what inserting the slots' own
+        keys with new values does, minus the probe."""
+        self._values[slots] = values
+        self._stamps[slots] = stamp
+
+    def erase_slots(self, slots: np.ndarray) -> None:
+        """Vacate occupied, distinct ``slots``."""
+        self._keys[slots] = EMPTY_KEY
+        self._values[slots] = 0
+        self._stamps[slots] = 0
+        self._size -= len(slots)
 
     def scan(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Full-table scan: (keys, values, stamps) of occupied slots.
-
-        The eviction pass (§3.1) uses this: one streaming read of the table.
-        """
-        occupied = self._keys != EMPTY_KEY
-        return (
-            self._keys[occupied].copy(),
-            self._values[occupied].copy(),
-            self._stamps[occupied].copy(),
-        )
+        """Full-table scan: (keys, values, stamps) of occupied slots."""
+        return self.slot_entries(self.cold_slots())
 
     def stamp_of(self, key: int) -> Optional[int]:
         """Timestamp currently recorded for ``key`` (None when absent)."""

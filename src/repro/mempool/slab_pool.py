@@ -373,27 +373,34 @@ class SlabMemoryPool:
         storage dtype (and records per-row scales for int8) — the same
         path serves inserts *and* in-place refresh writes, so a model
         refresh re-quantizes at the entry's current tier automatically.
+        Like :meth:`read`, the locations may span the (dim, tier) classes
+        of one dimension: under precision tiering one table's cached
+        entries sit in several tiers, and refreshing them is one write.
         """
         if len(locations) == 0:
             return
         class_ids, slots = unpack_locations(np.asarray(locations))
         unique = np.unique(class_ids)
-        if len(unique) != 1:
+        dims = {self._classes[int(c)].dim for c in unique}
+        if len(dims) != 1:
             raise SimulationError("write: locations span multiple slab classes")
-        slab = self._classes[int(unique[0])]
-        if vectors.shape != (len(locations), slab.dim):
+        shape = (len(locations), dims.pop())
+        if vectors.shape != shape:
             raise SimulationError(
-                f"write: expected shape {(len(locations), slab.dim)}, "
-                f"got {vectors.shape}"
+                f"write: expected shape {shape}, got {vectors.shape}"
             )
-        if slab.tier == _TIER_FP32:
-            slab.storage[slots] = vectors
-            return
-        quantize_rows, _ = _quant()
-        payload, scales = quantize_rows(vectors, slab.tier)
-        slab.storage[slots] = payload
-        if scales is not None:
-            slab.scales[slots] = scales
+        for class_id in unique:
+            slab = self._classes[int(class_id)]
+            mask = class_ids == class_id
+            into, rows = slots[mask], vectors[mask]
+            if slab.tier == _TIER_FP32:
+                slab.storage[into] = rows
+                continue
+            quantize_rows, _ = _quant()
+            payload, scales = quantize_rows(rows, slab.tier)
+            slab.storage[into] = payload
+            if scales is not None:
+                slab.scales[into] = scales
 
     def read(self, locations: np.ndarray) -> np.ndarray:
         """Gather the fp32 vectors stored at ``locations`` (all same dim).

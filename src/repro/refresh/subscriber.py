@@ -143,20 +143,20 @@ class UpdateSubscriber(Observable):
             return None
         return batch
 
+    # hot-path: vectorized
     def apply_next(self, now: float, executor=None) -> Optional[DeltaBatch]:
         """Apply the next due batch; returns it (None when none applied)."""
         batch = self.next_batch(now)
         if batch is None:
             return None
-        for delta in batch.deltas:
-            outcome = self.applier.apply(
-                delta.table_id, delta.feature_ids, delta.vectors,
-                executor=executor,
-            )
-            self._inc_outcome(outcome)
-            if self.host_store is not None and hasattr(
-                self.host_store, "apply_update"
-            ):
+        self._inc_outcome(self.applier.apply_deltas(
+            [(d.table_id, d.feature_ids, d.vectors) for d in batch.deltas],
+            executor=executor,
+        ))
+        # The write-through only rewrites rows the host store already
+        # holds, so it commutes with the cache refresh above.
+        if hasattr(self.host_store, "apply_update"):
+            for delta in batch.deltas:  # lint: allow-loop (per table: host-store write-through)
                 self.host_store.apply_update(
                     delta.table_id, delta.feature_ids, delta.vectors
                 )

@@ -311,6 +311,8 @@ class PipelinedInferenceServer(InferenceServer):
         coalescer = InFlightMissTable() if self.coalesce else None
         obs = self.obs
         rt = self.reqtracer
+        #: Only a fault-aware store ever counts ``tier.degraded_keys``.
+        fault_store = self._fault_store is not None
         if coalescer is not None:
             coalescer.bind_observability(obs)
             coalescer.track_sources = rt is not None
@@ -439,7 +441,9 @@ class PipelinedInferenceServer(InferenceServer):
             self.engine.scheme.advance_clock(chosen.start)
             if coalescer is not None:
                 coalescer.set_owner(chosen.index)
-            degraded_before = obs.total("tier.degraded_keys")
+            degraded_before = (
+                obs.total("tier.degraded_keys") if fault_store else 0
+            )
             stage_name = chosen.next_stage
             needs = STAGE_RESOURCES.get(stage_name, _DEFAULT_RESOURCES)
             finished = False
@@ -460,7 +464,10 @@ class PipelinedInferenceServer(InferenceServer):
             busy_until = max(busy_until, end)
             chosen.ready_at = end
             self._trace_span(lane, chosen.index, stage_name, chosen_start, end)
-            if obs.total("tier.degraded_keys") > degraded_before:
+            if (
+                fault_store
+                and obs.total("tier.degraded_keys") > degraded_before
+            ):
                 chosen.degraded = True
 
             if finished:

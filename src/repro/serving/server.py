@@ -376,6 +376,8 @@ class InferenceServer:
         executor = Executor(self.hw)
         obs = self.obs
         rt = self.reqtracer
+        #: Only a fault-aware store ever counts ``tier.degraded_keys``.
+        fault_store = self._fault_store is not None
         before = self._begin_run(requests)
         collector = self.collector
         if collector is not None:
@@ -421,7 +423,9 @@ class InferenceServer:
                     # The refresher's overrunning quantum delayed this
                     # batch — the trace's only source of refresh charge.
                     bt.refresh_wait(start - dispatch_at)
-            degraded_before = obs.total("tier.degraded_keys")
+            degraded_before = (
+                obs.total("tier.degraded_keys") if fault_store else 0
+            )
             executor.reset()
             _, batch_probs, service_time = self._run_traced_batch(
                 i, self._to_trace_batch(batch), executor, start, trace=bt
@@ -436,7 +440,10 @@ class InferenceServer:
             obs.inc("serving.batched_requests", batch.size)
             if batch_probs is not None:
                 probabilities.append(batch_probs)
-            if obs.total("tier.degraded_keys") > degraded_before:
+            if (
+                fault_store
+                and obs.total("tier.degraded_keys") > degraded_before
+            ):
                 obs.inc("serving.degraded_requests", batch.size)
             batch_latencies = finish - arrival_arr[offsets[i]:offsets[i + 1]]
             latencies.append(batch_latencies)

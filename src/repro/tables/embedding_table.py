@@ -8,6 +8,8 @@ matrices up front.
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 
 from ..errors import ConfigError, WorkloadError
@@ -48,12 +50,73 @@ def reference_vector(table_id: int, feature_id: int, dim: int) -> np.ndarray:
     return reference_vectors(table_id, np.array([feature_id], np.uint64), dim)[0]
 
 
+class _RowBank:
+    """Lazily filled direct-address rows of one table.
+
+    Feature ids are dense in ``[0, corpus_size)``: ``row_of`` maps an id
+    straight to its row in ``rows`` (-1 = not yet generated), replacing
+    hash probing on the hot path.  Device-side probing costs are modelled
+    by :func:`~repro.hashindex.host_hash.host_query_cost`, not here.
+
+    A *shared* bank holds nothing but reference rows (at one storage
+    tier), a pure function of its key, so every table over the same
+    ``(table_id, corpus_size, dim, storage_tier)`` reads and fills the
+    same one: :data:`_SHARED_BANKS` holds it weakly, each table using it
+    strongly, so it lives exactly as long as something can read it.
+    Writing needs a private :meth:`fork`.
+    """
+
+    __slots__ = ("row_of", "rows", "count", "shared", "__weakref__")
+
+    def __init__(self, row_of: np.ndarray, rows: np.ndarray, shared: bool):
+        self.row_of = row_of
+        self.rows = rows
+        self.count = rows.shape[0]
+        self.shared = shared
+
+    def fork(self) -> "_RowBank":
+        """A private copy that ``update_rows`` may write to."""
+        return _RowBank(
+            self.row_of.copy(), self.rows[:self.count].copy(), shared=False
+        )
+
+    def __deepcopy__(self, memo):
+        # Copies of a table keep reading the shared bank (its content
+        # cannot change); a private bank is copied with its owner.
+        return self if self.shared else self.fork()
+
+    def append(self, feature_ids: np.ndarray, new_rows: np.ndarray) -> int:
+        """Store ``new_rows`` for sorted-unique absent ``feature_ids``;
+        returns the first new row number."""
+        start, stop = self.count, self.count + len(feature_ids)
+        if self.rows.shape[0] < stop:
+            grown = np.zeros(
+                (max(stop, 64, self.rows.shape[0] * 2), self.rows.shape[1]),
+                dtype=np.float32,
+            )
+            grown[:start] = self.rows[:start]
+            self.rows = grown
+        self.rows[start:stop] = new_rows
+        self.row_of[feature_ids] = np.arange(start, stop, dtype=np.int64)
+        self.count = stop
+        return start
+
+
+#: ``(table_id, corpus_size, dim, storage_tier) -> shared bank``.
+_SHARED_BANKS: "weakref.WeakValueDictionary[tuple, _RowBank]" = (
+    weakref.WeakValueDictionary()
+)
+
+
 class EmbeddingTable:
     """Host hash table of embedding vectors for one feature field.
 
-    Rows are materialised lazily: a feature ID's vector is generated on its
-    first access and then pinned, so repeated lookups are stable (training
-    would update rows in place; inference only reads).
+    Rows are generated lazily, on an id's first access, into the shared
+    reference-row bank of the table's spec (see :class:`_RowBank`), so
+    replicas, crash rebuilds and fresh stores over one model never
+    regenerate a row; the first :meth:`update_rows` forks a private bank
+    (copy-on-write), so an updated table never changes what another
+    table reads.
 
     ``storage_tier`` holds the table's values at a reduced precision
     (``"fp16"``/``"int8"``): every row is passed through the tier's
@@ -70,13 +133,15 @@ class EmbeddingTable:
             raise ConfigError(f"unknown table storage tier {storage_tier!r}")
         self.spec = spec
         self.storage_tier = storage_tier
-        # Feature ids are dense in [0, corpus_size): a direct id -> row
-        # array replaces hash probing on the hot path (-1 = not yet
-        # materialised).  Device-side probing costs are modelled by
-        # :func:`~repro.hashindex.host_hash.host_query_cost`, not here.
-        self._row_of = np.full(spec.corpus_size, -1, dtype=np.int64)
-        self._rows = np.zeros((0, spec.dim), dtype=np.float32)
-        self._row_count = 0
+        key = (spec.table_id, spec.corpus_size, spec.dim, storage_tier)
+        bank = _SHARED_BANKS.get(key)
+        if bank is None:
+            bank = _SHARED_BANKS[key] = _RowBank(
+                np.full(spec.corpus_size, -1, dtype=np.int64),
+                np.zeros((0, spec.dim), dtype=np.float32),
+                shared=True,
+            )
+        self._bank = bank
 
     def _at_tier(self, rows: np.ndarray) -> np.ndarray:
         """Round-trip ``rows`` through the storage tier's quantization."""
@@ -88,42 +153,8 @@ class EmbeddingTable:
         return dequantize_rows(payload, scales, self.storage_tier)
 
     def __len__(self) -> int:
-        return self._row_count
-
-    def _materialise(self, missing: np.ndarray) -> int:
-        """Generate + index rows for sorted-unique ``missing`` ids.
-
-        Returns the first new row number (``missing[i]`` lands in row
-        ``start + i``).
-        """
-        if (missing >= self.spec.corpus_size).any():
-            raise WorkloadError(
-                f"table {self.spec.table_id}: feature id beyond corpus size "
-                f"{self.spec.corpus_size}"
-            )
-        new_rows = self._at_tier(
-            reference_vectors(self.spec.table_id, missing, self.spec.dim)
-        )
-        start = self._row_count
-        if self._rows.shape[0] < start + len(missing):
-            grow_to = max(start + len(missing), max(64, self._rows.shape[0] * 2))
-            grown = np.zeros((grow_to, self.spec.dim), dtype=np.float32)
-            grown[:start] = self._rows[:start]
-            self._rows = grown
-        self._rows[start:start + len(missing)] = new_rows
-        self._row_of[missing] = np.arange(
-            start, start + len(missing), dtype=np.int64
-        )
-        self._row_count += len(missing)
-        return start
-
-    def _ensure_rows(self, feature_ids: np.ndarray) -> None:
-        """Materialise rows for any IDs not yet present."""
-        feature_ids = self._bounded(feature_ids)
-        rows = self._row_of[feature_ids]
-        missing = np.unique(feature_ids[rows < 0])
-        if missing.size:
-            self._materialise(missing)
+        """Rows generated so far in the bank this table reads."""
+        return self._bank.count
 
     def _bounded(self, feature_ids: np.ndarray) -> np.ndarray:
         feature_ids = np.ascontiguousarray(feature_ids, dtype=np.uint64)
@@ -135,26 +166,40 @@ class EmbeddingTable:
         return feature_ids
 
     # hot-path: vectorized
+    def _row_numbers(self, feature_ids: np.ndarray) -> np.ndarray:
+        """Bank rows of in-range, non-empty ``feature_ids``, generating
+        the reference rows of ids touched for the first time."""
+        bank = self._bank
+        rows = bank.row_of[feature_ids]
+        if rows.min() < 0:
+            absent = rows < 0
+            missing = np.unique(feature_ids[absent])
+            start = bank.append(missing, self._at_tier(reference_vectors(
+                self.spec.table_id, missing, self.spec.dim
+            )))
+            rows[absent] = start + np.searchsorted(
+                missing, feature_ids[absent]
+            )
+        return rows
+
+    def _gather_into(self, feature_ids: np.ndarray, out: np.ndarray) -> None:
+        """:meth:`lookup` into ``out`` for ids the store already bounded."""
+        rows = self._row_numbers(feature_ids)  # may regrow the bank first
+        self._bank.rows.take(rows, axis=0, out=out)
+
+    # hot-path: vectorized
     def lookup(self, feature_ids: np.ndarray) -> np.ndarray:
         """Return the embedding matrix for ``feature_ids`` (always hits).
 
-        Hot path: one direct-address gather.  IDs not yet materialised
-        get rows derived from their position in the sorted-unique
-        missing set — no second gather.
+        Hot path: one direct-address gather.
         """
         feature_ids = self._bounded(feature_ids)
         if feature_ids.size == 0:
             return np.zeros((0, self.spec.dim), dtype=np.float32)
-        rows = self._row_of[feature_ids]
-        absent = rows < 0
-        if absent.any():
-            missing = np.unique(feature_ids[absent])
-            start = self._materialise(missing)
-            rows[absent] = start + np.searchsorted(
-                missing, feature_ids[absent]
-            )
-        return self._rows[rows]
+        rows = self._row_numbers(feature_ids)  # may regrow the bank first
+        return self._bank.rows[rows]
 
+    # hot-path: vectorized
     def update_rows(
         self, feature_ids: np.ndarray, vectors: np.ndarray
     ) -> int:
@@ -163,8 +208,9 @@ class EmbeddingTable:
         Each row is re-quantized at the table's storage tier before it
         lands, so a refresh cannot silently upgrade a reduced-precision
         table to fp32 values.  IDs not yet materialised are created
-        (an authoritative update, unlike a cache admission).  Returns
-        the number of rows written.
+        (an authoritative update, unlike a cache admission).  The first
+        update moves the table onto a private fork of the shared bank.
+        Returns the number of rows written.
         """
         feature_ids = self._bounded(feature_ids)
         vectors = np.asarray(vectors, dtype=np.float32)
@@ -174,6 +220,8 @@ class EmbeddingTable:
             )
         if feature_ids.size == 0:
             return 0
-        self._ensure_rows(feature_ids)
-        self._rows[self._row_of[feature_ids]] = self._at_tier(vectors)
+        if self._bank.shared:
+            self._bank = self._bank.fork()
+        rows = self._row_numbers(feature_ids)
+        self._bank.rows[rows] = self._at_tier(vectors)
         return len(feature_ids)

@@ -54,6 +54,9 @@ class EmbeddingStore:
             spec.table_id: EmbeddingTable(spec, storage_tier=value_tier)
             for spec in specs
         }
+        self._corpus_sizes = np.array(
+            [spec.corpus_size for spec in specs], dtype=np.uint64
+        )
 
     # ------------------------------------------------------------------ info
 
@@ -102,6 +105,7 @@ class EmbeddingStore:
         )
         return StoreQueryResult(vectors=vectors, cost=cost)
 
+    # hot-path: vectorized
     def query_many(
         self,
         table_ids: np.ndarray,
@@ -123,27 +127,35 @@ class EmbeddingStore:
             return StoreQueryResult(np.zeros((0, 0), np.float32), zero)
 
         # Group by table over one stable sort (each table's ids keep
-        # their original relative order, so per-table lookups see exactly
-        # the sequence the per-table mask loop fed them).
+        # their original relative order), gather every run into the
+        # sorted buffer, un-permute once.
         order = np.argsort(table_ids, kind="stable")
         sorted_tables = table_ids[order]
+        sorted_ids = feature_ids[order]
+        if (sorted_ids >= self._corpus_sizes[sorted_tables]).any():
+            raise WorkloadError("query_many: feature id beyond corpus size")
+        sorted_ids = sorted_ids.view(np.int64)
         bounds = np.flatnonzero(np.concatenate(
             ([True], sorted_tables[1:] != sorted_tables[:-1])
-        ))
-        run_tables = [int(sorted_tables[b]) for b in bounds]
+        )).tolist()
+        run_tables = sorted_tables[bounds].tolist()
 
         dims = {self.specs[t].dim for t in run_tables}
         if len(dims) != 1:
             raise WorkloadError("query_many: tables must share one dimension")
         dim = dims.pop()
 
-        vectors = np.zeros((len(table_ids), dim), dtype=np.float32)
+        gathered = np.empty((len(order), dim), dtype=np.float32)
         payload = 0
-        stops = list(bounds[1:]) + [len(order)]
-        for t, start, stop in zip(run_tables, bounds, stops):
-            run = order[start:stop]
-            vectors[run] = self._tables[t].lookup(feature_ids[run])
-            payload += (int(stop) - int(start)) * self.specs[t].value_bytes
+        for t, start, stop in zip(  # lint: allow-loop (per table in the batch)
+            run_tables, bounds, bounds[1:] + [len(order)]
+        ):
+            self._tables[t]._gather_into(
+                sorted_ids[start:stop], gathered[start:stop]
+            )
+            payload += (stop - start) * self.specs[t].value_bytes
+        vectors = np.empty_like(gathered)
+        vectors[order] = gathered
 
         if indexed_mask is None:
             keys_to_index = len(table_ids)

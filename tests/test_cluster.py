@@ -34,7 +34,7 @@ from repro.faults import (
 from repro.model.trainer import EmbeddingDeltaTrainer
 from repro.multigpu.partition import HashPartitioner
 from repro.refresh import UpdateLog, UpdatePublisher, fingerprint
-from repro.serving.arrivals import PoissonArrivals
+from repro.serving.arrivals import PoissonArrivals, Request
 from repro.serving.batcher import BatchingPolicy
 from repro.serving.pipeline import PipelinedInferenceServer
 from repro.tables.store import EmbeddingStore
@@ -188,6 +188,42 @@ class TestRoutingPolicies:
     def test_unknown_policy_rejected(self):
         with pytest.raises(ConfigError):
             make_policy("round-robin", 4)
+
+    @pytest.mark.parametrize("table", (0, 1))
+    def test_routing_keys_gather_equals_per_request_keys(
+        self, requests, table
+    ):
+        """One gather out of the shared id cube gives the keys the
+        per-request rule gives — and any request off the cube sends the
+        whole stream down the per-request fallback, same keys again."""
+        policy = make_policy("hash", 4, routing_table=table)
+        expect = [policy._routing_key(r, table) for r in requests]
+        assert requests[0].source is not None
+        gathered = policy._routing_keys(requests, table)
+        assert gathered.dtype == np.uint64
+        assert gathered.tolist() == expect
+
+        detached = [dataclasses.replace(r, source=None) for r in requests]
+        assert policy._routing_keys(detached, table).tolist() == expect
+        mixed = list(requests)
+        mixed[len(mixed) // 2] = detached[len(mixed) // 2]
+        assert policy._routing_keys(mixed, table).tolist() == expect
+        other_cube = requests[3].source[0].copy()
+        mixed[3] = dataclasses.replace(requests[3], source=(other_cube, 3))
+        assert policy._routing_keys(mixed, table).tolist() == expect
+        assert len(policy._routing_keys([], table)) == 0
+
+    def test_routing_keys_empty_id_lists_route_by_request_id(self):
+        policy = make_policy("hash", 4)
+        cube = np.zeros((3, 2, 0), dtype=np.uint64)  # no ids per field
+        requests = [
+            Request(40 + i, 0.0, tuple(cube[i]), source=(cube, i))
+            for i in range(3)
+        ]
+        assert policy._routing_keys(requests, 0).tolist() == [40, 41, 42]
+        assert policy._routing_keys(
+            [dataclasses.replace(r, source=None) for r in requests], 0
+        ).tolist() == [40, 41, 42]
 
 
 class TestSingleReplicaParity:

@@ -1,9 +1,14 @@
 """Tests for table specs, embedding tables, and the host store."""
 
+import copy
+import gc
+
 import numpy as np
 import pytest
 
+from repro.core.precision import dequantize_rows, quantize_rows
 from repro.errors import ConfigError, WorkloadError
+from repro.tables import embedding_table
 from repro.tables.embedding_table import (
     EmbeddingTable,
     reference_vector,
@@ -73,7 +78,8 @@ class TestEmbeddingTable:
         np.testing.assert_array_equal(got, expect)
 
     def test_lazy_materialisation(self):
-        table = EmbeddingTable(TableSpec(0, corpus_size=1000, dim=4))
+        # A spec no other test uses: len() counts the spec's shared bank.
+        table = EmbeddingTable(TableSpec(0, corpus_size=1009, dim=4))
         assert len(table) == 0
         table.lookup(np.array([1, 2, 3], np.uint64))
         assert len(table) == 3
@@ -146,3 +152,123 @@ class TestEmbeddingStore:
         bad = [TableSpec(1, 10, 4)]
         with pytest.raises(WorkloadError):
             EmbeddingStore(bad, hw)
+
+    def test_query_many_rejects_out_of_corpus_ids(self, hw, mixed_dim_specs):
+        store = EmbeddingStore(mixed_dim_specs, hw)
+        for beyond in (500, 2**64 - 1):  # the latter would wrap to row -1
+            with pytest.raises(WorkloadError):
+                store.query_many(
+                    np.array([1, 0]), np.array([3, beyond], np.uint64)
+                )
+
+
+def _at_tier(rows, tier):
+    if tier == "fp32":
+        return rows
+    return dequantize_rows(*quantize_rows(rows, tier), tier)
+
+
+class TestSharedRowBank:
+    """Tables over one (table, corpus, dim, tier) read one row bank.
+
+    Every spec here is unique to its test, so no bank left by another
+    test can be picked up.
+    """
+
+    @pytest.mark.parametrize("tier", ["fp32", "fp16", "int8"])
+    def test_equal_stores_share_rows_whatever_the_touch_order(self, hw, tier):
+        specs = make_table_specs([211, 223], [8, 8])
+        first = EmbeddingStore(specs, hw, value_tier=tier)
+        second = EmbeddingStore(specs, hw, value_tier=tier)
+        tables = np.array([0, 1, 0, 1, 1])
+        ids = np.array([7, 9, 200, 3, 9], np.uint64)
+        a = first.query_many(tables, ids).vectors
+        second.query(1, np.array([100, 9], np.uint64))  # other order first
+        b = second.query_many(tables[::-1], ids[::-1]).vectors[::-1]
+        np.testing.assert_array_equal(a, b)
+        for t in (0, 1):
+            np.testing.assert_array_equal(
+                a[tables == t],
+                _at_tier(reference_vectors(t, ids[tables == t], 8), tier),
+            )
+        assert first.table(0)._bank is second.table(0)._bank
+
+    def test_later_table_inherits_generated_rows(self, monkeypatch):
+        spec = TableSpec(0, corpus_size=227, dim=4)
+        ids = np.array([5, 1, 5, 90], np.uint64)
+        warm = EmbeddingTable(spec)
+        expect = warm.lookup(ids)
+        calls = []
+        real = embedding_table.reference_vectors
+        monkeypatch.setattr(
+            embedding_table, "reference_vectors",
+            lambda *args: calls.append(args) or real(*args),
+        )
+        replica = EmbeddingTable(spec)
+        assert len(replica) == 3
+        np.testing.assert_array_equal(replica.lookup(ids), expect)
+        assert calls == []  # nothing regenerated
+        replica.lookup(np.array([6], np.uint64))
+        assert len(calls) == 1 and len(warm) == 4
+
+    @pytest.mark.parametrize("tier", ["fp32", "fp16", "int8"])
+    def test_update_forks_and_never_reaches_another_table(self, tier):
+        spec = TableSpec(0, corpus_size=229, dim=8)
+        ids = np.array([4, 8], np.uint64)
+        updated = EmbeddingTable(spec, storage_tier=tier)
+        reader = EmbeddingTable(spec, storage_tier=tier)
+        pristine = reader.lookup(ids).copy()
+        new_rows = np.full((2, 8), 0.25, dtype=np.float32)
+        updated.update_rows(ids, new_rows)
+        assert updated._bank is not reader._bank
+        assert not updated._bank.shared and reader._bank.shared
+        np.testing.assert_array_equal(
+            updated.lookup(ids), _at_tier(new_rows, tier)
+        )
+        np.testing.assert_array_equal(reader.lookup(ids), pristine)
+        # Rows the fork generates later stay out of the shared bank too.
+        updated.update_rows(np.array([100], np.uint64), new_rows[:1])
+        assert len(reader) == 2
+        np.testing.assert_array_equal(
+            EmbeddingTable(spec, storage_tier=tier).lookup(
+                np.array([100], np.uint64)
+            ),
+            _at_tier(reference_vectors(0, np.array([100], np.uint64), 8), tier),
+        )
+        # A second update writes the same private bank, no second fork.
+        private = updated._bank
+        updated.update_rows(ids[:1], new_rows[:1])
+        assert updated._bank is private
+
+    def test_copies_share_reference_rows_but_not_updates(self):
+        spec = TableSpec(0, corpus_size=233, dim=4)
+        table = EmbeddingTable(spec)
+        table.lookup(np.array([1], np.uint64))
+        clone = copy.deepcopy(table)
+        assert clone._bank is table._bank
+        table.update_rows(np.array([1], np.uint64), np.ones((1, 4), np.float32))
+        forked = copy.deepcopy(table)
+        assert forked._bank is not table._bank
+        forked.update_rows(np.array([1], np.uint64), np.zeros((1, 4), np.float32))
+        np.testing.assert_array_equal(
+            table.lookup(np.array([1], np.uint64)), np.ones((1, 4), np.float32)
+        )
+        np.testing.assert_array_equal(
+            clone.lookup(np.array([1], np.uint64)),
+            reference_vectors(0, np.array([1], np.uint64), 4),
+        )
+
+    def test_bank_lives_exactly_as_long_as_a_table_reads_it(self):
+        spec = TableSpec(0, corpus_size=239, dim=4)
+        key = (0, 239, 4, "fp32")
+        first = EmbeddingTable(spec)
+        second = EmbeddingTable(spec)
+        first.lookup(np.array([3], np.uint64))
+        del first
+        gc.collect()
+        assert len(second) == 1  # still held by the other reader
+        assert key in embedding_table._SHARED_BANKS
+        second.update_rows(np.array([3], np.uint64), np.zeros((1, 4), np.float32))
+        gc.collect()  # its only reader forked away
+        assert key not in embedding_table._SHARED_BANKS
+        assert len(EmbeddingTable(spec)) == 0
