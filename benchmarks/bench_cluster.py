@@ -470,26 +470,17 @@ def test_cluster_hedging(hw, run_once):
 
 def main(argv=None):
     import argparse
-    import time
 
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--smoke", action="store_true",
         help="reduced sweep + drill with the same invariant checks",
     )
-    parser.add_argument(
-        "--profile", action="store_true",
-        help="run under HotPathProfiler and emit profile_cluster.json",
-    )
     args = parser.parse_args(argv)
 
     from repro import default_platform
-    from repro.bench.profiling import HotPathProfiler, maybe_section
 
-    mode = "smoke" if args.smoke else "full"
     hw = default_platform()
-    profiler = HotPathProfiler() if args.profile else None
-    started = time.perf_counter()
     if args.smoke:
         sweep_kwargs = dict(
             replica_counts=(2, 4), rate=60_000.0, horizon=0.03,
@@ -501,13 +492,11 @@ def main(argv=None):
         drill_kwargs = dict()
         hedge_kwargs = dict()
 
-    with maybe_section(profiler, "policy_sweep"):
-        cells = run_policy_sweep(hw, **sweep_kwargs)
+    cells = run_policy_sweep(hw, **sweep_kwargs)
     check_policy_sweep(cells)
     emit_policy_sweep(cells)
 
-    with maybe_section(profiler, "kill_drill"):
-        drill, reqtrace = run_kill_drill(hw, **drill_kwargs)
+    drill, reqtrace = run_kill_drill(hw, **drill_kwargs)
     check_kill_drill(drill)
     determinism = run_drill_determinism(hw, drill, **drill_kwargs)
     assert determinism["identical"], determinism
@@ -516,28 +505,18 @@ def main(argv=None):
     # their critical-path / root-cause analysis.
     emit_rootcause("cluster_reqtrace", reqtrace)
 
-    with maybe_section(profiler, "hedge_study"):
-        hedging = run_hedge_study(hw, **hedge_kwargs)
+    hedging = run_hedge_study(hw, **hedge_kwargs)
     check_hedge_study(hedging)
     emit_hedge_study(hedging)
 
-    if profiler is not None:
-        profiler.emit("profile_cluster", bench="cluster", mode=mode)
-
-    runtime_s = time.perf_counter() - started
     emit_json("BENCH_cluster", {
         "sla_budget_s": SLA_BUDGET,
         "sweep": cells,
         "drill": drill,
         "determinism": determinism,
         "hedging": hedging,
-        # Wall-clock runtime sits OUTSIDE the determinism-compared drill
-        # payload; check_regression gates on it.
-        "runtime_s": runtime_s,
     })
-    print("\ncluster drill OK "
-          f"({'smoke' if args.smoke else 'full'} mode, "
-          f"{runtime_s:.1f}s wall)")
+    print(f"\ncluster drill OK ({'smoke' if args.smoke else 'full'} mode)")
 
 
 if __name__ == "__main__":

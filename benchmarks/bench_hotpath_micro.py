@@ -382,18 +382,10 @@ def main(argv=None):
         "--baseline",
         default="benchmarks/results/BENCH_hotpath_micro_baseline.json",
     )
-    parser.add_argument(
-        "--profile", action="store_true",
-        help="run under HotPathProfiler and emit profile_micro.json",
-    )
     args = parser.parse_args(argv)
 
-    from repro.bench.profiling import HotPathProfiler, maybe_section
-
     hw = default_platform()
-    profiler = HotPathProfiler() if args.profile else None
-    with maybe_section(profiler, "micro_units"):
-        results = run_micro(hw)
+    results = run_micro(hw)
 
     if args.pin:
         emit_json("BENCH_hotpath_micro_baseline", {
@@ -402,9 +394,6 @@ def main(argv=None):
         })
         emit_micro(results)
         print("\npinned new hot-path micro baseline")
-        if profiler is not None:
-            profiler.emit("profile_micro", bench="hotpath_micro",
-                          mode="full")
         return 0
 
     import os
@@ -414,8 +403,6 @@ def main(argv=None):
         else None
     )
     emit_micro(results, baseline)
-    if profiler is not None:
-        profiler.emit("profile_micro", bench="hotpath_micro", mode="full")
     if baseline is None:
         print(f"\nno pinned baseline at {args.baseline}; gate skipped "
               "(run with --pin to create one)")

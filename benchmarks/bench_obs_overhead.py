@@ -421,45 +421,28 @@ def main(argv=None):
         "--smoke", action="store_true",
         help="reduced sweeps with the same invariant checks",
     )
-    parser.add_argument(
-        "--profile", action="store_true",
-        help="run under HotPathProfiler and emit profile_obs.json",
-    )
     args = parser.parse_args(argv)
 
     from repro import default_platform
-    from repro.bench.profiling import HotPathProfiler, maybe_section
 
     mode = "smoke" if args.smoke else "full"
     hw = default_platform()
-    profiler = HotPathProfiler() if args.profile else None
-    with maybe_section(profiler, "overhead_sweep"):
-        if args.smoke:
-            results = run_overhead_sweep(
-                hw, num_requests=8_000, repeats=5
-            )
-        else:
-            results = run_overhead_sweep(hw)
-    with maybe_section(profiler, "tracing_overhead_sweep"):
-        if args.smoke:
-            trace_rows = run_tracing_overhead_sweep(
-                hw, depths=(2,), intervals=(1, DEFAULT_TRACE_INTERVAL),
-            )
-        else:
-            trace_rows = run_tracing_overhead_sweep(hw)
-    with maybe_section(profiler, "detection_vs_window"):
-        if args.smoke:
-            rows = run_detection_vs_window(hw, windows=(1e-3,))
-        else:
-            rows = run_detection_vs_window(hw)
+    if args.smoke:
+        results = run_overhead_sweep(hw, num_requests=8_000, repeats=5)
+        trace_rows = run_tracing_overhead_sweep(
+            hw, depths=(2,), intervals=(1, DEFAULT_TRACE_INTERVAL),
+        )
+        rows = run_detection_vs_window(hw, windows=(1e-3,))
+    else:
+        results = run_overhead_sweep(hw)
+        trace_rows = run_tracing_overhead_sweep(hw)
+        rows = run_detection_vs_window(hw)
     emit_overhead_sweep(results)
     check_overhead_sweep(results)
     emit_tracing_overhead_sweep(trace_rows)
     check_tracing_overhead_sweep(trace_rows)
     emit_detection_vs_window(rows)
     check_detection_vs_window(rows)
-    if profiler is not None:
-        profiler.emit("profile_obs", bench="obs_overhead", mode=mode)
     print(f"\nobservability overhead sweep OK ({mode} mode)")
 
 

@@ -16,7 +16,7 @@ Three questions, one artifact:
 
 ``--pin`` rewrites ``BENCH_precision_baseline.json`` from this run;
 ``check_regression.py`` diffs the ``--smoke`` output against the pinned
-baseline in CI (hit rates, effective capacity, AUC delta, runtime).
+baseline in CI (hit rates, effective capacity, AUC delta).
 
 Usage::
 
@@ -25,7 +25,6 @@ Usage::
 
 import argparse
 import sys
-import time
 
 import numpy as np
 
@@ -193,7 +192,6 @@ def run_auc_proxy(smoke):
 
 def run_bench(smoke):
     hw = default_platform()
-    started = time.perf_counter()
     ratios = FP32_RATIOS_SMOKE if smoke else FP32_RATIOS_FULL
     curve = run_fp32_curve(hw, ratios)
     splits = run_splits(hw, curve)
@@ -209,7 +207,6 @@ def run_bench(smoke):
         "policies": policies,
         "pinned_identical": pinned_identical,
         "auc": auc,
-        "runtime_s": time.perf_counter() - started,
     }
 
 

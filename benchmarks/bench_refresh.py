@@ -1,7 +1,7 @@
 """Refresh study: update-apply throughput vs the serving latency SLA.
 
 The refresh scheduler interleaves model-update quanta into the serving
-loops' idle device time, so the trade-off the subsystem exists to manage
+loop's idle device time, so the trade-off the subsystem exists to manage
 is directly measurable: sweep the update quantum (keys a replica may
 ingest per idle slot) against the offered request rate and record, per
 cell, the SLA attainment and the sustained apply rate.  The invariant
@@ -9,10 +9,6 @@ the design promises — at the reference load, refresh interleaving holds
 the 2 ms SLA within 2 points of the no-refresh baseline while sustaining
 a nonzero apply rate — is asserted here and pinned by the CI regression
 gate (``BENCH_refresh_baseline.json``).
-
-An extra row runs the *aggressive* scheduler on the sequential loop
-(quanta may overrun their slot and delay the next batch), making the SLA
-cost of greedy refresh visible instead of hypothetical.
 
 Machine-readable results land in ``benchmarks/results/BENCH_refresh.json``.
 Runs standalone too: ``python benchmarks/bench_refresh.py --smoke`` is
@@ -32,7 +28,6 @@ from repro.refresh import (
 from repro.serving.arrivals import PoissonArrivals
 from repro.serving.batcher import BatchingPolicy
 from repro.serving.pipeline import PipelinedInferenceServer
-from repro.serving.server import InferenceServer
 from repro.tables.store import EmbeddingStore
 from repro.workloads.synthetic import uniform_tables_spec
 
@@ -65,24 +60,22 @@ def _build_workload(num_requests, rate):
     return dataset, warm, reqs
 
 
-def _make_server(hw, dataset, warm, server_cls=PipelinedInferenceServer,
-                 **kwargs):
+def _make_server(hw, dataset, warm):
     store = EmbeddingStore(dataset.table_specs(), hw)
     layer = FlecheEmbeddingLayer(store, FlecheConfig(cache_ratio=0.05), hw)
     model = DeepCrossNetwork(
         num_tables=dataset.num_tables, embedding_dim=dataset.dim
     )
-    server = server_cls(
-        dataset, layer, hw,
+    server = PipelinedInferenceServer(
+        dataset, layer, hw, depth=2,
         policy=BatchingPolicy(max_batch_size=512, max_delay=5e-4),
-        model=model, include_dense=True, **kwargs,
+        model=model, include_dense=True,
     )
     server.serve(warm)
     return server, layer
 
 
-def _attach_refresher(server, layer, hw, quantum, horizon, rounds,
-                      aggressive=False):
+def _attach_refresher(server, layer, hw, quantum, horizon, rounds):
     """Publish ``rounds`` trainer rounds across ``horizon`` and wire a
     subscriber + scheduler into ``server``; returns the scheduler.
 
@@ -101,9 +94,7 @@ def _attach_refresher(server, layer, hw, quantum, horizon, rounds,
         publisher.drain(trainer, now=horizon * (i + 1) / (rounds + 1))
     subscriber = UpdateSubscriber(log, layer.cache, host_store=layer.store)
     subscriber.bind_observability(server.obs)
-    refresher = RefreshScheduler(
-        subscriber, hw, quantum_keys=quantum, aggressive=aggressive,
-    )
+    refresher = RefreshScheduler(subscriber, hw, quantum_keys=quantum)
     server.refresher = refresher
     return refresher
 
@@ -128,19 +119,18 @@ def run_refresh_sweep(hw, rates=RATES, quanta=QUANTA,
                       num_requests=NUM_REQUESTS, rounds=ROUNDS):
     """Sweep (rate x quantum) plus a no-refresh baseline per rate.
 
-    Returns ``(cells, baselines, aggressive)``: per-cell summaries keyed
-    ``(rate, quantum)``, per-rate no-refresh summaries, and the
-    aggressive-scheduler row at the reference load.
+    Returns ``(cells, baselines)``: per-cell summaries keyed
+    ``(rate, quantum)`` and per-rate no-refresh summaries.
     """
     cells = {}
     baselines = {}
     for rate in rates:
         dataset, warm, reqs = _build_workload(num_requests, rate)
         horizon = reqs[-1].arrival_time
-        server, _ = _make_server(hw, dataset, warm, depth=2)
+        server, _ = _make_server(hw, dataset, warm)
         baselines[rate] = _summarise(server.serve(reqs), None, 0)
         for quantum in quanta:
-            server, layer = _make_server(hw, dataset, warm, depth=2)
+            server, layer = _make_server(hw, dataset, warm)
             refresher = _attach_refresher(
                 server, layer, hw, quantum, horizon, rounds,
             )
@@ -148,25 +138,7 @@ def run_refresh_sweep(hw, rates=RATES, quanta=QUANTA,
             cells[(rate, quantum)] = _summarise(
                 report, refresher, refresher.subscriber.log.total_keys,
             )
-
-    # Aggressive greedy refresh on the sequential loop at reference load:
-    # the SLA cost of *not* bounding quanta, as a measured row.
-    rate = REFERENCE_RATE if REFERENCE_RATE in rates else rates[0]
-    dataset, warm, reqs = _build_workload(num_requests, rate)
-    horizon = reqs[-1].arrival_time
-    server, layer = _make_server(
-        hw, dataset, warm, server_cls=InferenceServer,
-    )
-    refresher = _attach_refresher(
-        server, layer, hw, REFERENCE_QUANTUM, horizon, rounds,
-        aggressive=True,
-    )
-    report = server.serve(reqs)
-    aggressive = _summarise(
-        report, refresher, refresher.subscriber.log.total_keys,
-    )
-    aggressive["rate"] = rate
-    return cells, baselines, aggressive
+    return cells, baselines
 
 
 def check_refresh_sweep(cells, baselines,
@@ -189,8 +161,7 @@ def check_refresh_sweep(cells, baselines,
         )
 
 
-def emit_refresh_sweep(cells, baselines, aggressive,
-                       rates=RATES, quanta=QUANTA, runtime_s=None):
+def emit_refresh_sweep(cells, baselines, rates=RATES, quanta=QUANTA):
     """Text table + BENCH_refresh.json from the sweep summaries."""
     rows = []
     payload_cells = {}
@@ -209,13 +180,6 @@ def emit_refresh_sweep(cells, baselines, aggressive,
                 f"{cell['applied_keys']:,}",
                 f"{cell['apply_rate_keys_s'] / 1e3:.0f} K/s",
             ])
-    rows.append([
-        f"{aggressive['rate']:,}/s", "aggressive(seq)",
-        f"{aggressive['sla_attainment']:.1%}",
-        format_time(aggressive["p99_s"]),
-        f"{aggressive['applied_keys']:,}",
-        f"{aggressive['apply_rate_keys_s'] / 1e3:.0f} K/s",
-    ])
     report = format_table(
         ["offered load", "refresh", f"SLA@{SLA_BUDGET * 1e3:.0f}ms", "P99",
          "applied keys", "apply rate"],
@@ -232,41 +196,30 @@ def emit_refresh_sweep(cells, baselines, aggressive,
         "quanta": list(quanta),
         "baselines": {str(rate): s for rate, s in baselines.items()},
         "cells": payload_cells,
-        "aggressive": aggressive,
     }
-    if runtime_s is not None:
-        artifact["runtime_s"] = runtime_s
     emit_json("BENCH_refresh", artifact)
 
 
 def test_refresh_sla_tradeoff(hw, run_once):
-    cells, baselines, aggressive = run_once(run_refresh_sweep, hw)
-    emit_refresh_sweep(cells, baselines, aggressive)
+    cells, baselines = run_once(run_refresh_sweep, hw)
+    emit_refresh_sweep(cells, baselines)
     check_refresh_sweep(cells, baselines)
 
 
 def main(argv=None):
     import argparse
-    import time
 
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--smoke", action="store_true",
         help="reduced quantum x rate sweep with the same invariant checks",
     )
-    parser.add_argument(
-        "--profile", action="store_true",
-        help="run under HotPathProfiler and emit profile_refresh.json",
-    )
     args = parser.parse_args(argv)
 
     from repro import default_platform
-    from repro.bench.profiling import HotPathProfiler, maybe_section
 
     mode = "smoke" if args.smoke else "full"
     hw = default_platform()
-    profiler = HotPathProfiler() if args.profile else None
-    started = time.perf_counter()
     if args.smoke:
         rates = (REFERENCE_RATE, 800_000)
         quanta = (128, REFERENCE_QUANTUM)
@@ -276,16 +229,9 @@ def main(argv=None):
     else:
         rates, quanta = RATES, QUANTA
         sweep_kwargs = dict()
-    with maybe_section(profiler, "refresh_sweep"):
-        cells, baselines, aggressive = run_refresh_sweep(
-            hw, **sweep_kwargs
-        )
-    emit_refresh_sweep(cells, baselines, aggressive, rates=rates,
-                       quanta=quanta,
-                       runtime_s=time.perf_counter() - started)
+    cells, baselines = run_refresh_sweep(hw, **sweep_kwargs)
+    emit_refresh_sweep(cells, baselines, rates=rates, quanta=quanta)
     check_refresh_sweep(cells, baselines)
-    if profiler is not None:
-        profiler.emit("profile_refresh", bench="refresh", mode=mode)
     print(f"\nrefresh sweep OK ({mode} mode)")
 
 

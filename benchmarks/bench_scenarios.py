@@ -31,7 +31,6 @@ Usage::
 
 import argparse
 import sys
-import time
 
 from repro import default_platform
 from repro.autotune import AdaptiveController, ControllerConfig
@@ -250,7 +249,6 @@ def run_drill(hw, smoke):
 
 def run_bench(smoke):
     hw = default_platform()
-    started = time.perf_counter()
     scenarios = run_grid(hw, smoke)
     identity = run_identity(hw, smoke)
     drill = run_drill(hw, smoke)
@@ -263,7 +261,6 @@ def run_bench(smoke):
         "wins": wins,
         "identity": identity,
         "drill": drill,
-        "runtime_s": time.perf_counter() - started,
     }
 
 

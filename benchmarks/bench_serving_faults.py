@@ -558,42 +558,28 @@ def main(argv=None):
         "--smoke", action="store_true",
         help="reduced detection sweep with the same invariant checks",
     )
-    parser.add_argument(
-        "--profile", action="store_true",
-        help="run under HotPathProfiler and emit profile_faults.json",
-    )
     args = parser.parse_args(argv)
 
     from repro import default_platform
-    from repro.bench.profiling import HotPathProfiler, maybe_section
 
     mode = "smoke" if args.smoke else "full"
     hw = default_platform()
-    profiler = HotPathProfiler() if args.profile else None
-    with maybe_section(profiler, "detection_sweep"):
-        if args.smoke:
-            results = run_detection_sweep(
-                hw, fractions=(0.2,), policies=("naive", "resilient"),
-            )
-        else:
-            results = run_detection_sweep(hw)
+    if args.smoke:
+        results = run_detection_sweep(
+            hw, fractions=(0.2,), policies=("naive", "resilient"),
+        )
+    else:
+        results = run_detection_sweep(hw)
     emit_detection_sweep(results)
     check_detection_sweep(results)
 
-    with maybe_section(profiler, "refresh_outage"):
-        outage = run_refresh_outage_study(hw)
+    outage = run_refresh_outage_study(hw)
     emit_refresh_outage(outage)
     check_refresh_outage(outage)
 
-    with maybe_section(profiler, "recovery_equivalence"):
-        recovery = run_recovery_equivalence(
-            hw, rounds=8 if args.smoke else 12,
-        )
+    recovery = run_recovery_equivalence(hw, rounds=8 if args.smoke else 12)
     emit_recovery_equivalence(recovery)
     check_recovery_equivalence(recovery)
-
-    if profiler is not None:
-        profiler.emit("profile_faults", bench="serving_faults", mode=mode)
 
     print(f"\nfault detection sweep OK ({mode} mode)")
 

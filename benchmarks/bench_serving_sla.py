@@ -8,8 +8,9 @@ sustain within a latency SLA.
 
 The pipelined-serving study sweeps the pipeline depth of
 :class:`~repro.serving.pipeline.PipelinedInferenceServer` under a
-saturating load on two dataset replicas: depth 1 must reproduce the
-sequential loop bit-for-bit, and depth >= 2 must buy throughput-at-SLA
+saturating load on two dataset replicas: an explicit depth 1 must match
+:class:`~repro.serving.server.InferenceServer`'s default (the
+``sequential`` row) bit-for-bit, and depth >= 2 must buy throughput-at-SLA
 and/or tail latency through inter-batch overlap.  Machine-readable
 results land in ``benchmarks/results/BENCH_serving.json``.
 
@@ -53,7 +54,7 @@ REPLICAS = (
     ("replica_a", dict(num_tables=12, corpus_size=50_000, alpha=-1.3, dim=32)),
     ("replica_b", dict(num_tables=8, corpus_size=80_000, alpha=-1.1, dim=64)),
 )
-#: Offered load for the depth sweep — past the sequential loop's service
+#: Offered load for the depth sweep — past the depth-1 service
 #: capacity, so the pipeline (not the arrival process) is the bottleneck.
 SATURATING_RATE = 2_400_000.0
 SWEEP_DEPTHS = (1, 2, 4)
@@ -145,11 +146,13 @@ def _summarise(report, depth):
 
 def run_depth_sweep(hw, replicas=REPLICAS, depths=SWEEP_DEPTHS,
                     num_requests=4_000, rate=SATURATING_RATE):
-    """Sequential loop vs pipelined depths on each dataset replica.
+    """``InferenceServer`` (the ``sequential`` row) vs pipelined depths
+    on each dataset replica.
 
     Returns ``(summaries, checks)``: per-(replica, label) metric dicts,
-    and the byte-identity comparison of depth 1 against the sequential
-    loop (computed here because it needs the raw reports).
+    and the byte-identity comparison of an explicit depth 1 against the
+    ``InferenceServer`` default (computed here because it needs the raw
+    reports).
     """
     summaries = {}
     checks = {}
@@ -232,7 +235,7 @@ def check_depth_sweep(summaries, checks, depths=SWEEP_DEPTHS):
     """The depth-sweep invariants (shared by pytest and --smoke)."""
     replicas = sorted({rname for rname, _ in summaries})
     for rname in replicas:
-        # Depth 1 reproduces the sequential loop bit-for-bit.
+        # Depth 1 is the InferenceServer default, bit-for-bit.
         assert checks[rname]["latencies_equal"], rname
         assert checks[rname]["probabilities_equal"], rname
         assert checks[rname]["hits_equal"], rname
@@ -255,15 +258,13 @@ def check_depth_sweep(summaries, checks, depths=SWEEP_DEPTHS):
     assert total_coalesced > 0
 
 
-def emit_depth_sweep(summaries, depths=SWEEP_DEPTHS, runtime_s=None,
-                     extra_name=None):
+def emit_depth_sweep(summaries, depths=SWEEP_DEPTHS, extra_name=None):
     """Text table + BENCH_serving.json from depth-sweep summaries.
 
     ``extra_name`` writes the same artifact under a second name — the
     full-mode CLI run uses it so ``BENCH_serving_full.json`` survives the
-    smoke run overwriting ``BENCH_serving.json``, and
-    ``check_regression.py`` can hold the full run to the two-sided
-    runtime gate.
+    smoke run overwriting ``BENCH_serving.json`` and
+    ``check_regression.py`` can compare both.
     """
     rows = []
     payload = {}
@@ -290,8 +291,6 @@ def emit_depth_sweep(summaries, depths=SWEEP_DEPTHS, runtime_s=None,
         "depths": list(depths),
         "replicas": payload,
     }
-    if runtime_s is not None:
-        artifact["runtime_s"] = runtime_s
     emit_json("BENCH_serving", artifact)
     if extra_name is not None:
         emit_json(extra_name, artifact)
@@ -395,56 +394,34 @@ def test_serving_observability_artifacts(hw, run_once):
 
 def main(argv=None):
     import argparse
-    import time
 
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--smoke", action="store_true",
         help="reduced depth sweep with the same invariant checks",
     )
-    parser.add_argument(
-        "--profile", action="store_true",
-        help="run under HotPathProfiler and emit profile.json",
-    )
     args = parser.parse_args(argv)
 
     from repro import default_platform
-    from repro.bench.profiling import (
-        HotPathProfiler, maybe_section, serving_baseline,
-    )
 
     mode = "smoke" if args.smoke else "full"
     hw = default_platform()
-    profiler = HotPathProfiler() if args.profile else None
-    started = time.perf_counter()
     if args.smoke:
         depths = (1, 2)
         sweep_kwargs = dict(depths=depths, num_requests=1_500)
     else:
         depths = SWEEP_DEPTHS
         sweep_kwargs = dict(depths=depths)
-    with maybe_section(profiler, "depth_sweep"):
-        summaries, checks = run_depth_sweep(hw, **sweep_kwargs)
+    summaries, checks = run_depth_sweep(hw, **sweep_kwargs)
     emit_depth_sweep(
         summaries, depths=depths,
-        runtime_s=time.perf_counter() - started,
         extra_name=None if args.smoke else "BENCH_serving_full",
     )
     check_depth_sweep(summaries, checks, depths=depths)
-    # Side section stays out of the cProfile attribution: the pinned
-    # pre-rewrite layer profile covers the depth sweep only.
-    with maybe_section(profiler, "traced_observability", cprofile=False):
-        report, tracer, collector, reqtracer = run_traced_observability(
-            hw, num_requests=800 if args.smoke else 2_000
-        )
+    report, tracer, collector, reqtracer = run_traced_observability(
+        hw, num_requests=800 if args.smoke else 2_000
+    )
     emit_observability_artifacts(report, tracer, collector, reqtracer)
-    if profiler is not None:
-        # Pinned pre-rewrite layer profile covers the depth sweep, the
-        # section the 5x claim is made on.
-        profiler.emit(
-            "profile", bench="serving_sla", mode=mode,
-            baseline_layers_s=serving_baseline(mode),
-        )
     print("\nserving depth sweep OK "
           f"({mode} mode)")
 

@@ -35,12 +35,9 @@ candidate-only invariants are rechecked on every build — the
 controller-off run stays byte-identical to the no-controller run, and
 zero ``autotune.*`` metric keys exist while the controller is off.
 
-Every artifact that carries a ``runtime_s`` stamp is also gated on
-wall-clock runtime: the candidate must finish within
-``RUNTIME_TOLERANCE`` x the pinned baseline runtime, so a bench that
-silently got 10x slower fails CI exactly like an SLA regression.  The
-factor is deliberately loose — it absorbs CI-machine variance, not
-algorithmic blow-ups.
+Only simulated-clock payloads are compared here.  Wall-clock speed is
+measured by the ledger benchmark (``benchmarks/ledger/run.py``), which
+alternates parent/change pairs instead of trusting one pinned runtime.
 
 Usage::
 
@@ -54,8 +51,7 @@ Usage::
         [--precision-baseline \
             benchmarks/results/BENCH_precision_baseline.json] \
         [--precision-candidate benchmarks/results/BENCH_precision.json] \
-        [--rel-tolerance 0.15] [--abs-sla-tolerance 0.05] \
-        [--runtime-tolerance 5.0]
+        [--rel-tolerance 0.15] [--abs-sla-tolerance 0.05]
 
 Exit status 0 when every cell is within tolerance, 1 otherwise.
 """
@@ -69,9 +65,6 @@ from repro.bench.reporting import format_table, load_artifact
 REL_TOLERANCE = 0.15
 #: Absolute tolerance on SLA attainment (a fraction in [0, 1]).
 ABS_SLA_TOLERANCE = 0.05
-#: Candidate wall-clock runtime may be at most this multiple of the
-#: pinned baseline runtime (one-sided: getting faster never fails).
-RUNTIME_TOLERANCE = 5.0
 
 #: (metric key, kind) pairs compared per (replica, server) cell.
 CHECKED_METRICS = (
@@ -168,50 +161,6 @@ def compare_refresh(baseline: dict, candidate: dict,
                         f"{section}/{key}/{metric}: baseline {base:.4g} -> "
                         f"candidate {cand:.4g} ({shown} outside tolerance)"
                     )
-    return rows, violations
-
-
-def runtime_gate(baseline: dict, candidate: dict, label: str,
-                 runtime_tolerance: float = RUNTIME_TOLERANCE):
-    """Wall-clock gate; returns (rows, violations).
-
-    Applies only when the baseline carries a ``runtime_s`` stamp; a
-    stamped baseline with an unstamped candidate is a violation (the
-    stamp must not silently disappear).  One-sided by default — the
-    candidate must finish within ``runtime_tolerance`` x the pinned
-    runtime, and getting faster never fails.  A baseline that also pins
-    ``min_speedup`` makes the gate *two-sided*: the candidate must beat
-    ``runtime_s / min_speedup`` — losing a claimed speedup fails CI
-    exactly like getting slower, so a vectorized hot path cannot quietly
-    rot back to per-key Python.
-    """
-    base = baseline.get("runtime_s")
-    if base is None:
-        return [], []
-    cand = candidate.get("runtime_s")
-    if cand is None:
-        return [], [f"{label}: baseline has runtime_s but candidate lost it"]
-    min_speedup = baseline.get("min_speedup")
-    if min_speedup is not None:
-        limit = float(base) / float(min_speedup)
-        budget = f"required <= {limit:.4g}s ({float(min_speedup):.3g}x)"
-        over = (
-            f"must run >={float(min_speedup):.3g}x faster than the pinned "
-            f"{float(base):.3g}s (limit {limit:.3g}s)"
-        )
-    else:
-        limit = float(base) * runtime_tolerance
-        budget = f"limit {limit:.4g}s"
-        over = f"over {runtime_tolerance:.1f}x budget"
-    ok = float(cand) <= limit
-    rows = [[
-        label, "-", "runtime_s", f"{float(base):.4g}", f"{float(cand):.4g}",
-        budget, "ok" if ok else "FAIL",
-    ]]
-    violations = [] if ok else [
-        f"{label}/runtime_s: baseline {float(base):.3g}s -> candidate "
-        f"{float(cand):.3g}s ({over})"
-    ]
     return rows, violations
 
 
@@ -515,9 +464,6 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--abs-sla-tolerance", type=float, default=ABS_SLA_TOLERANCE
     )
-    parser.add_argument(
-        "--runtime-tolerance", type=float, default=RUNTIME_TOLERANCE
-    )
     args = parser.parse_args(argv)
 
     baseline = load_artifact(args.baseline)
@@ -527,12 +473,6 @@ def main(argv=None) -> int:
         rel_tolerance=args.rel_tolerance,
         abs_sla_tolerance=args.abs_sla_tolerance,
     )
-    runtime_rows, runtime_violations = runtime_gate(
-        baseline, candidate, "serving",
-        runtime_tolerance=args.runtime_tolerance,
-    )
-    rows.extend(runtime_rows)
-    violations.extend(runtime_violations)
     print(format_table(
         ["replica", "server", "metric", "baseline", "candidate", "drift",
          "status"],
@@ -555,22 +495,13 @@ def main(argv=None) -> int:
             rel_tolerance=args.rel_tolerance,
             abs_sla_tolerance=args.abs_sla_tolerance,
         )
-        runtime_rows, runtime_violations = runtime_gate(
-            full_baseline, full_candidate, "serving-full",
-            runtime_tolerance=args.runtime_tolerance,
-        )
-        full_rows.extend(runtime_rows)
         violations.extend(full_violations)
-        violations.extend(runtime_violations)
         print()
         print(format_table(
             ["replica", "server", "metric", "baseline", "candidate",
              "drift", "status"],
             full_rows,
-            title=(
-                "Full-mode serving gate (two-sided runtime: the pinned "
-                "min_speedup must hold)"
-            ),
+            title="Full-mode serving gate",
         ))
     else:
         print(f"\nno full-mode pair at {args.full_baseline} + "
@@ -584,13 +515,7 @@ def main(argv=None) -> int:
             rel_tolerance=args.rel_tolerance,
             abs_sla_tolerance=args.abs_sla_tolerance,
         )
-        runtime_rows, runtime_violations = runtime_gate(
-            refresh_baseline, refresh_candidate, "refresh",
-            runtime_tolerance=args.runtime_tolerance,
-        )
-        refresh_rows.extend(runtime_rows)
         violations.extend(refresh_violations)
-        violations.extend(runtime_violations)
         print()
         print(format_table(
             ["section", "cell", "metric", "baseline", "candidate", "drift",
@@ -613,13 +538,7 @@ def main(argv=None) -> int:
             cluster_baseline, cluster_candidate,
             abs_sla_tolerance=args.abs_sla_tolerance,
         )
-        runtime_rows, runtime_violations = runtime_gate(
-            cluster_baseline, cluster_candidate, "cluster",
-            runtime_tolerance=args.runtime_tolerance,
-        )
-        cluster_rows.extend(runtime_rows)
         violations.extend(cluster_violations)
-        violations.extend(runtime_violations)
         print()
         print(format_table(
             ["section", "cell", "metric", "baseline", "candidate", "drift",
@@ -627,8 +546,7 @@ def main(argv=None) -> int:
             cluster_rows,
             title=(
                 "Cluster drill regression gate "
-                f"(SLA ±{args.abs_sla_tolerance:.2f}, "
-                f"runtime {args.runtime_tolerance:.1f}x)"
+                f"(SLA ±{args.abs_sla_tolerance:.2f})"
             ),
         ))
     else:
@@ -643,13 +561,7 @@ def main(argv=None) -> int:
             rel_tolerance=args.rel_tolerance,
             abs_sla_tolerance=args.abs_sla_tolerance,
         )
-        runtime_rows, runtime_violations = runtime_gate(
-            precision_baseline, precision_candidate, "precision",
-            runtime_tolerance=args.runtime_tolerance,
-        )
-        precision_rows.extend(runtime_rows)
         violations.extend(precision_violations)
-        violations.extend(runtime_violations)
         print()
         print(format_table(
             ["section", "cell", "metric", "baseline", "candidate", "drift",
@@ -672,13 +584,7 @@ def main(argv=None) -> int:
             scenarios_baseline, scenarios_candidate,
             abs_sla_tolerance=args.abs_sla_tolerance,
         )
-        runtime_rows, runtime_violations = runtime_gate(
-            scenarios_baseline, scenarios_candidate, "scenarios",
-            runtime_tolerance=args.runtime_tolerance,
-        )
-        scenario_rows.extend(runtime_rows)
         violations.extend(scenario_violations)
-        violations.extend(runtime_violations)
         print()
         print(format_table(
             ["section", "cell", "metric", "baseline", "candidate", "drift",
@@ -686,8 +592,7 @@ def main(argv=None) -> int:
             scenario_rows,
             title=(
                 "Adversarial-scenario regression gate "
-                f"(SLA/hit ±{args.abs_sla_tolerance:.2f}, "
-                f"runtime {args.runtime_tolerance:.1f}x)"
+                f"(SLA/hit ±{args.abs_sla_tolerance:.2f})"
             ),
         ))
     else:

@@ -26,7 +26,7 @@ hysteresis-guarded (sub-``hysteresis`` admission deltas are noise), and
 bounds-clamped, and resolves to exactly one of the three outcome
 counters — see :mod:`repro.autotune.actions`.
 
-Actions are *applied between batches* (the serving loops call
+Actions are *applied between batches* (the serving loop calls
 :meth:`AdaptiveController.on_batch_complete` right after folding the
 batch into the collector), so a run with the controller disabled is
 byte-identical to one without it: no knob moves mid-batch, no
@@ -141,8 +141,8 @@ class _Knobs:
 class AdaptiveController(Observable):
     """Window-driven retuner for one serving stack.
 
-    Attach via the server's ``autotuner=`` constructor argument (both
-    serving loops call :meth:`on_batch_complete` after each batch).
+    Attach via the server's ``autotuner=`` constructor argument (the
+    serving loop calls :meth:`on_batch_complete` after each batch).
     """
 
     def __init__(self, config: Optional[ControllerConfig] = None):
@@ -197,7 +197,7 @@ class AdaptiveController(Observable):
     # hot-path: vectorized
     def on_batch_complete(self, now: float) -> None:
         """Consume newly closed windows; apply guarded actions between
-        batches.  Called by both serving loops after every batch fold —
+        batches.  Called by the serving loop after every batch fold —
         the serving path's per-batch overhead is one integer compare
         when no window closed."""
         if not self.config.enabled or self._collector is None:

@@ -763,7 +763,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="offered load (requests/sec, Poisson)")
     p.add_argument("--requests", type=int, default=2_000)
     p.add_argument("--depth", type=int, default=2,
-                   help="pipeline depth (1 = sequential)")
+                   help="pipeline depth (1 = one batch at a time)")
     p.add_argument("--window", type=float, default=1e-3,
                    help="collector window (simulated seconds)")
     p.add_argument("--sla", type=float, default=2e-3,

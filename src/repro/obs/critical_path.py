@@ -2,11 +2,11 @@
 
 A sampled request's trace (:class:`~repro.obs.reqtrace.RequestTrace`)
 is a linear chain of parent-linked spans: the routing hop (cluster runs
-only), the batch queue wait, an optional refresh-quantum overrun, then
-the batch's stage sequence where each stage contributes an inter-stage
-*wait* (the batch sat ready while a shared resource was busy) and an
-*exec* interval (the stage occupied its resource).  Because the serving
-loops compute every finish instant by telescoping exactly these terms,
+only), the batch queue wait, then the batch's stage sequence where each
+stage contributes an inter-stage *wait* (the batch sat ready while a
+shared resource was busy) and an *exec* interval (the stage occupied its
+resource).  Because the serving loop computes every finish instant by
+telescoping exactly these terms,
 the chain admits an **exclusive decomposition**: each simulated
 nanosecond of a request's latency is charged to exactly one segment,
 and the segments sum back to the end-to-end latency (the conservation
@@ -29,9 +29,6 @@ Segment taxonomy
     the fetch-stage stall of a batch that took keys from another
     in-flight batch's pending fetch — waiting on someone else's I/O,
     not its own.
-``refresh``
-    a refresh quantum overran into the dispatch slot (sequential loop
-    only; the pipelined scheduler is idle-bounded by construction).
 ``hedge_wait`` / ``failover_redispatch`` / ``breaker_fastfail``
     the routing hop when the winning dispatch was a hedge copy, a
     re-dispatch after a lost send / lost in-flight response, or an
@@ -64,7 +61,7 @@ __all__ = [
 ]
 
 #: Absolute slack allowed between the segment sum and the end-to-end
-#: latency: the serving loops accumulate the same float terms in a
+#: latency: the serving loop accumulates the same float terms in a
 #: slightly different association order, so the difference is a few
 #: ulps of sub-second values — nanoseconds of slack cover it.
 CONSERVATION_TOL = 1e-9
@@ -92,7 +89,6 @@ SEGMENTS: Tuple[str, ...] = (
     "pcie_wait",
     "gpu_wait",
     "coalesce_wait",
-    "refresh",
     "hedge_wait",
     "failover_redispatch",
     "breaker_fastfail",
@@ -106,7 +102,6 @@ CAUSE_PRIORITY: Tuple[str, ...] = (
     "breaker_fastfail",
     "hedge_wait",
     "coalesce_wait",
-    "refresh",
     "queue",
     "pcie_wait",
     "gpu_wait",
@@ -124,8 +119,8 @@ def decompose(trace) -> Dict[str, float]:
     """Exclusive segment decomposition of one sampled request.
 
     ``trace`` is any object with the :class:`~repro.obs.reqtrace.
-    RequestTrace` shape: ``queue`` / ``refresh_wait`` / ``stages``
-    (``(name, wait, exec)`` triples) measured on the serving replica's
+    RequestTrace` shape: ``queue`` / ``stages`` (``(name, wait,
+    exec)`` triples) measured on the serving replica's
     clock, a ``scale`` factor (the replica's slowdown multiplier at
     dispatch time — the router computes ``finish = at + latency *
     factor``, so every replica-side segment scales by the same factor),
@@ -143,7 +138,6 @@ def decompose(trace) -> Dict[str, float]:
     if trace.route_cause is not None or trace.route_wait:
         charge(trace.route_cause or "queue", trace.route_wait)
     charge("queue", trace.queue * scale)
-    charge("refresh", trace.refresh_wait * scale)
     coalesced = trace.coalesced_keys > 0
     for name, wait, exec_s in trace.stages:  # lint: allow-loop (per stage)
         resource = STAGE_RESOURCE.get(name, "host")

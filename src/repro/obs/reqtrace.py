@@ -1,6 +1,6 @@
 """Per-request distributed tracing with bounded-overhead sampling.
 
-The serving loops already compute every instant a trace needs — batch
+The serving loop already computes every instant a trace needs — batch
 dispatch, per-stage stalls and executor elapsed deltas, batch finish —
 so tracing records them instead of re-deriving them: a
 :class:`RequestTracer` attached to a server collects **one record per
@@ -22,7 +22,7 @@ incarnation), the exclusive segment decomposition from
 a Chrome trace whose ``args`` stamp ``request_id``/``dispatch`` so one
 request's copies group across replica tracks.
 
-Nothing here runs when no tracer is attached: the serving loops guard
+Nothing here runs when no tracer is attached: the serving loop guards
 every call site on ``reqtracer is not None``, and all ``reqtrace.*``
 counters are incremented only inside :meth:`RequestTracer.finalize` —
 a run without tracing is byte-identical to one built before this
@@ -80,18 +80,18 @@ class TraceContext:
 
 
 class BatchTraceRecord:
-    """One batch's trip through a serving loop (the O(1) hot-loop unit).
+    """One batch's trip through the serving loop (the O(1) hot-loop unit).
 
     The serving loop owns exactly one live record per in-flight batch
-    and calls :meth:`dispatched` / :meth:`stage` / :meth:`refresh_wait`
-    with values it already computed; the engine stamps coalescing
-    attribution via :meth:`note_query` when the batch's query result
-    returns.  All instants are on the serving replica's own clock.
+    and calls :meth:`dispatched` / :meth:`stage` with values it already
+    computed; the engine stamps coalescing attribution via
+    :meth:`note_query` when the batch's query result returns.  All
+    instants are on the serving replica's own clock.
     """
 
     __slots__ = (
         "index", "lo", "hi", "formed_at", "dispatch_at", "stages",
-        "refresh", "finish", "coalesced_keys", "coalesce_sources",
+        "finish", "coalesced_keys", "coalesce_sources",
     )
 
     def __init__(self, index: int, lo: int, hi: int, formed_at: float):
@@ -102,7 +102,6 @@ class BatchTraceRecord:
         self.dispatch_at = formed_at
         #: ``(stage name, inter-stage wait, exec seconds)`` per stage.
         self.stages: List[Tuple[str, float, float]] = []
-        self.refresh = 0.0
         self.finish = formed_at
         self.coalesced_keys = 0
         self.coalesce_sources: Dict[int, int] = {}
@@ -112,9 +111,6 @@ class BatchTraceRecord:
 
     def stage(self, name: str, wait: float, exec_s: float) -> None:
         self.stages.append((name, wait, exec_s))
-
-    def refresh_wait(self, seconds: float) -> None:
-        self.refresh += seconds
 
     def note_query(self, query) -> None:
         """Stamp the batch's coalesced-miss join (engine calls this)."""
@@ -128,7 +124,7 @@ class BatchTraceRecord:
 class RequestTrace:
     """One sampled request, materialized from its batch record.
 
-    ``queue`` / ``refresh_wait`` / ``stages`` are replica-clock
+    ``queue`` / ``stages`` are replica-clock
     durations; ``scale`` is the replica slowdown factor the router
     applied to the whole replica-side latency, and ``route_wait`` /
     ``route_cause`` the unscaled router hop (arrival -> winning
@@ -142,7 +138,6 @@ class RequestTrace:
     latency: float
     batch_index: int
     queue: float = 0.0
-    refresh_wait: float = 0.0
     stages: Tuple[Tuple[str, float, float], ...] = ()
     coalesced_keys: int = 0
     coalesce_sources: Dict[int, int] = field(default_factory=dict)
@@ -171,8 +166,8 @@ class RequestTrace:
 
         The root span covers arrival -> finish; children lay the
         segment chain end-to-end in causal order (route hop, queue,
-        refresh overrun, then each stage's wait + exec, scaled onto
-        the router clock), so the chain telescopes to the root.
+        then each stage's wait + exec, scaled onto the router clock),
+        so the chain telescopes to the root.
         """
         out: List[Tuple[int, int, str, float, float, str]] = []
         if not np.isfinite(self.latency):
@@ -193,7 +188,6 @@ class RequestTrace:
         if self.route_cause is not None or self.route_wait:
             child(self.route_cause or "route", self.route_wait, "route")
         child("queue", self.queue * self.scale, "queue")
-        child("refresh", self.refresh_wait * self.scale, "refresh")
         for name, wait, exec_s in self.stages:  # lint: allow-loop (per stage)
             child(f"{name}:wait", wait * self.scale, "wait")
             child(name, exec_s * self.scale, name)
@@ -212,7 +206,6 @@ class RequestTrace:
                 float(self.latency) if np.isfinite(self.latency) else None
             ),
             "queue": float(self.queue),
-            "refresh": float(self.refresh_wait),
             "stages": [
                 [name, float(wait), float(exec_s)]
                 for name, wait, exec_s in self.stages
@@ -376,7 +369,6 @@ class RequestTracer:
             latency=record.finish - arrival,
             batch_index=record.index,
             queue=record.dispatch_at - arrival,
-            refresh_wait=record.refresh,
             stages=tuple(record.stages),
             coalesced_keys=record.coalesced_keys,
             coalesce_sources=dict(record.coalesce_sources),

@@ -10,10 +10,10 @@ so a pipelined run's choreography (stage overlap across batches, admission
 stalls, fault-window slowdowns) opens directly in ``chrome://tracing`` or
 Perfetto.
 
-Span taxonomy used by the serving loops:
+Span taxonomy used by the serving loop:
 
-* track ``lane{k}`` — pipeline lane ``batch_index % depth`` (the
-  sequential server uses the single track ``serving``);
+* track ``lane{k}`` — pipeline lane ``batch_index % depth`` (``lane0``
+  alone at depth 1);
 * name ``b{i}:{stage}`` — batch ``i`` executing ``stage``;
 * category — the stage name (``index``/``fetch``/``copy``/``dense``), or
   ``queue`` for the wait between batch formation and first dispatch.

@@ -24,7 +24,7 @@ so a long run keeps constant memory; an attached
 boundary, giving burn-rate alerts a deterministic time axis.
 
 Attribution convention: a batch's counter activity belongs to the window
-containing its **completion instant** — the serving loops call
+containing its **completion instant** — the serving loop calls
 :meth:`observe_batch` once per finished batch, in nondecreasing completion
 order, and the collector folds the counter delta since the previous call.
 Summed over windows, the deltas reproduce the run's registry diff exactly
@@ -55,7 +55,7 @@ WORKLOAD_SERIES: Tuple[str, ...] = (
 )
 
 #: Default ``le`` bucket bounds for the serving latency histogram
-#: (seconds); declared on the registry by the serving loops so the
+#: (seconds); declared on the registry by the serving loop so the
 #: OpenMetrics exposition can render a real histogram.
 DEFAULT_LATENCY_BUCKETS: Tuple[float, ...] = (
     1e-4, 2.5e-4, 5e-4, 1e-3, 2.5e-3, 5e-3, 1e-2, 2.5e-2, 1e-1,
@@ -290,7 +290,7 @@ class WindowedCollector:
         """Fold one completed batch: registry delta + request latencies.
 
         ``now`` is the batch's completion instant on the simulated clock;
-        calls must be nondecreasing in ``now`` (the serving loops complete
+        calls must be nondecreasing in ``now`` (the serving loop completes
         batches in clock order on the serial GPU resource).
         ``first_request`` is the arrival-stream position of the batch's
         first request — needed only under :meth:`set_tenancy`, where

@@ -8,14 +8,11 @@ batches — and each slot ingests a *bounded quantum* of keys, so a burst
 of published updates can never blow the latency SLA.
 
 :meth:`RefreshScheduler.run_idle` is the contract with the serving
-loops: "the device is idle on ``[start, end)`` — use what fits".  The
+loop: "the device is idle on ``[start, end)`` — use what fits".  The
 scheduler estimates each pending batch's kernel cost on a scratch
 simulated-hardware executor (memoised per batch shape), inflates it by
 any active ``SlowSubscriber`` fault factor, and applies a batch only if
-it completes before ``end`` — unless constructed ``aggressive=True``, in
-which case slots may be overrun (the sequential server absorbs this by
-delaying the next batch, making the SLA cost of greedy refresh
-measurable).
+it completes before ``end``.
 """
 
 from __future__ import annotations
@@ -37,8 +34,6 @@ class RefreshScheduler:
         hw: simulated hardware the update kernels are costed on.
         quantum_keys: at most this many keys per idle slot — the
             staleness/SLA knob the benchmark sweeps.
-        aggressive: allow a quantum to overrun the slot (sequential
-            serving only; the pipelined loop always stays idle-bounded).
         schedule: optional fault schedule for ``SlowSubscriber`` windows.
     """
 
@@ -47,7 +42,6 @@ class RefreshScheduler:
         subscriber: UpdateSubscriber,
         hw,
         quantum_keys: int = 512,
-        aggressive: bool = False,
         schedule=None,
     ):
         if quantum_keys < 1:
@@ -55,7 +49,6 @@ class RefreshScheduler:
         self.subscriber = subscriber
         self.hw = hw
         self.quantum_keys = int(quantum_keys)
-        self.aggressive = aggressive
         self.schedule = schedule
         #: (num_keys, dim) -> kernel wall-clock on ``hw``.
         self._cost_memo: Dict[Tuple[int, int], float] = {}
@@ -109,8 +102,7 @@ class RefreshScheduler:
 
         Applies due batches while the quantum budget and the slot both
         allow; always refreshes the staleness gauges at the slot's close,
-        so lag is visible even when nothing could be applied.  The return
-        value only exceeds ``end`` in aggressive mode.
+        so lag is visible even when nothing could be applied.
         """
         now = max(float(start), 0.0)
         end = float(end)
@@ -124,7 +116,7 @@ class RefreshScheduler:
             if batch is None or batch.num_keys > budget:
                 break
             cost = self.batch_cost(batch, now)
-            if not self.aggressive and now + cost > end:
+            if now + cost > end:
                 break
             self.subscriber.apply_next(now)
             now += cost

@@ -5,7 +5,7 @@ A :class:`Scenario` composes the existing workload primitives
 serving :class:`~repro.serving.arrivals.Request` format) into an
 *adversarial* phased load: a list of requests whose arrival process and
 id distribution change at declared :class:`Phase` boundaries.  The
-output (:class:`ScenarioLoad`) plugs straight into both serving loops —
+output (:class:`ScenarioLoad`) plugs straight into the serving loop —
 requests are positional (``request_id == position``), features ride on a
 ``(count, tables, k)`` cube exactly as
 :class:`~repro.serving.arrivals.PoissonArrivals` produces them — plus

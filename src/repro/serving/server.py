@@ -22,8 +22,7 @@ import numpy as np
 
 from ..core.cache_base import EmbeddingCacheScheme
 from ..core.engine import InferenceEngine
-from ..errors import WorkloadError
-from ..gpusim.executor import Executor
+from ..errors import ConfigError, WorkloadError
 from ..hardware import HardwareSpec
 from ..model.dcn import DeepCrossNetwork
 from ..obs.registry import MetricsRegistry, MetricsSnapshot
@@ -32,7 +31,7 @@ from ..obs.timeseries import DEFAULT_LATENCY_BUCKETS, WindowedCollector
 from ..workloads.spec import DatasetSpec
 from ..workloads.trace import TraceBatch
 from .arrivals import Request
-from .batcher import BatchingPolicy, FormedBatch, form_batches
+from .batcher import BatchingPolicy, FormedBatch
 
 
 @dataclass
@@ -61,7 +60,7 @@ class ServingReport:
     misses: int = 0
     unified_hits: int = 0
     #: Missed keys served from another in-flight batch's pending fetch
-    #: (pipelined serving only; 0 on the sequential path).
+    #: (always 0 at depth 1, where no two batches are in flight together).
     coalesced_keys: int = 0
     #: Click probabilities concatenated in request order (dense runs only).
     probabilities: Optional[np.ndarray] = None
@@ -143,7 +142,12 @@ class ServingReport:
 
 
 class InferenceServer:
-    """Single-GPU serving loop over a cache scheme."""
+    """Single-GPU serving over a cache scheme.
+
+    The staged loop keeps ``depth`` batches in flight (1, the default: one
+    at a time); ``coalesce`` shares in-flight miss fetches between
+    overlapping batches (none at depth 1, so no table is built).
+    """
 
     def __init__(
         self,
@@ -158,16 +162,22 @@ class InferenceServer:
         refresher=None,
         reqtracer=None,
         autotuner=None,
+        depth: int = 1,
+        coalesce: bool = True,
     ):
+        if depth < 1:
+            raise ConfigError("pipeline depth must be >= 1")
+        self.depth = depth
+        self.coalesce = coalesce
+        #: :class:`~repro.serving.pipeline.PipelineRunInfo` of the last run.
+        self.last_run = None
         self.dataset = dataset
         self.scheme = scheme
         self.hw = hw
         self.policy = policy or BatchingPolicy()
         #: optional :class:`~repro.refresh.scheduler.RefreshScheduler`;
-        #: when set, model-update quanta run in the gaps between batches
-        #: (idle-bounded unless the scheduler is aggressive, in which
-        #: case an overrunning quantum delays the next batch — the
-        #: sequential loop makes that SLA cost measurable).
+        #: when set, model-update quanta run in the provably idle slots
+        #: between stages, never past the next dispatch instant.
         self.refresher = refresher
         #: optional serving-level span tracer (one span per batch stage on
         #: the absolute simulated clock; exports Chrome trace JSON).
@@ -188,7 +198,7 @@ class InferenceServer:
             "serving.latency", DEFAULT_LATENCY_BUCKETS
         )
         #: optional windowed time-series collector, fed at each batch's
-        #: completion instant on the simulated clock by both serving loops.
+        #: completion instant on the simulated clock.
         self.collector = collector
         if collector is not None:
             collector.bind(self.engine.obs)
@@ -283,7 +293,7 @@ class InferenceServer:
         last_finish: float,
         before: MetricsSnapshot,
     ) -> ServingReport:
-        """Assemble the report shared by the sequential and pipelined loops.
+        """Assemble the run's report.
 
         Every counter-valued field is read from the registry delta across
         the run — there is no independently-maintained accounting left in
@@ -320,148 +330,8 @@ class InferenceServer:
             report.fault_windows = store.fault_windows()
         return report
 
-    def _trace_span(
-        self, track: str, batch_index: int, stage: str, t0: float, t1: float
-    ) -> None:
-        if self.tracer is not None:
-            self.tracer.record(track, f"b{batch_index}:{stage}", t0, t1, stage)
-
-    def _run_traced_batch(
-        self,
-        batch_index: int,
-        trace_batch: TraceBatch,
-        executor: Executor,
-        start: float,
-        track: str = "serving",
-        trace=None,
-    ):
-        """Run one batch stage-by-stage, recording one span per stage.
-
-        Timing-identical to :meth:`InferenceEngine.run_batch` — the stages
-        are driven back-to-back with no scheduling in between; the tracer
-        only observes executor clock values at the stage boundaries.
-        ``trace`` (a :class:`~repro.obs.reqtrace.BatchTraceRecord`) gets
-        the same stage boundaries as zero-wait stage entries — on the
-        sequential loop every stage starts the instant its predecessor
-        ends.  Returns ``(query, probabilities, service_time)``.
-        """
-        stages = self.engine.run_batch_stages(
-            trace_batch, executor, now=start, trace=trace
-        )
-        stage = next(stages)
-        prev = executor.elapsed()
-        while True:
-            try:
-                next_stage = stages.send(None)
-            except StopIteration as stop:
-                end = executor.elapsed()
-                self._trace_span(track, batch_index, stage, start + prev,
-                                 start + end)
-                if trace is not None:
-                    trace.stage(stage, 0.0, end - prev)
-                query, probabilities = stop.value
-                return query, probabilities, end
-            end = executor.elapsed()
-            self._trace_span(track, batch_index, stage, start + prev,
-                             start + end)
-            if trace is not None:
-                trace.stage(stage, 0.0, end - prev)
-            stage, prev = next_stage, end
-
     def serve(self, requests: Sequence[Request]) -> ServingReport:
         """Run the whole request stream; returns the latency report."""
-        if not requests:
-            raise WorkloadError("no requests to serve")
-        batches = form_batches(requests, self.policy)
-        executor = Executor(self.hw)
-        obs = self.obs
-        rt = self.reqtracer
-        #: Only a fault-aware store ever counts ``tier.degraded_keys``.
-        fault_store = self._fault_store is not None
-        before = self._begin_run(requests)
-        collector = self.collector
-        if collector is not None:
-            collector.begin_run(min(r.arrival_time for r in requests))
-        gpu_free_at = 0.0
-        # Batches partition ``requests`` contiguously in order, so each
-        # batch's latency bookkeeping is one array slice (no per-request
-        # Python loop on the hot path).
-        arrival_arr = np.fromiter(
-            (r.arrival_time for r in requests), dtype=np.float64,
-            count=len(requests),
-        )
-        offsets = np.zeros(len(batches) + 1, dtype=np.intp)
-        np.cumsum(
-            np.fromiter((b.size for b in batches), dtype=np.intp,
-                        count=len(batches)),
-            out=offsets[1:],
-        )
-        if rt is not None:
-            rt.begin_run(
-                np.fromiter(
-                    (r.request_id for r in requests), dtype=np.int64,
-                    count=len(requests),
-                ),
-                arrival_arr,
-            )
-        latencies: List[np.ndarray] = []
-        sizes: List[int] = []
-        probabilities: List[np.ndarray] = []
-        for i, batch in enumerate(batches):
-            dispatch_at = max(batch.formed_at, gpu_free_at)
-            start = dispatch_at
-            if self.refresher is not None:
-                busy_until = self.refresher.run_idle(gpu_free_at, start)
-                start = max(start, busy_until)
-            bt = None
-            if rt is not None:
-                bt = rt.begin_batch(
-                    i, int(offsets[i]), int(offsets[i + 1]), batch.formed_at
-                )
-                bt.dispatched(dispatch_at)
-                if start > dispatch_at:
-                    # The refresher's overrunning quantum delayed this
-                    # batch — the trace's only source of refresh charge.
-                    bt.refresh_wait(start - dispatch_at)
-            degraded_before = (
-                obs.total("tier.degraded_keys") if fault_store else 0
-            )
-            executor.reset()
-            _, batch_probs, service_time = self._run_traced_batch(
-                i, self._to_trace_batch(batch), executor, start, trace=bt
-            )
-            executor.drain()
-            finish = start + service_time
-            if bt is not None:
-                rt.finish_batch(bt, finish)
-            gpu_free_at = finish
-            sizes.append(batch.size)
-            obs.inc("serving.batches")
-            obs.inc("serving.batched_requests", batch.size)
-            if batch_probs is not None:
-                probabilities.append(batch_probs)
-            if (
-                fault_store
-                and obs.total("tier.degraded_keys") > degraded_before
-            ):
-                obs.inc("serving.degraded_requests", batch.size)
-            batch_latencies = finish - arrival_arr[offsets[i]:offsets[i + 1]]
-            latencies.append(batch_latencies)
-            if collector is not None:
-                collector.observe_batch(
-                    finish, batch_latencies.tolist(),
-                    first_request=int(offsets[i]),
-                )
-            if self.autotuner is not None:
-                self.autotuner.on_batch_complete(finish)
-        if collector is not None:
-            collector.flush(gpu_free_at)
-        if rt is not None and rt.finalize_on_serve:
-            rt.finalize(obs)
-        report = self._finalize_report(
-            requests, np.concatenate(latencies), arrival_arr, sizes,
-            gpu_free_at, before,
-        )
-        if probabilities:
-            report.probabilities = np.concatenate(probabilities)
-        return report
+        # Imported late: ``pipeline`` subclasses this class.
+        from .pipeline import serve_staged
+        return serve_staged(self, requests)

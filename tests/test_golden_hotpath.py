@@ -10,7 +10,10 @@ over four deterministic scenarios:
 
 - ``serving_pipelined``: a traced, collected depth-2 pipelined run
   (exercises the miss table, scheduler, workflow phases, registry).
-- ``serving_sequential``: the same workload through the sequential loop.
+- ``serving_sequential``: the same workload at depth 1.  Captured from
+  the separate sequential loop the depth-1 configuration replaced; only
+  its ``trace`` digest was re-pinned then (track ``lane0`` and ``queue``
+  spans instead of the single ``serving`` track).
 - ``cluster_fault_free``: a 3-replica hash-routed run with no faults
   (the router's vectorized fast path).
 - ``cluster_faulty``: the same cluster under a crash + a slowdown with

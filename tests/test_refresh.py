@@ -388,15 +388,6 @@ class TestRefreshScheduler:
         # The 8-key batch exceeds the 4-key quantum: nothing applies.
         assert scheduler.batches_applied == 0
 
-    def test_aggressive_overruns_the_slot(self, hw):
-        _, _, subscriber = self._setup(hw)
-        scheduler = RefreshScheduler(
-            subscriber, hw, quantum_keys=512, aggressive=True
-        )
-        end = scheduler.run_idle(0.0, 1e-12)
-        assert end > 1e-12
-        assert scheduler.batches_applied == 1
-
     def test_slow_subscriber_fault_inflates_cost(self, hw):
         _, log, subscriber = self._setup(hw)
         schedule = FaultSchedule([
@@ -423,7 +414,7 @@ class TestRefreshScheduler:
 
 
 class TestServingIntegration:
-    """Refresh wiring in the serving loops."""
+    """Refresh wiring in the serving loop."""
 
     def _workload(self):
         from repro.serving.arrivals import PoissonArrivals
@@ -435,17 +426,19 @@ class TestServingIntegration:
         requests = PoissonArrivals(dataset, 100_000.0, seed=4).generate(400)
         return dataset, requests
 
-    def _server(self, hw, dataset, depth=1):
+    def _server(self, hw, dataset, depth=1, cls=None):
         from repro.core.workflow import FlecheEmbeddingLayer
         from repro.serving.batcher import BatchingPolicy
         from repro.serving.pipeline import PipelinedInferenceServer
         from repro.tables.store import EmbeddingStore
 
+        cls = cls or PipelinedInferenceServer
+
         store = EmbeddingStore(dataset.table_specs(), hw)
         layer = FlecheEmbeddingLayer(
             store, FlecheConfig(cache_ratio=0.05), hw
         )
-        server = PipelinedInferenceServer(
+        server = cls(
             dataset, layer, hw, depth=depth,
             policy=BatchingPolicy(max_batch_size=64, max_delay=5e-4),
         )
@@ -481,6 +474,28 @@ class TestServingIntegration:
             np.asarray(baseline.latencies).tobytes()
         # ... though its staleness gauges are now visible.
         assert server_b.obs.has_prefix("refresh.")
+
+    def test_gauges_close_at_the_last_finish(self, hw):
+        """A publication landing while the last batch is in service is
+        past the run's last idle slot, yet the staleness gauges still
+        see it: the loop closes them at the last finish."""
+        from repro.serving.server import InferenceServer
+
+        dataset, requests = self._workload()
+        server_a, _ = self._server(hw, dataset)
+        baseline = server_a.serve(list(requests))
+        last_finish = baseline.arrival_times[-1] + baseline.latencies[-1]
+
+        server, layer = self._server(hw, dataset, cls=InferenceServer)
+        log = UpdateLog()
+        log.append(1, delta(0, range(8)), published_at=last_finish - 1e-7)
+        subscriber = UpdateSubscriber(log, layer.cache)
+        subscriber.bind_observability(server.obs)
+        server.refresher = RefreshScheduler(subscriber, hw)
+        report = server.serve(list(requests))
+        assert report.arrival_times[-1] + report.latencies[-1] == last_finish
+        assert subscriber.applied_version == 0
+        assert server.obs.gauge("refresh.version_lag") == 1.0
 
     def test_refresher_applies_during_serving_and_audits_clean(self, hw):
         dataset, requests = self._workload()

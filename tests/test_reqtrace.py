@@ -129,22 +129,20 @@ _route = st.one_of(
 @st.composite
 def synthetic_traces(draw):
     """A RequestTrace whose latency telescopes from its own terms —
-    exactly the invariant the serving loops guarantee by construction."""
+    exactly the invariant the serving loop guarantees by construction."""
     queue = draw(_seconds)
-    refresh = draw(_seconds)
     stages = draw(_stages)
     scale = draw(st.floats(min_value=1.0, max_value=8.0, allow_nan=False))
     route_wait = draw(_seconds)
     route_cause = draw(_route)
     coalesced = draw(st.integers(min_value=0, max_value=5))
-    replica_side = queue + refresh + sum(w + e for _, w, e in stages)
+    replica_side = queue + sum(w + e for _, w, e in stages)
     return RequestTrace(
         context=TraceContext(draw(st.integers(0, 2**31))),
         arrival=0.0,
         latency=route_wait + replica_side * scale,
         batch_index=0,
         queue=queue,
-        refresh_wait=refresh,
         stages=tuple(stages),
         coalesced_keys=coalesced,
         scale=scale,

@@ -54,8 +54,8 @@ def make_servers(dataset, hw, cls, *, include_dense=True, warm=True,
     return server
 
 
-#: A load well past the sequential service capacity of the small dataset,
-#: so consecutive batches genuinely overlap in the pipelined loop.
+#: A load well past the depth-1 service capacity of the small dataset,
+#: so consecutive batches genuinely overlap at depth >= 2.
 OVERLOAD = 2_000_000.0
 
 
@@ -157,7 +157,7 @@ class TestInFlightMissTable:
 
 
 # ---------------------------------------------------------------------------
-# Depth 1 == the sequential loop, exactly
+# Depth 1: InferenceServer's default configuration of the loop
 # ---------------------------------------------------------------------------
 
 
@@ -167,53 +167,46 @@ class TestDepthOneEquivalence:
             make_servers(dataset, hw, PipelinedInferenceServer, warm=False,
                          depth=0)
 
-    def test_bitwise_identical_to_sequential(self, dataset, hw, requests):
-        seq = make_servers(dataset, hw, InferenceServer)
-        pipe = make_servers(dataset, hw, PipelinedInferenceServer, depth=1)
-        a = seq.serve(requests)
-        b = pipe.serve(requests)
+    def test_inference_server_defaults_to_depth_one(
+        self, dataset, hw, requests
+    ):
+        default = make_servers(dataset, hw, InferenceServer)
+        explicit = make_servers(dataset, hw, PipelinedInferenceServer, depth=1)
+        a = default.serve(requests)
+        b = explicit.serve(requests)
+        assert a.metrics.to_dict() == b.metrics.to_dict()
         assert np.array_equal(a.latencies, b.latencies)
         assert np.array_equal(a.probabilities, b.probabilities)
-        assert (a.hits, a.misses, a.unified_hits) == (
-            b.hits, b.misses, b.unified_hits
-        )
         assert a.span == b.span
-        assert b.coalesced_keys == 0
-        # One batch in flight: the table never holds a matchable entry.
-        assert pipe.last_run.coalescing.coalesced_keys == 0
-        assert pipe.last_run.depth == 1
+        assert default.last_run.depth == explicit.last_run.depth == 1
+        # One batch in flight: no miss table is built.
+        assert default.last_run.coalescing is None
+        assert a.coalesced_keys == 0
 
-    def test_degraded_accounting_matches_sequential(self, dataset, hw):
-        def build(cls, **kwargs):
-            schedule = FaultSchedule([
-                ShardOutage(shard=s, start=2e-3, duration=6e-3)
-                for s in range(4)
-            ])
-            remote = RemoteParameterServer(
-                dataset.table_specs(),
-                injector=FaultInjector(schedule, seed=11),
-                retry_policy=RetryPolicy.naive(timeout=1e-3),
-            )
-            store = TieredParameterStore(
-                dataset.table_specs(), hw, dram_capacity=600, remote=remote,
-                degrade=DegradeConfig(policy="stale"),
-            )
-            layer = FlecheEmbeddingLayer(
-                store, FlecheConfig(cache_ratio=0.05), hw
-            )
-            return cls(
-                dataset, layer, hw,
-                policy=BatchingPolicy(max_batch_size=64, max_delay=5e-4),
-                **kwargs,
-            )
-
+    def test_degraded_accounting_under_outage(self, dataset, hw):
+        schedule = FaultSchedule([
+            ShardOutage(shard=s, start=2e-3, duration=6e-3)
+            for s in range(4)
+        ])
+        remote = RemoteParameterServer(
+            dataset.table_specs(),
+            injector=FaultInjector(schedule, seed=11),
+            retry_policy=RetryPolicy.naive(timeout=1e-3),
+        )
+        store = TieredParameterStore(
+            dataset.table_specs(), hw, dram_capacity=600, remote=remote,
+            degrade=DegradeConfig(policy="stale"),
+        )
+        layer = FlecheEmbeddingLayer(store, FlecheConfig(cache_ratio=0.05), hw)
+        server = InferenceServer(
+            dataset, layer, hw,
+            policy=BatchingPolicy(max_batch_size=64, max_delay=5e-4),
+        )
         reqs = PoissonArrivals(dataset, 40_000.0, seed=5).generate(400)
-        a = build(InferenceServer).serve(reqs)
-        b = build(PipelinedInferenceServer, depth=1).serve(reqs)
-        assert a.degraded_requests == b.degraded_requests > 0
-        assert a.retries == b.retries
-        assert np.array_equal(a.latencies, b.latencies)
-        assert a.fault_windows == b.fault_windows
+        report = server.serve(reqs)
+        assert report.degraded_requests > 0
+        assert report.retries > 0
+        assert report.fault_windows == [(2e-3, 8e-3)]
 
 
 # ---------------------------------------------------------------------------
@@ -392,6 +385,19 @@ def run_counters(server, requests):
     return report, report.metrics.to_dict()["counters"]
 
 
+def assert_counters_agree(counters):
+    """Every depth's counter delta equals every other's — except that
+    depth 1 builds no miss table, so it has no ``coalescer.*`` family."""
+    shallow, deeper = counters[DEPTHS[0]], counters[DEPTHS[1]]
+    assert not any(name.startswith("coalescer.") for name in shallow)
+    assert shallow == {
+        name: value for name, value in deeper.items()
+        if not name.startswith("coalescer.")
+    }
+    for depth in DEPTHS[2:]:
+        assert counters[depth] == deeper, depth
+
+
 class TestMetamorphicDepth:
     def test_depths_agree_on_every_counter_when_unsaturated(
         self, dataset, hw
@@ -406,10 +412,9 @@ class TestMetamorphicDepth:
                 dataset, hw, PipelinedInferenceServer, depth=depth
             )
             reports[depth], counters[depth] = run_counters(server, reqs)
-        baseline = counters[DEPTHS[0]]
-        assert baseline["cache.lookups"] > 0
+        assert counters[DEPTHS[0]]["cache.lookups"] > 0
+        assert_counters_agree(counters)
         for depth in DEPTHS[1:]:
-            assert counters[depth] == baseline, depth
             assert np.array_equal(
                 reports[depth].latencies, reports[DEPTHS[0]].latencies
             )
@@ -464,8 +469,8 @@ class TestMetamorphicDepth:
         assert baseline["serving.degraded_requests"] > 0
         assert baseline["tier.degraded_keys"] > 0
         assert baseline["faults.retries"] > 0
+        assert_counters_agree(counters)
         for depth in DEPTHS[1:]:
-            assert counters[depth] == baseline, depth
             assert reports[depth].fault_windows == (
                 reports[DEPTHS[0]].fault_windows
             )
