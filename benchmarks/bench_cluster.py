@@ -17,7 +17,8 @@ A smaller straggler study exercises cross-replica hedging under a
 replica-count x routing-policy sweep sizes the cluster.
 
 Runs standalone too: ``python benchmarks/bench_cluster.py --smoke`` is
-the CI entry point and emits ``BENCH_cluster.json`` for the perf gate.
+the CI entry point; the tracked ``BENCH_cluster.json`` is its pinned
+output (``tests/test_pinned_payloads.py`` requires equality).
 """
 
 import numpy as np

@@ -14,13 +14,14 @@ Three questions, one artifact:
   reproduce the plain fleche run *exactly* (hits, misses, latencies),
   mirroring the byte-identity test in ``tests/test_golden_hotpath.py``.
 
-``--pin`` rewrites ``BENCH_precision_baseline.json`` from this run;
-``check_regression.py`` diffs the ``--smoke`` output against the pinned
-baseline in CI (hit rates, effective capacity, AUC delta).
+The tracked ``benchmarks/results/BENCH_precision.json`` is the pin:
+``tests/test_pinned_payloads.py`` requires the ``--smoke`` output to
+equal it leaf for leaf.  Re-pin by running the bench and committing the
+``git diff``.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/bench_precision.py --smoke [--pin]
+    PYTHONPATH=src python benchmarks/bench_precision.py --smoke
 """
 
 import argparse
@@ -278,18 +279,11 @@ def main(argv=None):
         "--smoke", action="store_true",
         help="CI-sized run: short fp32 ladder, small AUC task",
     )
-    parser.add_argument(
-        "--pin", action="store_true",
-        help="rewrite the pinned BENCH_precision_baseline.json",
-    )
     args = parser.parse_args(argv)
 
     payload = run_bench(smoke=args.smoke)
     emit_report(payload)
     emit_json("BENCH_precision", payload)
-    if args.pin:
-        emit_json("BENCH_precision_baseline", payload)
-        print("\npinned new precision baseline")
 
     violations = check(payload, smoke=args.smoke)
     if violations:

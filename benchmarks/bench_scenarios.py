@@ -21,12 +21,14 @@ A cluster drill section replays the flash crowd through a 3-replica
 router while the hot-head owner is crashed, tying the scenario suite to
 the failover machinery.
 
-``--pin`` rewrites ``BENCH_scenarios_baseline.json``;
-``check_regression.py`` diffs the ``--smoke`` output against it in CI.
+The tracked ``benchmarks/results/BENCH_scenarios.json`` is the pin:
+``tests/test_pinned_payloads.py`` requires the ``--smoke`` output to
+equal it leaf for leaf.  Re-pin by running the bench and committing the
+``git diff``.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/bench_scenarios.py --smoke [--pin]
+    PYTHONPATH=src python benchmarks/bench_scenarios.py --smoke
 """
 
 import argparse
@@ -339,18 +341,11 @@ def main(argv=None):
         "--smoke", action="store_true",
         help="CI-sized run: short grid, lighter rates, no win floor",
     )
-    parser.add_argument(
-        "--pin", action="store_true",
-        help="rewrite the pinned BENCH_scenarios_baseline.json",
-    )
     args = parser.parse_args(argv)
 
     payload = run_bench(smoke=args.smoke)
     emit_report(payload)
     emit_json("BENCH_scenarios", payload)
-    if args.pin:
-        emit_json("BENCH_scenarios_baseline", payload)
-        print("\npinned new scenarios baseline")
 
     violations = check(payload, smoke=args.smoke)
     if violations:

@@ -263,8 +263,8 @@ def emit_depth_sweep(summaries, depths=SWEEP_DEPTHS, extra_name=None):
 
     ``extra_name`` writes the same artifact under a second name — the
     full-mode CLI run uses it so ``BENCH_serving_full.json`` survives the
-    smoke run overwriting ``BENCH_serving.json`` and
-    ``check_regression.py`` can compare both.
+    smoke run overwriting ``BENCH_serving.json``: both tracked files are
+    pins (``tests/test_pinned_payloads.py``).
     """
     rows = []
     payload = {}

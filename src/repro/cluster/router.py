@@ -55,14 +55,14 @@ from ..errors import ConfigError, WorkloadError
 from ..faults.retry import BreakerConfig, CircuitBreaker
 from ..faults.schedule import FaultSchedule
 from ..obs.alerts import FIRING, RESOLVED, Alert
-from ..obs.critical_path import classify
 from ..obs.registry import MetricsRegistry, Observable, install_reqtrace_laws
 from ..obs.reqtrace import (
     RequestTrace,
     RequestTracer,
     TraceConfig,
     TraceContext,
-    _finish_trace,
+    cause_counts,
+    sample_traces,
 )
 from .health import (
     HEALTHY,
@@ -297,16 +297,12 @@ class ClusterReport:
         :func:`~repro.obs.critical_path.analyze_payload` consume both.
         """
         traces = self.traces or []
-        causes: Dict[str, int] = {}
-        for t in traces:
-            if t.rootcause:
-                causes[t.rootcause] = causes.get(t.rootcause, 0) + 1
         return {
             "kind": "reqtrace",
             "sla_budget_s": sla_budget,
             "requests": len(self.latencies),
             "sampled": len(traces),
-            "rootcause": {"causes": {k: causes[k] for k in sorted(causes)}},
+            "rootcause": {"causes": cause_counts(traces)},
             "traces": [t.to_dict() for t in traces],
         }
 
@@ -319,12 +315,11 @@ def plan_primary_streams(
 ) -> "Dict[int, np.ndarray]":
     """Group dispatches into per-owner streams in execution order.
 
-    The grouping kernel of the router's execute stage (and a unit
-    ``bench_hotpath_micro.py`` times): one ``np.lexsort`` per stream
-    orders it by ``(send instant, request_id)`` with ties kept stable —
-    ``np.lexsort``'s last key is primary.  ``owners`` is any integer
-    stream key.  Returns ``owner -> member index array`` in ascending
-    owner order.
+    The grouping kernel of the router's execute stage: one
+    ``np.lexsort`` per stream orders it by ``(send instant,
+    request_id)`` with ties kept stable — ``np.lexsort``'s last key is
+    primary.  ``owners`` is any integer stream key.  Returns
+    ``owner -> member index array`` in ascending owner order.
     """
     streams: Dict[int, np.ndarray] = {}
     for owner in np.unique(owners).tolist():  # lint: allow-loop (per replica)
@@ -962,115 +957,82 @@ class ClusterRouter(Observable):
         winner: np.ndarray,
         stream_tracers: Dict[Tuple[int, int], "RequestTracer"],
     ):
-        """Materialize the sampled trace set from the stream tracers.
+        """Sample and materialize the run's traces from the stream tracers.
 
         Sampling happens here — at the only level where the end-to-end
-        latency (across failover/hedge copies) exists.  Head sampling is
-        the deterministic id slice; tail capture retains every SLA
-        violator (shed requests have infinite latency, so they always
-        violate a finite budget); and every request that needed more
-        than one dispatch copy — or was shed — is force-retained, so no
-        fault-touched request ever escapes the trace.  Each winner trace
-        is the replica-side record wrapped with the routing hop: the
-        unscaled ``route_wait`` (arrival -> winning dispatch) tagged
-        with its cause, and the replica slowdown ``scale`` the router
-        applied to the whole replica-side latency.
+        latency (across failover/hedge copies) exists: shed requests
+        have infinite latency, so they violate any finite budget, and
+        every request that needed more than one dispatch copy — or was
+        shed — is force-retained, so no fault-touched request escapes
+        the trace.  Each winner trace is the replica-side record wrapped
+        with the routing hop: the unscaled ``route_wait`` (arrival ->
+        winning dispatch) tagged with its cause, and the replica
+        slowdown ``scale`` applied to the whole replica-side latency.
         """
-        reg = self.obs
         cfg = self.trace_config
-        n = len(ids)
-        if cfg.head_interval:
-            head = (ids % cfg.head_interval) == 0
-        else:
-            head = np.zeros(n, dtype=bool)
-        if cfg.sla_budget is not None:
-            violating = latencies > cfg.sla_budget
-        else:
-            violating = np.zeros(n, dtype=bool)
-        tail = violating & cfg.capture_tail
         # More than one copy, or not won by its primary.
-        forced = (np.bincount(table.index, minlength=n) > 1) | (
+        forced = (np.bincount(table.index, minlength=len(ids)) > 1) | (
             rank != _KIND_RANK[DISPATCH_PRIMARY]
         )
-        sampled = head | tail | forced
-        n_sampled = int(sampled.sum())
-        n_viol = int(violating.sum())
-        reg.inc("reqtrace.requests", n)
-        reg.inc("reqtrace.sampled", n_sampled)
-        reg.inc("reqtrace.dropped", n - n_sampled)
-        reg.inc("reqtrace.sampled_forced", int(forced.sum()))
-        reg.inc("reqtrace.sampled_tail", int((tail & ~forced).sum()))
-        reg.inc(
-            "reqtrace.sampled_head", int((head & ~tail & ~forced).sum())
-        )
-        reg.inc("reqtrace.sla_violations", n_viol)
-        if cfg.capture_tail:
-            reg.inc("reqtrace.tail_eligible", n_viol)
-            reg.inc(
-                "reqtrace.tail_retained", int((violating & sampled).sum())
-            )
 
-        traces: List[RequestTrace] = []
-        causes: Dict[str, int] = {}
-        conserved = 0
-        for i in np.flatnonzero(sampled).tolist():  # lint: allow-loop (per sampled request, bounded by the sampling config)
+        def winner_trace(i: int) -> RequestTrace:
             row = int(winner[i])
             if row < 0:
-                trace = RequestTrace(
+                return RequestTrace(
                     context=TraceContext(int(ids[i]), dispatch=SHED),
                     arrival=float(arrivals[i]),
                     latency=inf,
                     batch_index=-1,
                 )
-            else:
-                replica = int(table.replica[row])
-                incarnation = int(table.incarnation[row])
-                kind = _DISPOSITIONS[rank[i]]
-                at = float(table.at[row])
-                trace = stream_tracers[(replica, incarnation)].trace_for(
-                    int(table.pos[row])
-                )
-                trace.context = TraceContext(
-                    request_id=int(ids[i]),
-                    dispatch=kind,
-                    replica=replica,
-                    incarnation=incarnation,
-                )
-                trace.scale = self.schedule.replica_slow_factor(replica, at)
-                trace.route_wait = at - float(arrivals[i])
-                if kind == DISPATCH_HEDGE:
-                    trace.route_cause = "hedge_wait"
-                elif kind == DISPATCH_FAILOVER:
-                    trace.route_cause = (
-                        "breaker_fastfail"
-                        if _CAUSES[table.cause[row]] == "breaker"
-                        else "failover_redispatch"
-                    )
-                trace.arrival = float(arrivals[i])
-                trace.latency = float(latencies[i])
-            trace.sampled_by = (
-                "forced" if forced[i] else "tail" if tail[i] else "head"
+            replica = int(table.replica[row])
+            incarnation = int(table.incarnation[row])
+            kind = _DISPOSITIONS[rank[i]]
+            at = float(table.at[row])
+            trace = stream_tracers[(replica, incarnation)].trace_for(
+                int(table.pos[row])
             )
-            _finish_trace(trace, reg)
-            if not trace.shed and trace.conserved:
-                conserved += 1
-            if violating[i]:
-                trace.rootcause = classify(trace.segments)
-                reg.inc("reqtrace.rootcause", cause=trace.rootcause)
-                causes[trace.rootcause] = causes.get(trace.rootcause, 0) + 1
-            traces.append(trace)
-        checked = sum(1 for t in traces if not t.shed)
-        tagged = sum(1 for t in traces if t.rootcause is not None)
+            trace.context = TraceContext(
+                request_id=int(ids[i]),
+                dispatch=kind,
+                replica=replica,
+                incarnation=incarnation,
+            )
+            trace.scale = self.schedule.replica_slow_factor(replica, at)
+            trace.route_wait = at - float(arrivals[i])
+            if kind == DISPATCH_HEDGE:
+                trace.route_cause = "hedge_wait"
+            elif kind == DISPATCH_FAILOVER:
+                trace.route_cause = (
+                    "breaker_fastfail"
+                    if _CAUSES[table.cause[row]] == "breaker"
+                    else "failover_redispatch"
+                )
+            trace.arrival = float(arrivals[i])
+            trace.latency = float(latencies[i])
+            return trace
+
+        traces = sample_traces(
+            cfg, self.obs, ids, latencies, forced, winner_trace
+        )
+        # No budget, no violators: not even a shed request's inf exceeds inf.
+        budget = inf if cfg.sla_budget is None else cfg.sla_budget
+        n_viol = int((latencies > budget).sum())
+        causes = cause_counts(t for t in traces if t.latency > budget)
+        served = [t for t in traces if not t.shed]
+        tagged = sum(causes.values())
         rootcause = {
             "violations": n_viol,
-            "tagged": sum(causes.values()),
-            "coverage": (
-                sum(causes.values()) / n_viol if n_viol else 1.0
+            "tagged": tagged,
+            "coverage": tagged / n_viol if n_viol else 1.0,
+            "causes": causes,
+            "conservation": {
+                "checked": len(served),
+                "ok": sum(1 for t in served if t.conserved),
+            },
+            "sampled": len(traces),
+            "sampled_traces_tagged": sum(
+                1 for t in traces if t.rootcause is not None
             ),
-            "causes": {k: causes[k] for k in sorted(causes)},
-            "conservation": {"checked": checked, "ok": conserved},
-            "sampled": n_sampled,
-            "sampled_traces_tagged": tagged,
         }
         return traces, rootcause
 

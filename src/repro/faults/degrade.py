@@ -53,32 +53,18 @@ class StaleStore:
 
     Kept separate from the DRAM LRU so that eviction (a capacity
     decision) does not destroy the fallback (a resilience decision).
-    Bounded by ``capacity`` with FIFO replacement; ``None`` = unbounded
-    (fine at simulation scale).
+    Keyed by ``(table, id)``, so the corpus bounds it.
     """
 
-    def __init__(self, capacity: Optional[int] = None):
-        if capacity is not None and capacity <= 0:
-            raise ConfigError("stale store capacity must be positive")
-        self.capacity = capacity
+    def __init__(self) -> None:
         self._entries: Dict[Tuple[int, int], np.ndarray] = {}
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
     def update(
         self, table_id: int, feature_ids: np.ndarray, vectors: np.ndarray
     ) -> None:
         """Record authoritative ``vectors`` for ``feature_ids``."""
         for fid, row in zip(feature_ids, vectors):
-            key = (table_id, int(fid))
-            if (
-                self.capacity is not None
-                and key not in self._entries
-                and len(self._entries) >= self.capacity
-            ):
-                self._entries.pop(next(iter(self._entries)))
-            self._entries[key] = np.array(row, copy=True)
+            self._entries[(table_id, int(fid))] = np.array(row, copy=True)
 
     def get(
         self, table_id: int, feature_ids: np.ndarray, dim: int,

@@ -24,15 +24,18 @@ request's copies group across replica tracks.
 
 Nothing here runs when no tracer is attached: the serving loop guards
 every call site on ``reqtracer is not None``, and all ``reqtrace.*``
-counters are incremented only inside :meth:`RequestTracer.finalize` —
+counters are incremented only inside :func:`sample_traces` —
 a run without tracing is byte-identical to one built before this
 module existed (zero ``reqtrace.*`` metrics, identical goldens).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, Iterable, List, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
@@ -244,6 +247,82 @@ def _finish_trace(trace: RequestTrace, registry=None) -> None:
             registry.inc("reqtrace.conservation_ok")
 
 
+# hot-path: vectorized
+def sample_masks(config: TraceConfig, ids: np.ndarray, latencies: np.ndarray):
+    """Head / tail / violation masks over one run.
+
+    All three are array-wide numpy ops; the per-request Python work
+    downstream is bounded by how many requests they select.
+    """
+    n = len(latencies)
+    if config.head_interval:
+        head = (ids % config.head_interval) == 0
+    else:
+        head = np.zeros(n, dtype=bool)
+    if config.sla_budget is not None:
+        violating = latencies > config.sla_budget
+    else:
+        violating = np.zeros(n, dtype=bool)
+    return head, violating & config.capture_tail, violating
+
+
+def sample_traces(
+    config: TraceConfig,
+    registry,
+    ids: np.ndarray,
+    latencies: np.ndarray,
+    forced: np.ndarray,
+    materialise: Callable[[int], RequestTrace],
+) -> List[RequestTrace]:
+    """Sample one run, materialize the sampled set, count, classify.
+
+    The one place sampling decisions and ``reqtrace.*`` increments
+    happen, for a standalone server (:meth:`RequestTracer.finalize`)
+    and for the cluster router alike: ``forced`` is the caller's
+    always-retain mask and ``materialise`` maps a sampled position to
+    its :class:`RequestTrace` (latency and routing hop already filled
+    in); this stamps ``sampled_by``, decomposes, conservation-checks
+    and root-causes every violator.
+    """
+    head, tail, violating = sample_masks(config, ids, latencies)
+    sampled = head | tail | forced
+    n = len(latencies)
+    n_sampled = int(sampled.sum())
+    n_viol = int(violating.sum())
+    registry.inc("reqtrace.requests", n)
+    registry.inc("reqtrace.sampled", n_sampled)
+    registry.inc("reqtrace.dropped", n - n_sampled)
+    registry.inc("reqtrace.sampled_forced", int(forced.sum()))
+    registry.inc("reqtrace.sampled_tail", int((tail & ~forced).sum()))
+    registry.inc(
+        "reqtrace.sampled_head", int((head & ~tail & ~forced).sum())
+    )
+    registry.inc("reqtrace.sla_violations", n_viol)
+    if config.capture_tail:
+        registry.inc("reqtrace.tail_eligible", n_viol)
+        registry.inc(
+            "reqtrace.tail_retained", int((violating & sampled).sum())
+        )
+    traces: List[RequestTrace] = []
+    for pos in np.flatnonzero(sampled).tolist():  # lint: allow-loop (per sampled request, bounded by the sampling config)
+        trace = materialise(pos)
+        trace.sampled_by = (
+            "forced" if forced[pos] else "tail" if tail[pos] else "head"
+        )
+        _finish_trace(trace, registry)
+        if violating[pos]:
+            trace.rootcause = classify(trace.segments)
+            registry.inc("reqtrace.rootcause", cause=trace.rootcause)
+        traces.append(trace)
+    return traces
+
+
+def cause_counts(traces: Iterable[RequestTrace]) -> Dict[str, int]:
+    """Traces per root-cause tag, in sorted key order (untagged skipped)."""
+    counts = Counter(t.rootcause for t in traces if t.rootcause)
+    return {cause: counts[cause] for cause in sorted(counts)}
+
+
 class RequestTracer:
     """Per-run request tracer: batch records in, sampled traces out.
 
@@ -253,9 +332,9 @@ class RequestTracer:
     materializes, classifies, and increments the ``reqtrace.*``
     counters on the server's registry.  The cluster router instead
     attaches one tracer per ``(replica, incarnation)`` stream with
-    ``finalize_on_serve=False`` — streams only *record* — and
-    materializes winner traces itself via :meth:`trace_for`, so
-    sampling decisions (and counters) happen once, at router level,
+    ``finalize_on_serve=False`` — streams only *record* — and hands
+    :func:`sample_traces` a materialiser that wraps :meth:`trace_for`,
+    so sampling decisions (and counters) happen once, at router level,
     where the end-to-end latency is known.
     """
 
@@ -301,34 +380,15 @@ class RequestTracer:
         """Always materialize these ids regardless of head/tail masks."""
         self._forced.update(int(i) for i in request_ids)
 
+    def forced_mask(self) -> np.ndarray:
+        """Which of the run's requests :meth:`force_retain` named."""
+        if not self._forced:
+            return np.zeros(len(self._ids), dtype=bool)
+        return np.isin(
+            self._ids, np.fromiter(self._forced, dtype=np.int64)
+        )
+
     # ---------------------------------------------------- finalization
-
-    # hot-path: vectorized
-    def sample_masks(self, latencies: np.ndarray):
-        """Head / tail / forced / violation masks over the run.
-
-        All four are array-wide numpy ops; the per-request Python work
-        downstream is bounded by how many requests they select.
-        """
-        n = len(latencies)
-        cfg = self.config
-        ids = self._ids
-        if cfg.head_interval and ids is not None:
-            head = (ids % cfg.head_interval) == 0
-        else:
-            head = np.zeros(n, dtype=bool)
-        if cfg.sla_budget is not None:
-            violating = latencies > cfg.sla_budget
-        else:
-            violating = np.zeros(n, dtype=bool)
-        tail = violating & cfg.capture_tail
-        if self._forced and ids is not None:
-            forced = np.isin(
-                ids, np.fromiter(self._forced, dtype=np.int64)
-            )
-        else:
-            forced = np.zeros(n, dtype=bool)
-        return head, tail, forced, violating
 
     def latencies(self) -> np.ndarray:
         """Per-request latencies replayed from the batch records.
@@ -382,52 +442,17 @@ class RequestTracer:
         delta lands inside the report and the conservation laws audit
         it at the exit barrier.
         """
-        lat = self.latencies()
-        head, tail, forced, violating = self.sample_masks(lat)
-        sampled = head | tail | forced
-        n = len(lat)
-        n_sampled = int(sampled.sum())
-        n_viol = int(violating.sum())
-        registry.inc("reqtrace.requests", n)
-        registry.inc("reqtrace.sampled", n_sampled)
-        registry.inc("reqtrace.dropped", n - n_sampled)
-        registry.inc("reqtrace.sampled_forced", int(forced.sum()))
-        registry.inc(
-            "reqtrace.sampled_tail", int((tail & ~forced).sum())
+        self.traces = sample_traces(
+            self.config, registry, self._ids, self.latencies(),
+            self.forced_mask(), self.trace_for,
         )
-        registry.inc(
-            "reqtrace.sampled_head", int((head & ~tail & ~forced).sum())
-        )
-        registry.inc("reqtrace.sla_violations", n_viol)
-        if self.config.capture_tail:
-            registry.inc("reqtrace.tail_eligible", n_viol)
-            registry.inc(
-                "reqtrace.tail_retained", int((violating & sampled).sum())
-            )
-        traces: List[RequestTrace] = []
-        for pos in np.flatnonzero(sampled).tolist():  # lint: allow-loop (per sampled request, bounded by the sampling config)
-            trace = self.trace_for(pos)
-            trace.sampled_by = (
-                "forced" if forced[pos]
-                else "tail" if tail[pos] else "head"
-            )
-            _finish_trace(trace, registry)
-            if violating[pos]:
-                trace.rootcause = classify(trace.segments)
-                registry.inc("reqtrace.rootcause", cause=trace.rootcause)
-            traces.append(trace)
-        self.traces = traces
-        return traces
+        return self.traces
 
     # -------------------------------------------------------- exports
 
     def to_payload(self) -> dict:
         """Deterministic JSON artifact (``kind: reqtrace``)."""
         cfg = self.config
-        causes: Dict[str, int] = {}
-        for trace in self.traces:
-            if trace.rootcause:
-                causes[trace.rootcause] = causes.get(trace.rootcause, 0) + 1
         return {
             "kind": "reqtrace",
             "head_interval": cfg.head_interval,
@@ -437,9 +462,7 @@ class RequestTracer:
                 0 if self._arrivals is None else int(len(self._arrivals))
             ),
             "sampled": len(self.traces),
-            "rootcause": {
-                "causes": {k: causes[k] for k in sorted(causes)},
-            },
+            "rootcause": {"causes": cause_counts(self.traces)},
             "traces": [trace.to_dict() for trace in self.traces],
         }
 

@@ -251,13 +251,6 @@ class TestDegradation:
         np.testing.assert_array_equal(got[0], vectors[1])
         np.testing.assert_array_equal(got[1], np.zeros(16))
 
-    def test_stale_store_capacity_bound(self):
-        store = StaleStore(capacity=2)
-        for fid in range(5):
-            ids = np.array([fid], np.uint64)
-            store.update(0, ids, reference_vectors(0, ids, 16))
-        assert len(store) == 2
-
     def test_policy_validation(self):
         with pytest.raises(ConfigError):
             DegradeConfig(policy="hope")

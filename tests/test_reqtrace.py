@@ -40,7 +40,7 @@ from repro.obs import (
     decompose,
     install_reqtrace_laws,
 )
-from repro.obs.reqtrace import RequestTrace, _finish_trace
+from repro.obs.reqtrace import RequestTrace, _finish_trace, sample_masks
 from repro.serving.arrivals import PoissonArrivals
 from repro.serving.batcher import BatchingPolicy
 from repro.serving.pipeline import PipelinedInferenceServer
@@ -215,12 +215,9 @@ class TestSamplingProperty:
     @settings(max_examples=100, deadline=None)
     def test_every_violator_is_retained(self, latencies, interval, budget):
         lat = np.asarray(latencies)
-        tracer = RequestTracer(TraceConfig(
-            head_interval=interval, sla_budget=budget,
-        ))
-        tracer.begin_run(np.arange(len(lat)), np.zeros(len(lat)))
-        head, tail, forced, violating = tracer.sample_masks(lat)
-        sampled = head | tail | forced
+        config = TraceConfig(head_interval=interval, sla_budget=budget)
+        head, tail, violating = sample_masks(config, np.arange(len(lat)), lat)
+        sampled = head | tail
         # Tail capture retains exactly the violating set.
         assert np.array_equal(tail, violating)
         assert np.all(sampled[violating])
@@ -234,20 +231,18 @@ class TestSamplingProperty:
 
     def test_capture_tail_off_drops_violators_to_head_only(self):
         lat = np.array([1.0, 1.0, 1.0, 1.0])
-        tracer = RequestTracer(TraceConfig(
+        config = TraceConfig(
             head_interval=2, sla_budget=1e-3, capture_tail=False,
-        ))
-        tracer.begin_run(np.arange(4), np.zeros(4))
-        head, tail, forced, violating = tracer.sample_masks(lat)
+        )
+        head, tail, violating = sample_masks(config, np.arange(4), lat)
         assert violating.all() and not tail.any()
-        assert np.array_equal(head | tail | forced, head)
+        assert np.array_equal(head | tail, head)
 
     def test_force_retain_overrides_masks(self):
         tracer = RequestTracer(TraceConfig(head_interval=0))
         tracer.begin_run(np.array([3, 9]), np.zeros(2))
         tracer.force_retain([9])
-        _, _, forced, _ = tracer.sample_masks(np.array([1e-4, 1e-4]))
-        assert forced.tolist() == [False, True]
+        assert tracer.forced_mask().tolist() == [False, True]
 
 
 # ---------------------------------------------------------------------------
