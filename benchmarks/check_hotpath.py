@@ -44,6 +44,8 @@ HOT_PATH_FILES = {
     # _row_numbers / lookup / update_rows
     "src/repro/tables/embedding_table.py": 3,
     "src/repro/tables/store.py": 1,        # query_many
+    # allocate / release / write / read
+    "src/repro/mempool/slab_pool.py": 4,
     "src/repro/core/updates.py": 1,        # apply_deltas
     "src/repro/refresh/subscriber.py": 1,  # apply_next
     "src/repro/core/precision.py": 2,      # quantize / dequantize rows

@@ -24,7 +24,7 @@ import numpy as np
 from ..gpusim.executor import Executor
 from ..gpusim.stats import Category, TimeBreakdown
 from ..hardware import HardwareSpec
-from ..model.dcn import DeepCrossNetwork
+from ..model.dcn import DeepCrossNetwork, DenseForwardResult
 from ..model.pooling import sum_pool
 from ..obs.registry import MetricsRegistry, install_conservation_laws
 from ..workloads.trace import TraceBatch
@@ -113,8 +113,11 @@ class InferenceEngine:
         batch: TraceBatch,
         query: CacheQueryResult,
         executor: Executor,
-    ) -> np.ndarray:
-        """Pool, concatenate, and run the dense part (timed per kernel)."""
+    ) -> DenseForwardResult:
+        """Pool, concatenate, and run the dense part (timed per kernel).
+
+        The simulated kernels are charged here; the returned handle's
+        probabilities may still be computing on the dense worker."""
         pooled = [
             sum_pool(output, self.ids_per_field) for output in query.outputs
         ]
@@ -123,7 +126,7 @@ class InferenceEngine:
         for spec in self.model.kernels(batch.batch_size):
             executor.launch(spec, stream=dense_stream, category=Category.MLP)
         executor.synchronize(dense_stream)
-        return self.model.forward(x).probabilities
+        return self.model.forward(x)
 
     def run_batch_stages(
         self,
@@ -139,9 +142,12 @@ class InferenceEngine:
         :func:`~repro.core.cache_base.drain_stages`: it yields the name of
         each stage *before* performing it — the scheme's embedding stages
         first, then ``STAGE_DENSE`` when a dense model is attached — and
-        returns ``(query result, probabilities or None)``.  Driving it to
-        exhaustion with no scheduling in between performs exactly the
-        sequential batch.
+        returns ``(query result, dense result or None)``.  The dense
+        result is the model's :class:`~repro.model.dcn.DenseForwardResult`:
+        nothing on the simulated clock depends on a probability, so the
+        caller decides when to read (and thereby wait for) the values.
+        Driving the generator to exhaustion with no scheduling in between
+        performs exactly the sequential batch.
 
         ``trace`` (optional) is the batch's request-tracing record
         (:class:`~repro.obs.reqtrace.BatchTraceRecord`); the engine
@@ -160,14 +166,14 @@ class InferenceEngine:
                 stage = stages.send(None)
         except StopIteration as stop:
             query = stop.value
-        probabilities = None
+        dense = None
         if self.include_dense:
             yield STAGE_DENSE
-            probabilities = self._run_dense(batch, query, executor)
+            dense = self._run_dense(batch, query, executor)
         record_query_metrics(self.obs, query, batch=batch)
         if trace is not None:
             trace.note_query(query)
-        return query, probabilities
+        return query, dense
 
     def run_batch(
         self,
@@ -191,10 +197,11 @@ class InferenceEngine:
                     t_embed = executor.elapsed()
                 stage = stages.send(None)
         except StopIteration as stop:
-            query, probabilities = stop.value
+            query, dense = stop.value
         t1 = executor.elapsed()
         if t_embed is None:
             t_embed = t1
+        probabilities = dense.probabilities if dense is not None else None
         return query, probabilities, t_embed - t0, t1 - t0
 
     # ------------------------------------------------------------------ runs

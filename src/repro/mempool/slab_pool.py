@@ -145,7 +145,7 @@ class SlabClass:
         return np.asarray(taken, dtype=np.int64)
 
     def release(self, slots: np.ndarray) -> None:
-        self.free_slots.extend(int(s) for s in slots)
+        self.free_slots.extend(slots.tolist())
         self.live -= len(slots)
         if self.live < 0:
             raise SimulationError(f"slab class dim={self.dim}: negative live count")
@@ -338,6 +338,7 @@ class SlabMemoryPool:
 
     # ------------------------------------------------------------------ alloc
 
+    # hot-path: vectorized
     def allocate(
         self, dim: int, count: int, tier: str = _TIER_FP32
     ) -> np.ndarray:
@@ -353,12 +354,12 @@ class SlabMemoryPool:
         slots = self._classes[class_id].allocate(count)
         return (np.uint64(class_id) << _CLASS_SHIFT) | slots.astype(np.uint64)
 
-    def release(self, locations: np.ndarray) -> None:
+    def release(self, locations: np.ndarray) -> None:  # hot-path: vectorized
         """Return previously allocated ``locations`` to their free lists."""
         if len(locations) == 0:
             return
         class_ids, slots = unpack_locations(np.asarray(locations))
-        for class_id in np.unique(class_ids):
+        for class_id in np.unique(class_ids):  # lint: allow-loop (per slab class)
             slab = self._classes.get(int(class_id))
             if slab is None:
                 raise SimulationError(f"release of unknown slab class {class_id}")
@@ -366,6 +367,7 @@ class SlabMemoryPool:
 
     # ------------------------------------------------------------------ data
 
+    # hot-path: vectorized
     def write(self, locations: np.ndarray, vectors: np.ndarray) -> None:
         """Store fp32 ``vectors`` (all same dim) into ``locations``.
 
@@ -389,7 +391,7 @@ class SlabMemoryPool:
             raise SimulationError(
                 f"write: expected shape {shape}, got {vectors.shape}"
             )
-        for class_id in unique:
+        for class_id in unique:  # lint: allow-loop (per tier class of one dimension)
             slab = self._classes[int(class_id)]
             mask = class_ids == class_id
             into, rows = slots[mask], vectors[mask]
@@ -402,7 +404,7 @@ class SlabMemoryPool:
             if scales is not None:
                 slab.scales[into] = scales
 
-    def read(self, locations: np.ndarray) -> np.ndarray:
+    def read(self, locations: np.ndarray) -> np.ndarray:  # hot-path: vectorized
         """Gather the fp32 vectors stored at ``locations`` (all same dim).
 
         Dequantize-on-gather: non-fp32 classes reconstruct float32 rows
@@ -421,7 +423,7 @@ class SlabMemoryPool:
         if len(dims) != 1:
             raise SimulationError("read: locations span multiple slab classes")
         out = np.empty((len(locations), dims.pop()), dtype=np.float32)
-        for class_id in unique:
+        for class_id in unique:  # lint: allow-loop (per tier class of one dimension)
             mask = class_ids == class_id
             out[mask] = self._read_class(
                 self._classes[int(class_id)], slots[mask]

@@ -39,8 +39,11 @@ verified barrier.
 
 from __future__ import annotations
 
+import copy
+import inspect
 import json
 import math
+import weakref
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -189,6 +192,37 @@ class Conservation:
         detail = (f"{' + '.join(self.lhs)} {self.op} {' + '.join(self.rhs)}"
                   f" [{left:g} vs {right:g}]")
         return ok, detail
+
+
+class _WeakHook:
+    """An audit hook that is a bound method, held weakly through its owner.
+
+    A component registers ``self._audit_x`` with the registry it is bound
+    to.  Held strongly that is a cycle (component -> registry -> hook ->
+    component) which only a generation-2 collection frees, so every
+    restored server of a benchmark pass lingered.  ``weakref.WeakMethod``
+    cannot be deep-copied and a bare ``weakref.ref`` copies atomically —
+    the clone's registry would audit the *original* component — so this
+    holder's ``__deepcopy__`` rebinds to the clone of its owner.
+    """
+
+    __slots__ = ("_owner", "_function")
+
+    def __init__(self, owner: object, function: Callable):
+        self._owner = weakref.ref(owner)
+        self._function = function
+
+    def __call__(self):
+        owner = self._owner()
+        if owner is None:
+            return True
+        return self._function(owner)
+
+    def __deepcopy__(self, memo):
+        owner = self._owner()
+        if owner is None:
+            return self
+        return _WeakHook(copy.deepcopy(owner, memo), self._function)
 
 
 class MetricsSnapshot:
@@ -430,7 +464,13 @@ class MetricsRegistry:
         """Register an audit hook: a callable returning ``bool`` or
         ``(bool, detail)``.  Hooks run before the conservation laws, so a
         component can refresh its gauges (pool occupancy, breaker-open
-        time) inside its hook and have the laws see current levels."""
+        time) inside its hook and have the laws see current levels.
+
+        A bound method is held through a weak reference to its owner (the
+        owner holds this registry; see :class:`_WeakHook`); once the owner
+        is gone its check passes."""
+        if inspect.ismethod(hook):
+            hook = _WeakHook(hook.__self__, hook.__func__)
         self._checks[name] = hook
 
     @property

@@ -346,7 +346,11 @@ def serve_staged(
     #: refresher differs from without only through cache *contents*.
     busy_until = 0.0
     finish_times = [0.0] * n
-    probabilities: List[Optional[np.ndarray]] = [None] * n
+    #: Per-batch dense results.  Their values are read once, after the
+    #: loop: nothing on the simulated clock depends on a probability, so
+    #: the real GEMMs run on the dense worker while this thread drives the
+    #: following batches' cache path.
+    dense_results: list = [None] * n
     in_flight: List[_InFlightBatch] = []
     next_index = 0
     completed = [False] * n
@@ -443,7 +447,7 @@ def serve_staged(
         try:
             chosen.next_stage = chosen.stages.send(None)
         except StopIteration as stop:
-            _, batch_probs = stop.value
+            _, batch_dense = stop.value
             finished = True
         end = chosen.start + (chosen.stall + chosen.executor.elapsed())
         if chosen.trace is not None:
@@ -471,7 +475,7 @@ def serve_staged(
             finish_times[chosen.index] = chosen.ready_at
             if chosen.trace is not None:
                 rt.finish_batch(chosen.trace, chosen.ready_at)
-            probabilities[chosen.index] = batch_probs
+            dense_results[chosen.index] = batch_dense
             obs.inc("serving.batches")
             obs.inc("serving.batched_requests", chosen.formed.size)
             if chosen.degraded:
@@ -534,7 +538,7 @@ def serve_staged(
         requests, latencies, arrival_arr, sizes_arr.tolist(),
         max(finish_times), before,
     )
-    dense = [p for p in probabilities if p is not None]
+    dense = [d.probabilities for d in dense_results if d is not None]
     if dense:
         report.probabilities = np.concatenate(dense)
     server.last_run = PipelineRunInfo(

@@ -18,7 +18,10 @@ Four suites:
   identical span lists.
 """
 
+import copy
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -291,6 +294,52 @@ class TestInvariantAudits:
         reg.add_check("broken", lambda: (False, "7 slots leaked"))
         violations = reg.audit()
         assert violations == ["check 'broken' failed: 7 slots leaked"]
+
+    def test_method_hooks_do_not_keep_their_owner_alive(self):
+        """A component registers its own bound method with the registry it
+        holds: held strongly that is a cycle only the collector frees."""
+
+        class Component:
+            def __init__(self, registry, healthy=True):
+                self.registry = registry
+                self.healthy = healthy
+                registry.add_check("component", self.audit)
+
+            def audit(self):
+                return self.healthy, f"component {id(self)}"
+
+        gc.disable()
+        try:
+            owner = Component(MetricsRegistry(), healthy=False)
+            registry, gone = owner.registry, weakref.ref(owner)
+            assert registry.audit() == [
+                f"check 'component' failed: component {id(owner)}"
+            ]
+            del owner
+            assert gone() is None  # freed by reference count alone
+            assert registry.audit() == []
+        finally:
+            gc.enable()
+
+    def test_method_hooks_follow_a_deep_copy(self):
+        """A restored (deep-copied) server's registry must audit the
+        copy's components, not the prototype's."""
+
+        class Component:
+            def __init__(self, registry):
+                self.registry = registry
+                self.healthy = True
+                registry.add_check("component", self.audit)
+
+            def audit(self):
+                return self.healthy
+
+        proto = Component(MetricsRegistry())
+        clone = copy.deepcopy(proto)
+        assert clone.registry is not proto.registry
+        clone.healthy = False
+        assert proto.registry.audit() == []
+        assert clone.registry.audit() == ["check 'component' failed"]
 
     def test_observable_lazy_then_rebound(self):
         class Widget(Observable):

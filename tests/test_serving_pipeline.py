@@ -1,5 +1,9 @@
 """Tests for pipelined serving: stages, overlap, and miss coalescing."""
 
+import copy
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -524,3 +528,35 @@ class TestReportSatellites:
         assert np.isnan(report.percentile(50.0))
         assert np.isnan(report.median_latency)
         assert np.isnan(report.p99_latency)
+
+
+# ---------------------------------------------------------------------------
+# Restored servers (the ledger's deep copy of a warmed prototype)
+# ---------------------------------------------------------------------------
+
+
+class TestRestoredServer:
+    def test_audits_its_own_cache_and_is_freed_by_refcount(
+        self, dataset, hw, requests
+    ):
+        """The cache's pool-accounting hook is held weakly by the registry
+        (``obs/registry.py``), so a restored server sits in no reference
+        cycle — with the collector off it still goes when dropped — and
+        the copy's registry audits the copy's cache, not the prototype's."""
+        proto = make_servers(dataset, hw, PipelinedInferenceServer, depth=2)
+        gc.collect()
+        gc.disable()
+        try:
+            clone = copy.deepcopy(proto)
+            clone.serve(requests)
+            cache = clone.scheme.cache
+            assert cache is not proto.scheme.cache
+            gone = [weakref.ref(clone), weakref.ref(cache)]
+            # Break the copy's pool accounting: only its own audit sees it.
+            cache.pool.allocate(dataset.dim, 1)
+            assert proto.obs.audit() == []
+            assert any("flatcache" in v for v in clone.obs.audit())
+            del clone, cache
+            assert [ref() for ref in gone] == [None, None]
+        finally:
+            gc.enable()
