@@ -117,7 +117,7 @@ class InferenceEngine:
         """Pool, concatenate, and run the dense part (timed per kernel).
 
         The simulated kernels are charged here; the returned handle's
-        probabilities may still be computing on the dense worker."""
+        probabilities may still be computing in the dense worker process."""
         pooled = [
             sum_pool(output, self.ids_per_field) for output in query.outputs
         ]
@@ -187,6 +187,19 @@ class InferenceEngine:
         forwarded to the cache scheme so a fault-aware backing store can
         align outage windows with wall-clock (no-op otherwise).
         """
+        query, dense, embed_latency, latency = self._run_batch(
+            batch, executor, now
+        )
+        probabilities = dense.probabilities if dense is not None else None
+        return query, probabilities, embed_latency, latency
+
+    def _run_batch(
+        self,
+        batch: TraceBatch,
+        executor: Executor,
+        now: Optional[float] = None,
+    ) -> tuple:
+        """:meth:`run_batch` with the dense result still unread."""
         t0 = executor.elapsed()
         t_embed: Optional[float] = None
         stages = self.run_batch_stages(batch, executor, now=now)
@@ -201,8 +214,7 @@ class InferenceEngine:
         t1 = executor.elapsed()
         if t_embed is None:
             t_embed = t1
-        probabilities = dense.probabilities if dense is not None else None
-        return query, probabilities, t_embed - t0, t1 - t0
+        return query, dense, t_embed - t0, t1 - t0
 
     # ------------------------------------------------------------------ runs
 
@@ -231,8 +243,12 @@ class InferenceEngine:
             collector.begin_run(0.0)
 
         result = InferenceResult(elapsed=0.0)
+        # Read once, after the loop, as ``serve_staged`` does: the real
+        # GEMMs run in the dense worker process while this one drives the
+        # cache path of the following batches.
+        dense_results = []
         for batch in batches[warmup:]:
-            query, probabilities, embed_latency, latency = self.run_batch(
+            query, dense, embed_latency, latency = self._run_batch(
                 batch, executor
             )
             result.latencies.append(latency)
@@ -243,10 +259,12 @@ class InferenceEngine:
             result.unified_hits += query.unified_hits
             result.promotions += query.promoted_keys
             result.demotions += query.demoted_keys
-            if probabilities is not None:
-                result.last_probabilities = probabilities
+            if dense is not None:
+                dense_results.append(dense)
             if collector is not None:
                 collector.observe_batch(executor.elapsed(), [latency])
+        for dense in dense_results:  # any batch's failure surfaces here
+            result.last_probabilities = dense.probabilities
         result.elapsed = executor.drain()
         result.breakdown = executor.stats
         if collector is not None:

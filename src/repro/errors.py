@@ -45,3 +45,8 @@ class RefreshError(ReproError):
     """The model-refresh stream could not be read or applied: an offset
     fell out of the update log's retention window, the log is inside an
     outage window, or an update batch is malformed."""
+
+
+class DenseWorkerError(ReproError):
+    """The dense worker process (``repro.model.dcn``) died, stopped
+    answering or was stopped before it computed a forward it owed."""

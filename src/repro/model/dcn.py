@@ -5,66 +5,285 @@ dense features, fed through six cross layers, then a (1024, 1024) MLP and a
 sigmoid output.  :meth:`DeepCrossNetwork.forward` is a real numpy forward
 pass; :meth:`kernels` lists the dense-part kernels for the timing model.
 
-The forward pass of a large batch runs on one process-wide worker thread
-(:func:`_dense_worker`): sgemm releases the interpreter lock, so the GEMMs
-of batch ``i`` overlap the Python cache path of batch ``i + 1`` the way the
-simulated GPU overlaps the simulated host thread.  The worker runs the same
-numpy calls on the same arrays, one batch at a time and in submission
-order, so every probability is bit for bit what an inline pass computes.
+The forward pass of every batch runs in one process-wide worker *process*
+(:class:`_DenseWorker`): the GEMMs of batch ``i`` overlap the Python cache
+path of batch ``i + 1`` the way the simulated GPU overlaps the simulated
+host thread, and a process has no interpreter lock to share with it.  The
+child holds a copy of each model's cross + MLP towers and runs the same
+``mlp.forward(cross.forward(x))`` on the same values, one batch at a time
+and in submission order, so every probability is bit for bit what an
+inline pass computes.
+
+The child is created with the ``spawn`` start method, which re-imports the
+parent's main module: a script that serves needs the usual
+``if __name__ == "__main__":`` guard.
 """
 
 from __future__ import annotations
 
+import atexit
 import hashlib
+import itertools
+import multiprocessing
 import os
+import pickle
+import signal
 import threading
-from concurrent.futures import Future, ThreadPoolExecutor
+from collections import OrderedDict
 from functools import partial
+from multiprocessing import shared_memory
 from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..errors import ConfigError
+from ..errors import ConfigError, DenseWorkerError
 from ..gpusim.kernel import KernelSpec
 from .cross import CrossNetwork
 from .mlp import MLP
 
 
-#: Batches below this many rows compute inline.  A forward pass is ~38
-#: small numpy calls; under 64 rows each GEMM is so short that handing the
-#: interpreter lock back and forth costs more than the overlap buys
-#: (``docs/performance.md``, PR 23, has the sweep).
-DEFER_MIN_ROWS = 64
-
-#: Forwards submitted to the worker and not yet computed.  Each holds its
-#: input (~1 MB at 512 rows) and activations; ``forward`` blocks once this
-#: many are outstanding, so a fast simulator thread cannot queue a run's
-#: worth of inputs.
+#: Forwards handed to the worker and not yet computed: the number of
+#: shared-memory input slots.  Each holds one input (~1 MB at 512 rows);
+#: ``forward`` blocks while all are in use, so a fast simulator thread
+#: cannot queue a run's worth of inputs.
 MAX_IN_FLIGHT = 3
+
+#: Models whose towers the child holds (~6 MB each at the paper's sizes);
+#: the least recently used is dropped, and sent again if it comes back.
+MAX_TOWERS = 4
+
+#: Longest wait for the child's next message.  A forward is milliseconds;
+#: a child silent for this long is treated as dead, never waited on.
+ANSWER_TIMEOUT = 60.0
+
+#: Smallest input slot.  Slots grow in powers of two to the largest input
+#: seen; untouched pages of a segment cost nothing.
+_MIN_SLOT_BYTES = 1 << 16
+
+
+def _release(segment: shared_memory.SharedMemory) -> None:
+    segment.close()
+    segment.unlink()
+
+
+def _send(conn, message: tuple) -> None:
+    # Not ``conn.send``: its pickler hands over a view of a BytesIO, whose
+    # finaliser complains under ``python -X dev``.
+    conn.send_bytes(pickle.dumps(message, pickle.HIGHEST_PROTOCOL))
+
+
+class _Pending:
+    """One forward the dense worker owes; ``result`` waits for it."""
+
+    __slots__ = ("_worker", "_value", "_error")
+
+    def __init__(self, worker: "_DenseWorker"):
+        self._worker = worker
+        self._value: Optional[np.ndarray] = None
+        self._error: Optional[BaseException] = None
+
+    def done(self) -> bool:
+        return self._value is not None or self._error is not None
+
+    def result(self) -> np.ndarray:
+        if not self.done():
+            self._worker.wait_for(self)
+        if self._error is not None:
+            raise self._error
+        return self._value
 
 
 class _DenseWorker:
-    """One thread computing deferred forwards in submission order."""
+    """The parent's end of the dense worker process.
+
+    Inputs and results travel through ``MAX_IN_FLIGHT`` shared-memory
+    slots, a model's towers through a segment of their own that lives
+    until the child has copied them; the pipe carries only small control
+    messages, so no send waits for a busy child.  One lock serialises
+    every use of the pipe.
+    """
 
     def __init__(self):
-        self._pool = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="dense-forward"
+        context = multiprocessing.get_context("spawn")
+        self._conn, child_conn = context.Pipe()
+        self._process = context.Process(
+            target=_serve_forwards, args=(child_conn,),
+            name="dense-forward", daemon=True,
         )
-        self._slots = threading.BoundedSemaphore(MAX_IN_FLIGHT)
+        self._process.start()
+        child_conn.close()
+        self.pid = self._process.pid
+        self._lock = threading.Lock()
+        self._slots: list = [None] * MAX_IN_FLIGHT
+        self._free = list(range(MAX_IN_FLIGHT))
+        #: ticket -> (pending, slot) of every forward not yet computed.
+        self._in_flight: dict = {}
+        self._tickets = itertools.count()
+        #: Tower ids the child holds or has been sent, least recent first.
+        self._towers: OrderedDict = OrderedDict()
+        #: tower id -> segment the child has not yet copied.
+        self._transfers: dict = {}
+        self._failure: Optional[DenseWorkerError] = None
 
-    def submit(self, fn, x: np.ndarray) -> Future:
-        """Queue ``fn(x)``, first waiting for one of the in-flight slots."""
-        self._slots.acquire()
+    def submit(self, model: "DeepCrossNetwork", x: np.ndarray) -> _Pending:
+        """Copy C-contiguous ``x`` into a free slot (waiting for one) and
+        queue ``model``'s forward over it."""
+        pending = _Pending(self)
+        with self._lock:
+            if self._failure is not None:
+                raise self._failure
+            try:
+                tower = model._tower_id
+                if tower not in self._towers:
+                    self._send_tower(tower, model)
+                self._towers.move_to_end(tower)
+                slot = self._claim(max(x.nbytes, 4 * len(x)))
+                segment = self._slots[slot]
+                np.ndarray(x.shape, x.dtype, buffer=segment.buf)[...] = x
+                ticket = next(self._tickets)
+                self._in_flight[ticket] = (pending, slot)
+                _send(self._conn, (
+                    "forward", ticket, tower, slot, segment.name,
+                    x.shape, x.dtype.str,
+                ))
+            except OSError as exc:  # a broken pipe: the child is gone
+                raise self._fail(f"could not be reached ({exc!r})") from exc
+            except BaseException:
+                # A half-made submission cannot be resumed.
+                if self._failure is None:
+                    self._fail("was stopped: a submission was interrupted")
+                raise
+        return pending
+
+    def wait_for(self, pending: _Pending) -> None:
+        with self._lock:
+            while not pending.done():
+                self._receive()
+
+    def close(self) -> None:
+        """Stop the child and remove every shared-memory segment; forwards
+        it still owes raise when read."""
+        with self._lock:
+            if self._failure is None:
+                self._fail("was stopped")
+
+    def _send_tower(self, tower: bytes, model: "DeepCrossNetwork") -> None:
+        dropped = None
+        if len(self._towers) >= MAX_TOWERS:
+            dropped, _ = self._towers.popitem(last=False)
+        blob = pickle.dumps((model.cross, model.mlp), pickle.HIGHEST_PROTOCOL)
+        segment = shared_memory.SharedMemory(create=True, size=len(blob))
+        self._transfers[tower] = segment
+        segment.buf[:len(blob)] = blob
+        self._towers[tower] = None
+        _send(self._conn, ("tower", tower, segment.name, len(blob), dropped))
+
+    def _claim(self, nbytes: int) -> int:
+        """A free slot of at least ``nbytes``, waiting while the child has
+        ``MAX_IN_FLIGHT`` forwards to compute."""
+        while not self._free:
+            self._receive()
+        slot = self._free.pop()
+        segment = self._slots[slot]
+        if segment is None or segment.size < nbytes:
+            if segment is not None:
+                _release(segment)
+            size = max(_MIN_SLOT_BYTES, 1 << (nbytes - 1).bit_length())
+            self._slots[slot] = shared_memory.SharedMemory(
+                create=True, size=size
+            )
+        return slot
+
+    def _receive(self) -> None:
+        """Take the child's next message: a computed forward frees its
+        slot, a copied tower its transfer segment."""
         try:
-            future = self._pool.submit(fn, x)
-        except BaseException:
-            self._slots.release()
-            raise
-        future.add_done_callback(self._release)
-        return future
+            answered = self._conn.poll(ANSWER_TIMEOUT)
+            message = (
+                pickle.loads(self._conn.recv_bytes()) if answered else None
+            )
+        except (EOFError, OSError) as exc:
+            raise self._fail(f"died ({exc!r})") from exc
+        if message is None:
+            raise self._fail(f"did not answer within {ANSWER_TIMEOUT:g} s")
+        kind, name, payload = message
+        if kind == "loaded":
+            _release(self._transfers.pop(name))
+            return
+        pending, slot = self._in_flight.pop(name)
+        if kind == "done":
+            shape, dtype = payload
+            pending._value = np.ndarray(
+                shape, dtype, buffer=self._slots[slot].buf
+            ).copy()
+        else:
+            pending._error = payload
+        self._free.append(slot)
 
-    def _release(self, _future: Future) -> None:
-        self._slots.release()
+    def _fail(self, what: str) -> DenseWorkerError:
+        """Give up on the child: every forward it owes raises the returned
+        error when read, and the next ``forward`` starts a new child."""
+        error = self._failure = DenseWorkerError(
+            f"the dense worker process (pid {self.pid}) {what}"
+        )
+        _forget_worker(self)
+        for pending, _ in self._in_flight.values():
+            pending._error = error
+        self._in_flight.clear()
+        self._process.kill()
+        self._process.join()
+        self._process.close()
+        self._conn.close()
+        for segment in [*self._slots, *self._transfers.values()]:
+            if segment is not None:
+                _release(segment)
+        return error
+
+
+def _serve_forwards(conn) -> None:
+    """Main of the dense worker process: load towers and compute forwards
+    in the order the parent sent them, until the parent is gone."""
+    # Ctrl-C reaches the whole process group; the parent decides.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    towers: dict = {}
+    slots: dict = {}
+    while True:
+        try:
+            message = pickle.loads(conn.recv_bytes())
+        except EOFError:
+            return
+        if message[0] == "tower":
+            _, tower, name, nbytes, dropped = message
+            towers.pop(dropped, None)
+            segment = shared_memory.SharedMemory(name=name)
+            with segment.buf[:nbytes] as blob:
+                towers[tower] = pickle.loads(blob)
+            segment.close()
+            _send(conn, ("loaded", tower, None))
+            continue
+        _, ticket, tower, slot, name, shape, dtype = message
+        segment = slots.get(slot)
+        if segment is None or segment.name != name:
+            if segment is not None:
+                segment.close()
+            segment = slots[slot] = shared_memory.SharedMemory(name=name)
+        try:
+            reply = ("done", ticket, _forward_in_place(
+                towers[tower], segment.buf, shape, dtype
+            ))
+        except Exception as exc:
+            # The traceback's frames hold a view of the slot.
+            reply = ("failed", ticket, exc.with_traceback(None))
+        _send(conn, reply)
+
+
+def _forward_in_place(tower, buffer, shape, dtype) -> tuple:
+    """Run ``tower`` on the input held in ``buffer`` and leave the
+    probabilities there; returns their (shape, dtype)."""
+    cross, mlp = tower
+    out = mlp.forward(cross.forward(np.ndarray(shape, dtype, buffer=buffer)))
+    np.ndarray(out.shape, out.dtype, buffer=buffer)[...] = out
+    return out.shape, out.dtype.str
 
 
 _WORKER: Optional[_DenseWorker] = None
@@ -74,29 +293,44 @@ _WORKER_LOCK = threading.Lock()
 def _dense_worker() -> _DenseWorker:
     """The process-wide worker, started on first use (never at import)."""
     global _WORKER
-    if _WORKER is None:
+    worker = _WORKER
+    if worker is None:
         with _WORKER_LOCK:
-            if _WORKER is None:
-                _WORKER = _DenseWorker()
-    return _WORKER
+            worker = _WORKER
+            if worker is None:
+                worker = _WORKER = _DenseWorker()
+    return worker
 
 
-def _forget_worker() -> None:
+def stop_dense_worker() -> None:
+    """Stop the dense worker process, if one runs, and remove its shared
+    memory; the next ``forward`` starts a new one.  Runs at interpreter
+    exit.  Results not yet computed raise :class:`DenseWorkerError`."""
+    worker = _WORKER
+    if worker is not None:
+        worker.close()
+
+
+def _forget_worker(worker: Optional[_DenseWorker] = None) -> None:
     global _WORKER
-    _WORKER = None
+    if worker is None or _WORKER is worker:
+        _WORKER = None
 
 
-# A forked child inherits the object but not its thread.
+atexit.register(stop_dense_worker)
+# A forked child inherits the handle, but the process behind it is its
+# parent's: it starts its own.
 os.register_at_fork(after_in_child=_forget_worker)
 
 
 class DenseForwardResult:
     """Output of the dense part for one batch.
 
-    ``probabilities`` may still be running on the dense worker; the first
-    read waits for it (and raises what the worker raised).  ``flops`` is
-    known at once.  Built from a finished array by models that compute
-    inline.
+    ``probabilities`` may still be computing in the dense worker process;
+    the first read waits for it, and every read raises what the worker's
+    forward raised, or :class:`~repro.errors.DenseWorkerError` if the
+    worker died.  ``flops`` is known at once.  Built from a finished
+    array by models that compute inline.
     """
 
     __slots__ = ("flops", "_probabilities", "_pending", "_on_ready")
@@ -104,11 +338,11 @@ class DenseForwardResult:
     def __init__(self, probabilities: np.ndarray, flops: float):
         self.flops = flops
         self._probabilities = probabilities
-        self._pending: Optional[Future] = None
+        self._pending: Optional[_Pending] = None
         self._on_ready = None
 
     @classmethod
-    def deferred(cls, pending: Future, flops: float, on_ready=None):
+    def deferred(cls, pending: _Pending, flops: float, on_ready=None):
         """A result whose values ``pending`` will deliver; ``on_ready`` is
         called once with the array, on the thread that first reads it."""
         result = cls(None, flops)
@@ -166,6 +400,10 @@ class DeepCrossNetwork:
         #: the thread that reads a result, so a model deep-copies at any
         #: time.
         self._forward_memo: dict = {}
+        #: Name under which the dense worker holds these towers.  A deep
+        #: copy keeps it (the weights never mutate after the first
+        #: forward), so the copies a server is restored from send nothing.
+        self._tower_id = os.urandom(16)
         self._kernels_memo: dict = {}
         self._zero_dense = None
 
@@ -197,9 +435,9 @@ class DeepCrossNetwork:
     def forward(self, x: np.ndarray) -> DenseForwardResult:
         """Run the dense part on concatenated inputs ``x`` (B x input_dim).
 
-        With ``DEFER_MIN_ROWS`` rows or more the cross + MLP computation
-        runs on the dense worker and the result's ``probabilities`` joins
-        it on first read; ``x`` must not be written before then.
+        The cross + MLP computation runs in the dense worker process on a
+        copy of ``x`` taken here; the result's ``probabilities`` waits for
+        it on first read.
         """
         if x.shape[1] != self.input_dim:
             raise ConfigError(
@@ -215,20 +453,10 @@ class DeepCrossNetwork:
         probabilities = self._forward_memo.get(key)
         if probabilities is not None:
             return DenseForwardResult(probabilities, flops)
-        if x.shape[0] < DEFER_MIN_ROWS:
-            probabilities = self._dense(x)
-            self._remember(key, probabilities)
-            return DenseForwardResult(probabilities, flops)
         return DenseForwardResult.deferred(
-            _dense_worker().submit(self._dense, x), flops,
+            _dense_worker().submit(self, data), flops,
             on_ready=partial(self._remember, key),
         )
-
-    def _dense(self, x: np.ndarray) -> np.ndarray:
-        """The pure function of ``x``: cross layers, then the MLP tower.
-        Runs on the dense worker — it must stay off every entry point a
-        tracer wraps (``forward`` above is one)."""
-        return self.mlp.forward(self.cross.forward(x))
 
     def _remember(self, key: tuple, probabilities: np.ndarray) -> None:
         memo = self._forward_memo

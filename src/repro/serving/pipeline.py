@@ -348,8 +348,8 @@ def serve_staged(
     finish_times = [0.0] * n
     #: Per-batch dense results.  Their values are read once, after the
     #: loop: nothing on the simulated clock depends on a probability, so
-    #: the real GEMMs run on the dense worker while this thread drives the
-    #: following batches' cache path.
+    #: the real GEMMs run in the dense worker process while this one
+    #: drives the following batches' cache path.
     dense_results: list = [None] * n
     in_flight: List[_InFlightBatch] = []
     next_index = 0

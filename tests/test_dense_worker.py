@@ -1,27 +1,39 @@
-"""The deferred dense forward: same bits, bounded, and safe to copy.
+"""The dense forward in a worker process: same bits, bounded, and loud.
 
-``DeepCrossNetwork.forward`` hands large batches to one worker thread and
-returns a handle that joins on first read (``repro/model/dcn.py``).  These
-tests hold it to the inline computation bit for bit, on both sides of the
-row cut-off, and exercise what a second thread adds: exceptions that cross
-it, the in-flight bound, deep copies and tracers that wrap ``forward``.
+``DeepCrossNetwork.forward`` hands every batch to one child process and
+returns a handle that waits on first read (``repro/model/dcn.py``).  These
+tests hold the child to an inline computation bit for bit at every size,
+and exercise what a second process adds: the in-flight bound, slots that
+grow, exceptions and deaths that must cross the pipe, deep copies, forks,
+threads, and an interpreter exit that leaves nothing behind.
+
+The child is stopped with ``SIGSTOP`` where a test needs forwards that are
+submitted and not yet computed; every wait in this file has a timeout.
 """
 
+import contextlib
 import copy
 import hashlib
+import json
 import os
 import signal
+import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro import DeepCrossNetwork
 from repro.core.config import FlecheConfig
+from repro.core.engine import InferenceEngine
 from repro.core.workflow import FlecheEmbeddingLayer
-from repro.model.dcn import DEFER_MIN_ROWS, MAX_IN_FLIGHT
+from repro.errors import DenseWorkerError, ReproError
+from repro.gpusim.executor import Executor
+from repro.model import dcn
+from repro.model.dcn import MAX_IN_FLIGHT
 from repro.serving.arrivals import PoissonArrivals
 from repro.serving.batcher import BatchingPolicy
 from repro.serving.pipeline import PipelinedInferenceServer
@@ -31,11 +43,21 @@ from repro.workloads.synthetic import uniform_tables_spec
 #: Upper bound on every wait in this file: a stuck join fails, not hangs.
 TIMEOUT = 30.0
 
+SRC = str(Path(dcn.__file__).resolve().parents[2])
+
 
 def small_model(**kwargs):
     return DeepCrossNetwork(
         num_tables=4, embedding_dim=16, hidden_units=(64, 32), **kwargs
     )
+
+
+def broken_model():
+    """A model whose second MLP layer cannot take the first one's output:
+    the forward raises ``ValueError`` wherever it runs."""
+    model = small_model()
+    model.mlp.weights[1] = np.zeros((3, 3), dtype=np.float32)
+    return model
 
 
 def inputs(model, rows, seed=0):
@@ -44,39 +66,60 @@ def inputs(model, rows, seed=0):
 
 
 def inline(model, x):
-    """The reference: the same two public calls, on this thread."""
+    """The reference: the same two public calls, in this process."""
     return model.mlp.forward(model.cross.forward(x))
 
 
-def record_threads(model, monkeypatch):
-    """Names of the threads the model's MLP tower runs on."""
-    seen = []
-    tower = model.mlp.forward
+def started_worker():
+    """The running worker, with the slots and the tower of a small model
+    in place (so a test that stops the child sends it nothing large)."""
+    model = small_model()
+    for seed in range(MAX_IN_FLIGHT):
+        model.forward(inputs(model, 2, seed)).probabilities
+    return dcn._dense_worker(), model
 
-    def forward(x):
-        seen.append(threading.current_thread().name)
-        return tower(x)
 
-    monkeypatch.setattr(model.mlp, "forward", forward)
-    return seen
+@contextlib.contextmanager
+def child_stopped(worker):
+    """Hold the child with SIGSTOP: forwards queue up un-computed."""
+    os.kill(worker.pid, signal.SIGSTOP)
+    try:
+        yield
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.kill(worker.pid, signal.SIGCONT)
+
+
+def count_calls(monkeypatch, name):
+    """Count calls of ``_DenseWorker.<name>`` (everything sent to the
+    child goes through ``submit``; weights through ``_send_tower``)."""
+    calls = []
+    original = getattr(dcn._DenseWorker, name)
+
+    def counted(self, *args):
+        calls.append(args)
+        return original(self, *args)
+
+    monkeypatch.setattr(dcn._DenseWorker, name, counted)
+    return calls
 
 
 class TestSameBits:
-    @pytest.mark.parametrize("rows", [1, 63, 64, 65, 511, 512])
+    @pytest.mark.parametrize("rows", [1, 25, 63, 64, 65, 511, 512])
     def test_equal_to_inline_on_both_sides_of_the_cut_off(
         self, rows, monkeypatch
     ):
+        """The thread this process replaced took 64 rows or more; the
+        process takes every size."""
         model = small_model()
         x = inputs(model, rows)
-        expected = inline(model, x)
-        seen = record_threads(model, monkeypatch)
+        submitted = count_calls(monkeypatch, "submit")
         result = model.forward(x)
-        np.testing.assert_array_equal(result.probabilities, expected)
+        np.testing.assert_array_equal(result.probabilities, inline(model, x))
         assert result.flops == model.flops(rows)
-        on_worker = seen[0].startswith("dense-forward")
-        assert on_worker == (rows >= DEFER_MIN_ROWS)
+        assert len(submitted) == 1  # one path: no size computes inline
 
-    @pytest.mark.parametrize("rows", [DEFER_MIN_ROWS // 2, 4 * DEFER_MIN_ROWS])
+    @pytest.mark.parametrize("rows", [32, 256])
     def test_non_contiguous_input(self, rows):
         model = small_model()
         x = inputs(model, 2 * rows)[::2]
@@ -85,6 +128,13 @@ class TestSameBits:
             model.forward(x).probabilities, inline(model, x)
         )
 
+    def test_float64_input(self):
+        model = small_model()
+        x = inputs(model, 40).astype(np.float64)
+        values = model.forward(x).probabilities
+        np.testing.assert_array_equal(values, inline(model, x))
+        assert values.dtype == inline(model, x).dtype
+
     def test_paper_sized_tower(self):
         model = DeepCrossNetwork(num_tables=8, embedding_dim=64)
         x = inputs(model, 512)
@@ -92,79 +142,69 @@ class TestSameBits:
             model.forward(x).probabilities, inline(model, x)
         )
 
+    def test_input_is_copied_at_the_call(self):
+        worker, model = started_worker()
+        x = inputs(model, 30)
+        expected = inline(model, x)
+        with child_stopped(worker):
+            result = model.forward(x)
+            x[...] = 0.0
+        np.testing.assert_array_equal(result.probabilities, expected)
+
+    def test_two_models_interleave(self):
+        a, b = small_model(seed=5), small_model(seed=7)
+        xs = [inputs(a, 20 + i, seed=i) for i in range(8)]
+        results = [(a, b)[i % 2].forward(x) for i, x in enumerate(xs)]
+        for i, (x, result) in enumerate(zip(xs, results)):
+            np.testing.assert_array_equal(
+                result.probabilities, inline((a, b)[i % 2], x)
+            )
+
+    def test_more_models_than_the_child_keeps(self, monkeypatch):
+        models = [small_model(seed=s) for s in range(dcn.MAX_TOWERS + 2)]
+        sent = count_calls(monkeypatch, "_send_tower")
+        x = inputs(models[0], 16)
+        for _ in range(2):  # the second round re-sends the dropped ones
+            for seed, model in enumerate(models):
+                np.testing.assert_array_equal(
+                    model.forward(inputs(model, 16, seed)).probabilities,
+                    inline(model, inputs(model, 16, seed)),
+                )
+                model._forward_memo.clear()
+        assert len(sent) == 2 * len(models)
+        assert len(dcn._dense_worker()._towers) == dcn.MAX_TOWERS
+        np.testing.assert_array_equal(
+            models[0].forward(x).probabilities, inline(models[0], x)
+        )
+
     def test_memo_holds_arrays_and_is_hit(self, monkeypatch):
         model = small_model()
-        x = inputs(model, 2 * DEFER_MIN_ROWS)
+        x = inputs(model, 128)
         first = model.forward(x)
         assert not model._forward_memo  # filled when the value is read
         values = first.probabilities
         assert all(
             isinstance(v, np.ndarray) for v in model._forward_memo.values()
         )
-        seen = record_threads(model, monkeypatch)
+        submitted = count_calls(monkeypatch, "submit")
         assert model.forward(x).probabilities is values
-        assert seen == []
-
-
-class TestWorkerFailure:
-    def test_exception_surfaces_where_the_value_is_read(self, monkeypatch):
-        model = small_model()
-
-        def broken(x):
-            raise FloatingPointError("tower failed")
-
-        monkeypatch.setattr(model.mlp, "forward", broken)
-        result = model.forward(inputs(model, 2 * DEFER_MIN_ROWS))
-        for _ in range(2):  # every read, not only the first
-            with pytest.raises(FloatingPointError, match="tower failed"):
-                result.probabilities
-        monkeypatch.undo()
-        x = inputs(model, 2 * DEFER_MIN_ROWS, seed=1)
-        np.testing.assert_array_equal(
-            model.forward(x).probabilities, inline(model, x)
-        )
-
-    def test_exception_surfaces_at_the_end_of_serve(
-        self, served, monkeypatch
-    ):
-        server, requests = served
-        clone = copy.deepcopy(server)
-
-        def broken(x):
-            raise FloatingPointError("tower failed")
-
-        monkeypatch.setattr(clone.engine.model.mlp, "forward", broken)
-        with pytest.raises(FloatingPointError, match="tower failed"):
-            clone.serve(requests)
+        assert submitted == []
 
 
 class TestInFlightBound:
-    def test_forward_blocks_once_the_bound_is_outstanding(self, monkeypatch):
-        model = small_model()
-        gate = threading.Event()
-        tower = model.mlp.forward
-
-        def gated(x):
-            assert gate.wait(TIMEOUT)
-            return tower(x)
-
-        monkeypatch.setattr(model.mlp, "forward", gated)
-        xs = [
-            inputs(model, DEFER_MIN_ROWS, seed=i)
-            for i in range(MAX_IN_FLIGHT + 1)
-        ]
-        # The bound's worth of forwards return at once, values pending.
-        results = [model.forward(x) for x in xs[:MAX_IN_FLIGHT]]
+    def test_forward_blocks_once_the_bound_is_outstanding(self):
+        worker, model = started_worker()
+        xs = [inputs(model, 64, seed=i) for i in range(MAX_IN_FLIGHT + 1)]
         extra = []
         caller = threading.Thread(
             target=lambda: extra.append(model.forward(xs[-1])), daemon=True
         )
-        try:
+        with child_stopped(worker):
+            # The bound's worth of forwards return at once, values pending.
+            results = [model.forward(x) for x in xs[:MAX_IN_FLIGHT]]
             caller.start()
             caller.join(0.3)
             assert caller.is_alive(), "one forward too many was admitted"
-        finally:
-            gate.set()
         caller.join(TIMEOUT)
         assert not caller.is_alive()
         for x, result in zip(xs, results + extra):
@@ -172,9 +212,24 @@ class TestInFlightBound:
                 result.probabilities, inline(model, x)
             )
 
+    def test_a_slot_grows_with_forwards_in_flight(self):
+        worker, model = started_worker()
+        before = [segment.size for segment in worker._slots]
+        small = [inputs(model, 8, seed=i) for i in range(MAX_IN_FLIGHT - 1)]
+        large = inputs(model, 1 + max(before) // (4 * model.input_dim))
+        assert large.nbytes > max(before)
+        with child_stopped(worker):
+            results = [model.forward(x) for x in small + [large]]
+        for x, result in zip(small + [large], results):
+            np.testing.assert_array_equal(
+                result.probabilities, inline(model, x)
+            )
+        assert max(s.size for s in worker._slots) >= large.nbytes
+        assert worker is dcn._dense_worker()
+
     def test_many_callers_under_a_short_switch_interval(self):
         model = small_model()
-        xs = [inputs(model, DEFER_MIN_ROWS + i, seed=i) for i in range(24)]
+        xs = [inputs(model, 20 + i, seed=i) for i in range(24)]
         expected = [inline(model, x) for x in xs]
         got = [None] * len(xs)
         failures = []
@@ -205,19 +260,125 @@ class TestInFlightBound:
             np.testing.assert_array_equal(a, b)
 
 
+class TestWorkerFailure:
+    def test_exception_surfaces_where_the_value_is_read(self):
+        model = broken_model()
+        with pytest.raises(ValueError):
+            inline(model, inputs(model, 20))
+        result = model.forward(inputs(model, 20))
+        for _ in range(2):  # every read, not only the first
+            with pytest.raises(ValueError, match="matmul"):
+                result.probabilities
+        assert not model._forward_memo
+        # The child is the same one, and still answers.
+        healthy = small_model()
+        x = inputs(healthy, 20, seed=1)
+        worker = dcn._dense_worker()
+        np.testing.assert_array_equal(
+            healthy.forward(x).probabilities, inline(healthy, x)
+        )
+        assert dcn._dense_worker() is worker
+
+    def test_a_dead_child_raises_where_the_value_is_read(self):
+        worker, model = started_worker()
+        with child_stopped(worker):
+            results = [model.forward(inputs(model, 8, s)) for s in range(2)]
+            os.kill(worker.pid, signal.SIGKILL)
+        for result in results:
+            for _ in range(2):
+                with pytest.raises(DenseWorkerError, match="dense worker"):
+                    result.probabilities
+        assert issubclass(DenseWorkerError, ReproError)
+        # No inline fallback, and no corpse: the next forward starts a
+        # new child.
+        x = inputs(model, 8, seed=9)
+        np.testing.assert_array_equal(
+            model.forward(x).probabilities, inline(model, x)
+        )
+        assert dcn._dense_worker() is not worker
+
+    def test_a_silent_child_raises_within_the_timeout(self, monkeypatch):
+        worker, model = started_worker()
+        monkeypatch.setattr(dcn, "ANSWER_TIMEOUT", 0.3)
+        with child_stopped(worker):
+            result = model.forward(inputs(model, 8))
+            started = time.monotonic()
+            with pytest.raises(DenseWorkerError, match="did not answer"):
+                result.probabilities
+            assert time.monotonic() - started < TIMEOUT
+        assert dcn._dense_worker() is not worker
+
+    def test_a_silent_child_ends_serve(self, served, monkeypatch):
+        server, requests = served
+        worker, _ = started_worker()
+        monkeypatch.setattr(dcn, "ANSWER_TIMEOUT", 0.3)
+        with child_stopped(worker):
+            with pytest.raises(DenseWorkerError, match="dense worker"):
+                copy.deepcopy(server).serve(requests)
+
+    def test_a_dead_child_ends_serve(self, served):
+        server, requests = served
+        worker, _ = started_worker()
+        os.kill(worker.pid, signal.SIGKILL)
+        with pytest.raises(DenseWorkerError, match="dense worker"):
+            copy.deepcopy(server).serve(requests)
+
+    def test_exception_surfaces_at_the_end_of_serve(self, hw):
+        server, requests = build_server(hw, broken_model())
+        with pytest.raises(ValueError, match="matmul"):
+            server.serve(requests)
+
+    def test_exception_in_any_batch_surfaces_from_engine_run(
+        self, small_store, small_dataset, small_trace, hw
+    ):
+        def engine(model):
+            layer = FlecheEmbeddingLayer(
+                small_store, FlecheConfig(cache_ratio=0.1), hw
+            )
+            return InferenceEngine(layer, hw, model=model)
+
+        def model():
+            return DeepCrossNetwork(
+                num_tables=small_dataset.num_tables,
+                embedding_dim=small_dataset.dim, hidden_units=(32, 16),
+            )
+
+        batches = list(small_trace)[:5]
+        result = engine(model()).run(batches, Executor(hw), warmup=1)
+        # ``run_batch`` still hands back finished values, and ``run``
+        # still reports the last batch's.
+        _, last, _, _ = engine(model()).run_batch(batches[-1], Executor(hw))
+        assert isinstance(last, np.ndarray)
+        np.testing.assert_array_equal(result.last_probabilities, last)
+        # Only the first measured batch fails; ``run`` reads every handle.
+        healthy, broken = model(), model()
+        broken.mlp.weights[1] = np.zeros((3, 3), dtype=np.float32)
+        towers = [broken]
+        healthy_forward = healthy.forward
+        healthy.forward = lambda x: (
+            towers.pop().forward(x) if towers else healthy_forward(x)
+        )
+        with pytest.raises(ValueError, match="matmul"):
+            engine(healthy).run(batches, Executor(hw), warmup=1)
+        assert not towers
+
+
 class TestFork:
     def test_a_forked_child_starts_its_own_worker(self):
-        """A child inherits the worker object but not its thread."""
-        model = small_model()
-        x = inputs(model, 2 * DEFER_MIN_ROWS)
-        expected = model.forward(x).probabilities  # the parent's worker runs
-        model._forward_memo.clear()
+        worker, model = started_worker()
+        x = inputs(model, 128)
+        expected = inline(model, x)
         pid = os.fork()
         if pid == 0:
             status = 1
             try:
                 values = model.forward(x).probabilities
-                status = 0 if np.array_equal(values, expected) else 2
+                own = dcn._dense_worker()
+                if own is worker or own.pid == worker.pid:
+                    status = 3
+                else:
+                    status = 0 if np.array_equal(values, expected) else 2
+                dcn.stop_dense_worker()
             finally:
                 os._exit(status)
         deadline = time.monotonic() + TIMEOUT
@@ -230,6 +391,72 @@ class TestFork:
             os.waitpid(pid, 0)
             pytest.fail("the child's forward never returned")
         assert os.waitstatus_to_exitcode(status) == 0
+        # The parent's worker was not disturbed.
+        np.testing.assert_array_equal(
+            model.forward(x).probabilities, expected
+        )
+        assert dcn._dense_worker() is worker
+
+class TestLifetime:
+    def test_nothing_is_left_at_interpreter_exit(self, tmp_path):
+        script = tmp_path / "serve_and_exit.py"
+        script.write_text(
+            "import json, os\n"
+            "import numpy as np\n"
+            "from repro import DeepCrossNetwork\n"
+            "from repro.model import dcn\n"
+            "if __name__ == '__main__':\n"
+            "    before = set(os.listdir('/dev/shm'))\n"
+            "    model = DeepCrossNetwork(num_tables=4, embedding_dim=16,\n"
+            "                             hidden_units=(64, 32))\n"
+            "    x = np.ones((300, model.input_dim), dtype=np.float32)\n"
+            "    read = model.forward(x).probabilities\n"
+            "    unread = model.forward(2 * x)\n"
+            "    print(json.dumps({\n"
+            "        'pid': dcn._dense_worker().pid,\n"
+            "        'segments': sorted(set(os.listdir('/dev/shm')) - before),\n"
+            "        'mean': float(read.mean()),\n"
+            "    }))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, str(script)], capture_output=True, text=True,
+            timeout=TIMEOUT, env=dict(os.environ, PYTHONPATH=SRC),
+        )
+        assert done.returncode == 0
+        assert done.stderr == ""
+        report = json.loads(done.stdout)
+        assert report["segments"] and 0.0 < report["mean"] < 1.0
+        assert not set(report["segments"]) & set(os.listdir("/dev/shm"))
+        with pytest.raises(ProcessLookupError):
+            os.kill(report["pid"], 0)
+
+    def test_no_process_until_the_first_forward(self):
+        """Importing starts nothing, and neither does a run that serves
+        no dense model."""
+        code = (
+            "import multiprocessing\n"
+            "import repro\n"
+            "from repro.model import dcn\n"
+            "from repro.serving.arrivals import PoissonArrivals\n"
+            "from repro.serving.pipeline import PipelinedInferenceServer\n"
+            "from repro.workloads.synthetic import uniform_tables_spec\n"
+            "hw = repro.default_platform()\n"
+            "dataset = uniform_tables_spec(num_tables=2, corpus_size=500,\n"
+            "                              alpha=-1.2, dim=8)\n"
+            "layer = repro.FlecheEmbeddingLayer(\n"
+            "    repro.EmbeddingStore(dataset.table_specs(), hw),\n"
+            "    repro.FlecheConfig(cache_ratio=0.1), hw)\n"
+            "model = repro.DeepCrossNetwork(num_tables=2, embedding_dim=8)\n"
+            "server = PipelinedInferenceServer(dataset, layer, hw)\n"
+            "server.serve(PoissonArrivals(dataset, 1e5, seed=1).generate(200))\n"
+            "assert dcn._WORKER is None\n"
+            "assert multiprocessing.active_children() == []\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            timeout=TIMEOUT, env=dict(os.environ, PYTHONPATH=SRC),
+        )
+        assert (done.returncode, done.stderr) == (0, "")
 
 
 # ---------------------------------------------------------------------------
@@ -245,10 +472,8 @@ def digest(report) -> str:
     return sha.hexdigest()
 
 
-@pytest.fixture(scope="module")
-def served(hw):
-    """A warmed depth-2 server whose batches sit on both sides of the
-    cut-off, and the requests to measure it with."""
+def build_server(hw, model=None):
+    """A depth-2 server over a small dataset, and requests to serve."""
     dataset = uniform_tables_spec(
         num_tables=4, corpus_size=2_000, alpha=-1.2, dim=16,
     )
@@ -259,42 +484,69 @@ def served(hw):
     server = PipelinedInferenceServer(
         dataset, layer, hw,
         policy=BatchingPolicy(max_batch_size=128, max_delay=2e-4),
-        model=DeepCrossNetwork(
-            num_tables=dataset.num_tables, embedding_dim=dataset.dim,
-            hidden_units=(64, 32),
-        ),
+        model=model if model is not None else small_model(),
         include_dense=True,
     )
-    server.serve(PoissonArrivals(dataset, 400_000.0, seed=1).generate(600))
-    requests = PoissonArrivals(dataset, 400_000.0, seed=2).generate(1_500)
+    return server, PoissonArrivals(dataset, 400_000.0, seed=2).generate(1_500)
+
+
+@pytest.fixture(scope="module")
+def served(hw):
+    """A warmed depth-2 server whose batches run from a handful of rows
+    to the batching limit, and the requests to measure it with."""
+    server, requests = build_server(hw)
+    server.serve(
+        PoissonArrivals(server.dataset, 400_000.0, seed=1).generate(600)
+    )
     sizes = copy.deepcopy(server).serve(requests).batch_sizes
-    assert min(sizes) < DEFER_MIN_ROWS <= max(sizes)
+    assert min(sizes) < 64 <= max(sizes)
     return server, requests
 
 
 class TestServing:
-    def test_copies_of_a_served_server_serve_the_same_digest(self, served):
+    def test_copies_of_a_served_server_serve_the_same_digest(
+        self, served, monkeypatch
+    ):
         server, requests = served
         first = copy.deepcopy(server)
         report = first.serve(requests)
         assert report.probabilities.shape == (len(requests),)
         # A copy of the warmed server, and a copy of a server that has
-        # just served (its model's memo now holds that run's arrays).
+        # just served (its model's memo now holds that run's arrays):
+        # neither sends the weights again.
+        sent = count_calls(monkeypatch, "_send_tower")
         assert digest(copy.deepcopy(server).serve(requests)) == digest(report)
         again = copy.deepcopy(first)
         assert all(
             isinstance(v, np.ndarray)
             for v in again.engine.model._forward_memo.values()
         )
+        again.serve(requests)
+        assert sent == []
 
-    def test_a_model_copies_while_a_forward_is_pending(self):
-        model = small_model()
-        x = inputs(model, 2 * DEFER_MIN_ROWS)
-        pending = model.forward(x)
-        clone = copy.deepcopy(model)
+    def test_a_model_copies_while_a_forward_is_pending(self, monkeypatch):
+        worker, model = started_worker()
+        x = inputs(model, 128)
+        sent = count_calls(monkeypatch, "_send_tower")
+        with child_stopped(worker):
+            pending = model.forward(x)
+            clone = copy.deepcopy(model)
+            copied = clone.forward(x)
         np.testing.assert_array_equal(
-            clone.forward(x).probabilities, pending.probabilities
+            copied.probabilities, pending.probabilities
         )
+        np.testing.assert_array_equal(copied.probabilities, inline(model, x))
+        assert sent == []
+
+    def test_a_server_copies_while_a_forward_is_pending(self, served):
+        server, requests = served
+        expected = digest(copy.deepcopy(server).serve(requests))
+        worker, model = started_worker()
+        with child_stopped(worker):
+            pending = model.forward(inputs(model, 8, seed=3))
+            clone = copy.deepcopy(server)
+        assert digest(clone.serve(requests)) == expected
+        assert pending.probabilities.shape == (8,)
 
     def test_consecutive_serves_agree(self, served):
         server, requests = served
