@@ -44,6 +44,9 @@ HOT_PATH_FILES = {
     # _row_numbers / lookup / update_rows
     "src/repro/tables/embedding_table.py": 3,
     "src/repro/tables/store.py": 1,        # query_many
+    # TieredParameterStore.query_many; DramCacheLayer.lookup / .refresh
+    # stay unmarked: they loop per key (an OrderedDict LRU)
+    "src/repro/multitier/hierarchy.py": 1,
     # allocate / release / write / read
     "src/repro/mempool/slab_pool.py": 4,
     "src/repro/core/updates.py": 1,        # apply_deltas

@@ -24,7 +24,7 @@ by fusing the per-table :class:`~repro.gpusim.KernelSpec` work into one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -154,8 +154,3 @@ def warp_divergence_free(plan: FusionPlan, warp_size: int = 32) -> bool:
     if per_warp is None:
         return False
     return bool((per_warp == per_warp[:, :1]).all())
-
-
-def unfused_specs(kernels: Sequence[KernelSpec]) -> List[KernelSpec]:
-    """Identity helper making call sites symmetrical with the fused path."""
-    return list(kernels)

@@ -5,7 +5,7 @@ dense features, fed through six cross layers, then a (1024, 1024) MLP and a
 sigmoid output.  :meth:`DeepCrossNetwork.forward` is a real numpy forward
 pass; :meth:`kernels` lists the dense-part kernels for the timing model.
 
-The forward pass of every batch runs in one process-wide worker *process*
+The forward pass of a batch runs in one process-wide worker *process*
 (:class:`_DenseWorker`): the GEMMs of batch ``i`` overlap the Python cache
 path of batch ``i + 1`` the way the simulated GPU overlaps the simulated
 host thread, and a process has no interpreter lock to share with it.  The
@@ -13,6 +13,17 @@ child holds a copy of each model's cross + MLP towers and runs the same
 ``mlp.forward(cross.forward(x))`` on the same values, one batch at a time
 and in submission order, so every probability is bit for bit what an
 inline pass computes.
+
+The child owes at most ``MAX_IN_FLIGHT`` forwards.  A ``forward`` that
+finds all of them still owed — after taking every answer the child has
+already sent — does not wait: the calling thread runs the same
+``mlp.forward(cross.forward(x))`` itself, outside the worker's lock, so
+both processes compute GEMMs while the child is the bottleneck.  The
+child computes with the parent's BLAS thread count, which is what keeps
+the two placements bit-equal.  The forwards a dead or silent child owes
+are never recomputed this way: they raise
+:class:`~repro.errors.DenseWorkerError`, as does a ``forward`` that finds
+the child dead.
 
 The child is created with the ``spawn`` start method, which re-imports the
 parent's main module: a script that serves needs the usual
@@ -22,6 +33,7 @@ parent's main module: a script that serves needs the usual
 from __future__ import annotations
 
 import atexit
+import ctypes
 import hashlib
 import itertools
 import multiprocessing
@@ -44,8 +56,8 @@ from .mlp import MLP
 
 #: Forwards handed to the worker and not yet computed: the number of
 #: shared-memory input slots.  Each holds one input (~1 MB at 512 rows);
-#: ``forward`` blocks while all are in use, so a fast simulator thread
-#: cannot queue a run's worth of inputs.
+#: while all are in use ``forward`` computes in the caller, so a fast
+#: simulator thread neither queues a run's worth of inputs nor waits.
 MAX_IN_FLIGHT = 3
 
 #: Models whose towers the child holds (~6 MB each at the paper's sizes);
@@ -72,8 +84,40 @@ def _send(conn, message: tuple) -> None:
     conn.send_bytes(pickle.dumps(message, pickle.HIGHEST_PROTOCOL))
 
 
+def _blas_threads(threads: Optional[int] = None) -> Optional[int]:
+    """The number of threads numpy's OpenBLAS splits a GEMM over in this
+    process, after setting it to ``threads`` if given; ``None`` when
+    numpy's BLAS is not an OpenBLAS whose controls can be reached.
+
+    The count changes the bits of a GEMM, and the variables that choose
+    it (``OPENBLAS_NUM_THREADS`` …) are read once, when numpy loads: a
+    program that sets them after importing numpy leaves its own count
+    and a spawned child's apart.  So the child takes the parent's count,
+    and a caller-computed forward equals a child-computed one.
+    """
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    try:
+        library = ctypes.CDLL(umath.__file__)
+    except OSError:
+        return None
+    for prefix, suffix in itertools.product(("scipy_", ""), ("64_", "")):
+        try:
+            get = getattr(library, f"{prefix}openblas_get_num_threads{suffix}")
+            put = getattr(library, f"{prefix}openblas_set_num_threads{suffix}")
+        except AttributeError:
+            continue
+        if threads is not None:
+            put(ctypes.c_int(threads))
+        return get()
+    return None
+
+
 class _Pending:
-    """One forward the dense worker owes; ``result`` waits for it."""
+    """One forward's outcome: owed by the dense worker until ``done`` (and
+    ``result`` waits for it), or computed by the caller and done at once."""
 
     __slots__ = ("_worker", "_value", "_error")
 
@@ -107,7 +151,7 @@ class _DenseWorker:
         context = multiprocessing.get_context("spawn")
         self._conn, child_conn = context.Pipe()
         self._process = context.Process(
-            target=_serve_forwards, args=(child_conn,),
+            target=_serve_forwards, args=(child_conn, _blas_threads()),
             name="dense-forward", daemon=True,
         )
         self._process.start()
@@ -126,26 +170,25 @@ class _DenseWorker:
         self._failure: Optional[DenseWorkerError] = None
 
     def submit(self, model: "DeepCrossNetwork", x: np.ndarray) -> _Pending:
-        """Copy C-contiguous ``x`` into a free slot (waiting for one) and
-        queue ``model``'s forward over it."""
+        """``model``'s forward over C-contiguous ``x``, never waiting.
+
+        Answers the child has already sent are taken first.  If a slot is
+        then free, ``x`` is copied into it and the forward queued for the
+        child; if all ``MAX_IN_FLIGHT`` are still owed, the calling thread
+        computes it, outside the lock, and the result is done at once.  An
+        exception from that computation is kept for the reader, as the
+        child's would be.
+        """
         pending = _Pending(self)
         with self._lock:
             if self._failure is not None:
                 raise self._failure
             try:
-                tower = model._tower_id
-                if tower not in self._towers:
-                    self._send_tower(tower, model)
-                self._towers.move_to_end(tower)
-                slot = self._claim(max(x.nbytes, 4 * len(x)))
-                segment = self._slots[slot]
-                np.ndarray(x.shape, x.dtype, buffer=segment.buf)[...] = x
-                ticket = next(self._tickets)
-                self._in_flight[ticket] = (pending, slot)
-                _send(self._conn, (
-                    "forward", ticket, tower, slot, segment.name,
-                    x.shape, x.dtype.str,
-                ))
+                while self._conn.poll(0):
+                    self._receive()
+                if self._free:
+                    self._queue(pending, model, x)
+                    return pending
             except OSError as exc:  # a broken pipe: the child is gone
                 raise self._fail(f"could not be reached ({exc!r})") from exc
             except BaseException:
@@ -153,7 +196,26 @@ class _DenseWorker:
                 if self._failure is None:
                     self._fail("was stopped: a submission was interrupted")
                 raise
+        try:
+            pending._value = _run_tower((model.cross, model.mlp), x)
+        except Exception as exc:
+            pending._error = exc
         return pending
+
+    def _queue(self, pending: _Pending, model: "DeepCrossNetwork", x) -> None:
+        """Copy ``x`` into a free slot and send the child its forward."""
+        tower = model._tower_id
+        if tower not in self._towers:
+            self._send_tower(tower, model)
+        self._towers.move_to_end(tower)
+        slot = self._claim(max(x.nbytes, 4 * len(x)))
+        segment = self._slots[slot]
+        np.ndarray(x.shape, x.dtype, buffer=segment.buf)[...] = x
+        ticket = next(self._tickets)
+        self._in_flight[ticket] = (pending, slot)
+        _send(self._conn, (
+            "forward", ticket, tower, slot, segment.name, x.shape, x.dtype.str,
+        ))
 
     def wait_for(self, pending: _Pending) -> None:
         with self._lock:
@@ -179,10 +241,7 @@ class _DenseWorker:
         _send(self._conn, ("tower", tower, segment.name, len(blob), dropped))
 
     def _claim(self, nbytes: int) -> int:
-        """A free slot of at least ``nbytes``, waiting while the child has
-        ``MAX_IN_FLIGHT`` forwards to compute."""
-        while not self._free:
-            self._receive()
+        """Take a free slot (one must be) and grow it to ``nbytes``."""
         slot = self._free.pop()
         segment = self._slots[slot]
         if segment is None or segment.size < nbytes:
@@ -240,11 +299,14 @@ class _DenseWorker:
         return error
 
 
-def _serve_forwards(conn) -> None:
-    """Main of the dense worker process: load towers and compute forwards
-    in the order the parent sent them, until the parent is gone."""
+def _serve_forwards(conn, blas_threads: Optional[int]) -> None:
+    """Main of the dense worker process: compute with the parent's BLAS
+    thread count, load towers and compute forwards in the order the parent
+    sent them, until the parent is gone."""
     # Ctrl-C reaches the whole process group; the parent decides.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    if blas_threads is not None:
+        _blas_threads(blas_threads)
     towers: dict = {}
     slots: dict = {}
     while True:
@@ -277,11 +339,16 @@ def _serve_forwards(conn) -> None:
         _send(conn, reply)
 
 
+def _run_tower(tower, x: np.ndarray) -> np.ndarray:
+    """The dense forward itself, wherever it runs: child or caller."""
+    cross, mlp = tower
+    return mlp.forward(cross.forward(x))
+
+
 def _forward_in_place(tower, buffer, shape, dtype) -> tuple:
     """Run ``tower`` on the input held in ``buffer`` and leave the
     probabilities there; returns their (shape, dtype)."""
-    cross, mlp = tower
-    out = mlp.forward(cross.forward(np.ndarray(shape, dtype, buffer=buffer)))
+    out = _run_tower(tower, np.ndarray(shape, dtype, buffer=buffer))
     np.ndarray(out.shape, out.dtype, buffer=buffer)[...] = out
     return out.shape, out.dtype.str
 
@@ -327,10 +394,13 @@ class DenseForwardResult:
     """Output of the dense part for one batch.
 
     ``probabilities`` may still be computing in the dense worker process;
-    the first read waits for it, and every read raises what the worker's
-    forward raised, or :class:`~repro.errors.DenseWorkerError` if the
-    worker died.  ``flops`` is known at once.  Built from a finished
-    array by models that compute inline.
+    the first read waits for it, and every read raises what the forward
+    raised, or :class:`~repro.errors.DenseWorkerError` if the worker died.
+    A forward the caller computed because the worker's slots were full is
+    finished when ``forward`` returns and fails the same way: its
+    exception is raised on every read, never from ``forward``, and
+    nothing failed is memoised.  ``flops`` is known at once.  Built from
+    a finished array by models that compute inline.
     """
 
     __slots__ = ("flops", "_probabilities", "_pending", "_on_ready")
@@ -436,8 +506,10 @@ class DeepCrossNetwork:
         """Run the dense part on concatenated inputs ``x`` (B x input_dim).
 
         The cross + MLP computation runs in the dense worker process on a
-        copy of ``x`` taken here; the result's ``probabilities`` waits for
-        it on first read.
+        copy of ``x`` taken here, and the result's ``probabilities`` waits
+        for it on first read — unless the worker already owes
+        ``MAX_IN_FLIGHT`` forwards: then it runs on this thread, before
+        ``forward`` returns.
         """
         if x.shape[1] != self.input_dim:
             raise ConfigError(

@@ -347,6 +347,7 @@ class TieredParameterStore(Observable):
         )
         return StoreQueryResult(vectors=vectors, cost=cost)
 
+    # hot-path: vectorized
     def query_many(
         self,
         table_ids: np.ndarray,
@@ -381,7 +382,7 @@ class TieredParameterStore(Observable):
         payload = 0
         self._held_evictions = []
         try:
-            for table_id in tables:
+            for table_id in tables:  # lint: allow-loop (per table in the batch)
                 mask = table_ids == table_id
                 got, fetch_time = self._tier_lookup(
                     int(table_id), feature_ids[mask]

@@ -1,11 +1,13 @@
 """The dense forward in a worker process: same bits, bounded, and loud.
 
-``DeepCrossNetwork.forward`` hands every batch to one child process and
-returns a handle that waits on first read (``repro/model/dcn.py``).  These
-tests hold the child to an inline computation bit for bit at every size,
-and exercise what a second process adds: the in-flight bound, slots that
-grow, exceptions and deaths that must cross the pipe, deep copies, forks,
-threads, and an interpreter exit that leaves nothing behind.
+``DeepCrossNetwork.forward`` hands a batch to one child process and
+returns a handle that waits on first read, or — when the child already
+owes ``MAX_IN_FLIGHT`` forwards — computes it in the caller
+(``repro/model/dcn.py``).  These tests hold both placements to an inline
+computation bit for bit at every size, and exercise what a second process
+adds: the in-flight bound, slots that grow, exceptions and deaths that
+must cross the pipe, deep copies, forks, threads, and an interpreter exit
+that leaves nothing behind.
 
 The child is stopped with ``SIGSTOP`` where a test needs forwards that are
 submitted and not yet computed; every wait in this file has a timeout.
@@ -33,6 +35,7 @@ from repro.core.workflow import FlecheEmbeddingLayer
 from repro.errors import DenseWorkerError, ReproError
 from repro.gpusim.executor import Executor
 from repro.model import dcn
+from repro.model.cross import CrossNetwork
 from repro.model.dcn import MAX_IN_FLIGHT
 from repro.serving.arrivals import PoissonArrivals
 from repro.serving.batcher import BatchingPolicy
@@ -71,12 +74,16 @@ def inline(model, x):
 
 
 def started_worker():
-    """The running worker, with the slots and the tower of a small model
-    in place (so a test that stops the child sends it nothing large)."""
+    """The running worker, owing nothing, with the slots and the tower of
+    a small model in place (so a test that stops the child sends it
+    nothing large)."""
     model = small_model()
     for seed in range(MAX_IN_FLIGHT):
         model.forward(inputs(model, 2, seed)).probabilities
-    return dcn._dense_worker(), model
+    worker = dcn._dense_worker()
+    for pending, _ in list(worker._in_flight.values()):
+        worker.wait_for(pending)  # forwards an earlier test left unread
+    return worker, model
 
 
 @contextlib.contextmanager
@@ -90,9 +97,40 @@ def child_stopped(worker):
             os.kill(worker.pid, signal.SIGCONT)
 
 
+def fill_slots(model):
+    """Forwards of ``model`` until the child owes ``MAX_IN_FLIGHT``; with
+    the child stopped, the next forward is computed by the caller."""
+    return [
+        model.forward(inputs(model, 3, seed=100 + i))
+        for i in range(MAX_IN_FLIGHT)
+    ]
+
+
+def in_caller(result) -> bool:
+    """Whether ``forward`` computed ``result`` in this process: one queued
+    for the child is unfinished until a later call takes its answer."""
+    return result._pending.done()
+
+
+def forward_in(placement, model, x):
+    """``model.forward(x)``, computed by the ``"child"`` or the
+    ``"caller"`` (behind three forwards the stopped child owes)."""
+    if placement == "child":
+        result = model.forward(x)
+    else:
+        worker, filler = started_worker()
+        with child_stopped(worker):
+            queued = fill_slots(filler)
+            result = model.forward(x)
+        for owed in queued:
+            owed.probabilities
+    assert in_caller(result) == (placement == "caller")
+    return result
+
+
 def count_calls(monkeypatch, name):
-    """Count calls of ``_DenseWorker.<name>`` (everything sent to the
-    child goes through ``submit``; weights through ``_send_tower``)."""
+    """Count calls of ``_DenseWorker.<name>`` (every forward that misses
+    the memo goes through ``submit``; weights through ``_send_tower``)."""
     calls = []
     original = getattr(dcn._DenseWorker, name)
 
@@ -104,20 +142,25 @@ def count_calls(monkeypatch, name):
     return calls
 
 
-class TestSameBits:
+class _BitEqualityCases:
+    """The bit-equality cases, parametrised by where the forward runs:
+    each subclass sets ``placement`` (a class, not a parametrize mark, so
+    the child's cases keep their test ids)."""
+
+    placement = "child"
+
+    def forward(self, model, x):
+        return forward_in(self.placement, model, x)
+
     @pytest.mark.parametrize("rows", [1, 25, 63, 64, 65, 511, 512])
-    def test_equal_to_inline_on_both_sides_of_the_cut_off(
-        self, rows, monkeypatch
-    ):
-        """The thread this process replaced took 64 rows or more; the
-        process takes every size."""
+    def test_equal_to_inline_on_both_sides_of_the_cut_off(self, rows):
+        """The thread this process replaced took 64 rows or more; both
+        placements take every size."""
         model = small_model()
         x = inputs(model, rows)
-        submitted = count_calls(monkeypatch, "submit")
-        result = model.forward(x)
+        result = self.forward(model, x)
         np.testing.assert_array_equal(result.probabilities, inline(model, x))
         assert result.flops == model.flops(rows)
-        assert len(submitted) == 1  # one path: no size computes inline
 
     @pytest.mark.parametrize("rows", [32, 256])
     def test_non_contiguous_input(self, rows):
@@ -125,13 +168,13 @@ class TestSameBits:
         x = inputs(model, 2 * rows)[::2]
         assert not x.flags.c_contiguous
         np.testing.assert_array_equal(
-            model.forward(x).probabilities, inline(model, x)
+            self.forward(model, x).probabilities, inline(model, x)
         )
 
     def test_float64_input(self):
         model = small_model()
         x = inputs(model, 40).astype(np.float64)
-        values = model.forward(x).probabilities
+        values = self.forward(model, x).probabilities
         np.testing.assert_array_equal(values, inline(model, x))
         assert values.dtype == inline(model, x).dtype
 
@@ -139,9 +182,15 @@ class TestSameBits:
         model = DeepCrossNetwork(num_tables=8, embedding_dim=64)
         x = inputs(model, 512)
         np.testing.assert_array_equal(
-            model.forward(x).probabilities, inline(model, x)
+            self.forward(model, x).probabilities, inline(model, x)
         )
 
+
+class TestSameBitsInTheCaller(_BitEqualityCases):
+    placement = "caller"
+
+
+class TestSameBits(_BitEqualityCases):
     def test_input_is_copied_at_the_call(self):
         worker, model = started_worker()
         x = inputs(model, 30)
@@ -192,22 +241,24 @@ class TestSameBits:
 
 
 class TestInFlightBound:
-    def test_forward_blocks_once_the_bound_is_outstanding(self):
+    def test_the_fourth_forward_is_computed_by_the_caller(self, monkeypatch):
         worker, model = started_worker()
+        # A forward that waited for the stopped child would fail fast.
+        monkeypatch.setattr(dcn, "ANSWER_TIMEOUT", 5.0)
         xs = [inputs(model, 64, seed=i) for i in range(MAX_IN_FLIGHT + 1)]
-        extra = []
-        caller = threading.Thread(
-            target=lambda: extra.append(model.forward(xs[-1])), daemon=True
-        )
         with child_stopped(worker):
             # The bound's worth of forwards return at once, values pending.
-            results = [model.forward(x) for x in xs[:MAX_IN_FLIGHT]]
-            caller.start()
-            caller.join(0.3)
-            assert caller.is_alive(), "one forward too many was admitted"
-        caller.join(TIMEOUT)
-        assert not caller.is_alive()
-        for x, result in zip(xs, results + extra):
+            queued = [model.forward(x) for x in xs[:MAX_IN_FLIGHT]]
+            # The next one does not wait: it comes back finished, readable
+            # while the child cannot compute anything.
+            extra = model.forward(xs[-1])
+            assert in_caller(extra)
+            np.testing.assert_array_equal(
+                extra.probabilities, inline(model, xs[-1])
+            )
+            owed = [pending for pending, _ in worker._in_flight.values()]
+            assert owed == [result._pending for result in queued]
+        for x, result in zip(xs, queued):
             np.testing.assert_array_equal(
                 result.probabilities, inline(model, x)
             )
@@ -258,6 +309,136 @@ class TestInFlightBound:
         assert not failures
         for a, b in zip(got, expected):
             np.testing.assert_array_equal(a, b)
+
+
+def gate_cross(model, gate, entered):
+    """Make ``model``'s cross layers wait for ``gate`` before computing
+    (in this process only: the function cannot be sent to the child)."""
+    compute = model.cross.forward
+
+    def forward(x):
+        entered.set()
+        if not gate.wait(TIMEOUT):
+            raise TimeoutError("the gate never opened")
+        return compute(x)
+
+    model.cross.forward = forward
+
+
+class TestCallerRuns:
+    def test_an_answer_already_sent_frees_its_slot_first(self):
+        worker, model = started_worker()
+        xs = [inputs(model, 16, seed=i) for i in range(MAX_IN_FLIGHT + 1)]
+        with child_stopped(worker):
+            queued = [model.forward(x) for x in xs[:MAX_IN_FLIGHT]]
+        assert worker._conn.poll(TIMEOUT), "the child sent no answer"
+        # Nobody has read that answer, yet the next forward finds its
+        # slot free and goes to the child.
+        last = model.forward(xs[-1])
+        assert not in_caller(last)
+        for x, result in zip(xs, queued + [last]):
+            np.testing.assert_array_equal(
+                result.probabilities, inline(model, x)
+            )
+
+    def test_an_exception_is_raised_on_every_read_and_not_memoised(self):
+        model = broken_model()
+        result = forward_in("caller", model, inputs(model, 20))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="matmul"):
+                result.probabilities
+        assert not model._forward_memo
+
+    def test_a_killed_child_raises_and_the_caller_computes_nothing(
+        self, monkeypatch
+    ):
+        worker, model = started_worker()
+        computed = []
+        original = CrossNetwork.forward
+
+        def counted(self, x):
+            computed.append(len(x))
+            return original(self, x)
+
+        with child_stopped(worker):
+            queued = fill_slots(model)
+            os.kill(worker.pid, signal.SIGKILL)
+            assert worker._conn.poll(TIMEOUT), "the pipe stayed open"
+            monkeypatch.setattr(CrossNetwork, "forward", counted)
+            with pytest.raises(DenseWorkerError, match="dense worker"):
+                model.forward(inputs(model, 8, seed=9))
+        assert computed == []
+        for result in queued:
+            with pytest.raises(DenseWorkerError, match="dense worker"):
+                result.probabilities
+        assert dcn._dense_worker() is not worker
+
+    def test_the_caller_computes_without_the_lock(self):
+        """A caller-side forward held inside its cross layers does not
+        keep another thread's forward from reaching the child."""
+        worker, filler = started_worker()
+        gate, entered = threading.Event(), threading.Event()
+        gated = small_model(seed=11)
+        x = inputs(gated, 40)
+        expected = inline(gated, x)
+        gate_cross(gated, gate, entered)
+        y = inputs(filler, 30, seed=5)
+        got = {}
+        held = threading.Thread(
+            target=lambda: got.update(held=gated.forward(x)), daemon=True
+        )
+        other = threading.Thread(
+            target=lambda: got.update(other=filler.forward(y)), daemon=True
+        )
+        try:
+            with child_stopped(worker):
+                queued = fill_slots(filler)
+                held.start()
+                assert entered.wait(TIMEOUT), "the caller never computed"
+            assert worker._conn.poll(TIMEOUT), "the child sent no answer"
+            other.start()
+            other.join(TIMEOUT)
+            assert not other.is_alive(), "the caller's forward held the lock"
+            assert not in_caller(got["other"])
+            np.testing.assert_array_equal(
+                got["other"].probabilities, inline(filler, y)
+            )
+        finally:
+            gate.set()
+        held.join(TIMEOUT)
+        assert not held.is_alive()
+        assert in_caller(got["held"])
+        np.testing.assert_array_equal(got["held"].probabilities, expected)
+        for result in queued:
+            result.probabilities
+
+    def test_the_child_computes_with_the_callers_blas_threads(self):
+        """numpy reads the BLAS thread count once, at import; a program
+        that changes the variable afterwards must not leave its child on
+        another count (the paper tower's bits depend on it)."""
+        code = (
+            "import os\n"
+            "import numpy as np\n"
+            "os.environ['OPENBLAS_NUM_THREADS'] = '1'  # the child's env\n"
+            "from repro import DeepCrossNetwork\n"
+            "from repro.model import dcn\n"
+            "model = DeepCrossNetwork(num_tables=8, embedding_dim=64)\n"
+            "x = np.random.default_rng(0).standard_normal(\n"
+            "    (64, model.input_dim)).astype(np.float32)\n"
+            "child = model.forward(x).probabilities\n"
+            "here = dcn._run_tower((model.cross, model.mlp), x)\n"
+            "print(dcn._blas_threads(), int((child != here).sum()))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            timeout=TIMEOUT,
+            env=dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS="2"),
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        threads, differing = done.stdout.split()
+        if threads != "2":
+            pytest.skip(f"numpy's BLAS runs {threads} threads here, not 2")
+        assert differing == "0"
 
 
 class TestWorkerFailure:
