@@ -12,7 +12,7 @@ from repro import Executor, FlecheConfig
 from repro.bench.reporting import emit, format_table, format_time
 from repro.core.config import FlecheConfig
 from repro.core.workflow import FlecheEmbeddingLayer
-from repro.multigpu.cluster import MultiGpuFlatCache
+from repro.multigpu.model_parallel import MultiGpuFlatCache
 from repro.multitier.hierarchy import TieredParameterStore
 from repro.tables.embedding_table import reference_vectors
 from repro.tables.table_spec import make_table_specs

@@ -37,6 +37,10 @@ HOT_PATH_FILES = {
     # _run_streams / _merge
     "src/repro/cluster/router.py": 5,
     "src/repro/cluster/health.py": 1,     # routable_many
+    # _routing_keys; the hash and table-shard primary_many.
+    # LeastOutstandingPolicy.primary_many stays unmarked: it walks the
+    # stream, each choice depending on the ones before it
+    "src/repro/cluster/routing.py": 3,
     "src/repro/faults/schedule.py": 2,    # crashed_many / slow_factor_many
     "src/repro/serving/batcher.py": 1,    # form_batches
     # lookup / insert / _insert_round / erase

@@ -9,17 +9,17 @@ separated from execution so a run stays a pure function of
    precomputes every replica's health timeline from the fault schedule.
 2. **Plan** — every send of the run becomes one row of a dispatch
    table held as columns (``index, replica, incarnation, at, kind_rank,
-   cause, finish, valid, pos``).  The routing policy names the
-   primaries; crash windows turn sends into lost ones (re-sent to the
-   next live replica after ``dispatch_timeout``, or at once when the
-   per-replica circuit breaker is open); detected-dead and suspect
-   windows fail over at dispatch time; slowdown windows add a
-   cross-replica hedge copy after ``hedge_delay``.  A policy that
-   answers ``primary_many`` is planned as array masks over the whole
-   stream, faults or not — only the breakers, whose state depends on
-   request order, are advanced one request at a time.  A policy that
-   cannot (``least-outstanding`` chooses from its dispatch history) is
-   planned request by request into the same columns.
+   cause, finish, valid, pos``).  The routing policy names every
+   primary of the stream in one ``primary_many`` call, given which
+   replicas are routable at each arrival; crash windows turn sends into
+   lost ones (re-sent to the next live replica after
+   ``dispatch_timeout``, or at once when the per-replica circuit
+   breaker is open); detected-dead and suspect windows fail over at
+   dispatch time; slowdown windows add a cross-replica hedge copy after
+   ``hedge_delay``.  One planner turns those owners into array masks
+   over the whole stream, for every policy, faults or not — only the
+   breakers, whose state depends on request order, are advanced one
+   request at a time.
 3. **Execute** — the rows are grouped into ``(replica, incarnation)``
    streams ordered by ``(at, request_id)``, each served through its own
    :class:`~repro.serving.pipeline.PipelinedInferenceServer`, and
@@ -474,21 +474,12 @@ class ClusterRouter(Observable):
             restart_at[r] = self._restart_at(episode)
         return _DispatchTable(restart_at)
 
-    def _fallback_target(self, owner: int, at: float) -> Optional[int]:
-        """Next replica on the ring that is routable *and* actually up."""
-        for k in range(1, self.config.num_replicas):
-            cand = (owner + k) % self.config.num_replicas
-            if self.health[cand].routable_at(at) and not (
-                self.schedule.replica_crashed(cand, at)
-            ):
-                return cand
-        return None
-
     # hot-path: vectorized
     def _fallback_targets(
         self, owners: np.ndarray, at: np.ndarray
     ) -> np.ndarray:
-        """:meth:`_fallback_target` for arrays; -1 where no replica is up."""
+        """Per send, the next replica after its owner on the ring that is
+        routable *and* actually up at ``at``; -1 where none is."""
         num = self.config.num_replicas
         live = np.stack([
             self.health[r].routable_many(at)
@@ -508,15 +499,17 @@ class ClusterRouter(Observable):
         self,
         owners: np.ndarray,
         arrivals: np.ndarray,
+        routable: np.ndarray,
         episodes: Dict[int, _CrashEpisode],
     ) -> _DispatchTable:
         """Plan a whole arrival stream against the precomputed timelines.
 
-        Every branch of :meth:`_plan_per_request` becomes a mask over the
-        stream: where an arrival falls against its owner's crash episode
-        (before it, lost undetected, detected, rejoined) is a comparison,
-        and each replica's health or slowdown one ``searchsorted`` over
-        it.  Only the circuit breakers see requests one at a time.
+        Every case of a send becomes a mask over the stream: where an
+        arrival falls against its owner's crash episode (before it, lost
+        undetected, detected, rejoined) is a comparison, each replica's
+        health is its row of ``routable``, and its slowdown one
+        ``searchsorted`` over the stream.  Only the circuit breakers see
+        requests one at a time.
         """
         cfg = self.config
         t, n = arrivals, len(arrivals)
@@ -543,9 +536,7 @@ class ClusterRouter(Observable):
             # knows to skip the dead replica.
             lost = post & ~rejoined & ~detected
             replicas, every = range(cfg.num_replicas), np.arange(n)
-            steady = ~post & np.stack([
-                self.health[r].routable_many(t) for r in replicas
-            ])[owners, every]
+            steady = ~post & routable[owners, every]
             fast_fail = self._advance_breakers(
                 owners, t, lost, steady & np.isfinite(start[owners])
             )
@@ -614,85 +605,6 @@ class ClusterRouter(Observable):
             else:
                 fast_fail[i] = True
         return fast_fail
-
-    def _plan_per_request(
-        self, requests: Sequence, episodes: Dict[int, _CrashEpisode]
-    ) -> _DispatchTable:
-        """Plan one request at a time, in stream order.
-
-        The path for policies that cannot answer ``primary_many`` —
-        their choice depends on the healthy set at each arrival and on
-        their own dispatch history — and the reference the array
-        planner is tested against.
-        """
-        cfg = self.config
-        reg = self.obs
-        rows: List[Tuple[int, int, float, int, int]] = []
-        for index, request in enumerate(requests):
-            t = request.arrival_time
-            healthy = (
-                [r for r in range(cfg.num_replicas)
-                 if self.health[r].routable_at(t)]
-                if cfg.failover else list(range(cfg.num_replicas))
-            )
-            owner = self.policy.primary(request, healthy)
-            episode = episodes.get(owner)
-            breaker = self.breakers.get(owner)
-            at, cause, hedge = t, "", False
-            if not cfg.failover:
-                # Unrouted baseline: shed while the owner is down or
-                # still replaying after its restart.
-                if episode is not None and (
-                    episode.start <= t < episode.recover_done
-                ):
-                    continue
-            elif episode is not None and t >= episode.start:
-                if t >= episode.rejoin_at:
-                    pass
-                elif t >= episode.detect_at:
-                    cause = "health"
-                elif breaker is not None and not breaker.allow(t):
-                    # Undetected-dead window, breaker open: skip the dead
-                    # replica without waiting out the dispatch timeout.
-                    reg.inc("cluster.breaker_rejections")
-                    cause = "breaker"
-                else:
-                    # The send is lost; the breaker learns from it.
-                    if breaker is not None:
-                        breaker.record(False, t)
-                    reg.inc("cluster.lost_dispatches")
-                    at, cause = t + cfg.dispatch_timeout, "timeout"
-            elif not self.health[owner].routable_at(t):
-                # Suspect/dead from heartbeat loss alone: route away.
-                cause = "health"
-            else:
-                if episode is not None and breaker is not None:
-                    breaker.record(True, t)
-                hedge = cfg.hedge_delay is not None and (
-                    self.schedule.replica_slow_factor(owner, t) > 1.0
-                )
-            sends = [(
-                DISPATCH_FAILOVER if cause else DISPATCH_PRIMARY,
-                self._fallback_target(owner, at) if cause else owner,
-                at, cause,
-            )]
-            if hedge:
-                hedge_at = t + cfg.hedge_delay
-                sends.append((
-                    DISPATCH_HEDGE, self._fallback_target(owner, hedge_at),
-                    hedge_at, "",
-                ))
-            for kind, replica, send_at, why in sends:
-                if replica is not None:
-                    rows.append((
-                        index, replica, send_at,
-                        _KIND_RANK[kind], _CAUSES.index(why),
-                    ))
-                    self.policy.note_dispatch(replica, send_at)
-        table = self._new_table(episodes)
-        if rows:
-            table.append(*(np.array(column) for column in zip(*rows)))
-        return table
 
     # ---------------------------------------------------------- execution
 
@@ -773,17 +685,16 @@ class ClusterRouter(Observable):
             inflight = rows[table.finish[rows] > episode.start]
             table.valid[inflight] = False
             reg.inc("cluster.lost_inflight", len(inflight))
-            target = (
-                self._fallback_target(victim, episode.detect_at)
-                if cfg.failover and isfinite(episode.detect_at) else None
-            )
-            if target is not None and len(inflight):
-                table.append(
-                    table.index[inflight], target, episode.detect_at,
-                    _KIND_RANK[DISPATCH_FAILOVER], _CAUSES.index("inflight"),
-                )
-                for _ in range(len(inflight)):
-                    self.policy.note_dispatch(target, episode.detect_at)
+            if cfg.failover and isfinite(episode.detect_at) and len(inflight):
+                target = self._fallback_targets(
+                    np.array([victim]), np.array([episode.detect_at])
+                )[0]
+                if target >= 0:
+                    table.append(
+                        table.index[inflight], target, episode.detect_at,
+                        _KIND_RANK[DISPATCH_FAILOVER],
+                        _CAUSES.index("inflight"),
+                    )
             replica = self.replicas[victim]
             replica.crash()
             if isfinite(self._restart_at(episode)):
@@ -879,16 +790,16 @@ class ClusterRouter(Observable):
         )
         horizon, episodes = self._detect(arrivals)
 
-        # Plan -> execute -> merge over one dispatch table.  A policy
-        # that names every primary up front is planned as arrays; one
-        # that cannot (its choice depends on dispatch history) is
-        # planned request by request into the same columns.
-        owners = self.policy.primary_many(requests)
-        table = (
-            self._plan_arrays(owners, arrivals, episodes)
-            if owners is not None
-            else self._plan_per_request(requests, episodes)
-        )
+        # Plan -> execute -> merge over one dispatch table.  The policy
+        # names every primary from who is routable at each arrival (every
+        # replica in the unrouted baseline); one planner takes it from
+        # there.
+        routable = np.stack([
+            self.health[r].routable_many(arrivals)
+            for r in range(cfg.num_replicas)
+        ]) if cfg.failover else np.ones((cfg.num_replicas, n), bool)
+        owners = self.policy.primary_many(requests, routable)
+        table = self._plan_arrays(owners, arrivals, routable, episodes)
         tracers = self._execute(
             requests, arrivals, request_ids, table, episodes
         )

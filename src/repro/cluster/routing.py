@@ -1,11 +1,12 @@
 """Pluggable request-routing policies for the serving cluster.
 
-A policy answers one question — *which replica owns this request?* —
-given the set of currently-routable replicas.  Failover and hedging are
-the router's job, not the policy's: when the primary is unhealthy the
-router walks the replica ring itself, so every policy stays a pure
-function of ``(request, healthy set)`` plus, for the load-aware policy,
-its own dispatch history.
+A policy answers one question — *which replica owns each request of
+this stream?* — given which replicas are routable at each arrival, in
+one :meth:`RoutingPolicy.primary_many` call over the whole stream.
+Failover and hedging are the router's job, not the policy's: when the
+primary is unhealthy the router walks the replica ring itself, so every
+policy stays a pure function of ``(requests, routable mask)`` plus, for
+the load-aware policy, its own earlier choices.
 
 Three policies ship, mirroring the partitioning primitives that
 :mod:`repro.multigpu.partition` already provides:
@@ -25,15 +26,15 @@ Three policies ship, mirroring the partitioning primitives that
     table.
 
 ``least-outstanding``
-    Load-aware: dispatch to the routable replica with the fewest
-    dispatches inside a trailing service window, ties broken by lowest
-    replica id.  No cache affinity, best tail behaviour under skew.
+    Load-aware: each request goes to the routable replica that this
+    policy chose as primary the fewest times inside a trailing service
+    window, ties broken by lowest replica id.  No cache affinity.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional, Sequence
+from typing import Deque, List, Optional, Sequence
 
 import numpy as np
 
@@ -46,7 +47,7 @@ POLICY_NAMES = ("hash", "table-shard", "least-outstanding")
 
 
 class RoutingPolicy:
-    """Base class: maps a request to its primary replica."""
+    """Base class: maps each request of a stream to its primary replica."""
 
     name = "base"
 
@@ -55,25 +56,17 @@ class RoutingPolicy:
             raise ConfigError("routing needs at least one replica")
         self.num_replicas = num_replicas
 
-    def primary(self, request: Request, healthy: Sequence[int]) -> int:
-        raise NotImplementedError
-
     def primary_many(
-        self, requests: Sequence[Request]
-    ) -> Optional[np.ndarray]:
-        """Primaries for a whole arrival stream, as one array.
+        self, requests: Sequence[Request], routable: np.ndarray
+    ) -> np.ndarray:
+        """Primaries for a whole arrival stream, as one int64 array.
 
-        A policy answers only if its choice is a pure function of the
-        request — independent of the healthy set and of dispatch
-        history.  The router then plans the stream as arrays, faults or
-        not, and never calls :meth:`note_dispatch`.  Returns None when
-        the policy cannot answer in bulk (load-aware policies); the
-        router then plans request by request.
+        ``routable`` is the ``(num_replicas, len(requests))`` mask of
+        the replicas the router may send each request to (all-True when
+        failover is off).  The router plans the stream from these owners
+        as arrays, faults or not.
         """
-        return None
-
-    def note_dispatch(self, replica: int, at: float) -> None:
-        """Hook for load-aware policies; stateless policies ignore it."""
+        raise NotImplementedError
 
     def _routing_key(self, request: Request, table: int) -> int:
         ids = request.feature_ids[table]
@@ -81,6 +74,7 @@ class RoutingPolicy:
             return request.request_id
         return int(ids[0])
 
+    # hot-path: vectorized
     def _routing_keys(
         self, requests: Sequence[Request], table: int
     ) -> np.ndarray:
@@ -120,16 +114,10 @@ class ConsistentHashPolicy(RoutingPolicy):
         self.routing_table = routing_table
         self._partitioner = HashPartitioner(num_replicas)
 
-    def primary(self, request: Request, healthy: Sequence[int]) -> int:
-        key = np.asarray(
-            [self._routing_key(request, self.routing_table)],
-            dtype=np.uint64,
-        )
-        return int(self._partitioner.owner_of(key)[0])
-
+    # hot-path: vectorized
     def primary_many(
-        self, requests: Sequence[Request]
-    ) -> Optional[np.ndarray]:
+        self, requests: Sequence[Request], routable: np.ndarray
+    ) -> np.ndarray:
         keys = self._routing_keys(requests, self.routing_table)
         return self._partitioner.owner_of(keys)
 
@@ -157,20 +145,18 @@ class TableShardPolicy(RoutingPolicy):
             num_replicas, num_shards, assignment=assignment
         )
 
-    def primary(self, request: Request, healthy: Sequence[int]) -> int:
-        shard = self._routing_key(request, self.routing_table) % self.num_shards
-        return int(self._partitioner.owner_of_tables([shard])[0])
-
+    # hot-path: vectorized
     def primary_many(
-        self, requests: Sequence[Request]
-    ) -> Optional[np.ndarray]:
+        self, requests: Sequence[Request], routable: np.ndarray
+    ) -> np.ndarray:
         keys = self._routing_keys(requests, self.routing_table)
         shards = keys % np.uint64(self.num_shards)
         return self._partitioner.owner_of_tables(shards)
 
 
 class LeastOutstandingPolicy(RoutingPolicy):
-    """Dispatch to the routable replica with the fewest recent dispatches."""
+    """Send each request to the routable replica chosen as primary the
+    fewest times inside the trailing ``service_window``."""
 
     name = "least-outstanding"
 
@@ -179,27 +165,38 @@ class LeastOutstandingPolicy(RoutingPolicy):
         if service_window <= 0:
             raise ConfigError("service_window must be positive")
         self.service_window = service_window
-        self._dispatches: Dict[int, Deque[float]] = {
-            r: deque() for r in range(num_replicas)
-        }
+        #: Per replica, the arrival instants of its recent primary choices.
+        #: Kept across calls, so a stream sees the load its predecessor
+        #: left inside the window.
+        self._choices: List[Deque[float]] = [
+            deque() for _ in range(num_replicas)
+        ]
 
     def _outstanding(self, replica: int, now: float) -> int:
-        window = self._dispatches[replica]
+        window = self._choices[replica]
         while window and window[0] <= now - self.service_window:
             window.popleft()
         return len(window)
 
-    def primary(self, request: Request, healthy: Sequence[int]) -> int:
-        candidates: List[int] = sorted(healthy) or list(
-            range(self.num_replicas)
-        )
-        now = request.arrival_time
-        return min(
-            candidates, key=lambda r: (self._outstanding(r, now), r)
-        )
-
-    def note_dispatch(self, replica: int, at: float) -> None:
-        self._dispatches[replica].append(at)
+    # Not marked hot-path: each choice depends on the choices before it,
+    # so this is one sequential walk over the stream.
+    def primary_many(
+        self, requests: Sequence[Request], routable: np.ndarray
+    ) -> np.ndarray:
+        everyone = range(self.num_replicas)
+        owners = np.empty(len(requests), np.int64)
+        for i, (request, mask) in enumerate(
+            zip(requests, routable.T.tolist())
+        ):
+            now = request.arrival_time
+            # With no routable replica, every replica is a candidate.
+            candidates = [r for r in everyone if mask[r]] or everyone
+            owner = min(
+                candidates, key=lambda r: (self._outstanding(r, now), r)
+            )
+            self._choices[owner].append(now)
+            owners[i] = owner
+        return owners
 
 
 def make_policy(

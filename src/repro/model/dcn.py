@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import atexit
 import ctypes
-import hashlib
 import itertools
 import multiprocessing
 import os
@@ -42,7 +41,6 @@ import pickle
 import signal
 import threading
 from collections import OrderedDict
-from functools import partial
 from multiprocessing import shared_memory
 from typing import List, Optional, Sequence
 
@@ -398,26 +396,23 @@ class DenseForwardResult:
     raised, or :class:`~repro.errors.DenseWorkerError` if the worker died.
     A forward the caller computed because the worker's slots were full is
     finished when ``forward`` returns and fails the same way: its
-    exception is raised on every read, never from ``forward``, and
-    nothing failed is memoised.  ``flops`` is known at once.  Built from
-    a finished array by models that compute inline.
+    exception is raised on every read, never from ``forward``.  ``flops``
+    is known at once.  Built from a finished array by models that compute
+    inline.
     """
 
-    __slots__ = ("flops", "_probabilities", "_pending", "_on_ready")
+    __slots__ = ("flops", "_probabilities", "_pending")
 
     def __init__(self, probabilities: np.ndarray, flops: float):
         self.flops = flops
         self._probabilities = probabilities
         self._pending: Optional[_Pending] = None
-        self._on_ready = None
 
     @classmethod
-    def deferred(cls, pending: _Pending, flops: float, on_ready=None):
-        """A result whose values ``pending`` will deliver; ``on_ready`` is
-        called once with the array, on the thread that first reads it."""
+    def deferred(cls, pending: _Pending, flops: float):
+        """A result whose values ``pending`` will deliver."""
         result = cls(None, flops)
         result._pending = pending
-        result._on_ready = on_ready
         return result
 
     @property
@@ -426,9 +421,6 @@ class DenseForwardResult:
         if pending is not None:
             self._probabilities = pending.result()
             self._pending = None
-            if self._on_ready is not None:
-                self._on_ready(self._probabilities)
-                self._on_ready = None
         return self._probabilities
 
 
@@ -460,16 +452,6 @@ class DeepCrossNetwork:
         self.input_dim = num_tables * embedding_dim + dense_dim
         self.cross = CrossNetwork(self.input_dim, num_cross_layers, seed=seed)
         self.mlp = MLP(self.input_dim, hidden_units, seed=seed + 1)
-        #: Forward-pass memo: input (shape, dtype, content digest) ->
-        #: probabilities.  The dense weights are fixed at construction
-        #: (online refresh streams *embedding* deltas; the dense tower
-        #: never mutates), so the forward pass is a pure function of
-        #: ``x`` — benches that replay the same request stream through
-        #: several server configs reuse each batch's result instead of
-        #: re-running the GEMMs.  Holds finished arrays only, written on
-        #: the thread that reads a result, so a model deep-copies at any
-        #: time.
-        self._forward_memo: dict = {}
         #: Name under which the dense worker holds these towers.  A deep
         #: copy keeps it (the weights never mutate after the first
         #: forward), so the copies a server is restored from send nothing.
@@ -515,26 +497,10 @@ class DeepCrossNetwork:
             raise ConfigError(
                 f"expected input dim {self.input_dim}, got {x.shape[1]}"
             )
-        data = x if x.flags.c_contiguous else np.ascontiguousarray(x)
-        key = (
-            x.shape,
-            str(x.dtype),
-            hashlib.sha1(data).digest(),
-        )
-        flops = self.flops(x.shape[0])
-        probabilities = self._forward_memo.get(key)
-        if probabilities is not None:
-            return DenseForwardResult(probabilities, flops)
         return DenseForwardResult.deferred(
-            _dense_worker().submit(self, data), flops,
-            on_ready=partial(self._remember, key),
+            _dense_worker().submit(self, np.ascontiguousarray(x)),
+            self.flops(x.shape[0]),
         )
-
-    def _remember(self, key: tuple, probabilities: np.ndarray) -> None:
-        memo = self._forward_memo
-        if len(memo) >= 128:
-            memo.clear()
-        memo[key] = probabilities
 
     def kernels(self, batch_size: int) -> List[KernelSpec]:
         """Every dense-part kernel launch for one batch.

@@ -7,14 +7,14 @@ research.  This package builds that extension:
 
 * :mod:`repro.multigpu.partition` — key partitioning strategies mapping
   flat keys onto GPUs (hash sharding, and table sharding for comparison);
-* :mod:`repro.multigpu.cluster` — a model-parallel cluster of flat caches:
-  each GPU owns one shard of the global key space (no duplicated entries),
-  queries scatter to owners and gather results over the inter-GPU
-  interconnect, whose cost is modelled explicitly.
+* :mod:`repro.multigpu.model_parallel` — a model-parallel cluster of flat
+  caches: each GPU owns one shard of the global key space (no duplicated
+  entries), queries scatter to owners and gather results over the
+  inter-GPU interconnect, whose cost is modelled explicitly.
 """
 
 from .partition import HashPartitioner, TablePartitioner
-from .cluster import MultiGpuFlatCache, InterconnectCost
+from .model_parallel import MultiGpuFlatCache, InterconnectCost
 
 __all__ = [
     "HashPartitioner",

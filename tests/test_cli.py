@@ -159,6 +159,19 @@ class TestCommands:
         assert "replica 0 dispatched" in out
         assert "replica 1 dispatched" in out
 
+    def test_cluster_serve_least_outstanding(self, capsys):
+        rc = main([
+            "cluster", "serve", "--replicas", "3", "--corpus", "2000",
+            "--tables", "2", "--dim", "8", "--rate", "50000",
+            "--horizon", "0.015", "--rounds", "4",
+            "--policy", "least-outstanding",
+        ])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "least-outstanding routing" in out
+        for r in range(3):
+            assert f"replica {r} dispatched" in out
+
     def test_cluster_drill_beats_unrouted(self, capsys):
         rc = main([
             "cluster", "drill", "--replicas", "4", "--corpus", "2000",

@@ -21,6 +21,7 @@ from repro.cluster import (
     ClusterRouter,
     HealthConfig,
     HealthMonitor,
+    LeastOutstandingPolicy,
     make_policy,
 )
 from repro.errors import ConfigError, WorkloadError
@@ -146,44 +147,109 @@ class TestHealthStateMachine:
         assert slow_ok > fast_ok
 
 
+def routable_mask(num_replicas, n, replicas=None):
+    """A ``(num_replicas, n)`` mask with ``replicas`` (default: all) set."""
+    mask = np.zeros((num_replicas, n), bool)
+    mask[list(range(num_replicas)) if replicas is None else replicas] = True
+    return mask
+
+
+def least_outstanding_model(arrivals, routable, window):
+    """The policy's definition as a list model: per request, the
+    routable replica (any replica when none is) with the fewest earlier
+    primary choices still inside the window, lowest id on ties."""
+    num, chosen, owners = len(routable), [], []
+    for i, now in enumerate(arrivals):
+        candidates = [r for r in range(num) if routable[r][i]] or range(num)
+        load = [
+            sum(1 for o, at in chosen if o == r and at > now - window)
+            for r in range(num)
+        ]
+        owner = min(candidates, key=lambda r: (load[r], r))
+        chosen.append((owner, now))
+        owners.append(owner)
+    return owners
+
+
 class TestRoutingPolicies:
     @pytest.mark.parametrize(
         "name", ("hash", "table-shard", "least-outstanding")
     )
     def test_primary_deterministic_and_in_range(self, name, requests):
-        policy = make_policy(name, 4)
-        replay = make_policy(name, 4)
-        healthy = list(range(4))
-        for req in requests[:200]:
-            owner = policy.primary(req, healthy)
-            assert 0 <= owner < 4
-            assert replay.primary(req, healthy) == owner
-            policy.note_dispatch(owner, req.arrival_time)
-            replay.note_dispatch(owner, req.arrival_time)
+        stream = requests[:200]
+        mask = routable_mask(4, len(stream))
+        owners = make_policy(name, 4).primary_many(stream, mask)
+        assert owners.dtype == np.int64 and owners.shape == (len(stream),)
+        assert ((0 <= owners) & (owners < 4)).all()
+        replay = make_policy(name, 4).primary_many(stream, mask)
+        assert replay.tolist() == owners.tolist()
+
+    @pytest.mark.parametrize(
+        "name", ("hash", "table-shard", "least-outstanding")
+    )
+    def test_an_all_false_mask_makes_every_replica_a_candidate(
+        self, name, requests
+    ):
+        stream = requests[:200]
+        everyone = make_policy(name, 4).primary_many(
+            stream, routable_mask(4, len(stream))
+        )
+        nobody = make_policy(name, 4).primary_many(
+            stream, np.zeros((4, len(stream)), bool)
+        )
+        assert nobody.tolist() == everyone.tolist()
 
     def test_hash_matches_partitioner(self, requests):
         policy = make_policy("hash", 4)
-        partitioner = HashPartitioner(4)
-        req = requests[0]
-        key = np.asarray([req.feature_ids[0][0]], dtype=np.uint64)
-        assert policy.primary(req, [0, 1, 2, 3]) == int(
-            partitioner.owner_of(key)[0]
+        keys = np.asarray(
+            [req.feature_ids[0][0] for req in requests], dtype=np.uint64
         )
+        owners = policy.primary_many(requests, routable_mask(4, len(keys)))
+        assert owners.tolist() == HashPartitioner(4).owner_of(keys).tolist()
 
     def test_least_outstanding_balances_load(self, requests):
         policy = make_policy("least-outstanding", 4)
-        counts = {r: 0 for r in range(4)}
-        for req in requests:
-            owner = policy.primary(req, list(range(4)))
-            counts[owner] += 1
-            policy.note_dispatch(owner, req.arrival_time)
-        assert min(counts.values()) > 0
-        assert max(counts.values()) / min(counts.values()) < 2.0
+        owners = policy.primary_many(
+            requests, routable_mask(4, len(requests))
+        )
+        counts = np.bincount(owners, minlength=4)
+        assert counts.min() > 0
+        assert counts.max() / counts.min() < 2.0
 
     def test_least_outstanding_avoids_unhealthy(self, requests):
+        stream = requests[:50]
         policy = make_policy("least-outstanding", 4)
-        for req in requests[:50]:
-            assert policy.primary(req, [2, 3]) in (2, 3)
+        owners = policy.primary_many(
+            stream, routable_mask(4, len(stream), [2, 3])
+        )
+        assert set(owners.tolist()) == {2, 3}
+
+    def test_least_outstanding_matches_a_list_model(self):
+        """At the window edge a choice made exactly ``service_window``
+        earlier no longer counts, ties go to the lowest id, and the
+        choices of one call are still counted by the next."""
+        window = 0.25  # arrivals on a 1/8 grid: every difference is exact
+        rng = np.random.default_rng(7)
+        arrivals = np.sort(rng.integers(0, 24, 120)) / 8.0
+        routable = rng.random((3, len(arrivals))) < 0.6
+        routable[:, ::11] = False  # nobody routable: everyone a candidate
+        stream = [Request(i, t, ()) for i, t in enumerate(arrivals.tolist())]
+        expected = least_outstanding_model(arrivals.tolist(), routable, window)
+        policy = LeastOutstandingPolicy(3, service_window=window)
+        half = len(stream) // 2
+        owners = np.concatenate([
+            policy.primary_many(stream[:half], routable[:, :half]),
+            policy.primary_many(stream[half:], routable[:, half:]),
+        ])
+        assert owners.tolist() == expected
+        # By hand: at 0.25 the first choice (at 0.0) has left the window,
+        # so replicas 0 and 1 tie on one choice each and 0 wins.
+        edge = [
+            Request(i, t, ()) for i, t in enumerate([0, 0.125, 0.125, 0.25])
+        ]
+        policy = LeastOutstandingPolicy(2, service_window=window)
+        owners = policy.primary_many(edge, routable_mask(2, len(edge)))
+        assert owners.tolist() == [0, 1, 0, 0]
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ConfigError):

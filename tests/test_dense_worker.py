@@ -129,8 +129,8 @@ def forward_in(placement, model, x):
 
 
 def count_calls(monkeypatch, name):
-    """Count calls of ``_DenseWorker.<name>`` (every forward that misses
-    the memo goes through ``submit``; weights through ``_send_tower``)."""
+    """Count calls of ``_DenseWorker.<name>`` (every forward goes through
+    ``submit``; weights through ``_send_tower``)."""
     calls = []
     original = getattr(dcn._DenseWorker, name)
 
@@ -219,25 +219,23 @@ class TestSameBits(_BitEqualityCases):
                     model.forward(inputs(model, 16, seed)).probabilities,
                     inline(model, inputs(model, 16, seed)),
                 )
-                model._forward_memo.clear()
         assert len(sent) == 2 * len(models)
         assert len(dcn._dense_worker()._towers) == dcn.MAX_TOWERS
         np.testing.assert_array_equal(
             models[0].forward(x).probabilities, inline(models[0], x)
         )
 
-    def test_memo_holds_arrays_and_is_hit(self, monkeypatch):
+    def test_a_repeated_input_is_computed_again(self, monkeypatch):
+        """No forward memo: the same input is submitted again and
+        comes back as a new array with the same bits."""
         model = small_model()
         x = inputs(model, 128)
-        first = model.forward(x)
-        assert not model._forward_memo  # filled when the value is read
-        values = first.probabilities
-        assert all(
-            isinstance(v, np.ndarray) for v in model._forward_memo.values()
-        )
+        values = model.forward(x).probabilities
         submitted = count_calls(monkeypatch, "submit")
-        assert model.forward(x).probabilities is values
-        assert submitted == []
+        again = model.forward(x).probabilities
+        assert len(submitted) == 1
+        assert again is not values
+        np.testing.assert_array_equal(again, values)
 
 
 class TestInFlightBound:
@@ -347,7 +345,6 @@ class TestCallerRuns:
         for _ in range(2):
             with pytest.raises(ValueError, match="matmul"):
                 result.probabilities
-        assert not model._forward_memo
 
     def test_a_killed_child_raises_and_the_caller_computes_nothing(
         self, monkeypatch
@@ -450,7 +447,6 @@ class TestWorkerFailure:
         for _ in range(2):  # every read, not only the first
             with pytest.raises(ValueError, match="matmul"):
                 result.probabilities
-        assert not model._forward_memo
         # The child is the same one, and still answers.
         healthy = small_model()
         x = inputs(healthy, 20, seed=1)
@@ -693,16 +689,10 @@ class TestServing:
         report = first.serve(requests)
         assert report.probabilities.shape == (len(requests),)
         # A copy of the warmed server, and a copy of a server that has
-        # just served (its model's memo now holds that run's arrays):
-        # neither sends the weights again.
+        # just served: neither sends the weights again.
         sent = count_calls(monkeypatch, "_send_tower")
         assert digest(copy.deepcopy(server).serve(requests)) == digest(report)
-        again = copy.deepcopy(first)
-        assert all(
-            isinstance(v, np.ndarray)
-            for v in again.engine.model._forward_memo.values()
-        )
-        again.serve(requests)
+        copy.deepcopy(first).serve(requests)
         assert sent == []
 
     def test_a_model_copies_while_a_forward_is_pending(self, monkeypatch):

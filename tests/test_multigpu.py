@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.core.config import FlecheConfig
 from repro.errors import ConfigError
-from repro.multigpu.cluster import InterconnectCost, MultiGpuFlatCache
+from repro.multigpu.model_parallel import InterconnectCost, MultiGpuFlatCache
 from repro.multigpu.partition import HashPartitioner, TablePartitioner
 from repro.tables.embedding_table import reference_vectors
 from repro.tables.table_spec import make_table_specs

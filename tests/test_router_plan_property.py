@@ -1,17 +1,19 @@
 """The array planner against the per-request reference planner.
 
-``ClusterRouter.serve`` plans a whole arrival stream as array masks
-whenever the routing policy can name every primary up front, and keeps
-the request-by-request planner for policies that cannot.  Both emit the
-same dispatch table, so the per-request planner doubles as the
-reference: for random fault schedules the two must produce identical
-dispatch columns — planned, executed and merged — and identical
-reports.  Arrivals are pinned onto every window edge the planner
-compares against (crash start / end, detection, rejoin, restart, and the
-instants a timeout or a hedge delay would land on them), two requests
-per edge, so boundary and tie behaviour are always exercised.
+``ClusterRouter.serve`` asks its routing policy for every primary of a
+stream at once and plans the whole stream as array masks.  The
+per-request planner below is the reference: it walks the same owners
+one request at a time, the way the router planned before the array
+planner existed.  For random fault schedules the two must produce
+identical dispatch columns — planned, executed and merged — and
+identical reports.  Arrivals are pinned onto every window edge the
+planner compares against (crash start / end, detection, rejoin,
+restart, and the instants a timeout or a hedge delay would land on
+them), two requests per edge, so boundary and tie behaviour are always
+exercised.
 """
 
+import copy
 import dataclasses
 import hashlib
 from math import inf, isfinite
@@ -25,7 +27,15 @@ from repro import default_platform
 from repro.bench.harness import canonical_json
 from repro.cluster import ClusterConfig, ClusterRouter, HealthMonitor
 from repro.cluster.health import HealthConfig
-from repro.cluster.router import _COLUMNS, _DispatchTable
+from repro.cluster.router import (
+    _CAUSES,
+    _COLUMNS,
+    _KIND_RANK,
+    DISPATCH_FAILOVER,
+    DISPATCH_HEDGE,
+    DISPATCH_PRIMARY,
+    _DispatchTable,
+)
 from repro.faults import (
     BreakerConfig,
     FaultSchedule,
@@ -100,7 +110,9 @@ def scenarios(draw):
         kept.append(event)
     config = ClusterConfig(
         num_replicas=REPLICAS,
-        policy=draw(st.sampled_from(["hash", "table-shard"])),
+        policy=draw(st.sampled_from(
+            ["hash", "table-shard", "least-outstanding"]
+        )),
         hot_keys=32,
         max_batch_size=16,
         failover=draw(st.booleans()),
@@ -116,14 +128,93 @@ def scenarios(draw):
     )
 
 
+def ring_walk(router, owner, at):
+    """The scalar reference for ``_fallback_targets``: the next replica
+    on the ring that is routable *and* actually up, or None."""
+    num = router.config.num_replicas
+    for k in range(1, num):
+        cand = (owner + k) % num
+        if router.health[cand].routable_at(at) and not (
+            router.schedule.replica_crashed(cand, at)
+        ):
+            return cand
+    return None
+
+
+def plan_per_request(router, owners, arrivals, episodes):
+    """Plan one request at a time, in stream order, into the columns the
+    array planner fills — the reference it is tested against."""
+    cfg = router.config
+    reg = router.obs
+    rows = []
+    stream = zip(owners.tolist(), arrivals.tolist())
+    for index, (owner, t) in enumerate(stream):
+        episode = episodes.get(owner)
+        breaker = router.breakers.get(owner)
+        at, cause, hedge = t, "", False
+        if not cfg.failover:
+            # Unrouted baseline: shed while the owner is down or still
+            # replaying after its restart.
+            if episode is not None and (
+                episode.start <= t < episode.recover_done
+            ):
+                continue
+        elif episode is not None and t >= episode.start:
+            if t >= episode.rejoin_at:
+                pass
+            elif t >= episode.detect_at:
+                cause = "health"
+            elif breaker is not None and not breaker.allow(t):
+                # Undetected-dead window, breaker open: skip the dead
+                # replica without waiting out the dispatch timeout.
+                reg.inc("cluster.breaker_rejections")
+                cause = "breaker"
+            else:
+                # The send is lost; the breaker learns from it.
+                if breaker is not None:
+                    breaker.record(False, t)
+                reg.inc("cluster.lost_dispatches")
+                at, cause = t + cfg.dispatch_timeout, "timeout"
+        elif not router.health[owner].routable_at(t):
+            # Suspect/dead from heartbeat loss alone: route away.
+            cause = "health"
+        else:
+            if episode is not None and breaker is not None:
+                breaker.record(True, t)
+            hedge = cfg.hedge_delay is not None and (
+                router.schedule.replica_slow_factor(owner, t) > 1.0
+            )
+        sends = [(
+            DISPATCH_FAILOVER if cause else DISPATCH_PRIMARY,
+            ring_walk(router, owner, at) if cause else owner,
+            at, cause,
+        )]
+        if hedge:
+            hedge_at = t + cfg.hedge_delay
+            sends.append((
+                DISPATCH_HEDGE, ring_walk(router, owner, hedge_at),
+                hedge_at, "",
+            ))
+        for kind, replica, send_at, why in sends:
+            if replica is not None:
+                rows.append((
+                    index, replica, send_at,
+                    _KIND_RANK[kind], _CAUSES.index(why),
+                ))
+    table = router._new_table(episodes)
+    if rows:
+        table.append(*(np.array(column) for column in zip(*rows)))
+    return table
+
+
 def build(config, schedule, log, trace, per_request):
     router = ClusterRouter(
         DATASET, HW, config, schedule=schedule, update_log=log, trace=trace
     )
     if per_request:
-        router.policy.primary_many = lambda requests: None
-    else:
-        router._plan_per_request = None  # must not be reached
+        router._plan_arrays = lambda owners, arrivals, routable, episodes: (
+            plan_per_request(router, owners, arrivals, episodes)
+        )
     return router
 
 
@@ -142,7 +233,10 @@ def pin_to_edges(requests, router, schedule):
     }
     last = requests[-1].arrival_time
     edges = sorted(b for b in edges if isfinite(b) and 0.0 < b < last)
-    owners = router.policy.primary_many(requests).tolist()
+    # A copy, so a load-aware policy's state is the router's own.
+    owners = copy.deepcopy(router.policy).primary_many(
+        requests, np.ones((REPLICAS, len(requests)), bool)
+    ).tolist()
     # Latest request ids first, so ids stop being monotone in time and
     # stream order has to break ties by id.
     movable = {
@@ -221,6 +315,20 @@ def report_view(report):
     ]),
     None, TraceConfig(head_interval=7, sla_budget=2e-3),
 ))
+@example((
+    # Load-aware routing around a drained replica: a heartbeat loss
+    # takes replica 2 out of the routable mask before replica 0 crashes.
+    ClusterConfig(
+        num_replicas=REPLICAS, policy="least-outstanding", hot_keys=32,
+        max_batch_size=16, hedge_delay=HEDGE_DELAY, breaker=BREAKER,
+    ),
+    FaultSchedule([
+        HeartbeatLoss(replica=2, start=0.002, duration=0.004),
+        ReplicaCrash(replica=0, start=0.005, duration=0.004),
+        ReplicaSlowdown(replica=1, start=0.008, duration=0.004, factor=5.0),
+    ]),
+    LOG, None,
+))
 @given(scenarios())
 def test_array_planner_matches_per_request_planner(scenario):
     config, schedule, log, trace = scenario
@@ -287,7 +395,7 @@ def test_fallback_targets_match_scalar_ring_walk():
         owners = np.full(len(at), owner)
         expected = [
             -1 if target is None else target
-            for target in (router._fallback_target(owner, t) for t in at)
+            for target in (ring_walk(router, owner, t) for t in at)
         ]
         assert router._fallback_targets(owners, at).tolist() == expected
 
@@ -366,16 +474,12 @@ def payload_digest(report):
     ).hexdigest()
 
 
-def test_least_outstanding_keeps_the_per_request_planner():
-    """Load-aware routing depends on dispatch history, so it cannot be
-    planned as arrays; its payload is pinned from the commit before the
-    array planner existed."""
+def test_least_outstanding_is_planned_from_its_own_choices_under_faults():
     schedule, config = faulty_scenario()
     router = ClusterRouter(
         DATASET, HW, ClusterConfig(policy="least-outstanding", **config),
         schedule=schedule, update_log=LOG,
     )
-    router._plan_arrays = None  # must not be reached
     report = router.serve(BASE_REQUESTS)
     counts = report.disposition_counts()
     assert counts["failover"] > 0 and counts["hedge"] > 0
@@ -384,21 +488,31 @@ def test_least_outstanding_keeps_the_per_request_planner():
 
 @pytest.mark.parametrize("policy", ["hash", "table-shard"])
 def test_stateless_policies_never_reach_the_per_request_planner(policy):
+    """The router has only the array planner; under faults it still
+    produces the payloads pinned before that planner existed."""
     schedule, config = faulty_scenario()
     router = ClusterRouter(
         DATASET, HW, ClusterConfig(policy=policy, **config),
         schedule=schedule, update_log=LOG,
     )
-    router._plan_per_request = None
     assert payload_digest(router.serve(BASE_REQUESTS)) == PRE_PR_DIGESTS[policy]
 
 
 #: sha256 of ``canonical_json(report.to_payload(2e-3))`` for
-#: :func:`faulty_scenario`, computed at the parent of the commit that
-#: introduced the array planner (per-request planner for every policy).
+#: :func:`faulty_scenario` under ``least-outstanding``.  Re-pinned once,
+#: when the policy began to name all its primaries in one
+#: ``primary_many`` call and to count only its own primary choices.  The
+#: per-request planner had also counted the failover, hedge and
+#: in-flight re-sends it planned, at their future send instants, and
+#: dropped expired ones only from the front of each window, so under
+#: faults its counts depended on plan order.  With no faults the two
+#: definitions agree on every primary.
 LEAST_OUTSTANDING_DIGEST = (
-    "12f377ffa837f88efb8ced95222962c76a73e51ab12a37dae5a3ff259190c0a8"
+    "ba3fa6d6f386d60bc4b8648d54133b534fe8c50c4a71fcd1b90e1b9f1c7afb7f"
 )
+#: The same digest for the stateless policies, unchanged since the commit
+#: before the array planner existed (per-request planner for every
+#: policy).
 PRE_PR_DIGESTS = {
     "hash": "0a4a87dc27b8168d0b76deb66877b9a682ac74fa6284d431d9cf9c8e5d0bd748",
     "table-shard":
