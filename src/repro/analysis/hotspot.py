@@ -34,10 +34,6 @@ class HotspotProfile:
     share: float
 
     @property
-    def total_hotspot(self) -> int:
-        return sum(self.hotspot_sizes.values())
-
-    @property
     def imbalance(self) -> float:
         """Max/min hotspot size across tables (1.0 = homogeneous)."""
         sizes = [max(s, 1) for s in self.hotspot_sizes.values()]

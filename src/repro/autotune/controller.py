@@ -188,10 +188,6 @@ class AdaptiveController(Observable):
             "autotune.admission_probability", cache.admission.probability
         )
 
-    @property
-    def attached(self) -> bool:
-        return self._cache is not None
-
     # -------------------------------------------------------------- feedback
 
     # hot-path: vectorized

@@ -42,13 +42,15 @@ class NoCacheLayer(EmbeddingCacheScheme):
             unique, inverse = np.unique(
                 np.asarray(ids, dtype=np.uint64), return_inverse=True
             )
-            result = self.store.query(t, unique)
+            result = self.store.query_many(np.full(len(unique), t), unique)
+            # ``query_many`` answers no ids with a (0, 0) matrix.
+            vectors = result.vectors.reshape(
+                len(unique), self.store.spec_of(t).dim
+            )
             executor.host_work(result.cost.index_time, Category.DRAM_INDEX)
             executor.host_work(result.cost.copy_time, Category.DRAM_COPY)
-            executor.copy(
-                result.vectors.nbytes, Category.DRAM_COPY, async_stream=stream
-            )
-            outputs.append(result.vectors[inverse])
+            executor.copy(vectors.nbytes, Category.DRAM_COPY, async_stream=stream)
+            outputs.append(vectors[inverse])
             unique_keys += len(unique)
         executor.synchronize(None)
         # Misses follow the per-access convention of every other scheme

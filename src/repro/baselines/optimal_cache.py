@@ -10,7 +10,6 @@ provides Belady's MIN replacement for the online-optimal view.
 from __future__ import annotations
 
 import heapq
-from collections import defaultdict
 from typing import Tuple
 
 import numpy as np
@@ -88,31 +87,3 @@ def belady_hit_rate(trace: Trace, capacity: int) -> float:
             resident[key] = int(next_use[i])
             heapq.heappush(heap, (-int(next_use[i]), key))
     return hits / total
-
-
-def per_table_static_optimal_hit_rate(trace: Trace, ratio: float) -> float:
-    """Best possible hit rate of a *static per-table* split (analysis aid).
-
-    Each table's cache pins its own most frequent keys, with capacity
-    ``ratio`` of the table's observed corpus — the upper bound of what a
-    HugeCTR-style split could ever achieve.  The gap between this and
-    :func:`frequency_optimal_hit_rate` isolates the structural cost of
-    static partitioning from replacement-policy noise.
-    """
-    if not 0.0 < ratio <= 1.0:
-        raise WorkloadError("ratio must be in (0, 1]")
-    hits = 0
-    total = 0
-    per_table_counts = defaultdict(lambda: defaultdict(int))
-    corpus = defaultdict(set)
-    for batch in trace:
-        for t, ids in enumerate(batch.ids_per_table):
-            for fid in ids:
-                per_table_counts[t][int(fid)] += 1
-                corpus[t].add(int(fid))
-            total += len(ids)
-    for t, counts in per_table_counts.items():
-        capacity = max(1, int(len(corpus[t]) * ratio))
-        top = sorted(counts.values(), reverse=True)[:capacity]
-        hits += sum(top)
-    return hits / total if total else 0.0

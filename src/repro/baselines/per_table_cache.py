@@ -220,7 +220,9 @@ class PerTableCacheLayer(EmbeddingCacheScheme):
             per_table_misses.append(table_misses)
 
             if len(miss_ids):
-                store_result = self.store.query(t, miss_ids)
+                store_result = self.store.query_many(
+                    np.full(len(miss_ids), t), miss_ids
+                )
                 executor.host_work(
                     store_result.cost.index_time, Category.DRAM_INDEX
                 )

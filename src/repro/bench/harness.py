@@ -9,7 +9,7 @@ these so every figure is produced by the same code path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, Optional
 
 from ..baselines.no_cache import NoCacheLayer
 from ..baselines.per_table_cache import PerTableCacheLayer, PerTableConfig
@@ -42,10 +42,6 @@ class ExperimentContext:
     hw: HardwareSpec
     cache_ratio: float
     warmup: int
-
-    @property
-    def measured_batches(self) -> List:
-        return list(self.trace)[self.warmup:]
 
 
 def make_context(
@@ -241,13 +237,6 @@ def payload_digest(payload) -> str:
     import hashlib
 
     return hashlib.sha256(canonical_json(payload).encode()).hexdigest()
-
-
-def emit_drill(name: str, text: str, payload) -> "tuple[str, str]":
-    """Emit a drill's human table + JSON artifact; returns their paths."""
-    from .reporting import emit, emit_json
-
-    return emit(name, text), emit_json(name, payload)
 
 
 def emit_rootcause(name: str, trace_payload: dict) -> "tuple[str, str]":

@@ -155,20 +155,6 @@ class FlatKeyCodec(abc.ABC):
         )
         return self._prefix_shifted[table_id] | hashed
 
-    def encode_batch(
-        self, table_ids: np.ndarray, feature_ids: np.ndarray
-    ) -> np.ndarray:
-        """Encode a mixed batch of (table, feature) pairs."""
-        table_ids = np.asarray(table_ids)
-        feature_ids = np.asarray(feature_ids)
-        if table_ids.shape != feature_ids.shape:
-            raise CodingError("encode_batch: shape mismatch")
-        out = np.zeros(len(table_ids), dtype=np.uint64)
-        for table_id in np.unique(table_ids):
-            mask = table_ids == table_id
-            out[mask] = self.encode(int(table_id), feature_ids[mask])
-        return out
-
     def table_of(self, flat_keys: np.ndarray) -> np.ndarray:
         """Decode the owning table of each flat key (vectorised)."""
         flat_keys = np.asarray(flat_keys, dtype=np.uint64)

@@ -120,11 +120,6 @@ class AdmissionFilter:
         self.hot_min_count = int(hot_min_count)
         self.warm_min_count = int(warm_min_count)
 
-    @property
-    def bypass_threshold(self) -> float:
-        """Expected occurrence count below which an ID bypasses the cache."""
-        return 1.0 / self.probability
-
     def admit(self, keys: np.ndarray) -> np.ndarray:
         """Boolean mask of keys admitted to the cache."""
         n = len(keys)

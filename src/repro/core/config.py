@@ -65,9 +65,3 @@ class FlecheConfig:
             raise ConfigError("unified_index_fraction must be in [0, 4]")
         if not 0.0 < self.index_load_factor <= 1.0:
             raise ConfigError("index_load_factor must be in (0, 1]")
-
-    def ablated(self, **changes) -> "FlecheConfig":
-        """Return a copy with selected fields replaced (for ablations)."""
-        from dataclasses import replace
-
-        return replace(self, **changes)

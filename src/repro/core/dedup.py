@@ -29,12 +29,6 @@ class DedupResult:
     #: index into ``unique_keys`` for every original position.
     inverse: np.ndarray
 
-    @property
-    def duplication_factor(self) -> float:
-        if len(self.unique_keys) == 0:
-            return 1.0
-        return len(self.inverse) / len(self.unique_keys)
-
 
 def deduplicate(keys: np.ndarray) -> DedupResult:
     """Collapse duplicate keys, remembering how to restore the batch."""

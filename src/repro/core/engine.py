@@ -175,34 +175,17 @@ class InferenceEngine:
             trace.note_query(query)
         return query, dense
 
-    def run_batch(
-        self,
-        batch: TraceBatch,
-        executor: Executor,
-        now: Optional[float] = None,
-    ) -> tuple:
-        """Run one batch; returns (query result, probabilities or None).
+    def run_batch(self, batch: TraceBatch, executor: Executor) -> tuple:
+        """Run one batch; returns ``(query result, dense result or None,
+        embedding latency, latency)``.
 
-        ``now`` is the batch's simulated dispatch time; when given it is
-        forwarded to the cache scheme so a fault-aware backing store can
-        align outage windows with wall-clock (no-op otherwise).
+        The dense result is the model's
+        :class:`~repro.model.dcn.DenseForwardResult`, still unread: its
+        ``probabilities`` wait for the dense worker.
         """
-        query, dense, embed_latency, latency = self._run_batch(
-            batch, executor, now
-        )
-        probabilities = dense.probabilities if dense is not None else None
-        return query, probabilities, embed_latency, latency
-
-    def _run_batch(
-        self,
-        batch: TraceBatch,
-        executor: Executor,
-        now: Optional[float] = None,
-    ) -> tuple:
-        """:meth:`run_batch` with the dense result still unread."""
         t0 = executor.elapsed()
         t_embed: Optional[float] = None
-        stages = self.run_batch_stages(batch, executor, now=now)
+        stages = self.run_batch_stages(batch, executor)
         try:
             stage = next(stages)
             while True:
@@ -248,7 +231,7 @@ class InferenceEngine:
         # cache path of the following batches.
         dense_results = []
         for batch in batches[warmup:]:
-            query, dense, embed_latency, latency = self._run_batch(
+            query, dense, embed_latency, latency = self.run_batch(
                 batch, executor
             )
             result.latencies.append(latency)

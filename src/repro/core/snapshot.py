@@ -3,7 +3,7 @@
 A serving process that restarts with a cold cache serves its first
 minutes at DRAM speed — production stacks therefore persist the cache's
 hot set and restore it at boot.  :func:`snapshot` captures a FlatCache's
-live entries (keys, vectors, recency) into a compact, serialisable
+live entries (keys, vectors, recency) into a compact
 :class:`CacheSnapshot`; :func:`restore` loads one into a freshly built
 cache of any compatible geometry (a smaller cache keeps the hottest
 prefix).
@@ -12,16 +12,14 @@ DRAM pointers are deliberately *not* snapshotted: after a restart the
 CPU-DRAM layer's layout cannot be trusted (the §5 invalidation argument),
 so the unified index restarts empty and the tuner re-grows it.
 
-Version 2 additionally stamps the replica's model-refresh position — the
-model version and update-log offset last applied — so a restored replica
-knows exactly where to resume replaying the update stream instead of
-silently re-applying or skipping updates.
+A snapshot also stamps the replica's model-refresh position — the model
+version and update-log offset last applied — so a restored replica knows
+exactly where to resume replaying the update stream instead of silently
+re-applying or skipping updates.
 """
 
 from __future__ import annotations
 
-import io
-import pickle
 from dataclasses import dataclass
 from typing import Dict
 
@@ -31,15 +29,11 @@ from ..errors import WorkloadError
 from .flat_cache import FlatCache
 from .unified_index import is_dram_pointer, untag
 
-#: Format marker so stale snapshot files fail loudly.
-SNAPSHOT_VERSION = 2
-
 
 @dataclass(frozen=True)
 class CacheSnapshot:
-    """The persisted hot set of a flat cache."""
+    """The captured hot set of a flat cache."""
 
-    version: int
     key_bits: int
     #: per-dimension entry arrays: dim -> (keys, stamps, vectors)
     entries: Dict[int, tuple]
@@ -51,36 +45,6 @@ class CacheSnapshot:
     @property
     def num_entries(self) -> int:
         return sum(len(keys) for keys, _, _ in self.entries.values())
-
-    def to_bytes(self) -> bytes:
-        buffer = io.BytesIO()
-        pickle.dump(
-            {
-                "version": self.version,
-                "key_bits": self.key_bits,
-                "entries": self.entries,
-                "model_version": self.model_version,
-                "log_offset": self.log_offset,
-            },
-            buffer,
-            protocol=pickle.HIGHEST_PROTOCOL,
-        )
-        return buffer.getvalue()
-
-    @classmethod
-    def from_bytes(cls, payload: bytes) -> "CacheSnapshot":
-        data = pickle.loads(payload)
-        if data.get("version") != SNAPSHOT_VERSION:
-            raise WorkloadError(
-                f"unsupported snapshot version {data.get('version')!r}"
-            )
-        return cls(
-            version=data["version"],
-            key_bits=data["key_bits"],
-            entries=data["entries"],
-            model_version=data["model_version"],
-            log_offset=data["log_offset"],
-        )
 
 
 def snapshot(
@@ -102,7 +66,6 @@ def snapshot(
             keys[mask].copy(), stamps[mask].copy(), vectors.copy()
         )
     return CacheSnapshot(
-        version=SNAPSHOT_VERSION,
         key_bits=cache.codec.key_bits,
         entries=entries,
         model_version=int(model_version),

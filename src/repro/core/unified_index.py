@@ -18,7 +18,7 @@ reset when a significant decline signals a workload change.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -132,10 +132,3 @@ class UnifiedIndexTuner:
             proposed = min(max(proposed, 0), self.max_capacity)
         self.capacity = proposed
         return TunerDecision(self.capacity, action)
-
-
-def split_pointers(pointers: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Split tagged pointers into (cache mask, raw values)."""
-    pointers = np.asarray(pointers, dtype=np.uint64)
-    dram = is_dram_pointer(pointers)
-    return ~dram, untag(pointers)

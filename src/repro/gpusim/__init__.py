@@ -15,7 +15,6 @@ out of :class:`~repro.gpusim.stats.TimeBreakdown`.
 
 from .clock import Timeline
 from .kernel import KernelSpec, kernel_execution_time
-from .memory import DeviceAllocator
 from .executor import Executor, Stream
 from .stats import TimeBreakdown, Category
 from .transfer import CopyEngine, CopyMethod
@@ -24,7 +23,6 @@ __all__ = [
     "Timeline",
     "KernelSpec",
     "kernel_execution_time",
-    "DeviceAllocator",
     "Executor",
     "Stream",
     "TimeBreakdown",

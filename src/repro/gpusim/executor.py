@@ -41,26 +41,6 @@ class Stream:
         return f"Stream({self.name!r}, ready={self.ready_time:.9f})"
 
 
-class Event:
-    """A recorded cross-stream timestamp (the ``cudaEvent`` analogue).
-
-    Events express dependencies *between* executors and streams without
-    blocking the CPU: record one after some work, and make other work wait
-    on it.  The pipelined serving engine uses them to order batch ``i+1``'s
-    stages after batch ``i``'s without serialising the whole batches.
-    """
-
-    __slots__ = ("name", "timestamp")
-
-    def __init__(self, name: str = "event", timestamp: float = 0.0):
-        self.name = name
-        #: Simulated instant at which the recorded work completes.
-        self.timestamp = float(timestamp)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Event({self.name!r}, t={self.timestamp:.9f})"
-
-
 class SharedResource:
     """An exclusive serial resource shared by concurrent execution contexts.
 
@@ -177,29 +157,6 @@ class Executor:
         target.ready_time = start + exec_time
         self.stats.add(category, exec_time)
         return target.ready_time
-
-    # ------------------------------------------------------------------ events
-
-    def record_event(
-        self, stream: Optional[Stream] = None, name: str = "event"
-    ) -> Event:
-        """Record an event capturing ``stream``'s current drain instant.
-
-        With no stream, the event captures the executor-wide wall-clock
-        (CPU joined with every stream) — the analogue of recording on the
-        legacy default stream after a device-wide barrier.
-        """
-        timestamp = stream.ready_time if stream is not None else self.elapsed()
-        return Event(name=name, timestamp=timestamp)
-
-    def wait_event(self, stream: Stream, event: Event) -> None:
-        """Make ``stream``'s future work wait for ``event`` (non-blocking).
-
-        Unlike :meth:`synchronize`, the CPU does not stall: only the
-        stream's queue is held back, exactly like ``cudaStreamWaitEvent``.
-        """
-        if event.timestamp > stream.ready_time:
-            stream.ready_time = event.timestamp
 
     def synchronize(self, stream: Optional[Stream] = None) -> None:
         """Block the CPU until ``stream`` (or all streams) drains."""

@@ -63,22 +63,6 @@ class KernelSpec:
         if self.stream_bytes < 0 or self.random_transactions < 0 or self.flops < 0:
             raise SimulationError(f"kernel {self.name!r}: negative work amount")
 
-    @property
-    def warps(self) -> int:
-        """Number of 32-thread warps this launch occupies (at least one)."""
-        return max(1, -(-self.threads // 32))
-
-    def fused_with(self, other: "KernelSpec", name: str = "") -> "KernelSpec":
-        """Combine two kernels' work into one launch (self-identified fusion)."""
-        return KernelSpec(
-            name=name or f"{self.name}+{other.name}",
-            threads=self.threads + other.threads,
-            stream_bytes=self.stream_bytes + other.stream_bytes,
-            random_transactions=self.random_transactions + other.random_transactions,
-            dependent_hops=max(self.dependent_hops, other.dependent_hops),
-            flops=self.flops + other.flops,
-        )
-
 
 def kernel_execution_time(spec: KernelSpec, hw: HardwareSpec) -> float:
     """Device time of one kernel under the roofline model.

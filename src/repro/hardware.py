@@ -11,7 +11,7 @@ Times are expressed in **seconds**, sizes in **bytes**, bandwidths in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .errors import ConfigError
 
@@ -104,9 +104,6 @@ class KernelCostSpec:
     kernel_fixed_cost: float = 0.3 * US
     #: CPU time to record/dispatch work on an extra CUDA stream.
     stream_dispatch_overhead: float = 0.3 * US
-    #: Device allocation cost (paper §3.1 quotes "up to a dozen
-    #: microseconds" for cudaMalloc, which the memory pool avoids).
-    cudamalloc_overhead: float = 10.0 * US
 
 
 @dataclass(frozen=True)
@@ -134,10 +131,6 @@ class HardwareSpec:
         for ok, message in checks:
             if not ok:
                 raise ConfigError(message)
-
-    def scaled(self, **kernel_overrides: float) -> "HardwareSpec":
-        """Return a copy with selected kernel-cost constants replaced."""
-        return replace(self, kernel=replace(self.kernel, **kernel_overrides))
 
 
 def default_platform() -> HardwareSpec:

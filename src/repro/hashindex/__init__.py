@@ -5,17 +5,15 @@
   The data structure is fully functional (numpy-backed) and reports the
   memory-transaction counts its probes would generate so the timing model
   can charge them.
-* :mod:`repro.hashindex.host_hash` — the CPU-DRAM side open-addressing
-  table used by the embedding store, with a DRAM access cost model.
+* :mod:`repro.hashindex.host_hash` — the cost model of the embedding
+  store's host DRAM lookups.
 """
 
 from .slab_hash import SlabHashIndex, ProbeStats, InsertResult, EMPTY_KEY
-from .host_hash import HostHashTable
 
 __all__ = [
     "SlabHashIndex",
     "ProbeStats",
     "InsertResult",
     "EMPTY_KEY",
-    "HostHashTable",
 ]

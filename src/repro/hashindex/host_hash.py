@@ -1,30 +1,17 @@
-"""CPU-DRAM side hash table with a DRAM cost model.
+"""DRAM cost model of the embedding store's host hash-table lookups.
 
 The embedding store keeps every table as a host hash table (paper §2.1).
 Random lookups miss the CPU caches and are bounded by DRAM's effective
 random-access bandwidth — the scarcity that motivates GPU caching in the
-first place.  This implementation stores the mapping in a numpy-backed open
-addressing table and reports the host time a batched query costs.
+first place.  :func:`host_query_cost` reports the host time a batched query
+costs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
-import numpy as np
-
-from ..errors import SimulationError
 from ..hardware import HardwareSpec
-
-_EMPTY = np.int64(-1)
-_HASH_MULT = np.uint64(0xD6E8FEB86659FD93)
-
-
-def _slot_of(keys: np.ndarray, table_size: int) -> np.ndarray:
-    mixed = keys.astype(np.uint64) * _HASH_MULT
-    mixed ^= mixed >> np.uint64(32)
-    return (mixed % np.uint64(table_size)).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -39,94 +26,6 @@ class HostQueryCost:
     @property
     def total(self) -> float:
         return self.index_time + self.copy_time
-
-
-class HostHashTable:
-    """Open-addressing host hash table mapping keys to row numbers.
-
-    Rows point into a dense payload matrix owned by the caller
-    (:class:`repro.tables.embedding_table.EmbeddingTable`), mirroring how a
-    production parameter store separates index and payload.
-    """
-
-    def __init__(self, capacity: int, load_factor: float = 0.6):
-        if capacity <= 0:
-            raise SimulationError("host hash capacity must be positive")
-        if not 0.0 < load_factor < 1.0:
-            raise SimulationError("host hash load factor must be in (0, 1)")
-        self.capacity = int(capacity)
-        self.table_size = max(8, int(np.ceil(capacity / load_factor)))
-        self._keys = np.zeros(self.table_size, dtype=np.uint64)
-        self._rows = np.full(self.table_size, _EMPTY, dtype=np.int64)
-        self._size = 0
-
-    def __len__(self) -> int:
-        return self._size
-
-    def insert_many(self, keys: np.ndarray, rows: np.ndarray) -> None:
-        """Insert unique ``keys`` mapping to payload ``rows``."""
-        keys = np.ascontiguousarray(keys, dtype=np.uint64)
-        rows = np.ascontiguousarray(rows, dtype=np.int64)
-        if keys.shape != rows.shape:
-            raise SimulationError("insert_many: keys/rows length mismatch")
-        if self._size + len(keys) > self.table_size:
-            raise SimulationError("host hash table overflow")
-        slots = _slot_of(keys, self.table_size)
-        n = len(keys)
-        pos = 0
-        chunk = 128
-        while pos < n:
-            stop = min(pos + chunk, n)
-            cslots = slots[pos:stop]
-            # Bulk fast path: when every key's *initial* slot is currently
-            # empty and no two keys in the chunk share one, sequential
-            # probing would place each key exactly at its initial slot —
-            # so one vectorised scatter reproduces the sequential layout
-            # bit-for-bit.  Any contention falls back to the exact loop.
-            if (self._rows[cslots] == _EMPTY).all() and (
-                np.unique(cslots).size == cslots.size
-            ):
-                self._keys[cslots] = keys[pos:stop]
-                self._rows[cslots] = rows[pos:stop]
-                self._size += int(cslots.size)
-                pos = stop
-                continue
-            for i in range(pos, stop):
-                slot = int(slots[i])
-                while (
-                    self._rows[slot] != _EMPTY and self._keys[slot] != keys[i]
-                ):
-                    slot = (slot + 1) % self.table_size
-                if self._rows[slot] == _EMPTY:
-                    self._size += 1
-                self._keys[slot] = keys[i]
-                self._rows[slot] = rows[i]
-            pos = stop
-
-    def lookup_many(self, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Vectorised batched probe; returns (found_mask, rows)."""
-        keys = np.ascontiguousarray(keys, dtype=np.uint64)
-        n = len(keys)
-        rows = np.full(n, _EMPTY, dtype=np.int64)
-        found = np.zeros(n, dtype=bool)
-        if n == 0:
-            return found, rows
-        slots = _slot_of(keys, self.table_size)
-        pending = np.arange(n)
-        # Linear probing, advanced in lock-step rounds across the batch.
-        for _ in range(self.table_size):
-            slot_keys = self._keys[slots[pending]]
-            slot_rows = self._rows[slots[pending]]
-            hit = (slot_rows != _EMPTY) & (slot_keys == keys[pending])
-            miss_final = slot_rows == _EMPTY
-            rows[pending[hit]] = slot_rows[hit]
-            found[pending[hit]] = True
-            keep = ~(hit | miss_final)
-            pending = pending[keep]
-            if not pending.size:
-                break
-            slots[pending] = (slots[pending] + 1) % self.table_size
-        return found, rows
 
 
 def host_query_cost(

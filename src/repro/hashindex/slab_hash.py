@@ -26,7 +26,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ..errors import CapacityError, SimulationError
+from ..errors import SimulationError
 
 #: Sentinel stored in vacant slots.  Flat keys are re-encoded IDs, so the
 #: all-ones pattern is never produced by the coding layer.
@@ -326,10 +326,3 @@ class SlabHashIndex:
         row = self._slabs()[bucket]
         col = int(np.nonzero(row == arr[0])[0][0])
         return int(self._stamps[bucket * SLAB_SLOTS + col])
-
-    def check_capacity(self, additional: int) -> None:
-        """Raise :class:`CapacityError` if ``additional`` inserts cannot fit."""
-        if self._size + additional > self.slots:
-            raise CapacityError(
-                f"slab hash overflow: {self._size}+{additional} > {self.slots} slots"
-            )

@@ -35,10 +35,6 @@ class EpochReclaimer:
         """Current global epoch."""
         return self._epoch
 
-    @property
-    def pinned_readers(self) -> int:
-        return sum(self._pins.values())
-
     def advance(self) -> int:
         """Move to the next global epoch (typically once per batch)."""
         self._epoch += 1

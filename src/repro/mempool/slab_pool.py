@@ -63,13 +63,9 @@ def _payload_bytes(dim: int, tier: str) -> int:
     raise SimulationError(f"unknown precision tier {tier!r}")
 
 
-def pack_location(class_id: int, slot: int) -> int:
-    """Encode a (slab class, slot) pair into one uint64 payload."""
-    return (class_id << 32) | slot
-
-
 def unpack_locations(locations: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Vectorised inverse of :func:`pack_location`."""
+    """Split uint64 locations ``class_id << 32 | slot`` into (class ids,
+    slots)."""
     locations = locations.astype(np.uint64)
     class_ids = (locations >> _CLASS_SHIFT).astype(np.int64)
     slots = (locations & _SLOT_MASK).astype(np.int64)
@@ -239,10 +235,6 @@ class SlabMemoryPool:
         if not slabs:
             raise KeyError(dim)
         return slabs
-
-    def utilization_of(self, dim: int, tier: Optional[str] = None) -> float:
-        slabs = self._slabs_of(dim, tier)
-        return sum(s.live for s in slabs) / sum(s.capacity for s in slabs)
 
     def dims(self) -> List[int]:
         return sorted({dim for dim, _ in self._class_by_key})

@@ -101,11 +101,6 @@ class MultiGpuFlatCache:
 
     # ------------------------------------------------------------------ info
 
-    @property
-    def total_capacity_slots(self) -> int:
-        """Aggregate embedding slots across the cluster (scales with N)."""
-        return sum(shard.capacity_slots for shard in self.shards)
-
     def tick(self) -> None:
         for shard in self.shards:
             shard.tick()
@@ -168,10 +163,3 @@ class MultiGpuFlatCache:
             )
             inserted += int(mask.sum())
         return inserted
-
-    def load_imbalance(self, unique_keys: np.ndarray) -> float:
-        """Max/mean keys per GPU for one batch (1.0 = perfectly balanced)."""
-        owners = self.partitioner.owner_of(unique_keys)
-        counts = np.bincount(owners, minlength=self.num_gpus)
-        mean = counts.mean()
-        return float(counts.max() / mean) if mean else 1.0

@@ -35,11 +35,11 @@ class DramCacheLayer(Observable):
     Args:
         specs: the model's table specs.
         capacity: embeddings the DRAM layer can hold.
-        fetch: callback ``(table_id, feature_ids) -> (vectors, cost)`` used
-            on DRAM misses (typically the remote parameter server).  The
-            callback may instead return ``(vectors, cost, cacheable)``;
-            with ``cacheable=False`` the vectors are served but *not*
-            inserted (degraded fallbacks must never pollute the cache).
+        fetch: callback ``(table_id, feature_ids) -> (vectors, cost,
+            cacheable)`` used on DRAM misses (typically the remote
+            parameter server).  With ``cacheable=False`` the vectors are
+            served but *not* inserted (degraded fallbacks must never
+            pollute the cache).
         storage_tier: precision at which resident rows are held —
             ``"fp32"`` (the default; rows stored verbatim, byte-identical
             to the pre-tiering layer), ``"fp16"`` or ``"int8"``.  Lookups
@@ -52,7 +52,7 @@ class DramCacheLayer(Observable):
         self,
         specs: Sequence[TableSpec],
         capacity: int,
-        fetch: Callable[[int, np.ndarray], Tuple[np.ndarray, float]],
+        fetch: Callable[[int, np.ndarray], Tuple[np.ndarray, float, bool]],
         storage_tier: str = "fp32",
     ):
         if capacity <= 0:
@@ -164,12 +164,9 @@ class DramCacheLayer(Observable):
             positions = np.asarray(missing_positions)
             missing_ids = feature_ids[positions]
             unique_missing, inverse = np.unique(missing_ids, return_inverse=True)
-            result = self._fetch(table_id, unique_missing)
-            if len(result) == 3:
-                fetched, backing_time, cacheable = result
-            else:
-                fetched, backing_time = result
-                cacheable = True
+            fetched, backing_time, cacheable = self._fetch(
+                table_id, unique_missing
+            )
             if fetched.shape != (len(unique_missing), spec.dim):
                 raise WorkloadError("backing fetch returned wrong shape")
             vectors[positions] = fetched[inverse]

@@ -14,9 +14,8 @@ they are trusted again.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -27,14 +26,8 @@ from ..hardware import HardwareSpec
 from ..obs.registry import Observable
 from ..tables.store import StoreQueryResult
 from ..tables.table_spec import TableSpec
-from .dram_cache import DramCacheLayer, pack_global_key
+from .dram_cache import DramCacheLayer
 from .remote_ps import RemoteParameterServer
-
-#: Degraded keys kept for :meth:`TieredParameterStore.take_degraded_keys`.
-#: Past this the oldest failed fetches are dropped (and counted in
-#: ``tier.degraded_log_dropped``), so an outage nobody drains the log
-#: during cannot grow it without limit.
-DEGRADED_LOG_MAX_KEYS = 1 << 20
 
 
 @dataclass
@@ -100,9 +93,6 @@ class TieredParameterStore(Observable):
         #: Simulated wall-clock of the current query (drives fault windows).
         self._now = 0.0
         self._dram_flushed = False
-        #: One packed global-key array per failed fetch, oldest first.
-        self._degraded_log: Deque[np.ndarray] = deque()
-        self._degraded_logged = 0
         #: Eviction notices held back while a ``query_many`` is running
         #: (None outside one: notices are forwarded as they arrive).
         self._held_evictions: Optional[List[np.ndarray]] = None
@@ -142,22 +132,11 @@ class TieredParameterStore(Observable):
         self.stats.degraded_keys += len(feature_ids)
         obs.inc("tier.remote_failures")
         obs.inc("tier.degraded_keys", len(feature_ids))
-        self._log_degraded(pack_global_key(
-            table_id, np.asarray(feature_ids, dtype=np.uint64)
-        ))
         vectors, _ = degraded_vectors(
             self.degrade, self._stale, table_id, feature_ids,
             self.specs[table_id].dim,
         )
         return vectors, result.network_time, False
-
-    def _log_degraded(self, global_keys: np.ndarray) -> None:
-        self._degraded_log.append(global_keys)
-        self._degraded_logged += len(global_keys)
-        while self._degraded_logged > DEGRADED_LOG_MAX_KEYS:
-            dropped = len(self._degraded_log.popleft())
-            self._degraded_logged -= dropped
-            self.obs.inc("tier.degraded_log_dropped", dropped)
 
     # ------------------------------------------------------------------ info
 
@@ -224,19 +203,6 @@ class TieredParameterStore(Observable):
         outages, DRAM-tier failures) line up with request timestamps.
         """
         self._now = float(now)
-
-    def take_degraded_keys(self) -> np.ndarray:
-        """Global keys degraded since the last call (clears the log).
-
-        Feed these to the AUC machinery to quantify accuracy impact.
-        """
-        keys = (
-            np.concatenate(self._degraded_log) if self._degraded_log
-            else np.empty(0, dtype=np.uint64)
-        )
-        self._degraded_log.clear()
-        self._degraded_logged = 0
-        return keys
 
     def fault_stats(self) -> dict:
         """Snapshot of resilience counters (all zero on fault-free runs)."""
@@ -322,30 +288,6 @@ class TieredParameterStore(Observable):
         return self.dram.refresh(table_id, feature_ids, vectors)
 
     # ------------------------------------------------------------------ query
-
-    def query(
-        self,
-        table_id: int,
-        feature_ids: np.ndarray,
-        indexed_fraction: float = 0.0,
-    ) -> StoreQueryResult:
-        """Fetch one table's embeddings through the hierarchy."""
-        if not 0.0 <= indexed_fraction <= 1.0:
-            raise WorkloadError("indexed_fraction must be in [0, 1]")
-        vectors, remote_time = self._tier_lookup(table_id, feature_ids)
-
-        spec = self.specs[table_id]
-        keys_to_index = int(round(len(feature_ids) * (1.0 - indexed_fraction)))
-        local = host_query_cost(
-            self.hw,
-            num_keys=keys_to_index,
-            payload_bytes=len(feature_ids) * spec.value_bytes,
-        )
-        cost = HostQueryCost(
-            index_time=local.index_time,
-            copy_time=local.copy_time + remote_time,
-        )
-        return StoreQueryResult(vectors=vectors, cost=cost)
 
     # hot-path: vectorized
     def query_many(

@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import copy
 import inspect
-import json
 import math
 import weakref
 from bisect import bisect_left
@@ -299,9 +298,6 @@ class MetricsSnapshot:
             "histograms": {render_key(n, ls): h.to_dict()
                            for (n, ls), h in sorted(self.histograms.items())},
         }
-
-    def to_json(self, indent: Optional[int] = 1) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
 
 class MetricsRegistry:

@@ -17,10 +17,8 @@ at finalize time.  Sampling is deterministic and two-sided:
 
 A materialized :class:`RequestTrace` carries the
 :class:`TraceContext` (request id, dispatch copy, replica
-incarnation), the exclusive segment decomposition from
-:mod:`~repro.obs.critical_path`, and parent-linked spans exportable as
-a Chrome trace whose ``args`` stamp ``request_id``/``dispatch`` so one
-request's copies group across replica tracks.
+incarnation) and the exclusive segment decomposition from
+:mod:`~repro.obs.critical_path`.
 
 Nothing here runs when no tracer is attached: the serving loop guards
 every call site on ``reqtracer is not None``, and all ``reqtrace.*``
@@ -34,7 +32,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import (
-    Callable, Dict, Iterable, List, Optional, Sequence, Tuple,
+    Callable, Dict, Iterable, List, Optional, Tuple,
 )
 
 import numpy as np
@@ -163,38 +161,6 @@ class RequestTrace:
     @property
     def finish(self) -> float:
         return self.arrival + self.latency
-
-    def spans(self) -> List[Tuple[int, int, str, float, float, str]]:
-        """Parent-linked spans ``(id, parent, name, start, dur, kind)``.
-
-        The root span covers arrival -> finish; children lay the
-        segment chain end-to-end in causal order (route hop, queue,
-        then each stage's wait + exec, scaled onto the router clock),
-        so the chain telescopes to the root.
-        """
-        out: List[Tuple[int, int, str, float, float, str]] = []
-        if not np.isfinite(self.latency):
-            out.append((0, -1, "request", self.arrival, 0.0, "shed"))
-            return out
-        out.append((0, -1, "request", self.arrival, self.latency, "request"))
-        t = self.arrival
-        sid = 1
-
-        def child(name: str, duration: float, kind: str) -> None:
-            nonlocal t, sid
-            if duration <= 0.0:
-                return
-            out.append((sid, 0, name, t, duration, kind))
-            t += duration
-            sid += 1
-
-        if self.route_cause is not None or self.route_wait:
-            child(self.route_cause or "route", self.route_wait, "route")
-        child("queue", self.queue * self.scale, "queue")
-        for name, wait, exec_s in self.stages:  # lint: allow-loop (per stage)
-            child(f"{name}:wait", wait * self.scale, "wait")
-            child(name, exec_s * self.scale, name)
-        return out
 
     def to_dict(self) -> dict:
         ctx = self.context
@@ -349,7 +315,6 @@ class RequestTracer:
         self.traces: List[RequestTrace] = []
         self._ids: Optional[np.ndarray] = None
         self._arrivals: Optional[np.ndarray] = None
-        self._forced: set = set()
         self._batch_of: Optional[np.ndarray] = None
 
     # ------------------------------------------------------- recording
@@ -375,18 +340,6 @@ class RequestTracer:
         self, record: BatchTraceRecord, finish: float
     ) -> None:
         record.finish = finish
-
-    def force_retain(self, request_ids: Sequence[int]) -> None:
-        """Always materialize these ids regardless of head/tail masks."""
-        self._forced.update(int(i) for i in request_ids)
-
-    def forced_mask(self) -> np.ndarray:
-        """Which of the run's requests :meth:`force_retain` named."""
-        if not self._forced:
-            return np.zeros(len(self._ids), dtype=bool)
-        return np.isin(
-            self._ids, np.fromiter(self._forced, dtype=np.int64)
-        )
 
     # ---------------------------------------------------- finalization
 
@@ -444,7 +397,7 @@ class RequestTracer:
         """
         self.traces = sample_traces(
             self.config, registry, self._ids, self.latencies(),
-            self.forced_mask(), self.trace_for,
+            np.zeros(len(self._ids), dtype=bool), self.trace_for,
         )
         return self.traces
 
@@ -465,36 +418,3 @@ class RequestTracer:
             "rootcause": {"causes": cause_counts(self.traces)},
             "traces": [trace.to_dict() for trace in self.traces],
         }
-
-    def chrome_spans(self):
-        """Flatten every sampled trace into arg-stamped gpusim spans.
-
-        One Chrome track per ``(replica, incarnation)`` (or
-        ``request`` for single-server runs); every span's ``args``
-        carry the trace context so a request's copies group across
-        replica tracks in the viewer.
-        """
-        from ..gpusim.tracing import Span
-
-        spans = []
-        for trace in self.traces:
-            ctx = trace.context
-            track = (
-                f"replica{ctx.replica}/i{ctx.incarnation}"
-                if ctx.replica is not None else "requests"
-            )
-            args = {
-                "request_id": int(ctx.request_id),
-                "dispatch": ctx.dispatch,
-                "incarnation": int(ctx.incarnation),
-            }
-            for sid, parent, name, start, dur, kind in trace.spans():  # lint: allow-loop (per sampled span)
-                spans.append(Span(
-                    track=track,
-                    name=f"r{ctx.request_id}:{name}",
-                    start=start,
-                    duration=dur,
-                    category=kind,
-                    args=dict(args, span=sid, parent=parent),
-                ))
-        return spans

@@ -233,12 +233,6 @@ class UpdateLog:
             return 0
         return self._cum[hi + 1] - self._cum[lo]
 
-    def num_keys_at(self, offset: int) -> int:
-        """Key count of one offset (answerable after trimming too)."""
-        if offset < 0 or offset >= self._next:
-            raise RefreshError(f"offset {offset} never published")
-        return self._cum[offset + 1] - self._cum[offset]
-
     def latest_version(self, now: Optional[float] = None) -> int:
         """Highest model version published at or before ``now`` (all of
         them when ``now`` is omitted); 0 before the first publish."""

@@ -47,10 +47,6 @@ class UpdatePublisher(Observable):
 
     # -------------------------------------------------------------- staging
 
-    @property
-    def buffered_keys(self) -> int:
-        return len(self._buffer)
-
     def stage(
         self, table_id: int, feature_ids: np.ndarray, vectors: np.ndarray
     ) -> None:

@@ -4,8 +4,8 @@ The paper frames its goal in SLA terms (§1): at a fixed latency budget, a
 faster embedding layer lets the service examine more candidate items.
 This package closes that loop:
 
-* :mod:`repro.serving.arrivals` — open-loop request generators (Poisson
-  and bursty) over a dataset's sparse-feature distribution;
+* :mod:`repro.serving.arrivals` — open-loop Poisson request generator
+  over a dataset's sparse-feature distribution;
 * :mod:`repro.serving.batcher` — dynamic batch formation with a max batch
   size and a batching timeout, the standard inference-server policy;
 * :mod:`repro.serving.server` — the queueing simulation: requests arrive,
@@ -19,7 +19,7 @@ This package closes that loop:
   plus cross-batch in-flight miss coalescing.
 """
 
-from .arrivals import PoissonArrivals, BurstyArrivals, Request
+from .arrivals import PoissonArrivals, Request
 from .batcher import BatchingPolicy, FormedBatch
 from .pipeline import (
     CoalescingStats,
@@ -30,7 +30,6 @@ from .server import InferenceServer, ServingReport
 
 __all__ = [
     "PoissonArrivals",
-    "BurstyArrivals",
     "Request",
     "BatchingPolicy",
     "FormedBatch",

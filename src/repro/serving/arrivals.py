@@ -45,10 +45,6 @@ class _FeatureSource:
             for i, f in enumerate(dataset.fields)
         ]
 
-    def draw(self) -> tuple:
-        k = self.dataset.ids_per_field
-        return tuple(s.sample(k) for s in self._samplers)
-
     def draw_batch(self, count: int) -> tuple:
         """``(cube, feature tuples)`` for ``count`` requests in one pass.
 
@@ -114,57 +110,4 @@ class PoissonArrivals:
         return [
             Request(i, times[i], features[i], source=(cube, i))
             for i in range(len(times))
-        ]
-
-
-class BurstyArrivals:
-    """Markov-modulated arrivals: quiet/burst phases with distinct rates.
-
-    Production feeds show diurnal spikes and hot events; the bursty source
-    stresses the batcher's timeout behaviour and the P99 tail.
-    """
-
-    def __init__(
-        self,
-        dataset: DatasetSpec,
-        base_rate: float,
-        burst_rate: float,
-        burst_fraction: float = 0.2,
-        phase_length: float = 0.01,
-        seed: int = 0,
-    ):
-        if base_rate <= 0 or burst_rate <= 0:
-            raise WorkloadError("rates must be positive")
-        if not 0.0 < burst_fraction < 1.0:
-            raise WorkloadError("burst_fraction must be in (0, 1)")
-        if phase_length <= 0:
-            raise WorkloadError("phase_length must be positive")
-        self.base_rate = base_rate
-        self.burst_rate = burst_rate
-        self.burst_fraction = burst_fraction
-        self.phase_length = phase_length
-        self._rng = np.random.default_rng(seed)
-        self._features = _FeatureSource(dataset, seed)
-
-    def generate(self, count: int) -> List[Request]:
-        if count <= 0:
-            raise WorkloadError("count must be positive")
-        # Phase/gap draws stay sequential (phase boundaries depend on the
-        # draws); feature draws batch once all times are known — the
-        # feature samplers hold their own generators, so moving their
-        # draws after the clock loop leaves every stream bit-identical.
-        times: List[float] = []
-        now = 0.0
-        while len(times) < count:
-            bursting = self._rng.random() < self.burst_fraction
-            rate = self.burst_rate if bursting else self.base_rate
-            phase_end = now + self.phase_length
-            while now < phase_end and len(times) < count:
-                now += float(self._rng.exponential(1.0 / rate))
-                times.append(now)
-            now = phase_end
-        cube, features = self._features.draw_batch(count)
-        return [
-            Request(i, times[i], features[i], source=(cube, i))
-            for i in range(count)
         ]

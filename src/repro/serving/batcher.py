@@ -45,10 +45,6 @@ class FormedBatch:
     def size(self) -> int:
         return len(self.requests)
 
-    @property
-    def oldest_arrival(self) -> float:
-        return min(r.arrival_time for r in self.requests)
-
 
 # hot-path: vectorized
 def form_batches(

@@ -45,11 +45,6 @@ def reference_vectors(table_id: int, feature_ids: np.ndarray, dim: int) -> np.nd
     return (mixed.astype(np.float64) / 2.0**64 - 0.5).astype(np.float32)
 
 
-def reference_vector(table_id: int, feature_id: int, dim: int) -> np.ndarray:
-    """Scalar convenience wrapper around :func:`reference_vectors`."""
-    return reference_vectors(table_id, np.array([feature_id], np.uint64), dim)[0]
-
-
 class _RowBank:
     """Lazily filled direct-address rows of one table.
 

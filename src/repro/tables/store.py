@@ -77,34 +77,6 @@ class EmbeddingStore:
 
     # ------------------------------------------------------------------ query
 
-    def query(
-        self,
-        table_id: int,
-        feature_ids: np.ndarray,
-        indexed_fraction: float = 0.0,
-    ) -> StoreQueryResult:
-        """Fetch embeddings of one table's ``feature_ids`` from DRAM.
-
-        Args:
-            table_id: table to query.
-            feature_ids: IDs to fetch (the cache's misses).
-            indexed_fraction: fraction of the keys whose DRAM location was
-                already resolved by the GPU-side unified index (§3.3) —
-                those skip the host hash probing and only pay the copy.
-        """
-        if not 0.0 <= indexed_fraction <= 1.0:
-            raise WorkloadError("indexed_fraction must be in [0, 1]")
-        table = self._tables[table_id]
-        vectors = table.lookup(feature_ids)
-        spec = self.specs[table_id]
-        keys_to_index = int(round(len(feature_ids) * (1.0 - indexed_fraction)))
-        cost = host_query_cost(
-            self.hw,
-            num_keys=keys_to_index,
-            payload_bytes=len(feature_ids) * spec.value_bytes,
-        )
-        return StoreQueryResult(vectors=vectors, cost=cost)
-
     # hot-path: vectorized
     def query_many(
         self,
@@ -178,8 +150,3 @@ class EmbeddingStore:
         duck-typed by :mod:`repro.refresh`.)
         """
         return self._tables[table_id].update_rows(feature_ids, vectors)
-
-
-def make_store(specs: Sequence[TableSpec], hw: HardwareSpec) -> EmbeddingStore:
-    """Convenience constructor mirroring the other substrate factories."""
-    return EmbeddingStore(specs, hw)

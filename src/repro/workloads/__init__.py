@@ -14,9 +14,6 @@ from .spec import DatasetSpec, FieldSpec
 from .synthetic import synthetic_dataset, uniform_tables_spec
 from .datasets import avazu_replica, criteo_kaggle_replica, criteo_tb_replica, DATASET_REPLICAS
 from .trace import Trace, TraceBatch
-from .preprocess import filter_low_frequency
-from .persistence import save_trace, load_trace
-from .gnn import gnn_feature_dataset, gnn_neighbourhood_trace
 
 __all__ = [
     "ZipfSampler",
@@ -31,9 +28,4 @@ __all__ = [
     "DATASET_REPLICAS",
     "Trace",
     "TraceBatch",
-    "filter_low_frequency",
-    "save_trace",
-    "load_trace",
-    "gnn_feature_dataset",
-    "gnn_neighbourhood_trace",
 ]

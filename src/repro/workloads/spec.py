@@ -85,14 +85,3 @@ class DatasetSpec:
             TableSpec(table_id=i, corpus_size=f.corpus_size, dim=self.dim)
             for i, f in enumerate(self.fields)
         ]
-
-    def cache_slots_for_ratio(self, ratio: float) -> int:
-        """Number of cache slots equal to ``ratio`` of all parameters.
-
-        The paper sizes caches as a fraction of the total embedding-table
-        size ("5% means that the cache size is 5% of the size of all
-        embedding tables").
-        """
-        if not 0.0 < ratio <= 1.0:
-            raise WorkloadError("cache ratio must be in (0, 1]")
-        return max(1, int(self.total_sparse_ids * ratio))

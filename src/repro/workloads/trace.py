@@ -99,25 +99,3 @@ class Trace:
             Trace(self._batches[:warmup_batches], f"{self.name}:warmup"),
             Trace(self._batches[warmup_batches:], f"{self.name}:measure"),
         )
-
-    def rebatched(self, batch_size: int, ids_per_field: int = 1) -> "Trace":
-        """Re-chunk the trace's ID stream into batches of ``batch_size``."""
-        per_table_streams = [
-            np.concatenate([b.ids_per_table[t] for b in self._batches])
-            for t in range(self.num_tables)
-        ]
-        ids_per_batch = batch_size * ids_per_field
-        min_len = min(len(s) for s in per_table_streams)
-        num_batches = min_len // ids_per_batch
-        if num_batches == 0:
-            raise WorkloadError("trace too short for requested batch size")
-        batches = []
-        for k in range(num_batches):
-            sl = slice(k * ids_per_batch, (k + 1) * ids_per_batch)
-            batches.append(
-                TraceBatch(
-                    ids_per_table=[s[sl] for s in per_table_streams],
-                    batch_size=batch_size,
-                )
-            )
-        return Trace(batches, f"{self.name}:b{batch_size}")

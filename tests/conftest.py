@@ -1,4 +1,4 @@
-"""Shared fixtures for the test suite."""
+"""Shared fixtures and helpers for the test suite."""
 
 from __future__ import annotations
 
@@ -8,6 +8,11 @@ import pytest
 from repro import default_platform, Executor, EmbeddingStore
 from repro.tables.table_spec import make_table_specs
 from repro.workloads.synthetic import synthetic_dataset, uniform_tables_spec
+
+
+def query_table(store, table_id, ids):
+    """One table's ``ids`` through the store's batched ``query_many``."""
+    return store.query_many(np.full(len(ids), table_id), ids)
 
 
 @pytest.fixture(scope="session")

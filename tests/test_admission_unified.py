@@ -7,7 +7,6 @@ from repro.core.admission import AdmissionFilter
 from repro.core.unified_index import (
     UnifiedIndexTuner,
     is_dram_pointer,
-    split_pointers,
     tag_cache_location,
     tag_dram_pointer,
     untag,
@@ -26,9 +25,6 @@ class TestAdmissionFilter:
         keys = np.arange(40_000, dtype=np.uint64)
         rate = f.admit(keys).mean()
         assert rate == pytest.approx(0.25, abs=0.02)
-
-    def test_bypass_threshold(self):
-        assert AdmissionFilter(0.1).bypass_threshold == pytest.approx(10.0)
 
     def test_rejects_bad_probability(self):
         with pytest.raises(ConfigError):
@@ -60,9 +56,8 @@ class TestPointerTagging:
             tag_cache_location(np.array([1], np.uint64)),
             tag_dram_pointer(np.array([2], np.uint64)),
         ])
-        cache_mask, raw = split_pointers(mixed)
-        assert cache_mask.tolist() == [True, False]
-        assert raw.tolist() == [1, 2]
+        assert is_dram_pointer(mixed).tolist() == [False, True]
+        assert untag(mixed).tolist() == [1, 2]
 
 
 class TestUnifiedIndexTuner:

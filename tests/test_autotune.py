@@ -119,7 +119,7 @@ class TestDisabled:
         server = _stack()
         controller = AdaptiveController(ControllerConfig(enabled=False))
         controller.attach(server)
-        assert not controller.attached
+        assert controller._cache is None
         controller.on_batch_complete(1.0)
         assert not server.obs.has_prefix("autotune.")
         assert controller.history == []
@@ -364,7 +364,7 @@ class TestServingIntegration:
         controller = AdaptiveController()
         report, server = self._serve(controller)
         assert report.served == 400
-        assert controller.attached
+        assert controller._cache is not None
         # The trailing flush closes one final partial window after the
         # last batch; a post-run poll catches the controller up.
         controller.on_batch_complete(report.span)

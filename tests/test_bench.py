@@ -48,7 +48,7 @@ class TestHarness:
         assert isinstance(context, ExperimentContext)
         assert context.cache_ratio == 0.05
         assert context.warmup == 3
-        assert len(context.measured_batches) == 3
+        assert len(context.trace) - context.warmup == 3
 
     def test_scheme_factory_all_names(self, context):
         for name in SCHEME_NAMES:

@@ -47,13 +47,6 @@ class TestFixedLengthCodec:
             keys = codec.encode(t, ids)
             assert (codec.table_of(keys) == t).all()
 
-    def test_encode_batch(self):
-        codec = FixedLengthCodec([100, 100], key_bits=32)
-        tables = np.array([0, 1, 0, 1])
-        features = np.array([1, 1, 2, 2], dtype=np.uint64)
-        keys = codec.encode_batch(tables, features)
-        np.testing.assert_array_equal(codec.table_of(keys), tables)
-
     def test_large_corpus_collides_with_few_bits(self):
         # 2**18 ids into 16 feature bits must collide badly.
         codec = FixedLengthCodec([2**18], key_bits=24, table_bits=8)

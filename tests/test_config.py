@@ -34,13 +34,6 @@ class TestFlecheConfig:
         with pytest.raises(ConfigError):
             FlecheConfig(admission_probability=0.0)
 
-    def test_ablated_returns_modified_copy(self):
-        base = FlecheConfig()
-        off = base.ablated(use_fusion=False)
-        assert not off.use_fusion
-        assert base.use_fusion  # original unchanged
-        assert off.cache_ratio == base.cache_ratio
-
 
 class TestPerTableConfig:
     def test_defaults(self):

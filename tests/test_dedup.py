@@ -1,7 +1,6 @@
 """Tests for deduplicating & restoring (paper §4)."""
 
 import numpy as np
-import pytest
 
 from repro.core.dedup import (
     deduplicate,
@@ -24,14 +23,9 @@ class TestDeduplicate:
             result.unique_keys[result.inverse], keys
         )
 
-    def test_duplication_factor(self):
-        keys = np.array([1, 1, 1, 2], np.uint64)
-        assert deduplicate(keys).duplication_factor == pytest.approx(2.0)
-
     def test_empty(self):
         result = deduplicate(np.zeros(0, np.uint64))
         assert len(result.unique_keys) == 0
-        assert result.duplication_factor == 1.0
 
 
 class TestRestore:

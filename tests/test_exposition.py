@@ -131,14 +131,14 @@ class TestPayloadRoundTrip:
     def test_snapshot_from_payload_rerenders_identically(self):
         registry = _registry()
         snapshot = registry.snapshot()
-        payload = json.loads(snapshot.to_json())
+        payload = json.loads(json.dumps(snapshot.to_dict()))
         rebuilt = snapshot_from_payload(payload)
         assert render_openmetrics(rebuilt) == render_openmetrics(snapshot)
 
     def test_handles_bucketless_histograms(self):
         registry = MetricsRegistry()
         registry.observe("plain.hist", 2.0)
-        payload = json.loads(registry.snapshot().to_json())
+        payload = json.loads(json.dumps(registry.snapshot().to_dict()))
         rebuilt = snapshot_from_payload(payload)
         text = render_openmetrics(rebuilt)
         assert 'plain_hist_bucket{le="+Inf"} 1\n' in text

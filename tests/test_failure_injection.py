@@ -8,6 +8,8 @@ from repro.multitier.hierarchy import TieredParameterStore
 from repro.multitier.remote_ps import NetworkSpec, RemoteParameterServer
 from repro.tables.table_spec import make_table_specs
 
+from conftest import query_table
+
 
 @pytest.fixture()
 def specs():
@@ -82,8 +84,8 @@ class TestFaultsThroughTheHierarchy:
         flaky_time = healthy_time = 0.0
         for _ in range(20):
             ids = rng.integers(0, 2_000, 64).astype(np.uint64)
-            r1 = store.query(0, ids)
-            r2 = healthy_store.query(0, ids)
+            r1 = query_table(store, 0, ids)
+            r2 = query_table(healthy_store, 0, ids)
             np.testing.assert_array_equal(
                 r1.vectors, reference_vectors(0, ids, 16)
             )
@@ -108,7 +110,7 @@ class TestFaultsThroughTheHierarchy:
             total = 0.0
             for _ in range(25):
                 ids = rng.integers(0, 500, 64).astype(np.uint64)
-                total += store.query(0, ids).cost.total
+                total += query_table(store, 0, ids).cost.total
             return total
 
         assert total_time(600) < total_time(32)

@@ -37,6 +37,8 @@ from repro.tables.embedding_table import reference_vectors
 from repro.tables.table_spec import make_table_specs
 from repro.workloads.synthetic import uniform_tables_spec
 
+from conftest import query_table
+
 US = 1e-6
 
 
@@ -270,46 +272,19 @@ class TestDegradation:
             specs, hw, dram_capacity=256, remote=remote, degrade=degrade
         )
 
-    def test_stale_serving_and_degraded_log(self, specs, hw):
+    def test_stale_serving_counts_degraded_keys(self, specs, hw):
         store = self._faulted_store(specs, hw, DegradeConfig(policy="stale"))
         ids = np.array([1, 2], np.uint64)
         store.advance_to(2.0)  # healthy window: warm DRAM + stale shadow
-        store.query(0, ids)
+        query_table(store, 0, ids)
         store.dram.flush()  # drop the LRU; the stale shadow survives
         store.advance_to(0.5)  # inside the outage
-        result = store.query(0, ids)
+        result = query_table(store, 0, ids)
         np.testing.assert_array_equal(
             result.vectors, reference_vectors(0, ids, 16)
         )
         assert store.stats.degraded_keys == 2
         assert store.stats.remote_failures == 1
-        degraded = store.take_degraded_keys()
-        assert degraded.tolist() == [1, 2]
-        assert store.take_degraded_keys().size == 0
-
-    def test_degraded_log_keeps_order_and_is_bounded(self, hw, monkeypatch):
-        from repro.multitier import hierarchy
-
-        # Tables 0 and 4 share the PS shard that is out.
-        specs = make_table_specs([2_000] * 5, [16] * 5)
-        store = self._faulted_store(specs, hw, DegradeConfig(policy="stale"))
-        store.advance_to(0.5)  # inside the outage: every fetch degrades
-        store.query(0, np.array([5, 3, 9], np.uint64))
-        store.query(4, np.array([7, 2], np.uint64))
-        # Below the cap: fetch order, then each fetch's (deduplicated,
-        # sorted) key order; the table id sits above bit 48.
-        assert store.take_degraded_keys().tolist() == [
-            3, 5, 9, (4 << 48) | 2, (4 << 48) | 7,
-        ]
-
-        monkeypatch.setattr(hierarchy, "DEGRADED_LOG_MAX_KEYS", 4)
-        for base in (10, 20, 30):
-            store.query(0, np.array([base, base + 1, base + 2], np.uint64))
-        # Nine keys against a cap of four: the two oldest fetches go.
-        assert store.take_degraded_keys().tolist() == [30, 31, 32]
-        counters = store.obs.snapshot().to_dict()["counters"]
-        assert counters["tier.degraded_log_dropped"] == 6
-        assert store.stats.degraded_keys == 14
 
     def test_degraded_fallback_never_pollutes_dram(self, specs, hw):
         store = self._faulted_store(
@@ -317,19 +292,19 @@ class TestDegradation:
         )
         ids = np.array([7], np.uint64)
         store.advance_to(0.5)
-        result = store.query(0, ids)
+        result = query_table(store, 0, ids)
         np.testing.assert_array_equal(result.vectors, np.zeros((1, 16)))
         assert not store.dram.resident(0, 7)
         store.advance_to(2.0)  # outage over: the truth is fetched fresh
         np.testing.assert_array_equal(
-            store.query(0, ids).vectors, reference_vectors(0, ids, 16)
+            query_table(store, 0, ids).vectors, reference_vectors(0, ids, 16)
         )
 
     def test_fail_policy_raises(self, specs, hw):
         store = self._faulted_store(specs, hw, DegradeConfig(policy="fail"))
         store.advance_to(0.5)
         with pytest.raises(DegradedServiceError):
-            store.query(0, np.array([1], np.uint64))
+            query_table(store, 0, np.array([1], np.uint64))
 
 
 def _serving_setup(hw, retry_policy, breaker, outage):
@@ -444,7 +419,7 @@ class TestFaultAwareServing:
             rng = np.random.default_rng(99)
             for _ in range(10):
                 ids = rng.integers(0, 2_000, 32).astype(np.uint64)
-                result = store.query(0, ids)
+                result = query_table(store, 0, ids)
                 np.testing.assert_array_equal(
                     result.vectors, reference_vectors(0, ids, 16)
                 )

@@ -26,11 +26,6 @@ class TestCoalescedBytes:
 
 
 class TestKernelSpec:
-    def test_warps_round_up(self):
-        assert KernelSpec("k", threads=1).warps == 1
-        assert KernelSpec("k", threads=32).warps == 1
-        assert KernelSpec("k", threads=33).warps == 2
-
     def test_rejects_negative_threads(self):
         with pytest.raises(SimulationError):
             KernelSpec("k", threads=-1)
@@ -38,18 +33,6 @@ class TestKernelSpec:
     def test_rejects_negative_work(self):
         with pytest.raises(SimulationError):
             KernelSpec("k", threads=1, stream_bytes=-5)
-
-    def test_fused_with_sums_work(self):
-        a = KernelSpec("a", threads=100, stream_bytes=10, random_transactions=5,
-                       dependent_hops=1.0, flops=7)
-        b = KernelSpec("b", threads=50, stream_bytes=20, random_transactions=3,
-                       dependent_hops=2.0, flops=1)
-        fused = a.fused_with(b)
-        assert fused.threads == 150
-        assert fused.stream_bytes == 30
-        assert fused.random_transactions == 8
-        assert fused.dependent_hops == 2.0  # max, not sum
-        assert fused.flops == 8
 
 
 class TestExecutionTime:

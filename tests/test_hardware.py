@@ -49,7 +49,10 @@ class TestValidation:
             hw.validate()
 
     def test_rejects_negative_launch_overhead(self):
-        hw = default_platform().scaled(launch_overhead=-1.0)
+        base = default_platform()
+        hw = dataclasses.replace(
+            base, kernel=dataclasses.replace(base.kernel, launch_overhead=-1.0)
+        )
         with pytest.raises(ConfigError):
             hw.validate()
 
@@ -59,18 +62,7 @@ class TestValidation:
             hw.validate()
 
 
-class TestScaled:
-    def test_scaled_overrides_kernel_costs(self):
-        hw = default_platform().scaled(launch_overhead=1e-6)
-        assert hw.kernel.launch_overhead == 1e-6
-        # Everything else is untouched.
-        assert hw.gpu == default_platform().gpu
-
-    def test_scaled_returns_new_object(self):
-        base = default_platform()
-        changed = base.scaled(sync_overhead=5e-6)
-        assert base.kernel.sync_overhead != changed.kernel.sync_overhead
-
+class TestFrozen:
     def test_spec_is_frozen(self):
         hw = default_platform()
         with pytest.raises(dataclasses.FrozenInstanceError):

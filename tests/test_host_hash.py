@@ -1,60 +1,8 @@
-"""Tests for the host hash table and DRAM cost model."""
+"""Tests for the host DRAM cost model."""
 
-import numpy as np
 import pytest
 
-from repro.errors import SimulationError
-from repro.hashindex.host_hash import HostHashTable, host_query_cost
-
-
-class TestHostHashTable:
-    def test_roundtrip(self):
-        table = HostHashTable(100)
-        keys = np.array([5, 17, 99], dtype=np.uint64)
-        rows = np.array([0, 1, 2], dtype=np.int64)
-        table.insert_many(keys, rows)
-        found, got = table.lookup_many(keys)
-        assert found.all()
-        np.testing.assert_array_equal(got, rows)
-
-    def test_missing_not_found(self):
-        table = HostHashTable(100)
-        table.insert_many(np.array([1], np.uint64), np.array([0], np.int64))
-        found, _ = table.lookup_many(np.array([2], np.uint64))
-        assert not found[0]
-
-    def test_collision_chains_resolve(self):
-        # Force heavy probing with a small table.
-        table = HostHashTable(64, load_factor=0.9)
-        keys = np.arange(50, dtype=np.uint64)
-        table.insert_many(keys, keys.astype(np.int64))
-        found, rows = table.lookup_many(keys)
-        assert found.all()
-        np.testing.assert_array_equal(rows, keys.astype(np.int64))
-
-    def test_update_existing_key(self):
-        table = HostHashTable(100)
-        table.insert_many(np.array([9], np.uint64), np.array([1], np.int64))
-        table.insert_many(np.array([9], np.uint64), np.array([2], np.int64))
-        assert len(table) == 1
-        _, rows = table.lookup_many(np.array([9], np.uint64))
-        assert rows[0] == 2
-
-    def test_overflow_raises(self):
-        table = HostHashTable(8, load_factor=0.5)
-        too_many = np.arange(table.table_size + 1, dtype=np.uint64)
-        with pytest.raises(SimulationError):
-            table.insert_many(too_many, too_many.astype(np.int64))
-
-    def test_empty_lookup(self):
-        table = HostHashTable(10)
-        found, rows = table.lookup_many(np.zeros(0, np.uint64))
-        assert len(found) == 0
-
-    def test_mismatched_shapes_rejected(self):
-        table = HostHashTable(10)
-        with pytest.raises(SimulationError):
-            table.insert_many(np.zeros(2, np.uint64), np.zeros(1, np.int64))
+from repro.hashindex.host_hash import host_query_cost
 
 
 class TestHostQueryCost:

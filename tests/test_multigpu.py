@@ -196,9 +196,10 @@ class TestMultiGpuFlatCache:
     def test_capacity_scales_with_gpus(self, specs):
         one = self._cluster(specs, 1)
         four = self._cluster(specs, 4)
-        assert four.total_capacity_slots == pytest.approx(
-            4 * one.total_capacity_slots, rel=0.01
-        )
+        def slots(cluster):
+            return sum(shard.capacity_slots for shard in cluster.shards)
+
+        assert slots(four) == pytest.approx(4 * slots(one), rel=0.01)
 
     def test_no_duplication_across_shards(self, specs):
         cluster = self._cluster(specs, 3)
@@ -253,7 +254,8 @@ class TestMultiGpuFlatCache:
     def test_load_imbalance_near_one_for_hash(self, specs):
         cluster = self._cluster(specs, 4)
         keys = cluster.codec.encode(0, np.arange(2000, dtype=np.uint64) % 2000)
-        assert cluster.load_imbalance(keys) < 1.3
+        counts = np.bincount(cluster.partitioner.owner_of(keys), minlength=4)
+        assert counts.max() / counts.mean() < 1.3
 
     def test_bigger_cluster_holds_bigger_hot_set(self, specs):
         """The §5 motivation: N GPUs cache ~N x the embeddings."""

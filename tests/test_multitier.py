@@ -14,6 +14,8 @@ from repro.tables.embedding_table import reference_vectors
 from repro.tables.table_spec import make_table_specs
 from repro.workloads.trace import TraceBatch
 
+from conftest import query_table
+
 
 @pytest.fixture()
 def specs():
@@ -60,7 +62,7 @@ class TestRemoteParameterServer:
 class TestDramCacheLayer:
     def _fetch(self, specs):
         def fetch(table_id, ids):
-            return reference_vectors(table_id, ids, 16), 1e-5
+            return reference_vectors(table_id, ids, 16), 1e-5, True
         return fetch
 
     def test_miss_then_hit(self, specs):
@@ -107,7 +109,7 @@ class TestTieredParameterStore:
     def test_query_matches_ground_truth(self, specs, hw):
         store = TieredParameterStore(specs, hw, dram_capacity=500)
         ids = np.array([10, 20, 10], np.uint64)
-        result = store.query(0, ids)
+        result = query_table(store, 0, ids)
         np.testing.assert_array_equal(
             result.vectors, reference_vectors(0, ids, 16)
         )
@@ -115,8 +117,8 @@ class TestTieredParameterStore:
     def test_remote_cost_appears_only_on_dram_miss(self, specs, hw):
         store = TieredParameterStore(specs, hw, dram_capacity=500)
         ids = np.array([1, 2, 3], np.uint64)
-        cold = store.query(0, ids)
-        warm = store.query(0, ids)
+        cold = query_table(store, 0, ids)
+        warm = query_table(store, 0, ids)
         assert cold.cost.copy_time > warm.cost.copy_time
         assert store.stats.dram_hit_rate > 0
 
@@ -144,8 +146,8 @@ class TestTieredParameterStore:
         layer.cache.publish_dram_pointers(flat, np.array([1], np.uint64))
         assert layer.cache.unified_entries == 1
         # Fill the DRAM tier with (table 0, id 1) then flood it out.
-        store.query(0, np.array([1], np.uint64))
-        store.query(0, np.array([2, 3, 4, 5, 6], np.uint64))
+        query_table(store, 0, np.array([1], np.uint64))
+        query_table(store, 0, np.array([2, 3, 4, 5, 6], np.uint64))
         assert not store.dram.resident(0, 1)
         # The dangling pointer is gone from the flat cache's index.
         outcome = layer.cache.index_lookup(flat)
@@ -173,11 +175,11 @@ class TestTieredParameterStore:
             lambda keys: fired.update(keys.tolist())
         )
         ids = np.array([1, 2, 3], np.uint64)
-        store.query(0, ids)  # healthy: populates the DRAM tier
+        query_table(store, 0, ids)  # healthy: populates the DRAM tier
         assert store.dram.resident(0, 1)
 
         store.advance_to(1.2)  # inside the failure window
-        result = store.query(0, ids)
+        result = query_table(store, 0, ids)
         np.testing.assert_array_equal(
             result.vectors, reference_vectors(0, ids, 16)
         )
@@ -187,20 +189,20 @@ class TestTieredParameterStore:
         assert not store.dram.resident(0, 1)
 
         # Still down: queries bypass DRAM and fire nothing new.
-        store.query(0, np.array([4], np.uint64))
+        query_table(store, 0, np.array([4], np.uint64))
         assert all(count == 1 for count in fired.values())
         assert store.stats.dram_bypass_queries == 2
 
         store.advance_to(2.5)  # window closed: caching resumes
-        store.query(0, ids)
+        query_table(store, 0, ids)
         assert store.dram.resident(0, 1)
         assert all(count == 1 for count in fired.values())
 
     def test_query_many_forwards_evictions_once_per_batch(self, specs, hw):
         """Evictions raised by each table of one ``query_many`` reach the
         invalidator as a single notice, in eviction order, every key
-        exactly once — the same keys per-table ``query`` calls forward
-        one notice at a time."""
+        exactly once — the same keys one ``query_many`` call per table
+        forwards one notice at a time."""
         batched = TieredParameterStore(specs, hw, dram_capacity=6)
         per_table = TieredParameterStore(specs, hw, dram_capacity=6)
         batched_notices, single_notices = [], []
@@ -215,7 +217,7 @@ class TestTieredParameterStore:
             ids = np.arange(base, base + 8, dtype=np.uint64)
             batched.query_many(table_ids, ids)
             for table in (0, 1):
-                per_table.query(table, ids[table_ids == table])
+                query_table(per_table, table, ids[table_ids == table])
         # Batch 1 fills the tier past capacity inside its second table;
         # batches 2 and 3 evict in both tables.
         assert len(single_notices) == 5 and len(batched_notices) == 3

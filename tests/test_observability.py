@@ -225,7 +225,7 @@ class TestHistogramEdges:
             for name, labels in order:
                 reg.inc(name, 1, **labels)
             reg.set_gauge("g", 1.5)
-            return reg.snapshot().to_json()
+            return json.dumps(reg.snapshot().to_dict(), sort_keys=True)
 
         a = build([("x", {"t": 1}), ("y", {}), ("x", {"t": 0})])
         b = build([("x", {"t": 0}), ("x", {"t": 1}), ("y", {})])
@@ -541,7 +541,9 @@ class TestDeterminism:
         byte-for-byte identical."""
         report_a, tracer_a = self._faulted_run(hw)
         report_b, tracer_b = self._faulted_run(hw)
-        assert report_a.metrics.to_json() == report_b.metrics.to_json()
+        metrics_a = json.dumps(report_a.metrics.to_dict(), sort_keys=True)
+        metrics_b = json.dumps(report_b.metrics.to_dict(), sort_keys=True)
+        assert metrics_a == metrics_b
         assert tracer_a.span_list() == tracer_b.span_list()
         chrome_a = json.dumps(tracer_a.to_chrome_trace(), sort_keys=True)
         chrome_b = json.dumps(tracer_b.to_chrome_trace(), sort_keys=True)

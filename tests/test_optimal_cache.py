@@ -6,7 +6,6 @@ import pytest
 from repro.baselines.optimal_cache import (
     belady_hit_rate,
     frequency_optimal_hit_rate,
-    per_table_static_optimal_hit_rate,
 )
 from repro.errors import WorkloadError
 from repro.workloads.trace import Trace, TraceBatch
@@ -84,24 +83,3 @@ class TestBelady:
         t = trace_of([[1, 2, 3, 1, 2, 3]])
         assert frequency_optimal_hit_rate(t, 3) == pytest.approx(1.0)
         assert belady_hit_rate(t, 3) == pytest.approx(0.5)
-
-
-class TestPerTableStaticOptimal:
-    def test_never_exceeds_global_optimal(self):
-        rng = np.random.default_rng(1)
-        batches = []
-        for _ in range(5):
-            batches.append([
-                rng.integers(0, 100, 64).tolist(),
-                rng.integers(0, 10, 64).tolist(),
-            ])
-        t = trace_of(*batches)
-        ratio = 0.2
-        capacity = max(1, int(110 * ratio))
-        per_table = per_table_static_optimal_hit_rate(t, ratio)
-        global_opt = frequency_optimal_hit_rate(t, capacity)
-        assert per_table <= global_opt + 1e-9
-
-    def test_ratio_validation(self):
-        with pytest.raises(WorkloadError):
-            per_table_static_optimal_hit_rate(trace_of([[1]]), 0.0)

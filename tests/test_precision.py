@@ -31,6 +31,8 @@ from repro.tables.embedding_table import (
 from repro.tables.store import EmbeddingStore
 from repro.tables.table_spec import TableSpec
 
+from conftest import query_table
+
 MIXED = PrecisionConfig(
     enabled=True, fp32_share=0.4, fp16_share=0.3, int8_share=0.3,
     eviction_policy="lfu",
@@ -287,7 +289,7 @@ class TestDramTier:
         specs = [TableSpec(table_id=0, corpus_size=500, dim=8)]
 
         def fetch(table_id, ids):
-            return reference_vectors(table_id, ids, 8), 1e-6
+            return reference_vectors(table_id, ids, 8), 1e-6, True
 
         return DramCacheLayer(specs, capacity=64, fetch=fetch,
                               storage_tier=tier), specs
@@ -372,7 +374,7 @@ class TestTableTier:
         truth = reference_vectors(0, ids, 8)
         payload, scales = quantize_rows(truth, "fp16")
         np.testing.assert_array_equal(
-            store.query(0, ids).vectors,
+            query_table(store, 0, ids).vectors,
             dequantize_rows(payload, scales, "fp16"),
         )
         rows = np.full((6, 8), 0.25, dtype=np.float32)

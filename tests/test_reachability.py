@@ -1,0 +1,136 @@
+"""Every definition under ``src/repro/`` has a caller outside its tests.
+
+An AST scan collects each top-level function and class and each method
+(dunder methods aside: the language calls them).  A definition passes
+when code names it as a word in another non-``__init__`` module under
+``src/``, in ``benchmarks/`` or ``examples/``, or anywhere in its own
+module besides the definition itself.  ``__init__`` modules only
+re-export, so a name they list is not a use, and neither is a mention in
+a docstring or comment.  What passes no other way sits in
+:data:`ALLOWED` with the reason it stays; an allowance that something
+now calls fails too, so the list cannot go stale.
+
+Run alone: ``PYTHONPATH=src python -m pytest tests/test_reachability.py``
+prints ``file:line: name`` for each definition without a caller.
+"""
+
+from __future__ import annotations
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "repro"
+
+_FUSION = (
+    "the executable model of the fused launch of paper section 3.2 "
+    "(Fig. 7's scan array and per-thread search); the fusion tests check "
+    "on it the premises of the cost fused_kernel_spec charges"
+)
+_PROBE = "test probe: tests read it to check other behaviour, "
+
+#: ``qualified name -> why it stays`` for definitions nothing outside their
+#: own tests calls.
+ALLOWED = {
+    "build_fusion_plan": _FUSION,
+    "identify_thread": _FUSION,
+    "warp_divergence_free": _FUSION,
+    "deduplicate": (
+        "the cache-path CPU diet makes core/dedup.py the one place a batch "
+        "is deduplicated"
+    ),
+    "roundtrip_error_bound": (
+        "the planned whole-stack oracle bounds reduced-precision rows with "
+        "it; the precision property tests hold the quantizers to it"
+    ),
+    "SlabHashIndex.stamp_of": _PROBE + "the recency lookups and updates set",
+    "FlatKeyCodec.table_of": _PROBE + "that encode keeps tables apart",
+    "FlatCache.live_entries": _PROBE + "the slab pool's live-slot accounting",
+    "ReplicaHealth.routable_at": (
+        _PROBE + "the reference per-request planner's ring walk"
+    ),
+    "ZipfSampler.popularity_of_rank": (
+        _PROBE + "the popularity that scenario samplers draw"
+    ),
+}
+
+
+def _names(tree: ast.AST) -> Counter:
+    """Identifiers the code of ``tree`` uses: variables, attributes,
+    imports, and strings that are one identifier (what ``getattr`` /
+    ``hasattr`` look up).  A definition is not a use of its own name, and
+    prose in docstrings and comments is not code."""
+    names = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            names[node.attr] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.isidentifier():
+                names[node.value] += 1
+        elif isinstance(node, ast.alias):
+            names[node.name.rpartition(".")[2]] += 1
+    return names
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _python_files(*dirs: Path):
+    for directory in dirs:
+        yield from sorted(directory.rglob("*.py"))
+
+
+def definitions(tree: ast.Module):
+    """``(qualified name, name, line)`` of every top-level def and class
+    and every method, dunder methods aside."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if not isinstance(node, kinds):
+            continue
+        yield node.name, node.name, node.lineno
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, kinds) and not (
+                    member.name.startswith("__") and member.name.endswith("__")
+                ):
+                    yield (
+                        f"{node.name}.{member.name}", member.name, member.lineno
+                    )
+
+
+def unreached():
+    """``(path, line, qualified name)`` of every definition no other
+    module, benchmark or example uses, and its own module uses nowhere
+    but in its definition."""
+    trees = {path: _parse(path) for path in _python_files(PACKAGE)}
+    modules = {path: _names(tree) for path, tree in trees.items()}
+    outside = set()
+    for path in _python_files(ROOT / "benchmarks", ROOT / "examples"):
+        outside.update(_names(_parse(path)))
+    found = []
+    for path, own in modules.items():
+        elsewhere = set(outside)
+        for other, names in modules.items():
+            if other != path and other.name != "__init__.py":
+                elsewhere.update(names)
+        for qualified, name, line in definitions(trees[path]):
+            if name in elsewhere or own[name]:
+                continue
+            found.append((path.relative_to(ROOT), line, qualified))
+    return found
+
+
+def test_every_definition_has_a_caller_outside_its_tests():
+    found = [entry for entry in unreached() if entry[2] not in ALLOWED]
+    assert not found, "no caller outside tests:\n" + "\n".join(
+        f"{path}:{line}: {name}" for path, line, name in found
+    )
+
+
+def test_every_allowance_is_still_needed():
+    stale = set(ALLOWED) - {name for _, _, name in unreached()}
+    assert not stale, f"callers exist now; drop from ALLOWED: {sorted(stale)}"

@@ -90,14 +90,6 @@ class TestCodecEdgeCases:
         codec = FixedLengthCodec([100], key_bits=16)
         assert codec.layout.codes[0].feature_bits < 16
 
-    def test_encode_batch_empty(self):
-        from repro.coding.size_aware import SizeAwareCodec
-        import numpy as np
-
-        codec = SizeAwareCodec([10, 10], key_bits=16)
-        out = codec.encode_batch(np.zeros(0, np.int64), np.zeros(0, np.uint64))
-        assert len(out) == 0
-
     def test_table_of_on_unknown_bits_returns_minus_one_free(self):
         """All keys produced by encode decode back to a valid table."""
         from repro.coding.size_aware import SizeAwareCodec

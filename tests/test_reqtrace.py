@@ -238,12 +238,6 @@ class TestSamplingProperty:
         assert violating.all() and not tail.any()
         assert np.array_equal(head | tail, head)
 
-    def test_force_retain_overrides_masks(self):
-        tracer = RequestTracer(TraceConfig(head_interval=0))
-        tracer.begin_run(np.array([3, 9]), np.zeros(2))
-        tracer.force_retain([9])
-        assert tracer.forced_mask().tolist() == [False, True]
-
 
 # ---------------------------------------------------------------------------
 # Serving integration: both loops, conservation + zero-cost off switch
@@ -297,22 +291,6 @@ class TestServingIntegration:
         counters = reqtrace_counters(report)
         assert counters["reqtrace.tail_retained"] == len(reqs)
         assert counters["reqtrace.sla_violations"] == len(reqs)
-
-    def test_spans_telescope_and_stamp_context(self, dataset, hw):
-        reqs = PoissonArrivals(dataset, 80_000.0, seed=6).generate(300)
-        tracer = RequestTracer(TraceConfig(head_interval=32))
-        make_server(dataset, hw, reqtracer=tracer).serve(reqs)
-        spans = tracer.chrome_spans()
-        assert spans
-        for span in spans:
-            assert "request_id" in span.args
-            assert "dispatch" in span.args
-        for trace in tracer.traces:
-            chain = trace.spans()
-            root = chain[0]
-            assert root[2] == "request"
-            child_total = sum(entry[4] for entry in chain[1:])
-            assert child_total == pytest.approx(root[4], abs=1e-9)
 
     def test_reqtrace_laws_flag_forged_counters(self):
         registry = MetricsRegistry()

@@ -6,7 +6,7 @@ import pytest
 from repro.core.config import FlecheConfig
 from repro.core.workflow import FlecheEmbeddingLayer
 from repro.errors import ConfigError, WorkloadError
-from repro.serving.arrivals import BurstyArrivals, PoissonArrivals, Request
+from repro.serving.arrivals import PoissonArrivals, Request
 from repro.serving.batcher import BatchingPolicy, form_batches
 from repro.serving.server import InferenceServer
 from repro.tables.store import EmbeddingStore
@@ -46,31 +46,6 @@ class TestPoissonArrivals:
         a = PoissonArrivals(dataset, 100.0, seed=7).generate(10)
         b = PoissonArrivals(dataset, 100.0, seed=7).generate(10)
         assert [r.arrival_time for r in a] == [r.arrival_time for r in b]
-
-
-class TestBurstyArrivals:
-    def test_generates_requested_count(self, dataset):
-        reqs = BurstyArrivals(dataset, 1_000.0, 50_000.0, seed=3).generate(200)
-        assert len(reqs) == 200
-
-    def test_burstier_than_poisson(self, dataset):
-        """Inter-arrival gaps of the bursty source have a heavier spread."""
-        poisson = PoissonArrivals(dataset, 5_000.0, seed=4).generate(2_000)
-        bursty = BurstyArrivals(
-            dataset, 1_000.0, 100_000.0, burst_fraction=0.3, seed=4,
-        ).generate(2_000)
-
-        def cv(reqs):
-            gaps = np.diff([r.arrival_time for r in reqs])
-            return gaps.std() / gaps.mean()
-
-        assert cv(bursty) > cv(poisson)
-
-    def test_validation(self, dataset):
-        with pytest.raises(WorkloadError):
-            BurstyArrivals(dataset, 0.0, 10.0)
-        with pytest.raises(WorkloadError):
-            BurstyArrivals(dataset, 10.0, 10.0, burst_fraction=1.5)
 
 
 def _request(i, t):

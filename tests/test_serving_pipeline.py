@@ -20,7 +20,7 @@ from repro.faults import (
     ShardOutage,
 )
 from repro.gpusim.clock import Timeline
-from repro.gpusim.executor import Event, Executor, SharedResource
+from repro.gpusim.executor import SharedResource
 from repro.multitier.hierarchy import TieredParameterStore
 from repro.multitier.remote_ps import RemoteParameterServer
 from repro.serving.arrivals import PoissonArrivals
@@ -92,21 +92,6 @@ class TestSharedResource:
             res.occupy(0.5, 0.7)  # starts before free_at
         with pytest.raises(SimulationError):
             res.occupy(2.0, 1.0)  # ends before it starts
-
-
-class TestEvent:
-    def test_wait_event_orders_streams(self, hw):
-        executor = Executor(hw)
-        a = executor.stream("a")
-        b = executor.stream("b")
-        a.ready_time = 5.0
-        event = executor.record_event(stream=a, name="after-a")
-        assert event.timestamp == 5.0
-        executor.wait_event(b, event)
-        assert b.ready_time == 5.0
-        # Waiting never moves a stream backwards.
-        executor.wait_event(a, Event(timestamp=1.0))
-        assert a.ready_time == 5.0
 
 
 class TestTimelineActive:

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.config import FlecheConfig
 from repro.core.flat_cache import FlatCache
-from repro.core.snapshot import CacheSnapshot, restore, snapshot
+from repro.core.snapshot import restore, snapshot
 from repro.errors import WorkloadError
 from repro.tables.embedding_table import reference_vectors
 from repro.tables.table_spec import make_table_specs
@@ -43,15 +43,6 @@ class TestSnapshot:
         snap = snapshot(cache)
         assert snap.num_entries == 5  # pointers not persisted
 
-    def test_serialisation_roundtrip(self):
-        cache = build_cache()
-        cache.tick()
-        fill(cache, 0, range(8))
-        snap = snapshot(cache)
-        loaded = CacheSnapshot.from_bytes(snap.to_bytes())
-        assert loaded.num_entries == snap.num_entries
-        assert loaded.key_bits == snap.key_bits
-
     def test_stream_position_defaults(self):
         cache = build_cache()
         cache.tick()
@@ -61,28 +52,12 @@ class TestSnapshot:
         assert snap.log_offset == -1
 
     def test_stream_position_roundtrip(self):
-        from repro.core.snapshot import SNAPSHOT_VERSION
-
-        assert SNAPSHOT_VERSION == 2
         cache = build_cache()
         cache.tick()
         fill(cache, 0, [1])
         snap = snapshot(cache, model_version=7, log_offset=42)
-        loaded = CacheSnapshot.from_bytes(snap.to_bytes())
-        assert loaded.model_version == 7
-        assert loaded.log_offset == 42
-
-    def test_version_checked(self):
-        cache = build_cache()
-        cache.tick()
-        fill(cache, 0, [1])
-        payload = snapshot(cache).to_bytes()
-        import pickle
-
-        data = pickle.loads(payload)
-        data["version"] = 999
-        with pytest.raises(WorkloadError):
-            CacheSnapshot.from_bytes(pickle.dumps(data))
+        assert snap.model_version == 7
+        assert snap.log_offset == 42
 
 
 class TestRestore:

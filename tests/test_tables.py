@@ -9,13 +9,11 @@ import pytest
 from repro.core.precision import dequantize_rows, quantize_rows
 from repro.errors import ConfigError, WorkloadError
 from repro.tables import embedding_table
-from repro.tables.embedding_table import (
-    EmbeddingTable,
-    reference_vector,
-    reference_vectors,
-)
+from repro.tables.embedding_table import EmbeddingTable, reference_vectors
 from repro.tables.store import EmbeddingStore
 from repro.tables.table_spec import TableSpec, make_table_specs, total_param_bytes
+
+from conftest import query_table
 
 
 class TestTableSpec:
@@ -51,22 +49,19 @@ class TestReferenceVectors:
         np.testing.assert_array_equal(a, b)
 
     def test_distinct_across_tables(self):
-        a = reference_vector(0, 5, 16)
-        b = reference_vector(1, 5, 16)
+        ids = np.array([5], np.uint64)
+        a = reference_vectors(0, ids, 16)
+        b = reference_vectors(1, ids, 16)
         assert not np.allclose(a, b)
 
     def test_distinct_across_ids(self):
-        a = reference_vector(0, 5, 16)
-        b = reference_vector(0, 6, 16)
+        a = reference_vectors(0, np.array([5], np.uint64), 16)
+        b = reference_vectors(0, np.array([6], np.uint64), 16)
         assert not np.allclose(a, b)
 
     def test_bounded_values(self):
         v = reference_vectors(2, np.arange(100, dtype=np.uint64), 32)
         assert (v >= -0.5).all() and (v < 0.5).all()
-
-    def test_scalar_matches_vector(self):
-        batch = reference_vectors(1, np.array([42], np.uint64), 8)
-        np.testing.assert_array_equal(reference_vector(1, 42, 8), batch[0])
 
 
 class TestEmbeddingTable:
@@ -108,15 +103,16 @@ class TestEmbeddingStore:
 
     def test_query_returns_vectors_and_cost(self, hw, mixed_dim_specs):
         store = EmbeddingStore(mixed_dim_specs, hw)
-        result = store.query(0, np.array([1, 2], np.uint64))
+        result = query_table(store, 0, np.array([1, 2], np.uint64))
         assert result.vectors.shape == (2, 16)
         assert result.cost.total > 0
 
     def test_unified_index_fraction_reduces_index_time(self, hw, mixed_dim_specs):
         store = EmbeddingStore(mixed_dim_specs, hw)
+        tables = np.zeros(100, dtype=np.int64)
         ids = np.arange(100, dtype=np.uint64)
-        full = store.query(0, ids, indexed_fraction=0.0)
-        half = store.query(0, ids, indexed_fraction=0.5)
+        full = store.query_many(tables, ids)
+        half = store.query_many(tables, ids, indexed_mask=ids % 2 == 0)
         assert half.cost.index_time == pytest.approx(0.5 * full.cost.index_time, rel=0.05)
         assert half.cost.copy_time == pytest.approx(full.cost.copy_time)
 
@@ -142,11 +138,6 @@ class TestEmbeddingStore:
         none_indexed = store.query_many(tables, features, indexed_mask=np.zeros(10, bool))
         assert all_indexed.cost.index_time == 0.0
         assert none_indexed.cost.index_time > 0.0
-
-    def test_bad_fraction_rejected(self, hw, mixed_dim_specs):
-        store = EmbeddingStore(mixed_dim_specs, hw)
-        with pytest.raises(WorkloadError):
-            store.query(0, np.array([1], np.uint64), indexed_fraction=2.0)
 
     def test_dense_numbering_enforced(self, hw):
         bad = [TableSpec(1, 10, 4)]
@@ -183,7 +174,9 @@ class TestSharedRowBank:
         tables = np.array([0, 1, 0, 1, 1])
         ids = np.array([7, 9, 200, 3, 9], np.uint64)
         a = first.query_many(tables, ids).vectors
-        second.query(1, np.array([100, 9], np.uint64))  # other order first
+        second.query_many(  # other order first
+            np.array([1, 1]), np.array([100, 9], np.uint64)
+        )
         b = second.query_many(tables[::-1], ids[::-1]).vectors[::-1]
         np.testing.assert_array_equal(a, b)
         for t in (0, 1):

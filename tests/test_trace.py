@@ -68,16 +68,3 @@ class TestTrace:
             t.split(0)
         with pytest.raises(WorkloadError):
             t.split(2)
-
-    def test_rebatched_preserves_stream(self):
-        t = Trace([batch([[1, 2, 3, 4]], batch_size=4),
-                   batch([[5, 6, 7, 8]], batch_size=4)])
-        r = t.rebatched(batch_size=2)
-        assert len(r) == 4
-        stream = np.concatenate([b.ids_per_table[0] for b in r])
-        assert stream.tolist() == [1, 2, 3, 4, 5, 6, 7, 8]
-
-    def test_rebatched_too_large(self):
-        t = Trace([batch([[1, 2]], batch_size=2)])
-        with pytest.raises(WorkloadError):
-            t.rebatched(batch_size=100)

@@ -1,4 +1,4 @@
-"""Tests for dataset specs, synthetic generation, replicas, preprocessing."""
+"""Tests for dataset specs, synthetic generation and replicas."""
 
 import numpy as np
 import pytest
@@ -11,10 +11,8 @@ from repro.workloads.datasets import (
     criteo_kaggle_replica,
     criteo_tb_replica,
 )
-from repro.workloads.preprocess import filter_low_frequency, frequency_tables
 from repro.workloads.spec import DatasetSpec, FieldSpec
 from repro.workloads.synthetic import synthetic_dataset, uniform_tables_spec
-from repro.workloads.trace import Trace, TraceBatch
 
 
 class TestFieldSpec:
@@ -41,19 +39,6 @@ class TestDatasetSpec:
         assert spec.num_tables == 2
         assert spec.total_sparse_ids == 300
         assert spec.param_bytes == 300 * 32
-
-    def test_cache_slots_for_ratio(self):
-        spec = DatasetSpec(
-            name="x", fields=(FieldSpec(1000),), num_samples=10, dim=8
-        )
-        assert spec.cache_slots_for_ratio(0.05) == 50
-
-    def test_cache_ratio_bounds(self):
-        spec = DatasetSpec(
-            name="x", fields=(FieldSpec(1000),), num_samples=10, dim=8
-        )
-        with pytest.raises(WorkloadError):
-            spec.cache_slots_for_ratio(0.0)
 
     def test_table_specs(self):
         spec = uniform_tables_spec(num_tables=3, corpus_size=10, dim=4)
@@ -132,38 +117,3 @@ class TestReplicas:
         big = avazu_replica(scale=1.0).total_sparse_ids
         small = avazu_replica(scale=0.1).total_sparse_ids
         assert small < big
-
-
-class TestPreprocess:
-    def _trace(self):
-        ids0 = np.array([1, 1, 1, 2, 3, 3], np.uint64)
-        ids1 = np.array([9, 9, 9, 9, 8, 7], np.uint64)
-        return Trace([
-            TraceBatch([ids0[:3], ids1[:3]], batch_size=3),
-            TraceBatch([ids0[3:], ids1[3:]], batch_size=3),
-        ])
-
-    def test_frequency_tables(self):
-        counts = frequency_tables(self._trace())
-        assert counts[0][1] == 3
-        assert counts[1][9] == 4
-
-    def test_filter_removes_rare_ids(self):
-        filtered, remaps = filter_low_frequency(self._trace(), min_count=2)
-        # id 2 of table 0 occurred once -> mapped to the OOV bucket 0.
-        all_ids0 = np.concatenate([b.ids_per_table[0] for b in filtered])
-        assert 0 in all_ids0.tolist()
-        assert 2 not in remaps[0]
-        assert 1 in remaps[0] and 3 in remaps[0]
-
-    def test_surviving_ids_densified(self):
-        _, remaps = filter_low_frequency(self._trace(), min_count=2)
-        assert sorted(remaps[0].values()) == [1, 2]
-
-    def test_min_count_one_keeps_everything(self):
-        filtered, remaps = filter_low_frequency(self._trace(), min_count=1)
-        assert len(remaps[0]) == 3
-
-    def test_bad_min_count(self):
-        with pytest.raises(WorkloadError):
-            filter_low_frequency(self._trace(), min_count=0)
