@@ -34,6 +34,8 @@ from ..core.workflow import coupled_query_kernel_spec
 
 #: Host cost of deduplicating one key on the CPU (hash-set insert).
 _HOST_DEDUP_COST_PER_KEY = 4e-9
+#: Residual per-node dispatch cost inside a CUDA graph replay.
+GRAPH_NODE_OVERHEAD = 1.0e-6
 
 
 @dataclass(frozen=True)
@@ -48,18 +50,15 @@ class PerTableConfig:
     """
 
     cache_ratio: float = 0.05
-    index_load_factor: float = 1.0
     use_cuda_graph: bool = False
     #: CPU cost of replaying a captured graph (one driver call).
     graph_replay_overhead: float = 6.0e-6
-    #: Residual per-node dispatch cost inside a graph replay.
-    graph_node_overhead: float = 1.0e-6
     seed: int = 0
 
     def __post_init__(self) -> None:
         if not 0.0 < self.cache_ratio <= 1.0:
             raise ConfigError("cache_ratio must be in (0, 1]")
-        if self.graph_replay_overhead < 0 or self.graph_node_overhead < 0:
+        if self.graph_replay_overhead < 0:
             raise ConfigError("graph overheads must be >= 0")
 
 
@@ -123,16 +122,17 @@ class PerTableCacheLayer(EmbeddingCacheScheme):
         self.config = config
         self.hw = hw
         # The same HBM-accounting rule as the flat cache: 24 B/slot of index
-        # metadata is charged against each table's byte budget.
+        # metadata is charged against each table's byte budget; each index
+        # is sized for a load factor of 1.
         self.caches: List[_TableCache] = []
         for spec in store.specs:
             budget = config.cache_ratio * spec.param_bytes
-            slot_cost = spec.dim * 4 + 24.0 / config.index_load_factor
+            slot_cost = spec.dim * 4 + 24.0
             self.caches.append(
                 _TableCache(
                     capacity=max(1, int(budget // slot_cost)),
                     dim=spec.dim,
-                    load_factor=config.index_load_factor,
+                    load_factor=1.0,
                 )
             )
         self._clock = 0
@@ -174,7 +174,7 @@ class PerTableCacheLayer(EmbeddingCacheScheme):
             executor.host_work(
                 self.config.graph_replay_overhead, Category.MAINTENANCE
             )
-            per_kernel_cost = self.config.graph_node_overhead
+            per_kernel_cost = GRAPH_NODE_OVERHEAD
         lookups = []
         for t, unique in enumerate(unique_per_table):
             stream = executor.stream(f"table{t}")

@@ -19,6 +19,9 @@ from dataclasses import dataclass
 from ..errors import ConfigError
 from ..hardware import HardwareSpec
 
+#: Polling latency before a newly arrived request is picked up.
+POLL_LATENCY = 2e-6
+
 
 @dataclass(frozen=True)
 class PersistentKernelConfig:
@@ -26,14 +29,10 @@ class PersistentKernelConfig:
 
     #: Fraction of the GPU's SMs pinned by the persistent kernel.
     sm_fraction: float = 0.25
-    #: Polling latency before a newly arrived request is picked up.
-    poll_latency: float = 2e-6
 
     def __post_init__(self) -> None:
         if not 0.0 < self.sm_fraction < 1.0:
             raise ConfigError("sm_fraction must be in (0, 1)")
-        if self.poll_latency < 0:
-            raise ConfigError("poll_latency must be >= 0")
 
 
 def degraded_platform(hw: HardwareSpec, config: PersistentKernelConfig) -> HardwareSpec:
@@ -66,7 +65,7 @@ def query_service_time(
     gather, at the PK's share of memory bandwidth, after the poll latency.
     """
     if num_keys <= 0:
-        return config.poll_latency
+        return POLL_LATENCY
     row_bytes = -(-dim * 4 // hw.gpu.transaction_bytes) * hw.gpu.transaction_bytes
     probe_bytes = num_keys * hw.gpu.transaction_bytes
     copy_bytes = 2 * num_keys * row_bytes
@@ -75,7 +74,7 @@ def query_service_time(
         hw.gpu.hbm_bandwidth * hw.gpu.hbm_stream_efficiency * config.sm_fraction
     )
     return (
-        config.poll_latency
+        POLL_LATENCY
         + probe_bytes / random_bw
         + copy_bytes / max(stream_bw, 1.0)
     )

@@ -94,17 +94,17 @@ def emit_observability(snapshot, tracer) -> List[str]:
     return paths
 
 
-def emit_timeseries(collector, engine=None) -> List[str]:
+def emit_timeseries(collector) -> List[str]:
     """Persist a run's windowed series and alert history.
 
     Writes ``series.json`` (the
     :class:`~repro.obs.timeseries.WindowedCollector` ring buffer) and —
-    when an SLO engine is attached to the collector or passed explicitly —
-    ``alerts.json`` (the :class:`~repro.obs.alerts.SloEngine` payload).
-    Returns the paths written.
+    when an SLO engine is attached to the collector — ``alerts.json`` (the
+    :class:`~repro.obs.alerts.SloEngine` payload).  Returns the paths
+    written.
     """
     paths = [emit_json("series", collector.to_payload())]
-    engine = engine if engine is not None else collector.engine
+    engine = collector.engine
     if engine is not None:
         paths.append(emit_json("alerts", engine.to_payload()))
     return paths

@@ -593,6 +593,7 @@ def _cmd_cluster(args) -> int:
     import dataclasses
 
     from .cluster import ClusterRouter
+    from .cluster.health import HEARTBEAT_INTERVAL
     from .faults import FaultSchedule, ReplicaCrash
 
     hw, dataset, log, config = _cluster_setup(args)
@@ -635,7 +636,7 @@ def _cmd_cluster(args) -> int:
         router = ClusterRouter(
             dataset, hw, config=config, schedule=schedule, update_log=log
         )
-        horizon = args.horizon + 16 * config.health.heartbeat_interval
+        horizon = args.horizon + 16 * HEARTBEAT_INTERVAL
         timelines = router.monitor.observe(horizon)
         rows = []
         for r in sorted(timelines):

@@ -28,7 +28,6 @@ from .health import (
     RECOVERING,
     STATE_CODES,
     SUSPECT,
-    HealthConfig,
     HealthMonitor,
     HealthTransition,
     ReplicaHealth,
@@ -69,7 +68,6 @@ __all__ = [
     "ClusterReport",
     "ClusterRouter",
     "ConsistentHashPolicy",
-    "HealthConfig",
     "HealthMonitor",
     "HealthTransition",
     "LeastOutstandingPolicy",

@@ -56,19 +56,18 @@ def run_scenario_drill(
     hw,
     scenario: str = "flash_crowd",
     seed: int = 0,
-    config: Optional[ClusterConfig] = None,
     crash: bool = True,
     sla_budget: float = 2e-3,
     **scenario_overrides,
 ) -> ScenarioDrillResult:
-    """Serve one adversarial scenario through a replicated cluster.
+    """Serve one adversarial scenario through a three-replica cluster.
 
     With ``crash=True`` the replica owning the Zipf head is killed for
     the duration of the scenario's *stress* phase (the phase with the
     highest rate, or the middle phase of a flood), so failover and the
     adversarial load peak together.
     """
-    cfg = config or ClusterConfig(num_replicas=3)
+    cfg = ClusterConfig(num_replicas=3)
     sc = build_scenario(scenario, dataset, seed=seed, **scenario_overrides)
     load = sc.build()
     validate_load(load, dataset)

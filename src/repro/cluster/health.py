@@ -1,15 +1,15 @@
 """Per-replica failure detection on the simulated clock.
 
-Every replica heartbeats the router once per ``heartbeat_interval`` of
-simulated time.  A :class:`HealthMonitor` walks those beat instants
+Every replica heartbeats the router once per :data:`HEARTBEAT_INTERVAL`
+of simulated time.  A :class:`HealthMonitor` walks those beat instants
 against the installed :class:`~repro.faults.schedule.FaultSchedule` and
 drives one state machine per replica::
 
-    healthy --(suspect_after missed beats)--> suspect
-    suspect --(dead_after missed beats)-----> dead
+    healthy --(SUSPECT_AFTER missed beats)--> suspect
+    suspect --(DEAD_AFTER missed beats)-----> dead
     suspect --(beat received)---------------> healthy      (a flap)
     dead    --(beats resume)----------------> recovering
-    recovering --(replay done, lag clear)---> healthy      (readmitted)
+    recovering --(replay done)--------------> healthy      (readmitted)
 
 Both :class:`~repro.faults.schedule.ReplicaCrash` (real failure: the
 replica's memory is gone) and :class:`~repro.faults.schedule.HeartbeatLoss`
@@ -19,7 +19,7 @@ The router layers the difference on top: a crash loses in-flight work
 and forces snapshot + log-replay recovery, a heartbeat loss merely
 drains traffic away until beats resume.
 
-Because beats are deterministic functions of ``(schedule, config)``, the
+Because beats are deterministic functions of the schedule, the
 whole timeline is precomputed before a single request is served, and
 transition instants double as alert timestamps: the replica-health alert
 fires on the healthy->suspect edge (time-to-detect) and resolves on the
@@ -49,36 +49,18 @@ RECOVERING = "recovering"
 STATE_CODES = {HEALTHY: 0, SUSPECT: 1, DEAD: 2, RECOVERING: 3}
 
 
-@dataclass(frozen=True)
-class HealthConfig:
-    """Failure-detector and readmission tuning."""
+# Failure-detector and readmission tuning.
 
-    #: Simulated seconds between replica heartbeats.
-    heartbeat_interval: float = 1e-3
-    #: Consecutive missed beats before healthy -> suspect.
-    suspect_after: int = 2
-    #: Consecutive missed beats before suspect -> dead.
-    dead_after: int = 4
-    #: Version lag a rejoining replica must clear before readmission.
-    readmit_lag: float = 1.0
-    #: Version lag past which the per-replica staleness alert fires.
-    staleness_budget: float = 2.0
-    #: Modeled log-replay bandwidth during recovery (keys/second).
-    replay_keys_per_s: float = 2e6
-
-    def __post_init__(self) -> None:
-        if self.heartbeat_interval <= 0:
-            raise ConfigError("heartbeat_interval must be positive")
-        if self.suspect_after < 1:
-            raise ConfigError("suspect_after must be >= 1")
-        if self.dead_after <= self.suspect_after:
-            raise ConfigError("dead_after must exceed suspect_after")
-        if self.readmit_lag < 0:
-            raise ConfigError("readmit_lag must be >= 0")
-        if self.staleness_budget < 0:
-            raise ConfigError("staleness_budget must be >= 0")
-        if self.replay_keys_per_s <= 0:
-            raise ConfigError("replay_keys_per_s must be positive")
+#: Simulated seconds between replica heartbeats.
+HEARTBEAT_INTERVAL = 1e-3
+#: Consecutive missed beats before healthy -> suspect.
+SUSPECT_AFTER = 2
+#: Consecutive missed beats before suspect -> dead.
+DEAD_AFTER = 4
+#: Version lag past which the per-replica staleness alert fires.
+STALENESS_BUDGET = 2.0
+#: Modeled log-replay bandwidth during recovery (keys/second).
+REPLAY_KEYS_PER_S = 2e6
 
 
 @dataclass(frozen=True)
@@ -155,10 +137,9 @@ class HealthMonitor(Observable):
     beat after that, so a stale replica is never routed to early.
     """
 
-    def __init__(self, config: HealthConfig, schedule, num_replicas: int):
+    def __init__(self, schedule, num_replicas: int):
         if num_replicas < 1:
             raise ConfigError("num_replicas must be >= 1")
-        self.config = config
         self.schedule = schedule
         self.num_replicas = num_replicas
 
@@ -175,25 +156,24 @@ class HealthMonitor(Observable):
         """Walk heartbeats over ``[0, horizon]``; returns the timelines."""
         if horizon <= 0:
             raise ConfigError("health horizon must be positive")
-        cfg = self.config
         timelines: Dict[int, ReplicaHealth] = {}
         for replica in range(self.num_replicas):
             transitions = [HealthTransition(0.0, HEALTHY)]
             state = HEALTHY
             missed = 0
             readmit_at: Optional[float] = None
-            beats = int(ceil(horizon / cfg.heartbeat_interval))
+            beats = int(ceil(horizon / HEARTBEAT_INTERVAL))
             for k in range(1, beats + 1):
-                t = k * cfg.heartbeat_interval
+                t = k * HEARTBEAT_INTERVAL
                 lost = self._beat_missed(replica, t)
                 self.obs.inc("cluster.heartbeats")
                 if lost:
                     self.obs.inc("cluster.missed_heartbeats")
                     missed += 1
-                    if state == HEALTHY and missed >= cfg.suspect_after:
+                    if state == HEALTHY and missed >= SUSPECT_AFTER:
                         state = SUSPECT
                         transitions.append(HealthTransition(t, state))
-                    elif state == SUSPECT and missed >= cfg.dead_after:
+                    elif state == SUSPECT and missed >= DEAD_AFTER:
                         state = DEAD
                         transitions.append(HealthTransition(t, state))
                     continue
@@ -212,7 +192,7 @@ class HealthMonitor(Observable):
                     )
                     # Readmission waits at least one full beat: the
                     # replica must prove it is both alive and caught up.
-                    readmit_at = t + max(delay, cfg.heartbeat_interval)
+                    readmit_at = t + max(delay, HEARTBEAT_INTERVAL)
                 elif state == RECOVERING and t >= readmit_at:
                     state = HEALTHY
                     transitions.append(HealthTransition(t, state))
@@ -258,7 +238,6 @@ __all__ = [
     "RECOVERING",
     "STATE_CODES",
     "SUSPECT",
-    "HealthConfig",
     "HealthMonitor",
     "HealthTransition",
     "ReplicaHealth",

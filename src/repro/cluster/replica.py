@@ -35,6 +35,13 @@ from ..tables.store import EmbeddingStore
 from ..workloads.trace import TraceBatch
 from ..workloads.zipf import zipf_head_ids
 
+# How every replica serves: its batching policy, pipeline depth, and the
+# update keys one idle slot's refresh quantum applies.
+MAX_BATCH_SIZE = 64
+MAX_DELAY = 5e-4
+DEPTH = 2
+REFRESH_QUANTUM = 512
+
 
 class ClusterReplica:
     """A crash-restartable serving replica with its own cache + feed."""
@@ -45,10 +52,6 @@ class ClusterReplica:
         dataset,
         hw,
         cache_ratio: float = 0.05,
-        max_batch_size: int = 64,
-        max_delay: float = 5e-4,
-        depth: int = 2,
-        refresh_quantum: int = 512,
     ):
         if replica_id < 0:
             raise ConfigError("replica_id must be >= 0")
@@ -56,10 +59,6 @@ class ClusterReplica:
         self.dataset = dataset
         self.hw = hw
         self.cache_ratio = cache_ratio
-        self.max_batch_size = max_batch_size
-        self.max_delay = max_delay
-        self.depth = depth
-        self.refresh_quantum = refresh_quantum
         #: Bumped on every (re)build; the router keys request streams on
         #: ``(replica, incarnation)`` so pre- and post-crash dispatches
         #: never share a pipeline.
@@ -81,9 +80,9 @@ class ClusterReplica:
         self.server = PipelinedInferenceServer(
             self.dataset, self.layer, self.hw,
             policy=BatchingPolicy(
-                max_batch_size=self.max_batch_size, max_delay=self.max_delay
+                max_batch_size=MAX_BATCH_SIZE, max_delay=MAX_DELAY
             ),
-            depth=self.depth,
+            depth=DEPTH,
         )
         self.incarnation += 1
 
@@ -114,7 +113,7 @@ class ClusterReplica:
         )
         self.subscriber.bind_observability(self.server.obs)
         self.server.refresher = RefreshScheduler(
-            self.subscriber, self.hw, quantum_keys=self.refresh_quantum
+            self.subscriber, self.hw, quantum_keys=REFRESH_QUANTUM
         )
         self.subscriber.catch_up(now)
 
@@ -164,7 +163,7 @@ class ClusterReplica:
         )
         self.subscriber.bind_observability(self.server.obs)
         self.server.refresher = RefreshScheduler(
-            self.subscriber, self.hw, quantum_keys=self.refresh_quantum
+            self.subscriber, self.hw, quantum_keys=REFRESH_QUANTUM
         )
         return self.subscriber.catch_up(now)
 

@@ -13,7 +13,7 @@ separated from execution so a run stays a pure function of
    primary of the stream in one ``primary_many`` call, given which
    replicas are routable at each arrival; crash windows turn sends into
    lost ones (re-sent to the next live replica after
-   ``dispatch_timeout``, or at once when the per-replica circuit
+   :data:`DISPATCH_TIMEOUT`, or at once when the per-replica circuit
    breaker is open); detected-dead and suspect windows fail over at
    dispatch time; slowdown windows add a cross-replica hedge copy after
    ``hedge_delay``.  One planner turns those owners into array masks
@@ -45,7 +45,7 @@ until the process restarts and replays, and nothing is hedged.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import ceil, inf, isfinite
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -65,10 +65,13 @@ from ..obs.reqtrace import (
     sample_traces,
 )
 from .health import (
+    DEAD_AFTER,
     HEALTHY,
+    HEARTBEAT_INTERVAL,
+    REPLAY_KEYS_PER_S,
+    STALENESS_BUDGET,
     STATE_CODES,
     SUSPECT,
-    HealthConfig,
     HealthMonitor,
     ReplicaHealth,
 )
@@ -87,6 +90,8 @@ _DISPOSITIONS = (*_KIND_RANK, SHED)
 #: Why a failover was planned (the table's ``cause`` column indexes this;
 #: 0 = not a failover).  "breaker" marks fast-fails in the trace.
 _CAUSES = ("", "health", "timeout", "breaker", "inflight")
+#: Un-acked dispatches are re-sent to the next replica after this.
+DISPATCH_TIMEOUT = 1e-3
 
 
 @dataclass(frozen=True)
@@ -96,11 +101,7 @@ class ClusterConfig:
     num_replicas: int = 4
     #: Routing policy name (see :data:`repro.cluster.routing.POLICY_NAMES`).
     policy: str = "hash"
-    routing_table: int = 0
     cache_ratio: float = 0.05
-    depth: int = 2
-    max_batch_size: int = 64
-    max_delay: float = 5e-4
     #: Zipf-head ids replicated onto every replica at admission.
     hot_keys: int = 256
     #: Cross-replica hedge delay for straggler replicas (None = off).
@@ -108,20 +109,14 @@ class ClusterConfig:
     #: False = unrouted baseline: no failover, no hedging, crashed
     #: replicas shed their traffic until the process restarts.
     failover: bool = True
-    #: Un-acked dispatches are re-sent to the next replica after this.
-    dispatch_timeout: float = 1e-3
     #: Per-replica circuit breaker (None = no breaker).
     breaker: Optional[BreakerConfig] = None
-    refresh_quantum: int = 512
-    health: HealthConfig = field(default_factory=HealthConfig)
 
     def __post_init__(self) -> None:
         if self.num_replicas < 1:
             raise ConfigError("cluster needs at least one replica")
         if self.hot_keys < 0:
             raise ConfigError("hot_keys must be >= 0")
-        if self.dispatch_timeout <= 0:
-            raise ConfigError("dispatch_timeout must be positive")
         if self.hedge_delay is not None and self.hedge_delay <= 0:
             raise ConfigError("hedge_delay must be positive when set")
 
@@ -355,21 +350,10 @@ class ClusterRouter(Observable):
         self.update_log = update_log
         self.warm_seed = warm_seed
         cfg = self.config
-        self.policy: RoutingPolicy = make_policy(
-            cfg.policy, cfg.num_replicas, cfg.routing_table
-        )
-        self.monitor = HealthMonitor(
-            cfg.health, self.schedule, cfg.num_replicas
-        )
+        self.policy: RoutingPolicy = make_policy(cfg.policy, cfg.num_replicas)
+        self.monitor = HealthMonitor(self.schedule, cfg.num_replicas)
         self.replicas: List[ClusterReplica] = [
-            ClusterReplica(
-                r, dataset, hw,
-                cache_ratio=cfg.cache_ratio,
-                max_batch_size=cfg.max_batch_size,
-                max_delay=cfg.max_delay,
-                depth=cfg.depth,
-                refresh_quantum=cfg.refresh_quantum,
-            )
+            ClusterReplica(r, dataset, hw, cache_ratio=cfg.cache_ratio)
             for r in range(cfg.num_replicas)
         ]
         self.breakers: Dict[int, CircuitBreaker] = (
@@ -448,7 +432,7 @@ class ClusterRouter(Observable):
             )
             recover_done = end + (
                 self.replicas[r].pending_replay_keys(end)
-                / cfg.health.replay_keys_per_s
+                / REPLAY_KEYS_PER_S
             ) if isfinite(end) else inf
             episodes[r] = _CrashEpisode(
                 replica=r,
@@ -547,7 +531,7 @@ class ClusterRouter(Observable):
             # health: detected dead, or suspect from lost heartbeats.
             primary = rejoined | steady
             away = np.flatnonzero(~primary)
-            at[timeout, 0] += cfg.dispatch_timeout
+            at[timeout, 0] += DISPATCH_TIMEOUT
             replica[away, 0] = self._fallback_targets(
                 owners[away], at[away, 0]
             )
@@ -760,13 +744,13 @@ class ClusterRouter(Observable):
         def replay_seconds(r: int, at: float) -> float:
             return (
                 self.replicas[r].pending_replay_keys(at)
-                / cfg.health.replay_keys_per_s
+                / REPLAY_KEYS_PER_S
             )
 
         horizon = (
             horizon0
             + max(replay_seconds(r, horizon0) for r in range(cfg.num_replicas))
-            + cfg.health.heartbeat_interval * (cfg.health.dead_after + 8)
+            + HEARTBEAT_INTERVAL * (DEAD_AFTER + 8)
         )
         self.health = self.monitor.observe(
             horizon, replay_seconds=replay_seconds
@@ -961,7 +945,6 @@ class ClusterRouter(Observable):
         """
         if self.update_log is None:
             return []
-        cfg = self.config.health
         alerts: List[Alert] = []
         for r in sorted(episodes):
             episode = episodes[r]
@@ -970,11 +953,11 @@ class ClusterRouter(Observable):
                 continue
             resolve_at = self._restart_at(episode)
             limit = min(resolve_at, horizon)
-            beat = int(ceil(episode.start / cfg.heartbeat_interval))
+            beat = int(ceil(episode.start / HEARTBEAT_INTERVAL))
             fired_at = None
             lag_at_fire = 0.0
             while True:
-                t = beat * cfg.heartbeat_interval
+                t = beat * HEARTBEAT_INTERVAL
                 if t >= limit:
                     break
                 if t >= episode.start:
@@ -982,7 +965,7 @@ class ClusterRouter(Observable):
                         self.update_log.latest_version(t)
                         - snapshot.model_version
                     )
-                    if lag > cfg.staleness_budget:
+                    if lag > STALENESS_BUDGET:
                         fired_at = t
                         lag_at_fire = float(lag)
                         break

@@ -11,8 +11,10 @@ the load-aware policy, its own earlier choices.
 Three policies ship, mirroring the partitioning primitives that
 :mod:`repro.multigpu.partition` already provides:
 
+Every policy routes on the request's first key of table 0.
+
 ``hash``
-    Consistent hashing of the request's first feature key through
+    Consistent hashing of the request's routing key through
     :class:`~repro.multigpu.partition.HashPartitioner` — the same
     mix-and-mod the multi-GPU flat cache uses, so a request's cache
     affinity survives across runs and replica counts are compared on
@@ -34,7 +36,7 @@ Three policies ship, mirroring the partitioning primitives that
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, List, Optional, Sequence
+from typing import Deque, List, Sequence
 
 import numpy as np
 
@@ -44,6 +46,10 @@ from ..serving.arrivals import Request
 
 #: Policy names accepted by :func:`make_policy` and the CLI/benchmarks.
 POLICY_NAMES = ("hash", "table-shard", "least-outstanding")
+
+#: Trailing window (simulated seconds) over which ``least-outstanding``
+#: counts each replica's primary choices.
+SERVICE_WINDOW = 1e-3
 
 
 class RoutingPolicy:
@@ -68,16 +74,14 @@ class RoutingPolicy:
         """
         raise NotImplementedError
 
-    def _routing_key(self, request: Request, table: int) -> int:
-        ids = request.feature_ids[table]
+    def _routing_key(self, request: Request) -> int:
+        ids = request.feature_ids[0]
         if len(ids) == 0:
             return request.request_id
         return int(ids[0])
 
     # hot-path: vectorized
-    def _routing_keys(
-        self, requests: Sequence[Request], table: int
-    ) -> np.ndarray:
+    def _routing_keys(self, requests: Sequence[Request]) -> np.ndarray:
         """Routing keys of a whole stream as one uint64 array.
 
         When every request carries a row of one shared id cube
@@ -94,31 +98,28 @@ class RoutingPolicy:
             rows = np.fromiter(
                 (s[1] for s in sources), dtype=np.intp, count=len(sources)
             )
-            return cube[rows, table, 0].astype(np.uint64, copy=False)
+            return cube[rows, 0, 0].astype(np.uint64, copy=False)
         return np.fromiter(
-            (self._routing_key(r, table) for r in requests),
+            (self._routing_key(r) for r in requests),
             dtype=np.uint64,
             count=len(requests),
         )
 
 
 class ConsistentHashPolicy(RoutingPolicy):
-    """Hash the first key of ``routing_table`` onto the replica ring."""
+    """Hash the routing key onto the replica ring."""
 
     name = "hash"
 
-    def __init__(self, num_replicas: int, routing_table: int = 0):
+    def __init__(self, num_replicas: int):
         super().__init__(num_replicas)
-        if routing_table < 0:
-            raise ConfigError("routing_table must be >= 0")
-        self.routing_table = routing_table
         self._partitioner = HashPartitioner(num_replicas)
 
     # hot-path: vectorized
     def primary_many(
         self, requests: Sequence[Request], routable: np.ndarray
     ) -> np.ndarray:
-        keys = self._routing_keys(requests, self.routing_table)
+        keys = self._routing_keys(requests)
         return self._partitioner.owner_of(keys)
 
 
@@ -127,44 +128,30 @@ class TableShardPolicy(RoutingPolicy):
 
     name = "table-shard"
 
-    def __init__(
-        self,
-        num_replicas: int,
-        num_shards: int = 64,
-        routing_table: int = 0,
-        assignment: Optional[Sequence[int]] = None,
-    ):
+    def __init__(self, num_replicas: int, num_shards: int = 64):
         super().__init__(num_replicas)
         if num_shards < num_replicas:
             raise ConfigError("need at least one shard per replica")
-        if routing_table < 0:
-            raise ConfigError("routing_table must be >= 0")
         self.num_shards = num_shards
-        self.routing_table = routing_table
-        self._partitioner = TablePartitioner(
-            num_replicas, num_shards, assignment=assignment
-        )
+        self._partitioner = TablePartitioner(num_replicas, num_shards)
 
     # hot-path: vectorized
     def primary_many(
         self, requests: Sequence[Request], routable: np.ndarray
     ) -> np.ndarray:
-        keys = self._routing_keys(requests, self.routing_table)
+        keys = self._routing_keys(requests)
         shards = keys % np.uint64(self.num_shards)
         return self._partitioner.owner_of_tables(shards)
 
 
 class LeastOutstandingPolicy(RoutingPolicy):
     """Send each request to the routable replica chosen as primary the
-    fewest times inside the trailing ``service_window``."""
+    fewest times inside the trailing :data:`SERVICE_WINDOW`."""
 
     name = "least-outstanding"
 
-    def __init__(self, num_replicas: int, service_window: float = 1e-3):
+    def __init__(self, num_replicas: int):
         super().__init__(num_replicas)
-        if service_window <= 0:
-            raise ConfigError("service_window must be positive")
-        self.service_window = service_window
         #: Per replica, the arrival instants of its recent primary choices.
         #: Kept across calls, so a stream sees the load its predecessor
         #: left inside the window.
@@ -174,7 +161,7 @@ class LeastOutstandingPolicy(RoutingPolicy):
 
     def _outstanding(self, replica: int, now: float) -> int:
         window = self._choices[replica]
-        while window and window[0] <= now - self.service_window:
+        while window and window[0] <= now - SERVICE_WINDOW:
             window.popleft()
         return len(window)
 
@@ -199,18 +186,12 @@ class LeastOutstandingPolicy(RoutingPolicy):
         return owners
 
 
-def make_policy(
-    name: str, num_replicas: int, routing_table: int = 0
-) -> RoutingPolicy:
+def make_policy(name: str, num_replicas: int) -> RoutingPolicy:
     """Build a routing policy by CLI/benchmark name."""
     if name == "hash":
-        return ConsistentHashPolicy(num_replicas, routing_table)
+        return ConsistentHashPolicy(num_replicas)
     if name == "table-shard":
-        return TableShardPolicy(
-            num_replicas,
-            num_shards=max(64, num_replicas),
-            routing_table=routing_table,
-        )
+        return TableShardPolicy(num_replicas, num_shards=max(64, num_replicas))
     if name == "least-outstanding":
         return LeastOutstandingPolicy(num_replicas)
     raise ConfigError(

@@ -21,6 +21,10 @@ import numpy as np
 
 from ..errors import ConfigError
 
+#: Count-min sketch geometry of the frequency estimator.
+SKETCH_WIDTH = 2048
+SKETCH_DEPTH = 2
+
 _MIX1 = np.uint64(0xFF51AFD7ED558CCD)
 _MIX2 = np.uint64(0xC4CEB9FE1A85EC53)
 
@@ -46,16 +50,13 @@ class FrequencyEstimator:
     track a drifting hotspot (and enabling tier demotion).
     """
 
-    def __init__(self, width: int = 2048, depth: int = 2, seed: int = 0):
-        if width < 16 or depth < 1:
-            raise ConfigError("sketch needs width >= 16 and depth >= 1")
-        self.width = int(width)
-        self.depth = int(depth)
-        self._counts = np.zeros((depth, width), dtype=np.int64)
+    def __init__(self, seed: int = 0):
+        self.width, self.depth = SKETCH_WIDTH, SKETCH_DEPTH
+        self._counts = np.zeros((self.depth, self.width), dtype=np.int64)
         # One salt per row, derived from the seed so replicas with the
         # same config build identical sketches.
         self._salts = _mix64(
-            np.uint64(seed) + np.arange(1, depth + 1, dtype=np.uint64)
+            np.uint64(seed) + np.arange(1, self.depth + 1, dtype=np.uint64)
         )
 
     # hot-path: vectorized

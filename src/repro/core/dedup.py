@@ -61,14 +61,14 @@ def restore_kernel_spec(
     num_rows: int,
     dim: int,
     unique_rows: int = None,
-    transaction_bytes: int = 128,
 ) -> KernelSpec:
     """Device cost of scattering unique rows back to the full output.
 
     Reads the deduplicated row matrix once and writes the full output
-    matrix (``num_rows`` rows, duplicates included).
+    matrix (``num_rows`` rows, duplicates included), in 128-byte
+    transactions.
     """
-    row_bytes = coalesced_bytes(dim * 4, transaction_bytes)
+    row_bytes = coalesced_bytes(dim * 4, 128)
     if unique_rows is None:
         unique_rows = num_rows
     return KernelSpec(

@@ -91,7 +91,6 @@ class InferenceEngine:
         model: Optional[DeepCrossNetwork] = None,
         ids_per_field: int = 1,
         include_dense: bool = True,
-        registry: Optional[MetricsRegistry] = None,
     ):
         self.scheme = scheme
         self.hw = hw
@@ -102,7 +101,7 @@ class InferenceEngine:
         #: cache/tier/fault counters; the scheme and everything observable
         #: beneath it (flat cache, tiered store, fetch client) is bound to
         #: it, and the standard conservation-law catalogue is installed.
-        self.obs = registry if registry is not None else MetricsRegistry()
+        self.obs = MetricsRegistry()
         install_conservation_laws(self.obs)
         scheme.bind_observability(self.obs)
 
@@ -132,7 +131,6 @@ class InferenceEngine:
         self,
         batch: TraceBatch,
         executor: Executor,
-        now: Optional[float] = None,
         coalescer=None,
         trace=None,
     ):
@@ -155,8 +153,6 @@ class InferenceEngine:
         same choke point that feeds the metrics registry, so the trace
         sees exactly the numbers the counters see.
         """
-        if now is not None:
-            self.scheme.advance_clock(now)
         stages = self.scheme.query_stages(batch, executor, coalescer=coalescer)
         query = None
         try:
@@ -206,24 +202,12 @@ class InferenceEngine:
         batches: Iterable[TraceBatch],
         executor: Executor,
         warmup: int = 0,
-        collector=None,
     ) -> InferenceResult:
-        """Replay ``batches``; the first ``warmup`` warm the cache untimed.
-
-        ``collector`` (a :class:`~repro.obs.timeseries.WindowedCollector`)
-        turns the replay into windowed time-series: each batch's registry
-        delta and latency are folded at its completion instant on the
-        simulated clock.  An unbound collector is bound to the engine's
-        registry automatically.
-        """
+        """Replay ``batches``; the first ``warmup`` warm the cache untimed."""
         batches = list(batches)
         for batch in batches[:warmup]:
             self.scheme.query(batch, executor)
         executor.reset()
-        if collector is not None:
-            if collector.registry is None:
-                collector.bind(self.obs, start=0.0)
-            collector.begin_run(0.0)
 
         result = InferenceResult(elapsed=0.0)
         # Read once, after the loop, as ``serve_staged`` does: the real
@@ -244,12 +228,8 @@ class InferenceEngine:
             result.demotions += query.demoted_keys
             if dense is not None:
                 dense_results.append(dense)
-            if collector is not None:
-                collector.observe_batch(executor.elapsed(), [latency])
         for dense in dense_results:  # any batch's failure surfaces here
             result.last_probabilities = dense.probabilities
         result.elapsed = executor.drain()
         result.breakdown = executor.stats
-        if collector is not None:
-            collector.flush(result.elapsed)
         return result

@@ -24,7 +24,6 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from ..coding.size_aware import SizeAwareCodec
-from ..coding.layout import FlatKeyCodec
 from ..errors import ConfigError
 from ..hashindex.slab_hash import ProbeStats, SlabHashIndex
 from ..mempool.epoch import EpochReclaimer
@@ -45,6 +44,10 @@ from .unified_index import (
     tag_dram_pointer,
     untag,
 )
+
+#: Cache ticks between halvings of every frequency-sketch counter: aging
+#: is what makes demotion and LFU eviction track a drifting hotspot.
+AGING_INTERVAL = 64
 
 
 @dataclass
@@ -74,13 +77,12 @@ class FlatCache(Observable):
         self,
         specs: Sequence[TableSpec],
         config: FlecheConfig,
-        codec: Optional[FlatKeyCodec] = None,
     ):
         if not specs:
             raise ConfigError("flat cache needs at least one table spec")
         self.specs = list(specs)
         self.config = config
-        self.codec = codec or SizeAwareCodec(
+        self.codec = SizeAwareCodec(
             [s.corpus_size for s in specs], key_bits=config.key_bits
         )
 
@@ -130,9 +132,7 @@ class FlatCache(Observable):
         )
         if precision.needs_estimator:
             self._estimator: Optional[FrequencyEstimator] = FrequencyEstimator(
-                width=precision.sketch_width,
-                depth=precision.sketch_depth,
-                seed=config.seed,
+                seed=config.seed
             )
             self.admission = AdmissionFilter(
                 config.admission_probability,
@@ -146,10 +146,7 @@ class FlatCache(Observable):
             self.admission = AdmissionFilter(
                 config.admission_probability, seed=config.seed
             )
-        self._eviction_policy = make_eviction_policy(
-            precision.eviction_policy,
-            recency_weight=precision.hybrid_recency_weight,
-        )
+        self._eviction_policy = make_eviction_policy(precision.eviction_policy)
         self.reclaimer = EpochReclaimer()
         self._clock = 0
         #: live unified-index entries (bounded by the tuner's capacity).
@@ -242,12 +239,7 @@ class FlatCache(Observable):
         freed = self.reclaimer.collect()
         if len(freed):
             self.pool.release(freed)
-        interval = self.precision.aging_interval
-        if (
-            self._estimator is not None
-            and interval
-            and self._clock % interval == 0
-        ):
+        if self._estimator is not None and self._clock % AGING_INTERVAL == 0:
             self._estimator.age()
         return self._clock
 

@@ -32,11 +32,15 @@ from ..errors import SimulationError
 from ..gpusim.kernel import KernelSpec
 
 
-def round_to_warp(threads: int, warp_size: int = 32) -> int:
+#: Threads per warp: the fused launch rounds each kernel's share to it.
+WARP_SIZE = 32
+
+
+def round_to_warp(threads: int) -> int:
     """Round a thread count up to a warp multiple (divergence-free search)."""
     if threads <= 0:
         return 0
-    return -(-threads // warp_size) * warp_size
+    return -(-threads // WARP_SIZE) * WARP_SIZE
 
 
 @dataclass(frozen=True)
@@ -70,14 +74,12 @@ def fusion_metadata_bytes(num_kernels: int) -> int:
     return 4 * (num_kernels + 1) + 24 * num_kernels
 
 
-def fused_kernel_spec(
-    kernels: Sequence[KernelSpec], name: str, warp_size: int = 32
-) -> KernelSpec:
+def fused_kernel_spec(kernels: Sequence[KernelSpec], name: str) -> KernelSpec:
     """The single launch covering all of ``kernels``' work, each thread
     count rounded up to a warp multiple."""
     return KernelSpec(
         name=name,
-        threads=sum(round_to_warp(k.threads, warp_size) for k in kernels),
+        threads=sum(round_to_warp(k.threads) for k in kernels),
         stream_bytes=sum(k.stream_bytes for k in kernels),
         random_transactions=sum(k.random_transactions for k in kernels),
         dependent_hops=max((k.dependent_hops for k in kernels), default=0.0),
@@ -88,8 +90,6 @@ def fused_kernel_spec(
 def build_fusion_plan(
     kernels: Sequence[KernelSpec],
     args: Sequence[object] = None,
-    warp_size: int = 32,
-    name: str = "fused_query",
 ) -> FusionPlan:
     """Fuse ``kernels`` into one launch (phase 1 of §3.2).
 
@@ -101,10 +101,10 @@ def build_fusion_plan(
     if args is not None and len(args) != len(kernels):
         raise SimulationError("args array length must match kernel count")
 
-    rounded = [round_to_warp(k.threads, warp_size) for k in kernels]
+    rounded = [round_to_warp(k.threads) for k in kernels]
     scan = np.zeros(len(kernels) + 1, dtype=np.int64)
     np.cumsum(rounded, out=scan[1:])
-    fused = fused_kernel_spec(kernels, name, warp_size)
+    fused = fused_kernel_spec(kernels, "fused_query")
     args_tuple = tuple(args) if args is not None else tuple(
         k.name for k in kernels
     )
@@ -143,14 +143,14 @@ def identify_threads(plan: FusionPlan, tids: np.ndarray) -> Tuple[np.ndarray, np
     return kernel_ids.astype(np.int64), local.astype(np.int64)
 
 
-def warp_divergence_free(plan: FusionPlan, warp_size: int = 32) -> bool:
+def warp_divergence_free(plan: FusionPlan) -> bool:
     """Check the paper's divergence property: one kernel id per warp."""
     total = plan.total_threads
     if total == 0:
         return True
     tids = np.arange(total, dtype=np.int64)
     kernel_ids, _ = identify_threads(plan, tids)
-    per_warp = kernel_ids.reshape(-1, warp_size) if total % warp_size == 0 else None
+    per_warp = kernel_ids.reshape(-1, WARP_SIZE) if total % WARP_SIZE == 0 else None
     if per_warp is None:
         return False
     return bool((per_warp == per_warp[:, :1]).all())

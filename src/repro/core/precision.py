@@ -40,6 +40,9 @@ TIER_INT8 = "int8"
 TIERS: Tuple[str, ...] = (TIER_FP32, TIER_FP16, TIER_INT8)
 TIER_CODES = {name: code for code, name in enumerate(TIERS)}
 
+#: Weight of recency (against frequency) in the hybrid eviction order.
+HYBRID_RECENCY_WEIGHT = 0.5
+
 #: Largest finite IEEE half — fp16 quantization saturates here.
 _FP16_MAX = np.float32(65504.0)
 
@@ -77,13 +80,7 @@ class PrecisionConfig:
         eviction_policy: victim-ordering policy — ``"lru"`` (pure recency,
             byte-identical to the pre-tiering scan), ``"lfu"`` (least
             frequent first, recency breaking ties), or ``"hybrid"``
-            (weighted blend of both ranks).
-        hybrid_recency_weight: recency weight of the hybrid policy.
-        sketch_width / sketch_depth: count-min sketch geometry of the
-            frequency estimator.
-        aging_interval: halve every sketch counter each this-many cache
-            ticks (0 disables aging; aging is what makes demotion and LFU
-            track a drifting hotspot).
+            (weighted blend of both ranks, :data:`HYBRID_RECENCY_WEIGHT`).
     """
 
     enabled: bool = False
@@ -93,10 +90,6 @@ class PrecisionConfig:
     hot_min_count: int = 8
     warm_min_count: int = 2
     eviction_policy: str = "lru"
-    hybrid_recency_weight: float = 0.5
-    sketch_width: int = 2048
-    sketch_depth: int = 2
-    aging_interval: int = 64
 
     def __post_init__(self) -> None:
         shares = (self.fp32_share, self.fp16_share, self.int8_share)
@@ -123,12 +116,6 @@ class PrecisionConfig:
             raise ConfigError(
                 "thresholds must satisfy 0 < warm_min_count <= hot_min_count"
             )
-        if not 0.0 <= self.hybrid_recency_weight <= 1.0:
-            raise ConfigError("hybrid_recency_weight must be in [0, 1]")
-        if self.sketch_width < 16 or self.sketch_depth < 1:
-            raise ConfigError("sketch must have width >= 16 and depth >= 1")
-        if self.aging_interval < 0:
-            raise ConfigError("aging_interval must be >= 0")
 
     @property
     def quantizing(self) -> bool:
@@ -278,14 +265,11 @@ class HybridEviction(EvictionPolicy):
     """Weighted blend of recency and frequency ranks.
 
     Both signals are reduced to normalized ranks in [0, 1] so the weight
-    is scale-free; the stamp lexsort tie-break keeps the order fully
-    deterministic.
+    (:data:`HYBRID_RECENCY_WEIGHT` on recency) is scale-free; the stamp
+    lexsort tie-break keeps the order fully deterministic.
     """
 
     name = "hybrid"
-
-    def __init__(self, recency_weight: float = 0.5):
-        self.recency_weight = float(recency_weight)
 
     def victim_order(self, stamps, counts):
         if counts is None:
@@ -302,19 +286,17 @@ class HybridEviction(EvictionPolicy):
         count_rank[np.argsort(counts, kind="stable")] = (
             np.arange(n, dtype=np.float64) / span
         )
-        w = self.recency_weight
+        w = HYBRID_RECENCY_WEIGHT
         score = w * stamp_rank + (1.0 - w) * count_rank
         return np.lexsort((stamps, score))
 
 
-def make_eviction_policy(
-    name: str, recency_weight: float = 0.5
-) -> EvictionPolicy:
+def make_eviction_policy(name: str) -> EvictionPolicy:
     """Factory mirroring :func:`repro.cluster.routing.make_policy`."""
     if name == "lru":
         return LruEviction()
     if name == "lfu":
         return LfuEviction()
     if name == "hybrid":
-        return HybridEviction(recency_weight)
+        return HybridEviction()
     raise ConfigError(f"unknown eviction policy {name!r}")

@@ -26,6 +26,13 @@ from ..errors import ConfigError
 
 _TAG_BIT = np.uint64(1)
 
+#: Batch latencies the tuner averages into one window (smooths batch
+#: noise and the cache-warmup transient).
+TUNER_WINDOW = 4
+#: A window this fraction worse than the best one seen is a workload
+#: change: the tuner clears the index and restarts.
+REGRESSION_TOLERANCE = 0.25
+
 
 def tag_cache_location(locations: np.ndarray) -> np.ndarray:
     """Encode memory-pool locations as untagged pointers (LSB = 0)."""
@@ -69,23 +76,12 @@ class UnifiedIndexTuner:
     best window seen (workload change) clears the index and restarts.
     """
 
-    def __init__(
-        self,
-        max_capacity: int,
-        step: Optional[int] = None,
-        window: int = 4,
-        regression_tolerance: float = 0.25,
-    ):
+    def __init__(self, max_capacity: int):
         if max_capacity < 0:
             raise ConfigError("max_capacity must be >= 0")
-        if window <= 0:
-            raise ConfigError("window must be positive")
-        if not 0.0 < regression_tolerance < 1.0:
-            raise ConfigError("regression_tolerance must be in (0, 1)")
         self.max_capacity = max_capacity
-        self.step = step or max(1, max_capacity // 8)
-        self.window = window
-        self.regression_tolerance = regression_tolerance
+        #: Capacity moved per window: an eighth of the maximum.
+        self.step = max(1, max_capacity // 8)
         self.capacity = 0
         self._direction = 1
         self._pending: list = []
@@ -103,7 +99,7 @@ class UnifiedIndexTuner:
     def observe(self, batch_latency: float) -> TunerDecision:
         """Feed one measured batch latency; returns the new capacity."""
         self._pending.append(batch_latency)
-        if len(self._pending) < self.window:
+        if len(self._pending) < TUNER_WINDOW:
             return TunerDecision(self.capacity, "hold")
 
         mean = sum(self._pending) / len(self._pending)
@@ -111,7 +107,7 @@ class UnifiedIndexTuner:
 
         if (
             self._best_window is not None
-            and mean > self._best_window * (1.0 + self.regression_tolerance)
+            and mean > self._best_window * (1.0 + REGRESSION_TOLERANCE)
         ):
             return self._reset_search()  # workload changed
 

@@ -17,9 +17,9 @@ conflicts" (§3.1) — and its deduplicating guarantees one writer per key.
 * cached keys are *refreshed in place* (write the pool slot, bump the
   version stamp) — one copying kernel plus one indexing kernel, the same
   decoupled shape as replacement (§3.3);
-* unified-index DRAM pointers for updated keys are invalidated when the
-  update also relocated the host copy (or counted as ``pointers_skipped``
-  when invalidation is disabled, keeping the accounting conservative);
+* unified-index DRAM pointers for updated keys are invalidated, since the
+  update also relocated the host copy (so ``pointers_skipped``, the
+  pointers left in place, is 0);
 * uncached keys cost nothing (the cache simply doesn't know them).
 
 The outcome partitions the batch exactly:
@@ -83,9 +83,8 @@ def _last_occurrence_mask(feature_ids: np.ndarray) -> np.ndarray:
 class UpdateApplier:
     """Applies trainer-pushed embedding refreshes to a flat cache."""
 
-    def __init__(self, cache: FlatCache, invalidate_pointers: bool = True):
+    def __init__(self, cache: FlatCache):
         self.cache = cache
-        self.invalidate_pointers = invalidate_pointers
         self.applied_batches = 0
 
     def apply(
@@ -176,8 +175,7 @@ class UpdateApplier:
                 )
             if dram.any():
                 pointer_keys += int(dram.sum())
-                if self.invalidate_pointers:
-                    invalidated += cache.invalidate_dram_pointers(keys[dram])
+                invalidated += cache.invalidate_dram_pointers(keys[dram])
 
         if executor is not None:
             for (table_id, _, _), refreshed in zip(deltas, refreshed_of.tolist()):  # lint: allow-loop (per delta: kernel launches)

@@ -172,12 +172,11 @@ class FlecheEmbeddingLayer(EmbeddingCacheScheme):
         store: EmbeddingStore,
         config: FlecheConfig,
         hw: HardwareSpec,
-        codec=None,
     ):
         self.store = store
         self.config = config
         self.hw = hw
-        self.cache = FlatCache(store.specs, config, codec=codec)
+        self.cache = FlatCache(store.specs, config)
         self._dim_of_table = np.array(
             [spec.dim for spec in store.specs], dtype=np.int64
         )

@@ -7,8 +7,8 @@ policy decides which:
 * ``stale`` — serve the last authoritative value this node ever fetched
   (a shadow copy kept outside the LRU so eviction does not erase it);
   keys never seen fall back to the default vector.
-* ``default-vector`` — serve a configurable constant (zeros by default),
-  the classic "missing embedding" fallback.
+* ``default-vector`` — serve zeros, the classic "missing embedding"
+  fallback.
 * ``fail`` — raise :class:`~repro.errors.DegradedServiceError`; for
   deployments where a wrong score is worse than no score.
 
@@ -36,9 +36,6 @@ class DegradeConfig:
     """What to serve when the remote tier cannot answer in time."""
 
     policy: str = STALE
-    #: Fill value for keys with no stale copy (``default-vector`` and
-    #: the ``stale`` fallback).
-    fill_value: float = 0.0
 
     def __post_init__(self) -> None:
         if self.policy not in _POLICIES:
@@ -67,11 +64,11 @@ class StaleStore:
             self._entries[(table_id, int(fid))] = np.array(row, copy=True)
 
     def get(
-        self, table_id: int, feature_ids: np.ndarray, dim: int,
-        fill_value: float = 0.0,
+        self, table_id: int, feature_ids: np.ndarray, dim: int
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Best-effort vectors plus a mask of which keys had stale copies."""
-        vectors = np.full((len(feature_ids), dim), fill_value, np.float32)
+        """Best-effort vectors plus a mask of which keys had stale copies
+        (keys without one get zeros)."""
+        vectors = np.zeros((len(feature_ids), dim), np.float32)
         found = np.zeros(len(feature_ids), dtype=bool)
         for i, fid in enumerate(feature_ids):
             row = self._entries.get((table_id, int(fid)))
@@ -87,7 +84,6 @@ def degraded_vectors(
     table_id: int,
     feature_ids: np.ndarray,
     dim: int,
-    reason: str = "remote unavailable",
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Apply the degradation policy to one failed fetch.
 
@@ -96,11 +92,9 @@ def degraded_vectors(
     if config.policy == FAIL:
         raise DegradedServiceError(
             f"table {table_id}: {len(feature_ids)} keys undeliverable "
-            f"({reason}) and degradation policy is 'fail'"
+            "(remote unavailable) and degradation policy is 'fail'"
         )
     if config.policy == STALE and stale is not None:
-        return stale.get(table_id, feature_ids, dim, config.fill_value)
-    vectors = np.full(
-        (len(feature_ids), dim), config.fill_value, np.float32
-    )
+        return stale.get(table_id, feature_ids, dim)
+    vectors = np.zeros((len(feature_ids), dim), np.float32)
     return vectors, np.zeros(len(feature_ids), dtype=bool)

@@ -150,18 +150,6 @@ class CircuitBreaker:
         return self._open_time + extra
 
 
-@dataclass
-class FetchStats:
-    """Mutable counters across every fetch the client has served."""
-
-    attempts: int = 0
-    retries: int = 0
-    hedges_fired: int = 0
-    hedge_wins: int = 0
-    breaker_fast_fails: int = 0
-    failures: int = 0
-
-
 @dataclass(frozen=True)
 class FetchOutcome:
     """Timeline summary of one resilient fetch."""
@@ -171,9 +159,8 @@ class FetchOutcome:
     elapsed: float
     attempts: int
     hedges_fired: int = 0
-    hedge_won: bool = False
-    #: The breaker rejected the fetch without touching the network.
-    breaker_rejected: bool = False
+    #: ``"ok"``, or why the fetch failed (``"breaker-open"``: the breaker
+    #: rejected it without touching the network).
     reason: str = "ok"
 
 
@@ -205,7 +192,6 @@ class ResilientFetchClient(Observable):
             CircuitBreaker(breaker) if breaker else None
             for _ in range(num_shards)
         ]
-        self.stats = FetchStats()
         self._rng = np.random.default_rng(seed)
         self._now = 0.0  # latest issue time seen, for open-time reporting
 
@@ -219,14 +205,11 @@ class ResilientFetchClient(Observable):
         obs = self.obs
         elapsed = 0.0
         hedges = 0
-        hedge_won = False
         reason = "ok"
         for attempt in range(policy.max_attempts):
             issue_at = now + elapsed
             if breaker is not None and not breaker.allow(issue_at):
                 # Fail fast: the breaker is open, no network wait at all.
-                self.stats.breaker_fast_fails += 1
-                self.stats.failures += 1
                 obs.inc("faults.breaker_fast_fails")
                 obs.inc("faults.failures")
                 return FetchOutcome(
@@ -234,24 +217,18 @@ class ResilientFetchClient(Observable):
                     elapsed=elapsed,
                     attempts=attempt,
                     hedges_fired=hedges,
-                    breaker_rejected=True,
                     reason="breaker-open",
                 )
-            self.stats.attempts += 1
             obs.inc("faults.attempts")
             if attempt > 0:
-                self.stats.retries += 1
                 obs.inc("faults.retries")
             ok, spent, hedged, won, reason = self._one_attempt(
                 base_cost, shard, issue_at
             )
             if hedged:
                 hedges += 1
-                self.stats.hedges_fired += 1
                 obs.inc("faults.hedges_fired")
                 if won:
-                    hedge_won = True
-                    self.stats.hedge_wins += 1
                     obs.inc("faults.hedge_wins")
             if breaker is not None:
                 breaker.record(ok, issue_at + spent)
@@ -262,19 +239,16 @@ class ResilientFetchClient(Observable):
                     elapsed=elapsed,
                     attempts=attempt + 1,
                     hedges_fired=hedges,
-                    hedge_won=hedge_won,
                     reason="ok",
                 )
             if attempt + 1 < policy.max_attempts:
                 elapsed += self._backoff(attempt)
-        self.stats.failures += 1
         obs.inc("faults.failures")
         return FetchOutcome(
             success=False,
             elapsed=elapsed,
             attempts=policy.max_attempts,
             hedges_fired=hedges,
-            hedge_won=hedge_won,
             reason=reason,
         )
 

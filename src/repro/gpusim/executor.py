@@ -103,13 +103,13 @@ class Executor:
     recorded into a :class:`TimeBreakdown`.
     """
 
-    def __init__(self, hw: HardwareSpec, default_stream: str = "stream0"):
+    def __init__(self, hw: HardwareSpec):
         self.hw = hw
         self.cpu = Timeline("cpu")
         self.copy_engine = CopyEngine(hw)
         self.stats = TimeBreakdown()
         self._streams: Dict[str, Stream] = {}
-        self.default_stream = self.stream(default_stream)
+        self.default_stream = self.stream("stream0")
 
     # ------------------------------------------------------------------ streams
 

@@ -113,7 +113,6 @@ class TraceRecorder:
     """Records executor activity as spans; see module docstring."""
 
     spans: List[Span] = field(default_factory=list)
-    _executor: Optional[Executor] = None
 
     # ------------------------------------------------------------------ attach
 
@@ -124,7 +123,7 @@ class TraceRecorder:
         The wrapping is purely additive: timing behaviour is unchanged, the
         recorder only observes clock values around each call.
         """
-        recorder = cls(_executor=executor)
+        recorder = cls()
         original_launch = executor.launch
         original_host_work = executor.host_work
         original_copy = executor.copy

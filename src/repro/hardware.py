@@ -49,7 +49,6 @@ class GpuSpec:
     """GPU-side platform constants (Table 1, right column: NVIDIA T4)."""
 
     name: str = "NVIDIA T4"
-    sm_count: int = 40
     cuda_cores: int = 2560
     warp_size: int = 32
     #: Maximum resident threads across the whole device.
@@ -70,7 +69,6 @@ class GpuSpec:
     flops_efficiency: float = 0.55
     #: Latency of one global-memory access as seen by a dependent warp.
     global_latency: float = 400 * NS
-    shared_memory_per_sm: int = 64 * KIB
 
 
 @dataclass(frozen=True)

@@ -67,9 +67,7 @@ class SelfAttentionInteraction:
 
     # ------------------------------------------------------------------ api
 
-    def concat_inputs(
-        self, pooled_per_table: List[np.ndarray], dense: np.ndarray = None
-    ) -> np.ndarray:
+    def concat_inputs(self, pooled_per_table: List[np.ndarray]) -> np.ndarray:
         if len(pooled_per_table) != self.num_tables:
             raise ConfigError(
                 f"expected {self.num_tables} pooled tables, got "

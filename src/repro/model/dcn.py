@@ -430,7 +430,7 @@ class DeepCrossNetwork:
     Args:
         num_tables: embedding tables feeding the concatenation.
         embedding_dim: dimension of each pooled embedding vector.
-        dense_dim: number of continuous input features.
+        dense_dim: number of continuous input features (served as zeros).
         num_cross_layers: cross-layer count (paper default 6).
         hidden_units: MLP tower widths (paper default (1024, 1024)).
     """
@@ -459,10 +459,9 @@ class DeepCrossNetwork:
         self._kernels_memo: dict = {}
         self._zero_dense = None
 
-    def concat_inputs(
-        self, pooled_per_table: List[np.ndarray], dense: np.ndarray = None
-    ) -> np.ndarray:
-        """Concatenate pooled embeddings (and dense features) per sample."""
+    def concat_inputs(self, pooled_per_table: List[np.ndarray]) -> np.ndarray:
+        """Concatenate pooled embeddings per sample, then ``dense_dim``
+        zero dense features."""
         if len(pooled_per_table) != self.num_tables:
             raise ConfigError(
                 f"expected {self.num_tables} pooled tables, got "
@@ -471,17 +470,12 @@ class DeepCrossNetwork:
         batch = pooled_per_table[0].shape[0]
         parts = list(pooled_per_table)
         if self.dense_dim:
-            if dense is None:
-                # Cached all-zero block (concatenate only reads it).
-                cached = self._zero_dense
-                if cached is None or cached.shape[0] != batch:
-                    cached = np.zeros(
-                        (batch, self.dense_dim), dtype=np.float32
-                    )
-                    self._zero_dense = cached
-                parts.append(cached)
-            else:
-                parts.append(dense.astype(np.float32))
+            # Cached all-zero block (concatenate only reads it).
+            cached = self._zero_dense
+            if cached is None or cached.shape[0] != batch:
+                cached = np.zeros((batch, self.dense_dim), dtype=np.float32)
+                self._zero_dense = cached
+            parts.append(cached)
         return np.concatenate(parts, axis=1)
 
     def forward(self, x: np.ndarray) -> DenseForwardResult:

@@ -33,18 +33,16 @@ class DeepFM:
         self,
         num_tables: int,
         embedding_dim: int,
-        dense_dim: int = 0,
         hidden_units: Sequence[int] = (400, 400),
         seed: int = 11,
     ):
         if num_tables <= 1:
             raise ConfigError("DeepFM needs at least two tables (pairwise FM)")
-        if embedding_dim <= 0 or dense_dim < 0:
+        if embedding_dim <= 0:
             raise ConfigError("invalid DeepFM dimensions")
         self.num_tables = num_tables
         self.embedding_dim = embedding_dim
-        self.dense_dim = dense_dim
-        self.input_dim = num_tables * embedding_dim + dense_dim
+        self.input_dim = num_tables * embedding_dim
         rng = np.random.default_rng(seed)
         #: first-order weight per table (applied to the pooled vector mean).
         self.first_order = (
@@ -54,21 +52,13 @@ class DeepFM:
 
     # ------------------------------------------------------------------ api
 
-    def concat_inputs(
-        self, pooled_per_table: List[np.ndarray], dense: np.ndarray = None
-    ) -> np.ndarray:
+    def concat_inputs(self, pooled_per_table: List[np.ndarray]) -> np.ndarray:
         if len(pooled_per_table) != self.num_tables:
             raise ConfigError(
                 f"expected {self.num_tables} pooled tables, got "
                 f"{len(pooled_per_table)}"
             )
-        batch = pooled_per_table[0].shape[0]
-        parts = list(pooled_per_table)
-        if self.dense_dim:
-            if dense is None:
-                dense = np.zeros((batch, self.dense_dim), dtype=np.float32)
-            parts.append(dense.astype(np.float32))
-        return np.concatenate(parts, axis=1)
+        return np.concatenate(pooled_per_table, axis=1)
 
     def _fm_terms(self, x: np.ndarray) -> np.ndarray:
         """First-order + pairwise FM logits from the concatenated input."""

@@ -194,7 +194,6 @@ class EmbeddingDeltaTrainer:
         corpus_sizes: Sequence[int],
         dims: Sequence[int],
         keys_per_round: int = 256,
-        alpha: float = -1.2,
         seed: int = 0,
     ):
         if not corpus_sizes:
@@ -207,7 +206,7 @@ class EmbeddingDeltaTrainer:
         self.keys_per_round = int(keys_per_round)
         self.version = 0
         self._samplers = [
-            ZipfSampler(size, alpha=alpha, seed=seed * 37 + t)
+            ZipfSampler(size, seed=seed * 37 + t)
             for t, size in enumerate(corpus_sizes)
         ]
 

@@ -8,18 +8,18 @@ GPUs, so N GPUs hold N times the hot set.  A batched query:
 2. each owner GPU runs its indexing + copying kernels in parallel
    (the slowest shard bounds the step);
 3. hit embeddings owned by remote GPUs travel over the inter-GPU
-   interconnect to the GPU assembling the batch;
+   interconnect to GPU 0, which assembles the batch;
 4. misses fall through to the shared CPU-DRAM store as usual.
 
-The interconnect cost model covers both NVLink-class and PCIe-class
-fabrics; the ablation bench sweeps GPU counts to show where the gather
-traffic starts to eat the capacity win.
+The interconnect cost model is a PCIe-class fabric; the ablation bench
+sweeps GPU counts to show where the gather traffic starts to eat the
+capacity win.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -71,7 +71,6 @@ class MultiGpuFlatCache:
             each GPU's share, so total capacity scales with ``num_gpus``).
         hw: platform spec of each GPU.
         num_gpus: cluster size.
-        interconnect: inter-GPU fabric model.
     """
 
     def __init__(
@@ -80,18 +79,13 @@ class MultiGpuFlatCache:
         config: FlecheConfig,
         hw: HardwareSpec,
         num_gpus: int,
-        interconnect: Optional[InterconnectCost] = None,
-        assemble_gpu: int = 0,
     ):
         if num_gpus <= 0:
             raise ConfigError("num_gpus must be positive")
-        if not 0 <= assemble_gpu < num_gpus:
-            raise ConfigError("assemble_gpu out of range")
         self.specs = list(specs)
         self.hw = hw
         self.num_gpus = num_gpus
-        self.assemble_gpu = assemble_gpu
-        self.interconnect = interconnect or InterconnectCost()
+        self.interconnect = InterconnectCost()
         self.partitioner = HashPartitioner(num_gpus)
         self.shards: List[FlatCache] = [
             FlatCache(specs, config) for _ in range(num_gpus)
@@ -131,7 +125,7 @@ class MultiGpuFlatCache:
                 got = self.shards[gpu].gather(outcome.locations[hits])
                 for pos, row in zip(np.nonzero(mine)[0][hits], got):
                     vectors[int(pos)] = row
-                if gpu != self.assemble_gpu:
+                if gpu != 0:  # GPU 0 assembles the batch
                     payload = coalesced_bytes(dim * 4, 128) * int(hits.sum())
                     gather_time += self.interconnect.transfer_time(payload)
             # Shard-local probe + gather cost (keys and rows at this shard).

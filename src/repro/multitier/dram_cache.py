@@ -15,7 +15,6 @@ from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
-from ..core.precision import TIERS, dequantize_rows, quantize_rows
 from ..errors import ConfigError, WorkloadError
 from ..obs.registry import Observable
 from ..tables.table_spec import TableSpec
@@ -40,12 +39,6 @@ class DramCacheLayer(Observable):
             parameter server).  With ``cacheable=False`` the vectors are
             served but *not* inserted (degraded fallbacks must never
             pollute the cache).
-        storage_tier: precision at which resident rows are held —
-            ``"fp32"`` (the default; rows stored verbatim, byte-identical
-            to the pre-tiering layer), ``"fp16"`` or ``"int8"``.  Lookups
-            always serve fp32; fetch-inserts quantize on the way in and
-            refresh re-quantizes at the same tier, so a model refresh
-            never silently upgrades a row's precision.
     """
 
     def __init__(
@@ -53,15 +46,11 @@ class DramCacheLayer(Observable):
         specs: Sequence[TableSpec],
         capacity: int,
         fetch: Callable[[int, np.ndarray], Tuple[np.ndarray, float, bool]],
-        storage_tier: str = "fp32",
     ):
         if capacity <= 0:
             raise ConfigError("DRAM cache capacity must be positive")
-        if storage_tier not in TIERS:
-            raise ConfigError(f"unknown DRAM storage tier {storage_tier!r}")
         self.specs = list(specs)
         self.capacity = int(capacity)
-        self.storage_tier = storage_tier
         self._fetch = fetch
         self._entries: "OrderedDict[int, np.ndarray]" = OrderedDict()
         self._invalidation_listeners: List[Callable[[np.ndarray], None]] = []
@@ -71,28 +60,6 @@ class DramCacheLayer(Observable):
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    # ---------------------------------------------------------------- storage
-
-    def _store_row(self, row: np.ndarray):
-        """Quantize one fp32 row to the layer's storage tier."""
-        if self.storage_tier == "fp32":
-            return row
-        payload, scales = quantize_rows(row[None, :], self.storage_tier)
-        if scales is None:
-            return payload[0]
-        return (payload[0], scales[0])
-
-    def _load_row(self, stored) -> np.ndarray:
-        """Reconstruct one fp32 row from its stored representation."""
-        if self.storage_tier == "fp32":
-            return stored
-        if isinstance(stored, tuple):
-            payload, scale = stored
-            return dequantize_rows(
-                payload[None, :], np.asarray([scale]), self.storage_tier
-            )[0]
-        return dequantize_rows(stored[None, :], None, self.storage_tier)[0]
 
     # ------------------------------------------------------------------ hooks
 
@@ -153,7 +120,7 @@ class DramCacheLayer(Observable):
             row = self._entries.get(key)
             if row is not None:
                 self._entries.move_to_end(key)
-                vectors[i] = self._load_row(row)
+                vectors[i] = row
                 self.hits += 1
             else:
                 missing_positions.append(i)
@@ -172,9 +139,7 @@ class DramCacheLayer(Observable):
             vectors[positions] = fetched[inverse]
             if cacheable:
                 for fid, row in zip(unique_missing, fetched):
-                    self._entries[pack_global_key(table_id, int(fid))] = (
-                        self._store_row(row)
-                    )
+                    self._entries[pack_global_key(table_id, int(fid))] = row
                 self._evict_to_capacity()
         return vectors, backing_time
 
@@ -204,7 +169,7 @@ class DramCacheLayer(Observable):
         for fid, row in zip(feature_ids, vectors):
             key = pack_global_key(table_id, int(fid))
             if key in self._entries:
-                self._entries[key] = self._store_row(row)
+                self._entries[key] = row
                 updated += 1
         if updated:
             self.obs.inc("tier.dram_refreshed", updated)

@@ -38,16 +38,12 @@ class TierStats:
     dram_misses: int = 0
     remote_fetches: int = 0
     remote_keys: int = 0
-    remote_time: float = 0.0
     pointer_invalidations: int = 0
     #: Remote fetches that exhausted their retry budget (or were failed
     #: fast by an open breaker) and fell back to the degrade policy.
     remote_failures: int = 0
     #: Keys served a degraded (stale or default) vector.
     degraded_keys: int = 0
-    #: Queries routed straight to the remote tier because the DRAM tier
-    #: was inside a failure window.
-    dram_bypass_queries: int = 0
 
     @property
     def dram_hit_rate(self) -> float:
@@ -67,10 +63,6 @@ class TieredParameterStore(Observable):
             resilient fetch path.
         degrade: what to serve when the remote tier cannot answer within
             its retry budget (default: stale values with zero fallback).
-        dram_storage_tier: precision at which the DRAM tier holds resident
-            rows (``"fp32"`` default / ``"fp16"`` / ``"int8"``) — a
-            lower tier multiplies the layer's effective capacity at the
-            cost of quantization error on DRAM hits.
     """
 
     def __init__(
@@ -80,7 +72,6 @@ class TieredParameterStore(Observable):
         dram_capacity: int,
         remote: Optional[RemoteParameterServer] = None,
         degrade: Optional[DegradeConfig] = None,
-        dram_storage_tier: str = "fp32",
     ):
         if not specs:
             raise WorkloadError("tiered store needs at least one table")
@@ -104,10 +95,7 @@ class TieredParameterStore(Observable):
             StaleStore() if self.remote.injector is not None else None
         )
 
-        self.dram = DramCacheLayer(
-            specs, dram_capacity, self._backing_fetch,
-            storage_tier=dram_storage_tier,
-        )
+        self.dram = DramCacheLayer(specs, dram_capacity, self._backing_fetch)
         self.dram.on_eviction(self._forward_invalidation)
 
     def _backing_fetch(self, table_id: int, feature_ids: np.ndarray):
@@ -119,7 +107,6 @@ class TieredParameterStore(Observable):
         result = self.remote.fetch(table_id, feature_ids, now=self._now)
         self.stats.remote_fetches += 1
         self.stats.remote_keys += len(feature_ids)
-        self.stats.remote_time += result.network_time
         obs = self.obs
         obs.inc("tier.remote_fetches")
         obs.inc("tier.remote_keys", len(feature_ids))
@@ -204,29 +191,6 @@ class TieredParameterStore(Observable):
         """
         self._now = float(now)
 
-    def fault_stats(self) -> dict:
-        """Snapshot of resilience counters (all zero on fault-free runs)."""
-        client = self.remote.client
-        stats = {
-            "retries": 0,
-            "hedges_fired": 0,
-            "hedge_wins": 0,
-            "breaker_fast_fails": 0,
-            "breaker_open_time": 0.0,
-            "remote_failures": self.stats.remote_failures,
-            "degraded_keys": self.stats.degraded_keys,
-            "dram_bypass_queries": self.stats.dram_bypass_queries,
-        }
-        if client is not None:
-            stats.update(
-                retries=client.stats.retries,
-                hedges_fired=client.stats.hedges_fired,
-                hedge_wins=client.stats.hedge_wins,
-                breaker_fast_fails=client.stats.breaker_fast_fails,
-                breaker_open_time=client.breaker_open_time(self._now),
-            )
-        return stats
-
     def fault_windows(self) -> List[tuple]:
         """Merged fault windows of the installed schedule (may be empty)."""
         injector = self.remote.injector
@@ -253,7 +217,6 @@ class TieredParameterStore(Observable):
         obs = self.obs
         obs.inc("tier.lookup_keys", len(feature_ids))
         if self._dram_unavailable():
-            self.stats.dram_bypass_queries += 1
             self.stats.dram_misses += len(feature_ids)
             obs.inc("tier.dram_bypass_queries")
             obs.inc("tier.dram_misses", len(feature_ids))

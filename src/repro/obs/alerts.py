@@ -295,13 +295,11 @@ def default_serving_slos(sla_budget: float) -> SloEngine:
     return SloEngine(slos, rules)
 
 
-def default_refresh_slos(
-    sla_budget: float, staleness_objective: float = 0.95
-) -> SloEngine:
+def default_refresh_slos(sla_budget: float) -> SloEngine:
     """The serving catalogue plus the model-staleness SLO.
 
     * everything :func:`default_serving_slos` declares, and
-    * ``staleness`` — at least ``staleness_objective`` of windows must
+    * ``staleness`` — at least 95 % of windows must
       close with the replica's model-version lag inside the collector's
       ``staleness_versions`` budget (the ``refresh_stale`` /
       ``refresh_observed`` series).  A fast burn rule fires on a stuck
@@ -314,7 +312,7 @@ def default_refresh_slos(
     """
     base = default_serving_slos(sla_budget)
     slos = list(base.slos.values()) + [
-        Slo("staleness", objective=staleness_objective,
+        Slo("staleness", objective=0.95,
             bad_series="refresh_stale", total_series="refresh_observed"),
     ]
     rules = list(base.rules) + [

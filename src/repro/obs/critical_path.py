@@ -46,7 +46,7 @@ exact ties), which is what the kill-drill artifact and the
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 __all__ = [
     "CAUSE_PRIORITY",
@@ -235,14 +235,14 @@ def analyze_payload(
 
 
 def dominant_segments(
-    segments: Dict[str, float], limit: int = 3
+    segments: Dict[str, float]
 ) -> Iterable[Tuple[str, float]]:
-    """The ``limit`` largest segments, largest first (for display)."""
+    """The three largest segments, largest first (for display)."""
     ranked = sorted(
         segments.items(),
         key=lambda kv: (-kv[1], _PRIORITY_RANK.get(kv[0], 99)),
     )
-    return ranked[: max(0, int(limit))]
+    return ranked[:3]
 
 
 def top_table_rows(analysis: dict) -> List[List[str]]:

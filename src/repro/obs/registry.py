@@ -100,18 +100,18 @@ class HistogramStats:
     #: ``bounds``; the ``+Inf`` overflow bucket is implicit.
     bucket_counts: Tuple[int, ...] = ()
 
-    def observe(self, value: float, weight: int = 1) -> "HistogramStats":
+    def observe(self, value: float) -> "HistogramStats":
         buckets = self.bucket_counts
         if self.bounds:
             if not buckets:
                 buckets = (0,) * len(self.bounds)
             index = bisect_left(self.bounds, value)
             if index < len(self.bounds):
-                buckets = (buckets[:index] + (buckets[index] + weight,)
+                buckets = (buckets[:index] + (buckets[index] + 1,)
                            + buckets[index + 1:])
         return HistogramStats(
-            count=self.count + weight,
-            total=self.total + value * weight,
+            count=self.count + 1,
+            total=self.total + value,
             minimum=min(self.minimum, value),
             maximum=max(self.maximum, value),
             bounds=self.bounds,
@@ -350,12 +350,12 @@ class MetricsRegistry:
             )
         self._buckets[name] = bounds
 
-    def observe(self, name: str, value: float, weight: int = 1, **labels: object) -> None:
+    def observe(self, name: str, value: float, **labels: object) -> None:
         key = (name, _labelset(labels))
         stats = self._histograms.get(key)
         if stats is None:
             stats = HistogramStats(bounds=self._buckets.get(name, ()))
-        self._histograms[key] = stats.observe(value, weight)
+        self._histograms[key] = stats.observe(value)
 
     def observe_many(self, name: str, values: Sequence[float], **labels: object) -> None:
         """Observe a batch of values — one vectorised histogram update.

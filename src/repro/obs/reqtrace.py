@@ -49,19 +49,23 @@ __all__ = [
 ]
 
 
+#: Tail capture: every SLA violator is retained regardless of head
+#: sampling.
+CAPTURE_TAIL = True
+
+
 @dataclass(frozen=True)
 class TraceConfig:
     """Sampling contract of one tracer.
 
     ``head_interval`` — keep every request whose id is a multiple of
     this (0 disables head sampling).  ``sla_budget`` — latencies above
-    it count as SLA violations; with ``capture_tail`` (the default)
-    every violator is retained regardless of head sampling.
+    it count as SLA violations, and every violator is retained
+    (:data:`CAPTURE_TAIL`).
     """
 
     head_interval: int = 64
     sla_budget: Optional[float] = None
-    capture_tail: bool = True
 
     def __post_init__(self) -> None:
         if self.head_interval < 0:
@@ -229,7 +233,7 @@ def sample_masks(config: TraceConfig, ids: np.ndarray, latencies: np.ndarray):
         violating = latencies > config.sla_budget
     else:
         violating = np.zeros(n, dtype=bool)
-    return head, violating & config.capture_tail, violating
+    return head, violating & CAPTURE_TAIL, violating
 
 
 def sample_traces(
@@ -264,7 +268,7 @@ def sample_traces(
         "reqtrace.sampled_head", int((head & ~tail & ~forced).sum())
     )
     registry.inc("reqtrace.sla_violations", n_viol)
-    if config.capture_tail:
+    if CAPTURE_TAIL:
         registry.inc("reqtrace.tail_eligible", n_viol)
         registry.inc(
             "reqtrace.tail_retained", int((violating & sampled).sum())
@@ -410,7 +414,7 @@ class RequestTracer:
             "kind": "reqtrace",
             "head_interval": cfg.head_interval,
             "sla_budget_s": cfg.sla_budget,
-            "capture_tail": cfg.capture_tail,
+            "capture_tail": CAPTURE_TAIL,
             "requests": (
                 0 if self._arrivals is None else int(len(self._arrivals))
             ),

@@ -123,6 +123,11 @@ class WindowRecord:
         }
 
 
+#: Jensen-Shannon divergence between consecutive windows' per-table hit
+#: distributions above which a window is flagged as a working-set shift.
+DRIFT_THRESHOLD = 0.08
+
+
 class WindowedCollector:
     """Captures per-window registry deltas on the simulated clock.
 
@@ -131,8 +136,6 @@ class WindowedCollector:
         capacity: ring-buffer depth (oldest windows are dropped).
         sla_budget: per-request latency budget; enables the
             ``sla_attainment`` / ``sla_bad`` series.
-        drift_threshold: Jensen-Shannon divergence above which a window
-            is flagged as a working-set shift.
         engine: optional :class:`~repro.obs.alerts.SloEngine`, evaluated
             at every window close.
         staleness_versions: model-version-lag budget; enables the
@@ -146,7 +149,6 @@ class WindowedCollector:
         window: float = 1e-3,
         capacity: int = 512,
         sla_budget: Optional[float] = None,
-        drift_threshold: float = 0.08,
         engine=None,
         staleness_versions: Optional[float] = None,
     ) -> None:
@@ -161,7 +163,6 @@ class WindowedCollector:
         self.window = float(window)
         self.capacity = int(capacity)
         self.sla_budget = sla_budget
-        self.drift_threshold = float(drift_threshold)
         self.engine = engine
         self.staleness_versions = staleness_versions
         #: Latches once any ``refresh.*`` metric appears in the registry;
@@ -203,10 +204,10 @@ class WindowedCollector:
         """The bound registry, or ``None`` before :meth:`bind`."""
         return self._registry
 
-    def bind(self, registry: MetricsRegistry, start: float = 0.0) -> "WindowedCollector":
-        """Attach to ``registry`` and reset the window grid to ``start``."""
+    def bind(self, registry: MetricsRegistry) -> "WindowedCollector":
+        """Attach to ``registry`` and reset the window grid to 0."""
         self._registry = registry
-        self.reset(start)
+        self.reset()
         return self
 
     def reset(self, start: float = 0.0) -> None:
@@ -548,7 +549,7 @@ class WindowedCollector:
                 drift = jensen_shannon(dist, self._last_dist)
             self._last_dist = dist
         values["hotspot_drift"] = drift
-        flagged = not math.isnan(drift) and drift > self.drift_threshold
+        flagged = not math.isnan(drift) and drift > DRIFT_THRESHOLD
         values["drift_flag"] = 1.0 if flagged else 0.0
         if flagged:
             self.drift_events.append((self._index, drift))
@@ -576,7 +577,7 @@ class WindowedCollector:
             "sla_budget_s": _sanitize(
                 self.sla_budget if self.sla_budget is not None else float("nan")
             ),
-            "drift_threshold": self.drift_threshold,
+            "drift_threshold": DRIFT_THRESHOLD,
             "staleness_versions": _sanitize(
                 self.staleness_versions
                 if self.staleness_versions is not None else float("nan")

@@ -72,8 +72,8 @@ class UpdatePublisher(Observable):
         if coalesced:
             self.obs.inc("refresh.coalesced_writes", coalesced)
 
-    def drain(self, trainer, now: float = 0.0, publish: bool = True) -> int:
-        """Pull one trainer round into the buffer; optionally publish.
+    def drain(self, trainer, now: float = 0.0) -> int:
+        """Pull one trainer round into the buffer and publish it.
 
         ``trainer`` provides ``next_round() -> (version, {table: (ids,
         vectors)})`` (duck-typed; see
@@ -83,8 +83,7 @@ class UpdatePublisher(Observable):
         version, updates = trainer.next_round()
         for table_id, (ids, vectors) in updates.items():
             self.stage(table_id, ids, vectors)
-        if publish:
-            self.publish(version, now)
+        self.publish(version, now)
         return version
 
     # ------------------------------------------------------------ publishing

@@ -69,8 +69,6 @@ class UpdateSubscriber(Observable):
             ``apply_update(table_id, feature_ids, vectors)`` (duck-typed,
             e.g. :class:`~repro.multitier.hierarchy.TieredParameterStore`)
             gets the write-through.
-        applier: override the :class:`UpdateApplier` (defaults to one
-            with pointer invalidation on).
         start_offset: log offset already reflected in ``cache`` (-1 for a
             fresh replica).
         start_version: model version already reflected in ``cache``.
@@ -84,7 +82,6 @@ class UpdateSubscriber(Observable):
         log: UpdateLog,
         cache: FlatCache,
         host_store=None,
-        applier: Optional[UpdateApplier] = None,
         start_offset: int = -1,
         start_version: int = 0,
         allow_gap: bool = False,
@@ -92,7 +89,7 @@ class UpdateSubscriber(Observable):
         self.log = log
         self.cache = cache
         self.host_store = host_store
-        self.applier = applier or UpdateApplier(cache)
+        self.applier = UpdateApplier(cache)
         self.applied_offset = int(start_offset)
         self.applied_version = int(start_version)
         self.allow_gap = allow_gap
@@ -144,14 +141,13 @@ class UpdateSubscriber(Observable):
         return batch
 
     # hot-path: vectorized
-    def apply_next(self, now: float, executor=None) -> Optional[DeltaBatch]:
+    def apply_next(self, now: float) -> Optional[DeltaBatch]:
         """Apply the next due batch; returns it (None when none applied)."""
         batch = self.next_batch(now)
         if batch is None:
             return None
         self._inc_outcome(self.applier.apply_deltas(
-            [(d.table_id, d.feature_ids, d.vectors) for d in batch.deltas],
-            executor=executor,
+            [(d.table_id, d.feature_ids, d.vectors) for d in batch.deltas]
         ))
         # The write-through only rewrites rows the host store already
         # holds, so it commutes with the cache refresh above.
@@ -168,14 +164,10 @@ class UpdateSubscriber(Observable):
         self.obs.inc("refresh.applied_batches", 1)
         return batch
 
-    def catch_up(
-        self, now: float, max_batches: Optional[int] = None, executor=None
-    ) -> int:
-        """Apply every due batch (up to ``max_batches``); returns count."""
+    def catch_up(self, now: float) -> int:
+        """Apply every due batch; returns how many."""
         applied = 0
-        while max_batches is None or applied < max_batches:
-            if self.apply_next(now, executor=executor) is None:
-                break
+        while self.apply_next(now) is not None:
             applied += 1
         return applied
 
@@ -207,7 +199,6 @@ class UpdateSubscriber(Observable):
         cache: FlatCache,
         log: UpdateLog,
         host_store=None,
-        allow_gap: bool = False,
     ) -> "UpdateSubscriber":
         """Restore a replica and resume the stream where it left off."""
         restore(cache, snap)
@@ -217,7 +208,6 @@ class UpdateSubscriber(Observable):
             host_store=host_store,
             start_offset=snap.log_offset,
             start_version=snap.model_version,
-            allow_gap=allow_gap,
         )
 
     # ---------------------------------------------------------- observability

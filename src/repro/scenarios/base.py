@@ -155,7 +155,6 @@ def draw_feature_cube(
     samplers: Sequence[ZipfSampler],
     count: int,
     ids_per_field: int,
-    rng: Optional[np.random.Generator] = None,
 ) -> np.ndarray:
     """``(count, tables, k)`` id cube, one vectorised draw per field.
 
@@ -163,7 +162,7 @@ def draw_feature_cube(
     format-identical to the steady-state arrival generators'.
     """
     cols = [
-        s.sample(count * ids_per_field, rng=rng).reshape(count, ids_per_field)
+        s.sample(count * ids_per_field).reshape(count, ids_per_field)
         for s in samplers
     ]
     return np.stack(cols, axis=1)

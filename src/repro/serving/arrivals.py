@@ -17,6 +17,9 @@ from ..errors import WorkloadError
 from ..workloads.spec import DatasetSpec
 from ..workloads.zipf import ZipfSampler
 
+#: Most requests :meth:`PoissonArrivals.generate_until` draws.
+MAX_REQUESTS = 1_000_000
+
 
 @dataclass(frozen=True)
 class Request:
@@ -83,14 +86,13 @@ class PoissonArrivals:
             for i in range(count)
         ]
 
-    def generate_until(
-        self, horizon: float, max_count: int = 1_000_000
-    ) -> List[Request]:
+    def generate_until(self, horizon: float) -> List[Request]:
         """All requests arriving before ``horizon`` seconds.
 
         Unlike :meth:`generate`, the run's span is known up front, which
         lets fault schedules place outage windows covering an exact
-        fraction of the run (``max_count`` is a runaway guard).
+        fraction of the run (at most :data:`MAX_REQUESTS`, a runaway
+        guard).
         """
         if horizon <= 0:
             raise WorkloadError("horizon must be positive")
@@ -99,7 +101,7 @@ class PoissonArrivals:
         # feature draws batch once the times are known.
         times: List[float] = []
         now = 0.0
-        while len(times) < max_count:
+        while len(times) < MAX_REQUESTS:
             now += float(self._rng.exponential(1.0 / self.rate))
             if now >= horizon:
                 break

@@ -146,7 +146,9 @@ class InferenceServer:
 
     The staged loop keeps ``depth`` batches in flight (1, the default: one
     at a time); ``coalesce`` shares in-flight miss fetches between
-    overlapping batches (none at depth 1, so no table is built).
+    overlapping batches (none at depth 1, so no table is built).  The two
+    participants of the loop, :attr:`refresher` and :attr:`reqtracer`,
+    are attached by assigning the attribute.
     """
 
     def __init__(
@@ -159,8 +161,6 @@ class InferenceServer:
         include_dense: bool = False,
         tracer: Optional[SpanTracer] = None,
         collector: Optional[WindowedCollector] = None,
-        refresher=None,
-        reqtracer=None,
         autotuner=None,
         depth: int = 1,
         coalesce: bool = True,
@@ -178,7 +178,7 @@ class InferenceServer:
         #: optional :class:`~repro.refresh.scheduler.RefreshScheduler`;
         #: when set, model-update quanta run in the provably idle slots
         #: between stages, never past the next dispatch instant.
-        self.refresher = refresher
+        self.refresher = None
         #: optional serving-level span tracer (one span per batch stage on
         #: the absolute simulated clock; exports Chrome trace JSON).
         self.tracer = tracer
@@ -186,7 +186,7 @@ class InferenceServer:
         #: distributed tracing with bounded-overhead sampling.  ``None``
         #: (the default) leaves every serving code path byte-identical to
         #: an untraced run: no ``reqtrace.*`` counter is ever incremented.
-        self.reqtracer = reqtracer
+        self.reqtracer = None
         self.engine = InferenceEngine(
             scheme,
             hw,
@@ -267,7 +267,7 @@ class InferenceServer:
     def _fault_store(self):
         """The scheme's backing store when it is fault-aware, else None."""
         store = getattr(self.scheme, "store", None)
-        if store is not None and hasattr(store, "fault_stats"):
+        if store is not None and hasattr(store, "fault_windows"):
             return store
         return None
 

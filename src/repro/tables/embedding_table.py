@@ -12,7 +12,7 @@ import weakref
 
 import numpy as np
 
-from ..errors import ConfigError, WorkloadError
+from ..errors import WorkloadError
 from .table_spec import TableSpec
 
 _MIX1 = np.uint64(0xFF51AFD7ED558CCD)
@@ -53,10 +53,9 @@ class _RowBank:
     hash probing on the hot path.  Device-side probing costs are modelled
     by :func:`~repro.hashindex.host_hash.host_query_cost`, not here.
 
-    A *shared* bank holds nothing but reference rows (at one storage
-    tier), a pure function of its key, so every table over the same
-    ``(table_id, corpus_size, dim, storage_tier)`` reads and fills the
-    same one: :data:`_SHARED_BANKS` holds it weakly, each table using it
+    A *shared* bank holds nothing but reference rows, a pure function of
+    its key, so every table over the same ``(table_id, corpus_size, dim)``
+    reads and fills the same one: :data:`_SHARED_BANKS` holds it weakly, each table using it
     strongly, so it lives exactly as long as something can read it.
     Writing needs a private :meth:`fork`.
     """
@@ -97,7 +96,7 @@ class _RowBank:
         return start
 
 
-#: ``(table_id, corpus_size, dim, storage_tier) -> shared bank``.
+#: ``(table_id, corpus_size, dim) -> shared bank``.
 _SHARED_BANKS: "weakref.WeakValueDictionary[tuple, _RowBank]" = (
     weakref.WeakValueDictionary()
 )
@@ -111,24 +110,13 @@ class EmbeddingTable:
     replicas, crash rebuilds and fresh stores over one model never
     regenerate a row; the first :meth:`update_rows` forks a private bank
     (copy-on-write), so an updated table never changes what another
-    table reads.
-
-    ``storage_tier`` holds the table's values at a reduced precision
-    (``"fp16"``/``"int8"``): every row is passed through the tier's
-    quantize→dequantize round trip when materialised or updated, so
-    lookups see exactly what a payload stored at that tier reconstructs
-    to.  The default ``"fp32"`` stores rows verbatim (bit-exact against
-    :func:`reference_vectors`).
+    table reads.  Rows are stored verbatim at fp32, bit-exact against
+    :func:`reference_vectors`.
     """
 
-    def __init__(self, spec: TableSpec, storage_tier: str = "fp32"):
-        from ..core.precision import TIERS
-
-        if storage_tier not in TIERS:
-            raise ConfigError(f"unknown table storage tier {storage_tier!r}")
+    def __init__(self, spec: TableSpec):
         self.spec = spec
-        self.storage_tier = storage_tier
-        key = (spec.table_id, spec.corpus_size, spec.dim, storage_tier)
+        key = (spec.table_id, spec.corpus_size, spec.dim)
         bank = _SHARED_BANKS.get(key)
         if bank is None:
             bank = _SHARED_BANKS[key] = _RowBank(
@@ -137,15 +125,6 @@ class EmbeddingTable:
                 shared=True,
             )
         self._bank = bank
-
-    def _at_tier(self, rows: np.ndarray) -> np.ndarray:
-        """Round-trip ``rows`` through the storage tier's quantization."""
-        if self.storage_tier == "fp32":
-            return rows
-        from ..core.precision import dequantize_rows, quantize_rows
-
-        payload, scales = quantize_rows(rows, self.storage_tier)
-        return dequantize_rows(payload, scales, self.storage_tier)
 
     def __len__(self) -> int:
         """Rows generated so far in the bank this table reads."""
@@ -169,9 +148,9 @@ class EmbeddingTable:
         if rows.min() < 0:
             absent = rows < 0
             missing = np.unique(feature_ids[absent])
-            start = bank.append(missing, self._at_tier(reference_vectors(
+            start = bank.append(missing, reference_vectors(
                 self.spec.table_id, missing, self.spec.dim
-            )))
+            ))
             rows[absent] = start + np.searchsorted(
                 missing, feature_ids[absent]
             )
@@ -200,9 +179,7 @@ class EmbeddingTable:
     ) -> int:
         """Write-through: overwrite rows with refreshed model values.
 
-        Each row is re-quantized at the table's storage tier before it
-        lands, so a refresh cannot silently upgrade a reduced-precision
-        table to fp32 values.  IDs not yet materialised are created
+        IDs not yet materialised are created
         (an authoritative update, unlike a cache admission).  The first
         update moves the table onto a private fork of the shared bank.
         Returns the number of rows written.
@@ -218,5 +195,5 @@ class EmbeddingTable:
         if self._bank.shared:
             self._bank = self._bank.fork()
         rows = self._row_numbers(feature_ids)
-        self._bank.rows[rows] = self._at_tier(vectors)
+        self._bank.rows[rows] = vectors
         return len(feature_ids)

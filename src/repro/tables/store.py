@@ -28,20 +28,10 @@ class StoreQueryResult:
 
 
 class EmbeddingStore:
-    """All embedding tables of one model, resident in host DRAM.
+    """All embedding tables of one model, resident in host DRAM at fp32
+    (bit-exact against the reference vectors)."""
 
-    ``value_tier`` stores every table's rows at a reduced precision
-    (``"fp16"``/``"int8"`` — see
-    :class:`~repro.tables.embedding_table.EmbeddingTable`); the default
-    ``"fp32"`` is bit-exact against the reference vectors.
-    """
-
-    def __init__(
-        self,
-        specs: Sequence[TableSpec],
-        hw: HardwareSpec,
-        value_tier: str = "fp32",
-    ):
+    def __init__(self, specs: Sequence[TableSpec], hw: HardwareSpec):
         if not specs:
             raise WorkloadError("embedding store needs at least one table")
         ids = [spec.table_id for spec in specs]
@@ -49,10 +39,8 @@ class EmbeddingStore:
             raise WorkloadError("table specs must be densely numbered from 0")
         self.specs = list(specs)
         self.hw = hw
-        self.value_tier = value_tier
         self._tables: Dict[int, EmbeddingTable] = {
-            spec.table_id: EmbeddingTable(spec, storage_tier=value_tier)
-            for spec in specs
+            spec.table_id: EmbeddingTable(spec) for spec in specs
         }
         self._corpus_sizes = np.array(
             [spec.corpus_size for spec in specs], dtype=np.uint64
@@ -141,10 +129,9 @@ class EmbeddingStore:
     def update_rows(
         self, table_id: int, feature_ids: np.ndarray, vectors: np.ndarray
     ) -> int:
-        """Write refreshed rows through to one table (tier-preserving).
+        """Write refreshed rows through to one table.
 
-        Rows land re-quantized at the store's ``value_tier``.  Returns
-        the number of rows written.  (Deliberately *not* named
+        Returns the number of rows written.  (Deliberately *not* named
         ``apply_update`` — that name is the refresh-subscriber
         write-through protocol and would change how host stores are
         duck-typed by :mod:`repro.refresh`.)

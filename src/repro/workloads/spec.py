@@ -24,8 +24,6 @@ class FieldSpec:
         corpus_size: distinct IDs of this field after preprocessing.
         alpha: power-law exponent of the field's popularity distribution
             (more negative = more skewed).
-        hotspot_share: fraction of accesses concentrated on the field's hot
-            set; used only for documentation/analysis.
         drift: fraction of the popularity permutation re-drawn per epoch of
             trace time — models hotspots moving over time, which is what
             defeats a static per-table partition.
@@ -33,7 +31,6 @@ class FieldSpec:
 
     corpus_size: int
     alpha: float = -1.2
-    hotspot_share: float = 0.8
     drift: float = 0.0
 
     def __post_init__(self) -> None:

@@ -94,7 +94,6 @@ class ZipfSampler:
         corpus_size: int,
         alpha: float = -1.2,
         seed: int = 0,
-        permute: bool = True,
     ):
         if corpus_size <= 0:
             raise WorkloadError("corpus_size must be positive")
@@ -104,10 +103,7 @@ class ZipfSampler:
         self.alpha = float(alpha)
         self._rng = np.random.default_rng(seed)
         self._cdf = _cached_cdf(self.corpus_size, self.alpha)
-        if permute:
-            self._rank_to_id = _cached_permutation(self.corpus_size, seed)
-        else:
-            self._rank_to_id = np.arange(self.corpus_size, dtype=np.uint64)
+        self._rank_to_id = _cached_permutation(self.corpus_size, seed)
 
     def sample(self, count: int, rng: Optional[np.random.Generator] = None) -> np.ndarray:
         """Draw ``count`` IDs (uint64) with replacement."""

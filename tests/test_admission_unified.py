@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core import unified_index
 from repro.core.admission import AdmissionFilter
 from repro.core.unified_index import (
     UnifiedIndexTuner,
@@ -61,53 +62,62 @@ class TestPointerTagging:
 
 
 class TestUnifiedIndexTuner:
+    @pytest.fixture()
+    def window(self, monkeypatch):
+        """Sets the tuner's window length for the test."""
+        return lambda n: monkeypatch.setattr(unified_index, "TUNER_WINDOW", n)
+
     def _feed_window(self, tuner, latency):
         decision = None
-        for _ in range(tuner.window):
+        for _ in range(unified_index.TUNER_WINDOW):
             decision = tuner.observe(latency)
         return decision
 
     def test_holds_within_a_window(self):
-        t = UnifiedIndexTuner(max_capacity=800, step=100, window=4)
+        t = UnifiedIndexTuner(max_capacity=800)
         for _ in range(3):
             assert t.observe(10.0).action == "hold"
         assert t.capacity == 0
 
-    def test_grows_while_windows_improve(self):
-        t = UnifiedIndexTuner(max_capacity=800, step=100, window=2)
+    def test_grows_while_windows_improve(self, window):
+        window(2)
+        t = UnifiedIndexTuner(max_capacity=800)
         decision = self._feed_window(t, 10.0)
         assert decision.action == "grow"
         self._feed_window(t, 9.0)
         self._feed_window(t, 8.0)
         assert t.capacity == 300
 
-    def test_backs_off_when_a_step_hurts(self):
-        t = UnifiedIndexTuner(max_capacity=800, step=100, window=2)
+    def test_backs_off_when_a_step_hurts(self, window):
+        window(2)
+        t = UnifiedIndexTuner(max_capacity=800)
         self._feed_window(t, 10.0)  # -> 100
         self._feed_window(t, 9.0)   # -> 200
         decision = self._feed_window(t, 9.5)  # worse: reverse
         assert decision.action == "backoff"
         assert t.capacity == 100
 
-    def test_oscillates_around_optimum_not_past_it(self):
+    def test_oscillates_around_optimum_not_past_it(self, window):
         """If more capacity always hurts, the tuner hugs zero."""
-        t = UnifiedIndexTuner(max_capacity=800, step=100, window=1)
+        window(1)
+        t = UnifiedIndexTuner(max_capacity=800)
         latency_of = lambda cap: 1.0 + cap / 100.0
         for _ in range(20):
             t.observe(latency_of(t.capacity))
         assert t.capacity <= 200
 
-    def test_resets_on_significant_decline(self):
-        t = UnifiedIndexTuner(max_capacity=800, step=100, window=2,
-                              regression_tolerance=0.2)
+    def test_resets_on_significant_decline(self, window):
+        window(2)
+        t = UnifiedIndexTuner(max_capacity=800)
         self._feed_window(t, 10.0)
         self._feed_window(t, 9.0)
         decision = self._feed_window(t, 20.0)  # workload change
         assert decision.action == "reset"
         assert t.capacity == 0
 
-    def test_capacity_bounded(self):
-        t = UnifiedIndexTuner(max_capacity=150, step=100, window=1)
+    def test_capacity_bounded(self, window):
+        window(1)
+        t = UnifiedIndexTuner(max_capacity=150)
         for _ in range(10):
             t.observe(1.0)
         assert 0 <= t.capacity <= 150
@@ -115,13 +125,10 @@ class TestUnifiedIndexTuner:
     def test_rejects_bad_config(self):
         with pytest.raises(ConfigError):
             UnifiedIndexTuner(max_capacity=-1)
-        with pytest.raises(ConfigError):
-            UnifiedIndexTuner(max_capacity=10, regression_tolerance=0.0)
-        with pytest.raises(ConfigError):
-            UnifiedIndexTuner(max_capacity=10, window=0)
 
-    def test_regrows_after_reset(self):
-        t = UnifiedIndexTuner(max_capacity=400, step=100, window=1)
+    def test_regrows_after_reset(self, window):
+        window(1)
+        t = UnifiedIndexTuner(max_capacity=400)
         t.observe(10.0)
         t.observe(50.0)  # reset
         decision = t.observe(10.0)

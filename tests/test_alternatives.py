@@ -119,8 +119,6 @@ class TestPersistentKernel:
             PersistentKernelConfig(sm_fraction=0.0)
         with pytest.raises(ConfigError):
             PersistentKernelConfig(sm_fraction=1.0)
-        with pytest.raises(ConfigError):
-            PersistentKernelConfig(poll_latency=-1.0)
 
     def test_service_time_scales_with_keys(self, hw):
         config = PersistentKernelConfig()

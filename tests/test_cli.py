@@ -245,8 +245,8 @@ class TestCommands:
         server = PipelinedInferenceServer(
             dataset, layer, hw,
             policy=BatchingPolicy(max_batch_size=64, max_delay=5e-4),
-            reqtracer=tracer,
         )
+        server.reqtracer = tracer
         server.serve(PoissonArrivals(
             dataset, 80_000.0, seed=9
         ).generate(300))

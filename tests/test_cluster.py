@@ -19,11 +19,12 @@ from repro.cluster import (
     ClusterConfig,
     ClusterReplica,
     ClusterRouter,
-    HealthConfig,
     HealthMonitor,
     LeastOutstandingPolicy,
     make_policy,
 )
+from repro.cluster import routing
+from repro.cluster.replica import DEPTH, MAX_BATCH_SIZE, MAX_DELAY
 from repro.errors import ConfigError, WorkloadError
 from repro.faults import (
     BreakerConfig,
@@ -103,7 +104,7 @@ def counter(report, name):
 class TestHealthStateMachine:
     def test_crash_walks_full_cycle(self):
         schedule = crash_schedule(replica=0, start=0.005, duration=0.008)
-        monitor = HealthMonitor(HealthConfig(), schedule, num_replicas=2)
+        monitor = HealthMonitor(schedule, num_replicas=2)
         timelines = monitor.observe(0.04)
         states = [t.state for t in timelines[0].transitions]
         assert states == [HEALTHY, SUSPECT, DEAD, RECOVERING, HEALTHY]
@@ -111,7 +112,7 @@ class TestHealthStateMachine:
 
     def test_transitions_are_time_ordered(self):
         schedule = crash_schedule(replica=0, start=0.005, duration=0.008)
-        monitor = HealthMonitor(HealthConfig(), schedule, num_replicas=1)
+        monitor = HealthMonitor(schedule, num_replicas=1)
         transitions = monitor.observe(0.04)[0].transitions
         instants = [t.at for t in transitions]
         assert instants == sorted(instants)
@@ -120,14 +121,14 @@ class TestHealthStateMachine:
         schedule = FaultSchedule(
             [HeartbeatLoss(replica=0, start=0.005, duration=0.0025)]
         )
-        monitor = HealthMonitor(HealthConfig(), schedule, num_replicas=1)
+        monitor = HealthMonitor(schedule, num_replicas=1)
         states = [t.state for t in monitor.observe(0.02)[0].transitions]
         assert states == [HEALTHY, SUSPECT, HEALTHY]
         assert DEAD not in states and RECOVERING not in states
 
     def test_unroutable_window_covers_outage(self):
         schedule = crash_schedule(replica=0, start=0.005, duration=0.008)
-        monitor = HealthMonitor(HealthConfig(), schedule, num_replicas=1)
+        monitor = HealthMonitor(schedule, num_replicas=1)
         windows = monitor.observe(0.04)[0].unroutable_windows()
         assert len(windows) == 1
         start, end = windows[0]
@@ -136,10 +137,10 @@ class TestHealthStateMachine:
 
     def test_replay_debt_delays_readmission(self):
         schedule = crash_schedule(replica=0, start=0.005, duration=0.008)
-        fast = HealthMonitor(HealthConfig(), schedule, 1).observe(
+        fast = HealthMonitor(schedule, 1).observe(
             0.08, replay_seconds=lambda r, t: 0.0
         )
-        slow = HealthMonitor(HealthConfig(), schedule, 1).observe(
+        slow = HealthMonitor(schedule, 1).observe(
             0.08, replay_seconds=lambda r, t: 0.02
         )
         fast_ok = fast[0].first(HEALTHY, after=0.013)
@@ -224,18 +225,19 @@ class TestRoutingPolicies:
         )
         assert set(owners.tolist()) == {2, 3}
 
-    def test_least_outstanding_matches_a_list_model(self):
-        """At the window edge a choice made exactly ``service_window``
+    def test_least_outstanding_matches_a_list_model(self, monkeypatch):
+        """At the window edge a choice made exactly ``SERVICE_WINDOW``
         earlier no longer counts, ties go to the lowest id, and the
         choices of one call are still counted by the next."""
         window = 0.25  # arrivals on a 1/8 grid: every difference is exact
+        monkeypatch.setattr(routing, "SERVICE_WINDOW", window)
         rng = np.random.default_rng(7)
         arrivals = np.sort(rng.integers(0, 24, 120)) / 8.0
         routable = rng.random((3, len(arrivals))) < 0.6
         routable[:, ::11] = False  # nobody routable: everyone a candidate
         stream = [Request(i, t, ()) for i, t in enumerate(arrivals.tolist())]
         expected = least_outstanding_model(arrivals.tolist(), routable, window)
-        policy = LeastOutstandingPolicy(3, service_window=window)
+        policy = LeastOutstandingPolicy(3)
         half = len(stream) // 2
         owners = np.concatenate([
             policy.primary_many(stream[:half], routable[:, :half]),
@@ -247,7 +249,7 @@ class TestRoutingPolicies:
         edge = [
             Request(i, t, ()) for i, t in enumerate([0, 0.125, 0.125, 0.25])
         ]
-        policy = LeastOutstandingPolicy(2, service_window=window)
+        policy = LeastOutstandingPolicy(2)
         owners = policy.primary_many(edge, routable_mask(2, len(edge)))
         assert owners.tolist() == [0, 1, 0, 0]
 
@@ -255,29 +257,26 @@ class TestRoutingPolicies:
         with pytest.raises(ConfigError):
             make_policy("round-robin", 4)
 
-    @pytest.mark.parametrize("table", (0, 1))
-    def test_routing_keys_gather_equals_per_request_keys(
-        self, requests, table
-    ):
+    def test_routing_keys_gather_equals_per_request_keys(self, requests):
         """One gather out of the shared id cube gives the keys the
         per-request rule gives — and any request off the cube sends the
         whole stream down the per-request fallback, same keys again."""
-        policy = make_policy("hash", 4, routing_table=table)
-        expect = [policy._routing_key(r, table) for r in requests]
+        policy = make_policy("hash", 4)
+        expect = [policy._routing_key(r) for r in requests]
         assert requests[0].source is not None
-        gathered = policy._routing_keys(requests, table)
+        gathered = policy._routing_keys(requests)
         assert gathered.dtype == np.uint64
         assert gathered.tolist() == expect
 
         detached = [dataclasses.replace(r, source=None) for r in requests]
-        assert policy._routing_keys(detached, table).tolist() == expect
+        assert policy._routing_keys(detached).tolist() == expect
         mixed = list(requests)
         mixed[len(mixed) // 2] = detached[len(mixed) // 2]
-        assert policy._routing_keys(mixed, table).tolist() == expect
+        assert policy._routing_keys(mixed).tolist() == expect
         other_cube = requests[3].source[0].copy()
         mixed[3] = dataclasses.replace(requests[3], source=(other_cube, 3))
-        assert policy._routing_keys(mixed, table).tolist() == expect
-        assert len(policy._routing_keys([], table)) == 0
+        assert policy._routing_keys(mixed).tolist() == expect
+        assert len(policy._routing_keys([])) == 0
 
     def test_routing_keys_empty_id_lists_route_by_request_id(self):
         policy = make_policy("hash", 4)
@@ -286,9 +285,9 @@ class TestRoutingPolicies:
             Request(40 + i, 0.0, tuple(cube[i]), source=(cube, i))
             for i in range(3)
         ]
-        assert policy._routing_keys(requests, 0).tolist() == [40, 41, 42]
+        assert policy._routing_keys(requests).tolist() == [40, 41, 42]
         assert policy._routing_keys(
-            [dataclasses.replace(r, source=None) for r in requests], 0
+            [dataclasses.replace(r, source=None) for r in requests]
         ).tolist() == [40, 41, 42]
 
 
@@ -308,10 +307,9 @@ class TestSingleReplicaParity:
         server = PipelinedInferenceServer(
             dataset, layer, hw,
             policy=BatchingPolicy(
-                max_batch_size=config.max_batch_size,
-                max_delay=config.max_delay,
+                max_batch_size=MAX_BATCH_SIZE, max_delay=MAX_DELAY
             ),
-            depth=config.depth,
+            depth=DEPTH,
         )
         baseline = server.serve(requests)
         np.testing.assert_array_equal(report.latencies, baseline.latencies)
@@ -533,18 +531,12 @@ class TestValidation:
             ClusterConfig(hot_keys=-1)
         with pytest.raises(ConfigError):
             ClusterConfig(hedge_delay=0.0)
-        with pytest.raises(ConfigError):
-            ClusterConfig(dispatch_timeout=0.0)
 
     def test_health_config_validation(self):
         with pytest.raises(ConfigError):
-            HealthConfig(heartbeat_interval=0.0)
+            HealthMonitor(FaultSchedule(), num_replicas=0)
         with pytest.raises(ConfigError):
-            HealthConfig(suspect_after=0)
-        with pytest.raises(ConfigError):
-            HealthConfig(suspect_after=4, dead_after=4)
-        with pytest.raises(ConfigError):
-            HealthConfig(replay_keys_per_s=0.0)
+            HealthMonitor(FaultSchedule(), num_replicas=1).observe(0.0)
 
     def test_multiple_crash_windows_per_replica_rejected(
         self, hw, dataset, requests

@@ -8,14 +8,15 @@ threshold never flags.
 """
 
 from repro.obs import MetricsRegistry, WindowedCollector, jensen_shannon
+from repro.obs import timeseries
 
 #: Two phase distributions with a large divergence between them.
 PHASE_A = {0: 80, 1: 15, 2: 5}
 PHASE_B = {3: 70, 4: 20, 5: 10}
 
 
-def _bound(**kwargs):
-    collector = WindowedCollector(window=1e-3, **kwargs)
+def _bound():
+    collector = WindowedCollector(window=1e-3)
     return collector.bind(MetricsRegistry())
 
 
@@ -45,7 +46,7 @@ class TestHardPhaseChange:
         assert len(collector.drift_events) == 1
         window_index, score = collector.drift_events[0]
         assert window_index == 5           # the transition window
-        assert score > collector.drift_threshold
+        assert score > timeseries.DRIFT_THRESHOLD
 
     def test_resolves_after_transition(self):
         collector = _run_phases(_bound(), [(PHASE_A, 3), (PHASE_B, 6)])
@@ -78,22 +79,19 @@ class TestThresholdBoundary:
             {str(k): float(v) for k, v in PHASE_A.items()},
         )
 
-    def test_exactly_at_threshold_does_not_fire(self):
+    def test_exactly_at_threshold_does_not_fire(self, monkeypatch):
         # Strict ``>``: a transition whose divergence equals the
         # threshold bit-for-bit is *not* an event.
         d = self._divergence()
-        collector = _run_phases(
-            _bound(drift_threshold=d), [(PHASE_A, 3), (PHASE_B, 3)],
-        )
+        monkeypatch.setattr(timeseries, "DRIFT_THRESHOLD", d)
+        collector = _run_phases(_bound(), [(PHASE_A, 3), (PHASE_B, 3)])
         assert collector.drift_events == []
         assert all(f == 0.0 for f in collector.series("drift_flag"))
 
-    def test_just_below_threshold_fires(self):
+    def test_just_below_threshold_fires(self, monkeypatch):
         d = self._divergence()
-        collector = _run_phases(
-            _bound(drift_threshold=d * (1.0 - 1e-12)),
-            [(PHASE_A, 3), (PHASE_B, 3)],
-        )
+        monkeypatch.setattr(timeseries, "DRIFT_THRESHOLD", d * (1.0 - 1e-12))
+        collector = _run_phases(_bound(), [(PHASE_A, 3), (PHASE_B, 3)])
         assert len(collector.drift_events) == 1
 
     def test_payload_carries_events(self):

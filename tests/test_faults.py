@@ -169,7 +169,7 @@ class TestResilientFetchClient:
         # attempt 2 at t=1500us lands beyond the outage and succeeds.
         assert outcome.success and outcome.attempts == 2
         assert outcome.elapsed == pytest.approx((1_000 + 500 + 100) * US)
-        assert client.stats.retries == 1
+        assert client.obs.total("faults.retries") == 1
 
     def test_exhausted_budget_fails_with_honest_cost(self):
         policy = RetryPolicy(
@@ -181,7 +181,7 @@ class TestResilientFetchClient:
         outcome = client.fetch(100 * US, shard=0, now=0.0)
         assert not outcome.success
         assert outcome.elapsed == pytest.approx((1_000 + 200 + 1_000) * US)
-        assert client.stats.failures == 1
+        assert client.obs.total("faults.failures") == 1
 
     def test_hedging_fires_and_wins(self):
         """With a 50% transient-timeout rate some primaries stall and a
@@ -192,16 +192,10 @@ class TestResilientFetchClient:
         )
         schedule = FaultSchedule([TransientTimeout(probability=0.5)])
         client = self._client(schedule, policy, seed=5)
-        wins = 0
         for i in range(200):
-            outcome = client.fetch(100 * US, shard=0, now=i * 0.01)
-            if outcome.hedge_won:
-                wins += 1
-                # A winning hedge finishes at hedge_delay + base, well
-                # under the attempt timeout.
-                assert outcome.elapsed <= (300 + 100 + 1) * US or True
-        assert client.stats.hedges_fired > 0
-        assert wins > 0 and client.stats.hedge_wins == wins
+            client.fetch(100 * US, shard=0, now=i * 0.01)
+        assert client.obs.total("faults.hedges_fired") > 0
+        assert client.obs.total("faults.hedge_wins") > 0
 
     def test_breaker_fails_fast_during_outage(self):
         policy = RetryPolicy(
@@ -217,9 +211,9 @@ class TestResilientFetchClient:
         first = client.fetch(100 * US, shard=0, now=0.0)
         assert not first.success and first.elapsed > 1_000 * US
         fast = client.fetch(100 * US, shard=0, now=0.01)
-        assert not fast.success and fast.breaker_rejected
+        assert not fast.success and fast.reason == "breaker-open"
         assert fast.elapsed == 0.0
-        assert client.stats.breaker_fast_fails == 1
+        assert client.obs.total("faults.breaker_fast_fails") == 1
         assert client.breaker_open_time(0.01) > 0.0
 
     def test_breaker_recovers_after_cooldown(self):
@@ -234,7 +228,8 @@ class TestResilientFetchClient:
         client = self._client(schedule, policy, breaker=breaker)
         client.fetch(100 * US, shard=0, now=0.0)
         client.fetch(100 * US, shard=0, now=0.002)  # trips the breaker
-        assert client.fetch(100 * US, shard=0, now=0.005).breaker_rejected
+        rejected = client.fetch(100 * US, shard=0, now=0.005)
+        assert rejected.reason == "breaker-open"
         # Past the cooldown the half-open probe goes out, the shard is
         # healthy again, and the breaker closes.
         probe = client.fetch(100 * US, shard=0, now=0.02)

@@ -191,7 +191,7 @@ class TestTieredParameterStore:
         # Still down: queries bypass DRAM and fire nothing new.
         query_table(store, 0, np.array([4], np.uint64))
         assert all(count == 1 for count in fired.values())
-        assert store.stats.dram_bypass_queries == 2
+        assert store.obs.total("tier.dram_bypass_queries") == 2
 
         store.advance_to(2.5)  # window closed: caching resumes
         query_table(store, 0, ids)

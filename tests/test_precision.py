@@ -3,8 +3,8 @@
 Covers the tentpole end to end: config validation, tiered capacity
 arithmetic, quantize-on-insert / dequantize-on-gather through the flat
 cache, spill-under-pressure, on-hit retiering with conservation-counter
-accounting, the tier-preserving DRAM / embedding-table write-through
-paths, and the AUC-proxy regression gate (int8 tail within epsilon).
+accounting, the fp32 host tiers beneath the cache, and the AUC-proxy
+regression gate (int8 tail within epsilon).
 """
 
 import numpy as np
@@ -21,7 +21,6 @@ from repro.core.precision import (
     slot_payload_bytes,
 )
 from repro.errors import ConfigError, SimulationError
-from repro.hardware import default_platform
 from repro.mempool.slab_pool import SlabMemoryPool
 from repro.model.trainer import CollisionAucStudy, SyntheticCtrTask
 from repro.multitier.dram_cache import DramCacheLayer
@@ -30,8 +29,6 @@ from repro.tables.embedding_table import (
 )
 from repro.tables.store import EmbeddingStore
 from repro.tables.table_spec import TableSpec
-
-from conftest import query_table
 
 MIXED = PrecisionConfig(
     enabled=True, fp32_share=0.4, fp16_share=0.3, int8_share=0.3,
@@ -285,17 +282,13 @@ class TestTieredInsertAndGather:
 
 
 class TestDramTier:
-    def _layer(self, tier):
+    def test_fp32_layer_is_exact(self):
         specs = [TableSpec(table_id=0, corpus_size=500, dim=8)]
 
         def fetch(table_id, ids):
             return reference_vectors(table_id, ids, 8), 1e-6, True
 
-        return DramCacheLayer(specs, capacity=64, fetch=fetch,
-                              storage_tier=tier), specs
-
-    def test_fp32_layer_is_exact(self):
-        layer, _ = self._layer("fp32")
+        layer = DramCacheLayer(specs, capacity=64, fetch=fetch)
         ids = np.arange(10, dtype=np.uint64)
         vectors, _ = layer.lookup(0, ids)
         np.testing.assert_array_equal(
@@ -303,36 +296,6 @@ class TestDramTier:
         )
         again, _ = layer.lookup(0, ids)
         np.testing.assert_array_equal(again, vectors)
-
-    @pytest.mark.parametrize("tier", ["fp16", "int8"])
-    def test_quantized_residency_roundtrips(self, tier):
-        layer, _ = self._layer(tier)
-        ids = np.arange(10, dtype=np.uint64)
-        truth = reference_vectors(0, ids, 8)
-        first, _ = layer.lookup(0, ids)  # fetch path: exact values served
-        hit, cost = layer.lookup(0, ids)  # resident: dequantized
-        assert cost == 0.0
-        payload, scales = quantize_rows(truth, tier)
-        np.testing.assert_array_equal(
-            hit, dequantize_rows(payload, scales, tier)
-        )
-
-    def test_refresh_requantizes_at_layer_tier(self):
-        layer, _ = self._layer("int8")
-        ids = np.arange(5, dtype=np.uint64)
-        layer.lookup(0, ids)
-        new_rows = np.full((5, 8), 0.5, dtype=np.float32)
-        updated = layer.refresh(0, ids, new_rows)
-        assert updated == 5
-        got, _ = layer.lookup(0, ids)
-        payload, scales = quantize_rows(new_rows, "int8")
-        np.testing.assert_array_equal(
-            got, dequantize_rows(payload, scales, "int8")
-        )
-
-    def test_unknown_tier_rejected(self):
-        with pytest.raises(ConfigError):
-            self._layer("fp8")
 
 
 class TestTableTier:
@@ -343,42 +306,6 @@ class TestTableTier:
         np.testing.assert_array_equal(
             table.lookup(ids), reference_vectors(0, ids, 8)
         )
-
-    @pytest.mark.parametrize("tier", ["fp16", "int8"])
-    def test_reduced_table_serves_tier_values(self, tier):
-        spec = TableSpec(table_id=0, corpus_size=100, dim=8)
-        table = EmbeddingTable(spec, storage_tier=tier)
-        ids = np.arange(10, dtype=np.uint64)
-        truth = reference_vectors(0, ids, 8)
-        payload, scales = quantize_rows(truth, tier)
-        np.testing.assert_array_equal(
-            table.lookup(ids), dequantize_rows(payload, scales, tier)
-        )
-
-    def test_update_rows_requantizes(self):
-        spec = TableSpec(table_id=0, corpus_size=100, dim=8)
-        table = EmbeddingTable(spec, storage_tier="int8")
-        ids = np.arange(4, dtype=np.uint64)
-        rows = np.full((4, 8), 1.25, dtype=np.float32)
-        assert table.update_rows(ids, rows) == 4
-        payload, scales = quantize_rows(rows, "int8")
-        np.testing.assert_array_equal(
-            table.lookup(ids), dequantize_rows(payload, scales, "int8")
-        )
-
-    def test_store_value_tier_and_update(self):
-        hw = default_platform()
-        specs = [TableSpec(table_id=0, corpus_size=200, dim=8)]
-        store = EmbeddingStore(specs, hw, value_tier="fp16")
-        ids = np.arange(6, dtype=np.uint64)
-        truth = reference_vectors(0, ids, 8)
-        payload, scales = quantize_rows(truth, "fp16")
-        np.testing.assert_array_equal(
-            query_table(store, 0, ids).vectors,
-            dequantize_rows(payload, scales, "fp16"),
-        )
-        rows = np.full((6, 8), 0.25, dtype=np.float32)
-        assert store.update_rows(0, ids, rows) == 6
 
     def test_store_has_no_apply_update(self):
         # Guard: the refresh subscriber duck-types ``apply_update`` on

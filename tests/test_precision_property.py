@@ -17,9 +17,11 @@ Hypothesis pins three contracts:
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import admission
 from repro.core.admission import FrequencyEstimator, assign_tier_codes
 from repro.core.precision import (
     TIERS,
@@ -226,10 +228,17 @@ observed_batches = st.lists(
 )
 
 
+def narrow_sketch():
+    """An estimator 64 counters wide, so the drawn keys collide."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(admission, "SKETCH_WIDTH", 64)
+        return FrequencyEstimator(seed=3)
+
+
 @settings(max_examples=60, deadline=None)
 @given(batches=observed_batches)
 def test_sketch_never_underestimates(batches):
-    est = FrequencyEstimator(width=64, depth=2, seed=3)
+    est = narrow_sketch()
     truth = {}
     for batch in batches:
         keys = np.asarray(batch, dtype=np.uint64)
@@ -246,7 +255,7 @@ def test_sketch_never_underestimates(batches):
 @settings(max_examples=60, deadline=None)
 @given(batches=observed_batches)
 def test_aging_halves_estimates(batches):
-    est = FrequencyEstimator(width=64, depth=2, seed=3)
+    est = narrow_sketch()
     for batch in batches:
         est.observe(np.asarray(batch, dtype=np.uint64))
     all_keys = sorted({k for batch in batches for k in batch})

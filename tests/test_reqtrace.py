@@ -40,6 +40,7 @@ from repro.obs import (
     decompose,
     install_reqtrace_laws,
 )
+from repro.obs import reqtrace
 from repro.obs.reqtrace import RequestTrace, _finish_trace, sample_masks
 from repro.serving.arrivals import PoissonArrivals
 from repro.serving.batcher import BatchingPolicy
@@ -61,15 +62,16 @@ def dataset():
     )
 
 
-def make_server(dataset, hw, pipelined=True, **kwargs):
+def make_server(dataset, hw, pipelined=True, reqtracer=None):
     store = EmbeddingStore(dataset.table_specs(), hw)
     layer = FlecheEmbeddingLayer(store, FlecheConfig(cache_ratio=0.1), hw)
     cls = PipelinedInferenceServer if pipelined else InferenceServer
-    return cls(
+    server = cls(
         dataset, layer, hw,
         policy=BatchingPolicy(max_batch_size=64, max_delay=5e-4),
-        **kwargs,
     )
+    server.reqtracer = reqtracer
+    return server
 
 
 def reqtrace_counters(report):
@@ -90,7 +92,7 @@ class TestTraceConfig:
         cfg = TraceConfig()
         assert cfg.head_interval == 64
         assert cfg.sla_budget is None
-        assert cfg.capture_tail
+        assert reqtrace.CAPTURE_TAIL
 
     def test_rejects_negative_interval(self):
         with pytest.raises(ConfigError):
@@ -229,11 +231,10 @@ class TestSamplingProperty:
         else:
             assert not head.any()
 
-    def test_capture_tail_off_drops_violators_to_head_only(self):
+    def test_capture_tail_off_drops_violators_to_head_only(self, monkeypatch):
+        monkeypatch.setattr(reqtrace, "CAPTURE_TAIL", False)
         lat = np.array([1.0, 1.0, 1.0, 1.0])
-        config = TraceConfig(
-            head_interval=2, sla_budget=1e-3, capture_tail=False,
-        )
+        config = TraceConfig(head_interval=2, sla_budget=1e-3)
         head, tail, violating = sample_masks(config, np.arange(4), lat)
         assert violating.all() and not tail.any()
         assert np.array_equal(head | tail, head)

@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 from repro import default_platform
 from repro.bench.harness import canonical_json
 from repro.cluster import ClusterConfig, ClusterRouter, HealthMonitor
-from repro.cluster.health import HealthConfig
+from repro.cluster import replica as replica_module
 from repro.cluster.router import (
     _CAUSES,
     _COLUMNS,
@@ -83,6 +83,15 @@ def make_log():
 
 LOG = make_log()
 
+
+@pytest.fixture(autouse=True, scope="module")
+def small_replica_batches():
+    """Replicas seal batches of 16 requests, not 64, so the short streams
+    here still run several batches per replica."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(replica_module, "MAX_BATCH_SIZE", 16)
+        yield
+
 #: Event instants sit on a half-beat grid, so some fall exactly on
 #: heartbeats (``k * 1e-3``) and some between them.
 grid = st.integers(min_value=1, max_value=36).map(lambda k: k * 5e-4)
@@ -114,11 +123,9 @@ def scenarios(draw):
             ["hash", "table-shard", "least-outstanding"]
         )),
         hot_keys=32,
-        max_batch_size=16,
         failover=draw(st.booleans()),
         breaker=BREAKER if draw(st.booleans()) else None,
         hedge_delay=HEDGE_DELAY if draw(st.booleans()) else None,
-        dispatch_timeout=DISPATCH_TIMEOUT,
     )
     return (
         config, FaultSchedule(kept),
@@ -174,7 +181,7 @@ def plan_per_request(router, owners, arrivals, episodes):
                 if breaker is not None:
                     breaker.record(False, t)
                 reg.inc("cluster.lost_dispatches")
-                at, cause = t + cfg.dispatch_timeout, "timeout"
+                at, cause = t + DISPATCH_TIMEOUT, "timeout"
         elif not router.health[owner].routable_at(t):
             # Suspect/dead from heartbeat loss alone: route away.
             cause = "health"
@@ -291,7 +298,7 @@ def report_view(report):
     # A rejoined victim inside a slowdown window is served by its owner
     # again but, unlike a steady replica, never hedged.
     ClusterConfig(
-        num_replicas=REPLICAS, hot_keys=32, max_batch_size=16,
+        num_replicas=REPLICAS, hot_keys=32,
         hedge_delay=HEDGE_DELAY, breaker=BREAKER,
     ),
     FaultSchedule([
@@ -306,8 +313,7 @@ def report_view(report):
     # replica is never marked dead, its owner's sends stay lost, and a
     # failover planned into its already-run stream never executes.
     ClusterConfig(
-        num_replicas=REPLICAS, hot_keys=32, max_batch_size=16,
-        breaker=BREAKER,
+        num_replicas=REPLICAS, hot_keys=32, breaker=BREAKER,
     ),
     FaultSchedule([
         ReplicaCrash(replica=1, start=0.003, duration=5e-4),
@@ -320,7 +326,7 @@ def report_view(report):
     # takes replica 2 out of the routable mask before replica 0 crashes.
     ClusterConfig(
         num_replicas=REPLICAS, policy="least-outstanding", hot_keys=32,
-        max_batch_size=16, hedge_delay=HEDGE_DELAY, breaker=BREAKER,
+        hedge_delay=HEDGE_DELAY, breaker=BREAKER,
     ),
     FaultSchedule([
         HeartbeatLoss(replica=2, start=0.002, duration=0.004),
@@ -448,7 +454,7 @@ class TestBulkTimelineQueries:
             ReplicaCrash(replica=0, start=0.003, duration=0.006),
             HeartbeatLoss(replica=1, start=0.004, duration=0.0025),
         ])
-        timelines = HealthMonitor(HealthConfig(), schedule, 3).observe(0.03)
+        timelines = HealthMonitor(schedule, 3).observe(0.03)
         for timeline in timelines.values():
             times = self.probes({t.at for t in timeline.transitions})
             assert timeline.routable_many(times).tolist() == [
@@ -462,8 +468,7 @@ def faulty_scenario():
         ReplicaSlowdown(replica=1, start=0.004, duration=0.010, factor=6.0),
     ])
     config = dict(
-        num_replicas=REPLICAS, hot_keys=32, max_batch_size=16,
-        hedge_delay=5e-4, breaker=BREAKER,
+        num_replicas=REPLICAS, hot_keys=32, hedge_delay=5e-4, breaker=BREAKER,
     )
     return schedule, config
 

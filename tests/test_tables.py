@@ -6,7 +6,6 @@ import gc
 import numpy as np
 import pytest
 
-from repro.core.precision import dequantize_rows, quantize_rows
 from repro.errors import ConfigError, WorkloadError
 from repro.tables import embedding_table
 from repro.tables.embedding_table import EmbeddingTable, reference_vectors
@@ -153,24 +152,17 @@ class TestEmbeddingStore:
                 )
 
 
-def _at_tier(rows, tier):
-    if tier == "fp32":
-        return rows
-    return dequantize_rows(*quantize_rows(rows, tier), tier)
-
-
 class TestSharedRowBank:
-    """Tables over one (table, corpus, dim, tier) read one row bank.
+    """Tables over one (table, corpus, dim) read one row bank.
 
     Every spec here is unique to its test, so no bank left by another
     test can be picked up.
     """
 
-    @pytest.mark.parametrize("tier", ["fp32", "fp16", "int8"])
-    def test_equal_stores_share_rows_whatever_the_touch_order(self, hw, tier):
+    def test_equal_stores_share_rows_whatever_the_touch_order(self, hw):
         specs = make_table_specs([211, 223], [8, 8])
-        first = EmbeddingStore(specs, hw, value_tier=tier)
-        second = EmbeddingStore(specs, hw, value_tier=tier)
+        first = EmbeddingStore(specs, hw)
+        second = EmbeddingStore(specs, hw)
         tables = np.array([0, 1, 0, 1, 1])
         ids = np.array([7, 9, 200, 3, 9], np.uint64)
         a = first.query_many(tables, ids).vectors
@@ -181,8 +173,7 @@ class TestSharedRowBank:
         np.testing.assert_array_equal(a, b)
         for t in (0, 1):
             np.testing.assert_array_equal(
-                a[tables == t],
-                _at_tier(reference_vectors(t, ids[tables == t], 8), tier),
+                a[tables == t], reference_vectors(t, ids[tables == t], 8)
             )
         assert first.table(0)._bank is second.table(0)._bank
 
@@ -204,29 +195,24 @@ class TestSharedRowBank:
         replica.lookup(np.array([6], np.uint64))
         assert len(calls) == 1 and len(warm) == 4
 
-    @pytest.mark.parametrize("tier", ["fp32", "fp16", "int8"])
-    def test_update_forks_and_never_reaches_another_table(self, tier):
+    def test_update_forks_and_never_reaches_another_table(self):
         spec = TableSpec(0, corpus_size=229, dim=8)
         ids = np.array([4, 8], np.uint64)
-        updated = EmbeddingTable(spec, storage_tier=tier)
-        reader = EmbeddingTable(spec, storage_tier=tier)
+        updated = EmbeddingTable(spec)
+        reader = EmbeddingTable(spec)
         pristine = reader.lookup(ids).copy()
         new_rows = np.full((2, 8), 0.25, dtype=np.float32)
         updated.update_rows(ids, new_rows)
         assert updated._bank is not reader._bank
         assert not updated._bank.shared and reader._bank.shared
-        np.testing.assert_array_equal(
-            updated.lookup(ids), _at_tier(new_rows, tier)
-        )
+        np.testing.assert_array_equal(updated.lookup(ids), new_rows)
         np.testing.assert_array_equal(reader.lookup(ids), pristine)
         # Rows the fork generates later stay out of the shared bank too.
         updated.update_rows(np.array([100], np.uint64), new_rows[:1])
         assert len(reader) == 2
         np.testing.assert_array_equal(
-            EmbeddingTable(spec, storage_tier=tier).lookup(
-                np.array([100], np.uint64)
-            ),
-            _at_tier(reference_vectors(0, np.array([100], np.uint64), 8), tier),
+            EmbeddingTable(spec).lookup(np.array([100], np.uint64)),
+            reference_vectors(0, np.array([100], np.uint64), 8),
         )
         # A second update writes the same private bank, no second fork.
         private = updated._bank
@@ -253,7 +239,7 @@ class TestSharedRowBank:
 
     def test_bank_lives_exactly_as_long_as_a_table_reads_it(self):
         spec = TableSpec(0, corpus_size=239, dim=4)
-        key = (0, 239, 4, "fp32")
+        key = (0, 239, 4)
         first = EmbeddingTable(spec)
         second = EmbeddingTable(spec)
         first.lookup(np.array([3], np.uint64))

@@ -167,7 +167,7 @@ class TestWindowing:
 
 class TestDriftDetector:
     def test_hotspot_shift_flagged(self):
-        collector = _bound(window=1e-3, drift_threshold=0.08)
+        collector = _bound(window=1e-3)
         registry = collector.registry
         # Window 0: traffic concentrated on table 0.
         registry.inc("cache.table_hits", 90, table="0")
@@ -189,7 +189,7 @@ class TestDriftDetector:
         assert collector.series("drift_flag")[2] == 1.0
 
     def test_falls_back_to_lookup_distribution(self):
-        collector = _bound(window=1e-3, drift_threshold=0.05)
+        collector = _bound(window=1e-3)
         registry = collector.registry
         registry.inc("cache.table_lookups", 50, table="0")
         collector.observe_batch(0.5e-3)

@@ -87,14 +87,6 @@ class TestUpdateApplier:
         assert outcome.pointers_invalidated == 2
         assert not cache.index_lookup(keys).dram_hit.any()
 
-    def test_pointer_invalidation_optional(self, cache):
-        features = np.array([10], np.uint64)
-        keys = cache.encode(1, features)
-        cache.publish_dram_pointers(keys, features)
-        applier = UpdateApplier(cache, invalidate_pointers=False)
-        applier.apply(1, features, np.zeros((1, 16), np.float32))
-        assert cache.index_lookup(keys).dram_hit.all()
-
     def test_version_stamp_bumped(self, cache):
         _fill(cache, 0, [5])
         cache.tick()
@@ -204,7 +196,7 @@ def _reference_apply(applier, table_id, feature_ids, vectors, executor=None):
                 stream=executor.stream("main"), category=Category.OTHER,
             )
     invalidated = 0
-    if dram.any() and applier.invalidate_pointers:
+    if dram.any():
         invalidated = cache.invalidate_dram_pointers(keys[dram])
     return UpdateOutcome(
         refreshed=refreshed,
@@ -254,11 +246,10 @@ _id_sets = st.lists(
         min_size=len(FUSE_DIMS), max_size=len(FUSE_DIMS),
     ),
     tables=st.sets(st.integers(0, len(FUSE_DIMS) - 1), min_size=1),
-    invalidate=st.booleans(),
     with_executor=st.booleans(),
 )
 def test_fused_apply_equals_per_table_apply(
-    cached_ids, pointer_ids, delta_ids, tables, invalidate, with_executor, hw
+    cached_ids, pointer_ids, delta_ids, tables, with_executor, hw
 ):
     fused_cache = _fuse_cache(cached_ids, pointer_ids)
     seq_cache = copy.deepcopy(fused_cache)
@@ -272,10 +263,10 @@ def test_fused_apply_equals_per_table_apply(
     fused_exec = Executor(hw) if with_executor else None
     seq_exec = Executor(hw) if with_executor else None
     before = fused_cache.obs.snapshot()
-    fused = UpdateApplier(fused_cache, invalidate).apply_deltas(
+    fused = UpdateApplier(fused_cache).apply_deltas(
         deltas, executor=fused_exec
     )
-    reference = UpdateApplier(seq_cache, invalidate)
+    reference = UpdateApplier(seq_cache)
     parts = [
         _reference_apply(reference, *delta, executor=seq_exec)
         for delta in deltas

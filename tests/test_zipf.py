@@ -49,14 +49,10 @@ class TestZipfSampler:
         np.testing.assert_array_equal(a, b)
 
     def test_permutation_decouples_rank_from_id(self):
-        s = ZipfSampler(10_000, seed=2, permute=True)
+        s = ZipfSampler(10_000, seed=2)
         hot = s.hottest_ids(10)
         # Hot IDs should not simply be 0..9.
         assert sorted(hot.tolist()) != list(range(10))
-
-    def test_no_permutation_keeps_rank_order(self):
-        s = ZipfSampler(100, seed=2, permute=False)
-        np.testing.assert_array_equal(s.hottest_ids(3), [0, 1, 2])
 
     def test_popularity_of_rank_decreases(self):
         s = ZipfSampler(1000)
