@@ -101,17 +101,18 @@ def test_ablation_tiered_store(hw, run_once):
             for batch in batches[16:]:
                 layer.query(batch, executor)
             latency = executor.drain() / 8
-            stats = store.stats
+            tier = store.obs.total
+            hits, misses = tier("tier.dram_hits"), tier("tier.dram_misses")
+            hit_rate = hits / (hits + misses)
+            remote_keys = tier("tier.remote_keys")
             rows.append([
                 f"{dram_share:.0%}",
                 format_time(latency),
-                f"{stats.dram_hit_rate:.1%}",
-                stats.remote_keys,
-                stats.pointer_invalidations,
+                f"{hit_rate:.1%}",
+                remote_keys,
+                tier("tier.pointer_invalidations"),
             ])
-            numbers[dram_share] = (
-                latency, stats.dram_hit_rate, stats.remote_keys
-            )
+            numbers[dram_share] = (latency, hit_rate, remote_keys)
         return rows, numbers
 
     rows, numbers = run_once(experiment)

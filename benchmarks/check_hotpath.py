@@ -45,12 +45,18 @@ HOT_PATH_FILES = {
     "src/repro/serving/batcher.py": 1,    # form_batches
     # lookup / insert / _insert_round / erase
     "src/repro/hashindex/slab_hash.py": 4,
-    # _row_numbers / lookup / update_rows
-    "src/repro/tables/embedding_table.py": 3,
+    # reference_vectors (one call generates a whole batch's rows, any
+    # mix of tables) / _row_numbers / lookup / update_rows
+    "src/repro/tables/embedding_table.py": 4,
     "src/repro/tables/store.py": 1,        # query_many
-    # TieredParameterStore.query_many; DramCacheLayer.lookup / .refresh
-    # stay unmarked: they loop per key (an OrderedDict LRU)
-    "src/repro/multitier/hierarchy.py": 1,
+    # TieredParameterStore.query_many / _missed_rows: their loops are
+    # per table
+    "src/repro/multitier/hierarchy.py": 2,
+    # DramCacheLayer.fill / .refresh.  DramCacheLayer.lookup stays
+    # unmarked: its per-key loop runs the batch in table order, and that
+    # order is the LRU semantics (which key is most recent, which victim
+    # goes first), so the loop is the specification, not overhead
+    "src/repro/multitier/dram_cache.py": 2,
     # allocate / release / write / read
     "src/repro/mempool/slab_pool.py": 4,
     "src/repro/core/updates.py": 1,        # apply_deltas

@@ -46,13 +46,14 @@ def main() -> None:
         executor.reset()
         for batch in batches[12:]:
             layer.query(batch, executor)
-        stats = store.stats
+        tier = store.obs.total
+        hits, misses = tier("tier.dram_hits"), tier("tier.dram_misses")
         rows.append([
             label,
             format_time(executor.drain() / 8),
-            f"{stats.dram_hit_rate:.1%}",
-            f"{stats.remote_keys:,}",
-            f"{stats.pointer_invalidations:,}",
+            f"{hits / (hits + misses):.1%}",
+            f"{tier('tier.remote_keys'):,}",
+            f"{tier('tier.pointer_invalidations'):,}",
         ])
 
     print(format_table(

@@ -56,12 +56,18 @@ class StaleStore:
     def __init__(self) -> None:
         self._entries: Dict[Tuple[int, int], np.ndarray] = {}
 
-    def update(
-        self, table_id: int, feature_ids: np.ndarray, vectors: np.ndarray
+    def update_many(
+        self, table_ids: np.ndarray, feature_ids: np.ndarray,
+        vectors: np.ndarray,
     ) -> None:
-        """Record authoritative ``vectors`` for ``feature_ids``."""
-        for fid, row in zip(feature_ids, vectors):
-            self._entries[(table_id, int(fid))] = np.array(row, copy=True)
+        """Record authoritative ``vectors`` for ``(table, id)`` pairs.
+
+        One copy of the block; each key keeps a view of its row.
+        """
+        rows = np.array(vectors, dtype=np.float32)
+        self._entries.update(
+            zip(zip(table_ids.tolist(), feature_ids.tolist()), rows)
+        )
 
     def get(
         self, table_id: int, feature_ids: np.ndarray, dim: int

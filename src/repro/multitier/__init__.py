@@ -12,7 +12,7 @@ This package builds that deployment:
 * :mod:`repro.multitier.remote_ps` — the remote parameter server with a
   network cost model (RTT + bandwidth);
 * :mod:`repro.multitier.dram_cache` — the host-DRAM cache layer (LRU over
-  host memory, backed by the remote PS), which *notifies invalidation
+  host memory, filled from the remote PS), which *notifies invalidation
   listeners* when entries are evicted;
 * :mod:`repro.multitier.hierarchy` — the assembled GPU-HBM -> CPU-DRAM ->
   remote-PS hierarchy, wiring DRAM evictions to unified-index pointer
@@ -21,12 +21,11 @@ This package builds that deployment:
 
 from .remote_ps import RemoteParameterServer, NetworkSpec
 from .dram_cache import DramCacheLayer
-from .hierarchy import TieredParameterStore, TierStats
+from .hierarchy import TieredParameterStore
 
 __all__ = [
     "RemoteParameterServer",
     "NetworkSpec",
     "DramCacheLayer",
     "TieredParameterStore",
-    "TierStats",
 ]

@@ -11,7 +11,7 @@ case).
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -20,46 +20,70 @@ from ..obs.registry import Observable
 from ..tables.table_spec import TableSpec
 
 
-def pack_global_key(table_id: int, feature_id):
+def pack_global_key(table_id, feature_id):
     """One flat namespace over (table, feature) for the DRAM layer.
 
-    ``feature_id`` is one id or a ``uint64`` array of them.
+    ``feature_id`` is one id or a ``uint64`` array of them; ``table_id``
+    is one table or (as ``uint64``) one per id.
     """
     return (table_id << 48) | feature_id
 
 
+def unpack_global_key(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(table ids, feature ids)`` of a ``uint64`` array of packed keys."""
+    return keys >> np.uint64(48), keys & np.uint64((1 << 48) - 1)
+
+
+class DramPass(NamedTuple):
+    """What one batched :meth:`DramCacheLayer.lookup` found.
+
+    Positions index the batch's ``keys``; ``missed`` lists each table's
+    distinct missed keys, sorted, tables in batch order.  The rows of the
+    keys the pass inserted are still owed: ``slots[i]`` takes the row of
+    ``missed[sources[i]]`` (see :meth:`DramCacheLayer.fill`); a slot
+    appears once, for the last key it took.
+    """
+
+    hit_positions: List[int]
+    hit_rows: np.ndarray
+    miss_positions: List[int]
+    missed: List[int]
+    slots: List[int]
+    sources: List[int]
+
+
 class DramCacheLayer(Observable):
-    """LRU host cache of embeddings, backed by a fetch callback.
+    """LRU host cache of embeddings: packed key -> row slot.
+
+    The LRU order lives in an ``OrderedDict`` of packed key -> slot (least
+    recent first); rows live in one ``(capacity, dim)`` float32 array per
+    distinct table dimension, at their key's slot.  Freed slots are reused
+    before the high-water mark grows.  The tier does not fetch: the
+    caller runs each table's remote fetch from the ``admit`` callback of
+    :meth:`lookup` and then hands over the rows with :meth:`fill`.
 
     Args:
         specs: the model's table specs.
         capacity: embeddings the DRAM layer can hold.
-        fetch: callback ``(table_id, feature_ids) -> (vectors, cost,
-            cacheable)`` used on DRAM misses (typically the remote
-            parameter server).  With ``cacheable=False`` the vectors are
-            served but *not* inserted (degraded fallbacks must never
-            pollute the cache).
     """
 
-    def __init__(
-        self,
-        specs: Sequence[TableSpec],
-        capacity: int,
-        fetch: Callable[[int, np.ndarray], Tuple[np.ndarray, float, bool]],
-    ):
+    def __init__(self, specs: Sequence[TableSpec], capacity: int):
         if capacity <= 0:
             raise ConfigError("DRAM cache capacity must be positive")
         self.specs = list(specs)
         self.capacity = int(capacity)
-        self._fetch = fetch
-        self._entries: "OrderedDict[int, np.ndarray]" = OrderedDict()
+        self._slots: "OrderedDict[int, int]" = OrderedDict()
+        self._rows: Dict[int, np.ndarray] = {
+            dim: np.zeros((self.capacity, dim), dtype=np.float32)
+            for dim in sorted({spec.dim for spec in self.specs})
+        }
+        #: Slots below the high-water mark ``len(_slots) + len(_free)``
+        #: that no key holds.
+        self._free: List[int] = []
         self._invalidation_listeners: List[Callable[[np.ndarray], None]] = []
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._slots)
 
     # ------------------------------------------------------------------ hooks
 
@@ -70,17 +94,11 @@ class DramCacheLayer(Observable):
         """
         self._invalidation_listeners.append(listener)
 
-    def _evict_to_capacity(self) -> None:
-        evicted = []
-        while len(self._entries) > self.capacity:
-            key, _ = self._entries.popitem(last=False)
-            evicted.append(key)
-        if evicted:
-            self.evictions += len(evicted)
-            self.obs.inc("tier.dram_evictions", len(evicted))
-            keys = np.asarray(evicted, dtype=np.uint64)
-            for listener in self._invalidation_listeners:
-                listener(keys)
+    def _notify(self, evicted) -> None:
+        self.obs.inc("tier.dram_evictions", len(evicted))
+        keys = np.asarray(evicted, dtype=np.uint64)
+        for listener in self._invalidation_listeners:
+            listener(keys)
 
     def flush(self) -> int:
         """Drop every resident entry, notifying invalidation listeners.
@@ -88,67 +106,108 @@ class DramCacheLayer(Observable):
         Models the DRAM tier losing its contents (process restart, a
         :class:`~repro.faults.schedule.DramTierFailure` window): every
         GPU-side unified-index pointer into the tier is now dangling and
-        each key's invalidation fires exactly once.  Returns the number
-        of entries dropped.
+        each key's invalidation fires exactly once, in LRU order.  Returns
+        the number of entries dropped.
         """
-        if not self._entries:
+        if not self._slots:
             return 0
-        keys = np.asarray(list(self._entries.keys()), dtype=np.uint64)
-        self._entries.clear()
-        self.evictions += len(keys)
-        self.obs.inc("tier.dram_evictions", len(keys))
-        for listener in self._invalidation_listeners:
-            listener(keys)
+        keys = list(self._slots)
+        self._slots.clear()
+        self._free.clear()
+        self._notify(keys)
         return len(keys)
 
     # ------------------------------------------------------------------ query
 
     def lookup(
-        self, table_id: int, feature_ids: np.ndarray
-    ) -> Tuple[np.ndarray, float]:
-        """Serve one table's IDs, faulting misses in from the backing store.
+        self,
+        segments: Sequence[Tuple[int, int, int]],
+        keys: np.ndarray,
+        admit: Callable[[int, List[int]], bool],
+    ) -> DramPass:
+        """One LRU pass over a batch of packed keys, grouped by table.
 
-        Returns ``(vectors, backing_time)`` where ``backing_time`` is the
-        remote fetch cost incurred (zero when everything was resident).
+        ``segments`` lists ``(table_id, start, stop)`` of each table's
+        run of ``keys``, in table order.  Each table's keys are looked up
+        in order (a hit becomes most recent); then its distinct misses,
+        sorted, go to ``admit(table_id, missed)``, which fetches them and
+        says whether they may be cached.  If so, the least recent entries
+        are evicted to make room and the misses are inserted in sorted
+        order — all of them, so with more misses than capacity the first
+        ones are inserted and evicted at once.  The batch's evictions
+        reach the listeners as one notice, in eviction order.  Hit rows
+        are gathered before any new row is written (a slot freed by one
+        table may hold another's new key): the caller passes the missed
+        rows to :meth:`fill` before the next lookup.
         """
-        spec = self.specs[table_id]
-        feature_ids = np.ascontiguousarray(feature_ids, dtype=np.uint64)
-        vectors = np.zeros((len(feature_ids), spec.dim), dtype=np.float32)
-        missing_positions = []
-        for i, fid in enumerate(feature_ids):
-            key = pack_global_key(table_id, int(fid))
-            row = self._entries.get(key)
-            if row is not None:
-                self._entries.move_to_end(key)
-                vectors[i] = row
-                self.hits += 1
-            else:
-                missing_positions.append(i)
-                self.misses += 1
+        entries = self._slots
+        touch = entries.move_to_end
+        free = self._free
+        capacity = self.capacity
+        key_list = keys.tolist()
+        hit_positions: List[int] = []
+        hit_slots: List[int] = []
+        miss_positions: List[int] = []
+        missed: List[int] = []
+        evicted: List[int] = []
+        #: slot -> index in ``missed`` of the key the slot last took.
+        owed: Dict[int, int] = {}
+        # Plain Python per key, in table order: that order is the LRU
+        # state, and batches carry a few keys per table.
+        for table_id, start, stop in segments:
+            table_misses = []
+            for i in range(start, stop):
+                key = key_list[i]
+                slot = entries.get(key)
+                if slot is None:
+                    miss_positions.append(i)
+                    table_misses.append(key)
+                else:
+                    touch(key)
+                    hit_positions.append(i)
+                    hit_slots.append(slot)
+            if not table_misses:
+                continue
+            unique = sorted(set(table_misses))
+            base = len(missed)
+            missed.extend(unique)
+            if not admit(table_id, unique):
+                continue
+            overflow = len(entries) + len(unique) - capacity
+            for _ in range(min(overflow, len(entries))):
+                key, slot = entries.popitem(last=False)
+                evicted.append(key)
+                free.append(slot)
+            skip = max(0, len(unique) - capacity)
+            evicted.extend(unique[:skip])
+            for j in range(skip, len(unique)):
+                slot = free.pop() if free else len(entries)
+                entries[unique[j]] = slot
+                owed[slot] = base + j
+        dim = self.specs[segments[0][0]].dim
+        hit_rows = self._rows[dim][hit_slots]
+        if evicted:
+            self._notify(evicted)
+        return DramPass(
+            hit_positions, hit_rows, miss_positions, missed,
+            list(owed), list(owed.values()),
+        )
 
-        backing_time = 0.0
-        if missing_positions:
-            positions = np.asarray(missing_positions)
-            missing_ids = feature_ids[positions]
-            unique_missing, inverse = np.unique(missing_ids, return_inverse=True)
-            fetched, backing_time, cacheable = self._fetch(
-                table_id, unique_missing
-            )
-            if fetched.shape != (len(unique_missing), spec.dim):
-                raise WorkloadError("backing fetch returned wrong shape")
-            vectors[positions] = fetched[inverse]
-            if cacheable:
-                for fid, row in zip(unique_missing, fetched):
-                    self._entries[pack_global_key(table_id, int(fid))] = row
-                self._evict_to_capacity()
-        return vectors, backing_time
+    # hot-path: vectorized
+    def fill(self, owed: DramPass, missed_rows: np.ndarray) -> None:
+        """Write the rows a :meth:`lookup` left owed, given the rows of
+        its ``missed`` keys (only the admitted ones are read)."""
+        if owed.slots:
+            rows = self._rows[missed_rows.shape[1]]
+            rows[owed.slots] = missed_rows[owed.sources]
 
     def resident(self, table_id: int, feature_id: int) -> bool:
         """Whether one (table, id) is currently cached in DRAM."""
-        return pack_global_key(table_id, int(feature_id)) in self._entries
+        return pack_global_key(table_id, int(feature_id)) in self._slots
 
     # ---------------------------------------------------------------- refresh
 
+    # hot-path: vectorized
     def refresh(
         self, table_id: int, feature_ids: np.ndarray, vectors: np.ndarray
     ) -> int:
@@ -159,18 +218,24 @@ class DramCacheLayer(Observable):
         non-resident keys are **not** admitted (an update is not an
         access — admitting it would let refresh traffic evict the
         serving working set) and recency is untouched for the same
-        reason.  Returns the number of rows updated.
+        reason.  Returns the number of rows updated (a repeated id
+        counts each time and keeps its last row).
         """
         spec = self.specs[table_id]
         vectors = np.asarray(vectors, dtype=np.float32)
         if vectors.shape != (len(feature_ids), spec.dim):
             raise WorkloadError("refresh: ids/vectors shape mismatch")
-        updated = 0
-        for fid, row in zip(feature_ids, vectors):
-            key = pack_global_key(table_id, int(fid))
-            if key in self._entries:
-                self._entries[key] = row
-                updated += 1
-        if updated:
-            self.obs.inc("tier.dram_refreshed", updated)
-        return updated
+        keys = pack_global_key(
+            int(table_id), np.asarray(feature_ids, dtype=np.uint64)
+        ).tolist()
+        found = [
+            (slot, i)
+            for i, slot in enumerate(map(self._slots.get, keys))
+            if slot is not None
+        ]
+        if not found:
+            return 0
+        latest = dict(found)
+        self._rows[spec.dim][list(latest)] = vectors[list(latest.values())]
+        self.obs.inc("tier.dram_refreshed", len(found))
+        return len(found)

@@ -14,7 +14,6 @@ they are trusted again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
@@ -24,31 +23,11 @@ from ..faults.degrade import DegradeConfig, StaleStore, degraded_vectors
 from ..hashindex.host_hash import HostQueryCost, host_query_cost
 from ..hardware import HardwareSpec
 from ..obs.registry import Observable
+from ..tables.embedding_table import reference_vectors
 from ..tables.store import StoreQueryResult
 from ..tables.table_spec import TableSpec
-from .dram_cache import DramCacheLayer
+from .dram_cache import DramCacheLayer, pack_global_key, unpack_global_key
 from .remote_ps import RemoteParameterServer
-
-
-@dataclass
-class TierStats:
-    """Aggregate traffic counters per tier."""
-
-    dram_hits: int = 0
-    dram_misses: int = 0
-    remote_fetches: int = 0
-    remote_keys: int = 0
-    pointer_invalidations: int = 0
-    #: Remote fetches that exhausted their retry budget (or were failed
-    #: fast by an open breaker) and fell back to the degrade policy.
-    remote_failures: int = 0
-    #: Keys served a degraded (stale or default) vector.
-    degraded_keys: int = 0
-
-    @property
-    def dram_hit_rate(self) -> float:
-        total = self.dram_hits + self.dram_misses
-        return self.dram_hits / total if total else 0.0
 
 
 class TieredParameterStore(Observable):
@@ -79,14 +58,10 @@ class TieredParameterStore(Observable):
         self.hw = hw
         self.remote = remote or RemoteParameterServer(specs)
         self.degrade = degrade or DegradeConfig()
-        self.stats = TierStats()
         self._invalidators: List[Callable[[np.ndarray], None]] = []
         #: Simulated wall-clock of the current query (drives fault windows).
         self._now = 0.0
         self._dram_flushed = False
-        #: Eviction notices held back while a ``query_many`` is running
-        #: (None outside one: notices are forwarded as they arrive).
-        self._held_evictions: Optional[List[np.ndarray]] = None
         #: breaker-open seconds already folded into the registry counter.
         self._breaker_time_seen = 0.0
         # The stale shadow is only maintained on the fault-aware path;
@@ -95,35 +70,11 @@ class TieredParameterStore(Observable):
             StaleStore() if self.remote.injector is not None else None
         )
 
-        self.dram = DramCacheLayer(specs, dram_capacity, self._backing_fetch)
-        self.dram.on_eviction(self._forward_invalidation)
-
-    def _backing_fetch(self, table_id: int, feature_ids: np.ndarray):
-        """Remote fetch with degradation; feeds the DRAM layer on miss.
-
-        Returns ``(vectors, network_time, cacheable)`` — degraded
-        fallbacks are served but never inserted into the DRAM cache.
-        """
-        result = self.remote.fetch(table_id, feature_ids, now=self._now)
-        self.stats.remote_fetches += 1
-        self.stats.remote_keys += len(feature_ids)
-        obs = self.obs
-        obs.inc("tier.remote_fetches")
-        obs.inc("tier.remote_keys", len(feature_ids))
-        obs.inc("tier.remote_time", result.network_time)
-        if result.success:
-            if self._stale is not None:
-                self._stale.update(table_id, feature_ids, result.vectors)
-            return result.vectors, result.network_time, True
-        self.stats.remote_failures += 1
-        self.stats.degraded_keys += len(feature_ids)
-        obs.inc("tier.remote_failures")
-        obs.inc("tier.degraded_keys", len(feature_ids))
-        vectors, _ = degraded_vectors(
-            self.degrade, self._stale, table_id, feature_ids,
-            self.specs[table_id].dim,
+        self._corpus = np.array(
+            [spec.corpus_size for spec in self.specs], dtype=np.uint64
         )
-        return vectors, result.network_time, False
+        self.dram = DramCacheLayer(specs, dram_capacity)
+        self.dram.on_eviction(self._forward_invalidation)
 
     # ------------------------------------------------------------------ info
 
@@ -173,10 +124,6 @@ class TieredParameterStore(Observable):
         self._invalidators.append(invalidator)
 
     def _forward_invalidation(self, global_keys: np.ndarray) -> None:
-        if self._held_evictions is not None:
-            self._held_evictions.append(global_keys)
-            return
-        self.stats.pointer_invalidations += len(global_keys)
         self.obs.inc("tier.pointer_invalidations", len(global_keys))
         for invalidator in self._invalidators:
             invalidator(global_keys)
@@ -212,28 +159,6 @@ class TieredParameterStore(Observable):
             self._dram_flushed = True
         return True
 
-    def _tier_lookup(self, table_id: int, feature_ids: np.ndarray):
-        """DRAM-or-remote lookup for one table; updates tier stats."""
-        obs = self.obs
-        obs.inc("tier.lookup_keys", len(feature_ids))
-        if self._dram_unavailable():
-            self.stats.dram_misses += len(feature_ids)
-            obs.inc("tier.dram_bypass_queries")
-            obs.inc("tier.dram_misses", len(feature_ids))
-            if not len(feature_ids):
-                dim = self.specs[table_id].dim
-                return np.zeros((0, dim), np.float32), 0.0
-            unique, inverse = np.unique(feature_ids, return_inverse=True)
-            vectors, fetch_time, _ = self._backing_fetch(table_id, unique)
-            return vectors[inverse], fetch_time
-        before_h, before_m = self.dram.hits, self.dram.misses
-        vectors, fetch_time = self.dram.lookup(table_id, feature_ids)
-        self.stats.dram_hits += self.dram.hits - before_h
-        self.stats.dram_misses += self.dram.misses - before_m
-        obs.inc("tier.dram_hits", self.dram.hits - before_h)
-        obs.inc("tier.dram_misses", self.dram.misses - before_m)
-        return vectors, fetch_time
-
     # ---------------------------------------------------------------- refresh
 
     def apply_update(
@@ -261,54 +186,146 @@ class TieredParameterStore(Observable):
     ) -> StoreQueryResult:
         """Mixed-table batched query (same contract as EmbeddingStore).
 
-        DRAM-tier eviction notices raised while the batch is served —
-        including a whole-tier flush when a failure window opens between
-        two of its tables — are forwarded to the pointer invalidators
-        once, in eviction order, before returning: nothing reads the GPU
-        index while the store is being queried, and one erase per batch
-        replaces one per table.
+        One pass over the batch, tables in ascending order: the DRAM
+        tier's LRU pass (inside a DRAM failure window, a bypass that
+        misses every key), one remote fetch timeline per table with
+        misses, one row generation for every fetched key, and a degraded
+        fill for each table whose fetch failed.  ``_now`` is fixed for
+        the call, so a failure window flushes the tier before the batch
+        or not at all.  The batch's DRAM evictions reach the pointer
+        invalidators as one notice, in eviction order.
         """
         table_ids = np.asarray(table_ids)
         feature_ids = np.asarray(feature_ids, dtype=np.uint64)
         if table_ids.shape != feature_ids.shape:
             raise WorkloadError("query_many: shape mismatch")
-        if len(table_ids) == 0:
+        n = len(table_ids)
+        if n == 0:
             return StoreQueryResult(
                 np.zeros((0, 0), np.float32), host_query_cost(self.hw, 0, 0)
             )
-        tables = np.unique(table_ids)
-        dims = {self.specs[int(t)].dim for t in tables}
-        if len(dims) != 1:
-            raise WorkloadError("query_many: tables must share one dimension")
-        dim = dims.pop()
+        order, keys, segments, dim = self._group_by_table(
+            table_ids, feature_ids
+        )
+        #: ``(table, keys fetched, outcome)`` of each fetch, in request order.
+        fetches: List[tuple] = []
+        now = self._now
 
-        vectors = np.zeros((len(table_ids), dim), dtype=np.float32)
+        def fetch(table_id: int, unique: List[int]) -> bool:
+            outcome = self.remote.timeline(table_id, len(unique), now)
+            fetches.append((table_id, len(unique), outcome))
+            return outcome.success
+
+        obs = self.obs
+        obs.inc("tier.lookup_keys", n)
+        found = None
+        if self._dram_unavailable():
+            key_list = keys.tolist()
+            missed: List[int] = []
+            for table_id, start, stop in segments:  # lint: allow-loop (per table)
+                unique = sorted(set(key_list[start:stop]))
+                missed.extend(unique)
+                fetch(table_id, unique)
+            miss_positions = slice(None)
+            obs.inc("tier.dram_bypass_queries", len(segments))
+            obs.inc("tier.dram_misses", n)
+        else:
+            found = self.dram.lookup(segments, keys, fetch)
+            missed, miss_positions = found.missed, found.miss_positions
+            obs.inc("tier.dram_hits", len(found.hit_positions))
+            obs.inc("tier.dram_misses", len(miss_positions))
+
+        out = np.empty((n, dim), dtype=np.float32)
         remote_time = 0.0
-        payload = 0
-        self._held_evictions = []
-        try:
-            for table_id in tables:  # lint: allow-loop (per table in the batch)
-                mask = table_ids == table_id
-                got, fetch_time = self._tier_lookup(
-                    int(table_id), feature_ids[mask]
-                )
-                vectors[mask] = got
-                remote_time += fetch_time
-                payload += (
-                    int(mask.sum()) * self.specs[int(table_id)].value_bytes
-                )
-        finally:
-            held, self._held_evictions = self._held_evictions, None
-            if held:
-                self._forward_invalidation(np.concatenate(held))
+        if missed:
+            missed_keys = np.array(missed, dtype=np.uint64)
+            missed_rows, remote_time = self._missed_rows(
+                missed_keys, fetches, found, dim
+            )
+            out[miss_positions] = missed_rows[
+                np.searchsorted(missed_keys, keys[miss_positions])
+            ]
+        if found is not None:
+            out[found.hit_positions] = found.hit_rows
+        vectors = np.empty_like(out)
+        vectors[order] = out
 
         if indexed_mask is None:
-            keys_to_index = len(table_ids)
+            keys_to_index = n
         else:
             keys_to_index = int((~np.asarray(indexed_mask, bool)).sum())
+        payload = n * self.specs[segments[0][0]].value_bytes
         local = host_query_cost(self.hw, keys_to_index, payload)
         cost = HostQueryCost(
             index_time=local.index_time,
             copy_time=local.copy_time + remote_time,
         )
         return StoreQueryResult(vectors=vectors, cost=cost)
+
+    def _group_by_table(self, table_ids: np.ndarray, feature_ids: np.ndarray):
+        """A batch stably sorted by table, checked against the specs.
+
+        Returns ``(order, packed keys, segments, dim)``: ``segments`` holds
+        ``(table_id, start, stop)`` of each table's run of keys.  Every
+        out-of-corpus id raises here, before any tier state changes (it
+        could only ever miss, so the fetch would have raised on it).
+        """
+        order = np.argsort(table_ids, kind="stable")
+        tables = table_ids[order].astype(np.uint64)
+        ids = feature_ids[order]
+        cuts = (np.flatnonzero(tables[1:] != tables[:-1]) + 1).tolist()
+        starts, stops = [0] + cuts, cuts + [len(ids)]
+        segments = list(zip(tables[starts].tolist(), starts, stops))
+        dims = {self.specs[t].dim for t, _, _ in segments}
+        if len(dims) != 1:
+            raise WorkloadError("query_many: tables must share one dimension")
+        beyond = ids >= self._corpus[tables]
+        if beyond.any():
+            raise WorkloadError(
+                f"table {int(tables[beyond.argmax()])}: feature id beyond "
+                "corpus size"
+            )
+        return order, pack_global_key(tables, ids), segments, dims.pop()
+
+    # hot-path: vectorized
+    def _missed_rows(self, missed_keys, fetches, found, dim):
+        """Rows of a batch's distinct missed keys, and the fetches' charge.
+
+        One row generation for every key whose fetch succeeded, feeding
+        the stale shadow and the rows the DRAM pass ``found`` still owes;
+        then a degraded fill per failed table.  ``tier.remote_time`` and
+        the charge add the fetch times one at a time, in request order.
+        """
+        obs = self.obs
+        ok = np.repeat(
+            [outcome.success for _, _, outcome in fetches],
+            [count for _, count, _ in fetches],
+        )
+        missed_rows = np.empty((len(missed_keys), dim), dtype=np.float32)
+        fetched_tables, fetched_ids = unpack_global_key(missed_keys[ok])
+        rows = reference_vectors(fetched_tables, fetched_ids, dim)
+        missed_rows[ok] = rows
+        if self._stale is not None:
+            self._stale.update_many(fetched_tables, fetched_ids, rows)
+        if found is not None:
+            self.dram.fill(found, missed_rows)
+        obs.inc("tier.remote_fetches", len(fetches))
+        obs.inc("tier.remote_keys", len(missed_keys))
+        remote_time = 0.0
+        failed = []
+        start = 0
+        for table_id, count, outcome in fetches:  # lint: allow-loop (per table)
+            obs.inc("tier.remote_time", outcome.elapsed)
+            remote_time += outcome.elapsed
+            if not outcome.success:
+                failed.append((table_id, start, start + count))
+            start += count
+        if failed:
+            obs.inc("tier.remote_failures", len(failed))
+            obs.inc("tier.degraded_keys", int((~ok).sum()))
+        for table_id, start, stop in failed:  # lint: allow-loop (per table)
+            missed_rows[start:stop] = degraded_vectors(
+                self.degrade, self._stale, table_id,
+                unpack_global_key(missed_keys[start:stop])[1], dim,
+            )[0]
+        return missed_rows, remote_time

@@ -15,7 +15,12 @@ import numpy as np
 
 from ..errors import WorkloadError
 from ..faults.injector import FaultInjector
-from ..faults.retry import BreakerConfig, ResilientFetchClient, RetryPolicy
+from ..faults.retry import (
+    BreakerConfig,
+    FetchOutcome,
+    ResilientFetchClient,
+    RetryPolicy,
+)
 from ..tables.embedding_table import reference_vectors
 from ..tables.table_spec import TableSpec
 
@@ -93,9 +98,7 @@ class RemoteFetchResult:
     network_time: float
     #: False when the resilient client exhausted its retry budget (or the
     #: breaker failed fast); the vectors must then not be trusted.
-    success: bool = True
-    attempts: int = 1
-    hedges_fired: int = 0
+    success: bool
 
 
 class RemoteParameterServer:
@@ -123,8 +126,6 @@ class RemoteParameterServer:
             raise WorkloadError("remote PS needs at least one table")
         self.specs = list(specs)
         self.network = network or NetworkSpec()
-        self.fetches = 0
-        self.keys_served = 0
         self._rng = np.random.default_rng(seed)
         self.injector = injector
         self.client: Optional[ResilientFetchClient] = None
@@ -141,10 +142,32 @@ class RemoteParameterServer:
         """The PS shard serving ``table_id``'s batched requests."""
         return table_id % self.network.num_shards
 
+    def timeline(self, table_id: int, n_keys: int, now: float) -> FetchOutcome:
+        """The network side of fetching ``n_keys`` of one table at ``now``;
+        the rows are the table's reference vectors.
+
+        One batched request of ``n_keys * (value_bytes + 8)`` bytes.  Calls
+        must come in request order: the seed model's jitter draws and the
+        resilient client's breaker windows and backoff RNG depend on it.
+        """
+        if not n_keys:
+            return FetchOutcome(success=True, elapsed=0.0, attempts=0)
+        payload = n_keys * (self.specs[table_id].value_bytes + 8)
+        if self.client is None:
+            return FetchOutcome(
+                success=True,
+                elapsed=self.network.fetch_cost(payload, rng=self._rng),
+                attempts=1,
+            )
+        return self.client.fetch(
+            self.network.base_cost(payload), self.shard_for(table_id), now
+        )
+
     def fetch(
-        self, table_id: int, feature_ids: np.ndarray, now: float = 0.0
+        self, table_id: int, feature_ids: np.ndarray, now: float
     ) -> RemoteFetchResult:
-        """Fetch one table's embeddings in a single batched request.
+        """Fetch one table's embeddings in a single batched request: the
+        :meth:`timeline` of the request plus the reference rows.
 
         ``now`` is the simulated issue time; it only matters on the
         resilient path, where fault windows are time-driven.
@@ -155,24 +178,9 @@ class RemoteParameterServer:
             raise WorkloadError(
                 f"table {table_id}: feature id beyond corpus size"
             )
-        vectors = reference_vectors(table_id, feature_ids, spec.dim)
-        payload = vectors.nbytes + 8 * len(feature_ids)
-        self.fetches += 1
-        self.keys_served += len(feature_ids)
-        if not len(feature_ids):
-            return RemoteFetchResult(vectors=vectors, network_time=0.0)
-        if self.client is None:
-            network_time = self.network.fetch_cost(payload, rng=self._rng)
-            return RemoteFetchResult(
-                vectors=vectors, network_time=network_time
-            )
-        outcome = self.client.fetch(
-            self.network.base_cost(payload), self.shard_for(table_id), now
-        )
+        outcome = self.timeline(table_id, len(feature_ids), now)
         return RemoteFetchResult(
-            vectors=vectors,
+            vectors=reference_vectors(table_id, feature_ids, spec.dim),
             network_time=outcome.elapsed,
             success=outcome.success,
-            attempts=outcome.attempts,
-            hedges_fired=outcome.hedges_fired,
         )

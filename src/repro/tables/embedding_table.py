@@ -30,16 +30,20 @@ def _mix64(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def reference_vectors(table_id: int, feature_ids: np.ndarray, dim: int) -> np.ndarray:
+# hot-path: vectorized
+def reference_vectors(table_id, feature_ids: np.ndarray, dim: int) -> np.ndarray:
     """Ground-truth embeddings for (table, ids): deterministic, vectorised.
 
     Component ``j`` of the vector for feature ``f`` is a hash of
     ``(table_id, f, j)`` mapped to a uniform value in ``[-0.5, 0.5)``; the
     mapping is a pure function, so any two code paths that claim to return
     the embedding of the same ID can be compared bit-exactly.
+    ``table_id`` is one table or an array of one table per id (the rows
+    of a batch mixing tables, in one call).
     """
     feature_ids = np.asarray(feature_ids, dtype=np.uint64)
-    base = (np.uint64(table_id + 1) << np.uint64(48)) ^ feature_ids
+    tables = np.asarray(table_id, dtype=np.uint64)
+    base = ((tables + np.uint64(1)) << np.uint64(48)) ^ feature_ids
     cols = np.arange(dim, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
     mixed = _mix64(base[:, None] ^ cols[None, :])
     return (mixed.astype(np.float64) / 2.0**64 - 0.5).astype(np.float32)

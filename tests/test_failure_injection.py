@@ -21,7 +21,10 @@ class TestNetworkFaults:
         a = RemoteParameterServer(specs, seed=1)
         b = RemoteParameterServer(specs, seed=2)
         ids = np.arange(50, dtype=np.uint64)
-        assert a.fetch(0, ids).network_time == b.fetch(0, ids).network_time
+        assert (
+            a.fetch(0, ids, 0.0).network_time
+            == b.fetch(0, ids, 0.0).network_time
+        )
 
     def test_slow_path_multiplies_latency(self, specs):
         always_slow = NetworkSpec(slow_probability=1.0, slow_factor=10.0)
@@ -29,8 +32,8 @@ class TestNetworkFaults:
         slow_ps = RemoteParameterServer(specs, always_slow, seed=3)
         fast_ps = RemoteParameterServer(specs, healthy, seed=3)
         ids = np.arange(100, dtype=np.uint64)
-        assert slow_ps.fetch(0, ids).network_time == pytest.approx(
-            10.0 * fast_ps.fetch(0, ids).network_time
+        assert slow_ps.fetch(0, ids, 0.0).network_time == pytest.approx(
+            10.0 * fast_ps.fetch(0, ids, 0.0).network_time
         )
 
     def test_timeout_adds_retry_penalty(self, specs):
@@ -38,7 +41,7 @@ class TestNetworkFaults:
         ps = RemoteParameterServer(specs, flaky, seed=4)
         ids = np.arange(10, dtype=np.uint64)
         healthy_time = NetworkSpec().fetch_cost(ids.nbytes + 16 * 40)
-        flaky_time = ps.fetch(0, ids).network_time
+        flaky_time = ps.fetch(0, ids, 0.0).network_time
         assert flaky_time > 5e-4
         # The naive model is exactly "wait out the timeout, the retry
         # wins at the healthy cost".
@@ -51,7 +54,7 @@ class TestNetworkFaults:
         base = NetworkSpec().fetch_cost(int(ids.nbytes + 8 * len(ids)))
         slow = sum(
             1 for _ in range(500)
-            if ps.fetch(0, ids).network_time > 5 * base
+            if ps.fetch(0, ids, 0.0).network_time > 5 * base
         )
         assert slow / 500 == pytest.approx(0.3, abs=0.07)
 

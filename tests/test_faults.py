@@ -242,7 +242,7 @@ class TestDegradation:
         store = StaleStore()
         ids = np.array([3, 9], np.uint64)
         vectors = reference_vectors(0, ids, 16)
-        store.update(0, ids, vectors)
+        store.update_many(np.zeros(2, np.uint64), ids, vectors.copy())
         got, found = store.get(0, np.array([9, 5], np.uint64), 16)
         assert found.tolist() == [True, False]
         np.testing.assert_array_equal(got[0], vectors[1])
@@ -278,8 +278,8 @@ class TestDegradation:
         np.testing.assert_array_equal(
             result.vectors, reference_vectors(0, ids, 16)
         )
-        assert store.stats.degraded_keys == 2
-        assert store.stats.remote_failures == 1
+        assert store.obs.total("tier.degraded_keys") == 2
+        assert store.obs.total("tier.remote_failures") == 1
 
     def test_degraded_fallback_never_pollutes_dram(self, specs, hw):
         store = self._faulted_store(
@@ -418,4 +418,4 @@ class TestFaultAwareServing:
                 np.testing.assert_array_equal(
                     result.vectors, reference_vectors(0, ids, 16)
                 )
-            assert store.stats.degraded_keys == 0
+            assert store.obs.total("tier.degraded_keys") == 0

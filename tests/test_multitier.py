@@ -14,7 +14,7 @@ from repro.tables.embedding_table import reference_vectors
 from repro.tables.table_spec import make_table_specs
 from repro.workloads.trace import TraceBatch
 
-from conftest import query_table
+from conftest import dram_pass, query_table
 
 
 @pytest.fixture()
@@ -26,83 +26,100 @@ class TestRemoteParameterServer:
     def test_fetch_returns_ground_truth(self, specs):
         ps = RemoteParameterServer(specs)
         ids = np.array([3, 7], np.uint64)
-        result = ps.fetch(1, ids)
+        result = ps.fetch(1, ids, 0.0)
         np.testing.assert_array_equal(
             result.vectors, reference_vectors(1, ids, 16)
         )
 
     def test_network_cost_has_rtt_floor(self, specs):
         ps = RemoteParameterServer(specs)
-        result = ps.fetch(0, np.array([1], np.uint64))
+        result = ps.fetch(0, np.array([1], np.uint64), 0.0)
         assert result.network_time >= ps.network.round_trip
 
     def test_payload_scales_cost(self, specs):
         ps = RemoteParameterServer(specs)
-        small = ps.fetch(0, np.arange(2, dtype=np.uint64)).network_time
-        large = ps.fetch(0, np.arange(500, dtype=np.uint64)).network_time
+        small = ps.fetch(0, np.arange(2, dtype=np.uint64), 0.0).network_time
+        large = ps.fetch(0, np.arange(500, dtype=np.uint64), 0.0).network_time
         assert large > small
 
     def test_sharding_divides_streaming(self, specs):
         one = RemoteParameterServer(specs, NetworkSpec(num_shards=1))
         four = RemoteParameterServer(specs, NetworkSpec(num_shards=4))
         ids = np.arange(700, dtype=np.uint64)
-        assert four.fetch(0, ids).network_time < one.fetch(0, ids).network_time
+        assert (
+            four.fetch(0, ids, 0.0).network_time
+            < one.fetch(0, ids, 0.0).network_time
+        )
 
     def test_out_of_corpus_rejected(self, specs):
         ps = RemoteParameterServer(specs)
         with pytest.raises(WorkloadError):
-            ps.fetch(0, np.array([800], np.uint64))
+            ps.fetch(0, np.array([800], np.uint64), 0.0)
 
-    def test_counters(self, specs):
+    def test_fetch_is_timeline_plus_reference_rows(self, specs):
         ps = RemoteParameterServer(specs)
-        ps.fetch(0, np.arange(5, dtype=np.uint64))
-        assert ps.fetches == 1 and ps.keys_served == 5
+        ids = np.arange(5, dtype=np.uint64)
+        result = ps.fetch(1, ids, 0.0)
+        assert result.network_time == ps.timeline(1, 5, 0.0).elapsed
+        np.testing.assert_array_equal(
+            result.vectors, reference_vectors(1, ids, 16)
+        )
 
 
 class TestDramCacheLayer:
-    def _fetch(self, specs):
-        def fetch(table_id, ids):
-            return reference_vectors(table_id, ids, 16), 1e-5, True
-        return fetch
-
     def test_miss_then_hit(self, specs):
-        cache = DramCacheLayer(specs, capacity=100, fetch=self._fetch(specs))
+        cache = DramCacheLayer(specs, capacity=100)
         ids = np.array([1, 2], np.uint64)
-        v1, cost1 = cache.lookup(0, ids)
-        assert cost1 > 0
-        v2, cost2 = cache.lookup(0, ids)
-        assert cost2 == 0.0
+        v1, first, fetches = dram_pass(cache, [0, 0], ids)
+        assert fetches == [(0, [pack_global_key(0, 1), pack_global_key(0, 2)])]
+        v2, second, fetches = dram_pass(cache, [0, 0], ids)
+        assert fetches == []
         np.testing.assert_array_equal(v1, v2)
-        assert cache.hits == 2 and cache.misses == 2
+        assert len(first.miss_positions) == 2 and not first.hit_positions
+        assert len(second.hit_positions) == 2 and not second.miss_positions
 
     def test_returns_ground_truth(self, specs):
-        cache = DramCacheLayer(specs, capacity=100, fetch=self._fetch(specs))
+        cache = DramCacheLayer(specs, capacity=100)
         ids = np.array([5, 5, 9], np.uint64)
-        vectors, _ = cache.lookup(1, ids)
-        np.testing.assert_array_equal(vectors, reference_vectors(1, ids, 16))
+        for _ in range(2):  # misses, then hits
+            vectors, _, _ = dram_pass(cache, [1, 1, 1], ids)
+            np.testing.assert_array_equal(
+                vectors, reference_vectors(1, ids, 16)
+            )
 
     def test_lru_eviction_with_notification(self, specs):
-        cache = DramCacheLayer(specs, capacity=3, fetch=self._fetch(specs))
+        cache = DramCacheLayer(specs, capacity=3)
         evicted = []
         cache.on_eviction(lambda keys: evicted.extend(keys.tolist()))
-        cache.lookup(0, np.array([1, 2, 3], np.uint64))
-        cache.lookup(0, np.array([4], np.uint64))  # evicts key 1
+        dram_pass(cache, [0, 0, 0], np.array([1, 2, 3], np.uint64))
+        dram_pass(cache, [0], np.array([4], np.uint64))  # evicts key 1
         assert evicted == [pack_global_key(0, 1)]
         assert not cache.resident(0, 1)
         assert cache.resident(0, 4)
 
     def test_touch_refreshes_lru(self, specs):
-        cache = DramCacheLayer(specs, capacity=2, fetch=self._fetch(specs))
-        cache.lookup(0, np.array([1], np.uint64))
-        cache.lookup(0, np.array([2], np.uint64))
-        cache.lookup(0, np.array([1], np.uint64))  # refresh 1
-        cache.lookup(0, np.array([3], np.uint64))  # evicts 2
+        cache = DramCacheLayer(specs, capacity=2)
+        dram_pass(cache, [0], np.array([1], np.uint64))
+        dram_pass(cache, [0], np.array([2], np.uint64))
+        dram_pass(cache, [0], np.array([1], np.uint64))  # refresh 1
+        dram_pass(cache, [0], np.array([3], np.uint64))  # evicts 2
         assert cache.resident(0, 1)
         assert not cache.resident(0, 2)
 
+    def test_uncacheable_misses_are_served_not_inserted(self, specs):
+        cache = DramCacheLayer(specs, capacity=8)
+        ids = np.array([1, 2], np.uint64)
+        vectors, _, _ = dram_pass(
+            cache, [0, 1], ids, cacheable=lambda table: table == 1
+        )
+        np.testing.assert_array_equal(
+            vectors[1], reference_vectors(1, ids[1:], 16)[0]
+        )
+        assert not cache.resident(0, 1) and cache.resident(1, 2)
+
     def test_capacity_validation(self, specs):
         with pytest.raises(ConfigError):
-            DramCacheLayer(specs, capacity=0, fetch=self._fetch(specs))
+            DramCacheLayer(specs, capacity=0)
 
 
 class TestTieredParameterStore:
@@ -120,7 +137,7 @@ class TestTieredParameterStore:
         cold = query_table(store, 0, ids)
         warm = query_table(store, 0, ids)
         assert cold.cost.copy_time > warm.cost.copy_time
-        assert store.stats.dram_hit_rate > 0
+        assert store.obs.total("tier.dram_hits") > 0
 
     def test_query_many(self, specs, hw):
         store = TieredParameterStore(specs, hw, dram_capacity=500)
@@ -153,7 +170,7 @@ class TestTieredParameterStore:
         outcome = layer.cache.index_lookup(flat)
         assert not outcome.dram_hit.any()
         assert layer.cache.unified_entries == 0
-        assert store.stats.pointer_invalidations > 0
+        assert store.obs.total("tier.pointer_invalidations") > 0
 
     def test_dram_fault_invalidates_pointers_exactly_once(self, specs, hw):
         """A DRAM-tier failure window drops every resident entry; the
@@ -224,14 +241,14 @@ class TestTieredParameterStore:
         flat = [k for notice in batched_notices for k in notice]
         assert flat == [k for notice in single_notices for k in notice]
         assert len(set(flat)) == len(flat)
-        assert batched.stats.pointer_invalidations == len(flat)
-        assert batched._held_evictions is None
+        assert batched.obs.total("tier.pointer_invalidations") == len(flat)
 
     def test_query_many_with_a_dram_flush_invalidates_exactly_once(
         self, specs, hw
     ):
-        """A failure window opening under a batch flushes the tier from
-        inside ``query_many``; the flush joins the batch's one notice."""
+        """A batch whose time falls in a failure window flushes the tier
+        before its lookups (``_now`` is fixed for the call); the flush is
+        the batch's one notice, and the bypassed batch adds none."""
         from repro.faults import DramTierFailure, FaultInjector, FaultSchedule
 
         schedule = FaultSchedule([DramTierFailure(start=1.0, duration=1.0)])
@@ -263,7 +280,7 @@ class TestTieredParameterStore:
         )
         store.query_many(table_ids, ids)  # still down: nothing new fires
         assert len(notices) == 1
-        assert store.stats.pointer_invalidations == 4
+        assert store.obs.total("tier.pointer_invalidations") == 4
 
     def test_full_inference_through_tiers(self, specs, hw, rng):
         """Fleche runs unchanged on the tiered store (§5's claim)."""

@@ -30,6 +30,8 @@ from repro.tables.embedding_table import (
 from repro.tables.store import EmbeddingStore
 from repro.tables.table_spec import TableSpec
 
+from conftest import dram_pass
+
 MIXED = PrecisionConfig(
     enabled=True, fp32_share=0.4, fp16_share=0.3, int8_share=0.3,
     eviction_policy="lfu",
@@ -284,17 +286,14 @@ class TestTieredInsertAndGather:
 class TestDramTier:
     def test_fp32_layer_is_exact(self):
         specs = [TableSpec(table_id=0, corpus_size=500, dim=8)]
-
-        def fetch(table_id, ids):
-            return reference_vectors(table_id, ids, 8), 1e-6, True
-
-        layer = DramCacheLayer(specs, capacity=64, fetch=fetch)
+        layer = DramCacheLayer(specs, capacity=64)
         ids = np.arange(10, dtype=np.uint64)
-        vectors, _ = layer.lookup(0, ids)
+        vectors, _, _ = dram_pass(layer, np.zeros(10, int), ids)
         np.testing.assert_array_equal(
             vectors, reference_vectors(0, ids, 8)
         )
-        again, _ = layer.lookup(0, ids)
+        again, found, _ = dram_pass(layer, np.zeros(10, int), ids)
+        assert len(found.hit_positions) == 10
         np.testing.assert_array_equal(again, vectors)
 
 

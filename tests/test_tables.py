@@ -62,6 +62,15 @@ class TestReferenceVectors:
         v = reference_vectors(2, np.arange(100, dtype=np.uint64), 32)
         assert (v >= -0.5).all() and (v < 0.5).all()
 
+    def test_table_per_id_matches_one_table_per_call(self):
+        tables = np.array([1, 0, 1], np.uint64)
+        ids = np.array([4, 4, 9], np.uint64)
+        rows = reference_vectors(tables, ids, 16)
+        for i, (t, f) in enumerate(zip(tables, ids)):
+            np.testing.assert_array_equal(
+                rows[i], reference_vectors(int(t), np.array([f]), 16)[0]
+            )
+
 
 class TestEmbeddingTable:
     def test_lookup_matches_reference(self):
