@@ -48,8 +48,10 @@ HOT_PATH_FILES = {
     # reference_vectors (one call generates a whole batch's rows, any
     # mix of tables) / _row_numbers / lookup / update_rows
     "src/repro/tables/embedding_table.py": 4,
-    "src/repro/tables/store.py": 1,        # query_many
-    # TieredParameterStore.query_many / _missed_rows: their loops are
+    # query_by_table (the one grouping path of both host stores'
+    # query_many) / EmbeddingStore._gather: its loop is per table
+    "src/repro/tables/store.py": 2,
+    # TieredParameterStore._sorted_rows / _missed_rows: their loops are
     # per table
     "src/repro/multitier/hierarchy.py": 2,
     # DramCacheLayer.fill / .refresh.  DramCacheLayer.lookup stays

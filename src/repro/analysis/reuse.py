@@ -19,6 +19,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from ..errors import WorkloadError
+from ..tables.store import pack_global_key
 from ..workloads.trace import Trace
 
 
@@ -49,7 +50,7 @@ def _global_stream(trace: Trace) -> np.ndarray:
     chunks = []
     for batch in trace:
         tables, features = batch.flattened()
-        chunks.append((tables.astype(np.uint64) << np.uint64(48)) | features)
+        chunks.append(pack_global_key(tables.astype(np.uint64), features))
     return np.concatenate(chunks) if chunks else np.zeros(0, np.uint64)
 
 

@@ -36,13 +36,14 @@ class NoCacheLayer(EmbeddingCacheScheme):
         if batch.num_tables != self.store.num_tables:
             raise ConfigError("batch table count does not match the store")
         outputs: List[np.ndarray] = []
-        unique_keys = 0
+        unique_keys = degraded = 0
         stream = executor.stream("h2d")
         for t, ids in enumerate(batch.ids_per_table):
             unique, inverse = np.unique(
                 np.asarray(ids, dtype=np.uint64), return_inverse=True
             )
             result = self.store.query_many(np.full(len(unique), t), unique)
+            degraded += result.degraded_keys
             # ``query_many`` answers no ids with a (0, 0) matrix.
             vectors = result.vectors.reshape(
                 len(unique), self.store.spec_of(t).dim
@@ -62,4 +63,5 @@ class NoCacheLayer(EmbeddingCacheScheme):
             misses=batch.total_ids,
             unique_keys=unique_keys,
             total_keys=batch.total_ids,
+            degraded_keys=degraded,
         )

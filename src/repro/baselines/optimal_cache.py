@@ -15,6 +15,7 @@ from typing import Tuple
 import numpy as np
 
 from ..errors import WorkloadError
+from ..tables.store import pack_global_key
 from ..workloads.trace import Trace
 
 
@@ -23,7 +24,7 @@ def _access_stream(trace: Trace) -> Tuple[np.ndarray, int]:
     chunks = []
     for batch in trace:
         tables, features = batch.flattened()
-        chunks.append((tables.astype(np.uint64) << np.uint64(48)) | features)
+        chunks.append(pack_global_key(tables.astype(np.uint64), features))
     stream = np.concatenate(chunks) if chunks else np.zeros(0, np.uint64)
     return stream, len(stream)
 

@@ -199,7 +199,7 @@ class PerTableCacheLayer(EmbeddingCacheScheme):
 
         # Per table: synchronise, read the miss list back, query DRAM,
         # ship the embeddings up, and insert them (replacement kernel).
-        hits = misses = 0
+        hits = misses = degraded = 0
         per_table_hits: List[int] = []
         per_table_misses: List[int] = []
         outputs: List[np.ndarray] = []
@@ -223,6 +223,7 @@ class PerTableCacheLayer(EmbeddingCacheScheme):
                 store_result = self.store.query_many(
                     np.full(len(miss_ids), t), miss_ids
                 )
+                degraded += store_result.degraded_keys
                 executor.host_work(
                     store_result.cost.index_time, Category.DRAM_INDEX
                 )
@@ -259,6 +260,7 @@ class PerTableCacheLayer(EmbeddingCacheScheme):
             unified_hits=0,
             unique_keys=total_unique,
             total_keys=batch.total_ids,
+            degraded_keys=degraded,
             per_table_hits=per_table_hits,
             per_table_misses=per_table_misses,
         )

@@ -62,6 +62,10 @@ class CacheQueryResult:
             serving only; always 0 on the sequential path).
         coalesced_degraded: coalesced keys whose shared fetch had served a
             degraded (stale/default) vector.
+        degraded_keys: keys of this batch's own store queries that the
+            store answered with a degraded vector (the sum of their
+            ``StoreQueryResult.degraded_keys``); coalesced keys are not
+            counted.
         promoted_keys: cached entries moved to a hotter (more precise)
             tier during this query's hit pass (mixed-precision schemes
             only; always 0 otherwise).  Entry counts — the step-weighted
@@ -83,6 +87,7 @@ class CacheQueryResult:
     total_keys: int = 0
     coalesced_keys: int = 0
     coalesced_degraded: int = 0
+    degraded_keys: int = 0
     promoted_keys: int = 0
     demoted_keys: int = 0
     per_table_hits: List[int] = field(default_factory=list)

@@ -35,7 +35,7 @@ from ..gpusim.executor import Executor, Stream
 from ..gpusim.kernel import KernelSpec, coalesced_bytes
 from ..gpusim.stats import Category
 from ..hardware import HardwareSpec
-from ..tables.store import EmbeddingStore
+from ..tables.store import EmbeddingStore, unpack_global_key
 from ..workloads.trace import TraceBatch
 from .cache_base import (
     STAGE_COPY,
@@ -222,8 +222,8 @@ class FlecheEmbeddingLayer(EmbeddingCacheScheme):
         global_keys = np.asarray(global_keys, dtype=np.uint64)
         if len(global_keys) == 0:
             return
-        tables = (global_keys >> np.uint64(48)).astype(np.int64)
-        features = global_keys & np.uint64((1 << 48) - 1)
+        tables, features = unpack_global_key(global_keys)
+        tables = tables.astype(np.int64)
         # Group by table over a stable sort order (one pass, no per-table
         # mask scans), encode each contiguous run, scatter back.
         order = np.argsort(tables, kind="stable")
@@ -346,11 +346,6 @@ class FlecheEmbeddingLayer(EmbeddingCacheScheme):
                 )
             )
         return groups
-
-    def _degraded_count(self) -> int:
-        """Degraded-key counter of a fault-aware backing store (else 0)."""
-        stats = getattr(self.store, "stats", None)
-        return int(getattr(stats, "degraded_keys", 0)) if stats else 0
 
     # ------------------------------------------------------------------ query
 
@@ -523,6 +518,7 @@ class FlecheEmbeddingLayer(EmbeddingCacheScheme):
         total_unified = 0
         coalesced_keys = 0
         coalesced_degraded = 0
+        degraded_keys = 0
         pending_replacements = []
         for group in groups:  # lint: allow-loop (per dim group)
             miss_here = outcome.miss[group.positions]
@@ -532,7 +528,6 @@ class FlecheEmbeddingLayer(EmbeddingCacheScheme):
             miss_tables = group.rep_tables[miss_here]
             miss_features = group.rep_features[miss_here]
             miss_keys = group.unique_keys[miss_here]
-            degraded_before = self._degraded_count()
 
             shared = None
             if coalescer is not None:
@@ -572,7 +567,10 @@ class FlecheEmbeddingLayer(EmbeddingCacheScheme):
                     )
                     lead_vectors = store_result.vectors
                     vectors[lead] = lead_vectors
+            group_degraded = 0
             if store_result is not None:
+                group_degraded = store_result.degraded_keys
+                degraded_keys += group_degraded
                 executor.host_work(
                     store_result.cost.index_time, Category.DRAM_INDEX
                 )
@@ -594,9 +592,7 @@ class FlecheEmbeddingLayer(EmbeddingCacheScheme):
             self.obs.inc("cache.lead_keys", int(lead.sum()))
             if coalescer is not None and len(lead_keys):
                 coalescer.publish(
-                    lead_keys,
-                    lead_vectors,
-                    degraded=self._degraded_count() > degraded_before,
+                    lead_keys, lead_vectors, degraded=group_degraded > 0
                 )
 
             # Phase 6 (replacement) is deferred to the copy stage: the
@@ -715,6 +711,7 @@ class FlecheEmbeddingLayer(EmbeddingCacheScheme):
             total_keys=len(flat_keys),
             coalesced_keys=coalesced_keys,
             coalesced_degraded=coalesced_degraded,
+            degraded_keys=degraded_keys,
             promoted_keys=promoted_keys,
             demoted_keys=demoted_keys,
             per_table_hits=[int(h) for h in per_table_hits],

@@ -12,8 +12,10 @@ policy decides which:
 * ``fail`` — raise :class:`~repro.errors.DegradedServiceError`; for
   deployments where a wrong score is worse than no score.
 
-Degraded keys are recorded per batch so the accuracy impact (AUC delta
-from degraded embeddings) is measurable rather than hand-waved.
+The tiered store counts the keys it degrades in ``tier.degraded_keys``
+and reports each query's count in its answer
+(``StoreQueryResult.degraded_keys``), which is how the serving loop
+tells a degraded batch.
 """
 
 from __future__ import annotations
@@ -71,17 +73,15 @@ class StaleStore:
 
     def get(
         self, table_id: int, feature_ids: np.ndarray, dim: int
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Best-effort vectors plus a mask of which keys had stale copies
-        (keys without one get zeros)."""
+    ) -> np.ndarray:
+        """Best-effort vectors: each key's stale copy, zeros for keys
+        without one."""
         vectors = np.zeros((len(feature_ids), dim), np.float32)
-        found = np.zeros(len(feature_ids), dtype=bool)
         for i, fid in enumerate(feature_ids):
             row = self._entries.get((table_id, int(fid)))
             if row is not None:
                 vectors[i] = row
-                found[i] = True
-        return vectors, found
+        return vectors
 
 
 def degraded_vectors(
@@ -90,11 +90,9 @@ def degraded_vectors(
     table_id: int,
     feature_ids: np.ndarray,
     dim: int,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Apply the degradation policy to one failed fetch.
-
-    Returns ``(vectors, stale_mask)``; raises on the ``fail`` policy.
-    """
+) -> np.ndarray:
+    """Apply the degradation policy to one failed fetch: the vectors to
+    serve in its place.  Raises on the ``fail`` policy."""
     if config.policy == FAIL:
         raise DegradedServiceError(
             f"table {table_id}: {len(feature_ids)} keys undeliverable "
@@ -102,5 +100,4 @@ def degraded_vectors(
         )
     if config.policy == STALE and stale is not None:
         return stale.get(table_id, feature_ids, dim)
-    vectors = np.zeros((len(feature_ids), dim), np.float32)
-    return vectors, np.zeros(len(feature_ids), dtype=bool)
+    return np.zeros((len(feature_ids), dim), np.float32)

@@ -19,13 +19,12 @@ This package builds that deployment:
   invalidation exactly as §5 prescribes.
 """
 
-from .remote_ps import RemoteParameterServer, NetworkSpec
+from .remote_ps import RemoteParameterServer
 from .dram_cache import DramCacheLayer
 from .hierarchy import TieredParameterStore
 
 __all__ = [
     "RemoteParameterServer",
-    "NetworkSpec",
     "DramCacheLayer",
     "TieredParameterStore",
 ]

@@ -17,21 +17,8 @@ import numpy as np
 
 from ..errors import ConfigError, WorkloadError
 from ..obs.registry import Observable
+from ..tables.store import pack_global_key
 from ..tables.table_spec import TableSpec
-
-
-def pack_global_key(table_id, feature_id):
-    """One flat namespace over (table, feature) for the DRAM layer.
-
-    ``feature_id`` is one id or a ``uint64`` array of them; ``table_id``
-    is one table or (as ``uint64``) one per id.
-    """
-    return (table_id << 48) | feature_id
-
-
-def unpack_global_key(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """``(table ids, feature ids)`` of a ``uint64`` array of packed keys."""
-    return keys >> np.uint64(48), keys & np.uint64((1 << 48) - 1)
 
 
 class DramPass(NamedTuple):

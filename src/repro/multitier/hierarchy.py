@@ -20,13 +20,17 @@ import numpy as np
 
 from ..errors import WorkloadError
 from ..faults.degrade import DegradeConfig, StaleStore, degraded_vectors
-from ..hashindex.host_hash import HostQueryCost, host_query_cost
 from ..hardware import HardwareSpec
 from ..obs.registry import Observable
 from ..tables.embedding_table import reference_vectors
-from ..tables.store import StoreQueryResult
+from ..tables.store import (
+    StoreQueryResult,
+    pack_global_key,
+    query_by_table,
+    unpack_global_key,
+)
 from ..tables.table_spec import TableSpec
-from .dram_cache import DramCacheLayer, pack_global_key, unpack_global_key
+from .dram_cache import DramCacheLayer
 from .remote_ps import RemoteParameterServer
 
 
@@ -177,7 +181,6 @@ class TieredParameterStore(Observable):
 
     # ------------------------------------------------------------------ query
 
-    # hot-path: vectorized
     def query_many(
         self,
         table_ids: np.ndarray,
@@ -193,20 +196,20 @@ class TieredParameterStore(Observable):
         fill for each table whose fetch failed.  ``_now`` is fixed for
         the call, so a failure window flushes the tier before the batch
         or not at all.  The batch's DRAM evictions reach the pointer
-        invalidators as one notice, in eviction order.
+        invalidators as one notice, in eviction order.  Every
+        out-of-corpus id raises before any tier state changes.
         """
-        table_ids = np.asarray(table_ids)
-        feature_ids = np.asarray(feature_ids, dtype=np.uint64)
-        if table_ids.shape != feature_ids.shape:
-            raise WorkloadError("query_many: shape mismatch")
-        n = len(table_ids)
-        if n == 0:
-            return StoreQueryResult(
-                np.zeros((0, 0), np.float32), host_query_cost(self.hw, 0, 0)
-            )
-        order, keys, segments, dim = self._group_by_table(
-            table_ids, feature_ids
+        return query_by_table(
+            self.hw, self.specs, self._corpus, table_ids, feature_ids,
+            indexed_mask, self._sorted_rows,
         )
+
+    # hot-path: vectorized
+    def _sorted_rows(self, tables, ids, segments, dim):
+        """The rows of a batch sorted by table, the remote time they cost
+        and how many were degraded (see :meth:`query_many`)."""
+        n = len(ids)
+        keys = pack_global_key(tables, ids)
         #: ``(table, keys fetched, outcome)`` of each fetch, in request order.
         fetches: List[tuple] = []
         now = self._now
@@ -237,9 +240,10 @@ class TieredParameterStore(Observable):
 
         out = np.empty((n, dim), dtype=np.float32)
         remote_time = 0.0
+        degraded = 0
         if missed:
             missed_keys = np.array(missed, dtype=np.uint64)
-            missed_rows, remote_time = self._missed_rows(
+            missed_rows, remote_time, degraded = self._missed_rows(
                 missed_keys, fetches, found, dim
             )
             out[miss_positions] = missed_rows[
@@ -247,49 +251,12 @@ class TieredParameterStore(Observable):
             ]
         if found is not None:
             out[found.hit_positions] = found.hit_rows
-        vectors = np.empty_like(out)
-        vectors[order] = out
-
-        if indexed_mask is None:
-            keys_to_index = n
-        else:
-            keys_to_index = int((~np.asarray(indexed_mask, bool)).sum())
-        payload = n * self.specs[segments[0][0]].value_bytes
-        local = host_query_cost(self.hw, keys_to_index, payload)
-        cost = HostQueryCost(
-            index_time=local.index_time,
-            copy_time=local.copy_time + remote_time,
-        )
-        return StoreQueryResult(vectors=vectors, cost=cost)
-
-    def _group_by_table(self, table_ids: np.ndarray, feature_ids: np.ndarray):
-        """A batch stably sorted by table, checked against the specs.
-
-        Returns ``(order, packed keys, segments, dim)``: ``segments`` holds
-        ``(table_id, start, stop)`` of each table's run of keys.  Every
-        out-of-corpus id raises here, before any tier state changes (it
-        could only ever miss, so the fetch would have raised on it).
-        """
-        order = np.argsort(table_ids, kind="stable")
-        tables = table_ids[order].astype(np.uint64)
-        ids = feature_ids[order]
-        cuts = (np.flatnonzero(tables[1:] != tables[:-1]) + 1).tolist()
-        starts, stops = [0] + cuts, cuts + [len(ids)]
-        segments = list(zip(tables[starts].tolist(), starts, stops))
-        dims = {self.specs[t].dim for t, _, _ in segments}
-        if len(dims) != 1:
-            raise WorkloadError("query_many: tables must share one dimension")
-        beyond = ids >= self._corpus[tables]
-        if beyond.any():
-            raise WorkloadError(
-                f"table {int(tables[beyond.argmax()])}: feature id beyond "
-                "corpus size"
-            )
-        return order, pack_global_key(tables, ids), segments, dims.pop()
+        return out, remote_time, degraded
 
     # hot-path: vectorized
     def _missed_rows(self, missed_keys, fetches, found, dim):
-        """Rows of a batch's distinct missed keys, and the fetches' charge.
+        """Rows of a batch's distinct missed keys, the fetches' charge and
+        how many of the keys were degraded.
 
         One row generation for every key whose fetch succeeded, feeding
         the stale shadow and the rows the DRAM pass ``found`` still owes;
@@ -320,12 +287,13 @@ class TieredParameterStore(Observable):
             if not outcome.success:
                 failed.append((table_id, start, start + count))
             start += count
+        degraded = int((~ok).sum())
         if failed:
             obs.inc("tier.remote_failures", len(failed))
-            obs.inc("tier.degraded_keys", int((~ok).sum()))
+            obs.inc("tier.degraded_keys", degraded)
         for table_id, start, stop in failed:  # lint: allow-loop (per table)
             missed_rows[start:stop] = degraded_vectors(
                 self.degrade, self._stale, table_id,
                 unpack_global_key(missed_keys[start:stop])[1], dim,
-            )[0]
-        return missed_rows, remote_time
+            )
+        return missed_rows, remote_time, degraded

@@ -248,7 +248,7 @@ class _InFlightBatch:
 
     __slots__ = (
         "index", "formed", "stages", "executor", "next_stage",
-        "ready_at", "start", "stall", "degraded", "trace", "last_elapsed",
+        "ready_at", "start", "stall", "trace", "last_elapsed",
     )
 
     def __init__(self, index: int, formed: FormedBatch, stages, executor,
@@ -266,7 +266,6 @@ class _InFlightBatch:
         #: an uncontended batch's finish is bit-for-bit ``start +
         #: service_time`` (stall stays exactly 0.0).
         self.stall = 0.0
-        self.degraded = False
         #: Request-tracing record (None unless a tracer is attached).
         self.trace = trace
         #: Executor elapsed after the previous stage — the trace's
@@ -308,8 +307,6 @@ def serve_staged(
     obs = server.obs
     rt = server.reqtracer
     tracer = server.tracer
-    #: Only a fault-aware store ever counts ``tier.degraded_keys``.
-    fault_store = server._fault_store is not None
     if coalescer is not None:
         coalescer.bind_observability(obs)
         coalescer.track_sources = rt is not None
@@ -438,16 +435,13 @@ def serve_staged(
         server.engine.scheme.advance_clock(chosen.start)
         if coalescer is not None:
             coalescer.set_owner(chosen.index)
-        degraded_before = (
-            obs.total("tier.degraded_keys") if fault_store else 0
-        )
         stage_name = chosen.next_stage
         needs = STAGE_RESOURCES.get(stage_name, _DEFAULT_RESOURCES)
         finished = False
         try:
             chosen.next_stage = chosen.stages.send(None)
         except StopIteration as stop:
-            _, batch_dense = stop.value
+            query, batch_dense = stop.value
             finished = True
         end = chosen.start + (chosen.stall + chosen.executor.elapsed())
         if chosen.trace is not None:
@@ -465,11 +459,6 @@ def serve_staged(
                 lane, f"b{chosen.index}:{stage_name}", chosen_start, end,
                 stage_name,
             )
-        if (
-            fault_store
-            and obs.total("tier.degraded_keys") > degraded_before
-        ):
-            chosen.degraded = True
 
         if finished:
             finish_times[chosen.index] = chosen.ready_at
@@ -478,7 +467,9 @@ def serve_staged(
             dense_results[chosen.index] = batch_dense
             obs.inc("serving.batches")
             obs.inc("serving.batched_requests", chosen.formed.size)
-            if chosen.degraded:
+            # A batch is degraded when one of its own store answers
+            # served a stale or default vector.
+            if query.degraded_keys > 0:
                 obs.inc("serving.degraded_requests", chosen.formed.size)
             if collector is not None:
                 # Completion instants are nondecreasing: the dense

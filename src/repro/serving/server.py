@@ -263,14 +263,6 @@ class InferenceServer:
         return TraceBatch(ids_per_table=ids_per_table,
                           batch_size=len(requests))
 
-    @property
-    def _fault_store(self):
-        """The scheme's backing store when it is fault-aware, else None."""
-        store = getattr(self.scheme, "store", None)
-        if store is not None and hasattr(store, "fault_windows"):
-            return store
-        return None
-
     def _begin_run(self, requests: Sequence[Request]) -> MetricsSnapshot:
         """Audit barrier at run entry; returns the pre-run snapshot.
 
@@ -325,9 +317,12 @@ class InferenceServer:
         for (name, labels), value in delta.counters.items():
             if name == "reqtrace.rootcause" and value:
                 report.rootcause[dict(labels).get("cause", "")] = int(value)
-        store = self._fault_store
-        if store is not None:
-            report.fault_windows = store.fault_windows()
+        # Only a fault-aware store (the tiered one) has fault windows.
+        fault_windows = getattr(
+            getattr(self.scheme, "store", None), "fault_windows", None
+        )
+        if fault_windows is not None:
+            report.fault_windows = fault_windows()
         return report
 
     def serve(self, requests: Sequence[Request]) -> ServingReport:

@@ -8,7 +8,7 @@ speed, and the resulting embeddings travel over PCIe into the output matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Sequence
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -25,6 +25,88 @@ class StoreQueryResult:
 
     vectors: np.ndarray
     cost: HostQueryCost
+    #: Keys answered with a degraded (stale or default) vector because the
+    #: tier below could not deliver them; 0 from a store holding every row.
+    degraded_keys: int = 0
+
+
+def pack_global_key(table_id, feature_id):
+    """One flat ``uint64`` namespace over (table, feature): ``table << 48 |
+    feature``.
+
+    ``feature_id`` is one id or a ``uint64`` array of them; ``table_id``
+    is one table or (as ``uint64``) one per id.
+    """
+    return (table_id << 48) | feature_id
+
+
+def unpack_global_key(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(table ids, feature ids)`` of a ``uint64`` array of packed keys."""
+    return keys >> np.uint64(48), keys & np.uint64((1 << 48) - 1)
+
+
+# hot-path: vectorized
+def query_by_table(
+    hw: HardwareSpec,
+    specs: Sequence[TableSpec],
+    corpus: np.ndarray,
+    table_ids: np.ndarray,
+    feature_ids: np.ndarray,
+    indexed_mask: Optional[np.ndarray],
+    rows: Callable[..., Tuple[np.ndarray, float, int]],
+) -> StoreQueryResult:
+    """The ``query_many`` of a host store: a mixed-table batch answered
+    table by table.
+
+    Sorts the batch by table once (stable: each table's ids keep their
+    relative order) and checks it before ``rows`` runs: one dimension
+    across its tables, every id inside its table's ``corpus`` size.
+    ``rows`` gets the sorted ``uint64`` tables and ids, ``(table_id,
+    start, stop)`` of each table's run and the dimension, and returns the
+    rows in that order, the remote time they cost and how many were
+    degraded.  The answer is un-permuted once; its cost indexes the keys
+    ``indexed_mask`` does not mark as already located, and streams every
+    row out of DRAM.
+    """
+    table_ids = np.asarray(table_ids)
+    feature_ids = np.asarray(feature_ids, dtype=np.uint64)
+    if table_ids.shape != feature_ids.shape:
+        raise WorkloadError("query_many: shape mismatch")
+    n = len(table_ids)
+    if n == 0:
+        return StoreQueryResult(
+            np.zeros((0, 0), np.float32), host_query_cost(hw, 0, 0)
+        )
+    order = np.argsort(table_ids, kind="stable")
+    tables = table_ids[order].astype(np.uint64)
+    ids = feature_ids[order]
+    cuts = (np.flatnonzero(tables[1:] != tables[:-1]) + 1).tolist()
+    starts, stops = [0] + cuts, cuts + [n]
+    segments = list(zip(tables[starts].tolist(), starts, stops))
+    dims = {specs[t].dim for t, _, _ in segments}
+    if len(dims) != 1:
+        raise WorkloadError("query_many: tables must share one dimension")
+    dim = dims.pop()
+    beyond = ids >= corpus[tables]
+    if beyond.any():
+        raise WorkloadError(
+            f"table {int(tables[beyond.argmax()])}: feature id beyond "
+            "corpus size"
+        )
+    sorted_rows, remote_time, degraded = rows(tables, ids, segments, dim)
+    vectors = np.empty_like(sorted_rows)
+    vectors[order] = sorted_rows
+
+    if indexed_mask is None:
+        keys_to_index = n
+    else:
+        keys_to_index = int((~np.asarray(indexed_mask, bool)).sum())
+    local = host_query_cost(hw, keys_to_index, n * dim * 4)
+    cost = HostQueryCost(
+        index_time=local.index_time,
+        copy_time=local.copy_time + remote_time,
+    )
+    return StoreQueryResult(vectors=vectors, cost=cost, degraded_keys=degraded)
 
 
 class EmbeddingStore:
@@ -65,7 +147,6 @@ class EmbeddingStore:
 
     # ------------------------------------------------------------------ query
 
-    # hot-path: vectorized
     def query_many(
         self,
         table_ids: np.ndarray,
@@ -78,51 +159,19 @@ class EmbeddingStore:
         dimension); the cost is accounted jointly, since the store's lookup
         threads drain the whole miss batch together.
         """
-        table_ids = np.asarray(table_ids)
-        feature_ids = np.asarray(feature_ids, dtype=np.uint64)
-        if table_ids.shape != feature_ids.shape:
-            raise WorkloadError("query_many: shape mismatch")
-        if len(table_ids) == 0:
-            zero = host_query_cost(self.hw, 0, 0)
-            return StoreQueryResult(np.zeros((0, 0), np.float32), zero)
+        return query_by_table(
+            self.hw, self.specs, self._corpus_sizes, table_ids, feature_ids,
+            indexed_mask, self._gather,
+        )
 
-        # Group by table over one stable sort (each table's ids keep
-        # their original relative order), gather every run into the
-        # sorted buffer, un-permute once.
-        order = np.argsort(table_ids, kind="stable")
-        sorted_tables = table_ids[order]
-        sorted_ids = feature_ids[order]
-        if (sorted_ids >= self._corpus_sizes[sorted_tables]).any():
-            raise WorkloadError("query_many: feature id beyond corpus size")
-        sorted_ids = sorted_ids.view(np.int64)
-        bounds = np.flatnonzero(np.concatenate(
-            ([True], sorted_tables[1:] != sorted_tables[:-1])
-        )).tolist()
-        run_tables = sorted_tables[bounds].tolist()
-
-        dims = {self.specs[t].dim for t in run_tables}
-        if len(dims) != 1:
-            raise WorkloadError("query_many: tables must share one dimension")
-        dim = dims.pop()
-
-        gathered = np.empty((len(order), dim), dtype=np.float32)
-        payload = 0
-        for t, start, stop in zip(  # lint: allow-loop (per table in the batch)
-            run_tables, bounds, bounds[1:] + [len(order)]
-        ):
-            self._tables[t]._gather_into(
-                sorted_ids[start:stop], gathered[start:stop]
-            )
-            payload += (stop - start) * self.specs[t].value_bytes
-        vectors = np.empty_like(gathered)
-        vectors[order] = gathered
-
-        if indexed_mask is None:
-            keys_to_index = len(table_ids)
-        else:
-            keys_to_index = int((~np.asarray(indexed_mask, bool)).sum())
-        cost = host_query_cost(self.hw, keys_to_index, payload)
-        return StoreQueryResult(vectors=vectors, cost=cost)
+    # hot-path: vectorized
+    def _gather(self, tables, ids, segments, dim):
+        """Every table's run of a sorted batch, gathered into one buffer."""
+        ids = ids.view(np.int64)
+        gathered = np.empty((len(ids), dim), dtype=np.float32)
+        for t, start, stop in segments:  # lint: allow-loop (per table in the batch)
+            self._tables[t]._gather_into(ids[start:stop], gathered[start:stop])
+        return gathered, 0.0, 0
 
     # ---------------------------------------------------------------- refresh
 

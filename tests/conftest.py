@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro import default_platform, Executor, EmbeddingStore
-from repro.multitier.dram_cache import pack_global_key, unpack_global_key
+from repro.tables.store import pack_global_key, unpack_global_key
 from repro.tables.embedding_table import reference_vectors
 from repro.tables.table_spec import make_table_specs
 from repro.workloads.synthetic import synthetic_dataset, uniform_tables_spec

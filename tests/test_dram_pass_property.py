@@ -21,8 +21,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.multitier.dram_cache import DramCacheLayer, pack_global_key
+from repro.multitier.dram_cache import DramCacheLayer
 from repro.tables.embedding_table import reference_vectors
+from repro.tables.store import pack_global_key
 from repro.tables.table_spec import make_table_specs
 
 from conftest import dram_pass

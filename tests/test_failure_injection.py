@@ -1,11 +1,24 @@
-"""Failure-injection tests: degraded and timing-out remote fetches."""
+"""Failure-injection tests: degraded and timing-out remote fetches.
+
+Faults come from schedule events (:mod:`repro.faults`): a
+``DegradedLink`` slows the network path, a ``TransientTimeout`` makes
+attempts time out, and ``RetryPolicy.naive`` is the client that waits
+out one timeout and retries once.
+"""
 
 import numpy as np
 import pytest
 
-from repro.errors import WorkloadError
+from repro.errors import ConfigError
+from repro.faults import (
+    DegradedLink,
+    FaultInjector,
+    FaultSchedule,
+    RetryPolicy,
+    TransientTimeout,
+)
 from repro.multitier.hierarchy import TieredParameterStore
-from repro.multitier.remote_ps import NetworkSpec, RemoteParameterServer
+from repro.multitier.remote_ps import RemoteParameterServer
 from repro.tables.table_spec import make_table_specs
 
 from conftest import query_table
@@ -14,6 +27,17 @@ from conftest import query_table
 @pytest.fixture()
 def specs():
     return make_table_specs([2_000], [16])
+
+
+def faulty_remote(specs, events, seed, timeout=1e-3):
+    """A remote PS behind the naive retry-once client, faulted by
+    ``events``."""
+    return RemoteParameterServer(
+        specs,
+        seed=seed,
+        injector=FaultInjector(FaultSchedule(events), seed=seed),
+        retry_policy=RetryPolicy.naive(timeout=timeout),
+    )
 
 
 class TestNetworkFaults:
@@ -27,31 +51,36 @@ class TestNetworkFaults:
         )
 
     def test_slow_path_multiplies_latency(self, specs):
-        always_slow = NetworkSpec(slow_probability=1.0, slow_factor=10.0)
-        healthy = NetworkSpec()
-        slow_ps = RemoteParameterServer(specs, always_slow, seed=3)
-        fast_ps = RemoteParameterServer(specs, healthy, seed=3)
+        slow_ps = faulty_remote(specs, [DegradedLink(factor=10.0)], seed=3)
+        fast_ps = RemoteParameterServer(specs, seed=3)
         ids = np.arange(100, dtype=np.uint64)
         assert slow_ps.fetch(0, ids, 0.0).network_time == pytest.approx(
             10.0 * fast_ps.fetch(0, ids, 0.0).network_time
         )
 
     def test_timeout_adds_retry_penalty(self, specs):
-        flaky = NetworkSpec(timeout_probability=1.0, timeout=5e-4)
-        ps = RemoteParameterServer(specs, flaky, seed=4)
+        # Every attempt issued in the first 0.5 ms times out: the first
+        # one does, its retry at 0.5 ms does not.
+        ps = faulty_remote(
+            specs, [TransientTimeout(duration=5e-4, probability=1.0)],
+            seed=4, timeout=5e-4,
+        )
         ids = np.arange(10, dtype=np.uint64)
-        healthy_time = NetworkSpec().fetch_cost(ids.nbytes + 16 * 40)
-        flaky_time = ps.fetch(0, ids, 0.0).network_time
-        assert flaky_time > 5e-4
-        # The naive model is exactly "wait out the timeout, the retry
+        healthy_time = RemoteParameterServer(specs).fetch(
+            0, ids, 0.0
+        ).network_time
+        result = ps.fetch(0, ids, 0.0)
+        assert result.success
+        # The naive client is exactly "wait out the timeout, the retry
         # wins at the healthy cost".
-        assert flaky_time == pytest.approx(healthy_time + 5e-4)
+        assert result.network_time == pytest.approx(healthy_time + 5e-4)
 
     def test_fault_rate_approximately_respected(self, specs):
-        net = NetworkSpec(slow_probability=0.3, slow_factor=50.0)
-        ps = RemoteParameterServer(specs, net, seed=5)
+        ps = faulty_remote(
+            specs, [TransientTimeout(probability=0.3)], seed=5
+        )
         ids = np.arange(10, dtype=np.uint64)
-        base = NetworkSpec().fetch_cost(int(ids.nbytes + 8 * len(ids)))
+        base = RemoteParameterServer(specs).fetch(0, ids, 0.0).network_time
         slow = sum(
             1 for _ in range(500)
             if ps.fetch(0, ids, 0.0).network_time > 5 * base
@@ -59,14 +88,14 @@ class TestNetworkFaults:
         assert slow / 500 == pytest.approx(0.3, abs=0.07)
 
     def test_validation(self):
-        with pytest.raises(WorkloadError):
-            NetworkSpec(slow_probability=1.5)
-        with pytest.raises(WorkloadError):
-            NetworkSpec(timeout_probability=-0.1)
-        with pytest.raises(WorkloadError):
-            NetworkSpec(slow_factor=0.5)
-        with pytest.raises(WorkloadError):
-            NetworkSpec(timeout=0.0)
+        with pytest.raises(ConfigError):
+            TransientTimeout(probability=1.5)
+        with pytest.raises(ConfigError):
+            TransientTimeout(probability=-0.1)
+        with pytest.raises(ConfigError):
+            DegradedLink(factor=0.5)
+        with pytest.raises(ConfigError):
+            RetryPolicy.naive(timeout=0.0)
 
 
 class TestFaultsThroughTheHierarchy:
@@ -74,11 +103,7 @@ class TestFaultsThroughTheHierarchy:
         """Degraded fetches slow the tiered store; the data stays exact."""
         from repro.tables.embedding_table import reference_vectors
 
-        flaky = RemoteParameterServer(
-            specs,
-            NetworkSpec(slow_probability=0.5, slow_factor=20.0),
-            seed=7,
-        )
+        flaky = faulty_remote(specs, [DegradedLink(factor=20.0)], seed=7)
         store = TieredParameterStore(
             specs, hw, dram_capacity=64, remote=flaky
         )
@@ -93,6 +118,7 @@ class TestFaultsThroughTheHierarchy:
                 r1.vectors, reference_vectors(0, ids, 16)
             )
             np.testing.assert_array_equal(r1.vectors, r2.vectors)
+            assert r1.degraded_keys == 0
             flaky_time += r1.cost.total
             healthy_time += r2.cost.total
         assert flaky_time > 1.5 * healthy_time
@@ -101,11 +127,7 @@ class TestFaultsThroughTheHierarchy:
         """The DRAM tier is the failure-isolation layer: more capacity,
         fewer remote trips, less fault exposure."""
         def total_time(capacity):
-            flaky = RemoteParameterServer(
-                specs,
-                NetworkSpec(slow_probability=0.5, slow_factor=20.0),
-                seed=9,
-            )
+            flaky = faulty_remote(specs, [DegradedLink(factor=20.0)], seed=9)
             store = TieredParameterStore(
                 specs, hw, dram_capacity=capacity, remote=flaky
             )

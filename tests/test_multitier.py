@@ -7,10 +7,12 @@ from repro.core.config import FlecheConfig
 from repro.core.workflow import FlecheEmbeddingLayer
 from repro.errors import ConfigError, WorkloadError
 from repro.gpusim.executor import Executor
-from repro.multitier.dram_cache import DramCacheLayer, pack_global_key
+from repro.multitier import remote_ps
+from repro.multitier.dram_cache import DramCacheLayer
 from repro.multitier.hierarchy import TieredParameterStore
-from repro.multitier.remote_ps import NetworkSpec, RemoteParameterServer
+from repro.multitier.remote_ps import RemoteParameterServer
 from repro.tables.embedding_table import reference_vectors
+from repro.tables.store import pack_global_key
 from repro.tables.table_spec import make_table_specs
 from repro.workloads.trace import TraceBatch
 
@@ -34,7 +36,7 @@ class TestRemoteParameterServer:
     def test_network_cost_has_rtt_floor(self, specs):
         ps = RemoteParameterServer(specs)
         result = ps.fetch(0, np.array([1], np.uint64), 0.0)
-        assert result.network_time >= ps.network.round_trip
+        assert result.network_time >= remote_ps.ROUND_TRIP
 
     def test_payload_scales_cost(self, specs):
         ps = RemoteParameterServer(specs)
@@ -42,14 +44,14 @@ class TestRemoteParameterServer:
         large = ps.fetch(0, np.arange(500, dtype=np.uint64), 0.0).network_time
         assert large > small
 
-    def test_sharding_divides_streaming(self, specs):
-        one = RemoteParameterServer(specs, NetworkSpec(num_shards=1))
-        four = RemoteParameterServer(specs, NetworkSpec(num_shards=4))
+    def test_sharding_divides_streaming(self, specs, monkeypatch):
         ids = np.arange(700, dtype=np.uint64)
-        assert (
-            four.fetch(0, ids, 0.0).network_time
-            < one.fetch(0, ids, 0.0).network_time
-        )
+
+        def fetch_time(num_shards):
+            monkeypatch.setattr(remote_ps, "NUM_SHARDS", num_shards)
+            return RemoteParameterServer(specs).fetch(0, ids, 0.0).network_time
+
+        assert fetch_time(4) < fetch_time(1)
 
     def test_out_of_corpus_rejected(self, specs):
         ps = RemoteParameterServer(specs)

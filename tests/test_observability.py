@@ -259,6 +259,25 @@ class TestInvariantAudits:
         with pytest.raises(ConfigError):
             reg.add_conservation("bad", ["a"], ["b"], op="!=")
 
+    def test_degraded_coalesced_law_flags_forged_counters(self):
+        """``cache.coalesced_degraded`` may never exceed the coalesced keys
+        it is a share of."""
+        reg = MetricsRegistry()
+        install_conservation_laws(reg)
+        # A consistent depth-2 batch: three misses, all coalesced.
+        for name in ("cache.lookups", "cache.misses", "cache.unique_keys",
+                     "cache.unique_misses", "cache.coalesced_keys",
+                     "coalescer.coalesced", "cache.coalesced_degraded"):
+            reg.inc(name, 3)
+        reg.inc("cache.table_lookups", 3, table="0")
+        assert reg.audit() == []
+        reg.inc("cache.coalesced_degraded")
+        violations = reg.audit()
+        assert len(violations) == 1
+        assert "cache.degraded-coalesced-bounded" in violations[0]
+        with pytest.raises(AuditError):
+            reg.check()
+
     def test_law_registration_is_idempotent(self):
         reg = MetricsRegistry()
         install_conservation_laws(reg)

@@ -186,10 +186,6 @@ ALLOWED = {
         "an explicit table-to-GPU assignment; the partition property tests "
         "drive it"
     ),
-    "RemoteParameterServer(network=)": (
-        "the network's random slow / timeout model (NetworkSpec); the "
-        "fault tests drive it"
-    ),
     "WindowedCollector(capacity=)": (
         "ring-buffer depth; tests shrink it to see the oldest windows go"
     ),

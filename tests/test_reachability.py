@@ -134,3 +134,72 @@ def test_every_definition_has_a_caller_outside_its_tests():
 def test_every_allowance_is_still_needed():
     stale = set(ALLOWED) - {name for _, _, name in unreached()}
     assert not stale, f"callers exist now; drop from ALLOWED: {sorted(stale)}"
+
+
+def defined_attributes(tree: ast.Module) -> set:
+    """Names ``tree`` can give an object: defs, classes, annotated fields,
+    ``__slots__`` entries, class-body assignments and assignments to an
+    attribute."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+        ):
+            names.add(node.name)
+        elif isinstance(node, ast.AnnAssign):
+            target = node.target
+            names.add(target.id if isinstance(target, ast.Name) else
+                      getattr(target, "attr", ""))
+        elif isinstance(node, ast.Attribute) and isinstance(
+            node.ctx, ast.Store
+        ):
+            names.add(node.attr)
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for stmt in node.body:
+            if not isinstance(stmt, ast.Assign):
+                continue
+            for target in stmt.targets:
+                if not isinstance(target, ast.Name):
+                    continue
+                names.add(target.id)
+                if target.id == "__slots__":
+                    names.update(
+                        item.value for item in ast.walk(stmt.value)
+                        if isinstance(item, ast.Constant)
+                        and isinstance(item.value, str)
+                    )
+    return names
+
+
+def probes(tree: ast.Module):
+    """``(line, name)`` of every ``getattr(x, "name", ...)`` and
+    ``hasattr(x, "name")`` with a literal name."""
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id in ("getattr", "hasattr")
+            and len(node.args) >= 2
+            and isinstance(node.args[1], ast.Constant)
+            and isinstance(node.args[1].value, str)
+        ):
+            yield node.lineno, node.args[1].value
+
+
+def test_every_probed_attribute_is_defined():
+    """A probe for a name nothing defines reads its default forever: the
+    attribute it looked for was renamed or deleted under it."""
+    trees = {path: _parse(path) for path in _python_files(PACKAGE)}
+    defined = set()
+    for tree in trees.values():
+        defined |= defined_attributes(tree)
+    found = [
+        (path.relative_to(ROOT), line, name)
+        for path, tree in trees.items()
+        for line, name in probes(tree)
+        if name not in defined
+    ]
+    assert not found, "probe of a name nothing defines:\n" + "\n".join(
+        f"{path}:{line}: {name}" for path, line, name in found
+    )

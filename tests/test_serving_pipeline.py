@@ -339,6 +339,84 @@ class TestCoalescing:
         # Every allocated slot is either indexed or awaiting reclamation.
         assert pool_live == cache.live_entries() + cache.reclaimer.pending
 
+    def test_coalesced_degraded_counts_keys_of_degraded_leaders(
+        self, dataset, hw, monkeypatch
+    ):
+        """Under an all-shard outage at depth 2, followers coalesce onto
+        leaders whose store answer was degraded; ``cache.coalesced_degraded``
+        counts exactly the coalesced keys whose leader's fetch degraded.
+
+        The reference reads each leader's store answer itself: a publish
+        follows the store query that fetched its keys.
+        """
+        schedule = FaultSchedule([
+            ShardOutage(shard=s, start=1e-3, duration=2e-3)
+            for s in range(4)
+        ])
+        remote = RemoteParameterServer(
+            dataset.table_specs(),
+            injector=FaultInjector(schedule, seed=11),
+            retry_policy=RetryPolicy.naive(timeout=1e-3),
+        )
+        store = TieredParameterStore(
+            dataset.table_specs(), hw, dram_capacity=600, remote=remote,
+            degrade=DegradeConfig(policy="stale"),
+        )
+        answers = []  # each store answer's degraded-key count, in order
+        query_many = store.query_many
+
+        def recording_query(*args, **kwargs):
+            result = query_many(*args, **kwargs)
+            answers.append(result.degraded_keys)
+            return result
+
+        monkeypatch.setattr(store, "query_many", recording_query)
+        expected = []
+
+        class ReferenceTable(InFlightMissTable):
+            """The miss table, plus each live publish's sorted keys and
+            whether the store answer before it degraded."""
+
+            def __init__(self):
+                super().__init__()
+                self.live = []
+
+            def publish(self, flat_keys, vectors, degraded=False):
+                keys = np.sort(np.asarray(flat_keys, dtype=np.uint64))
+                self.live.append((self._owner, keys, answers[-1] > 0))
+                super().publish(flat_keys, vectors, degraded=degraded)
+
+            def match(self, flat_keys, dim):
+                mask, rows, degraded = super().match(flat_keys, dim)
+                taken = np.asarray(flat_keys, dtype=np.uint64)[mask]
+                expected.append(sum(
+                    int(np.isin(taken, keys).sum())
+                    for _, keys, bad in self.live if bad
+                ))
+                return mask, rows, degraded
+
+            def retire(self, owner):
+                self.live = [seg for seg in self.live if seg[0] != owner]
+                return super().retire(owner)
+
+        monkeypatch.setattr(
+            "repro.serving.pipeline.InFlightMissTable", ReferenceTable
+        )
+        layer = FlecheEmbeddingLayer(store, FlecheConfig(cache_ratio=0.05), hw)
+        server = PipelinedInferenceServer(
+            dataset, layer, hw, depth=2,
+            policy=BatchingPolicy(max_batch_size=64, max_delay=5e-4),
+        )
+        report = server.serve(
+            PoissonArrivals(dataset, 200_000.0, seed=5).generate(900)
+        )
+        coalesced_degraded = report.metrics.total("cache.coalesced_degraded")
+        assert report.degraded_requests > 0
+        assert coalesced_degraded > 0
+        assert coalesced_degraded == sum(expected)
+        assert coalesced_degraded <= report.coalesced_keys
+        assert server.obs.audit() == []
+
     def test_coalesce_flag_off(self, dataset, hw):
         server, report, inserted = self.coalescing_run(
             dataset, hw, depth=3, coalesce=False
