@@ -21,7 +21,6 @@ the CI entry point; the tracked ``BENCH_cluster.json`` is its pinned
 output (``tests/test_pinned_payloads.py`` requires equality).
 """
 
-import numpy as np
 
 from repro.bench.harness import (
     alert_timing,
@@ -33,7 +32,9 @@ from repro.bench.harness import (
 from repro.bench.reporting import (
     emit, emit_json, format_table, format_time,
 )
-from repro.cluster import POLICY_NAMES, ClusterConfig, ClusterRouter
+from repro.cluster import (
+    POLICY_NAMES, ClusterConfig, ClusterRouter, hot_head_victim,
+)
 from repro.faults import (
     BreakerConfig,
     FaultSchedule,
@@ -41,12 +42,10 @@ from repro.faults import (
     ReplicaSlowdown,
 )
 from repro.model.trainer import EmbeddingDeltaTrainer
-from repro.multigpu.partition import HashPartitioner
 from repro.obs.reqtrace import TraceConfig
 from repro.refresh import UpdateLog, UpdatePublisher
 from repro.serving.arrivals import PoissonArrivals
 from repro.workloads.synthetic import uniform_tables_spec
-from repro.workloads.zipf import ZipfSampler
 
 US = 1e-6
 #: The drill's SLA budget (acceptance: SLA@2ms >= 90% with a replica down).
@@ -86,20 +85,6 @@ def _publish_rounds(dataset, horizon, rounds=REFRESH_ROUNDS):
     for i in range(rounds):
         publisher.drain(trainer, now=horizon * (i + 1) / (rounds + 1))
     return log
-
-
-def hot_owner(dataset, num_replicas, seed=ARRIVAL_SEED):
-    """The replica that owns the hottest id of table 0 under hash
-    routing — killing it is the worst-case drill victim."""
-    field = dataset.fields[0]
-    hottest = ZipfSampler(
-        field.corpus_size, field.alpha, seed=seed * 31
-    ).hottest_ids(1)
-    return int(
-        HashPartitioner(num_replicas).owner_of(
-            np.asarray(hottest, dtype=np.uint64)
-        )[0]
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +192,7 @@ def run_kill_drill(
     byte-identical replay check still covers every sampled trace.
     """
     dataset = _dataset()
-    victim = hot_owner(dataset, num_replicas, seed=seed)
+    victim = hot_head_victim(dataset, seed, num_replicas)
     crash_start, crash_duration, crash_end = fault_window(
         horizon, crash_start_fraction, crash_duration_fraction
     )
@@ -393,7 +378,7 @@ def run_hedge_study(
     """One replica runs ``slow_factor`` x slower mid-run; hedged
     re-dispatch must win often enough to hold the straggler's tail."""
     dataset = _dataset()
-    victim = hot_owner(dataset, num_replicas, seed=seed)
+    victim = hot_head_victim(dataset, seed, num_replicas)
     slow_start, slow_duration, _ = fault_window(horizon, 0.25, 0.5)
     schedule = FaultSchedule([
         ReplicaSlowdown(

@@ -43,8 +43,9 @@ class ScenarioDrillResult:
 def hot_head_victim(dataset, seed: int, replicas: int) -> int:
     """The replica owning the workload's hottest key under hash routing.
 
-    Crashing the hot-head owner maximises the failed-over hot traffic —
-    the same victim pick the CLI chaos drill uses, via the shared
+    Crashing the hot-head owner maximises the failed-over hot traffic.
+    The kill drill of ``benchmarks/bench_cluster.py`` picks its victim
+    here too; the head comes from the shared
     :func:`~repro.workloads.zipf.zipf_head_ids` helper.
     """
     hottest = zipf_head_ids(dataset.fields[:1], seed, 1)[0]

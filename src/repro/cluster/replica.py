@@ -35,8 +35,10 @@ from ..tables.store import EmbeddingStore
 from ..workloads.trace import TraceBatch
 from ..workloads.zipf import zipf_head_ids
 
-# How every replica serves: its batching policy, pipeline depth, and the
-# update keys one idle slot's refresh quantum applies.
+# How every replica serves: its cache size (a fraction of all embedding
+# parameters), batching policy, pipeline depth, and the update keys one
+# idle slot's refresh quantum applies.
+CACHE_RATIO = 0.05
 MAX_BATCH_SIZE = 64
 MAX_DELAY = 5e-4
 DEPTH = 2
@@ -46,19 +48,12 @@ REFRESH_QUANTUM = 512
 class ClusterReplica:
     """A crash-restartable serving replica with its own cache + feed."""
 
-    def __init__(
-        self,
-        replica_id: int,
-        dataset,
-        hw,
-        cache_ratio: float = 0.05,
-    ):
+    def __init__(self, replica_id: int, dataset, hw):
         if replica_id < 0:
             raise ConfigError("replica_id must be >= 0")
         self.replica_id = replica_id
         self.dataset = dataset
         self.hw = hw
-        self.cache_ratio = cache_ratio
         #: Bumped on every (re)build; the router keys request streams on
         #: ``(replica, incarnation)`` so pre- and post-crash dispatches
         #: never share a pipeline.
@@ -75,7 +70,7 @@ class ClusterReplica:
     def _build(self) -> None:
         store = EmbeddingStore(self.dataset.table_specs(), self.hw)
         self.layer = FlecheEmbeddingLayer(
-            store, FlecheConfig(cache_ratio=self.cache_ratio), self.hw
+            store, FlecheConfig(cache_ratio=CACHE_RATIO), self.hw
         )
         self.server = PipelinedInferenceServer(
             self.dataset, self.layer, self.hw,

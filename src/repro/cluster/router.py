@@ -101,7 +101,6 @@ class ClusterConfig:
     num_replicas: int = 4
     #: Routing policy name (see :data:`repro.cluster.routing.POLICY_NAMES`).
     policy: str = "hash"
-    cache_ratio: float = 0.05
     #: Zipf-head ids replicated onto every replica at admission.
     hot_keys: int = 256
     #: Cross-replica hedge delay for straggler replicas (None = off).
@@ -353,7 +352,7 @@ class ClusterRouter(Observable):
         self.policy: RoutingPolicy = make_policy(cfg.policy, cfg.num_replicas)
         self.monitor = HealthMonitor(self.schedule, cfg.num_replicas)
         self.replicas: List[ClusterReplica] = [
-            ClusterReplica(r, dataset, hw, cache_ratio=cfg.cache_ratio)
+            ClusterReplica(r, dataset, hw)
             for r in range(cfg.num_replicas)
         ]
         self.breakers: Dict[int, CircuitBreaker] = (

@@ -44,7 +44,7 @@ from ..errors import ConfigError
 from ..multigpu.partition import HashPartitioner, TablePartitioner
 from ..serving.arrivals import Request
 
-#: Policy names accepted by :func:`make_policy` and the CLI/benchmarks.
+#: Policy names accepted by :func:`make_policy` and the benchmarks.
 POLICY_NAMES = ("hash", "table-shard", "least-outstanding")
 
 #: Trailing window (simulated seconds) over which ``least-outstanding``
@@ -187,7 +187,7 @@ class LeastOutstandingPolicy(RoutingPolicy):
 
 
 def make_policy(name: str, num_replicas: int) -> RoutingPolicy:
-    """Build a routing policy by CLI/benchmark name."""
+    """Build a routing policy by its benchmark name."""
     if name == "hash":
         return ConsistentHashPolicy(num_replicas)
     if name == "table-shard":

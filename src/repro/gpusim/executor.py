@@ -122,10 +122,6 @@ class Executor:
         self._streams[name] = created
         return created
 
-    @property
-    def streams(self) -> Dict[str, Stream]:
-        return dict(self._streams)
-
     # ------------------------------------------------------------------ kernels
 
     def launch(

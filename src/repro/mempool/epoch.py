@@ -30,11 +30,6 @@ class EpochReclaimer:
         self._pins: Dict[int, int] = {}  # epoch -> reader count
         self._retired: "OrderedDict[int, List[np.ndarray]]" = OrderedDict()
 
-    @property
-    def epoch(self) -> int:
-        """Current global epoch."""
-        return self._epoch
-
     def advance(self) -> int:
         """Move to the next global epoch (typically once per batch)."""
         self._epoch += 1

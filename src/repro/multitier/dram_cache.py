@@ -188,10 +188,6 @@ class DramCacheLayer(Observable):
             rows = self._rows[missed_rows.shape[1]]
             rows[owed.slots] = missed_rows[owed.sources]
 
-    def resident(self, table_id: int, feature_id: int) -> bool:
-        """Whether one (table, id) is currently cached in DRAM."""
-        return pack_global_key(table_id, int(feature_id)) in self._slots
-
     # ---------------------------------------------------------------- refresh
 
     # hot-path: vectorized

@@ -561,13 +561,6 @@ class WindowedCollector:
         """One named series across the retained windows (NaN where absent)."""
         return [w.values.get(name, float("nan")) for w in self.windows]
 
-    def names(self) -> List[str]:
-        """Sorted union of series names across the retained windows."""
-        seen = set()
-        for record in self.windows:
-            seen.update(record.values)
-        return sorted(seen)
-
     def to_payload(self) -> dict:
         """JSON-ready artifact body (``series.json``)."""
         return {

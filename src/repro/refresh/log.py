@@ -31,7 +31,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Iterator, Mapping, Optional, Tuple
+from typing import Deque, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -96,9 +96,9 @@ class UpdateLog:
         retention: newest batches kept readable (older ones are trimmed).
         schedule: optional :class:`~repro.faults.schedule.FaultSchedule`;
             while an ``UpdateLogOutage`` window is active, :meth:`read`
-            and :meth:`replay` refuse to serve (metadata queries — head
-            offset, latest version, key counts — stay answerable: they
-            model the trainer-side control plane, not the payload path).
+            refuses to serve (metadata queries — head offset, latest
+            version, key counts — stay answerable: they model the
+            trainer-side control plane, not the payload path).
     """
 
     def __init__(self, retention: int = 512, schedule=None):
@@ -115,10 +115,7 @@ class UpdateLog:
         #: ``(published_at, model_version)`` per offset, full history, for
         #: time-gated version queries that survive trimming.
         self._meta: list = []
-        self.total_batches = 0
         self.total_keys = 0
-        self.trimmed_batches = 0
-        self.trimmed_keys = 0
 
     def __len__(self) -> int:
         return len(self._batches)
@@ -173,13 +170,10 @@ class UpdateLog:
         self._next += 1
         self._cum.append(self._cum[-1] + batch.num_keys)
         self._meta.append((batch.published_at, batch.model_version))
-        self.total_batches += 1
         self.total_keys += batch.num_keys
         while len(self._batches) > self.retention:
-            trimmed = self._batches.popleft()
+            self._batches.popleft()
             self._first += 1
-            self.trimmed_batches += 1
-            self.trimmed_keys += trimmed.num_keys
         return batch.offset
 
     # ---------------------------------------------------------------- reads
@@ -206,22 +200,6 @@ class UpdateLog:
                 f"{self._first}); recover from a snapshot and replay"
             )
         return self._batches[offset - self._first]
-
-    def replay(
-        self,
-        from_offset: int,
-        now: Optional[float] = None,
-        up_to: Optional[float] = None,
-    ) -> Iterator[DeltaBatch]:
-        """Deterministically iterate batches from ``from_offset`` to the
-        head, optionally only those published at or before ``up_to``."""
-        offset = from_offset
-        while offset < self._next:
-            batch = self.read(offset, now=now)
-            if up_to is not None and batch.published_at > up_to:
-                return
-            yield batch
-            offset += 1
 
     # ------------------------------------------------------------- metadata
 
@@ -261,20 +239,6 @@ class UpdateLog:
                 return None
             return batch.published_at
         return None
-
-    def describe(self) -> dict:
-        """JSON-friendly status of the log."""
-        return {
-            "first_offset": self._first,
-            "next_offset": self._next,
-            "retained_batches": len(self._batches),
-            "retention": self.retention,
-            "total_batches": self.total_batches,
-            "total_keys": self.total_keys,
-            "trimmed_batches": self.trimmed_batches,
-            "trimmed_keys": self.trimmed_keys,
-            "latest_version": self.latest_version(),
-        }
 
 
 __all__ = ["DeltaBatch", "TableDelta", "UpdateLog"]

@@ -239,22 +239,6 @@ class UpdateSubscriber(Observable):
             "refresh.applied_version", float(self.applied_version)
         )
 
-    def status(self, now: Optional[float] = None) -> dict:
-        """JSON-friendly stream position (CLI ``repro refresh status``)."""
-        state = {
-            "applied_offset": self.applied_offset,
-            "applied_version": self.applied_version,
-            "applied_keys": self._applied_keys,
-            "carried_keys": self._carried_keys,
-            "dropped_keys": self._dropped_keys,
-            "log_head": self.log.latest_offset,
-            "version_lag": self.version_lag(now),
-            "pending_keys": self.pending_keys(now),
-        }
-        if now is not None:
-            state["staleness_s"] = self.staleness(now)
-        return state
-
     def _audit_stream(self):
         """Hook: carried + applied + dropped == keys up to applied_offset."""
         expected = self.log.keys_between(0, self.applied_offset)

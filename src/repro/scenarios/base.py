@@ -60,7 +60,6 @@ class ScenarioLoad:
 
     requests: List[Request]
     phases: List[Phase]
-    description: str = ""
     #: Tenant name per request position (multi-tenant scenarios only).
     tenant_of: Optional[List[str]] = None
     #: Per-tenant SLA budgets, for ``WindowedCollector.set_tenancy``.

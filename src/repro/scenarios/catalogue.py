@@ -97,10 +97,6 @@ class FlashCrowdScenario(Scenario):
         return ScenarioLoad(
             requests=assemble_requests(times, cube),
             phases=phases,
-            description=(
-                f"flash crowd: x{self.intensity:g} rate, head rotation "
-                f"for {self.storm_duration:g}s"
-            ),
         )
 
 
@@ -157,10 +153,6 @@ class DiurnalScenario(Scenario):
         return ScenarioLoad(
             requests=assemble_requests(times, cube),
             phases=phases,
-            description=(
-                f"diurnal envelope: mean {self.mean_rate:g}/s, "
-                f"amplitude {self.amplitude:g}, period {self.period:g}s"
-            ),
         )
 
 
@@ -245,7 +237,6 @@ class MultiTenantScenario(Scenario):
         return ScenarioLoad(
             requests=assemble_requests(times, cube),
             phases=self.phases(),
-            description=f"multi-tenant mix: {len(self.tenants)} tenants",
             tenant_of=list(tenants),
             tenant_slos={n: s.slo for n, s in self.tenants.items()},
         )
@@ -346,10 +337,6 @@ class ColdStartFloodScenario(Scenario):
         return ScenarioLoad(
             requests=assemble_requests(times, cube),
             phases=phases,
-            description=(
-                f"cold-start flood: {self.flood_size} never-seen ids per "
-                f"table, {self.flood_share:.0%} of flood traffic"
-            ),
             update_log=self._flood_log(),
         )
 

@@ -17,6 +17,12 @@ def query_table(store, table_id, ids):
     return store.query_many(np.full(len(ids), table_id), ids)
 
 
+def dram_resident(layer, table_id, feature_id):
+    """Whether one (table, id) is currently cached in a
+    ``DramCacheLayer``."""
+    return pack_global_key(table_id, int(feature_id)) in layer._slots
+
+
 def dram_pass(layer, table_ids, feature_ids, cacheable=lambda table: True):
     """Drive a ``DramCacheLayer`` over one mixed-table batch the way the
     tiered store does, with reference rows for every miss.

@@ -21,10 +21,13 @@ from repro.cluster import (
     ClusterRouter,
     HealthMonitor,
     LeastOutstandingPolicy,
+    hot_head_victim,
     make_policy,
 )
 from repro.cluster import routing
-from repro.cluster.replica import DEPTH, MAX_BATCH_SIZE, MAX_DELAY
+from repro.cluster.replica import (
+    CACHE_RATIO, DEPTH, MAX_BATCH_SIZE, MAX_DELAY,
+)
 from repro.errors import ConfigError, WorkloadError
 from repro.faults import (
     BreakerConfig,
@@ -41,7 +44,6 @@ from repro.serving.batcher import BatchingPolicy
 from repro.serving.pipeline import PipelinedInferenceServer
 from repro.tables.store import EmbeddingStore
 from repro.workloads.synthetic import uniform_tables_spec
-from repro.workloads.zipf import ZipfSampler
 
 HORIZON = 0.03
 RATE = 60_000.0
@@ -80,15 +82,6 @@ def make_log(dataset, horizon=HORIZON, rounds=6, keys_per_round=48):
     for i in range(rounds):
         publisher.drain(trainer, now=horizon * (i + 1) / (rounds + 1))
     return log
-
-
-def hot_owner(dataset, num_replicas, seed=ARRIVAL_SEED):
-    """The replica that hash-routing assigns the Zipf hottest key."""
-    field = dataset.fields[0]
-    hottest = ZipfSampler(
-        field.corpus_size, field.alpha, seed=seed * 31
-    ).hottest_ids(1)
-    return int(HashPartitioner(num_replicas).owner_of(hottest)[0])
 
 
 def crash_schedule(replica, start=0.01, duration=0.01):
@@ -302,7 +295,7 @@ class TestSingleReplicaParity:
 
         store = EmbeddingStore(dataset.table_specs(), hw)
         layer = FlecheEmbeddingLayer(
-            store, FlecheConfig(cache_ratio=config.cache_ratio), hw
+            store, FlecheConfig(cache_ratio=CACHE_RATIO), hw
         )
         server = PipelinedInferenceServer(
             dataset, layer, hw,
@@ -319,7 +312,7 @@ class TestSingleReplicaParity:
 class TestFailover:
     @pytest.fixture(scope="class")
     def drill(self, hw, dataset, requests):
-        victim = hot_owner(dataset, 4)
+        victim = hot_head_victim(dataset, ARRIVAL_SEED, 4)
         schedule = crash_schedule(victim, start=0.01, duration=0.012)
         config = ClusterConfig(
             num_replicas=4,
@@ -413,7 +406,7 @@ class TestFailover:
 
 class TestHedging:
     def test_slowdown_fires_hedges(self, hw, dataset, requests):
-        victim = hot_owner(dataset, 3)
+        victim = hot_head_victim(dataset, ARRIVAL_SEED, 3)
         schedule = FaultSchedule([
             ReplicaSlowdown(
                 replica=victim, factor=6.0, start=0.005, duration=0.02
@@ -485,7 +478,7 @@ class TestRecovery:
 
 class TestDeterminism:
     def test_drill_replay_is_byte_identical(self, hw, dataset, requests):
-        victim = hot_owner(dataset, 3)
+        victim = hot_head_victim(dataset, ARRIVAL_SEED, 3)
 
         def run():
             router = ClusterRouter(

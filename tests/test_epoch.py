@@ -13,7 +13,7 @@ def locs(*values):
 
 class TestEpochReclaimer:
     def test_starts_at_epoch_zero(self):
-        assert EpochReclaimer().epoch == 0
+        assert EpochReclaimer()._epoch == 0
 
     def test_advance_increments(self):
         r = EpochReclaimer()

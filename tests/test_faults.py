@@ -37,7 +37,7 @@ from repro.tables.embedding_table import reference_vectors
 from repro.tables.table_spec import make_table_specs
 from repro.workloads.synthetic import uniform_tables_spec
 
-from conftest import query_table
+from conftest import dram_resident, query_table
 
 US = 1e-6
 
@@ -288,7 +288,7 @@ class TestDegradation:
         store.advance_to(0.5)
         result = query_table(store, 0, ids)
         np.testing.assert_array_equal(result.vectors, np.zeros((1, 16)))
-        assert not store.dram.resident(0, 7)
+        assert not dram_resident(store.dram, 0, 7)
         store.advance_to(2.0)  # outage over: the truth is fetched fresh
         np.testing.assert_array_equal(
             query_table(store, 0, ids).vectors, reference_vectors(0, ids, 16)

@@ -194,6 +194,6 @@ class TestUnifiedIndexIntegration:
 class TestClock:
     def test_tick_advances_and_collects(self):
         cache, _ = make_cache()
-        e0 = cache.reclaimer.epoch
+        e0 = cache.reclaimer._epoch
         cache.tick()
-        assert cache.reclaimer.epoch > e0
+        assert cache.reclaimer._epoch > e0

@@ -16,7 +16,7 @@ from repro.tables.store import pack_global_key
 from repro.tables.table_spec import make_table_specs
 from repro.workloads.trace import TraceBatch
 
-from conftest import dram_pass, query_table
+from conftest import dram_pass, dram_resident, query_table
 
 
 @pytest.fixture()
@@ -96,8 +96,8 @@ class TestDramCacheLayer:
         dram_pass(cache, [0, 0, 0], np.array([1, 2, 3], np.uint64))
         dram_pass(cache, [0], np.array([4], np.uint64))  # evicts key 1
         assert evicted == [pack_global_key(0, 1)]
-        assert not cache.resident(0, 1)
-        assert cache.resident(0, 4)
+        assert not dram_resident(cache, 0, 1)
+        assert dram_resident(cache, 0, 4)
 
     def test_touch_refreshes_lru(self, specs):
         cache = DramCacheLayer(specs, capacity=2)
@@ -105,8 +105,8 @@ class TestDramCacheLayer:
         dram_pass(cache, [0], np.array([2], np.uint64))
         dram_pass(cache, [0], np.array([1], np.uint64))  # refresh 1
         dram_pass(cache, [0], np.array([3], np.uint64))  # evicts 2
-        assert cache.resident(0, 1)
-        assert not cache.resident(0, 2)
+        assert dram_resident(cache, 0, 1)
+        assert not dram_resident(cache, 0, 2)
 
     def test_uncacheable_misses_are_served_not_inserted(self, specs):
         cache = DramCacheLayer(specs, capacity=8)
@@ -117,7 +117,8 @@ class TestDramCacheLayer:
         np.testing.assert_array_equal(
             vectors[1], reference_vectors(1, ids[1:], 16)[0]
         )
-        assert not cache.resident(0, 1) and cache.resident(1, 2)
+        assert not dram_resident(cache, 0, 1)
+        assert dram_resident(cache, 1, 2)
 
     def test_capacity_validation(self, specs):
         with pytest.raises(ConfigError):
@@ -167,7 +168,7 @@ class TestTieredParameterStore:
         # Fill the DRAM tier with (table 0, id 1) then flood it out.
         query_table(store, 0, np.array([1], np.uint64))
         query_table(store, 0, np.array([2, 3, 4, 5, 6], np.uint64))
-        assert not store.dram.resident(0, 1)
+        assert not dram_resident(store.dram, 0, 1)
         # The dangling pointer is gone from the flat cache's index.
         outcome = layer.cache.index_lookup(flat)
         assert not outcome.dram_hit.any()
@@ -195,7 +196,7 @@ class TestTieredParameterStore:
         )
         ids = np.array([1, 2, 3], np.uint64)
         query_table(store, 0, ids)  # healthy: populates the DRAM tier
-        assert store.dram.resident(0, 1)
+        assert dram_resident(store.dram, 0, 1)
 
         store.advance_to(1.2)  # inside the failure window
         result = query_table(store, 0, ids)
@@ -205,7 +206,7 @@ class TestTieredParameterStore:
         expected = {pack_global_key(0, int(i)) for i in ids}
         assert set(fired) == expected
         assert all(count == 1 for count in fired.values())
-        assert not store.dram.resident(0, 1)
+        assert not dram_resident(store.dram, 0, 1)
 
         # Still down: queries bypass DRAM and fire nothing new.
         query_table(store, 0, np.array([4], np.uint64))
@@ -214,7 +215,7 @@ class TestTieredParameterStore:
 
         store.advance_to(2.5)  # window closed: caching resumes
         query_table(store, 0, ids)
-        assert store.dram.resident(0, 1)
+        assert dram_resident(store.dram, 0, 1)
         assert all(count == 1 for count in fired.values())
 
     def test_query_many_forwards_evictions_once_per_batch(self, specs, hw):

@@ -170,10 +170,6 @@ ALLOWED = {
         "resync past the log's retention; the only way a test reaches the "
         "stream-conservation law's dropped term"
     ),
-    "UpdateLog.replay(now=)": "replay bound; the refresh tests replay to it",
-    "UpdateLog.replay(up_to=)": (
-        "replay bound; the refresh tests replay to it"
-    ),
     "Timeline(start=)": "a timeline that starts mid-run; the clock tests",
     "Executor.copy(method=)": (
         "forces one copy mechanism; the executor tests check the forced path"

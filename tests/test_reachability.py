@@ -2,13 +2,16 @@
 
 An AST scan collects each top-level function and class and each method
 (dunder methods aside: the language calls them).  A definition passes
-when code names it as a word in another non-``__init__`` module under
-``src/``, in ``benchmarks/`` or ``examples/``, or anywhere in its own
-module besides the definition itself.  ``__init__`` modules only
-re-export, so a name they list is not a use, and neither is a mention in
-a docstring or comment.  What passes no other way sits in
-:data:`ALLOWED` with the reason it stays; an allowance that something
-now calls fails too, so the list cannot go stale.
+when code names it in another non-``__init__`` module under ``src/``, in
+``benchmarks/`` or ``examples/``, or anywhere in its own module besides
+the definition itself.  A top-level name counts as any identifier; a
+method counts only as an attribute (``obj.method``), an identifier
+string (what ``getattr`` looks up) or an import alias, so a local
+variable that happens to share its spelling does not keep it alive.
+``__init__`` modules only re-export, so a name they list is not a use,
+and neither is a mention in a docstring or comment.  What passes no
+other way sits in :data:`ALLOWED` with the reason it stays; an allowance
+that something now calls fails too, so the list cannot go stale.
 
 Run alone: ``PYTHONPATH=src python -m pytest tests/test_reachability.py``
 prints ``file:line: name`` for each definition without a caller.
@@ -56,23 +59,24 @@ ALLOWED = {
 }
 
 
-def _names(tree: ast.AST) -> Counter:
-    """Identifiers the code of ``tree`` uses: variables, attributes,
-    imports, and strings that are one identifier (what ``getattr`` /
-    ``hasattr`` look up).  A definition is not a use of its own name, and
+def _names(tree: ast.AST):
+    """Identifiers the code of ``tree`` uses, as ``(variables, members)``:
+    ``members`` counts attributes, imports and strings that are one
+    identifier (what ``getattr`` / ``hasattr`` look up); ``variables``
+    counts bare names.  A definition is not a use of its own name, and
     prose in docstrings and comments is not code."""
-    names = Counter()
+    variables, members = Counter(), Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            names[node.id] += 1
+            variables[node.id] += 1
         elif isinstance(node, ast.Attribute):
-            names[node.attr] += 1
+            members[node.attr] += 1
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             if node.value.isidentifier():
-                names[node.value] += 1
+                members[node.value] += 1
         elif isinstance(node, ast.alias):
-            names[node.name.rpartition(".")[2]] += 1
-    return names
+            members[node.name.rpartition(".")[2]] += 1
+    return variables, members
 
 
 def _parse(path: Path) -> ast.Module:
@@ -108,17 +112,22 @@ def unreached():
     but in its definition."""
     trees = {path: _parse(path) for path in _python_files(PACKAGE)}
     modules = {path: _names(tree) for path, tree in trees.items()}
-    outside = set()
+    outside = (set(), set())
     for path in _python_files(ROOT / "benchmarks", ROOT / "examples"):
-        outside.update(_names(_parse(path)))
+        for seen, names in zip(outside, _names(_parse(path))):
+            seen.update(names)
     found = []
-    for path, own in modules.items():
-        elsewhere = set(outside)
-        for other, names in modules.items():
+    for path, (own_variables, own_members) in modules.items():
+        variables, members = set(outside[0]), set(outside[1])
+        for other, (other_variables, other_members) in modules.items():
             if other != path and other.name != "__init__.py":
-                elsewhere.update(names)
+                variables.update(other_variables)
+                members.update(other_members)
         for qualified, name, line in definitions(trees[path]):
-            if name in elsewhere or own[name]:
+            if own_members[name] or name in members:
+                continue
+            top_level = "." not in qualified
+            if top_level and (own_variables[name] or name in variables):
                 continue
             found.append((path.relative_to(ROOT), line, qualified))
     return found

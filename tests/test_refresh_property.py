@@ -107,11 +107,11 @@ class RefreshMachine(RuleBasedStateMachine):
             return
         once = [
             (b.offset, b.model_version, b.num_keys)
-            for b in self.log.replay(0, now=self.now)
+            for b in map(self.log.read, range(self.log.next_offset))
         ]
         again = [
             (b.offset, b.model_version, b.num_keys)
-            for b in self.log.replay(0, now=self.now)
+            for b in map(self.log.read, range(self.log.next_offset))
         ]
         assert once == again
 

@@ -14,6 +14,11 @@ from repro.scenarios import MultiTenantScenario, validate_load
 from repro.workloads.synthetic import uniform_tables_spec
 
 
+def _names(collector):
+    """Series names across the collector's retained windows."""
+    return set().union(*(record.values for record in collector.windows))
+
+
 def _bound(**kwargs):
     collector = WindowedCollector(window=1e-3, **kwargs)
     return collector.bind(MetricsRegistry())
@@ -31,7 +36,7 @@ class TestTenancyConfig:
         collector.set_tenancy(None)
         collector.observe_batch(0.5e-3, [1e-4, 2e-4], first_request=0)
         collector.flush(1e-3)
-        assert not any("tenant=" in n for n in collector.names())
+        assert not any("tenant=" in n for n in _names(collector))
 
 
 class TestAttribution:
@@ -74,7 +79,7 @@ class TestAttribution:
         collector.set_tenancy(["a", "a", "z"], {"z": 1e-4})
         collector.observe_batch(0.5e-3, [1e-4, 1e-4], first_request=0)
         collector.flush(1e-3)
-        names = collector.names()
+        names = _names(collector)
         assert "requests{tenant=a}" in names
         assert "requests{tenant=z}" not in names
 

@@ -1,8 +1,8 @@
 """Unit tests for the shared Zipf-head helper (``workloads.zipf_head_ids``).
 
 The helper is the single home of the ``seed * 31 + field_index`` serving
-seeding convention previously duplicated between ``cli._cluster_victim``
-and ``ClusterReplica.warm_hot_keys``; these tests pin bit-equality with
+seeding convention that ``cluster.hot_head_victim`` and
+``ClusterReplica.warm_hot_keys`` share; these tests pin bit-equality with
 the direct sampler construction so neither call site drifted.
 """
 
