@@ -43,8 +43,12 @@ HOT_PATH_FILES = {
     "src/repro/cluster/routing.py": 3,
     "src/repro/faults/schedule.py": 2,    # crashed_many / slow_factor_many
     "src/repro/serving/batcher.py": 1,    # form_batches
-    # lookup / insert / _insert_round / erase
+    # lookup / insert / _insert_spilled (its loop: the rounds after a
+    # bucket's first eviction) / erase
     "src/repro/hashindex/slab_hash.py": 4,
+    # index_lookup / gather / admit_and_insert / _demote_cold
+    "src/repro/core/flat_cache.py": 4,
+    "src/repro/core/dedup.py": 1,          # deduplicate
     # reference_vectors (one call generates a whole batch's rows, any
     # mix of tables) / _row_numbers / lookup / update_rows
     "src/repro/tables/embedding_table.py": 4,

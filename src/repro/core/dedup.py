@@ -14,27 +14,41 @@ time to the "Other" category the paper's Figure 16 reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from ..gpusim.kernel import KernelSpec, coalesced_bytes
 
 
-@dataclass(frozen=True)
-class DedupResult:
+class DedupResult(NamedTuple):
     """Deduplicated view of a key batch."""
 
+    #: the distinct keys, ascending.
     unique_keys: np.ndarray
+    #: position in the batch of each unique key's first occurrence.
+    first: np.ndarray
     #: index into ``unique_keys`` for every original position.
     inverse: np.ndarray
 
 
+# hot-path: vectorized
 def deduplicate(keys: np.ndarray) -> DedupResult:
-    """Collapse duplicate keys, remembering how to restore the batch."""
-    unique, inverse = np.unique(np.asarray(keys, dtype=np.uint64),
-                                return_inverse=True)
-    return DedupResult(unique_keys=unique, inverse=inverse.astype(np.int64))
+    """Collapse duplicate keys, remembering how to restore the batch.
+
+    One stable sort yields all three arrays, equal to what
+    ``np.unique(keys, return_index=True, return_inverse=True)`` returns
+    (the stable order makes ``first`` the earliest occurrence).
+    """
+    keys = np.asarray(keys, dtype=np.uint64)
+    order = keys.argsort(kind="stable")
+    ordered = keys[order]
+    head = np.empty(len(keys), dtype=bool)
+    head[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=head[1:])
+    inverse = np.empty(len(keys), dtype=np.int64)
+    inverse[order] = head.cumsum() - 1
+    return DedupResult(ordered[head], order[head], inverse)
 
 
 def restore(unique_rows: np.ndarray, inverse: np.ndarray) -> np.ndarray:

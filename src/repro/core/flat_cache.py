@@ -25,7 +25,12 @@ import numpy as np
 
 from ..coding.size_aware import SizeAwareCodec
 from ..errors import ConfigError
-from ..hashindex.slab_hash import ProbeStats, SlabHashIndex
+from ..hashindex.slab_hash import (
+    EMPTY_KEY,
+    InsertResult,
+    ProbeStats,
+    SlabHashIndex,
+)
 from ..mempool.epoch import EpochReclaimer
 from ..mempool.slab_pool import SlabMemoryPool
 from ..obs.registry import Observable
@@ -149,6 +154,10 @@ class FlatCache(Observable):
         self._eviction_policy = make_eviction_policy(precision.eviction_policy)
         self.reclaimer = EpochReclaimer()
         self._clock = 0
+        #: Index inserts that published cached entries so far.  A batch
+        #: notes it at its index probe; while it is unchanged, nothing
+        #: has cached a key that probe missed.
+        self.cached_inserts = 0
         #: live unified-index entries (bounded by the tuner's capacity).
         self.unified_entries = 0
         self.unified_capacity = unified_slots if config.use_unified_index else 0
@@ -251,14 +260,16 @@ class FlatCache(Observable):
 
     # ------------------------------------------------------------------ index
 
+    # hot-path: vectorized
     def index_lookup(self, flat_keys: np.ndarray) -> IndexOutcome:
         """Indexing kernel: resolve flat keys to tagged pointers."""
         found, pointers, stats = self.index.lookup(flat_keys, stamp=self._clock)
-        dram = found & is_dram_pointer(pointers)
-        cache_hit = found & ~is_dram_pointer(pointers)
-        locations = untag(pointers)
+        tagged = is_dram_pointer(pointers)
         return IndexOutcome(
-            cache_hit=cache_hit, dram_hit=dram, locations=locations, stats=stats
+            cache_hit=found & ~tagged,
+            dram_hit=found & tagged,
+            locations=untag(pointers),
+            stats=stats,
         )
 
     def contains_cached(self, flat_keys: np.ndarray) -> np.ndarray:
@@ -267,13 +278,16 @@ class FlatCache(Observable):
         A pure metadata probe — no LRU stamp refresh.  The replacement path
         of a pipelined batch uses it to skip keys that a concurrently
         in-flight batch already inserted: re-inserting would overwrite the
-        index entry in place and leak the existing pool slot.
+        index entry in place and leak the existing pool slot.  It only
+        needs to when :attr:`cached_inserts` moved since the batch's
+        index probe.
         """
         found, pointers, _ = self.index.lookup(flat_keys)
         return found & ~is_dram_pointer(pointers)
 
     # ------------------------------------------------------------------ read
 
+    # hot-path: vectorized
     def gather(self, locations: np.ndarray) -> np.ndarray:
         """Copying kernel: read embeddings at pool ``locations``.
 
@@ -288,6 +302,7 @@ class FlatCache(Observable):
 
     # ------------------------------------------------------------------ insert
 
+    # hot-path: vectorized
     def admit_and_insert(
         self,
         flat_keys: np.ndarray,
@@ -342,9 +357,7 @@ class FlatCache(Observable):
 
         locations = self.pool.allocate(dim, len(keys))
         self.pool.write(locations, rows)  # copying kernel
-        result = self.index.insert(
-            keys, tag_cache_location(locations), stamp=self._clock
-        )
+        result = self._publish_cached(keys, locations)
         self._release_displaced(result.evicted_values)
         inserted_mask[positions] = True
         self.obs.inc("cache.inserted", len(positions))
@@ -409,9 +422,7 @@ class FlatCache(Observable):
             locations = self.pool.allocate(dim, len(keys), tier=tier)
             self.pool.write(locations, rows)  # quantize-on-insert
             self.pool.set_born(locations, code)
-            result = self.index.insert(
-                keys, tag_cache_location(locations), stamp=self._clock
-            )
+            result = self._publish_cached(keys, locations)
             self._release_displaced(result.evicted_values)
             inserted_mask[sel] = True
             stats = stats.merged_with(result.stats)
@@ -419,6 +430,16 @@ class FlatCache(Observable):
         if inserted:
             self.obs.inc("cache.inserted", inserted)
         return inserted_mask, stats
+
+    def _publish_cached(
+        self, keys: np.ndarray, locations: np.ndarray
+    ) -> InsertResult:
+        """Replacement's indexing kernel: map ``keys`` to pool
+        ``locations``, counting the insert in :attr:`cached_inserts`."""
+        self.cached_inserts += 1
+        return self.index.insert(
+            keys, tag_cache_location(locations), stamp=self._clock
+        )
 
     def _clamp_codes(self, dim: int, codes: np.ndarray) -> np.ndarray:
         """Clamp desired tier codes to tiers that have a slab class.
@@ -486,11 +507,7 @@ class FlatCache(Observable):
             new_locations = self.pool.allocate(dim, len(sel), tier=tier)
             self.pool.write(new_locations, rows[sel])
             self.pool.set_born(new_locations, born)
-            result = self.index.insert(
-                flat_keys[sel],
-                tag_cache_location(new_locations),
-                stamp=self._clock,
-            )
+            result = self._publish_cached(flat_keys[sel], new_locations)
             # Overwriting a live key's pointer leaves its old slot
             # unreferenced: retire it ourselves (the entry itself lives
             # on, so this is *not* an entry death for the drift audit).
@@ -708,25 +725,30 @@ class FlatCache(Observable):
         grown = self.pool.grow_class(dim, to_tier, grow)
         return (retired, grown)
 
+    # hot-path: vectorized
     def _demote_cold(self, count: int) -> None:
         """Convert up to ``count`` of the coldest cache entries to pointers.
 
         Only entries that have not been touched for a couple of batches are
         candidates — the paper replaces the cache of *cold* embeddings, so
         freshly inserted or recently hit entries must never be demoted.
+        One mask over the raw index columns picks them (occupied, stamp at
+        most ``clock - 2``, untagged); victims are the oldest stamps.
         """
         if count <= 0:
             return
-        slots = self.index.cold_slots(self._clock - 2)
-        keys, values, stamps = self.index.slot_entries(slots)
-        cold = ~is_dram_pointer(values)
-        if not cold.any():
+        keys, values, stamps = self.index.columns()
+        cold = stamps <= self._clock - 2
+        cold &= keys != EMPTY_KEY
+        cold &= ~is_dram_pointer(values)
+        slots = cold.nonzero()[0]
+        if not len(slots):
             return
-        victims = np.flatnonzero(cold)[np.argsort(stamps[cold])[:count]]
-        self.index.retag_slots(
-            slots[victims], tag_dram_pointer(keys[victims]), self._clock
-        )
+        victims = slots[stamps[slots].argsort()[:count]]
         locations = untag(values[victims])
+        self.index.retag_slots(
+            victims, tag_dram_pointer(keys[victims]), self._clock
+        )
         self._record_entry_death(locations)
         self.reclaimer.retire(locations)
         self.unified_entries += len(victims)

@@ -37,6 +37,7 @@ import numpy as np
 from ..errors import WorkloadError
 from ..gpusim.executor import Executor
 from ..gpusim.stats import Category
+from .dedup import deduplicate
 from .flat_cache import FlatCache
 from .unified_index import is_dram_pointer, untag
 from .workflow import _copy_kernel_spec, _index_kernel_spec
@@ -72,9 +73,11 @@ class UpdateOutcome:
 
 def _last_occurrence_mask(feature_ids: np.ndarray) -> np.ndarray:
     """Boolean mask keeping only the last occurrence of each ID."""
-    # np.unique keeps the *first* occurrence; reverse to keep the last.
-    reversed_ids = feature_ids[::-1]
-    _, first_in_reversed = np.unique(reversed_ids, return_index=True)
+    if (feature_ids[1:] > feature_ids[:-1]).all():
+        # Sorted and distinct, as the trainer publishes them.
+        return np.ones(len(feature_ids), dtype=bool)
+    # The first occurrence in reverse order is the last one.
+    first_in_reversed = deduplicate(feature_ids[::-1]).first
     keep = np.zeros(len(feature_ids), dtype=bool)
     keep[len(feature_ids) - 1 - first_in_reversed] = True
     return keep
@@ -118,9 +121,9 @@ class UpdateApplier:
         log batch — at most one per table — and return the summed outcome.
 
         Tables own disjoint flat keys, so deltas that share an embedding
-        dimension are applied in one pass (one index lookup, one pool
-        write, one re-stamp, one pointer invalidation) with exactly the
-        effect of applying them one after another.  Nothing is touched
+        dimension are applied in one pass (one index lookup that also
+        re-stamps, one pool write, one pointer invalidation) with exactly
+        the effect of applying them one after another.  Nothing is touched
         unless every delta is well-formed.  With an executor, each
         delta's two refresh kernels are charged in delta order.
         """
@@ -161,14 +164,15 @@ class UpdateApplier:
         for positions, key_parts, row_parts in by_dim.values():  # lint: allow-loop (per embedding dimension)
             keys = np.concatenate(key_parts)
             vectors = np.concatenate(row_parts)
-            found, pointers, _ = cache.index.lookup(keys)
+            # The probe's touch bumps the versions of the refreshed keys.
+            # It stamps the DRAM pointers it finds too, which is invisible:
+            # the invalidation below erases every one of them.
+            found, pointers, _ = cache.index.lookup(keys, stamp=cache._clock)
             dram = found & is_dram_pointer(pointers)
             cached = found & ~dram
             if cached.any():
-                # In-place refresh: write the pool slots, then bump the
-                # versions (a lookup touch at the current clock).
+                # In-place refresh: write the pool slots.
                 cache.pool.write(untag(pointers[cached]), vectors[cached])
-                cache.index.lookup(keys[cached], stamp=cache._clock)
                 delta_of = np.repeat(positions, [len(k) for k in key_parts])
                 refreshed_of += np.bincount(
                     delta_of[cached], minlength=len(deltas)

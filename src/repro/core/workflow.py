@@ -46,7 +46,7 @@ from .cache_base import (
     drain_stages,
 )
 from .config import FlecheConfig
-from .dedup import dedup_kernel_spec, restore_kernel_spec
+from .dedup import dedup_kernel_spec, deduplicate, restore_kernel_spec
 from .flat_cache import FlatCache
 from .fusion import fused_kernel_spec, fusion_metadata_bytes
 from .unified_index import UnifiedIndexTuner
@@ -308,10 +308,7 @@ class FlecheEmbeddingLayer(EmbeddingCacheScheme):
             stream=stream,
             category=Category.OTHER,
         )
-        unique_keys, rep_index, inverse = np.unique(
-            flat_keys, return_index=True, return_inverse=True
-        )
-        return unique_keys, rep_index, inverse.astype(np.int64)
+        return deduplicate(flat_keys)
 
     def _dim_groups(
         self,
@@ -370,6 +367,7 @@ class FlecheEmbeddingLayer(EmbeddingCacheScheme):
         # decoupling decides whether the copy rides inside it (coupled) or
         # in separate gather kernels (phase 4a).
         outcome = self.cache.index_lookup(unique_keys)
+        inserts_at_probe = self.cache.cached_inserts
         # Frequency estimation rides the indexing pass: one sketch fold of
         # the deduplicated keys (no-op unless mixed precision / LFU is on).
         self.cache.observe_keys(unique_keys)
@@ -521,7 +519,7 @@ class FlecheEmbeddingLayer(EmbeddingCacheScheme):
         degraded_keys = 0
         pending_replacements = []
         for group in groups:  # lint: allow-loop (per dim group)
-            miss_here = outcome.miss[group.positions]
+            miss_here = miss_mask[group.positions]
             if not miss_here.any():
                 continue
             dram_hit_here = outcome.dram_hit[group.positions][miss_here]
@@ -616,13 +614,17 @@ class FlecheEmbeddingLayer(EmbeddingCacheScheme):
 
         # --- Phase 6: replacement (copy kernel, then indexing kernel) for
         # the leading keys only.  Keys a concurrently in-flight batch has
-        # published since this batch's fetch are skipped — the insertion
-        # happens exactly once per key, never overwriting a live slot.
+        # published since this batch's index probe are skipped — the
+        # insertion happens exactly once per key, never overwriting a live
+        # slot.  Only an insert can cache a key the probe missed, so with
+        # none since the probe there is nothing to re-probe.  Dim groups
+        # hold disjoint keys: this batch's own inserts below cannot cache
+        # another group's keys.
+        reprobe = self.cache.cached_inserts != inserts_at_probe
         for (dim, lead_keys, lead_vectors, lead_dram,  # lint: allow-loop (per dim group)
              lead_tables, lead_features) in pending_replacements:
-            already = self.cache.contains_cached(lead_keys)
-            if already.any():
-                keep = ~already
+            keep = ~self.cache.contains_cached(lead_keys) if reprobe else None
+            if keep is not None and not keep.all():
                 lead_keys = lead_keys[keep]
                 lead_vectors = lead_vectors[keep]
                 lead_dram = lead_dram[keep]
@@ -689,23 +691,24 @@ class FlecheEmbeddingLayer(EmbeddingCacheScheme):
         )
         # Hit statistics are per *access* (duplicates weighted), matching
         # how the paper's hit rates are measured.
+        # Every access is a hit or a miss, so misses are what hits leave.
         counts = np.bincount(inverse, minlength=len(unique_keys))
-        hits = int(counts[outcome.cache_hit].sum())
-        misses = int(counts[outcome.miss].sum())
-        per_table_hits = np.bincount(
-            rep_tables[outcome.cache_hit],
-            weights=counts[outcome.cache_hit],
-            minlength=batch.num_tables,
-        )
-        per_table_misses = np.bincount(
-            rep_tables[outcome.miss],
-            weights=counts[outcome.miss],
-            minlength=batch.num_tables,
-        )
+        hit_counts = counts[outcome.cache_hit]
+        hits = int(hit_counts.sum())
+        per_table_hits = [
+            int(h) for h in np.bincount(
+                rep_tables[outcome.cache_hit],
+                weights=hit_counts,
+                minlength=batch.num_tables,
+            )
+        ]
+        per_table_misses = [
+            len(ids) - h for ids, h in zip(batch.ids_per_table, per_table_hits)
+        ]
         return CacheQueryResult(
             outputs=outputs,
             hits=hits,
-            misses=misses,
+            misses=len(flat_keys) - hits,
             unified_hits=total_unified,
             unique_keys=len(unique_keys),
             total_keys=len(flat_keys),
@@ -714,8 +717,8 @@ class FlecheEmbeddingLayer(EmbeddingCacheScheme):
             degraded_keys=degraded_keys,
             promoted_keys=promoted_keys,
             demoted_keys=demoted_keys,
-            per_table_hits=[int(h) for h in per_table_hits],
-            per_table_misses=[int(m) for m in per_table_misses],
+            per_table_hits=per_table_hits,
+            per_table_misses=per_table_misses,
             # Which leader batches this batch's coalesced misses joined
             # (accumulated inside ``coalescer.match`` across the per-group
             # fetches above; {} unless source tracking is on).

@@ -34,7 +34,8 @@ EMPTY_KEY = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 #: Slots per slab.  A warp reads one 128 B transaction per probe; with
 #: 8-byte keys that covers 16 slots.
-SLAB_SLOTS = 16
+_SLAB_BITS = 4
+SLAB_SLOTS = 1 << _SLAB_BITS
 
 _HASH_MULT = np.uint64(0x9E3779B97F4A7C15)
 
@@ -146,17 +147,28 @@ class SlabHashIndex:
         if n == 0:
             return np.zeros(0, bool), np.zeros(0, np.uint64), ProbeStats(0, 0, 0.0)
 
-        buckets = _bucket_of(keys, self.num_buckets)
-        slab_keys = self._slabs()[buckets]  # (n, SLAB_SLOTS)
-        match = slab_keys == keys[:, None]
-        found = match.any(axis=1)
-        cols = match.argmax(axis=1)
-        slot = buckets * SLAB_SLOTS + cols
-        values = np.where(found, self._values[slot], np.uint64(0))
+        rows, slot = self._probe(keys)
+        found = np.zeros(n, dtype=bool)
+        found[rows] = True
+        values = np.zeros(n, dtype=np.uint64)
+        values[rows] = self._values[slot]
         if stamp is not None:
-            self._stamps[slot[found]] = stamp
+            self._stamps[slot] = stamp
         stats = ProbeStats(n, n, 1.0)
         return found, values, stats
+
+    def _probe(self, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(rows, slots)``: which of ``keys`` the index holds, ascending,
+        and the slot each sits in.
+
+        A key sits in at most one slot of its slab, so the matches of the
+        ``(len(keys), SLAB_SLOTS)`` comparison, flattened, are the hits in
+        key order: row = key, column = slot within the slab.
+        """
+        buckets = _bucket_of(keys, self.num_buckets)
+        hits = (self._slabs()[buckets] == keys[:, None]).ravel().nonzero()[0]
+        rows = hits >> _SLAB_BITS
+        return rows, (buckets[rows] << _SLAB_BITS) + (hits & (SLAB_SLOTS - 1))
 
     # ------------------------------------------------------------------ insert
 
@@ -184,71 +196,133 @@ class SlabHashIndex:
                 empty, np.zeros(0, np.int64), empty, ProbeStats(0, 0, 0.0)
             )
 
-        _, first = np.unique(keys, return_index=True)
-        if len(first) < len(keys):
-            first.sort()
-            keys, values = keys[first], values[first]
+        n = len(keys)
+        if n > 1 and not (keys[1:] > keys[:-1]).all():
+            _, first = np.unique(keys, return_index=True)
+            if len(first) < n:
+                first.sort()
+                keys, values = keys[first], values[first]
+                n = len(keys)
 
-        # A round handles at most one key per bucket, so key i runs in
-        # round r where r is i's rank among same-bucket keys in batch
+        # Key i runs in round r, its rank among same-bucket keys in batch
         # order (a serving batch of ~50 keys over a few hundred buckets
-        # usually needs two rounds).
+        # usually needs two rounds).  One pass over the keys sorted by
+        # bucket resolves every round against the slabs as they stood
+        # before the batch: a key that matches keeps its slot, and the
+        # f-th fresh key of a bucket takes the bucket's f-th vacant slot.
         buckets = _bucket_of(keys, self.num_buckets)
-        order = np.argsort(buckets, kind="stable")
-        sorted_b = buckets[order]
-        round_of = np.empty(len(keys), dtype=np.int64)
-        round_of[order] = np.arange(len(keys)) - np.searchsorted(
-            sorted_b, sorted_b
-        )
-        rounds = int(round_of.max()) + 1
-        landed = np.empty(len(keys), dtype=np.int64)
-        evicted_chunks = []
-        for r in range(rounds):  # lint: allow-loop (per insert round: max keys per bucket, not key count)
-            active = np.flatnonzero(round_of == r)
-            landed[active] = self._insert_round(
-                keys[active], values[active], buckets[active],
-                stamp, overwrite, evicted_chunks,
+        order = buckets.argsort(kind="stable")
+        sorted_b, sorted_k, sorted_v = buckets[order], keys[order], values[order]
+        run_start = sorted_b.searchsorted(sorted_b)
+        round_of = np.arange(n) - run_start
+        # Matches and vacancies of the (n, SLAB_SLOTS) slab rows,
+        # flattened: row i's f-th vacant slot is entry start[i] + f.
+        slab_keys = self._slabs()[sorted_b]
+        matched = (slab_keys == sorted_k[:, None]).ravel().nonzero()[0]
+        vacant = (slab_keys == EMPTY_KEY).ravel().nonzero()[0]
+        vacant_count = np.bincount(vacant >> _SLAB_BITS, minlength=n)
+        fresh = np.ones(n, dtype=bool)
+        fresh[matched >> _SLAB_BITS] = False
+        fresh_seen = fresh.cumsum()
+        fresh_rank = fresh_seen - (fresh_seen - fresh)[run_start] - 1
+        spill = fresh & (fresh_rank >= vacant_count)
+        takes = fresh & ~spill
+        slots = sorted_b << _SLAB_BITS
+        slots[matched >> _SLAB_BITS] += matched & (SLAB_SLOTS - 1)
+        slots[takes] += vacant[
+            (vacant_count.cumsum() - vacant_count + fresh_rank)[takes]
+        ] & (SLAB_SLOTS - 1)
+        if not spill.any():
+            self._write(slots, sorted_k, sorted_v, fresh, stamp, overwrite)
+            self._size += int(fresh.sum())
+            evicted = np.zeros(0, np.uint64)
+        else:
+            slots, evicted = self._insert_spilled(
+                sorted_k, sorted_v, sorted_b, slots, fresh, spill,
+                run_start, round_of, order, stamp, overwrite,
             )
+        landed = np.empty(n, dtype=np.int64)
+        landed[order] = slots
 
         # Every key reads its slab and writes it back once.
-        stats = ProbeStats(len(keys), 2 * len(keys), float(rounds))
-        evicted = (
-            np.concatenate(evicted_chunks)
-            if evicted_chunks
-            else np.zeros(0, np.uint64)
-        )
+        stats = ProbeStats(n, 2 * n, float(round_of.max() + 1))
         return InsertResult(evicted, landed, keys, stats)
 
     # hot-path: vectorized
-    def _insert_round(
+    def _insert_spilled(
         self,
         keys: np.ndarray,
         values: np.ndarray,
         buckets: np.ndarray,
+        slots: np.ndarray,
+        fresh: np.ndarray,
+        spill: np.ndarray,
+        run_start: np.ndarray,
+        round_of: np.ndarray,
+        order: np.ndarray,
         stamp: int,
         overwrite: bool,
-        evicted_chunks: list,
-    ) -> np.ndarray:
-        """Place ``keys`` that fall in distinct ``buckets``; returns the
-        slot each landed in.  Displaced payloads are appended to
-        ``evicted_chunks``."""
-        slab_keys = self._slabs()[buckets]
-        match = slab_keys == keys[:, None]
-        has_match = match.any(axis=1)
-        vacant = slab_keys == EMPTY_KEY
-        fresh = ~has_match
-        use_vacant = fresh & vacant.any(axis=1)
-        cols = np.where(has_match, match.argmax(axis=1), vacant.argmax(axis=1))
-        must_evict = fresh & ~use_vacant
-        if must_evict.any():
-            stamp_rows = self._stamps.reshape(
-                self.num_buckets, SLAB_SLOTS
-            )[buckets[must_evict]]
-            cols[must_evict] = stamp_rows.argmin(axis=1)
-            evict_slots = buckets[must_evict] * SLAB_SLOTS + cols[must_evict]
-            evicted_chunks.append(self._values[evict_slots])
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`insert` for a batch in which some bucket runs out of
+        vacant slots.  Arrays are in bucket order; ``slots`` holds the
+        one-pass placement, exact up to each bucket's first ``spill``
+        (evicting) key.  From that key on, an eviction can displace a
+        later key of the same batch, so those keys are placed one per
+        bucket per round against the slabs as the earlier keys left them.
+        Returns the final slots and the displaced payloads, ordered by
+        round and then batch position."""
+        spilled = spill.cumsum()
+        later = spilled - (spilled - spill)[run_start] > 0
+        direct = ~later
+        fresh &= direct
+        self._write(
+            slots[direct], keys[direct], values[direct], fresh[direct],
+            stamp, overwrite,
+        )
+        self._size += int(fresh.sum())
 
-        slots = buckets * SLAB_SLOTS + cols
+        seen = later.cumsum()
+        rest = later.nonzero()[0]
+        rest_round = (seen - (seen - later)[run_start] - 1)[rest]
+        evicting, displaced = [], []
+        for r in range(int(rest_round.max()) + 1):  # lint: allow-loop (per round after a bucket's first eviction: max keys per bucket, not key count)
+            chunk = rest[rest_round == r]
+            slab_keys = self._slabs()[buckets[chunk]]
+            match = slab_keys == keys[chunk, None]
+            has_match = match.any(axis=1)
+            cols = match.argmax(axis=1)
+            must_evict = ~has_match
+            if must_evict.any():
+                stamp_rows = self._stamps.reshape(
+                    self.num_buckets, SLAB_SLOTS
+                )[buckets[chunk[must_evict]]]
+                cols[must_evict] = stamp_rows.argmin(axis=1)
+            chunk_slots = buckets[chunk] * SLAB_SLOTS + cols
+            evicting.append(chunk[must_evict])
+            displaced.append(self._values[chunk_slots[must_evict]])
+            self._write(
+                chunk_slots, keys[chunk], values[chunk], must_evict,
+                stamp, overwrite,
+            )
+            slots[chunk] = chunk_slots
+        evicting = np.concatenate(evicting)
+        evicted = np.concatenate(displaced)[
+            np.lexsort((order[evicting], round_of[evicting]))
+        ]
+        return slots, evicted
+
+    def _write(
+        self,
+        slots: np.ndarray,
+        keys: np.ndarray,
+        values: np.ndarray,
+        fresh: np.ndarray,
+        stamp: int,
+        overwrite: bool,
+    ) -> None:
+        """Store placed keys: ``fresh`` ones claim their slot, every one
+        is stamped, and values change on fresh slots or, with
+        ``overwrite``, on all."""
         fresh_slots = slots[fresh]
         self._keys[fresh_slots] = keys[fresh]
         if overwrite:
@@ -256,8 +330,6 @@ class SlabHashIndex:
         else:
             self._values[fresh_slots] = values[fresh]
         self._stamps[slots] = stamp
-        self._size += int(use_vacant.sum())
-        return slots
 
     # ------------------------------------------------------------------ erase
 
@@ -265,15 +337,16 @@ class SlabHashIndex:
     def erase(self, keys: np.ndarray) -> Tuple[np.ndarray, ProbeStats]:
         """Remove ``keys``; returns (mask of keys actually removed, stats)."""
         keys = np.ascontiguousarray(keys, dtype=np.uint64)
-        if len(keys) == 0:
+        n = len(keys)
+        if n == 0:
             return np.zeros(0, bool), ProbeStats(0, 0, 0.0)
-        buckets = _bucket_of(keys, self.num_buckets)
-        slab_keys = self._slabs()[buckets]
-        match = slab_keys == keys[:, None]
-        found = match.any(axis=1)
-        slots = buckets * SLAB_SLOTS + match.argmax(axis=1)
-        self.erase_slots(np.unique(slots[found]))
-        return found, ProbeStats(len(keys), 2 * len(keys), 1.0)
+        rows, slots = self._probe(keys)
+        found = np.zeros(n, dtype=bool)
+        found[rows] = True
+        if n > 1 and not (keys[1:] > keys[:-1]).all():
+            slots = np.unique(slots)  # a repeated key names its slot twice
+        self.erase_slots(slots)
+        return found, ProbeStats(n, 2 * n, 1.0)
 
     # ------------------------------------------------------------------ slots
     #
@@ -282,13 +355,16 @@ class SlabHashIndex:
     # slots in place: the scan already knows where every entry lives, so
     # nothing is re-probed by key.
 
-    def cold_slots(self, before_stamp: Optional[int] = None) -> np.ndarray:
+    def cold_slots(self) -> np.ndarray:
         """Occupied slot numbers in ascending order — the full-table scan
-        (§3.1), narrowed to stamps ``<= before_stamp`` when given."""
-        mask = self._keys != EMPTY_KEY
-        if before_stamp is not None:
-            mask &= self._stamps <= before_stamp
-        return np.flatnonzero(mask)
+        (§3.1)."""
+        return (self._keys != EMPTY_KEY).nonzero()[0]
+
+    def columns(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The raw ``(keys, values, stamps)`` columns over every slot,
+        vacant ones included — a full-table scan that copies nothing.
+        Callers must not write through them."""
+        return self._keys, self._values, self._stamps
 
     def slot_entries(
         self, slots: np.ndarray

@@ -66,10 +66,21 @@ def _payload_bytes(dim: int, tier: str) -> int:
 def unpack_locations(locations: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Split uint64 locations ``class_id << 32 | slot`` into (class ids,
     slots)."""
-    locations = locations.astype(np.uint64)
+    locations = np.asarray(locations, dtype=np.uint64)
     class_ids = (locations >> _CLASS_SHIFT).astype(np.int64)
     slots = (locations & _SLOT_MASK).astype(np.int64)
     return class_ids, slots
+
+
+def _one_class(locations: np.ndarray) -> Optional[Tuple[int, np.ndarray]]:
+    """``(class id, slots)`` of non-empty uint64 ``locations`` that all
+    lie in one slab class — the common case: one dimension, no precision
+    tiers — else None."""
+    class_ids = locations >> _CLASS_SHIFT
+    first = class_ids[0]
+    if (class_ids == first).all():
+        return int(first), locations & _SLOT_MASK
+    return None
 
 
 @dataclass
@@ -350,12 +361,18 @@ class SlabMemoryPool:
         """Return previously allocated ``locations`` to their free lists."""
         if len(locations) == 0:
             return
-        class_ids, slots = unpack_locations(np.asarray(locations))
-        for class_id in np.unique(class_ids):  # lint: allow-loop (per slab class)
+        locations = np.asarray(locations, dtype=np.uint64)
+        groups = _one_class(locations)
+        if groups is not None:
+            groups = (groups,)
+        else:
+            class_ids, slots = unpack_locations(locations)
+            groups = ((c, slots[class_ids == c]) for c in np.unique(class_ids))
+        for class_id, class_slots in groups:  # lint: allow-loop (per slab class)
             slab = self._classes.get(int(class_id))
             if slab is None:
                 raise SimulationError(f"release of unknown slab class {class_id}")
-            slab.release(slots[class_ids == class_id])
+            slab.release(class_slots)
 
     # ------------------------------------------------------------------ data
 
@@ -373,8 +390,13 @@ class SlabMemoryPool:
         """
         if len(locations) == 0:
             return
-        class_ids, slots = unpack_locations(np.asarray(locations))
-        unique = np.unique(class_ids)
+        locations = np.asarray(locations, dtype=np.uint64)
+        single = _one_class(locations)
+        if single is not None:
+            unique, slots = (single[0],), single[1]
+        else:
+            class_ids, slots = unpack_locations(locations)
+            unique = np.unique(class_ids)
         dims = {self._classes[int(c)].dim for c in unique}
         if len(dims) != 1:
             raise SimulationError("write: locations span multiple slab classes")
@@ -385,8 +407,11 @@ class SlabMemoryPool:
             )
         for class_id in unique:  # lint: allow-loop (per tier class of one dimension)
             slab = self._classes[int(class_id)]
-            mask = class_ids == class_id
-            into, rows = slots[mask], vectors[mask]
+            if single is not None:
+                into, rows = slots, vectors
+            else:
+                mask = class_ids == class_id
+                into, rows = slots[mask], vectors[mask]
             if slab.tier == _TIER_FP32:
                 slab.storage[into] = rows
                 continue
@@ -407,10 +432,12 @@ class SlabMemoryPool:
         """
         if len(locations) == 0:
             return np.zeros((0, 0), dtype=np.float32)
-        class_ids, slots = unpack_locations(np.asarray(locations))
+        locations = np.asarray(locations, dtype=np.uint64)
+        single = _one_class(locations)
+        if single is not None:
+            return self._read_class(self._classes[single[0]], single[1])
+        class_ids, slots = unpack_locations(locations)
         unique = np.unique(class_ids)
-        if len(unique) == 1:
-            return self._read_class(self._classes[int(unique[0])], slots)
         dims = {self._classes[int(c)].dim for c in unique}
         if len(dims) != 1:
             raise SimulationError("read: locations span multiple slab classes")

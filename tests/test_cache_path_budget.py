@@ -1,0 +1,197 @@
+"""Per-batch work budget of the Fleche cache path (paper §3.1, §4).
+
+A batch is deduplicated once, probes the index once, and scans the whole
+index at most once for demotion.  The copy stage re-probes its leading
+misses only when an insert ran after the batch's own index probe: the
+only way a key that probe missed can have become cached.  These counts
+are noise-free, so the test asserts them exactly; a change that brings a
+second dedup, probe or scan back into the per-batch path fails here.
+"""
+
+import sys
+from collections import Counter, defaultdict
+
+import numpy as np
+import pytest
+
+from repro.core import workflow
+from repro.core.cache_base import STAGE_COPY
+from repro.core.config import FlecheConfig
+from repro.core.flat_cache import FlatCache
+from repro.core.workflow import FlecheEmbeddingLayer
+from repro.hashindex.slab_hash import SlabHashIndex
+from repro.serving.arrivals import PoissonArrivals
+from repro.serving.batcher import BatchingPolicy
+from repro.serving.pipeline import PipelinedInferenceServer
+from repro.tables.store import EmbeddingStore
+from repro.workloads.synthetic import uniform_tables_spec
+
+#: Modules of the per-batch cache path.
+CACHE_PATH = ("repro.core.", "repro.hashindex.", "repro.mempool.")
+
+
+class _Recorder:
+    """Event log of one served run, each event tagged with the batch
+    whose stage was running."""
+
+    def __init__(self):
+        self.batch = None
+        self.batches = 0
+        self.events = []
+        self.calls = defaultdict(Counter)
+
+    def note(self, what, caller=None):
+        self.events.append((what, self.batch))
+        self.calls[self.batch][what, caller] += 1
+
+
+def _caller(depth=2):
+    frame = sys._getframe(depth)
+    return frame.f_code.co_name, frame.f_globals.get("__name__", "")
+
+
+@pytest.fixture()
+def served(hw, monkeypatch):
+    dataset = uniform_tables_spec(
+        num_tables=4, corpus_size=2_000, alpha=-1.2, dim=16,
+    )
+    store = EmbeddingStore(dataset.table_specs(), hw)
+    layer = FlecheEmbeddingLayer(store, FlecheConfig(cache_ratio=0.05), hw)
+    server = PipelinedInferenceServer(
+        dataset, layer, hw,
+        policy=BatchingPolicy(max_batch_size=64, max_delay=5e-4),
+        include_dense=False, depth=2,
+    )
+    server.serve(PoissonArrivals(dataset, 50_000.0, seed=1).generate(300))
+
+    rec = _Recorder()
+    real_stages = FlecheEmbeddingLayer.query_stages
+
+    def query_stages(self, batch, executor, coalescer=None):
+        bid = rec.batches
+        rec.batches += 1
+        inner = real_stages(self, batch, executor, coalescer)
+        sent, stage = None, None
+        while True:
+            rec.batch = bid
+            if stage == STAGE_COPY:
+                rec.note("copy")
+            try:
+                stage = inner.send(sent)
+            except StopIteration as stop:
+                rec.batch = None
+                return stop.value
+            rec.batch = None
+            sent = yield stage
+
+    def wrap(owner, name, what, keep=None):
+        real = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            result = real(*args, **kwargs)
+            if keep is None or keep(result):
+                rec.note(what, _caller()[0])
+            return result
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    real_unique = np.unique
+
+    def unique(*args, **kwargs):
+        name, module = _caller()
+        if module.startswith(CACHE_PATH):
+            rec.note("np.unique", f"{module}.{name}")
+        return real_unique(*args, **kwargs)
+
+    monkeypatch.setattr(FlecheEmbeddingLayer, "query_stages", query_stages)
+    monkeypatch.setattr(np, "unique", unique)
+    wrap(SlabHashIndex, "lookup", "lookup")
+    wrap(SlabHashIndex, "cold_slots", "scan")
+    wrap(SlabHashIndex, "columns", "scan")
+    wrap(workflow, "deduplicate", "dedup")
+    wrap(FlatCache, "index_lookup", "probe")
+    wrap(FlatCache, "contains_cached", "reprobe")
+    wrap(FlatCache, "_evict", "evict")
+    # An insert that cached something (the flat cache's own counter is
+    # what is under test, so the log derives it from the outcome).
+    wrap(FlatCache, "admit_and_insert", "insert",
+         keep=lambda result: result[0].any())
+
+    requests = PoissonArrivals(dataset, 2_000_000.0, seed=2).generate(3_200)
+    report = server.serve(requests)
+    return rec, report
+
+
+def _per_batch(rec, what):
+    return [
+        sum(n for (w, _), n in rec.calls[b].items() if w == what)
+        for b in range(rec.batches)
+    ]
+
+
+def test_one_dedup_one_probe_no_cache_path_unique(served):
+    rec, report = served
+    assert 40 <= rec.batches == len(report.batch_sizes)
+    assert _per_batch(rec, "dedup") == [1] * rec.batches
+    assert _per_batch(rec, "probe") == [1] * rec.batches
+    # No np.unique anywhere on the cache path: batch keys arrive sorted
+    # and distinct from the one dedup, and the pool has one slab class.
+    assert sum(_per_batch(rec, "np.unique")) == 0
+    assert not any(w == "np.unique" for w, _ in rec.events)
+
+
+def test_lookups_are_the_probe_plus_needed_reprobes(served):
+    rec, _ = served
+    for b in range(rec.batches):
+        lookups = {
+            caller: n for (w, caller), n in rec.calls[b].items()
+            if w == "lookup"
+        }
+        assert lookups.pop("index_lookup") == 1
+        assert lookups.pop("contains_cached", 0) == _per_batch(
+            rec, "reprobe")[b]
+        # What is left: unified-index publishes of denied misses.
+        assert set(lookups) <= {"publish_dram_pointers"}
+
+
+def test_copy_stage_reprobes_only_after_a_concurrent_insert(served):
+    rec, _ = served
+    probed_at, copied_at = {}, {}
+    for i, (what, b) in enumerate(rec.events):
+        if what == "probe":
+            probed_at[b] = i
+        elif what == "copy":
+            copied_at[b] = i
+    reprobes = _per_batch(rec, "reprobe")
+    inserts = [
+        (i, b) for i, (what, b) in enumerate(rec.events) if what == "insert"
+    ]
+    concurrent = 0
+    for b in range(rec.batches):
+        raced = any(
+            probed_at[b] < i < copied_at[b] and other != b
+            for i, other in inserts
+        )
+        concurrent += raced
+        # One dimension group: at most one re-probe per batch, and none
+        # unless another batch inserted since this batch's probe.
+        assert reprobes[b] <= int(raced)
+    # The overload keeps two batches in flight, so both cases occur.
+    assert 0 < sum(reprobes) <= concurrent < rec.batches
+
+
+def test_at_most_one_full_scan_per_batch_beside_evictions(served):
+    rec, _ = served
+    evictions = _per_batch(rec, "evict")
+    for b in range(rec.batches):
+        scans = Counter({
+            caller: n for (w, caller), n in rec.calls[b].items() if w == "scan"
+        })
+        # Each eviction pass scans once.
+        assert scans.pop("_evict", 0) == evictions[b]
+        # The tuner's step: a reset clears in one scan, then the index
+        # either shrinks or demotes, in one scan.
+        assert scans.pop("clear_unified_index", 0) <= 1
+        assert scans["_demote_cold"] + scans["set_unified_capacity"] <= 1
+        assert set(scans) <= {"_demote_cold", "set_unified_capacity"}
+    assert sum(_per_batch(rec, "scan")) > 0

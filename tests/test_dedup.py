@@ -1,6 +1,8 @@
 """Tests for deduplicating & restoring (paper §4)."""
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.dedup import (
     deduplicate,
@@ -26,6 +28,32 @@ class TestDeduplicate:
     def test_empty(self):
         result = deduplicate(np.zeros(0, np.uint64))
         assert len(result.unique_keys) == 0
+
+
+uint64s = st.integers(min_value=0, max_value=2**64 - 1)
+key_arrays = st.one_of(
+    st.lists(uint64s, max_size=80),                      # random
+    st.just([]),                                         # empty
+    st.tuples(uint64s, st.integers(1, 60)).map(          # all equal
+        lambda pair: [pair[0]] * pair[1]
+    ),
+    st.lists(uint64s, max_size=80).map(sorted),          # already sorted
+    st.lists(st.integers(0, 5), max_size=80),            # tie-heavy
+).map(lambda keys: np.array(keys, dtype=np.uint64))
+
+
+@settings(max_examples=200, deadline=None)
+@given(keys=key_arrays)
+def test_deduplicate_equals_np_unique(keys):
+    """One stable sort gives what ``np.unique`` gives, first index
+    included."""
+    unique, first, inverse = np.unique(
+        keys, return_index=True, return_inverse=True
+    )
+    result = deduplicate(keys)
+    for got, want in zip(result, (unique, first, inverse)):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
 
 
 class TestRestore:

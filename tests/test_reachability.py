@@ -39,10 +39,6 @@ ALLOWED = {
     "build_fusion_plan": _FUSION,
     "identify_thread": _FUSION,
     "warp_divergence_free": _FUSION,
-    "deduplicate": (
-        "the cache-path CPU diet makes core/dedup.py the one place a batch "
-        "is deduplicated"
-    ),
     "roundtrip_error_bound": (
         "the planned whole-stack oracle bounds reduced-precision rows with "
         "it; the precision property tests hold the quantizers to it"

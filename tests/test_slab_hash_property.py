@@ -3,7 +3,7 @@
 import copy
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import FlecheConfig
@@ -135,30 +135,70 @@ def _insert_one_by_one(idx, keys, values, stamp, overwrite):
     return evicted, landed, kept
 
 
-@settings(max_examples=120, deadline=None)
-@given(
-    # Two buckets force full slabs, evictions and many rounds; 256 buckets
-    # give batches of one to three rounds.
-    capacity=st.sampled_from([32, 4096]),
-    resident=st.lists(st.integers(0, 400), max_size=80),
-    resident_stamps=st.lists(st.integers(0, 3), min_size=80, max_size=80),
-    batch=st.lists(st.integers(0, 400), min_size=1, max_size=60),
-    overwrite=st.booleans(),
+#: Keys of three buckets of a 256-bucket index: batches drawn from them
+#: put many keys in one bucket, so they run three or more rounds.
+_CROWDED = np.arange(40_000, dtype=np.uint64)
+_CROWDED = _CROWDED[_bucket_of(_CROWDED, 256) < 3][:120].tolist()
+
+#: ``(capacity, resident keys, their stamps, batch, batch stamp)``.
+#: Two buckets force full slabs, evictions and many rounds; 256 buckets
+#: give batches of one to three rounds.
+_spread_inserts = st.tuples(
+    st.sampled_from([32, 4096]),
+    st.lists(st.integers(0, 400), max_size=80),
+    st.lists(st.integers(0, 3), min_size=80, max_size=80),
+    st.lists(st.integers(0, 400), min_size=1, max_size=60),
+    st.just(9),
 )
-def test_insert_equals_one_key_at_a_time(
-    capacity, resident, resident_stamps, batch, overwrite
-):
+#: Three or more rounds: nine distinct keys over three buckets put three
+#: in one, and the buckets fill mid-batch, so the one-pass placement
+#: hands over to per-round eviction, which may displace a key the batch
+#: matched or placed earlier.  A batch stamp at or below the residents'
+#: makes the batch's own writes the stalest slots an eviction can pick.
+_crowded_inserts = st.tuples(
+    st.just(4096),
+    st.lists(st.sampled_from(_CROWDED), max_size=45),
+    st.lists(st.integers(0, 3), min_size=45, max_size=45),
+    st.tuples(
+        st.lists(st.sampled_from(_CROWDED), min_size=9, max_size=60,
+                 unique=True),
+        st.lists(st.integers(0, 8), max_size=10),
+    ).map(lambda pair: pair[0] + [pair[0][i] for i in pair[1]]),
+    st.integers(0, 4),
+)
+
+
+@settings(max_examples=240, deadline=None)
+@given(case=st.one_of(_spread_inserts, _crowded_inserts),
+       overwrite=st.booleans())
+# A bucket runs out of vacant slots mid-batch, and its evicting key picks
+# the stalest slot before a later key of the batch re-stamps its own.
+@example(
+    case=(
+        4096,
+        [305, 291, 6065, 4242, 6689, 9087, 2107, 9704, 8200, 6668, 3327,
+         7278, 3348, 6973, 8484, 7590, 6363, 4249, 7576, 2128, 2121, 2440,
+         5462, 9995, 4256, 7, 5753, 1213, 3334, 5164],
+        [1, 3, 1, 0, 3, 0, 2, 1, 3, 2, 1, 2, 0, 2, 3, 0, 1, 0, 0, 0, 1, 2,
+         3, 1, 3, 0, 0, 3, 0, 3],
+        [7881, 7, 2731, 7583, 9995, 6051, 3334, 6973, 4554, 1830, 305],
+        1,
+    ),
+    overwrite=True,
+)
+def test_insert_equals_one_key_at_a_time(case, overwrite):
+    capacity, resident, resident_stamps, batch, stamp = case
     idx = SlabHashIndex(capacity=capacity, load_factor=1.0)
-    for key, stamp in zip(resident, resident_stamps):  # heavy stamp ties
+    for key, key_stamp in zip(resident, resident_stamps):  # heavy ties
         one = np.array([key], dtype=np.uint64)
-        idx.insert(one, one + np.uint64(1000), stamp=stamp)
+        idx.insert(one, one + np.uint64(1000), stamp=key_stamp)
     model = copy.deepcopy(idx)
 
     keys = np.array(batch, dtype=np.uint64)  # may repeat keys
     values = np.arange(len(keys), dtype=np.uint64) + np.uint64(5000)
-    result = idx.insert(keys, values, stamp=9, overwrite=overwrite)
+    result = idx.insert(keys, values, stamp=stamp, overwrite=overwrite)
     evicted, landed, kept = _insert_one_by_one(
-        model, keys, values, 9, overwrite
+        model, keys, values, stamp, overwrite
     )
 
     _assert_same_index(idx, model)
@@ -202,8 +242,10 @@ def test_slot_retag_and_erase_equal_keyed_insert_and_erase(
     keyed.insert(k[cold][retag], k[cold][retag] | np.uint64(1), stamp=7)
     keyed.erase(k[cold][drop])
 
-    # New: same stamps, same slot order, same argsort, no probe.
-    slots = slotted.cold_slots(before)
+    # New: one mask over the raw columns, same slot order, same argsort,
+    # no probe.
+    keys_col, _, stamps_col = slotted.columns()
+    slots = ((keys_col != EMPTY_KEY) & (stamps_col <= before)).nonzero()[0]
     k2, v2, s2 = slotted.slot_entries(slots)
     np.testing.assert_array_equal(k2, k[cold])
     np.testing.assert_array_equal(v2, v[cold])
