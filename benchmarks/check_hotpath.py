@@ -50,9 +50,11 @@ HOT_PATH_FILES = {
     "src/repro/core/flat_cache.py": 4,
     "src/repro/core/dedup.py": 1,          # deduplicate
     # reference_vectors (one call generates a whole batch's rows, any
-    # mix of tables) / _row_numbers / lookup / update_rows
-    "src/repro/tables/embedding_table.py": 4,
-    # query_by_table (the one grouping path of both host stores'
+    # mix of tables) / _row_numbers / _gather_into and lookup (bank rows
+    # under the write overlay) / update_rows (the overlay's
+    # in-place rewrites and merge of new ids)
+    "src/repro/tables/embedding_table.py": 5,
+    # HostStore._query_by_table (the one grouping path of both host stores'
     # query_many) / EmbeddingStore._gather: its loop is per table
     "src/repro/tables/store.py": 2,
     # TieredParameterStore._sorted_rows / _missed_rows: their loops are

@@ -16,6 +16,7 @@ import numpy as np
 
 from ..gpusim.executor import Executor
 from ..obs.registry import MetricsRegistry, Observable
+from ..tables.store import HostStore
 from ..workloads.trace import TraceBatch
 
 #: Canonical stage names of a staged embedding query.  ``STAGE_INDEX``
@@ -174,19 +175,12 @@ class EmbeddingCacheScheme(Observable, abc.ABC):
     #: Human-readable scheme name used by the benchmark reports.
     name: str = "abstract"
 
-    def _register_observability(self, registry) -> None:
-        """Propagate a shared registry to observable components.
+    store: HostStore  # where the scheme's misses go
 
-        Schemes carry their cache and backing store under conventional
-        attribute names; anything that is itself :class:`Observable`
-        (FlatCache, TieredParameterStore, ...) is rebound so its counters
-        and audit hooks land in the engine's registry.
-        """
-        for attr in ("cache", "store"):
-            child = getattr(self, attr, None)
-            bind = getattr(child, "bind_observability", None)
-            if bind is not None:
-                bind(registry)
+    def _register_observability(self, registry) -> None:
+        """Rebind the host store, so its counters and audit hooks land in
+        the engine's registry."""
+        self.store.bind_observability(registry)
 
     @abc.abstractmethod
     def query(self, batch: TraceBatch, executor: Executor) -> CacheQueryResult:
@@ -211,17 +205,6 @@ class EmbeddingCacheScheme(Observable, abc.ABC):
         """
         yield STAGE_INDEX
         return self.query(batch, executor)
-
-    def advance_clock(self, now: float) -> None:
-        """Propagate the simulated wall-clock to a fault-aware backing.
-
-        Schemes over a :class:`~repro.multitier.hierarchy.TieredParameterStore`
-        forward ``now`` so fault windows (shard outages, DRAM failures)
-        line up with request time; everything else is a no-op.
-        """
-        advance = getattr(getattr(self, "store", None), "advance_to", None)
-        if advance is not None:
-            advance(now)
 
     @abc.abstractmethod
     def memory_usage(self) -> Dict[str, int]:

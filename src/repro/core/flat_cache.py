@@ -475,7 +475,9 @@ class FlatCache(Observable):
         ``rows`` are the freshly gathered (dequantized) vectors, so no
         second pool read is needed.  Moves are opportunistic: an entry
         only moves when its target tier has a free slot — the hit path
-        never triggers an eviction.  The old slot is retired through the
+        never triggers an eviction, and only while the index still maps
+        the key to the location the batch's probe read (a concurrent
+        batch may have moved it first).  The old slot is retired through the
         epoch reclaimer (read-after-delete safety for concurrent
         pipelined readers); the entry's *born* tier rides along so the
         drift audit stays exact.  Returns ``(promoted, demoted)`` entry
@@ -492,6 +494,11 @@ class FlatCache(Observable):
         moved = desired != current
         if not moved.any():
             return 0, 0
+        # Another in-flight batch may have moved or evicted a hit since
+        # this batch's probe: move only entries still where it read them.
+        at = np.flatnonzero(moved)
+        found, values, _ = self.index.lookup(flat_keys[at])
+        moved[at] = found & (values == tag_cache_location(locations[at]))
         promoted = demoted = 0
         promotion_steps = demotion_steps = 0
         for code in np.unique(desired[moved]):

@@ -15,13 +15,14 @@ so the unified index restarts empty and the tuner re-grows it.
 A snapshot also stamps the replica's model-refresh position — the model
 version and update-log offset last applied — so a restored replica knows
 exactly where to resume replaying the update stream instead of silently
-re-applying or skipping updates.
+re-applying or skipping updates, and the refreshed rows its host store
+keeps.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict
+from dataclasses import dataclass, field
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -41,6 +42,8 @@ class CacheSnapshot:
     model_version: int = 0
     #: update-log offset last applied (-1 = stream never consumed).
     log_offset: int = -1
+    #: the host store's ``written_rows()`` (table -> (ids, rows)).
+    host_rows: Dict[int, tuple] = field(default_factory=dict)
 
     @property
     def num_entries(self) -> int:
@@ -48,9 +51,11 @@ class CacheSnapshot:
 
 
 def snapshot(
-    cache: FlatCache, model_version: int = 0, log_offset: int = -1
+    cache: FlatCache, model_version: int = 0, log_offset: int = -1,
+    host_rows: Optional[Dict[int, tuple]] = None,
 ) -> CacheSnapshot:
-    """Capture every cached embedding (not DRAM pointers) with recency."""
+    """Capture every cached embedding (not DRAM pointers) with recency,
+    plus the given ``host_rows``."""
     keys, values, stamps = cache.index.scan()
     cached = ~is_dram_pointer(values)
     keys = keys[cached]
@@ -70,6 +75,7 @@ def snapshot(
         entries=entries,
         model_version=int(model_version),
         log_offset=int(log_offset),
+        host_rows=dict(host_rows or {}),
     )
 
 

@@ -35,7 +35,7 @@ from ..gpusim.executor import Executor, Stream
 from ..gpusim.kernel import KernelSpec, coalesced_bytes
 from ..gpusim.stats import Category
 from ..hardware import HardwareSpec
-from ..tables.store import EmbeddingStore, unpack_global_key
+from ..tables.store import HostStore, unpack_global_key
 from ..workloads.trace import TraceBatch
 from .cache_base import (
     STAGE_COPY,
@@ -169,7 +169,7 @@ class FlecheEmbeddingLayer(EmbeddingCacheScheme):
 
     def __init__(
         self,
-        store: EmbeddingStore,
+        store: HostStore,
         config: FlecheConfig,
         hw: HardwareSpec,
     ):
@@ -185,12 +185,9 @@ class FlecheEmbeddingLayer(EmbeddingCacheScheme):
             self.tuner = UnifiedIndexTuner(max_capacity=self.cache.unified_capacity)
             # The tuner starts from an empty unified index and grows it.
             self.cache.set_unified_capacity(0)
-        # Giant-model deployments (paper §5): if the store is itself a
-        # cache over a remote tier, register for its eviction notices so
-        # stale unified-index pointers get erased.
-        register = getattr(store, "register_pointer_invalidator", None)
-        if register is not None and config.use_unified_index:
-            register(self._invalidate_stale_pointers)
+            # Paper §5: a store that caches a remote tier announces its
+            # evictions, so stale unified-index pointers get erased.
+            store.register_pointer_invalidator(self._invalidate_stale_pointers)
         #: Kernel-spec memo: steady-state batches repeat a small set of
         #: (table, key count, hit count) shapes, so spec construction
         #: amortises to a dict hit (specs are frozen — safe to share
@@ -207,6 +204,10 @@ class FlecheEmbeddingLayer(EmbeddingCacheScheme):
             and int(self._dim_of_table.min()) == int(self._dim_of_table.max())
             else None
         )
+
+    def _register_observability(self, registry) -> None:
+        self.cache.bind_observability(registry)
+        super()._register_observability(registry)
 
     def _memo_spec(self, key: tuple, build):
         spec = self._spec_memo.get(key)

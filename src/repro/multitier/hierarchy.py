@@ -2,7 +2,7 @@
 
 ``GPU-HBM cache -> CPU-DRAM cache -> remote parameter server``
 
-The hierarchy exposes the same batched query interface as the plain
+The hierarchy is a :class:`~repro.tables.store.HostStore` like the plain
 :class:`~repro.tables.store.EmbeddingStore`, so Fleche's workflow runs on
 top unchanged — the property §5 claims ("all our designs still work in
 this scenario").  The one corner case is handled explicitly: when the
@@ -18,15 +18,13 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from ..errors import WorkloadError
 from ..faults.degrade import DegradeConfig, StaleStore, degraded_vectors
 from ..hardware import HardwareSpec
-from ..obs.registry import Observable
 from ..tables.embedding_table import reference_vectors
 from ..tables.store import (
+    HostStore,
     StoreQueryResult,
     pack_global_key,
-    query_by_table,
     unpack_global_key,
 )
 from ..tables.table_spec import TableSpec
@@ -34,7 +32,7 @@ from .dram_cache import DramCacheLayer
 from .remote_ps import RemoteParameterServer
 
 
-class TieredParameterStore(Observable):
+class TieredParameterStore(HostStore):
     """Drop-in EmbeddingStore replacement backed by a remote tier.
 
     Args:
@@ -56,10 +54,7 @@ class TieredParameterStore(Observable):
         remote: Optional[RemoteParameterServer] = None,
         degrade: Optional[DegradeConfig] = None,
     ):
-        if not specs:
-            raise WorkloadError("tiered store needs at least one table")
-        self.specs = list(specs)
-        self.hw = hw
+        super().__init__(specs, hw)
         self.remote = remote or RemoteParameterServer(specs)
         self.degrade = degrade or DegradeConfig()
         self._invalidators: List[Callable[[np.ndarray], None]] = []
@@ -74,20 +69,8 @@ class TieredParameterStore(Observable):
             StaleStore() if self.remote.injector is not None else None
         )
 
-        self._corpus = np.array(
-            [spec.corpus_size for spec in self.specs], dtype=np.uint64
-        )
         self.dram = DramCacheLayer(specs, dram_capacity)
         self.dram.on_eviction(self._forward_invalidation)
-
-    # ------------------------------------------------------------------ info
-
-    @property
-    def num_tables(self) -> int:
-        return len(self.specs)
-
-    def spec_of(self, table_id: int) -> TableSpec:
-        return self.specs[table_id]
 
     # ------------------------------------------------------------------ obs
 
@@ -120,11 +103,7 @@ class TieredParameterStore(Observable):
     def register_pointer_invalidator(
         self, invalidator: Callable[[np.ndarray], None]
     ) -> None:
-        """Register the GPU-side unified-index invalidator (§5).
-
-        The callable receives the *global keys* (``table << 48 | feature``)
-        of embeddings evicted from the DRAM tier.
-        """
+        """The callable gets the packed keys the DRAM tier evicts (§5)."""
         self._invalidators.append(invalidator)
 
     def _forward_invalidation(self, global_keys: np.ndarray) -> None:
@@ -135,11 +114,8 @@ class TieredParameterStore(Observable):
     # ------------------------------------------------------------------ faults
 
     def advance_to(self, now: float) -> None:
-        """Set the simulated wall-clock for subsequent queries.
-
-        The serving loop calls this per batch so fault windows (shard
-        outages, DRAM-tier failures) line up with request timestamps.
-        """
+        """The serving loop calls this per batch, so shard outages and
+        DRAM failures line up with request time."""
         self._now = float(now)
 
     def fault_windows(self) -> List[tuple]:
@@ -170,12 +146,11 @@ class TieredParameterStore(Observable):
     ) -> int:
         """Model-refresh write-through: update resident DRAM rows in place.
 
-        Called by the refresh subscriber so a key that is evicted from
-        the GPU cache and later refetched comes back at the new model
-        version instead of resurrecting a stale row.  Non-resident keys
-        are untouched (see :meth:`DramCacheLayer.refresh`); the remote
-        tier is the trainer's own parameter server and needs no write.
-        Returns the number of DRAM rows updated.
+        A key the GPU cache evicts then comes back from DRAM at the new
+        version.  Non-resident keys are untouched (see
+        :meth:`DramCacheLayer.refresh`), and the remote tier takes no
+        write: it answers with the version-0 reference rows.  Returns the
+        number of DRAM rows updated.
         """
         return self.dram.refresh(table_id, feature_ids, vectors)
 
@@ -199,9 +174,8 @@ class TieredParameterStore(Observable):
         invalidators as one notice, in eviction order.  Every
         out-of-corpus id raises before any tier state changes.
         """
-        return query_by_table(
-            self.hw, self.specs, self._corpus, table_ids, feature_ids,
-            indexed_mask, self._sorted_rows,
+        return self._query_by_table(
+            table_ids, feature_ids, indexed_mask, self._sorted_rows
         )
 
     # hot-path: vectorized

@@ -4,16 +4,17 @@ Each serving replica runs one :class:`UpdateSubscriber`.  It tracks the
 last log offset and model version it applied, pulls due batches with
 :meth:`apply_next`, pushes every row through
 :class:`~repro.core.updates.UpdateApplier` into the GPU flat cache, and
-writes through to the multitier host store so evicted-and-refetched keys
-come back fresh.  Consistency model:
+writes through to the host store so evicted-and-refetched keys come back
+fresh.  Consistency model:
 
 * **batch-atomic** — a batch is applied completely or not at all (no torn
   offsets); within a replica, versions are monotone;
 * **bounded staleness, not synchrony** — replicas may trail the trainer;
   the gap is *measured* (version-lag / staleness gauges) and alerted on,
   never hidden;
-* **crash recovery** — :meth:`snapshot` stamps the applied position into
-  the cache snapshot; :meth:`from_snapshot` restores and resumes replay
+* **crash recovery** — :meth:`snapshot` stamps the applied position and
+  the host store's refreshed rows into the cache snapshot;
+  :meth:`from_snapshot` restores both and resumes replay
   from the next offset, converging to the exact contents of a replica
   that never restarted (deterministic replay + last-write-wins applies);
 * **lag past retention fails loudly** — a subscriber whose next offset
@@ -65,10 +66,9 @@ class UpdateSubscriber(Observable):
     Args:
         log: the shared update log.
         cache: the replica's GPU flat cache.
-        host_store: optional multitier store; anything exposing
-            ``apply_update(table_id, feature_ids, vectors)`` (duck-typed,
-            e.g. :class:`~repro.multitier.hierarchy.TieredParameterStore`)
-            gets the write-through.
+        host_store: the replica's host store
+            (:class:`~repro.tables.store.HostStore`), which takes every
+            delta through ``apply_update``; none when omitted.
         start_offset: log offset already reflected in ``cache`` (-1 for a
             fresh replica).
         start_version: model version already reflected in ``cache``.
@@ -149,9 +149,9 @@ class UpdateSubscriber(Observable):
         self._inc_outcome(self.applier.apply_deltas(
             [(d.table_id, d.feature_ids, d.vectors) for d in batch.deltas]
         ))
-        # The write-through only rewrites rows the host store already
-        # holds, so it commutes with the cache refresh above.
-        if hasattr(self.host_store, "apply_update"):
+        # The cache refresh above writes only the cache and the
+        # write-through only the host store, so their order is free.
+        if self.host_store is not None:
             for delta in batch.deltas:  # lint: allow-loop (per table: host-store write-through)
                 self.host_store.apply_update(
                     delta.table_id, delta.feature_ids, delta.vectors
@@ -185,11 +185,12 @@ class UpdateSubscriber(Observable):
     # ------------------------------------------------------------- recovery
 
     def snapshot(self) -> CacheSnapshot:
-        """Snapshot the cache with this replica's stream position."""
+        """Snapshot the cache, stream position and host store's writes."""
         return snapshot(
             self.cache,
             model_version=self.applied_version,
             log_offset=self.applied_offset,
+            host_rows=self.host_store and self.host_store.written_rows(),
         )
 
     @classmethod
@@ -200,8 +201,15 @@ class UpdateSubscriber(Observable):
         log: UpdateLog,
         host_store=None,
     ) -> "UpdateSubscriber":
-        """Restore a replica and resume the stream where it left off."""
+        """Restore a replica and resume the stream where it left off.
+
+        The rebuilt ``host_store`` takes the snapshot's refreshed rows
+        back, off the simulated clock; the log is read from the next offset.
+        """
         restore(cache, snap)
+        if host_store is not None:
+            for table_id, (ids, rows) in snap.host_rows.items():
+                host_store.apply_update(table_id, ids, rows)
         return cls(
             log,
             cache,

@@ -432,7 +432,7 @@ def serve_staged(
             wait = chosen_start - chosen.ready_at
             chosen.stall += wait
         # Align fault windows with this batch's dispatch instant.
-        server.engine.scheme.advance_clock(chosen.start)
+        server.engine.scheme.store.advance_to(chosen.start)
         if coalescer is not None:
             coalescer.set_owner(chosen.index)
         stage_name = chosen.next_stage

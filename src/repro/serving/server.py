@@ -317,12 +317,7 @@ class InferenceServer:
         for (name, labels), value in delta.counters.items():
             if name == "reqtrace.rootcause" and value:
                 report.rootcause[dict(labels).get("cause", "")] = int(value)
-        # Only a fault-aware store (the tiered one) has fault windows.
-        fault_windows = getattr(
-            getattr(self.scheme, "store", None), "fault_windows", None
-        )
-        if fault_windows is not None:
-            report.fault_windows = fault_windows()
+        report.fault_windows = self.scheme.store.fault_windows()
         return report
 
     def serve(self, requests: Sequence[Request]) -> ServingReport:

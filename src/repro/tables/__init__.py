@@ -8,12 +8,13 @@ bandwidth scarcity motivating the GPU cache.
 
 from .table_spec import TableSpec, make_table_specs
 from .embedding_table import EmbeddingTable
-from .store import EmbeddingStore, StoreQueryResult
+from .store import EmbeddingStore, HostStore, StoreQueryResult
 
 __all__ = [
     "TableSpec",
     "make_table_specs",
     "EmbeddingTable",
     "EmbeddingStore",
+    "HostStore",
     "StoreQueryResult",
 ]

@@ -50,38 +50,29 @@ def reference_vectors(table_id, feature_ids: np.ndarray, dim: int) -> np.ndarray
 
 
 class _RowBank:
-    """Lazily filled direct-address rows of one table.
+    """Lazily filled direct-address reference rows of one table.
 
     Feature ids are dense in ``[0, corpus_size)``: ``row_of`` maps an id
     straight to its row in ``rows`` (-1 = not yet generated), replacing
     hash probing on the hot path.  Device-side probing costs are modelled
     by :func:`~repro.hashindex.host_hash.host_query_cost`, not here.
 
-    A *shared* bank holds nothing but reference rows, a pure function of
-    its key, so every table over the same ``(table_id, corpus_size, dim)``
-    reads and fills the same one: :data:`_SHARED_BANKS` holds it weakly, each table using it
-    strongly, so it lives exactly as long as something can read it.
-    Writing needs a private :meth:`fork`.
+    A bank holds nothing but reference rows, a pure function of its key,
+    so every table over the same ``(table_id, corpus_size, dim)`` reads
+    and fills the same one: :data:`_SHARED_BANKS` holds it weakly, each
+    table using it strongly, so it lives exactly as long as something can
+    read it.  A copy of a table reads the same bank.
     """
 
-    __slots__ = ("row_of", "rows", "count", "shared", "__weakref__")
+    __slots__ = ("row_of", "rows", "count", "__weakref__")
 
-    def __init__(self, row_of: np.ndarray, rows: np.ndarray, shared: bool):
-        self.row_of = row_of
-        self.rows = rows
-        self.count = rows.shape[0]
-        self.shared = shared
-
-    def fork(self) -> "_RowBank":
-        """A private copy that ``update_rows`` may write to."""
-        return _RowBank(
-            self.row_of.copy(), self.rows[:self.count].copy(), shared=False
-        )
+    def __init__(self, corpus_size: int, dim: int):
+        self.row_of = np.full(corpus_size, -1, dtype=np.int64)
+        self.rows = np.zeros((0, dim), dtype=np.float32)
+        self.count = 0
 
     def __deepcopy__(self, memo):
-        # Copies of a table keep reading the shared bank (its content
-        # cannot change); a private bank is copied with its owner.
-        return self if self.shared else self.fork()
+        return self
 
     def append(self, feature_ids: np.ndarray, new_rows: np.ndarray) -> int:
         """Store ``new_rows`` for sorted-unique absent ``feature_ids``;
@@ -105,17 +96,20 @@ _SHARED_BANKS: "weakref.WeakValueDictionary[tuple, _RowBank]" = (
     weakref.WeakValueDictionary()
 )
 
+#: Above every feature id: ends each overlay's id column, so a search
+#: for an id never runs off its end.
+_END = np.iinfo(np.int64).max
+
 
 class EmbeddingTable:
     """Host hash table of embedding vectors for one feature field.
 
-    Rows are generated lazily, on an id's first access, into the shared
-    reference-row bank of the table's spec (see :class:`_RowBank`), so
+    Reference rows are generated lazily, on an id's first access, into
+    the shared bank of the table's spec (see :class:`_RowBank`), so
     replicas, crash rebuilds and fresh stores over one model never
-    regenerate a row; the first :meth:`update_rows` forks a private bank
-    (copy-on-write), so an updated table never changes what another
-    table reads.  Rows are stored verbatim at fp32, bit-exact against
-    :func:`reference_vectors`.
+    regenerate a row.  :meth:`update_rows` writes to the table's own
+    sparse overlay, which reads lay over the bank: a write never changes
+    what another table reads.  Rows are stored verbatim at fp32.
     """
 
     def __init__(self, spec: TableSpec):
@@ -123,12 +117,13 @@ class EmbeddingTable:
         key = (spec.table_id, spec.corpus_size, spec.dim)
         bank = _SHARED_BANKS.get(key)
         if bank is None:
-            bank = _SHARED_BANKS[key] = _RowBank(
-                np.full(spec.corpus_size, -1, dtype=np.int64),
-                np.zeros((0, spec.dim), dtype=np.float32),
-                shared=True,
-            )
+            bank = _SHARED_BANKS[key] = _RowBank(spec.corpus_size, spec.dim)
         self._bank = bank
+        #: The overlay: written ids, sorted, then ``_END``, and each one's
+        #: row in ``_written_rows`` (``_END``'s is never read).
+        self._written_ids = np.array([_END], dtype=np.int64)
+        self._written_slots = np.zeros(1, dtype=np.int64)
+        self._written_rows = np.zeros((0, spec.dim), dtype=np.float32)
 
     def __len__(self) -> int:
         """Rows generated so far in the bank this table reads."""
@@ -141,7 +136,7 @@ class EmbeddingTable:
                 f"table {self.spec.table_id}: feature id beyond corpus size "
                 f"{self.spec.corpus_size}"
             )
-        return feature_ids
+        return feature_ids.view(np.int64)
 
     # hot-path: vectorized
     def _row_numbers(self, feature_ids: np.ndarray) -> np.ndarray:
@@ -160,22 +155,35 @@ class EmbeddingTable:
             )
         return rows
 
+    # hot-path: vectorized
     def _gather_into(self, feature_ids: np.ndarray, out: np.ndarray) -> None:
-        """:meth:`lookup` into ``out`` for ids the store already bounded."""
+        """:meth:`lookup` into ``out`` for ids already :meth:`_bounded`."""
         rows = self._row_numbers(feature_ids)  # may regrow the bank first
         self._bank.rows.take(rows, axis=0, out=out)
+        written = self._written_ids
+        if len(written) > 1:
+            at = written.searchsorted(feature_ids)
+            hit = written.take(at) == feature_ids
+            if hit.any():
+                out[hit] = self._written_rows.take(
+                    self._written_slots.take(at[hit]), axis=0
+                )
 
     # hot-path: vectorized
     def lookup(self, feature_ids: np.ndarray) -> np.ndarray:
-        """Return the embedding matrix for ``feature_ids`` (always hits).
-
-        Hot path: one direct-address gather.
-        """
+        """Return the embedding matrix for ``feature_ids`` (always hits)."""
         feature_ids = self._bounded(feature_ids)
-        if feature_ids.size == 0:
-            return np.zeros((0, self.spec.dim), dtype=np.float32)
-        rows = self._row_numbers(feature_ids)  # may regrow the bank first
-        return self._bank.rows[rows]
+        out = np.empty((len(feature_ids), self.spec.dim), dtype=np.float32)
+        if len(feature_ids):
+            self._gather_into(feature_ids, out)
+        return out
+
+    def written(self) -> tuple:
+        """The overlay as ``(ids, rows)``, ids sorted (copies)."""
+        return (
+            self._written_ids[:-1].astype(np.uint64),
+            self._written_rows.take(self._written_slots[:-1], axis=0),
+        )
 
     # hot-path: vectorized
     def update_rows(
@@ -183,21 +191,44 @@ class EmbeddingTable:
     ) -> int:
         """Write-through: overwrite rows with refreshed model values.
 
-        IDs not yet materialised are created
-        (an authoritative update, unlike a cache admission).  The first
-        update moves the table onto a private fork of the shared bank.
+        The rows go to the overlay, an id written twice keeping its last
+        row.  An id already written is overwritten in place; new ids are
+        merged into the sorted id column and their rows appended, so no
+        row written before is copied again.
         Returns the number of rows written.
         """
-        feature_ids = self._bounded(feature_ids)
+        ids = self._bounded(feature_ids)
         vectors = np.asarray(vectors, dtype=np.float32)
-        if vectors.shape != (len(feature_ids), self.spec.dim):
+        if vectors.shape != (len(ids), self.spec.dim):
             raise WorkloadError(
                 f"table {self.spec.table_id}: update_rows shape mismatch"
             )
-        if feature_ids.size == 0:
-            return 0
-        if self._bank.shared:
-            self._bank = self._bank.fork()
-        rows = self._row_numbers(feature_ids)
-        self._bank.rows[rows] = vectors
-        return len(feature_ids)
+        written = len(ids)
+        if not (ids[1:] > ids[:-1]).all():  # keep each id's last row
+            order = ids.argsort(kind="stable")
+            order = order[np.append(ids[order[1:]] != ids[order[:-1]], True)]
+            ids, vectors = ids[order], vectors[order]
+        at = self._written_ids.searchsorted(ids)
+        old = self._written_ids.take(at) == ids
+        rewritten = np.count_nonzero(old)
+        if rewritten:
+            self._written_rows[self._written_slots.take(at[old])] = vectors[old]
+        if rewritten < len(ids):
+            new = ~old
+            start = len(self._written_ids) - 1
+            end = start + len(ids) - rewritten
+            if end > len(self._written_rows):  # grow the row array by 1/4
+                grown = np.empty(
+                    (max(end, start + start // 4), self.spec.dim), np.float32
+                )
+                grown[:start] = self._written_rows[:start]
+                self._written_rows = grown
+            self._written_rows[start:end] = vectors[new]
+            # Two sorted runs: the stable sort merges them in one pass.
+            merged = np.concatenate((self._written_ids, ids[new]))
+            order = merged.argsort(kind="stable")
+            self._written_ids = merged.take(order)
+            self._written_slots = np.concatenate(
+                (self._written_slots, np.arange(start, end))
+            ).take(order)
+        return written

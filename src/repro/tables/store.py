@@ -7,14 +7,16 @@ speed, and the resulting embeddings travel over PCIe into the output matrix.
 
 from __future__ import annotations
 
+import abc
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import WorkloadError
 from ..hashindex.host_hash import HostQueryCost, host_query_cost
 from ..hardware import HardwareSpec
+from ..obs.registry import Observable
 from .embedding_table import EmbeddingTable
 from .table_spec import TableSpec, total_param_bytes
 
@@ -45,107 +47,141 @@ def unpack_global_key(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return keys >> np.uint64(48), keys & np.uint64((1 << 48) - 1)
 
 
-# hot-path: vectorized
-def query_by_table(
-    hw: HardwareSpec,
-    specs: Sequence[TableSpec],
-    corpus: np.ndarray,
-    table_ids: np.ndarray,
-    feature_ids: np.ndarray,
-    indexed_mask: Optional[np.ndarray],
-    rows: Callable[..., Tuple[np.ndarray, float, int]],
-) -> StoreQueryResult:
-    """The ``query_many`` of a host store: a mixed-table batch answered
-    table by table.
-
-    Sorts the batch by table once (stable: each table's ids keep their
-    relative order) and checks it before ``rows`` runs: one dimension
-    across its tables, every id inside its table's ``corpus`` size.
-    ``rows`` gets the sorted ``uint64`` tables and ids, ``(table_id,
-    start, stop)`` of each table's run and the dimension, and returns the
-    rows in that order, the remote time they cost and how many were
-    degraded.  The answer is un-permuted once; its cost indexes the keys
-    ``indexed_mask`` does not mark as already located, and streams every
-    row out of DRAM.
+class HostStore(Observable, abc.ABC):
+    """What the GPU cache needs of the host store under it (paper §5:
+    the tiered store "exposes the same batched query interface").  Holds
+    the table specs, densely numbered from 0, the platform and the corpus
+    sizes; the hooks below are no-ops for a store with no work for them.
     """
-    table_ids = np.asarray(table_ids)
-    feature_ids = np.asarray(feature_ids, dtype=np.uint64)
-    if table_ids.shape != feature_ids.shape:
-        raise WorkloadError("query_many: shape mismatch")
-    n = len(table_ids)
-    if n == 0:
-        return StoreQueryResult(
-            np.zeros((0, 0), np.float32), host_query_cost(hw, 0, 0)
-        )
-    order = np.argsort(table_ids, kind="stable")
-    tables = table_ids[order].astype(np.uint64)
-    ids = feature_ids[order]
-    cuts = (np.flatnonzero(tables[1:] != tables[:-1]) + 1).tolist()
-    starts, stops = [0] + cuts, cuts + [n]
-    segments = list(zip(tables[starts].tolist(), starts, stops))
-    dims = {specs[t].dim for t, _, _ in segments}
-    if len(dims) != 1:
-        raise WorkloadError("query_many: tables must share one dimension")
-    dim = dims.pop()
-    beyond = ids >= corpus[tables]
-    if beyond.any():
-        raise WorkloadError(
-            f"table {int(tables[beyond.argmax()])}: feature id beyond "
-            "corpus size"
-        )
-    sorted_rows, remote_time, degraded = rows(tables, ids, segments, dim)
-    vectors = np.empty_like(sorted_rows)
-    vectors[order] = sorted_rows
-
-    if indexed_mask is None:
-        keys_to_index = n
-    else:
-        keys_to_index = int((~np.asarray(indexed_mask, bool)).sum())
-    local = host_query_cost(hw, keys_to_index, n * dim * 4)
-    cost = HostQueryCost(
-        index_time=local.index_time,
-        copy_time=local.copy_time + remote_time,
-    )
-    return StoreQueryResult(vectors=vectors, cost=cost, degraded_keys=degraded)
-
-
-class EmbeddingStore:
-    """All embedding tables of one model, resident in host DRAM at fp32
-    (bit-exact against the reference vectors)."""
 
     def __init__(self, specs: Sequence[TableSpec], hw: HardwareSpec):
         if not specs:
-            raise WorkloadError("embedding store needs at least one table")
-        ids = [spec.table_id for spec in specs]
-        if ids != list(range(len(specs))):
+            raise WorkloadError("host store needs at least one table")
+        if [spec.table_id for spec in specs] != list(range(len(specs))):
             raise WorkloadError("table specs must be densely numbered from 0")
         self.specs = list(specs)
         self.hw = hw
-        self._tables: Dict[int, EmbeddingTable] = {
-            spec.table_id: EmbeddingTable(spec) for spec in specs
-        }
-        self._corpus_sizes = np.array(
-            [spec.corpus_size for spec in specs], dtype=np.uint64
+        self._corpus = np.array(
+            [spec.corpus_size for spec in self.specs], dtype=np.uint64
         )
-
-    # ------------------------------------------------------------------ info
 
     @property
     def num_tables(self) -> int:
         return len(self.specs)
+
+    def spec_of(self, table_id: int) -> TableSpec:
+        return self.specs[table_id]
+
+    # hot-path: vectorized
+    def _query_by_table(
+        self,
+        table_ids: np.ndarray,
+        feature_ids: np.ndarray,
+        indexed_mask: Optional[np.ndarray],
+        rows: Callable[..., Tuple[np.ndarray, float, int]],
+    ) -> StoreQueryResult:
+        """The ``query_many`` of both host stores: a mixed-table batch
+        answered table by table.
+
+        Sorts the batch by table once (stable: each table's ids keep their
+        relative order) and checks it before ``rows`` runs: one dimension
+        across its tables, every id inside its table's corpus size.
+        ``rows`` gets the sorted ``uint64`` tables and ids, ``(table_id,
+        start, stop)`` of each table's run and the dimension, and returns the
+        rows in that order, the remote time they cost and how many were
+        degraded.  The answer is un-permuted once; its cost indexes the keys
+        ``indexed_mask`` does not mark as already located, and streams every
+        row out of DRAM.
+        """
+        table_ids = np.asarray(table_ids)
+        feature_ids = np.asarray(feature_ids, dtype=np.uint64)
+        if table_ids.shape != feature_ids.shape:
+            raise WorkloadError("query_many: shape mismatch")
+        n = len(table_ids)
+        if n == 0:
+            return StoreQueryResult(
+                np.zeros((0, 0), np.float32), host_query_cost(self.hw, 0, 0)
+            )
+        order = np.argsort(table_ids, kind="stable")
+        tables = table_ids[order].astype(np.uint64)
+        ids = feature_ids[order]
+        cuts = (np.flatnonzero(tables[1:] != tables[:-1]) + 1).tolist()
+        starts, stops = [0] + cuts, cuts + [n]
+        segments = list(zip(tables[starts].tolist(), starts, stops))
+        dims = {self.specs[t].dim for t, _, _ in segments}
+        if len(dims) != 1:
+            raise WorkloadError("query_many: tables must share one dimension")
+        dim = dims.pop()
+        beyond = ids >= self._corpus[tables]
+        if beyond.any():
+            raise WorkloadError(
+                f"table {int(tables[beyond.argmax()])}: feature id beyond "
+                "corpus size"
+            )
+        sorted_rows, remote_time, degraded = rows(tables, ids, segments, dim)
+        vectors = np.empty_like(sorted_rows)
+        vectors[order] = sorted_rows
+
+        if indexed_mask is None:
+            keys_to_index = n
+        else:
+            keys_to_index = int((~np.asarray(indexed_mask, bool)).sum())
+        local = host_query_cost(self.hw, keys_to_index, n * dim * 4)
+        cost = HostQueryCost(
+            index_time=local.index_time,
+            copy_time=local.copy_time + remote_time,
+        )
+        return StoreQueryResult(vectors=vectors, cost=cost, degraded_keys=degraded)
+
+    @abc.abstractmethod
+    def query_many(
+        self, table_ids: np.ndarray, feature_ids: np.ndarray,
+        indexed_mask: Optional[np.ndarray] = None,
+    ) -> StoreQueryResult:
+        """The rows of a batch of (table, id) pairs of one dimension and
+        their cost; ``indexed_mask`` marks keys the caller located."""
+
+    @abc.abstractmethod
+    def apply_update(
+        self, table_id: int, feature_ids: np.ndarray, vectors: np.ndarray
+    ) -> int:
+        """Write one table's refreshed rows through; returns how many."""
+
+    def advance_to(self, now: float) -> None:
+        """Set the simulated time later queries read faults at."""
+
+    def fault_windows(self) -> List[tuple]:
+        """Merged ``(start, end)`` windows of the faults the store sees."""
+        return []
+
+    def register_pointer_invalidator(
+        self, invalidator: Callable[[np.ndarray], None]
+    ) -> None:
+        """Take a callable for the packed keys of rows leaving the store."""
+
+    def written_rows(self) -> Dict[int, tuple]:
+        """The refreshed rows the store keeps, ``table -> (ids, rows)``,
+        for a snapshot to carry (none when its writes reach only a cache)."""
+        return {}
+
+
+class EmbeddingStore(HostStore):
+    """All embedding tables of one model, resident in host DRAM at fp32
+    (bit-exact against the reference vectors until refreshed)."""
+
+    def __init__(self, specs: Sequence[TableSpec], hw: HardwareSpec):
+        super().__init__(specs, hw)
+        self._tables: Dict[int, EmbeddingTable] = {
+            spec.table_id: EmbeddingTable(spec) for spec in specs
+        }
 
     @property
     def param_bytes(self) -> int:
         """Aggregate parameter size (Table 2's "Param Size" column)."""
         return total_param_bytes(self.specs)
 
-    def spec_of(self, table_id: int) -> TableSpec:
-        return self.specs[table_id]
-
     def table(self, table_id: int) -> EmbeddingTable:
         return self._tables[table_id]
-
-    # ------------------------------------------------------------------ query
 
     def query_many(
         self,
@@ -153,15 +189,10 @@ class EmbeddingStore:
         feature_ids: np.ndarray,
         indexed_mask: np.ndarray = None,
     ) -> StoreQueryResult:
-        """Fetch embeddings for a mixed batch of (table, id) pairs.
-
-        All tables in the batch must share one dimension (callers group by
-        dimension); the cost is accounted jointly, since the store's lookup
-        threads drain the whole miss batch together.
-        """
-        return query_by_table(
-            self.hw, self.specs, self._corpus_sizes, table_ids, feature_ids,
-            indexed_mask, self._gather,
+        """The store's lookup threads drain a whole miss batch together,
+        so its cost is accounted jointly."""
+        return self._query_by_table(
+            table_ids, feature_ids, indexed_mask, self._gather
         )
 
     # hot-path: vectorized
@@ -173,16 +204,12 @@ class EmbeddingStore:
             self._tables[t]._gather_into(ids[start:stop], gathered[start:stop])
         return gathered, 0.0, 0
 
-    # ---------------------------------------------------------------- refresh
-
-    def update_rows(
+    def apply_update(
         self, table_id: int, feature_ids: np.ndarray, vectors: np.ndarray
     ) -> int:
-        """Write refreshed rows through to one table.
-
-        Returns the number of rows written.  (Deliberately *not* named
-        ``apply_update`` — that name is the refresh-subscriber
-        write-through protocol and would change how host stores are
-        duck-typed by :mod:`repro.refresh`.)
-        """
+        """Into the table's overlay (see :class:`EmbeddingTable`)."""
         return self._tables[table_id].update_rows(feature_ids, vectors)
+
+    def written_rows(self) -> Dict[int, tuple]:
+        """Each table's overlay, copied (ids sorted)."""
+        return {t: table.written() for t, table in self._tables.items()}

@@ -27,7 +27,6 @@ from repro.multitier.dram_cache import DramCacheLayer
 from repro.tables.embedding_table import (
     EmbeddingTable, reference_vectors,
 )
-from repro.tables.store import EmbeddingStore
 from repro.tables.table_spec import TableSpec
 
 from conftest import dram_pass
@@ -305,12 +304,6 @@ class TestTableTier:
         np.testing.assert_array_equal(
             table.lookup(ids), reference_vectors(0, ids, 8)
         )
-
-    def test_store_has_no_apply_update(self):
-        # Guard: the refresh subscriber duck-types ``apply_update`` on
-        # host stores; EmbeddingStore growing that name would silently
-        # change every cluster replica's write-through behavior.
-        assert not hasattr(EmbeddingStore, "apply_update")
 
 
 class TestAucProxyRegression:

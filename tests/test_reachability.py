@@ -208,3 +208,23 @@ def test_every_probed_attribute_is_defined():
     assert not found, "probe of a name nothing defines:\n" + "\n".join(
         f"{path}:{line}: {name}" for path, line, name in found
     )
+
+
+def test_no_probe_asks_for_a_host_store_method():
+    """Every host store has the :class:`HostStore` methods, so code calls
+    them: a probe for one would skip a store that does the work under
+    another name, as the refresh write-through once did."""
+    from repro.tables.store import HostStore
+
+    contract = {
+        name for name in dir(HostStore)
+        if not name.startswith("__") and callable(getattr(HostStore, name))
+    }
+    assert {"query_many", "apply_update", "advance_to"} <= contract
+    found = [
+        f"{path.relative_to(ROOT)}:{line}: {name}"
+        for path in _python_files(PACKAGE)
+        for line, name in probes(_parse(path))
+        if name in contract
+    ]
+    assert not found, "probe of a HostStore method:\n" + "\n".join(found)

@@ -357,13 +357,6 @@ class TestUpdateSubscriber:
 
 
 class TestHostStoreWriteThrough:
-    @pytest.mark.xfail(
-        strict=True,
-        raises=AssertionError,
-        reason="known bug: an EmbeddingStore has no apply_update, so "
-        "apply_next skips its write-through and a refreshed key that is "
-        "not cached is served at its pre-refresh value",
-    )
     def test_uncached_refreshed_key_is_served_at_its_new_version(self, hw):
         """What cluster replicas and the refresh benches wire up:
         ``host_store=layer.store`` over a plain embedding store."""
@@ -379,6 +372,71 @@ class TestHostStoreWriteThrough:
         log = UpdateLog()
         log.append(1, delta(0, [7], version=1), published_at=0.0)
         subscriber = UpdateSubscriber(log, layer.cache, host_store=layer.store)
+        assert subscriber.catch_up(now=1.0) == 1
+
+        ids = np.array([7], np.uint64)
+        result = layer.query(
+            TraceBatch([ids, np.array([1], np.uint64)], batch_size=1),
+            Executor(hw),
+        )
+        np.testing.assert_array_equal(
+            result.outputs[0], delta_vectors(0, ids, DIM, 1)
+        )
+
+    def test_write_before_the_snapshot_survives_crash_and_recover(self, hw):
+        """The snapshot carries the host store's refreshed rows, so an
+        uncached key written before it keeps its version even once the
+        log has trimmed the offset that wrote it."""
+        from repro.cluster import ClusterReplica
+        from repro.gpusim.executor import Executor
+        from repro.workloads.synthetic import uniform_tables_spec
+        from repro.workloads.trace import TraceBatch
+
+        dataset = uniform_tables_spec(
+            num_tables=2, corpus_size=400, alpha=-1.2, dim=DIM
+        )
+        log = UpdateLog(retention=1)
+        log.append(1, delta(0, [7], version=1), published_at=0.0)
+        replica = ClusterReplica(0, dataset, hw)
+        replica.attach_refresh(log, now=0.0)
+        log.append(2, delta(0, [9], version=2), published_at=0.0)
+        assert replica.subscriber.catch_up(now=0.0) == 1
+        assert replica.take_snapshot().log_offset == 1
+        assert fingerprint(replica.layer.cache) == {}
+        log.append(3, delta(0, [11], version=3), published_at=0.5)
+        assert log.first_offset == 2  # both pre-snapshot offsets trimmed
+        replica.crash()
+        assert replica.recover(now=1.0) == 1  # only the post-snapshot one
+
+        ids = np.array([7, 9, 11], np.uint64)
+        result = replica.layer.query(
+            TraceBatch([ids, np.array([1, 2, 3], np.uint64)], batch_size=3),
+            Executor(hw),
+        )
+        np.testing.assert_array_equal(result.outputs[0], np.vstack([
+            delta_vectors(0, ids[i:i + 1], DIM, version)
+            for i, version in enumerate((1, 2, 3))
+        ]))
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="known gap: the tiered store writes through only to rows "
+        "its DRAM tier holds, and its remote tier answers every fetch "
+        "with the version-0 reference rows",
+    )
+    def test_tiered_store_serves_a_refreshed_key_held_by_no_tier(self, hw):
+        from repro.core.workflow import FlecheEmbeddingLayer
+        from repro.gpusim.executor import Executor
+        from repro.multitier.hierarchy import TieredParameterStore
+        from repro.workloads.trace import TraceBatch
+
+        specs = make_table_specs([400, 400], [DIM, DIM])
+        store = TieredParameterStore(specs, hw, dram_capacity=8)
+        layer = FlecheEmbeddingLayer(store, FlecheConfig(cache_ratio=0.5), hw)
+        log = UpdateLog()
+        log.append(1, delta(0, [7], version=1), published_at=0.0)
+        subscriber = UpdateSubscriber(log, layer.cache, host_store=store)
         assert subscriber.catch_up(now=1.0) == 1
 
         ids = np.array([7], np.uint64)

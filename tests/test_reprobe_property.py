@@ -78,26 +78,14 @@ batches = st.lists(
 )
 
 
-def _runs(quantizing):
-    """Rounds of two batches and the order their stages run in.
-
-    A quantizing cache runs each batch's stages back to back: interleaved,
-    ``retier_hits`` moves a hit from the location its own probe read,
-    which another batch's retier may already have moved (the entry is
-    retired twice, a known bug listed in ROADMAP).
-    """
-    schedules = (
-        st.sampled_from(["AAABBB", "BBBAAA"]) if quantizing
-        else st.permutations("AAABBB")
-    )
-    return st.tuples(
-        st.just(quantizing),
-        st.lists(st.tuples(batches, batches, schedules),
-                 min_size=1, max_size=4),
-    )
-
-
-runs = st.booleans().flatmap(_runs)
+#: Whether the cache quantizes, and rounds of two batches with the order
+#: their stages run in.  Interleaved on a quantizing cache, both batches'
+#: ``retier_hits`` may see the same hit: only the first may move it.
+runs = st.tuples(
+    st.booleans(),
+    st.lists(st.tuples(batches, batches, st.permutations("AAABBB")),
+             min_size=1, max_size=4),
+)
 
 
 def _run_interleaved(layer, hw, rounds):

@@ -204,29 +204,69 @@ class TestSharedRowBank:
         replica.lookup(np.array([6], np.uint64))
         assert len(calls) == 1 and len(warm) == 4
 
-    def test_update_forks_and_never_reaches_another_table(self):
+    def test_update_never_reaches_another_table(self):
         spec = TableSpec(0, corpus_size=229, dim=8)
         ids = np.array([4, 8], np.uint64)
         updated = EmbeddingTable(spec)
         reader = EmbeddingTable(spec)
         pristine = reader.lookup(ids).copy()
         new_rows = np.full((2, 8), 0.25, dtype=np.float32)
-        updated.update_rows(ids, new_rows)
-        assert updated._bank is not reader._bank
-        assert not updated._bank.shared and reader._bank.shared
+        assert updated.update_rows(ids, new_rows) == 2
+        assert updated._bank is reader._bank  # the write went to the overlay
         np.testing.assert_array_equal(updated.lookup(ids), new_rows)
         np.testing.assert_array_equal(reader.lookup(ids), pristine)
-        # Rows the fork generates later stay out of the shared bank too.
+        # A write to an id nobody read generates no bank row.
         updated.update_rows(np.array([100], np.uint64), new_rows[:1])
         assert len(reader) == 2
         np.testing.assert_array_equal(
             EmbeddingTable(spec).lookup(np.array([100], np.uint64)),
             reference_vectors(0, np.array([100], np.uint64), 8),
         )
-        # A second update writes the same private bank, no second fork.
-        private = updated._bank
-        updated.update_rows(ids[:1], new_rows[:1])
-        assert updated._bank is private
+        np.testing.assert_array_equal(
+            updated.lookup(np.array([100, 4, 5], np.uint64)),
+            np.vstack([new_rows[:2], reference_vectors(0, [5], 8)]),
+        )
+
+    def test_overlay_keeps_each_ids_last_row(self):
+        spec = TableSpec(0, corpus_size=241, dim=4)
+        table = EmbeddingTable(spec)
+        rows = np.arange(20, dtype=np.float32).reshape(5, 4)
+        # Unsorted, with a repeat: the later row of id 9 wins.
+        table.update_rows(np.array([9, 2, 9, 30, 7], np.uint64), rows)
+        # Overwrites one written id and merges two new ones around it.
+        table.update_rows(np.array([1, 7, 200], np.uint64), -rows[:3])
+        ids = np.array([1, 2, 3, 7, 9, 30, 200, 240], np.uint64)
+        want = np.vstack([
+            -rows[0], rows[1], reference_vectors(0, [3], 4)[0], -rows[1],
+            rows[2], rows[3], -rows[2], reference_vectors(0, [240], 4)[0],
+        ])
+        np.testing.assert_array_equal(table.lookup(ids), want)
+        np.testing.assert_array_equal(table.lookup(ids[::-1]), want[::-1])
+        np.testing.assert_array_equal(
+            table._written_ids[:-1], [1, 2, 7, 9, 30, 200]
+        )
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_overlay_equals_a_last_write_wins_map(self, seed):
+        rng = np.random.default_rng(seed)
+        spec = TableSpec(1, corpus_size=97, dim=3)
+        table = EmbeddingTable(spec)
+        model = {}
+        for step in range(40):
+            ids = rng.integers(0, 97, size=rng.integers(0, 12)).astype(np.uint64)
+            if step % 3 == 0:
+                ids.sort()
+            rows = rng.standard_normal((len(ids), 3)).astype(np.float32)
+            assert table.update_rows(ids, rows) == len(ids)
+            model.update(zip(ids.tolist(), rows))
+        probe = np.arange(97, dtype=np.uint64)
+        want = reference_vectors(1, probe, 3)
+        for key, row in model.items():
+            want[key] = row
+        np.testing.assert_array_equal(table.lookup(probe), want)
+        ids, rows = table.written()
+        np.testing.assert_array_equal(ids, sorted(model))
+        np.testing.assert_array_equal(rows, want[ids.astype(np.int64)])
 
     def test_copies_share_reference_rows_but_not_updates(self):
         spec = TableSpec(0, corpus_size=233, dim=4)
@@ -235,11 +275,14 @@ class TestSharedRowBank:
         clone = copy.deepcopy(table)
         assert clone._bank is table._bank
         table.update_rows(np.array([1], np.uint64), np.ones((1, 4), np.float32))
-        forked = copy.deepcopy(table)
-        assert forked._bank is not table._bank
-        forked.update_rows(np.array([1], np.uint64), np.zeros((1, 4), np.float32))
+        copied = copy.deepcopy(table)
+        assert copied._bank is table._bank
+        copied.update_rows(np.array([1], np.uint64), np.zeros((1, 4), np.float32))
         np.testing.assert_array_equal(
             table.lookup(np.array([1], np.uint64)), np.ones((1, 4), np.float32)
+        )
+        np.testing.assert_array_equal(
+            copied.lookup(np.array([1], np.uint64)), np.zeros((1, 4), np.float32)
         )
         np.testing.assert_array_equal(
             clone.lookup(np.array([1], np.uint64)),
@@ -252,11 +295,12 @@ class TestSharedRowBank:
         first = EmbeddingTable(spec)
         second = EmbeddingTable(spec)
         first.lookup(np.array([3], np.uint64))
+        second.update_rows(np.array([3], np.uint64), np.zeros((1, 4), np.float32))
         del first
         gc.collect()
-        assert len(second) == 1  # still held by the other reader
+        assert len(second) == 1  # a writer still reads the bank
         assert key in embedding_table._SHARED_BANKS
-        second.update_rows(np.array([3], np.uint64), np.zeros((1, 4), np.float32))
-        gc.collect()  # its only reader forked away
+        del second
+        gc.collect()
         assert key not in embedding_table._SHARED_BANKS
         assert len(EmbeddingTable(spec)) == 0
