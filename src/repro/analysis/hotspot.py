@@ -41,9 +41,10 @@ class HotspotProfile:
 
 
 def _per_table_counts(trace: Trace) -> List[np.ndarray]:
+    per_batch = [b.ids_per_table for b in trace]
     counts = []
     for table in range(trace.num_tables):
-        ids = np.concatenate([b.ids_per_table[table] for b in trace])
+        ids = np.concatenate([tables[table] for tables in per_batch])
         _, occurrences = np.unique(ids, return_counts=True)
         counts.append(np.sort(occurrences)[::-1])
     return counts

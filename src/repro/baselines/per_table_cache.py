@@ -186,7 +186,7 @@ class PerTableCacheLayer(EmbeddingCacheScheme):
                 f"ptc_query_t{t}",
                 num_keys=len(unique),
                 hit_rows=int(found.sum()),
-                output_rows=len(batch.ids_per_table[t]),
+                output_rows=int(batch.sizes[t]),
                 dim=self.caches[t].dim,
                 hw=self.hw,
                 concurrent_tables=batch.num_tables,

@@ -44,7 +44,6 @@ until the process restarts and replays, and nothing is hedged.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from math import ceil, inf, isfinite
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -64,6 +63,7 @@ from ..obs.reqtrace import (
     cause_counts,
     sample_traces,
 )
+from ..serving.arrivals import RequestStream, request_columns
 from .health import (
     DEAD_AFTER,
     HEALTHY,
@@ -594,9 +594,7 @@ class ClusterRouter(Observable):
     # hot-path: vectorized
     def _run_streams(
         self,
-        requests: Sequence,
-        arrivals: np.ndarray,
-        request_ids: np.ndarray,
+        requests: RequestStream,
         table: _DispatchTable,
         rows: np.ndarray,
         tracers: Dict[Tuple[int, int], RequestTracer],
@@ -606,18 +604,15 @@ class ClusterRouter(Observable):
         ``finish = at + latency x slow_factor``."""
         streams = plan_primary_streams(
             table.replica[rows] * 2 + table.incarnation[rows],
-            table.at[rows], request_ids[table.index[rows]],
+            table.at[rows], requests.columns.request_ids[table.index[rows]],
         )
         for key, member in streams.items():  # lint: allow-loop (per stream)
             replica = self.replicas[key // 2]
             sent = rows[member]
             index, at = table.index[sent], table.at[sent]
-            stream = [requests[i] for i in index.tolist()]
-            moved = np.flatnonzero(at != arrivals[index])
-            for j, send_at in zip(moved.tolist(), at[moved].tolist()):  # lint: allow-loop (re-sent copies only)
-                stream[j] = dataclasses.replace(
-                    stream[j], arrival_time=send_at
-                )
+            # The replica sees each request at its send instant: a
+            # re-sent copy's, not the request's own arrival.
+            stream = requests.take(index, at)
             if self.trace_config is not None:
                 # One non-finalizing tracer per stream: it records batch
                 # timing only (no sampling, no counters); the router
@@ -639,9 +634,7 @@ class ClusterRouter(Observable):
 
     def _execute(
         self,
-        requests: Sequence,
-        arrivals: np.ndarray,
-        request_ids: np.ndarray,
+        requests: RequestStream,
         table: _DispatchTable,
         episodes: Dict[int, _CrashEpisode],
     ) -> Dict[Tuple[int, int], RequestTracer]:
@@ -655,13 +648,12 @@ class ClusterRouter(Observable):
         cfg = self.config
         reg = self.obs
         tracers: Dict[Tuple[int, int], RequestTracer] = {}
-        run = (requests, arrivals, request_ids, table)
         for victim in sorted(episodes, key=lambda r: episodes[r].start):
             episode = episodes[victim]
             rows = np.flatnonzero(
                 (table.replica == victim) & (table.incarnation == 0)
             )
-            self._run_streams(*run, rows, tracers)
+            self._run_streams(requests, table, rows, tracers)
             # In flight when the replica died: the response never
             # arrives.  The router only learns at detection, so the
             # retry dispatches then.
@@ -695,7 +687,7 @@ class ClusterRouter(Observable):
         spent = np.isin(table.replica, list(episodes)) & (
             table.incarnation == 0
         )
-        self._run_streams(*run, np.flatnonzero(~spent), tracers)
+        self._run_streams(requests, table, np.flatnonzero(~spent), tracers)
         sent = np.bincount(table.kind_rank, minlength=len(_KIND_RANK))
         reg.inc(
             "cluster.failovers_dispatched",
@@ -756,6 +748,7 @@ class ClusterRouter(Observable):
         )
         return horizon, self._episodes()
 
+    # hot-path: vectorized
     def serve(self, requests: Sequence) -> ClusterReport:
         if not requests:
             raise WorkloadError("no requests to serve")
@@ -765,12 +758,10 @@ class ClusterRouter(Observable):
         before = reg.snapshot()
         n = len(requests)
         reg.inc("cluster.requests", n)
-        arrivals = np.fromiter(
-            (r.arrival_time for r in requests), np.float64, count=n
-        )
-        request_ids = np.fromiter(
-            (r.request_id for r in requests), np.int64, count=n
-        )
+        # Read once: the policy and every replica stream slice these.
+        columns = request_columns(requests)
+        arrivals, request_ids = columns.arrivals, columns.request_ids
+        requests = RequestStream(requests, *columns)
         horizon, episodes = self._detect(arrivals)
 
         # Plan -> execute -> merge over one dispatch table.  The policy
@@ -783,9 +774,7 @@ class ClusterRouter(Observable):
         ]) if cfg.failover else np.ones((cfg.num_replicas, n), bool)
         owners = self.policy.primary_many(requests, routable)
         table = self._plan_arrays(owners, arrivals, routable, episodes)
-        tracers = self._execute(
-            requests, arrivals, request_ids, table, episodes
-        )
+        tracers = self._execute(requests, table, episodes)
         latencies, winner = self._merge(table, arrivals)
 
         rank = np.full(n, _DISPOSITIONS.index(SHED))
@@ -815,7 +804,7 @@ class ClusterRouter(Observable):
 
         # Final sync: live subscribers catch up to the frontier so the
         # cluster converges before the fan-out audit runs.
-        for replica in self.replicas:
+        for replica in self.replicas:  # lint: allow-loop (per replica)
             if replica.subscriber is not None:
                 replica.subscriber.catch_up(horizon)
                 replica.subscriber.refresh_gauges(horizon)

@@ -42,7 +42,7 @@ import numpy as np
 
 from ..errors import ConfigError
 from ..multigpu.partition import HashPartitioner, TablePartitioner
-from ..serving.arrivals import Request
+from ..serving.arrivals import Request, request_columns
 
 #: Policy names accepted by :func:`make_policy` and the benchmarks.
 POLICY_NAMES = ("hash", "table-shard", "least-outstanding")
@@ -87,20 +87,13 @@ class RoutingPolicy:
         When every request carries a row of one shared id cube
         (``Request.source``), the keys are one gather out of it.
         """
-        sources = [r.source for r in requests]
-        cube = sources[0][0] if sources and sources[0] is not None else None
-        if (
-            cube is not None
-            and cube.ndim == 3
-            and cube.shape[2] > 0  # an empty id list routes by request id
-            and all(s is not None and s[0] is cube for s in sources)
-        ):
-            rows = np.fromiter(
-                (s[1] for s in sources), dtype=np.intp, count=len(sources)
-            )
-            return cube[rows, 0, 0].astype(np.uint64, copy=False)
+        columns = request_columns(requests)
+        cube = columns.cube
+        # An empty id list routes by request id.
+        if cube is not None and cube.shape[2] > 0:
+            return cube[columns.rows, 0, 0].astype(np.uint64, copy=False)
         return np.fromiter(
-            (self._routing_key(r) for r in requests),
+            (self._routing_key(r) for r in requests),  # lint: allow-loop (requests with no shared id cube only)
             dtype=np.uint64,
             count=len(requests),
         )

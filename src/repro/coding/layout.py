@@ -138,6 +138,22 @@ class FlatKeyCodec(abc.ABC):
             code.table_id: np.uint64(code.prefix) << np.uint64(code.feature_bits)
             for code in self.layout.codes
         }
+        # Per-table columns for :meth:`encode_many`: the prefix, the
+        # feature-bits mask, and whether the table's ids are hashed.
+        size = max(code.table_id for code in self.layout.codes) + 1
+        self._prefix_of = np.zeros(size, dtype=np.uint64)
+        self._mask_of = np.zeros(size, dtype=np.uint64)
+        self._hashed_of = np.zeros(size, dtype=bool)
+        for code in self.layout.codes:
+            t = code.table_id
+            self._prefix_of[t] = self._prefix_shifted[t]
+            if code.feature_bits >= 64:
+                self._mask_of[t] = np.uint64(0xFFFFFFFFFFFFFFFF)
+            else:
+                self._mask_of[t] = (np.uint64(1) << np.uint64(
+                    code.feature_bits)) - np.uint64(1)
+                self._hashed_of[t] = not code.collision_free
+        self._any_hashed = bool(self._hashed_of.any())
 
     @abc.abstractmethod
     def build_layout(self) -> CodecLayout:
@@ -154,6 +170,22 @@ class FlatKeyCodec(abc.ABC):
             np.asarray(feature_ids), code.feature_bits, code.corpus_size
         )
         return self._prefix_shifted[table_id] | hashed
+
+    # hot-path: vectorized
+    def encode_many(
+        self, table_ids: np.ndarray, feature_ids: np.ndarray
+    ) -> np.ndarray:
+        """Re-encode a mixed-table batch in one transform: the flat keys
+        :meth:`encode` gives each ``(table, id)`` pair."""
+        ids = np.asarray(feature_ids).astype(np.uint64)
+        if self._any_hashed:
+            hashed = self._hashed_of[table_ids]
+            mixed = ids * _FIB_MIX
+            mixed ^= mixed >> np.uint64(31)
+            ids = np.where(hashed, mixed, ids)
+        ids &= self._mask_of[table_ids]
+        ids |= self._prefix_of[table_ids]
+        return ids
 
     def table_of(self, flat_keys: np.ndarray) -> np.ndarray:
         """Decode the owning table of each flat key (vectorised)."""

@@ -125,7 +125,9 @@ class AdmissionFilter:
         """Boolean mask of keys admitted to the cache."""
         n = len(keys)
         if self.probability >= 1.0:
-            return np.ones(n, dtype=bool)
+            admitted = np.empty(n, dtype=bool)
+            admitted.fill(True)
+            return admitted
         return self._rng.random(n) < self.probability
 
     def observe(self, keys: np.ndarray) -> None:

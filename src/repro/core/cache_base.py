@@ -107,6 +107,31 @@ class CacheQueryResult:
         return self.hits / denominator if denominator else 0.0
 
 
+#: Registry keys of the scheme-level ``cache.*`` counters, in the order
+#: :func:`record_query_metrics` counts them.
+_QUERY_KEYS = tuple((name, ()) for name in (
+    "cache.queries", "cache.lookups", "cache.hits", "cache.misses",
+    "cache.unified_hits", "cache.unique_keys", "cache.coalesced_keys",
+    "cache.coalesced_degraded",
+))
+#: ``num_tables -> (lookups keys, hits keys, misses keys)``: per-table
+#: registry keys, built on first use.
+_TABLE_KEYS: Dict[int, tuple] = {}
+
+
+def _table_keys(num_tables: int) -> tuple:
+    keys = _TABLE_KEYS.get(num_tables)
+    if keys is None:
+        keys = _TABLE_KEYS[num_tables] = tuple(
+            [(name, (("table", str(t)),)) for t in range(num_tables)]
+            for name in (
+                "cache.table_lookups", "cache.table_hits", "cache.table_misses"
+            )
+        )
+    return keys
+
+
+# hot-path: vectorized
 def record_query_metrics(
     registry: MetricsRegistry,
     result: CacheQueryResult,
@@ -125,27 +150,21 @@ def record_query_metrics(
     lands under ``cache.table_hits``/``cache.table_misses`` — the raw
     material for the hotspot-drift detector's per-table distributions.
     Zero increments are skipped so quiet tables never pollute reports.
+    All of it is one :meth:`~repro.obs.registry.MetricsRegistry.inc_keys`
+    call.
     """
-    registry.inc("cache.queries")
-    registry.inc("cache.lookups", result.total_keys)
-    registry.inc("cache.hits", result.hits)
-    registry.inc("cache.misses", result.misses)
-    registry.inc("cache.unified_hits", result.unified_hits)
-    registry.inc("cache.unique_keys", result.unique_keys)
-    registry.inc("cache.coalesced_keys", result.coalesced_keys)
-    registry.inc("cache.coalesced_degraded", result.coalesced_degraded)
-    if batch is None:
-        return
-    for t, ids in enumerate(batch.ids_per_table):
-        n = len(ids)
-        if n:
-            registry.inc("cache.table_lookups", n, table=str(t))
-    for t, n in enumerate(result.per_table_hits):
-        if n:
-            registry.inc("cache.table_hits", n, table=str(t))
-    for t, n in enumerate(result.per_table_misses):
-        if n:
-            registry.inc("cache.table_misses", n, table=str(t))
+    increments = list(zip(_QUERY_KEYS, (
+        1, result.total_keys, result.hits, result.misses,
+        result.unified_hits, result.unique_keys, result.coalesced_keys,
+        result.coalesced_degraded,
+    )))
+    if batch is not None:
+        for keys, counts in zip(  # lint: allow-loop (three columns)
+            _table_keys(batch.num_tables),
+            (batch.sizes, result.per_table_hits, result.per_table_misses),
+        ):
+            increments += [(k, n) for k, n in zip(keys, counts) if n]
+    registry.inc_keys(increments)
 
 
 @dataclass

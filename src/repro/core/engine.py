@@ -21,7 +21,7 @@ from typing import Iterable, List, Optional
 
 import numpy as np
 
-from ..gpusim.executor import Executor
+from ..gpusim.executor import LAUNCH, SYNC, Executor
 from ..gpusim.stats import Category, TimeBreakdown
 from ..hardware import HardwareSpec
 from ..model.dcn import DeepCrossNetwork, DenseForwardResult
@@ -122,9 +122,12 @@ class InferenceEngine:
         ]
         x = self.model.concat_inputs(pooled)
         dense_stream = executor.stream("dense")
-        for spec in self.model.kernels(batch.batch_size):
-            executor.launch(spec, stream=dense_stream, category=Category.MLP)
-        executor.synchronize(dense_stream)
+        plan = [
+            (LAUNCH, spec, dense_stream, Category.MLP)
+            for spec in self.model.kernels(batch.batch_size)
+        ]
+        plan.append((SYNC, dense_stream))
+        executor.run(plan)
         return self.model.forward(x)
 
     def run_batch_stages(
@@ -153,15 +156,9 @@ class InferenceEngine:
         same choke point that feeds the metrics registry, so the trace
         sees exactly the numbers the counters see.
         """
-        stages = self.scheme.query_stages(batch, executor, coalescer=coalescer)
-        query = None
-        try:
-            stage = next(stages)
-            while True:
-                yield stage
-                stage = stages.send(None)
-        except StopIteration as stop:
-            query = stop.value
+        query = yield from self.scheme.query_stages(
+            batch, executor, coalescer=coalescer
+        )
         dense = None
         if self.include_dense:
             yield STAGE_DENSE

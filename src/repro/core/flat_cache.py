@@ -18,7 +18,6 @@ time, so the structure itself stays unit-testable without an executor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -30,6 +29,7 @@ from ..hashindex.slab_hash import (
     InsertResult,
     ProbeStats,
     SlabHashIndex,
+    probe_stats,
 )
 from ..mempool.epoch import EpochReclaimer
 from ..mempool.slab_pool import SlabMemoryPool
@@ -55,18 +55,20 @@ from .unified_index import (
 AGING_INTERVAL = 64
 
 
-@dataclass
 class IndexOutcome:
     """Result of the indexing phase over one deduplicated key batch."""
 
-    #: Mask over the batch: present in the index with a cache location.
-    cache_hit: np.ndarray
-    #: Mask over the batch: present in the index with a DRAM pointer.
-    dram_hit: np.ndarray
-    #: Raw (untagged) pool locations; valid where ``cache_hit``.
-    locations: np.ndarray
-    #: Device probe statistics of the indexing kernel.
-    stats: ProbeStats
+    __slots__ = ("cache_hit", "dram_hit", "locations", "stats")
+
+    def __init__(self, cache_hit, dram_hit, locations, stats):
+        #: Mask over the batch: present in the index with a cache location.
+        self.cache_hit = cache_hit
+        #: Mask over the batch: present in the index with a DRAM pointer.
+        self.dram_hit = dram_hit
+        #: Raw (untagged) pool locations; valid where ``cache_hit``.
+        self.locations = locations
+        #: Device probe statistics of the indexing kernel.
+        self.stats = stats
 
     @property
     def miss(self) -> np.ndarray:
@@ -324,11 +326,11 @@ class FlatCache(Observable):
         n = len(flat_keys)
         inserted_mask = np.zeros(n, dtype=bool)
         if n == 0:
-            return inserted_mask, ProbeStats(0, 0, 0.0)
+            return inserted_mask, probe_stats(0, 0, 0.0)
         admitted = self.admission.admit(flat_keys)
-        positions = np.nonzero(admitted)[0]
+        positions = admitted.nonzero()[0]
         if len(positions) == 0:
-            return inserted_mask, ProbeStats(0, 0, 0.0)
+            return inserted_mask, probe_stats(0, 0, 0.0)
         if self.quantizing:
             return self._insert_tiered(
                 flat_keys, vectors, dim, dram_mask, positions, inserted_mask
@@ -341,7 +343,7 @@ class FlatCache(Observable):
             if free < len(positions):  # pool smaller than one batch's misses
                 positions = positions[:free]
         if len(positions) == 0:
-            return inserted_mask, ProbeStats(0, 0, 0.0)
+            return inserted_mask, probe_stats(0, 0, 0.0)
 
         keys = flat_keys[positions]
         rows = vectors[positions]
@@ -349,10 +351,10 @@ class FlatCache(Observable):
         # overwritten with a cache location: fewer unified entries live.
         # (``dram_mask`` lets callers who already indexed skip the lookup.)
         if dram_mask is not None:
-            promoted = int(dram_mask[positions].sum())
+            promoted = int(np.count_nonzero(dram_mask[positions]))
         else:
             found, pointers, _ = self.index.lookup(keys)
-            promoted = int((found & is_dram_pointer(pointers)).sum())
+            promoted = int(np.count_nonzero(found & is_dram_pointer(pointers)))
         self.unified_entries = max(0, self.unified_entries - promoted)
 
         locations = self.pool.allocate(dim, len(keys))
@@ -399,7 +401,7 @@ class FlatCache(Observable):
                 keep = np.argsort(-counts, kind="stable")[:free]
                 spill = np.setdiff1d(sel, sel[keep], assume_unique=True)
                 codes[spill] = available[i + 1]
-        stats = ProbeStats(0, 0, 0.0)
+        stats = probe_stats(0, 0, 0.0)
         for code in np.unique(codes):
             tier = TIERS[code]
             sel = positions[codes == code]
@@ -573,7 +575,7 @@ class FlatCache(Observable):
             locations = untag(cache_ptrs)
             self._record_entry_death(locations)
             self.reclaimer.retire(locations)
-        self.unified_entries -= int(dram.sum())
+        self.unified_entries -= int(np.count_nonzero(dram))
 
     def _record_entry_death(self, locations: np.ndarray) -> None:
         """Fold dying entries' net tier drift into the retired counters.
@@ -609,10 +611,10 @@ class FlatCache(Observable):
             return 0
         found, pointers, _ = self.index.lookup(flat_keys)
         stale = found & is_dram_pointer(pointers)
-        if not stale.any():
+        if not np.count_nonzero(stale):
             return 0
         removed, _ = self.index.erase(flat_keys[stale])
-        count = int(removed.sum())
+        count = int(np.count_nonzero(removed))
         self.unified_entries = max(0, self.unified_entries - count)
         self.obs.inc("cache.pointers_invalidated", count)
         return count

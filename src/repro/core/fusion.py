@@ -74,6 +74,13 @@ def fusion_metadata_bytes(num_kernels: int) -> int:
     return 4 * (num_kernels + 1) + 24 * num_kernels
 
 
+def fused_threads(threads: np.ndarray) -> int:
+    """Threads of one fused launch over kernels of ``threads`` each,
+    every share rounded up to a warp multiple (:func:`round_to_warp` in
+    one step)."""
+    return int((-(-threads // WARP_SIZE) * WARP_SIZE).sum())
+
+
 def fused_kernel_spec(kernels: Sequence[KernelSpec], name: str) -> KernelSpec:
     """The single launch covering all of ``kernels``' work, each thread
     count rounded up to a warp multiple."""

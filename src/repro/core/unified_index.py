@@ -17,6 +17,7 @@ reset when a significant decline signals a workload change.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -54,12 +55,17 @@ def untag(pointers: np.ndarray) -> np.ndarray:
     return np.asarray(pointers, dtype=np.uint64) >> np.uint64(1)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TunerDecision:
     """One step of the capacity auto-tuner."""
 
     capacity: int
     action: str  # "grow", "hold", or "reset"
+
+
+#: ``TunerDecision`` by value: a tuner holds its capacity for most
+#: batches, so a repeated decision builds no new object.
+_decision = functools.lru_cache(maxsize=1024)(TunerDecision)
 
 
 class UnifiedIndexTuner:
@@ -100,7 +106,7 @@ class UnifiedIndexTuner:
         """Feed one measured batch latency; returns the new capacity."""
         self._pending.append(batch_latency)
         if len(self._pending) < TUNER_WINDOW:
-            return TunerDecision(self.capacity, "hold")
+            return _decision(self.capacity, "hold")
 
         mean = sum(self._pending) / len(self._pending)
         self._pending.clear()

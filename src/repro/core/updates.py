@@ -73,9 +73,11 @@ class UpdateOutcome:
 
 def _last_occurrence_mask(feature_ids: np.ndarray) -> np.ndarray:
     """Boolean mask keeping only the last occurrence of each ID."""
-    if (feature_ids[1:] > feature_ids[:-1]).all():
+    if not np.count_nonzero(feature_ids[1:] <= feature_ids[:-1]):
         # Sorted and distinct, as the trainer publishes them.
-        return np.ones(len(feature_ids), dtype=bool)
+        keep = np.empty(len(feature_ids), dtype=bool)
+        keep.fill(True)
+        return keep
     # The first occurrence in reverse order is the last one.
     first_in_reversed = deduplicate(feature_ids[::-1]).first
     keep = np.zeros(len(feature_ids), dtype=bool)
@@ -131,7 +133,7 @@ class UpdateApplier:
         if len({table_id for table_id, _, _ in deltas}) != len(deltas):
             raise WorkloadError("updates: more than one delta for a table")
         total = duplicates = 0
-        #: dim -> (positions in ``deltas``, their flat keys, their rows)
+        #: dim -> (positions in ``deltas``, their ids, their rows)
         by_dim: Dict[int, Tuple[list, list, list]] = {}
         for i, (table_id, feature_ids, vectors) in enumerate(deltas):  # lint: allow-loop (per delta: dedup + encode)
             feature_ids = np.ascontiguousarray(feature_ids, dtype=np.uint64)
@@ -146,23 +148,28 @@ class UpdateApplier:
             total += len(feature_ids)
             if len(feature_ids):
                 keep = _last_occurrence_mask(feature_ids)
-                if not keep.all():
-                    duplicates += len(keep) - int(keep.sum())
+                kept = int(np.count_nonzero(keep))
+                if kept < len(keep):
+                    duplicates += len(keep) - kept
                     feature_ids = feature_ids[keep]
                     vectors = vectors[keep]
-            positions, key_parts, row_parts = by_dim.setdefault(
+            positions, id_parts, row_parts = by_dim.setdefault(
                 dim, ([], [], [])
             )
             positions.append(i)
-            key_parts.append(cache.encode(table_id, feature_ids))
+            id_parts.append(feature_ids)
             row_parts.append(vectors)
         self.applied_batches += len(deltas)
 
         refreshed_of = np.zeros(len(deltas), dtype=np.int64)
         pointer_keys = 0
         invalidated = 0
-        for positions, key_parts, row_parts in by_dim.values():  # lint: allow-loop (per embedding dimension)
-            keys = np.concatenate(key_parts)
+        for positions, id_parts, row_parts in by_dim.values():  # lint: allow-loop (per embedding dimension)
+            sizes = [len(ids) for ids in id_parts]
+            keys = cache.codec.encode_many(
+                np.repeat([deltas[i][0] for i in positions], sizes),
+                np.concatenate(id_parts),
+            )
             vectors = np.concatenate(row_parts)
             # The probe's touch bumps the versions of the refreshed keys.
             # It stamps the DRAM pointers it finds too, which is invisible:
@@ -170,15 +177,16 @@ class UpdateApplier:
             found, pointers, _ = cache.index.lookup(keys, stamp=cache._clock)
             dram = found & is_dram_pointer(pointers)
             cached = found & ~dram
-            if cached.any():
+            if np.count_nonzero(cached):
                 # In-place refresh: write the pool slots.
                 cache.pool.write(untag(pointers[cached]), vectors[cached])
-                delta_of = np.repeat(positions, [len(k) for k in key_parts])
+                delta_of = np.repeat(positions, sizes)
                 refreshed_of += np.bincount(
                     delta_of[cached], minlength=len(deltas)
                 )
-            if dram.any():
-                pointer_keys += int(dram.sum())
+            num_dram = int(np.count_nonzero(dram))
+            if num_dram:
+                pointer_keys += num_dram
                 invalidated += cache.invalidate_dram_pointers(keys[dram])
 
         if executor is not None:

@@ -25,13 +25,12 @@ the way the paper measures them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from ..errors import ConfigError
-from ..gpusim.executor import Executor, Stream
+from ..gpusim.executor import COPY, HOST, LAUNCH, SYNC, Executor
 from ..gpusim.kernel import KernelSpec, coalesced_bytes
 from ..gpusim.stats import Category
 from ..hardware import HardwareSpec
@@ -48,7 +47,7 @@ from .cache_base import (
 from .config import FlecheConfig
 from .dedup import dedup_kernel_spec, deduplicate, restore_kernel_spec
 from .flat_cache import FlatCache
-from .fusion import fused_kernel_spec, fusion_metadata_bytes
+from .fusion import fused_kernel_spec, fused_threads, fusion_metadata_bytes
 from .unified_index import UnifiedIndexTuner
 
 #: Host cost of re-encoding one table's ID list: a lookup in the dozens-entry
@@ -56,6 +55,7 @@ from .unified_index import UnifiedIndexTuner
 #: almost no cost").
 _ENCODE_COST_PER_TABLE = 0.2e-6
 _ENCODE_COST_PER_KEY = 0.5e-9
+
 
 #: Threads a warp-cooperative probe dedicates to one key.
 _WARP = 32
@@ -150,16 +150,24 @@ def coupled_query_kernel_spec(
     )
 
 
-@dataclass
 class _DimGroup:
     """Work of one embedding dimension within a batch."""
 
-    dim: int
-    #: positions (into the batch's unique-key array) of this group's keys.
-    positions: np.ndarray
-    unique_keys: np.ndarray
-    rep_tables: np.ndarray
-    rep_features: np.ndarray
+    __slots__ = ("dim", "positions", "unique_keys", "rep_tables",
+                 "rep_features")
+
+    def __init__(self, dim, positions, unique_keys, rep_tables, rep_features):
+        self.dim = dim
+        #: positions (into the batch's unique-key array) of this group's
+        #: keys; ``None`` when the group holds every key.
+        self.positions = positions
+        self.unique_keys = unique_keys
+        self.rep_tables = rep_tables
+        self.rep_features = rep_features
+
+    def take(self, column: np.ndarray) -> np.ndarray:
+        """``column`` (one entry per unique key) restricted to the group."""
+        return column if self.positions is None else column[self.positions]
 
 
 class FlecheEmbeddingLayer(EmbeddingCacheScheme):
@@ -192,7 +200,7 @@ class FlecheEmbeddingLayer(EmbeddingCacheScheme):
         #: (table, key count, hit count) shapes, so spec construction
         #: amortises to a dict hit (specs are frozen — safe to share
         #: across batches).
-        self._spec_memo: Dict[tuple, object] = {}
+        self._spec_memo: Dict[tuple, KernelSpec] = {}
         self._weighted_dim = (
             int(np.average(self._dim_of_table)) if len(store.specs) else 0
         )
@@ -209,13 +217,12 @@ class FlecheEmbeddingLayer(EmbeddingCacheScheme):
         self.cache.bind_observability(registry)
         super()._register_observability(registry)
 
-    def _memo_spec(self, key: tuple, build):
-        spec = self._spec_memo.get(key)
-        if spec is None:
-            spec = build()
-            if len(self._spec_memo) >= 8192:
-                self._spec_memo.clear()
-            self._spec_memo[key] = spec
+    def _remember(self, key: tuple, spec: KernelSpec) -> KernelSpec:
+        """Memoize ``spec`` under ``key`` (callers ``memo.get(key) or``
+        it, so a hit costs one dict lookup)."""
+        if len(self._spec_memo) >= 8192:
+            self._spec_memo.clear()
+        self._spec_memo[key] = spec
         return spec
 
     def _invalidate_stale_pointers(self, global_keys: np.ndarray) -> None:
@@ -225,21 +232,9 @@ class FlecheEmbeddingLayer(EmbeddingCacheScheme):
             return
         tables, features = unpack_global_key(global_keys)
         tables = tables.astype(np.int64)
-        # Group by table over a stable sort order (one pass, no per-table
-        # mask scans), encode each contiguous run, scatter back.
-        order = np.argsort(tables, kind="stable")
-        sorted_tables = tables[order]
-        bounds = np.flatnonzero(
-            np.concatenate(([True], sorted_tables[1:] != sorted_tables[:-1]))
+        self.cache.invalidate_dram_pointers(
+            self.cache.codec.encode_many(tables, features)
         )
-        flat = np.zeros(len(global_keys), dtype=np.uint64)
-        for i, start in enumerate(bounds):
-            stop = bounds[i + 1] if i + 1 < len(bounds) else len(order)
-            run = order[start:stop]
-            flat[run] = self.cache.encode(
-                int(sorted_tables[start]), features[run]
-            )
-        self.cache.invalidate_dram_pointers(flat)
 
     # ------------------------------------------------------------------ public
 
@@ -280,37 +275,6 @@ class FlecheEmbeddingLayer(EmbeddingCacheScheme):
 
     # ------------------------------------------------------------------ phases
 
-    # hot-path: vectorized
-    def _encode_batch(self, batch: TraceBatch, executor: Executor) -> np.ndarray:
-        """Phase 1: host-side re-encoding of all ID lists to flat keys."""
-        encode_time = (
-            _ENCODE_COST_PER_TABLE * batch.num_tables
-            + _ENCODE_COST_PER_KEY * batch.total_ids
-        )
-        executor.host_work(encode_time, Category.OTHER)
-        keys = [
-            self.cache.encode(t, ids) for t, ids in enumerate(batch.ids_per_table)
-        ]
-        return np.concatenate(keys) if keys else np.zeros(0, np.uint64)
-
-    # hot-path: vectorized
-    def _dedup_on_device(
-        self, flat_keys: np.ndarray, executor: Executor, stream: Stream
-    ):
-        """Phase 2: ship keys to the device and deduplicate there."""
-        executor.copy(
-            flat_keys.nbytes, Category.OTHER, async_stream=stream
-        )
-        executor.launch(
-            self._memo_spec(
-                ("dedup", len(flat_keys)),
-                lambda: dedup_kernel_spec(len(flat_keys)),
-            ),
-            stream=stream,
-            category=Category.OTHER,
-        )
-        return deduplicate(flat_keys)
-
     def _dim_groups(
         self,
         unique_keys: np.ndarray,
@@ -320,29 +284,17 @@ class FlecheEmbeddingLayer(EmbeddingCacheScheme):
         # Uniform-dim fast path (the common case: one embedding width per
         # dataset): a single group covering every position, no masks.
         if self._uniform_dim is not None and len(unique_keys):
-            return [
-                _DimGroup(
-                    dim=self._uniform_dim,
-                    positions=np.arange(len(unique_keys)),
-                    unique_keys=unique_keys,
-                    rep_tables=rep_tables,
-                    rep_features=rep_features,
-                )
-            ]
+            return [_DimGroup(
+                self._uniform_dim, None, unique_keys, rep_tables, rep_features
+            )]
         dims = self._dim_of_table[rep_tables]
         groups = []
         for dim in np.unique(dims):
-            mask = dims == dim
-            positions = np.nonzero(mask)[0]
-            groups.append(
-                _DimGroup(
-                    dim=int(dim),
-                    positions=positions,
-                    unique_keys=unique_keys[positions],
-                    rep_tables=rep_tables[positions],
-                    rep_features=rep_features[positions],
-                )
-            )
+            positions = np.flatnonzero(dims == dim)
+            groups.append(_DimGroup(
+                int(dim), positions, unique_keys[positions],
+                rep_tables[positions], rep_features[positions],
+            ))
         return groups
 
     # ------------------------------------------------------------------ query
@@ -351,15 +303,35 @@ class FlecheEmbeddingLayer(EmbeddingCacheScheme):
     def _query_stages(
         self, batch: TraceBatch, executor: Executor, coalescer=None
     ):
+        """Each stage's data work, then its timeline charges as one plan
+        (:meth:`~repro.gpusim.executor.Executor.run`): the charges never
+        depend on when they are made within a stage, only on its data."""
         config = self.config
+        cache = self.cache
+        memo = self._spec_memo
         main_stream = executor.stream("main")
         copy_stream = executor.stream("copy")
 
-        tables_flat, features_flat = batch.flattened()
-        flat_keys = self._encode_batch(batch, executor)
-        unique_keys, rep_index, inverse = self._dedup_on_device(
-            flat_keys, executor, main_stream
-        )
+        tables_flat, features_flat = batch.tables, batch.features
+        num_tables = batch.num_tables
+        total = len(features_flat)
+        # --- Phase 1: host-side re-encoding of all ID lists to flat keys.
+        plan = [(
+            HOST,
+            _ENCODE_COST_PER_TABLE * num_tables + _ENCODE_COST_PER_KEY * total,
+            Category.OTHER,
+        )]
+        flat_keys = cache.codec.encode_many(tables_flat, features_flat)
+        # --- Phase 2: ship keys to the device and deduplicate there.
+        plan.append((COPY, flat_keys.nbytes, Category.OTHER, main_stream))
+        plan.append((
+            LAUNCH,
+            memo.get(("dedup", total))
+            or self._remember(("dedup", total), dedup_kernel_spec(total)),
+            main_stream, Category.OTHER,
+        ))
+        unique_keys, rep_index, inverse = deduplicate(flat_keys)
+        num_unique = len(unique_keys)
         rep_tables = tables_flat[rep_index]
         rep_features = features_flat[rep_index]
 
@@ -367,95 +339,61 @@ class FlecheEmbeddingLayer(EmbeddingCacheScheme):
         # decides whether it becomes a single launch or one per table, and
         # decoupling decides whether the copy rides inside it (coupled) or
         # in separate gather kernels (phase 4a).
-        outcome = self.cache.index_lookup(unique_keys)
-        inserts_at_probe = self.cache.cached_inserts
+        outcome = cache.index_lookup(unique_keys)
+        inserts_at_probe = cache.cached_inserts
         # Frequency estimation rides the indexing pass: one sketch fold of
         # the deduplicated keys (no-op unless mixed precision / LFU is on).
-        self.cache.observe_keys(unique_keys)
+        cache.observe_keys(unique_keys)
         # Pin the reclamation epoch for the resolve -> gather window: the
         # locations just read from the index must stay readable through
         # phase 4a even if a concurrently pipelined batch's replacement
         # evicts them in between (read-after-delete safety, §3.1).  The
         # sequential path never contends, so this is free there.
-        read_epoch = self.cache.reclaimer.pin()
-        # One grouped bincount pass replaces the per-table mask loop; the
-        # spec for each (table, count[, hit count]) shape is memoized, so
-        # steady-state batches build zero new spec objects.
-        table_counts = np.bincount(rep_tables, minlength=batch.num_tables)
-        if config.decouple_copy:
-            per_table_specs = [
-                self._memo_spec(
-                    ("index", t, count),
-                    lambda t=t, count=count: _index_kernel_spec(
-                        f"fc_index_t{t}", count
-                    ),
-                )
-                for t, count in enumerate(table_counts.tolist())
-            ]
-        else:
-            # Fleche deduplicates regardless (§4), so the coupled
-            # ablation queries unique keys and writes unique rows; the
-            # restore kernel expands them, exactly as on the decoupled
-            # path.
-            hit_counts = np.bincount(
-                rep_tables[outcome.cache_hit], minlength=batch.num_tables
-            )
-            per_table_specs = [
-                self._memo_spec(
-                    ("coupled", t, count, hits),
-                    lambda t=t, count=count, hits=hits:
-                        coupled_query_kernel_spec(
-                            f"fc_query_t{t}",
-                            num_keys=count,
-                            hit_rows=hits,
-                            output_rows=count,
-                            dim=int(self._dim_of_table[t]),
-                            hw=self.hw,
-                            concurrent_tables=batch.num_tables,
-                        ),
-                )
-                for t, (count, hits) in enumerate(
-                    zip(table_counts.tolist(), hit_counts.tolist())
-                )
-            ]
+        read_epoch = cache.reclaimer.pin()
+        table_counts = np.bincount(rep_tables, minlength=num_tables)
         if config.use_fusion:
-            # Per-table key counts almost never repeat from batch to
-            # batch, so the fused spec is summed afresh, not memoized.
-            executor.copy(
-                fusion_metadata_bytes(len(per_table_specs)),
-                Category.CACHE_INDEX, async_stream=main_stream,
-            )
-            executor.launch(
-                fused_kernel_spec(per_table_specs, "fc_index_fused"),
-                stream=main_stream, category=Category.CACHE_INDEX,
-            )
+            plan.append((
+                COPY, fusion_metadata_bytes(num_tables), Category.CACHE_INDEX,
+                main_stream,
+            ))
+            plan.append((
+                LAUNCH,
+                self._fused_index_spec(
+                    table_counts, outcome, rep_tables, num_unique, num_tables
+                ),
+                main_stream, Category.CACHE_INDEX,
+            ))
         else:
-            for t, spec in enumerate(per_table_specs):  # lint: allow-loop (per table, unfused ablation only)
+            for t, spec in enumerate(self._per_table_specs(  # lint: allow-loop (per table, unfused ablation only)
+                table_counts, outcome, rep_tables, num_tables
+            )):
                 stream = executor.stream(f"table{t}")
-                executor.copy(
-                    24 + 8 * spec.threads // _WARP,
-                    Category.CACHE_INDEX,
-                    async_stream=stream,
-                )
-                executor.launch(
-                    spec, stream=stream, category=Category.CACHE_INDEX
-                )
+                plan.append((
+                    COPY, 24 + 8 * spec.threads // _WARP,
+                    Category.CACHE_INDEX, stream,
+                ))
+                plan.append((LAUNCH, spec, stream, Category.CACHE_INDEX))
 
         # CPU needs the miss list: synchronise and read it back.
-        executor.synchronize(None if not config.use_fusion else main_stream)
+        plan.append((SYNC, main_stream if config.use_fusion else None))
         miss_mask = outcome.miss
-        executor.copy(max(1, int(miss_mask.sum())) * 8, Category.MAINTENANCE)
+        plan.append((
+            COPY, max(1, int(np.count_nonzero(miss_mask))) * 8,
+            Category.MAINTENANCE, None,
+        ))
+        executor.run(plan)
 
         # Stage boundary: the miss list is on the host; everything past
         # this point is the fetch/replacement phase a pipelined server may
         # overlap with another batch's indexing.
         yield STAGE_FETCH
 
+        plan = []
         groups = self._dim_groups(unique_keys, rep_tables, rep_features)
         unique_vectors: Dict[int, np.ndarray] = {}
         for group in groups:  # lint: allow-loop (per dim group)
             unique_vectors[group.dim] = np.zeros(
-                (len(group.positions), group.dim), dtype=np.float32
+                (len(group.unique_keys), group.dim), dtype=np.float32
             )
 
         # --- Phase 4a: decoupled copy kernel(s) for the hits (async).
@@ -464,49 +402,42 @@ class FlecheEmbeddingLayer(EmbeddingCacheScheme):
         # hit doubles as a retier opportunity: keys whose frequency
         # estimate crossed a tier threshold move to their new tier while
         # their fp32 rows are already in registers.
-        quantizing = self.cache.quantizing
+        quantizing = cache.quantizing
         promoted_keys = 0
         demoted_keys = 0
-        hit_rows_by_group = {}
         for group in groups:  # lint: allow-loop (per dim group)
-            hit_here = outcome.cache_hit[group.positions]
-            hit_rows_by_group[group.dim] = hit_here
-            locations = outcome.locations[group.positions][hit_here]
+            dim = group.dim
+            hit_here = group.take(outcome.cache_hit)
+            locations = group.take(outcome.locations)[hit_here]
+            rows = len(locations)
             if config.decouple_copy:
-                rows = len(locations)
                 if quantizing:
-                    read_bytes = self.cache.read_payload_bytes(locations)
-                    spec = self._memo_spec(
-                        ("copy", group.dim, rows, read_bytes),
-                        lambda dim=group.dim, rows=rows, rb=read_bytes:
-                            _copy_kernel_spec(
-                                f"fc_copy_d{dim}", rows, dim, self.hw,
-                                read_bytes=rb,
-                            ),
+                    read_bytes = cache.read_payload_bytes(locations)
+                    key = ("copy", dim, rows, read_bytes)
+                    spec = memo.get(key) or self._remember(
+                        key, _copy_kernel_spec(
+                            f"fc_copy_d{dim}", rows, dim, self.hw,
+                            read_bytes=read_bytes,
+                        ),
                     )
                 else:
-                    spec = self._memo_spec(
-                        ("copy", group.dim, rows),
-                        lambda dim=group.dim, rows=rows: _copy_kernel_spec(
+                    key = ("copy", dim, rows)
+                    spec = memo.get(key) or self._remember(
+                        key, _copy_kernel_spec(
                             f"fc_copy_d{dim}", rows, dim, self.hw
                         ),
                     )
-                executor.launch(
-                    spec, stream=copy_stream, category=Category.CACHE_COPY
-                )
-            if len(locations):
-                gathered = self.cache.gather(locations)
-                unique_vectors[group.dim][hit_here] = gathered
+                plan.append((LAUNCH, spec, copy_stream, Category.CACHE_COPY))
+            if rows:
+                gathered = cache.gather(locations)
+                unique_vectors[dim][hit_here] = gathered
                 if quantizing:
-                    up, down = self.cache.retier_hits(
-                        group.unique_keys[hit_here],
-                        locations,
-                        gathered,
-                        group.dim,
+                    up, down = cache.retier_hits(
+                        group.unique_keys[hit_here], locations, gathered, dim
                     )
                     promoted_keys += up
                     demoted_keys += down
-        self.cache.reclaimer.unpin(read_epoch)
+        cache.reclaimer.unpin(read_epoch)
 
         # --- Phase 4b/5: DRAM query for the misses (overlaps with copies
         # when decoupled; with the coupled ablation the sync above already
@@ -520,49 +451,49 @@ class FlecheEmbeddingLayer(EmbeddingCacheScheme):
         degraded_keys = 0
         pending_replacements = []
         for group in groups:  # lint: allow-loop (per dim group)
-            miss_here = miss_mask[group.positions]
-            if not miss_here.any():
+            dim = group.dim
+            miss_here = group.take(miss_mask)
+            num_miss = int(np.count_nonzero(miss_here))
+            if not num_miss:
                 continue
-            dram_hit_here = outcome.dram_hit[group.positions][miss_here]
+            dram_hit_here = group.take(outcome.dram_hit)[miss_here]
             miss_tables = group.rep_tables[miss_here]
             miss_features = group.rep_features[miss_here]
             miss_keys = group.unique_keys[miss_here]
 
-            shared = None
+            num_shared = 0
             if coalescer is not None:
                 shared, shared_rows, shared_degraded = coalescer.match(
-                    miss_keys, group.dim
+                    miss_keys, dim
                 )
-                if not shared.any():
-                    shared = None
-            if shared is None:
+                num_shared = int(np.count_nonzero(shared))
+            if not num_shared:
                 # No in-flight overlap: this batch leads on every miss.
-                lead = np.ones(len(miss_keys), dtype=bool)
-                indexed_mask = (
-                    dram_hit_here if config.use_unified_index else None
-                )
                 store_result = self.store.query_many(
-                    miss_tables, miss_features, indexed_mask=indexed_mask
+                    miss_tables, miss_features,
+                    indexed_mask=(
+                        dram_hit_here if config.use_unified_index else None
+                    ),
                 )
-                vectors = store_result.vectors
-                lead_vectors = vectors
+                vectors = lead_vectors = store_result.vectors
+                lead_keys, lead_dram = miss_keys, dram_hit_here
+                lead_tables, lead_features = miss_tables, miss_features
             else:
                 lead = ~shared
-                coalesced_keys += int(shared.sum())
+                coalesced_keys += num_shared
                 coalesced_degraded += int(shared_degraded)
-                vectors = np.zeros((len(miss_keys), group.dim), np.float32)
+                vectors = np.zeros((num_miss, dim), np.float32)
                 vectors[shared] = shared_rows
                 store_result = None
-                lead_vectors = np.zeros((0, group.dim), np.float32)
-                if lead.any():
-                    indexed_mask = (
-                        dram_hit_here[lead]
-                        if config.use_unified_index else None
-                    )
+                lead_vectors = np.zeros((0, dim), np.float32)
+                lead_keys, lead_dram = miss_keys[lead], dram_hit_here[lead]
+                lead_tables, lead_features = miss_tables[lead], miss_features[lead]
+                if num_shared < num_miss:
                     store_result = self.store.query_many(
-                        miss_tables[lead],
-                        miss_features[lead],
-                        indexed_mask=indexed_mask,
+                        lead_tables, lead_features,
+                        indexed_mask=(
+                            lead_dram if config.use_unified_index else None
+                        ),
                     )
                     lead_vectors = store_result.vectors
                     vectors[lead] = lead_vectors
@@ -570,41 +501,38 @@ class FlecheEmbeddingLayer(EmbeddingCacheScheme):
             if store_result is not None:
                 group_degraded = store_result.degraded_keys
                 degraded_keys += group_degraded
-                executor.host_work(
-                    store_result.cost.index_time, Category.DRAM_INDEX
-                )
-                executor.host_work(
-                    store_result.cost.copy_time, Category.DRAM_COPY
-                )
-                payload = store_result.vectors.nbytes
-                executor.copy(
-                    payload, Category.DRAM_COPY, async_stream=copy_stream
-                )
-            unique_vectors[group.dim][miss_here] = vectors
-            lead_keys = miss_keys[lead]
-            lead_dram = dram_hit_here[lead]
-            total_unified += int(lead_dram.sum())
+                cost = store_result.cost
+                plan.append((HOST, cost.index_time, Category.DRAM_INDEX))
+                plan.append((HOST, cost.copy_time, Category.DRAM_COPY))
+                plan.append((
+                    COPY, store_result.vectors.nbytes, Category.DRAM_COPY,
+                    copy_stream,
+                ))
+            unique_vectors[dim][miss_here] = vectors
+            num_lead = num_miss - num_shared
+            total_unified += int(np.count_nonzero(lead_dram))
             # Miss-routing accounting: every deduplicated miss either leads
             # its own fetch or coalesces onto an in-flight one (the
             # ``fleche.miss-routing`` conservation law).
-            self.obs.inc("cache.unique_misses", len(miss_keys))
-            self.obs.inc("cache.lead_keys", int(lead.sum()))
-            if coalescer is not None and len(lead_keys):
-                coalescer.publish(
-                    lead_keys, lead_vectors, degraded=group_degraded > 0
-                )
-
-            # Phase 6 (replacement) is deferred to the copy stage: the
-            # paper's replacement copy/indexing kernels run on device
-            # streams, so the new key -> location mappings only become
-            # visible once that device work executes (§3.3) — not while
-            # the CPU is still mid-fetch.  Only the leading keys replace;
-            # coalesced followers must not insert a second time.
-            if len(lead_keys):
+            self.obs.inc("cache.unique_misses", num_miss)
+            self.obs.inc("cache.lead_keys", num_lead)
+            if num_lead:
+                if coalescer is not None:
+                    coalescer.publish(
+                        lead_keys, lead_vectors, degraded=group_degraded > 0
+                    )
+                # Phase 6 (replacement) is deferred to the copy stage: the
+                # paper's replacement copy/indexing kernels run on device
+                # streams, so the new key -> location mappings only become
+                # visible once that device work executes (§3.3) — not
+                # while the CPU is still mid-fetch.  Only the leading keys
+                # replace; coalesced followers must not insert a second
+                # time.
                 pending_replacements.append((
-                    group.dim, lead_keys, lead_vectors, lead_dram,
-                    miss_tables[lead], miss_features[lead],
+                    dim, lead_keys, lead_vectors, lead_dram,
+                    lead_tables, lead_features,
                 ))
+        executor.run(plan)
 
         # Stage boundary: misses are fetched; the remaining work —
         # replacement kernels, restore, output assembly — is device-side.
@@ -621,105 +549,94 @@ class FlecheEmbeddingLayer(EmbeddingCacheScheme):
         # none since the probe there is nothing to re-probe.  Dim groups
         # hold disjoint keys: this batch's own inserts below cannot cache
         # another group's keys.
-        reprobe = self.cache.cached_inserts != inserts_at_probe
+        plan = []
+        reprobe = cache.cached_inserts != inserts_at_probe
         for (dim, lead_keys, lead_vectors, lead_dram,  # lint: allow-loop (per dim group)
              lead_tables, lead_features) in pending_replacements:
-            keep = ~self.cache.contains_cached(lead_keys) if reprobe else None
-            if keep is not None and not keep.all():
-                lead_keys = lead_keys[keep]
-                lead_vectors = lead_vectors[keep]
-                lead_dram = lead_dram[keep]
-                lead_tables = lead_tables[keep]
-                lead_features = lead_features[keep]
-                if not len(lead_keys):
-                    continue
-            inserted_mask, _ = self.cache.admit_and_insert(
+            if reprobe:
+                keep = ~cache.contains_cached(lead_keys)
+                kept = np.count_nonzero(keep)
+                if kept < len(keep):
+                    if not kept:
+                        continue
+                    lead_keys = lead_keys[keep]
+                    lead_vectors = lead_vectors[keep]
+                    lead_dram = lead_dram[keep]
+                    lead_tables = lead_tables[keep]
+                    lead_features = lead_features[keep]
+            inserted_mask, _ = cache.admit_and_insert(
                 lead_keys,
                 lead_vectors,
                 dim,
                 dram_mask=lead_dram,
             )
-            inserted = int(inserted_mask.sum())
-            executor.launch(
-                self._memo_spec(
-                    ("replace_copy", dim, inserted),
-                    lambda dim=dim, rows=inserted: _copy_kernel_spec(
-                        f"fc_replace_copy_d{dim}", rows, dim, self.hw
-                    ),
-                ),
-                stream=copy_stream,
-                category=Category.CACHE_COPY,
-            )
-            executor.launch(
-                self._memo_spec(
-                    ("replace_index", dim, inserted),
-                    lambda dim=dim, rows=inserted: _index_kernel_spec(
-                        f"fc_replace_index_d{dim}", rows, hops=2.0
-                    ),
-                ),
-                stream=main_stream,
-                category=Category.CACHE_INDEX,
-            )
+            inserted = int(np.count_nonzero(inserted_mask))
+            key = ("replace_copy", dim, inserted)
+            plan.append((
+                LAUNCH,
+                memo.get(key) or self._remember(key, _copy_kernel_spec(
+                    f"fc_replace_copy_d{dim}", inserted, dim, self.hw
+                )),
+                copy_stream, Category.CACHE_COPY,
+            ))
+            key = ("replace_index", dim, inserted)
+            plan.append((
+                LAUNCH,
+                memo.get(key) or self._remember(key, _index_kernel_spec(
+                    f"fc_replace_index_d{dim}", inserted, hops=2.0
+                )),
+                main_stream, Category.CACHE_INDEX,
+            ))
             # Denied, not-yet-tracked keys may enter the unified index.
             if config.use_unified_index:
                 candidates = ~inserted_mask & ~lead_dram
-                if candidates.any():
+                if np.count_nonzero(candidates):
                     rows = (
                         lead_tables[candidates].astype(np.uint64)
                         << np.uint64(40)
                     ) | lead_features[candidates]
-                    self.cache.publish_dram_pointers(
-                        lead_keys[candidates], rows
-                    )
+                    cache.publish_dram_pointers(lead_keys[candidates], rows)
 
         # --- Phase 7: restore the full output matrices from unique rows
         # (both paths — Fleche always deduplicates, §4).
-        executor.launch(
-            self._memo_spec(
-                ("restore", len(flat_keys), len(unique_keys)),
-                lambda: restore_kernel_spec(
-                    len(flat_keys), self._weighted_dim,
-                    unique_rows=len(unique_keys),
-                ),
-            ),
-            stream=copy_stream,
-            category=Category.OTHER,
-        )
-        executor.synchronize(None)
+        key = ("restore", total, num_unique)
+        plan.append((
+            LAUNCH,
+            memo.get(key) or self._remember(key, restore_kernel_spec(
+                total, self._weighted_dim, unique_rows=num_unique
+            )),
+            copy_stream, Category.OTHER,
+        ))
+        plan.append((SYNC, None))
+        executor.run(plan)
 
         outputs = self._assemble_outputs(
-            batch, inverse, unique_keys, unique_vectors, groups
+            batch, inverse, num_unique, unique_vectors, groups
         )
         # Hit statistics are per *access* (duplicates weighted), matching
         # how the paper's hit rates are measured.
         # Every access is a hit or a miss, so misses are what hits leave.
-        counts = np.bincount(inverse, minlength=len(unique_keys))
-        hit_counts = counts[outcome.cache_hit]
-        hits = int(hit_counts.sum())
-        per_table_hits = [
-            int(h) for h in np.bincount(
-                rep_tables[outcome.cache_hit],
-                weights=hit_counts,
-                minlength=batch.num_tables,
-            )
-        ]
-        per_table_misses = [
-            len(ids) - h for ids, h in zip(batch.ids_per_table, per_table_hits)
-        ]
+        hit_access = outcome.cache_hit[inverse]
+        hits = int(np.count_nonzero(hit_access))
+        per_table_hits = np.bincount(
+            tables_flat[hit_access], minlength=num_tables
+        ).tolist()
         return CacheQueryResult(
             outputs=outputs,
             hits=hits,
-            misses=len(flat_keys) - hits,
+            misses=total - hits,
             unified_hits=total_unified,
-            unique_keys=len(unique_keys),
-            total_keys=len(flat_keys),
+            unique_keys=num_unique,
+            total_keys=total,
             coalesced_keys=coalesced_keys,
             coalesced_degraded=coalesced_degraded,
             degraded_keys=degraded_keys,
             promoted_keys=promoted_keys,
             demoted_keys=demoted_keys,
             per_table_hits=per_table_hits,
-            per_table_misses=per_table_misses,
+            per_table_misses=[
+                n - h for n, h in zip(batch.sizes, per_table_hits)
+            ],
             # Which leader batches this batch's coalesced misses joined
             # (accumulated inside ``coalescer.match`` across the per-group
             # fetches above; {} unless source tracking is on).
@@ -729,48 +646,100 @@ class FlecheEmbeddingLayer(EmbeddingCacheScheme):
             ),
         )
 
+    def _fused_index_spec(
+        self, table_counts, outcome, rep_tables, num_unique, num_tables
+    ) -> KernelSpec:
+        """The fused launch of every table's index (or coupled query)
+        kernel.  Decoupled, it comes from the count vector in one step:
+        each table's probe kernel is ``max(count, 1)`` warps, one random
+        transaction per key, one dependent hop."""
+        if not self.config.decouple_copy:
+            # Per-table key counts almost never repeat from batch to
+            # batch, so the coupled fused spec is summed afresh.
+            return fused_kernel_spec(
+                self._per_table_specs(
+                    table_counts, outcome, rep_tables, num_tables
+                ),
+                "fc_index_fused",
+            )
+        # Each table's share is a whole number of warps already, so the
+        # spec is fixed by the key count and the tables with no key.
+        key = ("fused", num_unique,
+               num_tables - int(np.count_nonzero(table_counts)))
+        return self._spec_memo.get(key) or self._remember(key, KernelSpec(
+            name="fc_index_fused",
+            threads=fused_threads(np.maximum(table_counts, 1) * _WARP),
+            random_transactions=num_unique,
+            dependent_hops=1.0,
+        ))
+
+    def _per_table_specs(
+        self, table_counts, outcome, rep_tables, num_tables
+    ) -> List[KernelSpec]:
+        """One index (decoupled) or coupled query (coupled) kernel spec per
+        table, memoized per (table, count[, hit count]) shape."""
+        memo = self._spec_memo
+        specs = []
+        if self.config.decouple_copy:
+            for t, count in enumerate(table_counts.tolist()):  # lint: allow-loop (per table, unfused ablation only)
+                key = ("index", t, count)
+                specs.append(memo.get(key) or self._remember(
+                    key, _index_kernel_spec(f"fc_index_t{t}", count)
+                ))
+            return specs
+        # Fleche deduplicates regardless (§4), so the coupled ablation
+        # queries unique keys and writes unique rows; the restore kernel
+        # expands them, exactly as on the decoupled path.
+        hit_counts = np.bincount(
+            rep_tables[outcome.cache_hit], minlength=num_tables
+        )
+        for t, (count, hits) in enumerate(  # lint: allow-loop (per table, coupled ablation only)
+            zip(table_counts.tolist(), hit_counts.tolist())
+        ):
+            key = ("coupled", t, count, hits)
+            specs.append(memo.get(key) or self._remember(
+                key, coupled_query_kernel_spec(
+                    f"fc_query_t{t}",
+                    num_keys=count,
+                    hit_rows=hits,
+                    output_rows=count,
+                    dim=int(self._dim_of_table[t]),
+                    hw=self.hw,
+                    concurrent_tables=num_tables,
+                ),
+            ))
+        return specs
+
     # ------------------------------------------------------------------ output
 
     def _assemble_outputs(
         self,
         batch: TraceBatch,
         inverse: np.ndarray,
-        unique_keys: np.ndarray,
+        num_unique: int,
         unique_vectors: Dict[int, np.ndarray],
         groups: Sequence[_DimGroup],
     ) -> List[np.ndarray]:
         """Restore per-table output matrices from deduplicated rows."""
+        bounds = batch.offsets
         # Uniform-dim fast path: group rows are unique-key positions, so
         # one gather expands every table's outputs and the per-table
         # matrices are contiguous views of it.
-        if (
-            self._uniform_dim is not None
-            and len(groups) == 1
-            and len(groups[0].positions) == len(unique_keys)
-        ):
-            expanded = unique_vectors[self._uniform_dim][inverse]
-            outputs = []
-            offset = 0
-            for ids in batch.ids_per_table:
-                outputs.append(expanded[offset:offset + len(ids)])
-                offset += len(ids)
-            return outputs
+        if len(groups) == 1 and groups[0].positions is None:
+            expanded = unique_vectors[groups[0].dim][inverse]
+            return [
+                expanded[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])
+            ]
 
         # Map each unique key position to (dim, row-within-dim-group).
-        dim_of_unique = np.zeros(len(unique_keys), dtype=np.int64)
-        row_of_unique = np.zeros(len(unique_keys), dtype=np.int64)
+        row_of_unique = np.zeros(num_unique, dtype=np.int64)
         for group in groups:
-            dim_of_unique[group.positions] = group.dim
             row_of_unique[group.positions] = np.arange(len(group.positions))
 
         outputs: List[np.ndarray] = []
-        offset = 0
-        for t, ids in enumerate(batch.ids_per_table):
-            n = len(ids)
+        for t, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
             dim = int(self._dim_of_table[t])
-            positions = inverse[offset:offset + n]
-            rows = row_of_unique[positions]
-            outputs.append(unique_vectors[dim][rows] if n else
+            rows = row_of_unique[inverse[lo:hi]]
+            outputs.append(unique_vectors[dim][rows] if hi > lo else
                            np.zeros((0, dim), np.float32))
-            offset += n
         return outputs

@@ -135,7 +135,7 @@ class CircuitBreaker:
             return
         self._results.append(ok)
         if len(self._results) >= self.config.min_samples:
-            failures = sum(1 for r in self._results if not r)
+            failures = self._results.count(False)
             if failures / len(self._results) >= self.config.failure_threshold:
                 self._trip(now)
 

@@ -13,6 +13,12 @@ The executor models the interaction the paper cares about:
 * **Copies** between host and device consume CPU overhead plus wire time;
   small metadata copies are maintenance, bulk embedding transfers are
   execution time (``DRAM_COPY``).
+
+A caller that knows a stage's operations up front hands them over as one
+*plan* (:meth:`Executor.run`): a list of ``(LAUNCH, spec, stream,
+category)``, ``(COPY, nbytes, category, async_stream)``, ``(HOST,
+duration, category)`` and ``(SYNC, stream)`` tuples, charged in order
+with the same float additions as the one-call-at-a-time methods.
 """
 
 from __future__ import annotations
@@ -22,9 +28,12 @@ from typing import Dict, Optional
 from ..errors import SimulationError
 from ..hardware import HardwareSpec
 from .clock import Timeline
-from .kernel import KernelSpec, kernel_execution_time
+from .kernel import KernelSpec
 from .stats import Category, TimeBreakdown
 from .transfer import CopyEngine, CopyMethod
+
+#: Plan operation codes (see :meth:`Executor.run`).
+LAUNCH, COPY, HOST, SYNC = range(4)
 
 
 class Stream:
@@ -109,6 +118,9 @@ class Executor:
         self.copy_engine = CopyEngine(hw)
         self.stats = TimeBreakdown()
         self._streams: Dict[str, Stream] = {}
+        #: Latest ready instant of any stream (stream ready times only
+        #: grow between resets, so this is their running max).
+        self._latest = 0.0
         self.default_stream = self.stream("stream0")
 
     # ------------------------------------------------------------------ streams
@@ -145,12 +157,13 @@ class Executor:
                 launch_cost += self.hw.kernel.stream_dispatch_overhead
         self.cpu.advance(launch_cost)
         self.stats.add(Category.MAINTENANCE, launch_cost)
+        _, exec_time, counter = spec.charge(self.hw)
         self.stats.count("kernel_launches")
-        self.stats.count(f"kernel:{spec.name}")
+        self.stats.count(counter)
 
-        exec_time = kernel_execution_time(spec, self.hw)
         start = max(self.cpu.now, target.ready_time)
         target.ready_time = start + exec_time
+        self._latest = max(self._latest, target.ready_time)
         self.stats.add(category, exec_time)
         return target.ready_time
 
@@ -200,16 +213,126 @@ class Executor:
             self.stats.add(Category.MAINTENANCE, cost.overhead)
             start = max(self.cpu.now, async_stream.ready_time)
             async_stream.ready_time = start + cost.wire_time
+            self._latest = max(self._latest, async_stream.ready_time)
             self.stats.add(category, cost.wire_time)
+
+    # ------------------------------------------------------------------ plans
+
+    # hot-path: vectorized
+    def run(self, plan) -> None:
+        """Charge a stage's plan: the clock, every stream and the
+        breakdown end exactly as :meth:`run_each` leaves them (same
+        order, same float additions per clock and per category), at one
+        call per stage.
+
+        The CPU clock, the maintenance total and the event counts are
+        folded in locals and written back once, even if an operation
+        raises.
+        """
+        hw = self.hw
+        kernel = hw.kernel
+        split = self.copy_engine.split
+        default = self.default_stream
+        cpu = self.cpu
+        seconds = self.stats.seconds
+        counters = self.stats.counters
+        maintenance = Category.MAINTENANCE
+        now, active, latest = cpu._now, cpu._active, self._latest
+        had_upkeep = maintenance in seconds
+        upkeep = seconds.get(maintenance, 0.0)
+        launches = copies = syncs = 0
+        try:
+            for op in plan:  # lint: allow-loop (per planned operation)
+                kind = op[0]
+                if kind == LAUNCH:
+                    target = op[2] or default
+                    cost = kernel.launch_overhead
+                    if target is not default:
+                        cost += kernel.stream_dispatch_overhead
+                    now += cost
+                    active += cost
+                    upkeep += cost
+                    launches += 1
+                    _, spent, counter = op[1].charge(hw)
+                    counters[counter] = counters.get(counter, 0) + 1
+                    ready = target.ready_time
+                    ready = (now if now >= ready else ready) + spent
+                    target.ready_time = ready
+                    if ready > latest:
+                        latest = ready
+                elif kind == COPY:
+                    stream = op[3]
+                    overhead, spent, _ = split(op[1])
+                    copies += 1
+                    if stream is None:
+                        total = overhead + spent
+                        now += total
+                        active += total
+                    else:
+                        now += overhead
+                        active += overhead
+                        ready = stream.ready_time
+                        ready = (now if now >= ready else ready) + spent
+                        stream.ready_time = ready
+                        if ready > latest:
+                            latest = ready
+                    upkeep += overhead
+                elif kind == HOST:
+                    spent = op[1]
+                    if spent < 0:
+                        raise SimulationError(
+                            f"negative host work duration {spent}"
+                        )
+                    now += spent
+                    active += spent
+                else:  # SYNC
+                    syncs += 1
+                    until = latest if op[1] is None else op[1].ready_time
+                    if until > now:
+                        now = until
+                    cost = kernel.sync_overhead
+                    now += cost
+                    active += cost
+                    upkeep += cost
+                    continue
+                # The operation's own category: launch and copy charge it
+                # after their maintenance part, host work alone.
+                category = op[-1] if kind != COPY else op[2]
+                if category is maintenance:
+                    upkeep += spent
+                    had_upkeep = True
+                else:
+                    seconds[category] = seconds.get(category, 0.0) + spent
+        finally:
+            cpu._now, cpu._active, self._latest = now, active, latest
+            if had_upkeep or launches or copies or syncs:
+                seconds[maintenance] = upkeep
+            for event, count in (  # lint: allow-loop (three event kinds)
+                ("kernel_launches", launches), ("copies", copies),
+                ("synchronizations", syncs),
+            ):
+                if count:
+                    counters[event] = counters.get(event, 0) + count
+
+    def run_each(self, plan) -> None:
+        """The reference for :meth:`run`: each operation through the
+        one-call-at-a-time methods (what a wrapped executor observes)."""
+        for op in plan:
+            kind = op[0]
+            if kind == LAUNCH:
+                self.launch(op[1], stream=op[2], category=op[3])
+            elif kind == COPY:
+                self.copy(op[1], op[2], async_stream=op[3])
+            elif kind == HOST:
+                self.host_work(op[1], op[2])
+            else:
+                self.synchronize(op[1])
 
     # ------------------------------------------------------------------ epochs
 
     def elapsed(self) -> float:
         """Wall-clock so far: the CPU joined with every stream."""
-        device_latest = max(
-            (s.ready_time for s in self._streams.values()), default=0.0
-        )
-        return max(self.cpu.now, device_latest)
+        return max(self.cpu._now, self._latest)
 
     def drain(self) -> float:
         """Synchronise every stream and return the final wall-clock."""
@@ -221,4 +344,5 @@ class Executor:
         self.cpu.reset()
         for s in self._streams.values():
             s.ready_time = 0.0
+        self._latest = 0.0
         self.stats.reset()

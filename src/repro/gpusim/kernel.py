@@ -63,6 +63,15 @@ class KernelSpec:
         if self.stream_bytes < 0 or self.random_transactions < 0 or self.flops < 0:
             raise SimulationError(f"kernel {self.name!r}: negative work amount")
 
+    def charge(self, hw: HardwareSpec) -> tuple:
+        """``(device time on hw, launch-counter name)``, computed once per
+        platform: a memoized spec is launched many times."""
+        memo = self.__dict__.get("_charge")
+        if memo is None or (memo[0] is not hw and memo[0] != hw):
+            memo = (hw, kernel_execution_time(self, hw), f"kernel:{self.name}")
+            object.__setattr__(self, "_charge", memo)
+        return memo
+
 
 def kernel_execution_time(spec: KernelSpec, hw: HardwareSpec) -> float:
     """Device time of one kernel under the roofline model.

@@ -181,6 +181,8 @@ class TraceRecorder:
         executor.host_work = host_work  # type: ignore[method-assign]
         executor.copy = copy  # type: ignore[method-assign]
         executor.synchronize = synchronize  # type: ignore[method-assign]
+        # A plan is replayed one operation at a time, through the wrappers.
+        executor.run = executor.run_each  # type: ignore[method-assign]
         return recorder
 
     # ------------------------------------------------------------------ query

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Tuple
 
 from ..errors import SimulationError
 from ..hardware import HardwareSpec
@@ -61,8 +62,12 @@ class CopyEngine:
             return CopyMethod.GDRCOPY
         return CopyMethod.CUDAMEMCPY
 
-    def cost(self, nbytes: int, method: CopyMethod = CopyMethod.AUTO) -> CopyCost:
-        """Cost of copying ``nbytes`` between host and device."""
+    def split(
+        self, nbytes: int, method: CopyMethod = CopyMethod.AUTO
+    ) -> Tuple[float, float, CopyMethod]:
+        """``(overhead, wire_time, method)`` of copying ``nbytes``: what
+        :meth:`cost` holds, without building a :class:`CopyCost` (the
+        executor's plan path charges copies from it)."""
         if nbytes < 0:
             raise SimulationError(f"cannot copy a negative byte count ({nbytes})")
         ic = self._hw.interconnect
@@ -71,5 +76,9 @@ class CopyEngine:
             overhead = ic.gdrcopy_overhead
         else:
             overhead = ic.cudamemcpy_overhead
-        wire_time = nbytes / ic.pcie_bandwidth
+        return overhead, nbytes / ic.pcie_bandwidth, resolved
+
+    def cost(self, nbytes: int, method: CopyMethod = CopyMethod.AUTO) -> CopyCost:
+        """Cost of copying ``nbytes`` between host and device."""
+        overhead, wire_time, resolved = self.split(nbytes, method)
         return CopyCost(overhead=overhead, wire_time=wire_time, method=resolved)

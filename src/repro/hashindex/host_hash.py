@@ -9,6 +9,7 @@ costs.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from ..hardware import HardwareSpec
@@ -43,4 +44,9 @@ def host_query_cost(
     serial_accesses = num_keys * probes_per_key / cpu.lookup_threads
     index_time = serial_accesses * cpu.dram_access_latency
     copy_time = payload_bytes / (cpu.dram_bandwidth * cpu.dram_random_efficiency)
-    return HostQueryCost(index_time=index_time, copy_time=copy_time)
+    return _cost_of(index_time, copy_time)
+
+
+#: ``HostQueryCost`` by value: the cost is frozen, and batches repeat a
+#: small set of key counts, so a repeat builds no new object.
+_cost_of = functools.lru_cache(maxsize=4096)(HostQueryCost)

@@ -21,6 +21,7 @@ would execute; callers feed these into :class:`repro.gpusim.KernelSpec`.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -47,7 +48,6 @@ def _bucket_of(keys: np.ndarray, num_buckets: int) -> np.ndarray:
     return (mixed % np.uint64(num_buckets)).astype(np.int64)
 
 
-@dataclass(frozen=True)
 class InsertResult:
     """Outcome of one batched insert.
 
@@ -58,10 +58,13 @@ class InsertResult:
         stats: device cost stats of the insert kernel.
     """
 
-    evicted_values: np.ndarray
-    slots: np.ndarray
-    keys: np.ndarray
-    stats: "ProbeStats"
+    __slots__ = ("evicted_values", "slots", "keys", "stats")
+
+    def __init__(self, evicted_values, slots, keys, stats):
+        self.evicted_values = evicted_values
+        self.slots = slots
+        self.keys = keys
+        self.stats = stats
 
 
 @dataclass(frozen=True)
@@ -87,6 +90,11 @@ class ProbeStats:
             self.dependent_hops * self.lookups + other.dependent_hops * other.lookups
         ) / total
         return ProbeStats(total, self.transactions + other.transactions, hops)
+
+
+#: ``ProbeStats`` by value: the stats are frozen, and batches repeat a
+#: small set of key counts, so a repeat builds no new object.
+probe_stats = functools.lru_cache(maxsize=4096, typed=True)(ProbeStats)
 
 
 class SlabHashIndex:
@@ -145,7 +153,7 @@ class SlabHashIndex:
         keys = np.ascontiguousarray(keys, dtype=np.uint64)
         n = len(keys)
         if n == 0:
-            return np.zeros(0, bool), np.zeros(0, np.uint64), ProbeStats(0, 0, 0.0)
+            return np.zeros(0, bool), np.zeros(0, np.uint64), probe_stats(0, 0, 0.0)
 
         rows, slot = self._probe(keys)
         found = np.zeros(n, dtype=bool)
@@ -154,8 +162,7 @@ class SlabHashIndex:
         values[rows] = self._values[slot]
         if stamp is not None:
             self._stamps[slot] = stamp
-        stats = ProbeStats(n, n, 1.0)
-        return found, values, stats
+        return found, values, probe_stats(n, n, 1.0)
 
     def _probe(self, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """``(rows, slots)``: which of ``keys`` the index holds, ascending,
@@ -193,11 +200,11 @@ class SlabHashIndex:
         if len(keys) == 0:
             empty = np.zeros(0, np.uint64)
             return InsertResult(
-                empty, np.zeros(0, np.int64), empty, ProbeStats(0, 0, 0.0)
+                empty, np.zeros(0, np.int64), empty, probe_stats(0, 0, 0.0)
             )
 
         n = len(keys)
-        if n > 1 and not (keys[1:] > keys[:-1]).all():
+        if n > 1 and np.count_nonzero(keys[1:] <= keys[:-1]):
             _, first = np.unique(keys, return_index=True)
             if len(first) < n:
                 first.sort()
@@ -221,7 +228,8 @@ class SlabHashIndex:
         matched = (slab_keys == sorted_k[:, None]).ravel().nonzero()[0]
         vacant = (slab_keys == EMPTY_KEY).ravel().nonzero()[0]
         vacant_count = np.bincount(vacant >> _SLAB_BITS, minlength=n)
-        fresh = np.ones(n, dtype=bool)
+        fresh = np.empty(n, dtype=bool)
+        fresh.fill(True)
         fresh[matched >> _SLAB_BITS] = False
         fresh_seen = fresh.cumsum()
         fresh_rank = fresh_seen - (fresh_seen - fresh)[run_start] - 1
@@ -232,9 +240,9 @@ class SlabHashIndex:
         slots[takes] += vacant[
             (vacant_count.cumsum() - vacant_count + fresh_rank)[takes]
         ] & (SLAB_SLOTS - 1)
-        if not spill.any():
+        if not np.count_nonzero(spill):
             self._write(slots, sorted_k, sorted_v, fresh, stamp, overwrite)
-            self._size += int(fresh.sum())
+            self._size += int(np.count_nonzero(fresh))
             evicted = np.zeros(0, np.uint64)
         else:
             slots, evicted = self._insert_spilled(
@@ -245,8 +253,10 @@ class SlabHashIndex:
         landed[order] = slots
 
         # Every key reads its slab and writes it back once.
-        stats = ProbeStats(n, 2 * n, float(round_of.max() + 1))
-        return InsertResult(evicted, landed, keys, stats)
+        return InsertResult(
+            evicted, landed, keys,
+            probe_stats(n, 2 * n, float(round_of.max() + 1)),
+        )
 
     # hot-path: vectorized
     def _insert_spilled(
@@ -279,7 +289,7 @@ class SlabHashIndex:
             slots[direct], keys[direct], values[direct], fresh[direct],
             stamp, overwrite,
         )
-        self._size += int(fresh.sum())
+        self._size += int(np.count_nonzero(fresh))
 
         seen = later.cumsum()
         rest = later.nonzero()[0]
@@ -292,7 +302,7 @@ class SlabHashIndex:
             has_match = match.any(axis=1)
             cols = match.argmax(axis=1)
             must_evict = ~has_match
-            if must_evict.any():
+            if np.count_nonzero(must_evict):
                 stamp_rows = self._stamps.reshape(
                     self.num_buckets, SLAB_SLOTS
                 )[buckets[chunk[must_evict]]]
@@ -339,14 +349,14 @@ class SlabHashIndex:
         keys = np.ascontiguousarray(keys, dtype=np.uint64)
         n = len(keys)
         if n == 0:
-            return np.zeros(0, bool), ProbeStats(0, 0, 0.0)
+            return np.zeros(0, bool), probe_stats(0, 0, 0.0)
         rows, slots = self._probe(keys)
         found = np.zeros(n, dtype=bool)
         found[rows] = True
-        if n > 1 and not (keys[1:] > keys[:-1]).all():
+        if n > 1 and np.count_nonzero(keys[1:] <= keys[:-1]):
             slots = np.unique(slots)  # a repeated key names its slot twice
         self.erase_slots(slots)
-        return found, ProbeStats(n, 2 * n, 1.0)
+        return found, probe_stats(n, 2 * n, 1.0)
 
     # ------------------------------------------------------------------ slots
     #

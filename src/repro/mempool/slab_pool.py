@@ -78,7 +78,7 @@ def _one_class(locations: np.ndarray) -> Optional[Tuple[int, np.ndarray]]:
     tiers — else None."""
     class_ids = locations >> _CLASS_SHIFT
     first = class_ids[0]
-    if (class_ids == first).all():
+    if not np.count_nonzero(class_ids != first):
         return int(first), locations & _SLOT_MASK
     return None
 
@@ -258,10 +258,10 @@ class SlabMemoryPool:
         ]
 
     def capacity_of(self, dim: int, tier: Optional[str] = None) -> int:
-        return sum(s.capacity for s in self._slabs_of(dim, tier))
+        return sum([s.capacity for s in self._slabs_of(dim, tier)])
 
     def free_of(self, dim: int, tier: Optional[str] = None) -> int:
-        return sum(len(s.free_slots) for s in self._slabs_of(dim, tier))
+        return sum([len(s.free_slots) for s in self._slabs_of(dim, tier)])
 
     # ----------------------------------------------------------------- retune
     #

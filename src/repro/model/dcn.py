@@ -65,6 +65,9 @@ MAX_TOWERS = 4
 #: Longest wait for the child's next message.  A forward is milliseconds;
 #: a child silent for this long is treated as dead, never waited on.
 ANSWER_TIMEOUT = 60.0
+#: Seconds to wait for a child whose pipe broke to exit, so its exit
+#: code can be reported.
+_EXIT_WAIT = 1.0
 
 #: Smallest input slot.  Slots grow in powers of two to the largest input
 #: seen; untouched pages of a segment cost nothing.
@@ -166,6 +169,8 @@ class _DenseWorker:
         #: tower id -> segment the child has not yet copied.
         self._transfers: dict = {}
         self._failure: Optional[DenseWorkerError] = None
+        #: Whether the child has sent anything yet.
+        self._answered = False
 
     def submit(self, model: "DeepCrossNetwork", x: np.ndarray) -> _Pending:
         """``model``'s forward over C-contiguous ``x``, never waiting.
@@ -188,7 +193,7 @@ class _DenseWorker:
                     self._queue(pending, model, x)
                     return pending
             except OSError as exc:  # a broken pipe: the child is gone
-                raise self._fail(f"could not be reached ({exc!r})") from exc
+                raise self._fail(self._died(exc)) from exc
             except BaseException:
                 # A half-made submission cannot be resumed.
                 if self._failure is None:
@@ -260,9 +265,10 @@ class _DenseWorker:
                 pickle.loads(self._conn.recv_bytes()) if answered else None
             )
         except (EOFError, OSError) as exc:
-            raise self._fail(f"died ({exc!r})") from exc
+            raise self._fail(self._died(exc)) from exc
         if message is None:
             raise self._fail(f"did not answer within {ANSWER_TIMEOUT:g} s")
+        self._answered = True
         kind, name, payload = message
         if kind == "loaded":
             _release(self._transfers.pop(name))
@@ -276,6 +282,19 @@ class _DenseWorker:
         else:
             pending._error = payload
         self._free.append(slot)
+
+    def _died(self, exc: BaseException) -> str:
+        """How the child ended, once its pipe broke: its exit code and,
+        when it never answered, the likely cause."""
+        self._process.join(_EXIT_WAIT)
+        what = f"died (exit code {self._process.exitcode}, {exc!r})"
+        if not self._answered:
+            what += (
+                " before its first answer: the spawn start method re-imports"
+                " the main module in the child, so a script that serves"
+                " needs an `if __name__ == \"__main__\":` guard"
+            )
+        return what
 
     def _fail(self, what: str) -> DenseWorkerError:
         """Give up on the child: every forward it owes raises the returned

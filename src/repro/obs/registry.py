@@ -40,6 +40,7 @@ verified barrier.
 from __future__ import annotations
 
 import copy
+import functools
 import inspect
 import math
 import weakref
@@ -180,8 +181,8 @@ class Conservation:
         return self  # frozen, immutable fields: safe to share across clones
 
     def holds(self, resolve: Callable[[str], float]) -> Tuple[bool, str]:
-        left = sum(resolve(name) for name in self.lhs)
-        right = sum(resolve(name) for name in self.rhs)
+        left = sum([resolve(name) for name in self.lhs])
+        right = sum([resolve(name) for name in self.rhs])
         if self.op == "==":
             ok = abs(left - right) <= _TOL
         elif self.op == "<=":
@@ -191,6 +192,11 @@ class Conservation:
         detail = (f"{' + '.join(self.lhs)} {self.op} {' + '.join(self.rhs)}"
                   f" [{left:g} vs {right:g}]")
         return ok, detail
+
+
+#: ``Conservation`` by value: every engine installs the same catalogue,
+#: and a law is frozen, so a re-declared law builds no new object.
+_law = functools.lru_cache(maxsize=256)(Conservation)
 
 
 class _WeakHook:
@@ -316,8 +322,16 @@ class MetricsRegistry:
     def inc(self, name: str, value: Union[int, float] = 1, **labels: object) -> None:
         if value < 0:
             raise ConfigError(f"counter {name!r} cannot decrease (got {value})")
-        key = (name, _labelset(labels))
+        key = (name, _labelset(labels)) if labels else (name, ())
         self._counters[key] = self._counters.get(key, 0) + value
+
+    # hot-path: vectorized
+    def inc_keys(self, increments) -> None:
+        """Increments by precomputed key: ``(MetricKey, value)`` pairs,
+        added in order, as that many :meth:`inc` calls would add them."""
+        counters = self._counters
+        for key, value in increments:  # lint: allow-loop (one query's ≈ 20 increments)
+            counters[key] = counters.get(key, 0) + value
 
     def set_gauge(self, name: str, value: float, **labels: object) -> None:
         self._gauges[(name, _labelset(labels))] = value
@@ -454,7 +468,7 @@ class MetricsRegistry:
     ) -> None:
         """Declare (or re-declare — registration is idempotent by name) a
         conservation law between summed metric totals."""
-        self._laws[name] = Conservation(name, tuple(lhs), tuple(rhs), op)
+        self._laws[name] = _law(name, tuple(lhs), tuple(rhs), op)
 
     def add_check(self, name: str, hook: Callable[[], object]) -> None:
         """Register an audit hook: a callable returning ``bool`` or

@@ -72,7 +72,7 @@ class DeltaBatch:
 
     @property
     def num_keys(self) -> int:
-        return sum(delta.num_keys for delta in self.deltas)
+        return sum([len(delta.feature_ids) for delta in self.deltas])
 
 
 def _freeze_deltas(

@@ -20,7 +20,7 @@ This package closes that loop:
 """
 
 from .arrivals import PoissonArrivals, Request
-from .batcher import BatchingPolicy, FormedBatch
+from .batcher import BatchingPolicy
 from .pipeline import (
     CoalescingStats,
     InFlightMissTable,
@@ -32,7 +32,6 @@ __all__ = [
     "PoissonArrivals",
     "Request",
     "BatchingPolicy",
-    "FormedBatch",
     "InferenceServer",
     "ServingReport",
     "PipelinedInferenceServer",

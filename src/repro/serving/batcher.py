@@ -10,12 +10,11 @@ delay — the knob every serving stack tunes against its SLA.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, Tuple
 
 import numpy as np
 
 from ..errors import ConfigError
-from .arrivals import Request
 
 
 @dataclass(frozen=True)
@@ -33,80 +32,61 @@ class BatchingPolicy:
             raise ConfigError("max_delay must be >= 0")
 
 
-@dataclass(frozen=True)
-class FormedBatch:
-    """One batch handed to the engine."""
-
-    requests: tuple
-    #: Instant the batch was sealed (dispatch cannot start earlier).
-    formed_at: float
-
-    @property
-    def size(self) -> int:
-        return len(self.requests)
-
-
 # hot-path: vectorized
-def form_batches(
-    requests: Sequence[Request], policy: BatchingPolicy
-) -> List[FormedBatch]:
-    """Group an arrival-ordered request stream into batches.
+def batch_bounds(
+    times: np.ndarray, policy: BatchingPolicy
+) -> Tuple[List[int], List[float]]:
+    """Group an arrival-ordered stream into batches: each batch's end
+    offset into the stream (batches partition it contiguously, in order)
+    and the instant it seals.
 
     A batch seals when it holds ``max_batch_size`` requests, or when the
     next arrival would make its oldest member exceed ``max_delay`` of
     waiting (the batch then seals at exactly ``oldest + max_delay``).
     """
-    batches: List[FormedBatch] = []
-    n = len(requests)
-    if n == 0:
-        return batches
-    requests = list(requests)
-    times = np.fromiter(
-        (r.arrival_time for r in requests), dtype=np.float64, count=n
-    )
+    n = len(times)
+    stops: List[int] = []
+    formed: List[float] = []
     # One iteration per *batch*: a batch starting at ``start`` seals at
     # the earlier of (a) the request filling it to max size — sealed at
     # that request's arrival — or (b) the first later arrival strictly
     # past ``times[start] + max_delay`` — sealed at the deadline itself.
     # The stream is arrival-ordered, so (b) is a single searchsorted.
     if n > 1 and not bool((times[1:] >= times[:-1]).all()):
-        return _form_batches_unsorted(requests, policy)
+        return _bounds_unsorted(times.tolist(), policy)
     start = 0
     while start < n:  # lint: allow-loop (per formed batch)
         deadline = times[start] + policy.max_delay
-        stop = int(np.searchsorted(times, deadline, side="right"))
+        stop = int(times.searchsorted(deadline, side="right"))
         if stop - start >= policy.max_batch_size:
             stop = start + policy.max_batch_size
-            formed_at = float(times[stop - 1])
+            formed.append(float(times[stop - 1]))
         else:
-            formed_at = float(deadline)
-        batches.append(FormedBatch(tuple(requests[start:stop]), formed_at))
+            formed.append(float(deadline))
+        stops.append(stop)
         start = stop
-    return batches
+    return stops, formed
 
 
-def _form_batches_unsorted(
-    requests: Sequence[Request], policy: BatchingPolicy
-) -> List[FormedBatch]:
+def _bounds_unsorted(
+    times: List[float], policy: BatchingPolicy
+) -> Tuple[List[int], List[float]]:
     """Reference per-request scan, kept for out-of-order streams."""
-    batches: List[FormedBatch] = []
-    pending: List[Request] = []
-    for request in requests:
-        if pending:
-            deadline = pending[0].arrival_time + policy.max_delay
-            if request.arrival_time > deadline:
-                batches.append(FormedBatch(tuple(pending), deadline))
-                pending = []
-        pending.append(request)
-        if len(pending) >= policy.max_batch_size:
-            batches.append(
-                FormedBatch(tuple(pending), request.arrival_time)
-            )
-            pending = []
-    if pending:
-        batches.append(
-            FormedBatch(
-                tuple(pending), pending[0].arrival_time + policy.max_delay
-            )
-        )
-    return batches
+    stops: List[int] = []
+    formed: List[float] = []
+    first = 0  # offset of the oldest pending request
+    for i, now in enumerate(times):
+        if i > first:
+            deadline = times[first] + policy.max_delay
+            if now > deadline:
+                stops.append(i)
+                formed.append(deadline)
+                first = i
+        if i + 1 - first >= policy.max_batch_size:
+            stops.append(i + 1)
+            formed.append(now)
+            first = i + 1
+    if first < len(times):
+        stops.append(len(times))
+        formed.append(times[first] + policy.max_delay)
+    return stops, formed

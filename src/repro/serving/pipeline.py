@@ -54,8 +54,8 @@ from ..core.cache_base import (
 from ..errors import WorkloadError
 from ..gpusim.executor import Executor, SharedResource
 from ..obs.registry import Observable
-from .arrivals import Request
-from .batcher import FormedBatch, form_batches
+from .arrivals import Request, request_columns
+from .batcher import batch_bounds
 from .server import InferenceServer, ServingReport
 
 #: Which serial resources each stage occupies for its whole duration.
@@ -152,37 +152,41 @@ class InFlightMissTable(Observable):
         vector.
         """
         n = len(flat_keys)
-        mask = np.zeros(n, dtype=bool)
         degraded = 0
         matched = 0
         if self._segments and n:
             keys = np.asarray(flat_keys).astype(np.uint64, copy=False)
-            seg_of = np.zeros(n, dtype=np.intp)
-            row_of = np.zeros(n, dtype=np.intp)
-            for si, seg in enumerate(self._segments):  # lint: allow-loop (per live segment, bounded by pipeline depth)
-                pos = np.searchsorted(seg.keys, keys)
-                np.clip(pos, 0, seg.keys.size - 1, out=pos)
+            mask = np.zeros(n, dtype=bool)
+            taken_from = []
+            # Later segments win: walk them newest first, each taking the
+            # keys no newer one took.
+            for seg in reversed(self._segments):  # lint: allow-loop (per live segment, bounded by pipeline depth)
+                # ``searchsorted`` positions are >= 0: only the top clamps.
+                pos = np.minimum(
+                    seg.keys.searchsorted(keys), seg.keys.size - 1
+                )
                 hit = seg.keys[pos] == keys
+                if matched:
+                    hit &= ~mask
+                taken = int(np.count_nonzero(hit))
+                if not taken:
+                    continue
                 mask |= hit
-                seg_of[hit] = si
-                row_of[hit] = pos[hit]
-            matched_idx = np.flatnonzero(mask)
-            matched = int(matched_idx.size)
+                matched += taken
+                taken_from.append((seg, hit, pos))
+                if seg.degraded:
+                    degraded += taken
+                if self.track_sources:
+                    self._match_owners[seg.owner] = (
+                        self._match_owners.get(seg.owner, 0) + taken
+                    )
+            # Each matched key's row, in ``flat_keys`` order.
+            slot = mask.cumsum() - 1
             shared_rows = np.empty((matched, dim), dtype=np.float32)
-            if matched:
-                seg_sel = seg_of[matched_idx]
-                for si in np.unique(seg_sel):  # lint: allow-loop (per matched segment)
-                    seg = self._segments[si]
-                    where = seg_sel == si
-                    shared_rows[where] = seg.rows[row_of[matched_idx[where]]]
-                    taken = int(where.sum())
-                    if seg.degraded:
-                        degraded += taken
-                    if self.track_sources:
-                        self._match_owners[seg.owner] = (
-                            self._match_owners.get(seg.owner, 0) + taken
-                        )
+            for seg, hit, pos in taken_from:  # lint: allow-loop (per matched segment)
+                shared_rows[slot[hit]] = seg.rows[pos[hit]]
         else:
+            mask = np.zeros(n, dtype=bool)
             shared_rows = np.empty((0, dim), dtype=np.float32)
         self.stats.coalesced_keys += matched
         self.obs.inc("coalescer.coalesced", matched)
@@ -247,14 +251,16 @@ class _InFlightBatch:
     """Book-keeping of one batch moving through the stage pipeline."""
 
     __slots__ = (
-        "index", "formed", "stages", "executor", "next_stage",
+        "index", "formed_at", "size", "stages", "executor", "next_stage",
         "ready_at", "start", "stall", "trace", "last_elapsed",
     )
 
-    def __init__(self, index: int, formed: FormedBatch, stages, executor,
-                 next_stage: str, ready_at: float, trace=None):
+    def __init__(self, index: int, formed_at: float, size: int, stages,
+                 executor, next_stage: str, ready_at: float, trace=None):
         self.index = index
-        self.formed = formed
+        #: Instant the batch was sealed.
+        self.formed_at = formed_at
+        self.size = size
         self.stages = stages
         self.executor = executor
         self.next_stage = next_stage
@@ -284,6 +290,7 @@ class PipelineRunInfo:
     depth: int = 1
 
 
+# hot-path: vectorized
 def serve_staged(
     server: InferenceServer, requests: Sequence[Request]
 ) -> ServingReport:
@@ -295,10 +302,18 @@ def serve_staged(
     if not requests:
         raise WorkloadError("no requests to serve")
     depth = server.depth
-    batches = form_batches(requests, server.policy)
+    columns = request_columns(requests)
+    stops, formed_at = batch_bounds(columns.arrivals, server.policy)
     resources = {
         name: SharedResource(name) for name in ("host", "pcie", "gpu")
     }
+    # Per stage: the resources it holds, and its tier in the dispatch
+    # order (host-driven stages first at equal instants).
+    stage_needs = {
+        stage: (tuple(resources[r] for r in names), 0 if "host" in names else 1)
+        for stage, names in STAGE_RESOURCES.items()
+    }
+    default_needs = (tuple(resources[r] for r in _DEFAULT_RESOURCES), 0)
     # At depth 1 no two batches are ever in flight together, so a miss
     # table could never match: none is built.
     coalescer = (
@@ -307,35 +322,25 @@ def serve_staged(
     obs = server.obs
     rt = server.reqtracer
     tracer = server.tracer
+    store = server.engine.scheme.store
     if coalescer is not None:
         coalescer.bind_observability(obs)
         coalescer.track_sources = rt is not None
     before = server._begin_run(requests)
     collector = server.collector
     if collector is not None:
-        collector.begin_run(min(r.arrival_time for r in requests))
+        collector.begin_run(float(columns.arrivals.min()))
 
-    n = len(batches)
-    # Per-request arrival instants, batch-partition offsets: batches
-    # partition ``requests`` contiguously in order, so per-batch
+    n = len(stops)
+    # Batches partition ``requests`` contiguously in order, so per-batch
     # latency bookkeeping is an array slice, not a Python loop.
-    arrival_arr = np.fromiter(
-        (r.arrival_time for r in requests), dtype=np.float64,
-        count=len(requests),
-    )
-    sizes_arr = np.fromiter(
-        (b.size for b in batches), dtype=np.intp, count=n,
-    )
+    arrival_arr = columns.arrivals
     offsets = np.zeros(n + 1, dtype=np.intp)
-    np.cumsum(sizes_arr, out=offsets[1:])
+    offsets[1:] = stops
+    sizes_arr = np.diff(offsets)
+    bounds = [0] + stops
     if rt is not None:
-        rt.begin_run(
-            np.fromiter(
-                (r.request_id for r in requests), dtype=np.int64,
-                count=len(requests),
-            ),
-            arrival_arr,
-        )
+        rt.begin_run(columns.request_ids, arrival_arr)
     #: Latest occupied instant across every shared resource; the gap
     #: up to the next dispatch is a provably idle slot the refresher
     #: may fill.  Refresh work is hard-capped at the dispatch instant
@@ -349,6 +354,9 @@ def serve_staged(
     #: drives the following batches' cache path.
     dense_results: list = [None] * n
     in_flight: List[_InFlightBatch] = []
+    #: Executors of completed batches, reset for the next admitted one:
+    #: at most ``depth`` are ever built.
+    idle: List[Executor] = []
     next_index = 0
     completed = [False] * n
     frontier = 0  # smallest batch index not yet completed
@@ -358,36 +366,35 @@ def serve_staged(
         """Admit batches while the in-flight window has room."""
         nonlocal next_index
         admitted = 0
-        while next_index < n and len(in_flight) < depth:
+        while next_index < n and len(in_flight) < depth:  # lint: allow-loop (per admitted batch)
             i = next_index
-            formed = batches[i]
+            lo, hi = bounds[i], bounds[i + 1]
             # Depth gate: batch i may not dispatch before batch
             # i-depth has fully finished (depth=1: one batch at a time).
             floor = finish_times[i - depth] if i >= depth else 0.0
-            executor = Executor(server.hw)
+            if idle:
+                executor = idle.pop()
+                executor.reset()
+            else:
+                executor = Executor(server.hw)
             trace_rec = None
             if rt is not None:
-                trace_rec = rt.begin_batch(
-                    i, int(offsets[i]), int(offsets[i + 1]),
-                    formed.formed_at,
-                )
+                trace_rec = rt.begin_batch(i, lo, hi, formed_at[i])
             stages = server.engine.run_batch_stages(
-                server._to_trace_batch(formed), executor,
+                server._to_trace_batch(requests, columns, lo, hi), executor,
                 coalescer=coalescer, trace=trace_rec,
             )
             first_stage = next(stages)  # announce only; no work yet
             in_flight.append(_InFlightBatch(
-                index=i, formed=formed, stages=stages, executor=executor,
-                next_stage=first_stage,
-                ready_at=max(formed.formed_at, floor),
-                trace=trace_rec,
+                i, formed_at[i], hi - lo, stages, executor, first_stage,
+                max(formed_at[i], floor), trace_rec,
             ))
             next_index += 1
             admitted += 1
         return admitted
 
     admit()
-    while in_flight:
+    while in_flight:  # lint: allow-loop (per batch stage)
         # Pick the in-flight batch whose announced stage can start
         # earliest: event-driven dispatch over the shared resource
         # timelines.  At equal instants, host-driven stages execute
@@ -399,14 +406,11 @@ def serve_staged(
         chosen = None
         chosen_key = None
         chosen_start = 0.0
-        for flight in in_flight:
-            needs = STAGE_RESOURCES.get(
-                flight.next_stage, _DEFAULT_RESOURCES
-            )
+        for flight in in_flight:  # lint: allow-loop (per in-flight batch, at most depth)
+            needs, tier = stage_needs.get(flight.next_stage, default_needs)
             candidate = flight.ready_at
-            for name in needs:
-                candidate = resources[name].next_start(candidate)
-            tier = 0 if "host" in needs else 1
+            for resource in needs:  # lint: allow-loop (per resource a stage holds)
+                candidate = resource.next_start(candidate)
             key = (candidate, tier, flight.index)
             if chosen is None or key < chosen_key:
                 chosen, chosen_key, chosen_start = flight, key, candidate
@@ -415,7 +419,6 @@ def serve_staged(
             server.refresher.run_idle(busy_until, chosen_start)
             busy_until = chosen_start
 
-        lane = f"lane{chosen.index % depth}"
         wait = 0.0
         if chosen.start is None:
             # First stage: the wait for a free host thread is absorbed
@@ -423,20 +426,20 @@ def serve_staged(
             chosen.start = chosen_start
             if chosen.trace is not None:
                 chosen.trace.dispatched(chosen_start)
-            if tracer is not None and chosen_start > chosen.formed.formed_at:
+            if tracer is not None and chosen_start > chosen.formed_at:
                 tracer.record(
-                    lane, f"b{chosen.index}:queue",
-                    chosen.formed.formed_at, chosen_start, "queue",
+                    f"lane{chosen.index % depth}", f"b{chosen.index}:queue",
+                    chosen.formed_at, chosen_start, "queue",
                 )
         else:
             wait = chosen_start - chosen.ready_at
             chosen.stall += wait
         # Align fault windows with this batch's dispatch instant.
-        server.engine.scheme.store.advance_to(chosen.start)
+        store.advance_to(chosen.start)
         if coalescer is not None:
             coalescer.set_owner(chosen.index)
         stage_name = chosen.next_stage
-        needs = STAGE_RESOURCES.get(stage_name, _DEFAULT_RESOURCES)
+        needs = stage_needs.get(stage_name, default_needs)[0]
         finished = False
         try:
             chosen.next_stage = chosen.stages.send(None)
@@ -450,14 +453,14 @@ def serve_staged(
                 stage_name, wait, elapsed - chosen.last_elapsed
             )
             chosen.last_elapsed = elapsed
-        for name in needs:
-            resources[name].occupy(chosen_start, end)
+        for resource in needs:  # lint: allow-loop (per resource a stage holds)
+            resource.occupy(chosen_start, end)
         busy_until = max(busy_until, end)
         chosen.ready_at = end
         if tracer is not None:
             tracer.record(
-                lane, f"b{chosen.index}:{stage_name}", chosen_start, end,
-                stage_name,
+                f"lane{chosen.index % depth}", f"b{chosen.index}:{stage_name}",
+                chosen_start, end, stage_name,
             )
 
         if finished:
@@ -466,11 +469,11 @@ def serve_staged(
                 rt.finish_batch(chosen.trace, chosen.ready_at)
             dense_results[chosen.index] = batch_dense
             obs.inc("serving.batches")
-            obs.inc("serving.batched_requests", chosen.formed.size)
+            obs.inc("serving.batched_requests", chosen.size)
             # A batch is degraded when one of its own store answers
             # served a stale or default vector.
             if query.degraded_keys > 0:
-                obs.inc("serving.degraded_requests", chosen.formed.size)
+                obs.inc("serving.degraded_requests", chosen.size)
             if collector is not None:
                 # Completion instants are nondecreasing: the dense
                 # stage holds the serial GPU resource through each
@@ -485,7 +488,7 @@ def serve_staged(
             if server.autotuner is not None:
                 server.autotuner.on_batch_complete(chosen.ready_at)
             completed[chosen.index] = True
-            while frontier < n and completed[frontier]:
+            while frontier < n and completed[frontier]:  # lint: allow-loop (per completed batch)
                 frontier += 1
             if coalescer is not None:
                 # Owner i's entries may still be matched by any batch
@@ -494,20 +497,21 @@ def serve_staged(
                 # j < i + depth.  Retire once all of those completed.
                 unretired.append(chosen.index)
                 still = []
-                for owner in unretired:
+                for owner in unretired:  # lint: allow-loop (per in-flight owner, at most depth)
                     if owner + depth <= frontier:
                         coalescer.retire(owner)
                     else:
                         still.append(owner)
                 unretired = still
             in_flight.remove(chosen)
+            idle.append(chosen.executor)
             admit()
 
     # End of run: no batch is in flight any more, so every remaining
     # in-flight-table entry is retireable — drain them so the table is
     # provably empty (``coalescer.retired == coalescer.published``).
     if coalescer is not None:
-        for owner in unretired:
+        for owner in unretired:  # lint: allow-loop (per in-flight owner, at most depth)
             coalescer.retire(owner)
         unretired = []
     if server.refresher is not None:
@@ -526,8 +530,7 @@ def serve_staged(
         rt.finalize(obs)
 
     report = server._finalize_report(
-        requests, latencies, arrival_arr, sizes_arr.tolist(),
-        max(finish_times), before,
+        latencies, arrival_arr, sizes_arr.tolist(), max(finish_times), before,
     )
     dense = [d.probabilities for d in dense_results if d is not None]
     if dense:

@@ -30,8 +30,8 @@ from ..obs.spans import SpanTracer
 from ..obs.timeseries import DEFAULT_LATENCY_BUCKETS, WindowedCollector
 from ..workloads.spec import DatasetSpec
 from ..workloads.trace import TraceBatch
-from .arrivals import Request
-from .batcher import BatchingPolicy, FormedBatch
+from .arrivals import Request, RequestColumns
+from .batcher import BatchingPolicy
 
 
 @dataclass
@@ -216,49 +216,45 @@ class InferenceServer:
         """The engine's metrics registry (single source of truth)."""
         return self.engine.obs
 
-    def _to_trace_batch(self, batch: FormedBatch) -> TraceBatch:
-        # Hot path: when every table draws the same number of ids per
-        # request (the common workload shape), one C-level stack builds a
-        # (requests, tables, ids) cube and each table's id column is a
-        # single reshape — no per-request concatenate loop.
-        requests = batch.requests
-        # Fastest path: every request carries a (cube, row) source handle
-        # into one shared id cube — the whole batch is a single gather.
-        src = getattr(requests[0], "source", None)
-        if src is not None:
-            cube = src[0]
-            rows = np.empty(len(requests), dtype=np.intp)
-            for i, r in enumerate(requests):
-                s = r.source
-                if s is None or s[0] is not cube:
-                    rows = None
-                    break
-                rows[i] = s[1]
-            if rows is not None and cube.ndim == 3:
-                stacked = cube[rows]
-                ids_per_table = [
-                    stacked[:, table, :].reshape(-1)
-                    for table in range(self.dataset.num_tables)
-                ]
-                return TraceBatch(ids_per_table=ids_per_table,
-                                  batch_size=len(requests))
+    # hot-path: vectorized
+    def _to_trace_batch(
+        self, requests: Sequence[Request], columns: RequestColumns,
+        start: int, stop: int,
+    ) -> TraceBatch:
+        """Requests ``start:stop`` of a served list (read as ``columns``)
+        as one trace batch."""
+        num_tables = self.dataset.num_tables
+        cube = columns.cube
+        if cube is not None and cube.shape[1] == num_tables:
+            # Every request is a row of one shared id cube: the batch is
+            # one gather, laid out table-major in one copy.
+            stacked = cube[columns.rows[start:stop]]
+            features = stacked.transpose(1, 0, 2).astype(
+                np.uint64, order="C"
+            ).reshape(-1)
+            return TraceBatch.from_columns(
+                features, [stacked.shape[0] * stacked.shape[2]] * num_tables,
+                stop - start,
+            )
+        requests = requests[start:stop]
         try:
             stacked = np.asarray(
-                [r.feature_ids for r in requests], dtype=np.uint64
+                [r.feature_ids for r in requests],  # lint: allow-loop (no shared id cube only)
+                dtype=np.uint64,
             )
         except ValueError:
             stacked = None
         if stacked is not None and stacked.ndim == 3:
             ids_per_table = [
                 stacked[:, table, :].reshape(-1)
-                for table in range(self.dataset.num_tables)
+                for table in range(num_tables)
             ]
         else:  # ragged per-table id counts: exact per-table fallback
             ids_per_table = [
                 np.concatenate(
-                    [r.feature_ids[table] for r in requests]
+                    [r.feature_ids[table] for r in requests]  # lint: allow-loop (ragged ids only)
                 ).astype(np.uint64)
-                for table in range(self.dataset.num_tables)
+                for table in range(num_tables)
             ]
         return TraceBatch(ids_per_table=ids_per_table,
                           batch_size=len(requests))
@@ -276,11 +272,11 @@ class InferenceServer:
         obs.inc("serving.requests", len(requests))
         return before
 
+    # hot-path: vectorized
     def _finalize_report(
         self,
-        requests: Sequence[Request],
         latencies: Sequence[float],
-        arrivals: Sequence[float],
+        arrivals: np.ndarray,
         sizes: List[int],
         last_finish: float,
         before: MetricsSnapshot,
@@ -295,7 +291,7 @@ class InferenceServer:
         obs.observe_many("serving.latency", latencies)
         obs.check()
         delta = obs.snapshot().diff(before)
-        span = last_finish - min(r.arrival_time for r in requests)
+        span = last_finish - float(arrivals.min())
         report = ServingReport(
             latencies=np.asarray(latencies),
             batch_sizes=sizes,
@@ -314,7 +310,7 @@ class InferenceServer:
             sampled_traces=int(delta.total("reqtrace.sampled")),
             metrics=delta,
         )
-        for (name, labels), value in delta.counters.items():
+        for (name, labels), value in delta.counters.items():  # lint: allow-loop (per counter key)
             if name == "reqtrace.rootcause" and value:
                 report.rootcause[dict(labels).get("cause", "")] = int(value)
         report.fault_windows = self.scheme.store.fault_windows()

@@ -131,7 +131,7 @@ class EmbeddingTable:
 
     def _bounded(self, feature_ids: np.ndarray) -> np.ndarray:
         feature_ids = np.ascontiguousarray(feature_ids, dtype=np.uint64)
-        if feature_ids.size and int(feature_ids.max()) >= self.spec.corpus_size:
+        if np.count_nonzero(feature_ids >= self.spec.corpus_size):
             raise WorkloadError(
                 f"table {self.spec.table_id}: feature id beyond corpus size "
                 f"{self.spec.corpus_size}"
@@ -144,8 +144,8 @@ class EmbeddingTable:
         the reference rows of ids touched for the first time."""
         bank = self._bank
         rows = bank.row_of[feature_ids]
-        if rows.min() < 0:
-            absent = rows < 0
+        absent = rows < 0
+        if np.count_nonzero(absent):
             missing = np.unique(feature_ids[absent])
             start = bank.append(missing, reference_vectors(
                 self.spec.table_id, missing, self.spec.dim
@@ -164,10 +164,9 @@ class EmbeddingTable:
         if len(written) > 1:
             at = written.searchsorted(feature_ids)
             hit = written.take(at) == feature_ids
-            if hit.any():
-                out[hit] = self._written_rows.take(
-                    self._written_slots.take(at[hit]), axis=0
-                )
+            out[hit] = self._written_rows.take(
+                self._written_slots.take(at[hit]), axis=0
+            )
 
     # hot-path: vectorized
     def lookup(self, feature_ids: np.ndarray) -> np.ndarray:
@@ -204,7 +203,7 @@ class EmbeddingTable:
                 f"table {self.spec.table_id}: update_rows shape mismatch"
             )
         written = len(ids)
-        if not (ids[1:] > ids[:-1]).all():  # keep each id's last row
+        if np.count_nonzero(ids[1:] <= ids[:-1]):  # keep each id's last row
             order = ids.argsort(kind="stable")
             order = order[np.append(ids[order[1:]] != ids[order[:-1]], True)]
             ids, vectors = ids[order], vectors[order]

@@ -8,7 +8,6 @@ speed, and the resulting embeddings travel over PCIe into the output matrix.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -21,15 +20,20 @@ from .embedding_table import EmbeddingTable
 from .table_spec import TableSpec, total_param_bytes
 
 
-@dataclass(frozen=True)
 class StoreQueryResult:
     """Result of one batched host-store query."""
 
-    vectors: np.ndarray
-    cost: HostQueryCost
-    #: Keys answered with a degraded (stale or default) vector because the
-    #: tier below could not deliver them; 0 from a store holding every row.
-    degraded_keys: int = 0
+    __slots__ = ("vectors", "cost", "degraded_keys")
+
+    def __init__(
+        self, vectors: np.ndarray, cost: HostQueryCost, degraded_keys: int = 0
+    ):
+        self.vectors = vectors
+        self.cost = cost
+        #: Keys answered with a degraded (stale or default) vector because
+        #: the tier below could not deliver them; 0 from a store holding
+        #: every row.
+        self.degraded_keys = degraded_keys
 
 
 def pack_global_key(table_id, feature_id):
@@ -102,10 +106,10 @@ class HostStore(Observable, abc.ABC):
             return StoreQueryResult(
                 np.zeros((0, 0), np.float32), host_query_cost(self.hw, 0, 0)
             )
-        order = np.argsort(table_ids, kind="stable")
+        order = table_ids.argsort(kind="stable")
         tables = table_ids[order].astype(np.uint64)
         ids = feature_ids[order]
-        cuts = (np.flatnonzero(tables[1:] != tables[:-1]) + 1).tolist()
+        cuts = ((tables[1:] != tables[:-1]).nonzero()[0] + 1).tolist()
         starts, stops = [0] + cuts, cuts + [n]
         segments = list(zip(tables[starts].tolist(), starts, stops))
         dims = {self.specs[t].dim for t, _, _ in segments}
@@ -113,24 +117,25 @@ class HostStore(Observable, abc.ABC):
             raise WorkloadError("query_many: tables must share one dimension")
         dim = dims.pop()
         beyond = ids >= self._corpus[tables]
-        if beyond.any():
+        if np.count_nonzero(beyond):
             raise WorkloadError(
                 f"table {int(tables[beyond.argmax()])}: feature id beyond "
                 "corpus size"
             )
         sorted_rows, remote_time, degraded = rows(tables, ids, segments, dim)
-        vectors = np.empty_like(sorted_rows)
+        vectors = np.empty(sorted_rows.shape, sorted_rows.dtype)
         vectors[order] = sorted_rows
 
         if indexed_mask is None:
             keys_to_index = n
         else:
-            keys_to_index = int((~np.asarray(indexed_mask, bool)).sum())
-        local = host_query_cost(self.hw, keys_to_index, n * dim * 4)
-        cost = HostQueryCost(
-            index_time=local.index_time,
-            copy_time=local.copy_time + remote_time,
-        )
+            keys_to_index = n - int(np.count_nonzero(indexed_mask))
+        cost = host_query_cost(self.hw, keys_to_index, n * dim * 4)
+        if remote_time:
+            cost = HostQueryCost(
+                index_time=cost.index_time,
+                copy_time=cost.copy_time + remote_time,
+            )
         return StoreQueryResult(vectors=vectors, cost=cost, degraded_keys=degraded)
 
     @abc.abstractmethod

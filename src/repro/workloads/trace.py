@@ -8,7 +8,7 @@ sequence of batches an experiment replays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterator, List, Sequence
 
 import numpy as np
@@ -16,9 +16,13 @@ import numpy as np
 from ..errors import WorkloadError
 
 
-@dataclass(frozen=True)
 class TraceBatch:
     """One inference batch of sparse lookups.
+
+    Held as flat columns, every table's ids in table order: ``tables``
+    (``int64``) and ``features`` (``uint64``) name each key, ``sizes[t]``
+    of them table ``t``'s, from ``offsets[t]`` on.  The cache path reads
+    the columns; ``ids_per_table`` views them per table.
 
     Attributes:
         ids_per_table: element ``i`` holds the feature IDs queried against
@@ -26,38 +30,55 @@ class TraceBatch:
         batch_size: number of inference samples in the batch.
     """
 
-    ids_per_table: Sequence[np.ndarray]
-    batch_size: int
+    __slots__ = ("batch_size", "tables", "features", "sizes", "offsets")
 
-    def __post_init__(self) -> None:
-        if self.batch_size <= 0:
-            raise WorkloadError("batch_size must be positive")
-        for i, ids in enumerate(self.ids_per_table):
+    def __init__(self, ids_per_table: Sequence[np.ndarray], batch_size: int):
+        for i, ids in enumerate(ids_per_table):
             if ids.ndim != 1:
                 raise WorkloadError(f"table {i}: ids must be one-dimensional")
+        features = (
+            np.concatenate([ids.astype(np.uint64) for ids in ids_per_table])
+            if len(ids_per_table) else np.zeros(0, np.uint64)
+        )
+        self._set(features, [len(ids) for ids in ids_per_table], batch_size)
+
+    @classmethod
+    def from_columns(
+        cls, features: np.ndarray, sizes: Sequence[int], batch_size: int
+    ) -> "TraceBatch":
+        """A batch over ``uint64`` ``features`` already in table order,
+        ``sizes[t]`` ids of table ``t``."""
+        batch = cls.__new__(cls)
+        batch._set(features, sizes, batch_size)
+        return batch
+
+    def _set(self, features, sizes, batch_size) -> None:
+        if batch_size <= 0:
+            raise WorkloadError("batch_size must be positive")
+        self.batch_size = batch_size
+        self.features = features
+        self.sizes = list(sizes)
+        self.offsets = list(accumulate(self.sizes, initial=0))
+        self.tables = np.arange(len(sizes), dtype=np.int64).repeat(sizes)
+
+    @property
+    def ids_per_table(self) -> List[np.ndarray]:
+        bounds = self.offsets
+        return [
+            self.features[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])
+        ]
 
     @property
     def num_tables(self) -> int:
-        return len(self.ids_per_table)
+        return len(self.sizes)
 
     @property
     def total_ids(self) -> int:
-        return sum(len(ids) for ids in self.ids_per_table)
+        return len(self.features)
 
     def flattened(self) -> "tuple[np.ndarray, np.ndarray]":
         """Return (table_ids, feature_ids) as two parallel flat arrays."""
-        tables = np.concatenate(
-            [
-                np.full(len(ids), t, dtype=np.int64)
-                for t, ids in enumerate(self.ids_per_table)
-            ]
-        ) if self.total_ids else np.zeros(0, np.int64)
-        features = (
-            np.concatenate([ids.astype(np.uint64) for ids in self.ids_per_table])
-            if self.total_ids
-            else np.zeros(0, np.uint64)
-        )
-        return tables, features
+        return self.tables, self.features
 
 
 class Trace:

@@ -6,20 +6,32 @@ misses only when an insert ran after the batch's own index probe: the
 only way a key that probe missed can have become cached.  These counts
 are noise-free, so the test asserts them exactly; a change that brings a
 second dedup, probe or scan back into the per-batch path fails here.
+
+The batch's bookkeeping is budgeted the same way: one codec call, one
+timeline plan per stage and one counter call per batch, at most
+``depth`` executors and one read of the request list per served stream,
+and an exact number of Python calls into ``repro`` for the whole run, so
+a per-table or per-request loop that comes back fails here too.
 """
 
+import copy
 import sys
 from collections import Counter, defaultdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.coding.layout import FlatKeyCodec
 from repro.core import workflow
 from repro.core.cache_base import STAGE_COPY
 from repro.core.config import FlecheConfig
 from repro.core.flat_cache import FlatCache
 from repro.core.workflow import FlecheEmbeddingLayer
+from repro.gpusim.executor import Executor
 from repro.hashindex.slab_hash import SlabHashIndex
+from repro.obs.registry import MetricsRegistry
+from repro.serving import pipeline
 from repro.serving.arrivals import PoissonArrivals
 from repro.serving.batcher import BatchingPolicy
 from repro.serving.pipeline import PipelinedInferenceServer
@@ -50,8 +62,9 @@ def _caller(depth=2):
     return frame.f_code.co_name, frame.f_globals.get("__name__", "")
 
 
-@pytest.fixture()
-def served(hw, monkeypatch):
+def _warmed_server(hw):
+    """A depth-2 server warmed on 300 requests, and the 3 200 it serves
+    overloaded (two batches in flight nearly all the time)."""
     dataset = uniform_tables_spec(
         num_tables=4, corpus_size=2_000, alpha=-1.2, dim=16,
     )
@@ -63,7 +76,13 @@ def served(hw, monkeypatch):
         include_dense=False, depth=2,
     )
     server.serve(PoissonArrivals(dataset, 50_000.0, seed=1).generate(300))
+    requests = PoissonArrivals(dataset, 2_000_000.0, seed=2).generate(3_200)
+    return server, requests
 
+
+@pytest.fixture()
+def served(hw, monkeypatch):
+    server, requests = _warmed_server(hw)
     rec = _Recorder()
     real_stages = FlecheEmbeddingLayer.query_stages
 
@@ -116,8 +135,16 @@ def served(hw, monkeypatch):
     # what is under test, so the log derives it from the outcome).
     wrap(FlatCache, "admit_and_insert", "insert",
          keep=lambda result: result[0].any())
+    # The batch's bookkeeping.
+    wrap(FlatKeyCodec, "encode_many", "encode")
+    wrap(FlatKeyCodec, "encode", "encode")
+    wrap(Executor, "run", "plan")
+    for name in ("launch", "copy", "host_work", "synchronize"):
+        wrap(Executor, name, "charge")
+    wrap(Executor, "__init__", "executor")
+    wrap(pipeline, "request_columns", "read requests")
+    wrap(MetricsRegistry, "inc_keys", "counters")
 
-    requests = PoissonArrivals(dataset, 2_000_000.0, seed=2).generate(3_200)
     report = server.serve(requests)
     return rec, report
 
@@ -195,3 +222,67 @@ def test_at_most_one_full_scan_per_batch_beside_evictions(served):
         assert scans["_demote_cold"] + scans["set_unified_capacity"] <= 1
         assert set(scans) <= {"_demote_cold", "set_unified_capacity"}
     assert sum(_per_batch(rec, "scan")) > 0
+
+
+def test_one_codec_call_one_plan_per_stage(served):
+    rec, _ = served
+    assert _per_batch(rec, "encode") == [1] * rec.batches
+    # index, fetch and copy: each stage's charges are one plan.
+    assert _per_batch(rec, "plan") == [3] * rec.batches
+    assert sum(_per_batch(rec, "charge")) == 0
+
+
+def test_one_counter_call_per_batch(served):
+    rec, report = served
+    # A batch's ``cache.*`` counters go to the registry in one call, as
+    # its query returns.
+    calls = rec.calls[None]
+    assert calls["counters", "record_query_metrics"] == len(report.batch_sizes)
+    assert sum(n for (w, _), n in calls.items() if w == "counters") == (
+        len(report.batch_sizes)
+    )
+    assert sum(_per_batch(rec, "counters")) == 0
+
+
+def test_a_stream_reads_its_requests_once_and_reuses_executors(served):
+    rec, _ = served
+    outside = rec.calls[None]
+    assert outside["read requests", "serve_staged"] == 1
+    # At most ``depth`` executors serve the whole stream.
+    assert outside["executor", "admit"] == 2
+    assert sum(_per_batch(rec, "executor")) == 0
+
+
+#: Python calls into ``repro`` while the fixture's server serves its
+#: 3 200 requests (numpy, stdlib and generated dataclass frames not
+#: counted): about 215 a batch.  Python 3.12 inlines comprehensions, so
+#: there the count may only fall.
+REPRO_CALLS = 10_814
+
+
+def test_repro_python_calls_are_pinned(hw):
+    server, requests = _warmed_server(hw)
+    twin = copy.deepcopy(server, {id(hw): hw})
+    # The first serve generates the reference rows the twin's serve
+    # reads (their banks are process-wide), so the count does not depend
+    # on what ran before in this process.
+    server.serve(requests)
+    root = str(Path(workflow.__file__).resolve().parents[1])
+    calls = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.startswith(root):
+            calls[frame.f_code.co_name] += 1
+
+    sys.setprofile(profile)
+    try:
+        report = twin.serve(requests)
+    finally:
+        sys.setprofile(None)
+    total = sum(calls.values())
+    batches = len(report.batch_sizes)
+    assert 40 <= batches
+    if sys.version_info < (3, 12):
+        assert total == REPRO_CALLS, (total, batches, calls.most_common(8))
+    else:
+        assert total <= REPRO_CALLS

@@ -608,6 +608,32 @@ class TestLifetime:
         with pytest.raises(ProcessLookupError):
             os.kill(report["pid"], 0)
 
+    def test_a_script_without_a_main_guard_is_named(self, tmp_path):
+        """The spawned child re-imports the main module: without a guard
+        it re-runs the script, fails to start a worker of its own and
+        exits before answering.  The error says so, with its exit code,
+        instead of blaming the pipe."""
+        script = tmp_path / "unguarded.py"
+        script.write_text(
+            "import numpy as np\n"
+            "from repro import DeepCrossNetwork\n"
+            "from repro.errors import DenseWorkerError\n"
+            "model = DeepCrossNetwork(num_tables=2, embedding_dim=8,\n"
+            "                         hidden_units=(16, 8))\n"
+            "x = np.ones((4, model.input_dim), dtype=np.float32)\n"
+            "try:\n"
+            "    model.forward(x).probabilities\n"
+            "except DenseWorkerError as exc:\n"
+            "    print(exc)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, str(script)], capture_output=True, text=True,
+            timeout=TIMEOUT, env=dict(os.environ, PYTHONPATH=SRC),
+        )
+        assert "died (exit code 1," in done.stdout
+        assert "before its first answer" in done.stdout
+        assert 'if __name__ == "__main__":' in done.stdout
+
     def test_no_process_until_the_first_forward(self):
         """Importing starts nothing, and neither does a run that serves
         no dense model."""

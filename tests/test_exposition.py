@@ -1,6 +1,9 @@
 """Tests for OpenMetrics rendering, parsing, and the metrics HTTP server."""
 
+import copy
 import json
+import sys
+import threading
 import urllib.error
 import urllib.request
 
@@ -17,8 +20,15 @@ from repro.obs import (
     parse_openmetrics,
     render_openmetrics,
 )
+from repro.core.config import FlecheConfig
+from repro.core.workflow import FlecheEmbeddingLayer
 from repro.obs.exposition import metric_name, snapshot_from_payload
 from repro.obs.timeseries import WindowRecord
+from repro.serving.arrivals import PoissonArrivals
+from repro.serving.batcher import BatchingPolicy
+from repro.serving.pipeline import PipelinedInferenceServer
+from repro.tables.store import EmbeddingStore
+from repro.workloads.synthetic import uniform_tables_spec
 
 
 def _registry():
@@ -204,3 +214,49 @@ class TestHttpServer:
                 assert err.code == 404
             else:  # pragma: no cover
                 pytest.fail("expected a 404")
+
+
+def test_scrapes_during_a_served_run_change_no_counter(hw):
+    """A scrape only reads the registry: scraping ``/metrics`` in a loop
+    while a pipelined server serves leaves the audit passing and every
+    counter equal to an unscraped run's."""
+    dataset = uniform_tables_spec(
+        num_tables=4, corpus_size=2_000, alpha=-1.2, dim=16,
+    )
+    store = EmbeddingStore(dataset.table_specs(), hw)
+    layer = FlecheEmbeddingLayer(store, FlecheConfig(cache_ratio=0.05), hw)
+    server = PipelinedInferenceServer(
+        dataset, layer, hw,
+        policy=BatchingPolicy(max_batch_size=64, max_delay=5e-4),
+        include_dense=False, depth=2,
+    )
+    twin = copy.deepcopy(server, {id(hw): hw})
+    requests = PoissonArrivals(dataset, 2_000_000.0, seed=2).generate(3_000)
+    reference = twin.serve(requests)
+
+    done = threading.Event()
+    scrapes = []
+
+    def scrape(http):
+        while not done.is_set():
+            with urllib.request.urlopen(http.url(), timeout=5) as response:
+                scrapes.append(response.status)
+
+    # Switch threads often, so scrapes land inside the serving loop's
+    # registry updates.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with MetricsHttpServer(server.obs) as http:
+            scraper = threading.Thread(target=scrape, args=(http,))
+            scraper.start()
+            try:
+                report = server.serve(requests)  # audits before and after
+            finally:
+                done.set()
+                scraper.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert scrapes and set(scrapes) == {200}
+    assert report.metrics.counters == reference.metrics.counters
+    assert server.obs.snapshot().counters == twin.obs.snapshot().counters

@@ -4,12 +4,18 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import default_platform
+from repro.core.config import FlecheConfig
 from repro.core.fusion import (
     build_fusion_plan,
+    fused_kernel_spec,
     identify_threads,
     warp_divergence_free,
 )
+from repro.core.workflow import FlecheEmbeddingLayer, _index_kernel_spec
 from repro.gpusim.kernel import KernelSpec
+from repro.tables.store import EmbeddingStore
+from repro.workloads.synthetic import uniform_tables_spec
 
 thread_lists = st.lists(
     st.integers(min_value=0, max_value=4096), min_size=1, max_size=64
@@ -57,3 +63,35 @@ def test_fused_work_conserved(threads):
     plan = build_fusion_plan(specs)
     assert plan.fused_spec.stream_bytes == sum(t * 8 for t in threads)
     assert plan.fused_spec.random_transactions == sum(threads)
+
+
+_LAYERS = {}
+
+
+def _layer(num_tables):
+    """A Fleche layer over ``num_tables`` small tables (built once)."""
+    if num_tables not in _LAYERS:
+        hw = default_platform()
+        dataset = uniform_tables_spec(
+            num_tables=num_tables, corpus_size=64, dim=8,
+        )
+        _LAYERS[num_tables] = FlecheEmbeddingLayer(
+            EmbeddingStore(dataset.table_specs(), hw), FlecheConfig(), hw,
+        )
+    return _LAYERS[num_tables]
+
+
+@settings(max_examples=60, deadline=None)
+@given(counts=st.lists(st.integers(0, 300), min_size=1, max_size=12))
+def test_fused_index_spec_from_counts_equals_fusing_per_table_specs(counts):
+    """The decoupled index launch comes from the per-table key counts in
+    one step; it must be the spec fusing one probe kernel per table."""
+    expected = fused_kernel_spec(
+        [_index_kernel_spec(f"fc_index_t{t}", c) for t, c in enumerate(counts)],
+        "fc_index_fused",
+    )
+    layer = _layer(len(counts))
+    got = layer._fused_index_spec(
+        np.array(counts), None, None, sum(counts), len(counts)
+    )
+    assert got == expected

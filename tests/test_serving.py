@@ -7,7 +7,8 @@ from repro.core.config import FlecheConfig
 from repro.core.workflow import FlecheEmbeddingLayer
 from repro.errors import ConfigError, WorkloadError
 from repro.serving.arrivals import PoissonArrivals, Request
-from repro.serving.batcher import BatchingPolicy, form_batches
+from repro.serving.arrivals import request_columns
+from repro.serving.batcher import BatchingPolicy, batch_bounds
 from repro.serving.server import InferenceServer
 from repro.tables.store import EmbeddingStore
 from repro.workloads.synthetic import uniform_tables_spec
@@ -52,33 +53,45 @@ def _request(i, t):
     return Request(i, t, (np.array([i], np.uint64),))
 
 
+def _times(reqs):
+    return request_columns(reqs).arrivals
+
+
 class TestBatcher:
     def test_size_trigger(self):
         reqs = [_request(i, i * 1e-6) for i in range(10)]
-        batches = form_batches(reqs, BatchingPolicy(max_batch_size=4,
-                                                    max_delay=1.0))
-        assert [b.size for b in batches] == [4, 4, 2]
+        stops, _ = batch_bounds(_times(reqs), BatchingPolicy(
+            max_batch_size=4, max_delay=1.0))
+        assert stops == [4, 8, 10]
 
     def test_timeout_trigger(self):
         # Two requests separated by more than the delay: two batches.
         reqs = [_request(0, 0.0), _request(1, 1.0)]
         policy = BatchingPolicy(max_batch_size=100, max_delay=1e-3)
-        batches = form_batches(reqs, policy)
-        assert len(batches) == 2
-        assert batches[0].formed_at == pytest.approx(1e-3)
+        stops, formed_at = batch_bounds(_times(reqs), policy)
+        assert stops == [1, 2]
+        assert formed_at[0] == pytest.approx(1e-3)
 
     def test_batch_preserves_requests(self):
         reqs = [_request(i, i * 1e-6) for i in range(5)]
-        batches = form_batches(reqs, BatchingPolicy(max_batch_size=3,
-                                                    max_delay=1.0))
-        flattened = [r.request_id for b in batches for r in b.requests]
-        assert flattened == [0, 1, 2, 3, 4]
+        stops, _ = batch_bounds(_times(reqs), BatchingPolicy(
+            max_batch_size=3, max_delay=1.0))
+        # Batches partition the stream contiguously, in order.
+        assert stops == [3, 5]
+
+    def test_out_of_order_stream_takes_the_reference_scan(self):
+        times = np.array([0.0, 2e-3, 1e-3, 5e-3, 5.5e-3])
+        stops, formed_at = batch_bounds(
+            times, BatchingPolicy(max_batch_size=2, max_delay=1e-3)
+        )
+        assert stops == [1, 3, 5]
+        assert formed_at == [1e-3, 1e-3, 5.5e-3]
 
     def test_formed_at_never_before_last_arrival_in_full_batch(self):
         reqs = [_request(i, i * 1e-4) for i in range(4)]
         policy = BatchingPolicy(max_batch_size=4, max_delay=10.0)
-        batch = form_batches(reqs, policy)[0]
-        assert batch.formed_at >= reqs[-1].arrival_time
+        _, formed_at = batch_bounds(_times(reqs), policy)
+        assert formed_at[0] >= reqs[-1].arrival_time
 
     def test_policy_validation(self):
         with pytest.raises(ConfigError):

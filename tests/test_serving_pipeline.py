@@ -24,7 +24,8 @@ from repro.gpusim.executor import SharedResource
 from repro.multitier.hierarchy import TieredParameterStore
 from repro.multitier.remote_ps import RemoteParameterServer
 from repro.serving.arrivals import PoissonArrivals
-from repro.serving.batcher import BatchingPolicy, form_batches
+from repro.serving.arrivals import request_columns
+from repro.serving.batcher import BatchingPolicy, batch_bounds
 from repro.serving.pipeline import InFlightMissTable, PipelinedInferenceServer
 from repro.serving.server import InferenceServer, ServingReport
 from repro.tables.store import EmbeddingStore
@@ -205,17 +206,17 @@ class TestDepthOneEquivalence:
 
 def batch_finishes(report, requests, policy):
     """Reconstruct per-batch finish instants from per-request latencies."""
-    batches = form_batches(requests, policy)
+    stops, formed_at = batch_bounds(request_columns(requests).arrivals, policy)
     finishes = []
     offset = 0
-    for formed in batches:
-        n = len(formed.requests)
+    for stop, sealed in zip(stops, formed_at):
+        n = stop - offset
         fin = report.latencies[offset:offset + n] + report.arrival_times[
             offset:offset + n
         ]
         # Every request of a batch completes at the same instant.
         assert np.allclose(fin, fin[0], rtol=0, atol=1e-12)
-        finishes.append((formed.formed_at, float(fin[0])))
+        finishes.append((sealed, float(fin[0])))
         offset += n
     assert offset == len(report.latencies)
     return finishes
