@@ -63,14 +63,18 @@ HOT_PATH_FILES = {
     "src/repro/core/dedup.py": 1,          # deduplicate
     # reference_vectors (one call generates a whole batch's rows, any
     # mix of tables) / _row_numbers / _gather_into and lookup (bank rows
-    # under the write overlay) / update_rows (the overlay's
-    # in-place rewrites and merge of new ids)
-    "src/repro/tables/embedding_table.py": 5,
+    # under the write overlay, a RowMap)
+    "src/repro/tables/embedding_table.py": 4,
+    # RowMap.write (in-place rewrites and one merge of new ids) /
+    # .read_into (one search of a batch's ids): the plain store's write
+    # overlay and the tiered store's stale shadow
+    "src/repro/tables/row_map.py": 2,
     # HostStore._query_by_table (the one grouping path of both host stores'
     # query_many) / EmbeddingStore._gather: its loop is per table
     "src/repro/tables/store.py": 2,
     # TieredParameterStore._sorted_rows / _missed_rows: their loops are
-    # per table
+    # per table (the bypass's fetches, the fetch times in request
+    # order); the degraded fill is one call over the batch's failed keys
     "src/repro/multitier/hierarchy.py": 2,
     # DramCacheLayer.fill / .refresh.  DramCacheLayer.lookup stays
     # unmarked: its per-key loop runs the batch in table order, and that

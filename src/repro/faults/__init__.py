@@ -18,7 +18,7 @@ With no schedule installed every fetch takes exactly the seed's happy
 path, so fault-free runs stay byte-identical.
 """
 
-from .degrade import DegradeConfig, StaleStore
+from .degrade import DegradeConfig
 from .injector import AttemptOutcome, FaultInjector
 from .retry import (
     BreakerConfig,
@@ -57,7 +57,6 @@ __all__ = [
     "RetryPolicy",
     "ShardOutage",
     "SlowSubscriber",
-    "StaleStore",
     "TransientTimeout",
     "UpdateLogOutage",
 ]

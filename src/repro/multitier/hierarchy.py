@@ -14,13 +14,14 @@ they are trusted again.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..faults.degrade import DegradeConfig, StaleStore, degraded_vectors
+from ..faults.degrade import DegradeConfig, degraded_vectors
 from ..hardware import HardwareSpec
 from ..tables.embedding_table import reference_vectors
+from ..tables.row_map import RowMap
 from ..tables.store import (
     HostStore,
     StoreQueryResult,
@@ -63,10 +64,12 @@ class TieredParameterStore(HostStore):
         self._dram_flushed = False
         #: breaker-open seconds already folded into the registry counter.
         self._breaker_time_seen = 0.0
-        # The stale shadow is only maintained on the fault-aware path;
-        # fault-free runs skip the bookkeeping entirely.
-        self._stale: Optional[StaleStore] = (
-            StaleStore() if self.remote.injector is not None else None
+        # The stale shadow, one map per dimension keyed by the packed
+        # global key, is only kept on the fault-aware path; fault-free
+        # runs skip the bookkeeping entirely.
+        self._stale: Dict[int, RowMap] = (
+            {spec.dim: RowMap(spec.dim) for spec in specs}
+            if self.remote.injector is not None else {}
         )
 
         self.dram = DramCacheLayer(specs, dram_capacity)
@@ -167,11 +170,11 @@ class TieredParameterStore(HostStore):
         One pass over the batch, tables in ascending order: the DRAM
         tier's LRU pass (inside a DRAM failure window, a bypass that
         misses every key), one remote fetch timeline per table with
-        misses, one row generation for every fetched key, and a degraded
-        fill for each table whose fetch failed.  ``_now`` is fixed for
-        the call, so a failure window flushes the tier before the batch
-        or not at all.  The batch's DRAM evictions reach the pointer
-        invalidators as one notice, in eviction order.  Every
+        misses, one row generation for every fetched key, and one
+        degraded fill for the keys of every failed fetch.  ``_now`` is
+        fixed for the call, so a failure window flushes the tier before
+        the batch or not at all.  The batch's DRAM evictions reach the
+        pointer invalidators as one notice, in eviction order.  Every
         out-of-corpus id raises before any tier state changes.
         """
         return self._query_by_table(
@@ -234,40 +237,35 @@ class TieredParameterStore(HostStore):
 
         One row generation for every key whose fetch succeeded, feeding
         the stale shadow and the rows the DRAM pass ``found`` still owes;
-        then a degraded fill per failed table.  ``tier.remote_time`` and
-        the charge add the fetch times one at a time, in request order.
+        then one degraded fill for the keys of every failed fetch.
+        ``tier.remote_time`` and the charge add the fetch times one at a
+        time, in request order.
         """
         obs = self.obs
-        ok = np.repeat(
-            [outcome.success for _, _, outcome in fetches],
-            [count for _, count, _ in fetches],
-        )
+        success = [outcome.success for _, _, outcome in fetches]
+        ok = np.repeat(success, [count for _, count, _ in fetches])
         missed_rows = np.empty((len(missed_keys), dim), dtype=np.float32)
-        fetched_tables, fetched_ids = unpack_global_key(missed_keys[ok])
-        rows = reference_vectors(fetched_tables, fetched_ids, dim)
+        fetched = missed_keys[ok]
+        rows = reference_vectors(*unpack_global_key(fetched), dim)
         missed_rows[ok] = rows
-        if self._stale is not None:
-            self._stale.update_many(fetched_tables, fetched_ids, rows)
+        stale = self._stale.get(dim)
+        if stale is not None:
+            stale.write(fetched, rows)
         if found is not None:
             self.dram.fill(found, missed_rows)
         obs.inc("tier.remote_fetches", len(fetches))
         obs.inc("tier.remote_keys", len(missed_keys))
         remote_time = 0.0
-        failed = []
-        start = 0
-        for table_id, count, outcome in fetches:  # lint: allow-loop (per table)
+        for _, _, outcome in fetches:  # lint: allow-loop (per table)
             obs.inc("tier.remote_time", outcome.elapsed)
             remote_time += outcome.elapsed
-            if not outcome.success:
-                failed.append((table_id, start, start + count))
-            start += count
-        degraded = int((~ok).sum())
-        if failed:
-            obs.inc("tier.remote_failures", len(failed))
+        failed = ~ok
+        degraded = int(np.count_nonzero(failed))
+        failures = len(success) - sum(success)
+        if failures:
+            obs.inc("tier.remote_failures", failures)
             obs.inc("tier.degraded_keys", degraded)
-        for table_id, start, stop in failed:  # lint: allow-loop (per table)
-            missed_rows[start:stop] = degraded_vectors(
-                self.degrade, self._stale, table_id,
-                unpack_global_key(missed_keys[start:stop])[1], dim,
+            missed_rows[failed] = degraded_vectors(
+                self.degrade, stale, missed_keys[failed], dim
             )
         return missed_rows, remote_time, degraded

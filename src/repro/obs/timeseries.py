@@ -69,9 +69,9 @@ def jensen_shannon(p: Dict[str, float], q: Dict[str, float]) -> float:
     total_q = sum(q.values())
     if total_p <= 0 or total_q <= 0:
         return float("nan")
-    keys = set(p) | set(q)
     divergence = 0.0
-    for key in keys:
+    # Sorted, so the float sum's order does not follow PYTHONHASHSEED.
+    for key in sorted(set(p) | set(q)):
         pi = p.get(key, 0.0) / total_p
         qi = q.get(key, 0.0) / total_q
         mi = 0.5 * (pi + qi)

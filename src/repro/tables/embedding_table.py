@@ -13,6 +13,7 @@ import weakref
 import numpy as np
 
 from ..errors import WorkloadError
+from .row_map import RowMap
 from .table_spec import TableSpec
 
 _MIX1 = np.uint64(0xFF51AFD7ED558CCD)
@@ -96,10 +97,6 @@ _SHARED_BANKS: "weakref.WeakValueDictionary[tuple, _RowBank]" = (
     weakref.WeakValueDictionary()
 )
 
-#: Above every feature id: ends each overlay's id column, so a search
-#: for an id never runs off its end.
-_END = np.iinfo(np.int64).max
-
 
 class EmbeddingTable:
     """Host hash table of embedding vectors for one feature field.
@@ -108,8 +105,9 @@ class EmbeddingTable:
     the shared bank of the table's spec (see :class:`_RowBank`), so
     replicas, crash rebuilds and fresh stores over one model never
     regenerate a row.  :meth:`update_rows` writes to the table's own
-    sparse overlay, which reads lay over the bank: a write never changes
-    what another table reads.  Rows are stored verbatim at fp32.
+    overlay, a :class:`~repro.tables.row_map.RowMap` that reads lay over
+    the bank: a write never changes what another table reads.  Rows are
+    stored verbatim at fp32.
     """
 
     def __init__(self, spec: TableSpec):
@@ -119,11 +117,7 @@ class EmbeddingTable:
         if bank is None:
             bank = _SHARED_BANKS[key] = _RowBank(spec.corpus_size, spec.dim)
         self._bank = bank
-        #: The overlay: written ids, sorted, then ``_END``, and each one's
-        #: row in ``_written_rows`` (``_END``'s is never read).
-        self._written_ids = np.array([_END], dtype=np.int64)
-        self._written_slots = np.zeros(1, dtype=np.int64)
-        self._written_rows = np.zeros((0, spec.dim), dtype=np.float32)
+        self._overlay = RowMap(spec.dim)
 
     def __len__(self) -> int:
         """Rows generated so far in the bank this table reads."""
@@ -160,13 +154,7 @@ class EmbeddingTable:
         """:meth:`lookup` into ``out`` for ids already :meth:`_bounded`."""
         rows = self._row_numbers(feature_ids)  # may regrow the bank first
         self._bank.rows.take(rows, axis=0, out=out)
-        written = self._written_ids
-        if len(written) > 1:
-            at = written.searchsorted(feature_ids)
-            hit = written.take(at) == feature_ids
-            out[hit] = self._written_rows.take(
-                self._written_slots.take(at[hit]), axis=0
-            )
+        self._overlay.read_into(feature_ids, out)
 
     # hot-path: vectorized
     def lookup(self, feature_ids: np.ndarray) -> np.ndarray:
@@ -179,22 +167,15 @@ class EmbeddingTable:
 
     def written(self) -> tuple:
         """The overlay as ``(ids, rows)``, ids sorted (copies)."""
-        return (
-            self._written_ids[:-1].astype(np.uint64),
-            self._written_rows.take(self._written_slots[:-1], axis=0),
-        )
+        return self._overlay.items()
 
-    # hot-path: vectorized
     def update_rows(
         self, feature_ids: np.ndarray, vectors: np.ndarray
     ) -> int:
         """Write-through: overwrite rows with refreshed model values.
 
         The rows go to the overlay, an id written twice keeping its last
-        row.  An id already written is overwritten in place; new ids are
-        merged into the sorted id column and their rows appended, so no
-        row written before is copied again.
-        Returns the number of rows written.
+        row.  Returns the number of rows written.
         """
         ids = self._bounded(feature_ids)
         vectors = np.asarray(vectors, dtype=np.float32)
@@ -202,32 +183,5 @@ class EmbeddingTable:
             raise WorkloadError(
                 f"table {self.spec.table_id}: update_rows shape mismatch"
             )
-        written = len(ids)
-        if np.count_nonzero(ids[1:] <= ids[:-1]):  # keep each id's last row
-            order = ids.argsort(kind="stable")
-            order = order[np.append(ids[order[1:]] != ids[order[:-1]], True)]
-            ids, vectors = ids[order], vectors[order]
-        at = self._written_ids.searchsorted(ids)
-        old = self._written_ids.take(at) == ids
-        rewritten = np.count_nonzero(old)
-        if rewritten:
-            self._written_rows[self._written_slots.take(at[old])] = vectors[old]
-        if rewritten < len(ids):
-            new = ~old
-            start = len(self._written_ids) - 1
-            end = start + len(ids) - rewritten
-            if end > len(self._written_rows):  # grow the row array by 1/4
-                grown = np.empty(
-                    (max(end, start + start // 4), self.spec.dim), np.float32
-                )
-                grown[:start] = self._written_rows[:start]
-                self._written_rows = grown
-            self._written_rows[start:end] = vectors[new]
-            # Two sorted runs: the stable sort merges them in one pass.
-            merged = np.concatenate((self._written_ids, ids[new]))
-            order = merged.argsort(kind="stable")
-            self._written_ids = merged.take(order)
-            self._written_slots = np.concatenate(
-                (self._written_slots, np.arange(start, end))
-            ).take(order)
-        return written
+        self._overlay.write(ids, vectors)
+        return len(ids)

@@ -24,10 +24,10 @@ from repro.faults import (
     ResilientFetchClient,
     RetryPolicy,
     ShardOutage,
-    StaleStore,
     TransientTimeout,
 )
 from repro.faults.retry import CLOSED, HALF_OPEN, OPEN
+from repro.multitier import hierarchy
 from repro.multitier.hierarchy import TieredParameterStore
 from repro.multitier.remote_ps import RemoteParameterServer
 from repro.serving.arrivals import PoissonArrivals
@@ -238,14 +238,33 @@ class TestResilientFetchClient:
 
 
 class TestDegradation:
-    def test_stale_store_roundtrip(self):
-        store = StaleStore()
-        ids = np.array([3, 9], np.uint64)
-        vectors = reference_vectors(0, ids, 16)
-        store.update_many(np.zeros(2, np.uint64), ids, vectors.copy())
-        got = store.get(0, np.array([9, 5], np.uint64), 16)
-        np.testing.assert_array_equal(got[0], vectors[1])
-        np.testing.assert_array_equal(got[1], np.zeros(16))
+    def test_stale_store_roundtrip(self, specs, hw, monkeypatch):
+        # Through the tiered store's stale shadow: a key fetched twice
+        # serves its last fetched row, a key never fetched zeros.  The
+        # remote tier answers version-0 rows; number its answers so the
+        # two fetches of a key differ.
+        answer = iter(range(1, 10))
+
+        def numbered_rows(tables, ids, dim):
+            return reference_vectors(tables, ids, dim) + next(answer)
+
+        monkeypatch.setattr(hierarchy, "reference_vectors", numbered_rows)
+        store = self._faulted_store(specs, hw, DegradeConfig(policy="stale"))
+        store.advance_to(2.0)  # healthy window
+        query_table(store, 0, np.array([3, 9], np.uint64))  # answer 1
+        store.dram.flush()
+        query_table(store, 0, np.array([9], np.uint64))  # answer 2
+        store.dram.flush()  # the stale shadow survives
+        store.advance_to(0.5)  # inside the outage
+        ids = np.array([9, 5, 3], np.uint64)
+        result = query_table(store, 0, ids)
+        want = reference_vectors(0, ids, 16)
+        want[0] += 2  # id 9: its last fetched row
+        want[1] = 0.0  # id 5: never fetched, the default vector
+        want[2] += 1
+        np.testing.assert_array_equal(result.vectors, want)
+        assert result.degraded_keys == 3
+        assert store.obs.total("tier.remote_failures") == 1
 
     def test_policy_validation(self):
         with pytest.raises(ConfigError):

@@ -242,9 +242,9 @@ class TestSharedRowBank:
         ])
         np.testing.assert_array_equal(table.lookup(ids), want)
         np.testing.assert_array_equal(table.lookup(ids[::-1]), want[::-1])
-        np.testing.assert_array_equal(
-            table._written_ids[:-1], [1, 2, 7, 9, 30, 200]
-        )
+        written_ids, written_rows = table.written()
+        np.testing.assert_array_equal(written_ids, [1, 2, 7, 9, 30, 200])
+        np.testing.assert_array_equal(written_rows, table.lookup(written_ids))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_overlay_equals_a_last_write_wins_map(self, seed):

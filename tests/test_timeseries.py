@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -43,6 +47,28 @@ class TestJensenShannon:
     def test_empty_distribution_is_nan(self):
         assert math.isnan(jensen_shannon({}, {"0": 1.0}))
         assert math.isnan(jensen_shannon({"0": 1.0}, {"0": 0.0}))
+
+    def test_bit_equal_under_every_hash_seed(self):
+        # Twelve labels: summed in set order, this input reads ...637 under
+        # one hash seed and ...639 under the others.
+        script = (
+            "from repro.obs import jensen_shannon\n"
+            "p = [25, 49, 27, 3, 17, 33, 32, 26, 20, 31, 23, 38]\n"
+            "q = [14, 33, 9, 19, 9, 49, 7, 40, 17, 35, 46, 39]\n"
+            "print(repr(jensen_shannon(\n"
+            "    {str(i): float(v) for i, v in enumerate(p)},\n"
+            "    {str(i): float(v) for i, v in enumerate(q)},\n"
+            ")))\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        results = set()
+        for seed in range(4):
+            env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+            results.add(subprocess.run(
+                [sys.executable, "-c", script], env=env, check=True,
+                capture_output=True, text=True,
+            ).stdout)
+        assert len(results) == 1, results
 
 
 class TestCollectorConfig:
