@@ -16,7 +16,11 @@ from ..gpusim.kernel import KernelSpec
 
 
 class CrossNetwork:
-    """A stack of DCN cross layers over a fixed input dimension."""
+    """A stack of DCN cross layers over a fixed input dimension.
+
+    Serving only reads the weights, so they are read-only and a deep
+    copy is the same network: every copy of a model shares one.
+    """
 
     def __init__(self, input_dim: int, num_layers: int, seed: int = 1):
         if input_dim <= 0:
@@ -32,6 +36,11 @@ class CrossNetwork:
             for _ in range(num_layers)
         ]
         self.biases = [np.zeros(input_dim, dtype=np.float32) for _ in range(num_layers)]
+        for array in self.weights + self.biases:
+            array.flags.writeable = False
+
+    def __deepcopy__(self, memo):
+        return self
 
     def forward(self, x0: np.ndarray) -> np.ndarray:
         """Apply every cross layer to batch ``x0`` (shape B x D)."""

@@ -472,8 +472,9 @@ class DeepCrossNetwork:
         self.cross = CrossNetwork(self.input_dim, num_cross_layers, seed=seed)
         self.mlp = MLP(self.input_dim, hidden_units, seed=seed + 1)
         #: Name under which the dense worker holds these towers.  A deep
-        #: copy keeps it (the weights never mutate after the first
-        #: forward), so the copies a server is restored from send nothing.
+        #: copy keeps it and shares the towers themselves (their weights
+        #: are read-only), so the copies a server is restored from send
+        #: nothing and hold no weights of their own.
         self._tower_id = os.urandom(16)
         self._kernels_memo: dict = {}
         self._zero_dense = None

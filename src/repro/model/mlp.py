@@ -32,7 +32,11 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 class MLP:
-    """Fully-connected tower ending in one sigmoid output unit."""
+    """Fully-connected tower ending in one sigmoid output unit.
+
+    Serving only reads the weights, so they are read-only and a deep
+    copy is the same tower: every copy of a model shares one.
+    """
 
     def __init__(self, input_dim: int, hidden_units: Sequence[int], seed: int = 0):
         if input_dim <= 0:
@@ -51,6 +55,11 @@ class MLP:
                 (rng.standard_normal((fan_in, fan_out)) * scale).astype(np.float32)
             )
             self.biases.append(np.zeros(fan_out, dtype=np.float32))
+        for array in self.weights + self.biases:
+            array.flags.writeable = False
+
+    def __deepcopy__(self, memo):
+        return self
 
     @property
     def num_layers(self) -> int:

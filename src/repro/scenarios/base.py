@@ -168,13 +168,13 @@ def draw_feature_cube(
 
 
 def assemble_requests(times: np.ndarray, cube: np.ndarray) -> List[Request]:
-    """Positional :class:`Request` objects over an arrival/feature pair."""
-    features = [tuple(row) for row in cube]
+    """Positional :class:`Request` objects over an arrival/feature pair,
+    each holding its row of ``cube``."""
     return [
         Request(
             request_id=i,
             arrival_time=float(times[i]),
-            feature_ids=features[i],
+            feature_ids=cube[i],
             source=(cube, i),
         )
         for i in range(len(times))

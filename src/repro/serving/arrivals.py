@@ -23,21 +23,36 @@ from ..workloads.zipf import ZipfSampler
 MAX_REQUESTS = 1_000_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Request:
-    """One inference request."""
+    """One inference request.
+
+    Requests compare and hash by identity: two requests with the same
+    ids are still two requests (and arrays have no truth value to
+    compare by).
+    """
 
     request_id: int
     arrival_time: float
-    #: per-table feature IDs (``ids_per_field`` each).
+    #: per-table feature IDs (``ids_per_field`` each): a tuple of id
+    #: arrays, or — for a request with a ``source`` — the ``(tables,
+    #: ids)`` row of its cube, which indexes, iterates and has a ``len``
+    #: the same way.
     feature_ids: tuple
-    #: optional fast-path handle ``(cube, row)``: the source stream's
-    #: ``(count, tables, ids)`` id array plus this request's row in it.
-    #: ``feature_ids`` are views into that row, so batch assembly can
-    #: gather whole batches from the cube in one indexing op instead of
-    #: re-stacking per-request tuples.  Purely an accelerator: identity,
-    #: equality, and repr ignore it.
-    source: tuple = field(default=None, compare=False, repr=False)
+    #: optional handle ``(cube, row)``: the source stream's ``(count,
+    #: tables, ids)`` id array plus this request's row in it.  Batch
+    #: assembly gathers whole batches from the cube in one indexing op,
+    #: and ``feature_ids`` is the row itself, one view instead of one
+    #: per table.  ``repr`` ignores it.
+    source: tuple = field(default=None, repr=False)
+
+    def __post_init__(self):
+        ids, source = self.feature_ids, self.source
+        # A tuple of views of the source cube becomes the one row view.
+        if source is not None and type(ids) is tuple and ids:
+            cube, row = source
+            if isinstance(ids[0], np.ndarray) and ids[0].base is cube:
+                object.__setattr__(self, "feature_ids", cube[row])
 
 
 class RequestColumns(NamedTuple):
@@ -111,20 +126,20 @@ class _FeatureSource:
             for i, f in enumerate(dataset.fields)
         ]
 
-    def draw_batch(self, count: int) -> tuple:
-        """``(cube, feature tuples)`` for ``count`` requests in one pass.
+    def draw_batch(self, count: int) -> np.ndarray:
+        """The ``(count, tables, k)`` id cube of ``count`` requests, in
+        one pass.
 
         Each sampler draws ``count * k`` ids in a single vectorised call
         — bit-identical to ``count`` sequential ``k``-draws from the same
-        generator.  The draws are stacked into one ``(count, tables, k)``
-        cube; per-request tuples are row views into it, and the cube
-        itself rides along on each :class:`Request` (via ``source``) so
-        batch assembly can gather ids without per-request re-stacking.
+        generator.  Each request's ``feature_ids`` is its row view of the
+        cube, and the cube itself rides along on each :class:`Request`
+        (via ``source``) so batch assembly can gather ids without
+        per-request re-stacking.
         """
         k = self.dataset.ids_per_field
         cols = [s.sample(count * k).reshape(count, k) for s in self._samplers]
-        cube = np.stack(cols, axis=1)
-        return cube, [tuple(row) for row in cube]
+        return np.stack(cols, axis=1)
 
 
 class PoissonArrivals:
@@ -143,9 +158,9 @@ class PoissonArrivals:
             raise WorkloadError("count must be positive")
         gaps = self._rng.exponential(1.0 / self.rate, size=count)
         times = np.cumsum(gaps).tolist()
-        cube, features = self._features.draw_batch(count)
+        cube = self._features.draw_batch(count)
         return [
-            Request(i, times[i], features[i], source=(cube, i))
+            Request(i, times[i], cube[i], source=(cube, i))
             for i in range(count)
         ]
 
@@ -171,8 +186,8 @@ class PoissonArrivals:
             times.append(now)
         if not times:
             raise WorkloadError("horizon too short: no arrivals")
-        cube, features = self._features.draw_batch(len(times))
+        cube = self._features.draw_batch(len(times))
         return [
-            Request(i, times[i], features[i], source=(cube, i))
+            Request(i, times[i], cube[i], source=(cube, i))
             for i in range(len(times))
         ]

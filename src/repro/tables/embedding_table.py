@@ -12,9 +12,12 @@ import weakref
 
 import numpy as np
 
-from ..errors import WorkloadError
+from ..errors import ConfigError, WorkloadError
 from .row_map import RowMap
 from .table_spec import TableSpec
+
+#: Largest corpus a table's bank can address (int32 row numbers).
+MAX_CORPUS = np.iinfo(np.int32).max
 
 _MIX1 = np.uint64(0xFF51AFD7ED558CCD)
 _MIX2 = np.uint64(0xC4CEB9FE1A85EC53)
@@ -55,8 +58,11 @@ class _RowBank:
 
     Feature ids are dense in ``[0, corpus_size)``: ``row_of`` maps an id
     straight to its row in ``rows`` (-1 = not yet generated), replacing
-    hash probing on the hot path.  Device-side probing costs are modelled
-    by :func:`~repro.hashindex.host_hash.host_query_cost`, not here.
+    hash probing on the hot path.  Row numbers stay below
+    ``corpus_size``, so they are int32 (every page of ``row_of`` is
+    resident), and a corpus of 2**31 ids or more is refused.
+    Device-side probing costs are modelled by
+    :func:`~repro.hashindex.host_hash.host_query_cost`, not here.
 
     A bank holds nothing but reference rows, a pure function of its key,
     so every table over the same ``(table_id, corpus_size, dim)`` reads
@@ -68,7 +74,12 @@ class _RowBank:
     __slots__ = ("row_of", "rows", "count", "__weakref__")
 
     def __init__(self, corpus_size: int, dim: int):
-        self.row_of = np.full(corpus_size, -1, dtype=np.int64)
+        if corpus_size > MAX_CORPUS:
+            raise ConfigError(
+                f"corpus size {corpus_size} exceeds {MAX_CORPUS}: bank row "
+                "numbers are int32"
+            )
+        self.row_of = np.full(corpus_size, -1, dtype=np.int32)
         self.rows = np.zeros((0, dim), dtype=np.float32)
         self.count = 0
 
@@ -87,7 +98,7 @@ class _RowBank:
             grown[:start] = self.rows[:start]
             self.rows = grown
         self.rows[start:stop] = new_rows
-        self.row_of[feature_ids] = np.arange(start, stop, dtype=np.int64)
+        self.row_of[feature_ids] = np.arange(start, stop, dtype=np.int32)
         self.count = stop
         return start
 

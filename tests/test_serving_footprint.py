@@ -1,0 +1,239 @@
+"""What serving only reads is held once.
+
+* A deep copy of a dense server shares the model's cross and MLP towers,
+  whose arrays are read-only, and computes the same probabilities.
+* A request over a shared id cube holds one ``(tables, ids)`` row view
+  of it as ``feature_ids``, whatever built it, and a tracemalloc budget
+  pins what a request costs.
+* Requests compare and hash by identity.
+* A table's bank numbers its rows at int32.
+"""
+
+import copy
+import dataclasses
+import pickle
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from repro import FlecheConfig
+from repro.core.workflow import FlecheEmbeddingLayer
+from repro.errors import ConfigError
+from repro.model.dcn import DeepCrossNetwork
+from repro.scenarios import build_scenario
+from repro.serving.arrivals import PoissonArrivals, Request
+from repro.serving.batcher import BatchingPolicy
+from repro.serving.pipeline import PipelinedInferenceServer
+from repro.tables.embedding_table import (
+    EmbeddingTable,
+    _RowBank,
+    reference_vectors,
+)
+from repro.tables.store import EmbeddingStore
+from repro.tables.table_spec import TableSpec
+from repro.workloads.synthetic import uniform_tables_spec
+
+#: Requests the memory budget is measured over.
+BUDGET_REQUESTS = 10_000
+#: Bytes one request over a shared 8-table cube may hold: about 320
+#: measured (the Request, its row view and its ``source`` pair), with 2x
+#: headroom.  A tuple of per-table views costs about 1.2 KB.
+REQUEST_BYTES = 650
+
+
+def _dataset(tables=4, ids_per_field=1):
+    return dataclasses.replace(
+        uniform_tables_spec(
+            num_tables=tables, corpus_size=2_000, alpha=-1.2, dim=8,
+        ),
+        ids_per_field=ids_per_field,
+    )
+
+
+class TestSharedTowers:
+    @pytest.fixture(scope="class")
+    def served(self, hw):
+        dataset = uniform_tables_spec(
+            num_tables=4, corpus_size=2_000, alpha=-1.2, dim=16,
+        )
+        server = PipelinedInferenceServer(
+            dataset,
+            FlecheEmbeddingLayer(
+                EmbeddingStore(dataset.table_specs(), hw),
+                FlecheConfig(cache_ratio=0.05), hw,
+            ),
+            hw, depth=2,
+            policy=BatchingPolicy(max_batch_size=128, max_delay=2e-4),
+            model=DeepCrossNetwork(
+                num_tables=4, embedding_dim=16, hidden_units=(64, 32)
+            ),
+            include_dense=True,
+        )
+        server.serve(PoissonArrivals(dataset, 400_000.0, seed=1).generate(300))
+        return server, PoissonArrivals(dataset, 400_000.0, seed=2).generate(600)
+
+    def test_a_copy_shares_the_towers(self, served):
+        server, _ = served
+        model = server.engine.model
+        clone = copy.deepcopy(server).engine.model
+        assert clone is not model
+        assert clone.cross is model.cross
+        assert clone.mlp is model.mlp
+        # What each copy changes as it serves stays its own.
+        assert clone._kernels_memo is not model._kernels_memo
+
+    def test_tower_arrays_are_read_only(self, served):
+        model = served[0].engine.model
+        arrays = (model.cross.weights + model.cross.biases
+                  + model.mlp.weights + model.mlp.biases)
+        layers = model.cross.num_layers + model.mlp.num_layers
+        assert len(arrays) == 2 * layers
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = array  # the same values: harmless if allowed
+
+    def test_a_copy_serves_the_same_probabilities(self, served):
+        server, requests = served
+        expected = copy.deepcopy(server).serve(requests).probabilities
+        got = copy.deepcopy(server).serve(requests).probabilities
+        assert got.shape == (len(requests),)
+        assert got.tobytes() == expected.tobytes()
+        x = np.random.default_rng(0).standard_normal(
+            (16, server.engine.model.input_dim)
+        ).astype(np.float32)
+        model = server.engine.model
+        inline = model.mlp.forward(model.cross.forward(x))
+        assert (copy.deepcopy(model).forward(x).probabilities.tobytes()
+                == inline.tobytes())
+
+
+def _assert_rows_of(requests, cube, dataset):
+    shape = (dataset.num_tables, dataset.ids_per_field)
+    for request in requests:
+        cube_of, row = request.source
+        assert cube_of is cube
+        ids = request.feature_ids
+        assert isinstance(ids, np.ndarray)
+        assert ids.base is cube and ids.shape == shape
+        assert len(ids) == dataset.num_tables
+        for table, column in enumerate(ids):
+            assert np.array_equal(column, cube[row, table])
+            assert np.array_equal(ids[table], cube[row, table])
+
+
+class TestRowView:
+    @pytest.mark.parametrize("ids_per_field", [1, 3])
+    def test_generate(self, ids_per_field):
+        dataset = _dataset(ids_per_field=ids_per_field)
+        requests = PoissonArrivals(dataset, 50_000.0, seed=3).generate(40)
+        _assert_rows_of(requests, requests[0].source[0], dataset)
+
+    def test_generate_until(self):
+        dataset = _dataset()
+        requests = PoissonArrivals(dataset, 50_000.0, seed=3).generate_until(
+            1e-3
+        )
+        assert requests
+        _assert_rows_of(requests, requests[0].source[0], dataset)
+
+    def test_scenario_builder(self):
+        dataset = _dataset(tables=3)
+        load = build_scenario(
+            "flash_crowd", dataset, seed=5, base_rate=20_000.0
+        ).build()
+        cube = load.requests[0].source[0]
+        assert all(r.source[0] is cube for r in load.requests)
+        _assert_rows_of(load.requests, cube, dataset)
+
+    def test_tuple_plus_source_becomes_the_row(self):
+        dataset = _dataset(ids_per_field=2)
+        cube = np.arange(5 * 4 * 2, dtype=np.int64).reshape(5, 4, 2).copy()
+        requests = [
+            Request(i, i * 1e-4, tuple(cube[i]), source=(cube, i))
+            for i in range(5)
+        ]
+        _assert_rows_of(requests, cube, dataset)
+
+    def test_replace_and_pickle_keep_the_ids(self):
+        dataset = _dataset(ids_per_field=2)
+        requests = PoissonArrivals(dataset, 50_000.0, seed=4).generate(8)
+        cube = requests[0].source[0]
+        moved = [dataclasses.replace(r, arrival_time=0.5) for r in requests]
+        _assert_rows_of(moved, cube, dataset)
+        for before, after in zip(requests, moved):
+            assert after.feature_ids is before.feature_ids
+        restored = pickle.loads(pickle.dumps(requests))
+        for before, after in zip(requests, restored):
+            assert after.request_id == before.request_id
+            assert np.array_equal(after.feature_ids, before.feature_ids)
+            assert np.array_equal(after.source[0], cube)
+
+    def test_a_tuple_not_of_the_cube_is_kept(self):
+        cube = np.zeros((2, 2, 1), dtype=np.int64)
+        own = (np.array([7]), np.array([8]))
+        request = Request(0, 0.0, own, source=(cube, 0))
+        assert request.feature_ids is own
+        other = np.ones((2, 2, 1), dtype=np.int64)
+        foreign = tuple(other[1])
+        assert Request(1, 0.0, foreign, source=(cube, 1)).feature_ids is foreign
+        assert Request(2, 0.0, ()).feature_ids == ()
+
+    def test_memory_budget(self):
+        """The ledger's form (a tuple of row views plus ``source``)."""
+        n = BUDGET_REQUESTS
+        cube = np.random.default_rng(0).integers(
+            0, 1_000, (n, 8, 1), dtype=np.int64
+        )
+        times = np.arange(n, dtype=np.float64).tolist()
+        tracemalloc.start()
+        try:
+            requests = [
+                Request(i, times[i], tuple(cube[i]), source=(cube, i))
+                for i in range(n)
+            ]
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(requests) == n
+        assert held <= REQUEST_BYTES * n, f"{held / n:.0f} B a request"
+
+
+class TestIdentity:
+    def test_tuple_form(self):
+        a = Request(0, 0.0, (np.array([1, 2]),))
+        b = Request(0, 0.0, (np.array([1, 2]),))
+        self._check(a, b)
+
+    def test_row_form(self):
+        cube = np.ones((2, 3, 2), dtype=np.int64)
+        a = Request(0, 0.0, tuple(cube[0]), source=(cube, 0))
+        b = Request(0, 0.0, cube[0], source=(cube, 0))
+        self._check(a, b)
+
+    @staticmethod
+    def _check(a, b):
+        assert a == a and not (a != a)
+        assert a != b and not (a == b)
+        assert hash(a) == hash(a) and hash(a) != hash(b)
+        held = {a, b}
+        assert a in held and b in held and len(held) == 2
+        assert dataclasses.replace(a) not in held
+
+
+class TestBankRowNumbers:
+    def test_row_numbers_are_int32(self):
+        table = EmbeddingTable(TableSpec(table_id=91, corpus_size=500, dim=4))
+        ids = np.array([499, 3, 3, 0], dtype=np.uint64)
+        got = table.lookup(ids)
+        assert table._bank.row_of.dtype == np.int32
+        assert table._bank.row_of.nbytes == 4 * 500
+        assert got.tobytes() == reference_vectors(91, ids, 4).tobytes()
+        assert table.lookup(ids[::-1]).tobytes() == got[::-1].tobytes()
+
+    def test_a_corpus_of_2_31_ids_is_refused(self):
+        # Refused before anything is allocated.
+        with pytest.raises(ConfigError, match="int32"):
+            _RowBank(2**31, 4)
+        with pytest.raises(ConfigError, match="int32"):
+            EmbeddingTable(TableSpec(table_id=92, corpus_size=2**31, dim=4))
