@@ -10,7 +10,8 @@ Three questions, one artifact:
 - **Quality**: reuse Exp #5's collision/AUC machinery — int8-quantize the
   low-frequency tail of a trained hashed-logistic model's weights and
   require the held-out AUC to move less than ``AUC_EPSILON``.
-- **Golden no-op**: a precision config with every tier pinned fp32 must
+- **One path**: the default cache is the one-tier (all-fp32) case of the
+  tiered replacement path, so a config spelling that split out must
   reproduce the plain fleche run *exactly* (hits, misses, latencies),
   mirroring the byte-identity test in ``tests/test_golden_hotpath.py``.
 
@@ -66,7 +67,6 @@ def _context(hw, ratio):
 
 def _precision(split):
     return PrecisionConfig(
-        enabled=True,
         fp32_share=split["fp32"],
         fp16_share=split["fp16"],
         int8_share=split["int8"],
@@ -130,12 +130,12 @@ def run_policy_ablation(hw):
 
 
 def run_pinned_identity(hw):
-    """Pinned-fp32 precision vs plain fleche: must match exactly."""
+    """An explicit all-fp32 split vs plain fleche: must match exactly."""
     plain = run_scheme(_context(hw, BASE_RATIO), "fleche")
     pinned = run_scheme(
         _context(hw, BASE_RATIO), "fleche",
         precision=PrecisionConfig(
-            enabled=True, fp32_share=1.0, fp16_share=0.0, int8_share=0.0,
+            fp32_share=1.0, fp16_share=0.0, int8_share=0.0,
         ),
     )
 

@@ -100,7 +100,9 @@ def serve_scenario(name, load, dataset, hw, admission=1.0, controller=None):
         store,
         FlecheConfig(
             cache_ratio=CACHE_RATIO,
-            precision=PrecisionConfig(enabled=True),
+            precision=PrecisionConfig(
+                fp32_share=0.25, fp16_share=0.25, int8_share=0.5
+            ),
         ),
         hw,
     )

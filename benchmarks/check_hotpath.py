@@ -58,7 +58,8 @@ HOT_PATH_FILES = {
     # lookup / insert / _insert_spilled (its loop: the rounds after a
     # bucket's first eviction) / erase
     "src/repro/hashindex/slab_hash.py": 4,
-    # index_lookup / gather / admit_and_insert / _demote_cold
+    # index_lookup / gather / admit_and_insert (its loop: one group per
+    # tier class of the dimension) / _demote_cold
     "src/repro/core/flat_cache.py": 4,
     "src/repro/core/dedup.py": 1,          # deduplicate
     # reference_vectors (one call generates a whole batch's rows, any
@@ -72,8 +73,8 @@ HOT_PATH_FILES = {
     # HostStore._query_by_table (the one grouping path of both host stores'
     # query_many) / EmbeddingStore._gather: its loop is per table
     "src/repro/tables/store.py": 2,
-    # TieredParameterStore._sorted_rows / _missed_rows: their loops are
-    # per table (the bypass's fetches, the fetch times in request
+    # TieredParameterStore._sorted_rows (one DRAM pass, the bypass too) /
+    # _missed_rows: its loop is per table (the fetch times in request
     # order); the degraded fill is one call over the batch's failed keys
     "src/repro/multitier/hierarchy.py": 2,
     # DramCacheLayer.fill / .refresh.  DramCacheLayer.lookup stays

@@ -39,6 +39,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from ..core.workflow import FlecheEmbeddingLayer
 from ..errors import ConfigError
 from ..obs.registry import Observable
 from .actions import (
@@ -171,11 +172,11 @@ class AdaptiveController(Observable):
             raise ConfigError(
                 "adaptive controller needs a WindowedCollector on the server"
             )
-        cache = getattr(server.scheme, "cache", None)
-        if cache is None or not hasattr(cache, "set_admission_probability"):
+        if not isinstance(server.scheme, FlecheEmbeddingLayer):
             raise ConfigError(
                 "adaptive controller needs a FlatCache-backed scheme"
             )
+        cache = server.scheme.cache
         self._server = server
         self._collector = server.collector
         self._cache = cache
@@ -263,7 +264,7 @@ class AdaptiveController(Observable):
             return
 
         self._cruise_guards(win)
-        if getattr(cache, "quantizing", False):
+        if cache.quantizing:
             self._tier_rebalance(win)
 
     def _enter_boost(self, win) -> None:
@@ -272,7 +273,7 @@ class AdaptiveController(Observable):
             admission=cache.admission.probability,
             thresholds=(
                 (cache.admission.hot_min_count, cache.admission.warm_min_count)
-                if getattr(cache, "quantizing", False) else None
+                if cache.quantizing else None
             ),
             watermark=(
                 cache.evict_low_watermark

@@ -143,7 +143,9 @@ def _cmd_scenario(args) -> int:
         # (multi-tier) slab layout to have anything to move.
         config = FlecheConfig(
             cache_ratio=args.ratio,
-            precision=PrecisionConfig(enabled=True),
+            precision=PrecisionConfig(
+                fp32_share=0.25, fp16_share=0.25, int8_share=0.5
+            ),
         )
     store = EmbeddingStore(dataset.table_specs(), hw)
     layer = Layer(store, config, hw)

@@ -25,6 +25,12 @@ from ..errors import ConfigError
 SKETCH_WIDTH = 2048
 SKETCH_DEPTH = 2
 
+#: Estimated count at or above which a key gets the fp32 tier.
+HOT_MIN_COUNT = 8
+#: Count at or above which a key is at least fp16; below it, int8.
+#: ``FlatCache.set_tier_thresholds`` moves both at run time.
+WARM_MIN_COUNT = 2
+
 _MIX1 = np.uint64(0xFF51AFD7ED558CCD)
 _MIX2 = np.uint64(0xC4CEB9FE1A85EC53)
 
@@ -99,9 +105,9 @@ def assign_tier_codes(
 class AdmissionFilter:
     """Bernoulli admission filter over missing keys.
 
-    With an attached estimator (the mixed-precision configuration) the
-    filter also answers "which precision tier should this key get?" —
-    the tier assignment the tentpole derives from admission-time
+    With an attached estimator (a mixed-precision or frequency-evicting
+    cache) the filter also answers "which precision tier should this key
+    get?" — the tier assignment the tentpole derives from admission-time
     frequency estimates.
     """
 
@@ -110,16 +116,14 @@ class AdmissionFilter:
         probability: float = 1.0,
         seed: int = 0,
         estimator: Optional[FrequencyEstimator] = None,
-        hot_min_count: int = 8,
-        warm_min_count: int = 2,
     ):
         if not 0.0 < probability <= 1.0:
             raise ConfigError("admission probability must be in (0, 1]")
         self.probability = probability
         self._rng = np.random.default_rng(seed)
         self.estimator = estimator
-        self.hot_min_count = int(hot_min_count)
-        self.warm_min_count = int(warm_min_count)
+        self.hot_min_count = HOT_MIN_COUNT
+        self.warm_min_count = WARM_MIN_COUNT
 
     def admit(self, keys: np.ndarray) -> np.ndarray:
         """Boolean mask of keys admitted to the cache."""
@@ -136,12 +140,7 @@ class AdmissionFilter:
             self.estimator.observe(keys)
 
     def tier_codes(self, keys: np.ndarray) -> np.ndarray:
-        """Per-key precision tier codes from the frequency estimates.
-
-        Without an estimator every key gets the fp32 tier (code 0).
-        """
-        if self.estimator is None:
-            return np.zeros(len(keys), dtype=np.int8)
+        """Per-key precision tier codes from the frequency estimates."""
         return assign_tier_codes(
             self.estimator.estimate(keys),
             self.hot_min_count,

@@ -32,9 +32,8 @@ class FlecheConfig:
             :class:`repro.core.unified_index.UnifiedIndexTuner`).
         index_load_factor: target load factor of the slab-hash index.
         precision: mixed-precision tiering of cache entries
-            (:class:`repro.core.precision.PrecisionConfig`); disabled by
-            default, in which case the cache takes exactly the fp32-only
-            code path.
+            (:class:`repro.core.precision.PrecisionConfig`); the default
+            is the one-tier, all-fp32 cache of the paper.
     """
 
     cache_ratio: float = 0.05

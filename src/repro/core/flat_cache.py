@@ -112,24 +112,35 @@ class FlatCache(Observable):
         precision = config.precision
         self.precision = precision
         self.quantizing = precision.quantizing
+        # Each dimension's byte share splits across precision tiers by the
+        # configured fractions; slimmer slots buy more slots at the same
+        # byte budget (the effective-capacity multiplier).  The default,
+        # all-fp32 split is the paper's one class per dimension.
+        tiers = precision.tiers_in_use()
         class_capacities = {}
-        if not self.quantizing:
-            for dim, dim_bytes in bytes_per_dim.items():
-                share = budget * (dim_bytes / total_bytes)
-                class_capacities[dim] = max(16, int(share // (dim * 4 + index_overhead)))
-        else:
-            # Each dimension's byte share splits across precision tiers by
-            # the configured fractions; slimmer slots buy more slots at
-            # the same byte budget (the effective-capacity multiplier).
-            for dim, dim_bytes in bytes_per_dim.items():
-                share = budget * (dim_bytes / total_bytes)
-                for tier in precision.tiers_in_use():
-                    tier_share = share * precision.share_of(tier)
-                    cost = slot_payload_bytes(dim, tier) + index_overhead
-                    class_capacities[(dim, tier)] = max(
-                        16, int(tier_share // cost)
-                    )
+        for dim, dim_bytes in bytes_per_dim.items():
+            share = budget * (dim_bytes / total_bytes)
+            for tier in tiers:
+                tier_share = share * precision.share_of(tier)
+                cost = slot_payload_bytes(dim, tier) + index_overhead
+                class_capacities[(dim, tier)] = max(
+                    16, int(tier_share // cost)
+                )
         self.pool = SlabMemoryPool(class_capacities)
+        #: Tiers every dimension has a class for, hottest first.
+        self._tiers = tiers
+        #: Desired tier code -> the nearest *hotter* code with a class (a
+        #: zero-share tier has none; fp32 always has one).
+        present = [TIER_CODES[t] for t in tiers]
+        self._clamp = np.array(
+            [max(p for p in present if p <= c) for c in range(len(TIERS))],
+            dtype=np.int8,
+        )
+        #: Payload bytes of a slot when every class is one tier's.
+        self._slot_bytes = (
+            {dim: slot_payload_bytes(dim, tiers[0]) for dim in bytes_per_dim}
+            if len(tiers) == 1 else None
+        )
 
         total_slots = sum(class_capacities.values())
         unified_slots = int(total_slots * unified_factor)
@@ -137,22 +148,15 @@ class FlatCache(Observable):
             capacity=total_slots + unified_slots,
             load_factor=config.index_load_factor,
         )
-        if precision.needs_estimator:
-            self._estimator: Optional[FrequencyEstimator] = FrequencyEstimator(
-                seed=config.seed
-            )
-            self.admission = AdmissionFilter(
-                config.admission_probability,
-                seed=config.seed,
-                estimator=self._estimator,
-                hot_min_count=precision.hot_min_count,
-                warm_min_count=precision.warm_min_count,
-            )
-        else:
-            self._estimator = None
-            self.admission = AdmissionFilter(
-                config.admission_probability, seed=config.seed
-            )
+        self._estimator = (
+            FrequencyEstimator(seed=config.seed)
+            if precision.needs_estimator else None
+        )
+        self.admission = AdmissionFilter(
+            config.admission_probability,
+            seed=config.seed,
+            estimator=self._estimator,
+        )
         self._eviction_policy = make_eviction_policy(precision.eviction_policy)
         self.reclaimer = EpochReclaimer()
         self._clock = 0
@@ -211,7 +215,7 @@ class FlatCache(Observable):
 
         Feeds the ``precision.entry-split`` / ``precision.bytes-bounded``
         / ``precision.tier-drift`` conservation laws — only emitted on
-        quantizing caches, so a pinned-fp32 configuration never grows a
+        quantizing caches, so a one-tier (all-fp32) cache never grows a
         ``precision.*`` key.
         """
         obs = self.obs
@@ -317,7 +321,10 @@ class FlatCache(Observable):
         Applies the probability filter, allocates pool slots, writes the
         vectors (the decoupled copying kernel), and only then publishes the
         key -> location mappings (the indexing kernel) — the order §3.3
-        prescribes, since copying is invisible to indexing.
+        prescribes, since copying is invisible to indexing.  On a
+        mixed-precision cache the admitted keys split into one group per
+        tier (:meth:`_spill_codes`) and each group runs that sequence in
+        its own class; a one-tier cache's keys are one group.
 
         Returns:
             ``(inserted_mask, stats)``: which of ``flat_keys`` actually
@@ -331,66 +338,77 @@ class FlatCache(Observable):
         positions = admitted.nonzero()[0]
         if len(positions) == 0:
             return inserted_mask, probe_stats(0, 0, 0.0)
-        if self.quantizing:
-            return self._insert_tiered(
-                flat_keys, vectors, dim, dram_mask, positions, inserted_mask
-            )
-
-        free = self.pool.free_of(dim)
-        if free < len(positions):
-            self._evict(dim, need=len(positions) - free)
-            free = self.pool.free_of(dim)
-            if free < len(positions):  # pool smaller than one batch's misses
-                positions = positions[:free]
-        if len(positions) == 0:
-            return inserted_mask, probe_stats(0, 0, 0.0)
-
-        keys = flat_keys[positions]
-        rows = vectors[positions]
-        # Admitted keys currently carrying a DRAM pointer get their entry
-        # overwritten with a cache location: fewer unified entries live.
-        # (``dram_mask`` lets callers who already indexed skip the lookup.)
-        if dram_mask is not None:
-            promoted = int(np.count_nonzero(dram_mask[positions]))
+        tiers = self._tiers
+        if len(tiers) == 1:
+            groups = ((tiers[0], positions),)
+            # One group: its index stats pass through as they are (a merge
+            # into zero stats re-divides the hop mean and may round it).
+            stats = None
         else:
-            found, pointers, _ = self.index.lookup(keys)
-            promoted = int(np.count_nonzero(found & is_dram_pointer(pointers)))
-        self.unified_entries = max(0, self.unified_entries - promoted)
+            codes = self._spill_codes(dim, flat_keys, positions)
+            groups = [
+                (TIERS[code], positions[codes == code])
+                for code in np.unique(codes)
+            ]
+            stats = probe_stats(0, 0, 0.0)
+        inserted = 0
+        for tier, sel in groups:  # lint: allow-loop (per tier class of one dimension)
+            free = self.pool.free_of(dim, tier)
+            if free < len(sel):
+                self._evict(dim, tier, need=len(sel) - free)
+                free = self.pool.free_of(dim, tier)
+                if free < len(sel):  # class smaller than one batch's misses
+                    sel = sel[:free]
+            if len(sel) == 0:
+                continue
+            keys = flat_keys[sel]
+            rows = vectors[sel]
+            # Admitted keys currently carrying a DRAM pointer get their
+            # entry overwritten with a cache location: fewer unified
+            # entries live.  (``dram_mask`` lets callers who already
+            # indexed skip the lookup.)
+            if dram_mask is not None:
+                promoted = int(np.count_nonzero(dram_mask[sel]))
+            else:
+                found, pointers, _ = self.index.lookup(keys)
+                promoted = int(
+                    np.count_nonzero(found & is_dram_pointer(pointers))
+                )
+            self.unified_entries = max(0, self.unified_entries - promoted)
+            locations = self.pool.allocate(dim, len(keys), tier)
+            self.pool.write(locations, rows)  # copying kernel, quantizing
+            result = self._publish_cached(keys, locations)
+            self._release_displaced(result.evicted_values)
+            inserted_mask[sel] = True
+            inserted += len(sel)
+            stats = (
+                result.stats if stats is None
+                else stats.merged_with(result.stats)
+            )
+        if not inserted:
+            return inserted_mask, probe_stats(0, 0, 0.0)
+        self.obs.inc("cache.inserted", inserted)
+        return inserted_mask, stats
 
-        locations = self.pool.allocate(dim, len(keys))
-        self.pool.write(locations, rows)  # copying kernel
-        result = self._publish_cached(keys, locations)
-        self._release_displaced(result.evicted_values)
-        inserted_mask[positions] = True
-        self.obs.inc("cache.inserted", len(positions))
-        return inserted_mask, result.stats
+    def _spill_codes(
+        self, dim: int, flat_keys: np.ndarray, positions: np.ndarray
+    ) -> np.ndarray:
+        """Tier codes of the admitted keys at ``positions`` of a
+        mixed-precision cache.
 
-    def _insert_tiered(
-        self,
-        flat_keys: np.ndarray,
-        vectors: np.ndarray,
-        dim: int,
-        dram_mask: Optional[np.ndarray],
-        positions: np.ndarray,
-        inserted_mask: np.ndarray,
-    ) -> Tuple[np.ndarray, ProbeStats]:
-        """Mixed-precision replacement: admitted keys land in the tier the
-        admission filter's frequency estimate assigns them (hot → fp32,
-        warm → fp16, tail → int8).
-
-        Tier classes fill under *spill* pressure: when a class has fewer
-        free slots than candidates, the highest-estimate candidates take
-        the free slots and the overflow demotes to the next colder tier —
-        a hot key served at reduced precision still hits, which beats
-        churning another hot entry out of the cache.  Only the coldest
-        tier evicts, so total entry capacity is the binding constraint
-        (the effective-capacity multiplier the tiering is for); on-hit
-        retiering later promotes spilled keys as fp32 room opens up.
+        Each key's frequency estimate assigns it a tier (hot → fp32,
+        warm → fp16, tail → int8).  Tier classes fill under *spill*
+        pressure: when a class has fewer free slots than candidates, the
+        highest-estimate candidates take the free slots and the overflow
+        demotes to the next colder tier — a hot key served at reduced
+        precision still hits, which beats churning another hot entry out
+        of the cache.  Only the coldest tier evicts, so total entry
+        capacity is the binding constraint (the effective-capacity
+        multiplier the tiering is for); on-hit retiering later promotes
+        spilled keys as fp32 room opens up.
         """
-        codes = self._clamp_codes(
-            dim, self.admission.tier_codes(flat_keys[positions])
-        )
-        available = sorted(TIER_CODES[t] for t in self.pool.tiers_of(dim))
+        codes = self._clamp[self.admission.tier_codes(flat_keys[positions])]
+        available = [TIER_CODES[t] for t in self._tiers]
         for i, code in enumerate(available[:-1]):
             sel = np.nonzero(codes == code)[0]
             free = self.pool.free_of(dim, TIERS[code])
@@ -401,37 +419,7 @@ class FlatCache(Observable):
                 keep = np.argsort(-counts, kind="stable")[:free]
                 spill = np.setdiff1d(sel, sel[keep], assume_unique=True)
                 codes[spill] = available[i + 1]
-        stats = probe_stats(0, 0, 0.0)
-        for code in np.unique(codes):
-            tier = TIERS[code]
-            sel = positions[codes == code]
-            free = self.pool.free_of(dim, tier)
-            if free < len(sel):
-                self._evict(dim, need=len(sel) - free, tier=tier)
-                free = self.pool.free_of(dim, tier)
-                if free < len(sel):
-                    sel = sel[:free]
-            if len(sel) == 0:
-                continue
-            keys = flat_keys[sel]
-            rows = vectors[sel]
-            if dram_mask is not None:
-                promoted = int(dram_mask[sel].sum())
-            else:
-                found, pointers, _ = self.index.lookup(keys)
-                promoted = int((found & is_dram_pointer(pointers)).sum())
-            self.unified_entries = max(0, self.unified_entries - promoted)
-            locations = self.pool.allocate(dim, len(keys), tier=tier)
-            self.pool.write(locations, rows)  # quantize-on-insert
-            self.pool.set_born(locations, code)
-            result = self._publish_cached(keys, locations)
-            self._release_displaced(result.evicted_values)
-            inserted_mask[sel] = True
-            stats = stats.merged_with(result.stats)
-        inserted = int(inserted_mask.sum())
-        if inserted:
-            self.obs.inc("cache.inserted", inserted)
-        return inserted_mask, stats
+        return codes
 
     def _publish_cached(
         self, keys: np.ndarray, locations: np.ndarray
@@ -442,21 +430,6 @@ class FlatCache(Observable):
         return self.index.insert(
             keys, tag_cache_location(locations), stamp=self._clock
         )
-
-    def _clamp_codes(self, dim: int, codes: np.ndarray) -> np.ndarray:
-        """Clamp desired tier codes to tiers that have a slab class.
-
-        A tier with zero byte share gets no class; its keys fall to the
-        nearest *hotter* tier present (fp32 always exists when enabled).
-        """
-        available = [TIER_CODES[t] for t in self.pool.tiers_of(dim)]
-        if len(available) == len(TIERS):
-            return codes
-        lookup = np.zeros(len(TIERS), dtype=np.int8)
-        for code in range(len(TIERS)):
-            hotter = [a for a in available if a <= code]
-            lookup[code] = max(hotter) if hotter else min(available)
-        return lookup[codes]
 
     # ------------------------------------------------------------ promotion
 
@@ -489,9 +462,7 @@ class FlatCache(Observable):
         """
         if not self.quantizing or len(flat_keys) == 0:
             return 0, 0
-        desired = self._clamp_codes(
-            dim, self.admission.tier_codes(flat_keys)
-        )
+        desired = self._clamp[self.admission.tier_codes(flat_keys)]
         current = self.pool.tier_codes_of_locations(locations)
         moved = desired != current
         if not moved.any():
@@ -533,8 +504,11 @@ class FlatCache(Observable):
             self.obs.inc("precision.demotions", demotion_steps)
         return promoted, demoted
 
-    def read_payload_bytes(self, locations: np.ndarray) -> int:
-        """Total stored payload bytes behind ``locations`` (gather size)."""
+    def read_payload_bytes(self, locations: np.ndarray, dim: int) -> int:
+        """Total stored payload bytes behind ``locations`` of dimension
+        ``dim`` (gather size): a one-tier cache knows it from the count."""
+        if self._slot_bytes is not None:
+            return len(locations) * self._slot_bytes[dim]
         return int(self.pool.payload_bytes_of_locations(locations).sum())
 
     # ------------------------------------------------------------------ unified
@@ -706,10 +680,6 @@ class FlatCache(Observable):
         disturbed.  Returns ``(retired_slots, grown_slots)``; ``(0, 0)``
         when the donor has nothing spare.
         """
-        if not self.quantizing:
-            raise ConfigError(
-                "tier capacity transfer needs a mixed-precision cache"
-            )
         if from_tier == to_tier:
             raise ConfigError("transfer_tier_capacity: tiers must differ")
         for tier in (from_tier, to_tier):
@@ -765,17 +735,18 @@ class FlatCache(Observable):
 
     # ------------------------------------------------------------------ evict
 
-    def _evict(self, dim: int, need: int, tier: Optional[str] = None) -> None:
-        """Full-scan eviction (§3.1): drop cold entries of slab class ``dim``.
+    def _evict(self, dim: int, tier: str, need: int) -> None:
+        """Full-scan eviction (§3.1): drop cold entries of slab class
+        ``(dim, tier)``.
 
         Runs when the slab class cannot satisfy an allocation (utilisation
         above the high watermark); evicts the coldest entries until
         utilisation falls to the low watermark (or ``need`` is satisfied).
         Victim order comes from the configured eviction policy — pure
-        recency by default (byte-identical to the pre-tiering scan), or a
-        frequency-aware LFU/hybrid score over the estimator's counts.  On
-        a mixed-precision pool each (dim, tier) class evicts
-        independently.  Freed slots are retired through the epoch
+        recency by default, or a frequency-aware LFU/hybrid score over the
+        estimator's counts.  On a mixed-precision pool each (dim, tier)
+        class evicts independently; a one-tier pool's class is the whole
+        dimension, so only the dimension filters.  Freed slots are retired through the epoch
         reclaimer, so concurrent readers never observe reuse
         (read-after-delete safety).
         """
@@ -785,7 +756,7 @@ class FlatCache(Observable):
         locations = untag(values[cache_mask])
         dims = self.pool.dim_of_locations(locations)
         in_class = dims == dim
-        if tier is not None:
+        if len(self._tiers) > 1:
             tier_codes = self.pool.tier_codes_of_locations(locations)
             in_class &= tier_codes == TIER_CODES[tier]
         #: positions, in the scanned columns, of this class's entries.

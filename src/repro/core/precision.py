@@ -67,71 +67,53 @@ def slot_payload_bytes(dim: int, tier: str) -> int:
 class PrecisionConfig:
     """Tunables of the mixed-precision tiering subsystem.
 
+    The default is the paper's flat cache: every byte goes to fp32, one
+    slab class per dimension, pure-LRU eviction.  It is the one-tier case
+    of the same replacement path the mixed splits take.
+
     Attributes:
-        enabled: master switch.  Disabled (the default) the cache takes
-            exactly the fp32-only code path, byte-for-byte.
         fp32_share / fp16_share / int8_share: fraction of each dimension
-            class's *byte* budget allocated to each tier (must sum to 1
-            when enabled; a zero share means the tier gets no slab class).
-        hot_min_count: estimated occurrence count at or above which a key
-            is assigned the fp32 tier.
-        warm_min_count: count at or above which a key is at least fp16;
-            keys below it land in the int8 tail.
-        eviction_policy: victim-ordering policy — ``"lru"`` (pure recency,
-            byte-identical to the pre-tiering scan), ``"lfu"`` (least
-            frequent first, recency breaking ties), or ``"hybrid"``
-            (weighted blend of both ranks, :data:`HYBRID_RECENCY_WEIGHT`).
+            class's *byte* budget allocated to each tier (must sum to 1;
+            a zero share means the tier gets no slab class).  Keys are
+            assigned tiers by frequency estimate against
+            :data:`~repro.core.admission.HOT_MIN_COUNT` /
+            :data:`~repro.core.admission.WARM_MIN_COUNT`.
+        eviction_policy: victim-ordering policy — ``"lru"`` (pure
+            recency), ``"lfu"`` (least frequent first, recency breaking
+            ties), or ``"hybrid"`` (weighted blend of both ranks,
+            :data:`HYBRID_RECENCY_WEIGHT`).
     """
 
-    enabled: bool = False
-    fp32_share: float = 0.25
-    fp16_share: float = 0.25
-    int8_share: float = 0.5
-    hot_min_count: int = 8
-    warm_min_count: int = 2
+    fp32_share: float = 1.0
+    fp16_share: float = 0.0
+    int8_share: float = 0.0
     eviction_policy: str = "lru"
 
     def __post_init__(self) -> None:
         shares = (self.fp32_share, self.fp16_share, self.int8_share)
         if any(s < 0.0 for s in shares):
             raise ConfigError("tier shares must be non-negative")
-        if self.enabled:
-            if abs(sum(shares) - 1.0) > 1e-9:
-                raise ConfigError("tier shares must sum to 1 when enabled")
-            if self.fp32_share <= 0.0:
-                raise ConfigError(
-                    "fp32_share must be positive when enabled (hot keys "
-                    "need a full-precision tier to promote into)"
-                )
+        if abs(sum(shares) - 1.0) > 1e-9:
+            raise ConfigError("tier shares must sum to 1")
+        if self.fp32_share <= 0.0:
+            raise ConfigError(
+                "fp32_share must be positive (hot keys need a "
+                "full-precision tier to promote into)"
+            )
         if self.eviction_policy not in ("lru", "lfu", "hybrid"):
             raise ConfigError(
                 "eviction_policy must be one of 'lru', 'lfu', 'hybrid'"
             )
-        if self.eviction_policy != "lru" and not self.enabled:
-            raise ConfigError(
-                "frequency-aware eviction needs enabled=True (the "
-                "frequency estimator only runs on the precision path)"
-            )
-        if not 0 < self.warm_min_count <= self.hot_min_count:
-            raise ConfigError(
-                "thresholds must satisfy 0 < warm_min_count <= hot_min_count"
-            )
 
     @property
     def quantizing(self) -> bool:
-        """Whether any entry is actually stored below fp32.
-
-        Pinning every tier to fp32 (``fp32_share == 1``) keeps the cache
-        on the exact pre-tiering code path — the golden no-op guarantee.
-        """
-        return self.enabled and (self.fp16_share > 0.0 or self.int8_share > 0.0)
+        """Whether any entry is stored below fp32."""
+        return self.fp16_share > 0.0 or self.int8_share > 0.0
 
     @property
     def needs_estimator(self) -> bool:
         """Whether the cache must maintain a frequency estimator."""
-        return self.enabled and (
-            self.quantizing or self.eviction_policy != "lru"
-        )
+        return self.quantizing or self.eviction_policy != "lru"
 
     def share_of(self, tier: str) -> float:
         return {
@@ -229,7 +211,7 @@ class EvictionPolicy:
     ``victim_order`` returns indices into the candidate arrays, coldest
     first; the cache evicts a prefix of that order.  ``counts`` is the
     frequency estimate per candidate key, or ``None`` when the cache
-    maintains no estimator (the pure-LRU configuration).
+    keeps no estimator (pure LRU on an fp32 cache, which ignores it).
     """
 
     name = "abstract"
@@ -241,7 +223,7 @@ class EvictionPolicy:
 
 
 class LruEviction(EvictionPolicy):
-    """Pure recency — exactly the pre-tiering ``argsort(stamps)`` scan."""
+    """Pure recency: ``argsort(stamps)``."""
 
     name = "lru"
 
@@ -255,8 +237,6 @@ class LfuEviction(EvictionPolicy):
     name = "lfu"
 
     def victim_order(self, stamps, counts):
-        if counts is None:
-            return np.argsort(stamps)
         # lexsort: last key is primary — frequency first, then stamp.
         return np.lexsort((stamps, counts))
 
@@ -272,8 +252,6 @@ class HybridEviction(EvictionPolicy):
     name = "hybrid"
 
     def victim_order(self, stamps, counts):
-        if counts is None:
-            return np.argsort(stamps)
         n = len(stamps)
         if n <= 1:
             return np.arange(n)

@@ -101,6 +101,10 @@ class UpdateApplier:
     ) -> UpdateOutcome:
         """Refresh one table's updated embeddings inside the cache.
 
+        Only tests call this one-delta form: serving refreshes go through
+        :meth:`apply_deltas`, so the ledger's ``core.updates.*`` spans,
+        which trace this method, read 0 on every workload.
+
         Args:
             table_id: table whose parameters changed.
             feature_ids: updated IDs; duplicates resolve last-write-wins

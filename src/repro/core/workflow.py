@@ -342,7 +342,7 @@ class FlecheEmbeddingLayer(EmbeddingCacheScheme):
         outcome = cache.index_lookup(unique_keys)
         inserts_at_probe = cache.cached_inserts
         # Frequency estimation rides the indexing pass: one sketch fold of
-        # the deduplicated keys (no-op unless mixed precision / LFU is on).
+        # the deduplicated keys (no-op without a frequency estimator).
         cache.observe_keys(unique_keys)
         # Pin the reclamation epoch for the resolve -> gather window: the
         # locations just read from the index must stay readable through
@@ -397,11 +397,12 @@ class FlecheEmbeddingLayer(EmbeddingCacheScheme):
             )
 
         # --- Phase 4a: decoupled copy kernel(s) for the hits (async).
-        # On the mixed-precision path the dequant fuses into this gather
-        # (the spec's read side shrinks to the stored payload bytes) and a
-        # hit doubles as a retier opportunity: keys whose frequency
-        # estimate crossed a tier threshold move to their new tier while
-        # their fp32 rows are already in registers.
+        # The spec's read side is the stored payload bytes: on a
+        # mixed-precision cache the dequant fuses into this gather and
+        # fp16/int8 lines stream fewer bytes.  There a hit also doubles as
+        # a retier opportunity: keys whose frequency estimate crossed a
+        # tier threshold move to their new tier while their fp32 rows are
+        # already in registers.
         quantizing = cache.quantizing
         promoted_keys = 0
         demoted_keys = 0
@@ -411,22 +412,14 @@ class FlecheEmbeddingLayer(EmbeddingCacheScheme):
             locations = group.take(outcome.locations)[hit_here]
             rows = len(locations)
             if config.decouple_copy:
-                if quantizing:
-                    read_bytes = cache.read_payload_bytes(locations)
-                    key = ("copy", dim, rows, read_bytes)
-                    spec = memo.get(key) or self._remember(
-                        key, _copy_kernel_spec(
-                            f"fc_copy_d{dim}", rows, dim, self.hw,
-                            read_bytes=read_bytes,
-                        ),
-                    )
-                else:
-                    key = ("copy", dim, rows)
-                    spec = memo.get(key) or self._remember(
-                        key, _copy_kernel_spec(
-                            f"fc_copy_d{dim}", rows, dim, self.hw
-                        ),
-                    )
+                read_bytes = cache.read_payload_bytes(locations, dim)
+                key = ("copy", dim, rows, read_bytes)
+                spec = memo.get(key) or self._remember(
+                    key, _copy_kernel_spec(
+                        f"fc_copy_d{dim}", rows, dim, self.hw,
+                        read_bytes=read_bytes,
+                    ),
+                )
                 plan.append((LAUNCH, spec, copy_stream, Category.CACHE_COPY))
             if rows:
                 gathered = cache.gather(locations)

@@ -5,13 +5,13 @@ per-call latency of ``cudaMalloc``); inside it, one *slab class* exists per
 embedding dimension, since every embedding of a table has the same size
 known in advance — this is how Fleche sidesteps fragmentation (§3.1).
 
-With mixed-precision tiering (:mod:`repro.core.precision`) a dimension may
-be split into up to three classes — (dim, fp32), (dim, fp16), (dim, int8)
-— each with its own storage dtype; quantization is fused into ``write``
-and dequantization into ``read``, so callers always speak float32 and the
-copy kernels stay plain vectorised gathers.  A pool built from the legacy
-``dim -> capacity`` mapping is pure fp32 and byte-identical to the
-pre-tiering behaviour.
+Classes are keyed ``(dim, tier)``.  With mixed-precision tiering
+(:mod:`repro.core.precision`) a dimension is split into up to three
+classes — (dim, fp32), (dim, fp16), (dim, int8) — each with its own
+storage dtype; quantization is fused into ``write`` and dequantization
+into ``read``, so callers always speak float32 and the copy kernels stay
+plain vectorised gathers.  The paper's pool is the one-tier case: one
+(dim, fp32) class per dimension.
 
 Slot handles are encoded as ``class_id << 32 | slot`` so a single uint64
 payload in the GPU hash index identifies both the slab class and the slot.
@@ -52,17 +52,6 @@ def _quant():
     return _quant_fns
 
 
-def _payload_bytes(dim: int, tier: str) -> int:
-    """Stored bytes per slot: values plus (for int8) the per-row scale."""
-    if tier == "fp32":
-        return dim * 4
-    if tier == "fp16":
-        return dim * 2
-    if tier == "int8":
-        return dim + 4
-    raise SimulationError(f"unknown precision tier {tier!r}")
-
-
 def unpack_locations(locations: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Split uint64 locations ``class_id << 32 | slot`` into (class ids,
     slots)."""
@@ -90,20 +79,23 @@ class SlabClass:
     class_id: int
     dim: int
     capacity: int
+    tier: str
     storage: np.ndarray
+    #: per-slot tier code the entry was *born* into: :meth:`allocate`
+    #: stamps the class's own code, and a promotion or demotion carries
+    #: the old code over, so the drift audit can compare each live
+    #: entry's birth tier against its current class.
+    born: np.ndarray
     free_slots: List[int] = field(default_factory=list)
     live: int = 0
-    tier: str = _TIER_FP32
     #: per-slot float32 dequant scale (int8 classes only).
     scales: Optional[np.ndarray] = None
-    #: per-slot tier code the entry was *born* into (tiered pools only);
-    #: carried across promotion/demotion so the drift audit can compare
-    #: each live entry's birth tier against its current class.
-    born: Optional[np.ndarray] = None
 
     @property
     def slot_bytes(self) -> int:
-        return _payload_bytes(self.dim, self.tier)
+        """Stored bytes per slot: values plus (int8) the per-row scale."""
+        scale = 0 if self.scales is None else self.scales.itemsize
+        return self.dim * self.storage.itemsize + scale
 
     def __deepcopy__(self, memo):
         # free_slots holds immutable ints: a shallow list copy is exact,
@@ -129,27 +121,29 @@ class SlabClass:
             class_id=self.class_id,
             dim=self.dim,
             capacity=self.capacity,
+            tier=self.tier,
             storage=storage,
+            born=self.born.copy(),
             free_slots=list(self.free_slots),
             live=self.live,
-            tier=self.tier,
             scales=None if self.scales is None else self.scales.copy(),
-            born=None if self.born is None else self.born.copy(),
         )
         memo[id(self)] = clone
         return clone
 
     def allocate(self, count: int) -> np.ndarray:
-        """Take ``count`` free slots; raises :class:`CapacityError` if short."""
+        """Take ``count`` free slots, born into this class's tier; raises
+        :class:`CapacityError` if short."""
         if count > len(self.free_slots):
             raise CapacityError(
                 f"slab class dim={self.dim}: requested {count} slots, "
                 f"{len(self.free_slots)} free"
             )
-        taken = self.free_slots[-count:]
+        taken = np.asarray(self.free_slots[-count:], dtype=np.int64)
         del self.free_slots[-count:]
         self.live += count
-        return np.asarray(taken, dtype=np.int64)
+        self.born[taken] = _TIER_CODES[self.tier]
+        return taken
 
     def release(self, slots: np.ndarray) -> None:
         self.free_slots.extend(slots.tolist())
@@ -159,33 +153,29 @@ class SlabClass:
 
 
 class SlabMemoryPool:
-    """Memory pool with one slab class per (dimension[, tier]).
+    """Memory pool with one slab class per (dimension, tier).
 
     Args:
-        class_capacities: either the legacy mapping ``dim -> slot count``
-            (every class fp32) or ``(dim, tier) -> slot count`` for a
-            mixed-precision pool.  Capacities are derived by the cache
-            from its byte budget.
+        class_capacities: ``(dim, tier) -> slot count``.  Capacities are
+            derived by the cache from its byte budget.
     """
 
-    def __init__(self, class_capacities: Dict):
+    def __init__(self, class_capacities: Dict[Tuple[int, str], int]):
         if not class_capacities:
             raise SimulationError("memory pool needs at least one slab class")
-        normalized: Dict[Tuple[int, str], int] = {}
-        for key, capacity in class_capacities.items():
-            dim, tier = key if isinstance(key, tuple) else (key, _TIER_FP32)
-            if tier not in _TIER_CODES:
-                raise SimulationError(f"unknown precision tier {tier!r}")
-            normalized[(int(dim), tier)] = capacity
-        self._tiered = any(
-            isinstance(key, tuple) for key in class_capacities
-        )
+        for key in class_capacities:
+            if not isinstance(key, tuple) or key[1] not in _TIER_CODES:
+                raise SimulationError(
+                    f"slab class key {key!r} is not (dim, tier)"
+                )
         self._classes: Dict[int, SlabClass] = {}
         self._class_by_key: Dict[Tuple[int, str], int] = {}
         ordered = sorted(
-            normalized.items(), key=lambda kv: (kv[0][0], _TIER_CODES[kv[0][1]])
+            class_capacities.items(),
+            key=lambda kv: (kv[0][0], _TIER_CODES[kv[0][1]]),
         )
         for class_id, ((dim, tier), capacity) in enumerate(ordered):
+            dim = int(dim)
             if dim <= 0 or capacity <= 0:
                 raise SimulationError(
                     f"invalid slab class dim={dim} capacity={capacity}"
@@ -195,20 +185,26 @@ class SlabMemoryPool:
                 class_id=class_id,
                 dim=dim,
                 capacity=capacity,
-                storage=storage,
-                free_slots=list(range(capacity)),
                 tier=tier,
+                storage=storage,
+                born=np.zeros(capacity, dtype=np.int8),
+                free_slots=list(range(capacity)),
                 scales=(
                     np.zeros(capacity, dtype=np.float32)
                     if tier == "int8" else None
                 ),
-                born=(
-                    np.full(capacity, _TIER_CODES[tier], dtype=np.int8)
-                    if self._tiered else None
-                ),
             )
             self._classes[class_id] = slab
             self._class_by_key[(dim, tier)] = class_id
+        # Per-class columns, indexed by class id.
+        slabs = list(self._classes.values())
+        self._class_dims = np.array([c.dim for c in slabs], dtype=np.int64)
+        self._class_codes = np.array(
+            [_TIER_CODES[c.tier] for c in slabs], dtype=np.int8
+        )
+        self._class_bytes = np.array(
+            [c.slot_bytes for c in slabs], dtype=np.int64
+        )
         self._total_slots = sum(c.capacity for c in self._classes.values())
 
     # ------------------------------------------------------------------ info
@@ -325,15 +321,9 @@ class SlabMemoryPool:
             slab.scales = np.concatenate(
                 [slab.scales, np.zeros(extra_slots, dtype=np.float32)]
             )
-        if slab.born is not None:
-            slab.born = np.concatenate(
-                [
-                    slab.born,
-                    np.full(
-                        extra_slots, _TIER_CODES[slab.tier], dtype=np.int8
-                    ),
-                ]
-            )
+        slab.born = np.concatenate(
+            [slab.born, np.zeros(extra_slots, dtype=np.int8)]
+        )
         slab.free_slots.extend(range(base, base + extra_slots))
         slab.capacity += extra_slots
         self._total_slots += extra_slots
@@ -342,17 +332,15 @@ class SlabMemoryPool:
     # ------------------------------------------------------------------ alloc
 
     # hot-path: vectorized
-    def allocate(
-        self, dim: int, count: int, tier: str = _TIER_FP32
-    ) -> np.ndarray:
-        """Allocate ``count`` slots of dimension ``dim``; returns locations."""
+    def allocate(self, dim: int, count: int, tier: str) -> np.ndarray:
+        """Allocate ``count`` slots of class ``(dim, tier)``; returns
+        locations."""
         if count == 0:
             return np.zeros(0, dtype=np.uint64)
         class_id = self._class_by_key.get((dim, tier))
         if class_id is None:
             raise SimulationError(
-                f"no slab class for embedding dimension {dim}"
-                + ("" if tier == _TIER_FP32 else f" tier {tier}")
+                f"no slab class for embedding dimension {dim} tier {tier}"
             )
         slots = self._classes[class_id].allocate(count)
         return (np.uint64(class_id) << _CLASS_SHIFT) | slots.astype(np.uint64)
@@ -458,51 +446,35 @@ class SlabMemoryPool:
 
     def dim_of_locations(self, locations: np.ndarray) -> np.ndarray:
         """Per-location embedding dimension (vectorised)."""
-        class_ids, _ = unpack_locations(np.asarray(locations))
-        dims = np.zeros(len(class_ids), dtype=np.int64)
-        for class_id, slab in self._classes.items():
-            dims[class_ids == class_id] = slab.dim
-        return dims
+        return self._class_dims[unpack_locations(np.asarray(locations))[0]]
 
     def tier_codes_of_locations(self, locations: np.ndarray) -> np.ndarray:
         """Per-location precision tier code (0=fp32, 1=fp16, 2=int8)."""
-        class_ids, _ = unpack_locations(np.asarray(locations))
-        codes = np.zeros(len(class_ids), dtype=np.int8)
-        for class_id, slab in self._classes.items():
-            codes[class_ids == class_id] = _TIER_CODES[slab.tier]
-        return codes
+        return self._class_codes[unpack_locations(np.asarray(locations))[0]]
 
     def payload_bytes_of_locations(self, locations: np.ndarray) -> np.ndarray:
         """Per-location stored payload bytes (values + int8 scales)."""
-        class_ids, _ = unpack_locations(np.asarray(locations))
-        out = np.zeros(len(class_ids), dtype=np.int64)
-        for class_id, slab in self._classes.items():
-            out[class_ids == class_id] = slab.slot_bytes
-        return out
+        return self._class_bytes[unpack_locations(np.asarray(locations))[0]]
 
     # ---------------------------------------------------------------- born
 
     def born_of_locations(self, locations: np.ndarray) -> np.ndarray:
-        """Per-slot birth-tier codes (tiered pools only)."""
+        """Per-slot birth-tier codes."""
         class_ids, slots = unpack_locations(np.asarray(locations))
         codes = np.zeros(len(class_ids), dtype=np.int8)
         for class_id in np.unique(class_ids):
             slab = self._classes[int(class_id)]
-            if slab.born is None:
-                raise SimulationError("born-tier metadata needs a tiered pool")
             mask = class_ids == class_id
             codes[mask] = slab.born[slots[mask]]
         return codes
 
     def set_born(self, locations: np.ndarray, codes: np.ndarray) -> None:
-        """Record birth-tier codes for freshly written slots."""
+        """Carry birth-tier codes over to slots an entry moved into."""
         if len(locations) == 0:
             return
         class_ids, slots = unpack_locations(np.asarray(locations))
         codes = np.broadcast_to(np.asarray(codes, dtype=np.int8), len(slots))
         for class_id in np.unique(class_ids):
             slab = self._classes[int(class_id)]
-            if slab.born is None:
-                raise SimulationError("born-tier metadata needs a tiered pool")
             mask = class_ids == class_id
             slab.born[slots[mask]] = codes[mask]

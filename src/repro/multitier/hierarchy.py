@@ -198,22 +198,18 @@ class TieredParameterStore(HostStore):
 
         obs = self.obs
         obs.inc("tier.lookup_keys", n)
-        found = None
         if self._dram_unavailable():
-            key_list = keys.tolist()
-            missed: List[int] = []
-            for table_id, start, stop in segments:  # lint: allow-loop (per table)
-                unique = sorted(set(key_list[start:stop]))
-                missed.extend(unique)
-                fetch(table_id, unique)
-            miss_positions = slice(None)
+            # The flushed tier misses every key and admits none: each
+            # table's distinct keys are fetched and nothing is cached.
+            found = self.dram.lookup(
+                segments, keys, lambda t, u: fetch(t, u) and False
+            )
             obs.inc("tier.dram_bypass_queries", len(segments))
-            obs.inc("tier.dram_misses", n)
         else:
             found = self.dram.lookup(segments, keys, fetch)
-            missed, miss_positions = found.missed, found.miss_positions
             obs.inc("tier.dram_hits", len(found.hit_positions))
-            obs.inc("tier.dram_misses", len(miss_positions))
+        missed, miss_positions = found.missed, found.miss_positions
+        obs.inc("tier.dram_misses", len(miss_positions))
 
         out = np.empty((n, dim), dtype=np.float32)
         remote_time = 0.0
@@ -226,8 +222,7 @@ class TieredParameterStore(HostStore):
             out[miss_positions] = missed_rows[
                 np.searchsorted(missed_keys, keys[miss_positions])
             ]
-        if found is not None:
-            out[found.hit_positions] = found.hit_rows
+        out[found.hit_positions] = found.hit_rows
         return out, remote_time, degraded
 
     # hot-path: vectorized
@@ -251,8 +246,7 @@ class TieredParameterStore(HostStore):
         stale = self._stale.get(dim)
         if stale is not None:
             stale.write(fetched, rows)
-        if found is not None:
-            self.dram.fill(found, missed_rows)
+        self.dram.fill(found, missed_rows)
         obs.inc("tier.remote_fetches", len(fetches))
         obs.inc("tier.remote_keys", len(missed_keys))
         remote_time = 0.0

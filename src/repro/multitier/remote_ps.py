@@ -109,7 +109,10 @@ class RemoteParameterServer:
         :meth:`timeline` of the request plus the reference rows.
 
         ``now`` is the simulated issue time; it only matters on the
-        resilient path, where fault windows are time-driven.
+        resilient path, where fault windows are time-driven.  Only tests
+        call this: the tiered store charges :meth:`timeline` and makes
+        its rows itself, so the ledger's ``multitier.remote.calls``,
+        which traces this method, reads 0 on every workload.
         """
         spec = self.specs[table_id]
         feature_ids = np.ascontiguousarray(feature_ids, dtype=np.uint64)

@@ -119,10 +119,9 @@ class BatchTraceRecord:
 
     def note_query(self, query) -> None:
         """Stamp the batch's coalesced-miss join (engine calls this)."""
-        self.coalesced_keys = int(getattr(query, "coalesced_keys", 0))
-        sources = getattr(query, "coalesce_sources", None)
-        if sources:
-            self.coalesce_sources = dict(sources)
+        self.coalesced_keys = int(query.coalesced_keys)
+        if query.coalesce_sources:
+            self.coalesce_sources = dict(query.coalesce_sources)
 
 
 @dataclass

@@ -19,6 +19,7 @@ from repro.autotune import (
     AdaptiveController,
     ControllerConfig,
 )
+from repro.baselines.per_table_cache import PerTableCacheLayer, PerTableConfig
 from repro.core.precision import PrecisionConfig
 from repro.core.workflow import FlecheEmbeddingLayer
 from repro.errors import ConfigError
@@ -40,8 +41,9 @@ def _stack(quantizing=True, admission=1.0):
         num_tables=3, corpus_size=2_000, alpha=-1.2, dim=16,
     )
     store = EmbeddingStore(dataset.table_specs(), hw)
-    precision = PrecisionConfig(enabled=True) if quantizing \
-        else PrecisionConfig()
+    precision = PrecisionConfig(
+        fp32_share=0.25, fp16_share=0.25, int8_share=0.5
+    ) if quantizing else PrecisionConfig()
     layer = FlecheEmbeddingLayer(
         store, FlecheConfig(cache_ratio=0.05, precision=precision), hw,
     )
@@ -52,7 +54,7 @@ def _stack(quantizing=True, admission=1.0):
     collector.bind(registry)
     return SimpleNamespace(
         collector=collector,
-        scheme=SimpleNamespace(cache=layer.cache),
+        scheme=layer,
         obs=registry,
         tracer=None,
     )
@@ -112,6 +114,26 @@ class TestConfigValidation:
         server.scheme = SimpleNamespace(cache=None)
         with pytest.raises(ConfigError):
             AdaptiveController().attach(server)
+
+    def test_attach_to_a_per_table_cache_server_raises(self):
+        hw = default_platform()
+        dataset = uniform_tables_spec(
+            num_tables=2, corpus_size=1_000, alpha=-1.2, dim=8,
+        )
+        layer = PerTableCacheLayer(
+            EmbeddingStore(dataset.table_specs(), hw), PerTableConfig(), hw,
+        )
+        with pytest.raises(ConfigError, match="FlatCache"):
+            PipelinedInferenceServer(
+                dataset, layer, hw,
+                collector=WindowedCollector(window=1e-3, sla_budget=1e-3),
+                autotuner=AdaptiveController(),
+            )
+        # A disabled controller attaches inertly to any scheme.
+        PipelinedInferenceServer(
+            dataset, layer, hw,
+            autotuner=AdaptiveController(ControllerConfig(enabled=False)),
+        )
 
 
 class TestDisabled:

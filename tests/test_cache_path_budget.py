@@ -258,7 +258,10 @@ def test_a_stream_reads_its_requests_once_and_reuses_executors(served):
 #: counted): about 220 a batch.  Python 3.12 inlines comprehensions, so
 #: there the count may only fall.  Each table's read lays its overlay
 #: through ``RowMap.read_into``: one call per table a batch (4 x 50).
-REPRO_CALLS = 11_014
+#: The hit copy's spec reads its payload bytes from the cache (one
+#: ``read_payload_bytes`` a batch) and the one-tier replacement path asks
+#: the pool for its one class, skipping a comprehension per probe.
+REPRO_CALLS = 10_956
 
 
 def test_repro_python_calls_are_pinned(hw):

@@ -214,18 +214,18 @@ def test_hotpath_golden(name, golden):
 
 
 def test_pinned_fp32_matches_prepr_golden(golden):
-    """The golden no-op guarantee of the mixed-precision tentpole.
+    """The all-fp32 split is the one-tier case of the tiered cache.
 
     A precision config with every tier pinned to fp32 (and pure-LRU
-    eviction) must take exactly the pre-tiering code path: the depth-2
-    pipelined serving run is required to be byte-identical — metrics
-    JSON, latency arrays, probabilities, traces — to the pre-PR
-    ``serving_pipelined`` golden entry, and no ``precision.*`` metric
-    may appear anywhere.
+    eviction), which is the default, must serve exactly as the cache did
+    before precision tiers existed: the depth-2 pipelined serving run is
+    required to be byte-identical — metrics JSON, latency arrays,
+    probabilities, traces — to the ``serving_pipelined`` golden entry
+    recorded then, and no ``precision.*`` metric may appear anywhere.
     """
     hw = default_platform()
     pinned = PrecisionConfig(
-        enabled=True, fp32_share=1.0, fp16_share=0.0, int8_share=0.0,
+        fp32_share=1.0, fp16_share=0.0, int8_share=0.0,
         eviction_policy="lru",
     )
     assert not pinned.quantizing
@@ -244,7 +244,7 @@ def test_pinned_fp32_matches_prepr_golden(golden):
 def test_pinned_fp32_emits_no_precision_metrics():
     hw = default_platform()
     pinned = PrecisionConfig(
-        enabled=True, fp32_share=1.0, fp16_share=0.0, int8_share=0.0,
+        fp32_share=1.0, fp16_share=0.0, int8_share=0.0,
     )
     report_payload = _serving_fixture(
         hw, InferenceServer, precision=pinned,

@@ -441,16 +441,16 @@ BACKENDS = {
 PRECISION_BACKENDS = {
     "fleche-mixed": lambda store, hw: FlecheEmbeddingLayer(
         store, FlecheConfig(cache_ratio=0.05, precision=PrecisionConfig(
-            enabled=True, fp32_share=0.25, fp16_share=0.25, int8_share=0.5,
+            fp32_share=0.25, fp16_share=0.25, int8_share=0.5,
         )), hw),
     "fleche-mixed-lfu": lambda store, hw: FlecheEmbeddingLayer(
         store, FlecheConfig(cache_ratio=0.05, precision=PrecisionConfig(
-            enabled=True, fp32_share=0.1, fp16_share=0.1, int8_share=0.8,
+            fp32_share=0.1, fp16_share=0.1, int8_share=0.8,
             eviction_policy="lfu",
         )), hw),
     "fleche-hybrid-evict": lambda store, hw: FlecheEmbeddingLayer(
         store, FlecheConfig(cache_ratio=0.05, precision=PrecisionConfig(
-            enabled=True, fp32_share=1.0, fp16_share=0.0, int8_share=0.0,
+            fp32_share=1.0, fp16_share=0.0, int8_share=0.0,
             eviction_policy="hybrid",
         )), hw),
 }

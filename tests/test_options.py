@@ -137,14 +137,6 @@ ALLOWED = {
         "flat-key width of the size-aware codec; test_rejects_bad_key_bits "
         "checks its bounds"
     ),
-    "PrecisionConfig.hot_min_count": (
-        "tier threshold: the precision tests pin tiers with it, and the "
-        "autotuner moves it at run time (set_tier_thresholds)"
-    ),
-    "PrecisionConfig.warm_min_count": (
-        "tier threshold: the precision tests pin tiers with it, and the "
-        "autotuner moves it at run time (set_tier_thresholds)"
-    ),
     "PerTableConfig.graph_replay_overhead": (
         "replay cost of section 2.2's CUDA-graph experiment; "
         "test_graph_config_validation checks its bound"

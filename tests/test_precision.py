@@ -32,7 +32,7 @@ from repro.tables.table_spec import TableSpec
 from conftest import dram_pass
 
 MIXED = PrecisionConfig(
-    enabled=True, fp32_share=0.4, fp16_share=0.3, int8_share=0.3,
+    fp32_share=0.4, fp16_share=0.3, int8_share=0.3,
     eviction_policy="lfu",
 )
 
@@ -46,48 +46,41 @@ def _cache(precision, ratio=0.5, corpus=1000, dim=16):
 
 class TestPrecisionConfig:
     def test_default_is_disabled_and_not_quantizing(self):
+        # The default is the one-tier, all-fp32 cache.
         config = PrecisionConfig()
-        assert not config.enabled
+        assert (config.fp32_share, config.fp16_share, config.int8_share) \
+            == (1.0, 0.0, 0.0)
         assert not config.quantizing
         assert not config.needs_estimator
 
     def test_pinned_fp32_not_quantizing(self):
         pinned = PrecisionConfig(
-            enabled=True, fp32_share=1.0, fp16_share=0.0, int8_share=0.0,
+            fp32_share=1.0, fp16_share=0.0, int8_share=0.0,
         )
         assert not pinned.quantizing
         assert not pinned.needs_estimator
         assert pinned.tiers_in_use() == ("fp32",)
 
     def test_lfu_without_quantizing_still_needs_estimator(self):
-        config = PrecisionConfig(
-            enabled=True, fp32_share=1.0, fp16_share=0.0, int8_share=0.0,
-            eviction_policy="lfu",
-        )
+        config = PrecisionConfig(eviction_policy="lfu")
         assert not config.quantizing
         assert config.needs_estimator
 
     def test_shares_must_sum_to_one(self):
         with pytest.raises(ConfigError):
-            PrecisionConfig(enabled=True, fp32_share=0.5, fp16_share=0.5,
+            PrecisionConfig(fp32_share=0.5, fp16_share=0.5,
                             int8_share=0.5)
+        with pytest.raises(ConfigError):
+            PrecisionConfig(fp16_share=0.5)
 
     def test_fp32_share_required(self):
         with pytest.raises(ConfigError):
-            PrecisionConfig(enabled=True, fp32_share=0.0, fp16_share=0.5,
+            PrecisionConfig(fp32_share=0.0, fp16_share=0.5,
                             int8_share=0.5)
-
-    def test_policy_requires_enabled(self):
-        with pytest.raises(ConfigError):
-            PrecisionConfig(eviction_policy="lfu")
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ConfigError):
-            PrecisionConfig(enabled=True, eviction_policy="mru")
-
-    def test_threshold_ordering(self):
-        with pytest.raises(ConfigError):
-            PrecisionConfig(enabled=True, hot_min_count=2, warm_min_count=8)
+            PrecisionConfig(eviction_policy="mru")
 
     def test_payload_bytes(self):
         assert slot_payload_bytes(32, "fp32") == 128
@@ -104,11 +97,33 @@ class TestTieredPool:
             mixed.pool.capacity_of(16) > plain.pool.capacity_of(16) * 1.4
         )
 
-    def test_untier_pool_rejects_born_metadata(self):
-        pool = SlabMemoryPool({16: 32})
-        locs = pool.allocate(16, 4)
+    def test_one_tier_pool_keeps_born_metadata(self):
+        cache = _cache(PrecisionConfig())
+        keys = np.arange(4, dtype=np.uint64)
+        cache.admit_and_insert(keys, np.zeros((4, 16), np.float32), dim=16)
+        locs = cache.index_lookup(keys).locations
+        pool = cache.pool
+        np.testing.assert_array_equal(
+            pool.born_of_locations(locs), [TIER_CODES["fp32"]] * 4
+        )
+        pool.set_born(locs[:2], TIER_CODES["int8"])
+        np.testing.assert_array_equal(
+            pool.born_of_locations(locs), [2, 2, 0, 0]
+        )
+
+    def test_allocate_stamps_the_class_tier(self):
+        pool = SlabMemoryPool({(8, "fp32"): 4, (8, "int8"): 4})
+        first = pool.allocate(8, 4, "int8")
+        pool.set_born(first, TIER_CODES["fp32"])  # a demoted entry
+        pool.release(first)
+        again = pool.allocate(8, 4, "int8")
+        assert (pool.born_of_locations(again) == TIER_CODES["int8"]).all()
+
+    def test_pool_keys_are_dim_tier_pairs(self):
         with pytest.raises(SimulationError):
-            pool.set_born(locs, 0)
+            SlabMemoryPool({16: 32})
+        with pytest.raises(SimulationError):
+            SlabMemoryPool({(16, "bf16"): 32})
 
     def test_write_read_roundtrip_per_tier(self):
         pool = SlabMemoryPool(
@@ -177,10 +192,10 @@ class TestTieredInsertAndGather:
         # Tiny cache: fp32 class can't hold every "hot" key; overflow
         # must still be cached (in a colder tier), not evicted.
         precision = PrecisionConfig(
-            enabled=True, fp32_share=0.2, fp16_share=0.2, int8_share=0.6,
-            hot_min_count=1, warm_min_count=1,
+            fp32_share=0.2, fp16_share=0.2, int8_share=0.6,
         )
         cache = _cache(precision, ratio=0.1)
+        cache.set_tier_thresholds(1, 1)
         fp32_cap = cache.pool.capacity_of(16, "fp32")
         n = fp32_cap + 10
         keys = np.arange(n, dtype=np.uint64)
@@ -197,13 +212,11 @@ class TestTieredInsertAndGather:
 
     def test_zero_share_tier_clamps_hotter(self):
         precision = PrecisionConfig(
-            enabled=True, fp32_share=0.5, fp16_share=0.0, int8_share=0.5,
+            fp32_share=0.5, fp16_share=0.0, int8_share=0.5,
         )
         cache = _cache(precision)
         # Desired codes include fp16 (1); the pool has no fp16 class.
-        codes = cache._clamp_codes(
-            16, np.array([0, 1, 2], dtype=np.int8)
-        )
+        codes = cache._clamp[np.array([0, 1, 2], dtype=np.int8)]
         np.testing.assert_array_equal(codes, [0, 0, 2])
 
     def test_retier_promotes_on_frequency_crossing(self):
@@ -259,7 +272,7 @@ class TestTieredInsertAndGather:
 
     def test_pinned_fp32_cache_identical_to_disabled(self):
         pinned = PrecisionConfig(
-            enabled=True, fp32_share=1.0, fp16_share=0.0, int8_share=0.0,
+            fp32_share=1.0, fp16_share=0.0, int8_share=0.0,
         )
         a = _cache(PrecisionConfig())
         b = _cache(pinned)
@@ -280,6 +293,34 @@ class TestTieredInsertAndGather:
         snap = b.obs.snapshot()
         names = [n for (n, _) in snap.counters]
         assert not any(n.startswith("precision.") for n in names)
+
+
+class TestOneTierCache:
+    def test_lfu_one_tier_cache_keeps_frequent_keys(self):
+        """The default shares with LFU eviction build one fp32 class per
+        dimension and a frequency estimator, and eviction reads it."""
+        for policy in ("lfu", "lru"):
+            cache = _cache(PrecisionConfig(eviction_policy=policy), ratio=0.05)
+            assert not cache.quantizing
+            assert cache.pool.tiers_of(16) == ["fp32"]
+            assert (cache._estimator is not None) == (policy == "lfu")
+            capacity = cache.pool.capacity_of(16, "fp32")
+            keys = cache.encode(0, np.arange(capacity + 8, dtype=np.uint64))
+            vecs = np.zeros((len(keys), 16), dtype=np.float32)
+            hot, rest, late = keys[:4], keys[4:capacity], keys[capacity:]
+            for _ in range(10):
+                cache.observe_keys(hot)
+            cache.observe_keys(keys)
+            cache.tick()
+            cache.admit_and_insert(hot, vecs[:4], 16)  # oldest stamps
+            cache.tick()
+            cache.admit_and_insert(rest, vecs[4:capacity], 16)
+            cache.tick()
+            inserted, _ = cache.admit_and_insert(late, vecs[capacity:], 16)
+            assert inserted.all()
+            # LFU keeps the oldest, most frequent keys; LRU drops them.
+            survivors = cache.contains_cached(hot)
+            assert survivors.all() if policy == "lfu" else not survivors.any()
 
 
 class TestDramTier:

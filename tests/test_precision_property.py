@@ -208,16 +208,6 @@ def test_victim_order_matches_reference(pairs, policy):
             assert list(order) == ref_full
 
 
-@settings(max_examples=80, deadline=None)
-@given(pairs=stamp_count_lists, policy=st.sampled_from(["lfu", "hybrid"]))
-def test_frequency_policies_degrade_to_lru_without_counts(pairs, policy):
-    stamps = np.asarray([p[0] for p in pairs], dtype=np.int64)
-    order = make_eviction_policy(policy).victim_order(stamps, None)
-    np.testing.assert_array_equal(
-        stamps[order], stamps[np.argsort(stamps)]
-    )
-
-
 # ------------------------------------------------------------ count-min
 
 observed_batches = st.lists(

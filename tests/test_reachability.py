@@ -213,18 +213,42 @@ def test_every_probed_attribute_is_defined():
 def test_no_probe_asks_for_a_host_store_method():
     """Every host store has the :class:`HostStore` methods, so code calls
     them: a probe for one would skip a store that does the work under
-    another name, as the refresh write-through once did."""
+    another name, as the refresh write-through once did.  The same holds
+    for what a :class:`FlatCache` or a :class:`CacheQueryResult` has:
+    code that holds one knows its type, and code that may not checks it
+    with ``isinstance``."""
+    from dataclasses import fields
+
+    from repro.core.cache_base import CacheQueryResult
+    from repro.core.config import FlecheConfig
+    from repro.core.flat_cache import FlatCache
     from repro.tables.store import HostStore
+    from repro.tables.table_spec import TableSpec
 
     contract = {
         name for name in dir(HostStore)
         if not name.startswith("__") and callable(getattr(HostStore, name))
     }
     assert {"query_many", "apply_update", "advance_to"} <= contract
+    cache = FlatCache([TableSpec(table_id=0, corpus_size=64, dim=8)],
+                      FlecheConfig())
+    known = {
+        "HostStore": contract,
+        "FlatCache": {
+            name for name in set(dir(FlatCache)) | set(vars(cache))
+            if not name.startswith("__")
+        },
+        "CacheQueryResult": {f.name for f in fields(CacheQueryResult)},
+    }
+    assert {"quantizing", "set_admission_probability"} <= known["FlatCache"]
+    assert "coalesced_keys" in known["CacheQueryResult"]
     found = [
-        f"{path.relative_to(ROOT)}:{line}: {name}"
+        f"{path.relative_to(ROOT)}:{line}: {name} ({owner})"
         for path in _python_files(PACKAGE)
         for line, name in probes(_parse(path))
-        if name in contract
+        for owner, names in known.items()
+        if name in names
     ]
-    assert not found, "probe of a HostStore method:\n" + "\n".join(found)
+    assert not found, "probe of a known type's attribute:\n" + "\n".join(
+        found
+    )

@@ -46,7 +46,9 @@ def _layer(hw, quantizing=False):
     store = EmbeddingStore(make_table_specs([CORPUS] * TABLES, [8] * TABLES), hw)
     config = FlecheConfig(
         cache_ratio=0.15,
-        precision=PrecisionConfig(enabled=quantizing),
+        precision=PrecisionConfig(
+            fp32_share=0.25, fp16_share=0.25, int8_share=0.5
+        ) if quantizing else PrecisionConfig(),
     )
     return FlecheEmbeddingLayer(store, config, hw)
 
@@ -143,7 +145,7 @@ def test_interleaved_stages_equal_always_reprobing(hw, run):
 @settings(max_examples=40, deadline=None)
 @given(run=runs)
 def test_every_cached_entry_path_moves_the_count(hw, run):
-    """admit_and_insert, _insert_tiered (quantizing), retier_hits
+    """admit_and_insert (one-tier and quantizing), retier_hits
     (quantizing hits) and snapshot restore all publish through the
     counted insert."""
     quantizing, rounds = run

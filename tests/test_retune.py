@@ -29,8 +29,9 @@ def _layer(quantizing=True, ratio=0.05):
         num_tables=3, corpus_size=2_000, alpha=-1.2, dim=16,
     )
     store = EmbeddingStore(dataset.table_specs(), hw)
-    precision = PrecisionConfig(enabled=True) if quantizing \
-        else PrecisionConfig()
+    precision = PrecisionConfig(
+        fp32_share=0.25, fp16_share=0.25, int8_share=0.5
+    ) if quantizing else PrecisionConfig()
     return FlecheEmbeddingLayer(
         store, FlecheConfig(cache_ratio=ratio, precision=precision), hw,
     )
@@ -45,7 +46,7 @@ class TestPoolRetire:
         assert pool.total_bytes < before_bytes
 
     def test_retire_bounded_by_free_list(self, pool):
-        taken = pool.allocate(16, 200, tier="int8")
+        taken = pool.allocate(16, 200, "int8")
         assert pool.retire_free(16, "int8", 500) == 56
         assert pool.capacity_of(16, "int8") == 200
         pool.release(taken)
@@ -61,7 +62,7 @@ class TestPoolRetire:
             pool.retire_free(16, "fp16", 1)
 
     def test_live_slots_survive_retire(self, pool):
-        locs = pool.allocate(16, 10, tier="int8")
+        locs = pool.allocate(16, 10, "int8")
         rows = pool.read(locs)
         pool.retire_free(16, "int8", 200)
         assert (pool.read(locs) == rows).all()
@@ -78,15 +79,15 @@ class TestPoolGrow:
         assert pool.grow_class(16, "fp32", 0) == 0
 
     def test_grown_slots_usable(self, pool):
-        pool.allocate(16, 64, tier="fp32")
+        pool.allocate(16, 64, "fp32")
         assert pool.free_of(16, "fp32") == 0
         pool.grow_class(16, "fp32", 8)
-        locs = pool.allocate(16, 8, tier="fp32")
+        locs = pool.allocate(16, 8, "fp32")
         assert len(locs) == 8
 
     def test_grow_int8_extends_scales(self, pool):
         pool.grow_class(16, "int8", 16)
-        locs = pool.allocate(16, 272, tier="int8")
+        locs = pool.allocate(16, 272, "int8")
         assert len(locs) == 272
 
     def test_deepcopy_after_retune(self, pool):

@@ -617,7 +617,7 @@ class TestRestoredServer:
             assert cache is not proto.scheme.cache
             gone = [weakref.ref(clone), weakref.ref(cache)]
             # Break the copy's pool accounting: only its own audit sees it.
-            cache.pool.allocate(dataset.dim, 1)
+            cache.pool.allocate(dataset.dim, 1, "fp32")
             assert proto.obs.audit() == []
             assert any("flatcache" in v for v in clone.obs.audit())
             del clone, cache

@@ -371,7 +371,7 @@ def test_flat_cache_maintenance_equals_scan_and_reprobe(fills, steps):
             cache.set_unified_capacity(amount)
             _keyed_set_unified_capacity(keyed, amount)
         elif action == "evict":
-            cache._evict(dim, need=amount)
+            cache._evict(dim, "fp32", need=amount)
             _keyed_evict(keyed, dim, amount)
         elif action == "clear":
             cache.clear_unified_index()

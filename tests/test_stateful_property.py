@@ -140,7 +140,7 @@ class PoolMachine(RuleBasedStateMachine):
 
     def __init__(self):
         super().__init__()
-        self.pool = SlabMemoryPool({4: 32, 8: 16})
+        self.pool = SlabMemoryPool({(4, "fp32"): 32, (8, "fp32"): 16})
         #: location -> stored row (float32 tuple)
         self.model = {}
 
@@ -152,7 +152,7 @@ class PoolMachine(RuleBasedStateMachine):
         count = min(count, self.pool.free_of(dim))
         if count == 0:
             return
-        locations = self.pool.allocate(dim, count)
+        locations = self.pool.allocate(dim, count, "fp32")
         rows = np.arange(count * dim, dtype=np.float32).reshape(count, dim)
         rows += len(self.model)  # make content unique-ish
         self.pool.write(locations, rows)

@@ -338,9 +338,10 @@ def test_refresh_spans_precision_tiers_of_one_dimension():
     cache = FlatCache(specs, FlecheConfig(
         cache_ratio=0.5,
         precision=PrecisionConfig(
-            enabled=True, hot_min_count=3, warm_min_count=2
+            fp32_share=0.25, fp16_share=0.25, int8_share=0.5
         ),
     ))
+    cache.set_tier_thresholds(3, 2)
     cache.tick()
     ids = np.arange(40, dtype=np.uint64)
     keys = cache.encode(0, ids)
