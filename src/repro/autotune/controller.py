@@ -149,7 +149,6 @@ class AdaptiveController(Observable):
     def __init__(self, config: Optional[ControllerConfig] = None):
         self.config = config or ControllerConfig()
         self.history: List[ActionRecord] = []
-        self._server = None
         self._collector = None
         self._cache = None
         self._tracer = None
@@ -177,7 +176,6 @@ class AdaptiveController(Observable):
                 "adaptive controller needs a FlatCache-backed scheme"
             )
         cache = server.scheme.cache
-        self._server = server
         self._collector = server.collector
         self._cache = cache
         self._tracer = server.tracer

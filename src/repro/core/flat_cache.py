@@ -770,11 +770,12 @@ class FlatCache(Observable):
         target_live = int(capacity * self.evict_low_watermark)
         to_evict = max(need, len(class_keys) - target_live)
         to_evict = min(to_evict, len(class_keys))
+        policy = self._eviction_policy
         counts = (
             self._estimator.estimate(class_keys)
-            if self._estimator is not None else None
+            if policy.reads_counts and self._estimator is not None else None
         )
-        order = self._eviction_policy.victim_order(class_stamps, counts)
+        order = policy.victim_order(class_stamps, counts)
         victims = members[order[:to_evict]]
 
         # Demote as many victims as the unified-index budget allows: their

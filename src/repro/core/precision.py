@@ -210,11 +210,15 @@ class EvictionPolicy:
 
     ``victim_order`` returns indices into the candidate arrays, coldest
     first; the cache evicts a prefix of that order.  ``counts`` is the
-    frequency estimate per candidate key, or ``None`` when the cache
-    keeps no estimator (pure LRU on an fp32 cache, which ignores it).
+    frequency estimate per candidate key, or ``None`` when the policy
+    does not read it (``reads_counts`` false) or the cache keeps no
+    estimator.
     """
 
     name = "abstract"
+    #: Whether ``victim_order`` reads ``counts``: the cache estimates the
+    #: candidates' frequencies only for a policy that does.
+    reads_counts = True
 
     def victim_order(
         self, stamps: np.ndarray, counts: Optional[np.ndarray]
@@ -226,6 +230,7 @@ class LruEviction(EvictionPolicy):
     """Pure recency: ``argsort(stamps)``."""
 
     name = "lru"
+    reads_counts = False
 
     def victim_order(self, stamps, counts):
         return np.argsort(stamps)

@@ -41,7 +41,6 @@ import pickle
 import signal
 import threading
 from collections import OrderedDict
-from multiprocessing import shared_memory
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -74,7 +73,16 @@ _EXIT_WAIT = 1.0
 _MIN_SLOT_BYTES = 1 << 16
 
 
-def _release(segment: shared_memory.SharedMemory) -> None:
+def _segment(**kwargs):
+    """A shared-memory segment: ``create=True, size=n`` makes one,
+    ``name=`` attaches to one.  The module is imported on first use, so
+    ``import repro`` and a run without a dense model never load it."""
+    from multiprocessing import shared_memory
+
+    return shared_memory.SharedMemory(**kwargs)
+
+
+def _release(segment) -> None:
     segment.close()
     segment.unlink()
 
@@ -237,7 +245,7 @@ class _DenseWorker:
         if len(self._towers) >= MAX_TOWERS:
             dropped, _ = self._towers.popitem(last=False)
         blob = pickle.dumps((model.cross, model.mlp), pickle.HIGHEST_PROTOCOL)
-        segment = shared_memory.SharedMemory(create=True, size=len(blob))
+        segment = _segment(create=True, size=len(blob))
         self._transfers[tower] = segment
         segment.buf[:len(blob)] = blob
         self._towers[tower] = None
@@ -251,9 +259,7 @@ class _DenseWorker:
             if segment is not None:
                 _release(segment)
             size = max(_MIN_SLOT_BYTES, 1 << (nbytes - 1).bit_length())
-            self._slots[slot] = shared_memory.SharedMemory(
-                create=True, size=size
-            )
+            self._slots[slot] = _segment(create=True, size=size)
         return slot
 
     def _receive(self) -> None:
@@ -334,7 +340,7 @@ def _serve_forwards(conn, blas_threads: Optional[int]) -> None:
         if message[0] == "tower":
             _, tower, name, nbytes, dropped = message
             towers.pop(dropped, None)
-            segment = shared_memory.SharedMemory(name=name)
+            segment = _segment(name=name)
             with segment.buf[:nbytes] as blob:
                 towers[tower] = pickle.loads(blob)
             segment.close()
@@ -345,7 +351,7 @@ def _serve_forwards(conn, blas_threads: Optional[int]) -> None:
         if segment is None or segment.name != name:
             if segment is not None:
                 segment.close()
-            segment = slots[slot] = shared_memory.SharedMemory(name=name)
+            segment = slots[slot] = _segment(name=name)
         try:
             reply = ("done", ticket, _forward_in_place(
                 towers[tower], segment.buf, shape, dtype

@@ -3,9 +3,12 @@
 When parameters exceed local DRAM, the CPU-DRAM layer keeps only a subset
 of embeddings, backed by the remote parameter server.  It behaves as an
 LRU cache keyed by (table, feature id) and — critically for Fleche —
-*announces its evictions*: any GPU-side unified-index pointer referring to
+*reports its evictions*: any GPU-side unified-index pointer referring to
 an evicted entry has become dangling and must be invalidated (§5's corner
-case).
+case).  Each :meth:`DramCacheLayer.lookup` returns its batch's evictions
+and :meth:`DramCacheLayer.flush` the keys it dropped; the owner forwards
+them (the layer keeps no callbacks, so nothing it holds points back at
+its owner).
 """
 
 from __future__ import annotations
@@ -28,7 +31,8 @@ class DramPass(NamedTuple):
     distinct missed keys, sorted, tables in batch order.  The rows of the
     keys the pass inserted are still owed: ``slots[i]`` takes the row of
     ``missed[sources[i]]`` (see :meth:`DramCacheLayer.fill`); a slot
-    appears once, for the last key it took.
+    appears once, for the last key it took.  ``evicted`` is the batch's
+    eviction notice: the packed keys the pass dropped, in eviction order.
     """
 
     hit_positions: List[int]
@@ -37,6 +41,7 @@ class DramPass(NamedTuple):
     missed: List[int]
     slots: List[int]
     sources: List[int]
+    evicted: List[int]
 
 
 class DramCacheLayer(Observable):
@@ -67,42 +72,24 @@ class DramCacheLayer(Observable):
         #: Slots below the high-water mark ``len(_slots) + len(_free)``
         #: that no key holds.
         self._free: List[int] = []
-        self._invalidation_listeners: List[Callable[[np.ndarray], None]] = []
 
     def __len__(self) -> int:
         return len(self._slots)
 
-    # ------------------------------------------------------------------ hooks
-
-    def on_eviction(self, listener: Callable[[np.ndarray], None]) -> None:
-        """Register a listener receiving the global keys of evicted rows.
-
-        Fleche's tiered store registers the unified-index invalidator here.
-        """
-        self._invalidation_listeners.append(listener)
-
-    def _notify(self, evicted) -> None:
-        self.obs.inc("tier.dram_evictions", len(evicted))
-        keys = np.asarray(evicted, dtype=np.uint64)
-        for listener in self._invalidation_listeners:
-            listener(keys)
-
-    def flush(self) -> int:
-        """Drop every resident entry, notifying invalidation listeners.
+    def flush(self) -> List[int]:
+        """Drop every resident entry; returns the dropped keys, in LRU order.
 
         Models the DRAM tier losing its contents (process restart, a
         :class:`~repro.faults.schedule.DramTierFailure` window): every
-        GPU-side unified-index pointer into the tier is now dangling and
-        each key's invalidation fires exactly once, in LRU order.  Returns
-        the number of entries dropped.
+        GPU-side unified-index pointer into the tier is now dangling, and
+        the owner invalidates each returned key exactly once.
         """
-        if not self._slots:
-            return 0
         keys = list(self._slots)
-        self._slots.clear()
-        self._free.clear()
-        self._notify(keys)
-        return len(keys)
+        if keys:
+            self._slots.clear()
+            self._free.clear()
+            self.obs.inc("tier.dram_evictions", len(keys))
+        return keys
 
     # ------------------------------------------------------------------ query
 
@@ -122,7 +109,7 @@ class DramCacheLayer(Observable):
         are evicted to make room and the misses are inserted in sorted
         order — all of them, so with more misses than capacity the first
         ones are inserted and evicted at once.  The batch's evictions
-        reach the listeners as one notice, in eviction order.  Hit rows
+        come back as one notice (``evicted``), in eviction order.  Hit rows
         are gathered before any new row is written (a slot freed by one
         table may hold another's new key): the caller passes the missed
         rows to :meth:`fill` before the next lookup.
@@ -174,10 +161,10 @@ class DramCacheLayer(Observable):
         dim = self.specs[segments[0][0]].dim
         hit_rows = self._rows[dim][hit_slots]
         if evicted:
-            self._notify(evicted)
+            self.obs.inc("tier.dram_evictions", len(evicted))
         return DramPass(
             hit_positions, hit_rows, miss_positions, missed,
-            list(owed), list(owed.values()),
+            list(owed), list(owed.values()), evicted,
         )
 
     # hot-path: vectorized

@@ -9,7 +9,9 @@ this scenario").  The one corner case is handled explicitly: when the
 DRAM layer evicts an embedding, any unified-index pointer for it on the
 GPU has gone stale; the hierarchy forwards the eviction notice to a
 registered invalidator so the flat cache can erase those pointers before
-they are trusted again.
+they are trusted again.  A bound-method invalidator is held weakly (its
+owner holds this store), so a dropped serving stack is freed by
+reference count.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import numpy as np
 
 from ..faults.degrade import DegradeConfig, degraded_vectors
 from ..hardware import HardwareSpec
+from ..obs.registry import weakly_held
 from ..tables.embedding_table import reference_vectors
 from ..tables.row_map import RowMap
 from ..tables.store import (
@@ -73,7 +76,6 @@ class TieredParameterStore(HostStore):
         )
 
         self.dram = DramCacheLayer(specs, dram_capacity)
-        self.dram.on_eviction(self._forward_invalidation)
 
     # ------------------------------------------------------------------ obs
 
@@ -106,10 +108,16 @@ class TieredParameterStore(HostStore):
     def register_pointer_invalidator(
         self, invalidator: Callable[[np.ndarray], None]
     ) -> None:
-        """The callable gets the packed keys the DRAM tier evicts (§5)."""
-        self._invalidators.append(invalidator)
+        """The callable gets the packed keys the DRAM tier evicts (§5).
 
-    def _forward_invalidation(self, global_keys: np.ndarray) -> None:
+        A bound method is held through a weak reference to its owner (the
+        owner holds this store; see :func:`~repro.obs.registry.weakly_held`);
+        once the owner is gone it is no longer called."""
+        self._invalidators.append(weakly_held(invalidator))
+
+    def _forward_invalidation(self, evicted: List[int]) -> None:
+        """Hand the DRAM tier's eviction notice to every invalidator."""
+        global_keys = np.asarray(evicted, dtype=np.uint64)
         self.obs.inc("tier.pointer_invalidations", len(global_keys))
         for invalidator in self._invalidators:
             invalidator(global_keys)
@@ -138,7 +146,9 @@ class TieredParameterStore(HostStore):
             self._dram_flushed = False
             return False
         if not self._dram_flushed:
-            self.dram.flush()
+            dropped = self.dram.flush()
+            if dropped:
+                self._forward_invalidation(dropped)
             self._dram_flushed = True
         return True
 
@@ -207,6 +217,8 @@ class TieredParameterStore(HostStore):
             obs.inc("tier.dram_bypass_queries", len(segments))
         else:
             found = self.dram.lookup(segments, keys, fetch)
+            if found.evicted:
+                self._forward_invalidation(found.evicted)
             obs.inc("tier.dram_hits", len(found.hit_positions))
         missed, miss_positions = found.missed, found.miss_positions
         obs.inc("tier.dram_misses", len(miss_positions))

@@ -32,7 +32,6 @@ import json
 import math
 import re
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import ConfigError
@@ -325,7 +324,7 @@ class MetricsHttpServer:
         self.engine = engine
         self._host = host
         self._requested_port = port
-        self._server: Optional[ThreadingHTTPServer] = None
+        self._server = None
         self._thread: Optional[threading.Thread] = None
 
     # ------------------------------------------------------------- lifecycle
@@ -333,6 +332,10 @@ class MetricsHttpServer:
     def start(self) -> "MetricsHttpServer":
         if self._server is not None:
             raise ConfigError("metrics server already started")
+        # Imported here: the HTTP stack (socketserver, http.client, ssl)
+        # is only loaded by a run that scrapes, not by ``import repro``.
+        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
         owner = self
 
         class Handler(BaseHTTPRequestHandler):

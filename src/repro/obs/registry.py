@@ -200,15 +200,18 @@ _law = functools.lru_cache(maxsize=256)(Conservation)
 
 
 class _WeakHook:
-    """An audit hook that is a bound method, held weakly through its owner.
+    """A bound method held weakly through its owner.
 
     A component registers ``self._audit_x`` with the registry it is bound
-    to.  Held strongly that is a cycle (component -> registry -> hook ->
-    component) which only a generation-2 collection frees, so every
-    restored server of a benchmark pass lingered.  ``weakref.WeakMethod``
-    cannot be deep-copied and a bare ``weakref.ref`` copies atomically —
-    the clone's registry would audit the *original* component — so this
-    holder's ``__deepcopy__`` rebinds to the clone of its owner.
+    to, or ``self._invalidate_x`` with the store it reads.  Held strongly
+    that is a cycle (component -> registry or store -> hook -> component)
+    which only a generation-2 collection frees, so every restored server
+    of a benchmark pass lingered.  ``weakref.WeakMethod`` cannot be
+    deep-copied and a bare ``weakref.ref`` copies atomically — the
+    clone's registry would audit the *original* component — so this
+    holder's ``__deepcopy__`` rebinds to the clone of its owner.  Once
+    the owner is gone a call does nothing and returns ``True`` (a passing
+    audit).
     """
 
     __slots__ = ("_owner", "_function")
@@ -217,17 +220,25 @@ class _WeakHook:
         self._owner = weakref.ref(owner)
         self._function = function
 
-    def __call__(self):
+    def __call__(self, *args):
         owner = self._owner()
         if owner is None:
             return True
-        return self._function(owner)
+        return self._function(owner, *args)
 
     def __deepcopy__(self, memo):
         owner = self._owner()
         if owner is None:
             return self
         return _WeakHook(copy.deepcopy(owner, memo), self._function)
+
+
+def weakly_held(hook: Callable) -> Callable:
+    """``hook`` as a component should keep it: a bound method through a
+    :class:`_WeakHook` on its owner, any other callable as it is."""
+    if inspect.ismethod(hook):
+        return _WeakHook(hook.__self__, hook.__func__)
+    return hook
 
 
 class MetricsSnapshot:
@@ -479,9 +490,7 @@ class MetricsRegistry:
         A bound method is held through a weak reference to its owner (the
         owner holds this registry; see :class:`_WeakHook`); once the owner
         is gone its check passes."""
-        if inspect.ismethod(hook):
-            hook = _WeakHook(hook.__self__, hook.__func__)
-        self._checks[name] = hook
+        self._checks[name] = weakly_held(hook)
 
     @property
     def laws(self) -> List[Conservation]:

@@ -2,8 +2,9 @@
 
 ``DramCacheLayer.lookup`` runs a whole mixed-table batch in one pass:
 keys live in an ``OrderedDict`` of packed key -> slot, rows in slot
-arrays, and the batch sends one eviction notice.  The reference below is
-the tier it replaced, moved here unchanged in behaviour: an
+arrays, and the pass returns one eviction notice (``DramPass.evicted``).
+The reference below is the tier it replaced, moved here unchanged in
+behaviour: an
 ``OrderedDict`` of packed key -> row, served one table at a time, which
 fetched each table's sorted distinct misses, inserted them if the fetch
 was cacheable and then evicted from the LRU front down to capacity.
@@ -11,7 +12,7 @@ was cacheable and then evicted from the LRU front down to capacity.
 For random batches (duplicate ids, capacities down to one row, each
 table's fetch cacheable or not) with flushes and refreshes in between,
 the two must serve the same vectors, count the same hits and misses,
-fetch the same keys, announce the same evicted keys in the same order,
+fetch the same keys, report the same evicted keys in the same order,
 and end every step with the same resident keys in the same LRU order.
 """
 
@@ -139,8 +140,6 @@ def _assert_same_state(layer, ref):
 @given(capacity=st.integers(1, 10), steps=_STEPS)
 def test_batched_pass_matches_the_per_table_reference(capacity, steps):
     layer = DramCacheLayer(SPECS, capacity)
-    notices = []
-    layer.on_eviction(lambda keys: notices.append(keys.tolist()))
     outcome = {}
     ref_fetches = []
 
@@ -152,9 +151,10 @@ def test_batched_pass_matches_the_per_table_reference(capacity, steps):
     ref = ReferenceDramLayer(SPECS, capacity, ref_fetch)
     for number, (kind, arg) in enumerate(steps):
         ref.notices.clear()
-        notices.clear()
+        notice = []
         if kind == "flush":
-            assert layer.flush() == ref.flush()
+            notice = layer.flush()
+            assert len(notice) == ref.flush()
         elif kind == "refresh":
             table_id, ids = arg
             ids = np.array(ids, dtype=np.uint64)
@@ -180,8 +180,8 @@ def test_batched_pass_matches_the_per_table_reference(capacity, steps):
             assert len(found.hit_positions) == ref.hits - before_hits
             assert len(found.miss_positions) == ref.misses - before_misses
             assert fetches == ref_fetches
+            notice = found.evicted
         # The batch's (or flush's) one notice holds every key the
         # reference evicted, in its order.
-        flat = [key for notice in ref.notices for key in notice]
-        assert notices == ([flat] if flat else [])
+        assert notice == [key for keys in ref.notices for key in keys]
         _assert_same_state(layer, ref)

@@ -1,5 +1,9 @@
 """Tests for the giant-model three-tier hierarchy (paper §5)."""
 
+import copy
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -90,14 +94,17 @@ class TestDramCacheLayer:
             )
 
     def test_lru_eviction_with_notification(self, specs):
+        # The pass's notice and a flush's return carry the evicted keys
+        # in eviction (LRU) order.
         cache = DramCacheLayer(specs, capacity=3)
-        evicted = []
-        cache.on_eviction(lambda keys: evicted.extend(keys.tolist()))
-        dram_pass(cache, [0, 0, 0], np.array([1, 2, 3], np.uint64))
-        dram_pass(cache, [0], np.array([4], np.uint64))  # evicts key 1
-        assert evicted == [pack_global_key(0, 1)]
+        ids = np.array([1, 2, 3], np.uint64)
+        assert dram_pass(cache, [0, 0, 0], ids)[1].evicted == []
+        _, found, _ = dram_pass(cache, [0], np.array([4], np.uint64))
+        assert found.evicted == [pack_global_key(0, 1)]
         assert not dram_resident(cache, 0, 1)
         assert dram_resident(cache, 0, 4)
+        assert cache.flush() == [pack_global_key(0, k) for k in (2, 3, 4)]
+        assert cache.flush() == []
 
     def test_touch_refreshes_lru(self, specs):
         cache = DramCacheLayer(specs, capacity=2)
@@ -284,6 +291,41 @@ class TestTieredParameterStore:
         store.query_many(table_ids, ids)  # still down: nothing new fires
         assert len(notices) == 1
         assert store.obs.total("tier.pointer_invalidations") == 4
+
+    def test_a_dropped_layer_is_freed_and_no_longer_invalidated(
+        self, specs, hw, monkeypatch
+    ):
+        """The store holds a layer's invalidator weakly: two layers share
+        one tiered store, the first is dropped, and a DRAM eviction
+        reaches only the live layer's cache."""
+        from repro.core.flat_cache import FlatCache
+
+        calls = []
+        invalidate = FlatCache.invalidate_dram_pointers
+
+        def recording(cache, flat_keys):
+            calls.append(cache)
+            return invalidate(cache, flat_keys)
+
+        monkeypatch.setattr(FlatCache, "invalidate_dram_pointers", recording)
+        store = TieredParameterStore(specs, hw, dram_capacity=8)
+        dropped = FlecheEmbeddingLayer(store, FlecheConfig(), hw)
+        live = FlecheEmbeddingLayer(store, FlecheConfig(), hw)
+        gone = weakref.ref(dropped)
+        gc.disable()  # freed by reference count, not by a collection
+        try:
+            del dropped
+            assert gone() is None
+        finally:
+            gc.enable()
+        query_table(store, 0, np.arange(12, dtype=np.uint64))
+        assert store.obs.total("tier.pointer_invalidations") == 4
+        assert calls == [live.cache]
+        # A deep copy's store invalidates the copy's cache.
+        calls.clear()
+        clone = copy.deepcopy(live)
+        query_table(clone.store, 0, np.arange(12, 24, dtype=np.uint64))
+        assert calls == [clone.cache]
 
     def test_full_inference_through_tiers(self, specs, hw, rng):
         """Fleche runs unchanged on the tiered store (§5's claim)."""

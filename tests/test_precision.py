@@ -7,10 +7,13 @@ accounting, the fp32 host tiers beneath the cache, and the AUC-proxy
 regression gate (int8 tail within epsilon).
 """
 
+import sys
+
 import numpy as np
 import pytest
 
 from repro.coding.size_aware import SizeAwareCodec
+from repro.core.admission import FrequencyEstimator
 from repro.core.config import FlecheConfig
 from repro.core.flat_cache import FlatCache
 from repro.core.precision import (
@@ -321,6 +324,54 @@ class TestOneTierCache:
             # LFU keeps the oldest, most frequent keys; LRU drops them.
             survivors = cache.contains_cached(hot)
             assert survivors.all() if policy == "lfu" else not survivors.any()
+
+
+class TestLruEviction:
+    def test_mixed_split_lru_eviction_estimates_no_frequency(
+        self, monkeypatch
+    ):
+        """LRU orders victims by recency alone, so a mixed-split LRU
+        cache's eviction never estimates its candidates' frequencies —
+        and evicts the same victims as a cache that still estimates."""
+        callers = []
+        estimate = FrequencyEstimator.estimate
+
+        def counting(estimator, keys):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return estimate(estimator, keys)
+
+        monkeypatch.setattr(FrequencyEstimator, "estimate", counting)
+        config = PrecisionConfig(
+            fp32_share=0.4, fp16_share=0.3, int8_share=0.3,
+        )
+        assert config.eviction_policy == "lru"
+        rng = np.random.default_rng(0)
+        batches = [
+            np.unique(rng.zipf(1.3, 40) % 1000).astype(np.uint64)
+            for _ in range(30)
+        ]
+        lean, estimating = _cache(config, 0.05), _cache(config, 0.05)
+        # What eviction did before: estimate, then ignore the counts.
+        estimating._eviction_policy.reads_counts = True
+        evict_estimates = []
+        for cache in (lean, estimating):
+            callers.clear()
+            for ids in batches:
+                keys = cache.encode(0, ids)
+                cache.observe_keys(keys)
+                cache.tick()
+                missing = keys[~cache.contains_cached(keys)]
+                vecs = np.zeros((len(missing), 16), dtype=np.float32)
+                cache.admit_and_insert(missing, vecs, 16)
+            evict_estimates.append(callers.count("_evict"))
+        assert evict_estimates[0] == 0 < evict_estimates[1]
+        every = lean.encode(0, np.arange(1000, dtype=np.uint64))
+        np.testing.assert_array_equal(
+            lean.contains_cached(every), estimating.contains_cached(every)
+        )
+        assert lean.contains_cached(every).sum() < len(np.unique(
+            np.concatenate(batches)
+        ))
 
 
 class TestDramTier:

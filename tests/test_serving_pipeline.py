@@ -8,21 +8,35 @@ import numpy as np
 import pytest
 
 from repro import DeepCrossNetwork
+from repro.autotune import AdaptiveController
 from repro.baselines.per_table_cache import PerTableCacheLayer, PerTableConfig
+from repro.cluster import ClusterConfig, ClusterRouter, hot_head_victim
 from repro.core.config import FlecheConfig
+from repro.core.precision import PrecisionConfig
 from repro.core.workflow import FlecheEmbeddingLayer
 from repro.errors import ConfigError, SimulationError
 from repro.faults import (
     DegradeConfig,
     FaultInjector,
     FaultSchedule,
+    ReplicaCrash,
     RetryPolicy,
     ShardOutage,
 )
 from repro.gpusim.clock import Timeline
 from repro.gpusim.executor import SharedResource
+from repro.model.trainer import EmbeddingDeltaTrainer
 from repro.multitier.hierarchy import TieredParameterStore
 from repro.multitier.remote_ps import RemoteParameterServer
+from repro.obs import WindowedCollector, default_serving_slos
+from repro.obs.reqtrace import RequestTracer, TraceConfig
+from repro.obs.spans import SpanTracer
+from repro.refresh import (
+    RefreshScheduler,
+    UpdateLog,
+    UpdatePublisher,
+    UpdateSubscriber,
+)
 from repro.serving.arrivals import PoissonArrivals
 from repro.serving.arrivals import request_columns
 from repro.serving.batcher import BatchingPolicy, batch_bounds
@@ -599,6 +613,95 @@ class TestReportSatellites:
 # ---------------------------------------------------------------------------
 
 
+def update_log(dataset, horizon, rounds=4):
+    """A refresh stream whose rounds are published across ``horizon``."""
+    specs = dataset.table_specs()
+    log = UpdateLog(retention=1_000_000)
+    publisher = UpdatePublisher(log, max_batch_keys=256)
+    trainer = EmbeddingDeltaTrainer(
+        [spec.corpus_size for spec in specs], [spec.dim for spec in specs],
+        keys_per_round=64, seed=11,
+    )
+    for i in range(rounds):
+        publisher.drain(trainer, now=horizon * (i + 1) / (rounds + 1))
+    return log
+
+
+def tiered_stack(dataset, hw, horizon):
+    """A dense server over a DRAM tier whose remote shards are all out
+    for a third of ``horizon``, serving stale rows, with a refresher."""
+    specs = dataset.table_specs()
+    schedule = FaultSchedule([
+        ShardOutage(shard=s, start=0.3 * horizon, duration=0.3 * horizon)
+        for s in range(4)
+    ])
+    store = TieredParameterStore(
+        specs, hw, dram_capacity=300,
+        remote=RemoteParameterServer(
+            specs, injector=FaultInjector(schedule, seed=3),
+            retry_policy=RetryPolicy.naive(timeout=1e-4),
+        ),
+        degrade=DegradeConfig(policy="stale"),
+    )
+    layer = FlecheEmbeddingLayer(store, FlecheConfig(cache_ratio=0.05), hw)
+    server = PipelinedInferenceServer(
+        dataset, layer, hw, depth=2,
+        policy=BatchingPolicy(max_batch_size=64, max_delay=5e-4),
+        model=DeepCrossNetwork(
+            num_tables=dataset.num_tables, embedding_dim=dataset.dim
+        ),
+        include_dense=True,
+    )
+    subscriber = UpdateSubscriber(
+        update_log(dataset, horizon), layer.cache, host_store=store
+    )
+    subscriber.bind_observability(server.obs)
+    server.refresher = RefreshScheduler(subscriber, hw)
+    return server
+
+
+def observed_stack(dataset, hw, horizon):
+    """A dense server on a mixed-precision cache with every observer:
+    windowed collector + SLO engine, autotuner, span and request tracer."""
+    config = FlecheConfig(
+        cache_ratio=0.05,
+        precision=PrecisionConfig(
+            fp32_share=0.25, fp16_share=0.25, int8_share=0.5
+        ),
+    )
+    store = EmbeddingStore(dataset.table_specs(), hw)
+    window = horizon / 16
+    server = PipelinedInferenceServer(
+        dataset, FlecheEmbeddingLayer(store, config, hw), hw, depth=2,
+        policy=BatchingPolicy(max_batch_size=64, max_delay=5e-4),
+        model=DeepCrossNetwork(
+            num_tables=dataset.num_tables, embedding_dim=dataset.dim
+        ),
+        include_dense=True,
+        tracer=SpanTracer(),
+        collector=WindowedCollector(
+            window=window, sla_budget=2e-3,
+            engine=default_serving_slos(2e-3),
+        ),
+        autotuner=AdaptiveController(),
+    )
+    server.reqtracer = RequestTracer(TraceConfig(sla_budget=2e-3))
+    return server
+
+
+def crashing_cluster(dataset, hw, horizon):
+    """Three replicas behind the router; the hot head's owner crashes at
+    a third of ``horizon`` and recovers from snapshot + log replay."""
+    schedule = FaultSchedule([ReplicaCrash(
+        replica=hot_head_victim(dataset, 0, 3),
+        start=0.3 * horizon, duration=0.3 * horizon,
+    )])
+    return ClusterRouter(
+        dataset, hw, ClusterConfig(num_replicas=3, hot_keys=64),
+        schedule=schedule, update_log=update_log(dataset, horizon),
+    )
+
+
 class TestRestoredServer:
     def test_audits_its_own_cache_and_is_freed_by_refcount(
         self, dataset, hw, requests
@@ -606,7 +709,9 @@ class TestRestoredServer:
         """The cache's pool-accounting hook is held weakly by the registry
         (``obs/registry.py``), so a restored server sits in no reference
         cycle — with the collector off it still goes when dropped — and
-        the copy's registry audits the copy's cache, not the prototype's."""
+        the copy's registry audits the copy's cache, not the prototype's.
+        :meth:`test_a_served_stack_is_freed_by_refcount` holds the other
+        stacks to the same."""
         proto = make_servers(dataset, hw, PipelinedInferenceServer, depth=2)
         gc.collect()
         gc.disable()
@@ -622,5 +727,43 @@ class TestRestoredServer:
             assert any("flatcache" in v for v in clone.obs.audit())
             del clone, cache
             assert [ref() for ref in gone] == [None, None]
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("build", [
+        tiered_stack, observed_stack, crashing_cluster,
+    ], ids=["tiered", "observed", "cluster"])
+    def test_a_served_stack_is_freed_by_refcount(self, dataset, hw, build):
+        """No serving stack sits in a reference cycle: served with the
+        collector off and then dropped, the server (router), every scheme
+        and every store it holds are gone at once.  A store holds its
+        layer's pointer invalidator weakly, the DRAM tier keeps no
+        callbacks and the autotuner no back-reference to its server."""
+        requests = PoissonArrivals(dataset, 50_000.0, seed=4).generate(800)
+        horizon = requests[-1].arrival_time
+        gc.collect()
+        gc.disable()
+        try:
+            stack = build(dataset, hw, horizon)
+            report = stack.serve(requests)
+            servers = (
+                [replica.server for replica in stack.replicas]
+                if isinstance(stack, ClusterRouter) else [stack]
+            )
+            parts = [stack]
+            for server in servers:
+                parts += [server, server.scheme, server.scheme.store]
+            gone = [weakref.ref(part) for part in parts]
+            if build is tiered_stack:
+                assert stack.obs.total("tier.pointer_invalidations") > 0
+                assert stack.obs.total("refresh.applied_keys") > 0
+                assert report.degraded_requests > 0
+            elif build is observed_stack:
+                assert stack.collector.closed_windows > 1
+                assert stack.reqtracer.traces
+            else:
+                assert report.disposition_counts()["failover"] > 0
+            del stack, report, servers, parts, server
+            assert [ref() for ref in gone] == [None] * len(gone)
         finally:
             gc.enable()
