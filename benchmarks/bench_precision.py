@@ -1,6 +1,6 @@
 """Mixed-precision cache benchmark: effective capacity at matched bytes.
 
-Three questions, one artifact:
+Two questions, one artifact:
 
 - **Effective capacity**: sweep the fp32 hit-rate-vs-byte-budget curve,
   then run mixed tier splits at the *smallest* budget and interpolate
@@ -10,10 +10,6 @@ Three questions, one artifact:
 - **Quality**: reuse Exp #5's collision/AUC machinery — int8-quantize the
   low-frequency tail of a trained hashed-logistic model's weights and
   require the held-out AUC to move less than ``AUC_EPSILON``.
-- **One path**: the default cache is the one-tier (all-fp32) case of the
-  tiered replacement path, so a config spelling that split out must
-  reproduce the plain fleche run *exactly* (hits, misses, latencies),
-  mirroring the byte-identity test in ``tests/test_golden_hotpath.py``.
 
 The tracked ``benchmarks/results/BENCH_precision.json`` is the pin:
 ``tests/test_pinned_payloads.py`` requires the ``--smoke`` output to
@@ -129,28 +125,6 @@ def run_policy_ablation(hw):
     return cells
 
 
-def run_pinned_identity(hw):
-    """An explicit all-fp32 split vs plain fleche: must match exactly."""
-    plain = run_scheme(_context(hw, BASE_RATIO), "fleche")
-    pinned = run_scheme(
-        _context(hw, BASE_RATIO), "fleche",
-        precision=PrecisionConfig(
-            fp32_share=1.0, fp16_share=0.0, int8_share=0.0,
-        ),
-    )
-
-    def digest(result):
-        return canonical_json({
-            "hits": int(result.hits),
-            "misses": int(result.misses),
-            "unified_hits": int(result.unified_hits),
-            "latencies": [float(x) for x in result.latencies],
-            "elapsed": float(result.elapsed),
-        })
-
-    return digest(plain) == digest(pinned)
-
-
 def run_auc_proxy(smoke):
     """AUC before/after int8-quantizing the tail tier's trained weights."""
     task = SyntheticCtrTask(
@@ -197,7 +171,6 @@ def run_bench(smoke):
     curve = run_fp32_curve(hw, ratios)
     splits = run_splits(hw, curve)
     policies = run_policy_ablation(hw)
-    pinned_identical = run_pinned_identity(hw)
     auc = run_auc_proxy(smoke)
     return {
         "mode": "smoke" if smoke else "full",
@@ -206,7 +179,6 @@ def run_bench(smoke):
         "fp32_curve": {f"{r:g}": hit for r, hit in sorted(curve.items())},
         "splits": splits,
         "policies": policies,
-        "pinned_identical": pinned_identical,
         "auc": auc,
     }
 
@@ -239,16 +211,12 @@ def emit_report(payload):
         f"{auc['int8_tail']:.4f} (delta {auc['delta']:.4f}, "
         f"epsilon {auc['epsilon']})"
     )
-    print(f"pinned-fp32 identical to plain fleche: "
-          f"{payload['pinned_identical']}")
     emit("BENCH_precision_report", canonical_json(payload))
 
 
 def check(payload, smoke):
     """In-run acceptance assertions; returns violations."""
     violations = []
-    if not payload["pinned_identical"]:
-        violations.append("pinned-fp32 run diverged from plain fleche")
     auc = payload["auc"]
     if auc["delta"] > auc["epsilon"]:
         violations.append(

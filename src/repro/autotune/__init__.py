@@ -2,12 +2,12 @@
 
 Online feedback control for the serving stack: an
 :class:`AdaptiveController` subscribes to the
-:class:`~repro.obs.timeseries.WindowedCollector` window stream (hit and
-insert/evict pressure, per-tier occupancy, Jensen-Shannon drift flags,
-SLA attainment) and retunes the cache's runtime knobs — admission
-aggressiveness, precision-tier thresholds, eviction depth, tier byte
-shares — through a typed, rate-limited, hysteresis-guarded
-:class:`Action` interface applied between batches (epoch boundaries).
+:class:`~repro.obs.timeseries.WindowedCollector` window stream (hit
+rate, per-tier occupancy, Jensen-Shannon drift flags, SLA attainment)
+and retunes the cache's runtime knobs — admission aggressiveness,
+precision-tier thresholds, tier byte shares — through a typed,
+rate-limited, hysteresis-guarded :class:`Action` interface applied
+between batches (epoch boundaries).
 
 "ML-Guided Memory Optimization for DLRM Inference on Tiered Memory"
 (PAPERS.md, arXiv 2511.08568) shows online feedback-driven placement
@@ -17,9 +17,10 @@ statistics are the right control signal.  Both signals already exist in
 this repo (windowed series + the count-min estimator); this package
 closes the loop.
 
-Byte-identity contract: with the controller absent or disabled, no
-``autotune.*`` metric is ever emitted and no cache knob is ever touched
-— serving output is byte-identical to a controller-free build.
+Byte-identity contract: with no controller (``autotuner=None``), no
+``autotune.*`` metric is ever emitted and no cache knob is ever touched.
+A controller that proposes nothing adds only its admission gauge: hits,
+latencies and counters are byte-identical to a controller-free run.
 """
 
 from .actions import (
@@ -28,25 +29,22 @@ from .actions import (
     OUTCOMES,
     SET_ADMISSION,
     SET_THRESHOLDS,
-    SET_WATERMARK,
     SUPPRESSED,
     TRANSFER_CAPACITY,
     Action,
     ActionRecord,
 )
-from .controller import AdaptiveController, ControllerConfig
+from .controller import AdaptiveController
 
 __all__ = [
     "Action",
     "ActionRecord",
     "AdaptiveController",
-    "ControllerConfig",
     "APPLIED",
     "SUPPRESSED",
     "CLAMPED",
     "OUTCOMES",
     "SET_ADMISSION",
     "SET_THRESHOLDS",
-    "SET_WATERMARK",
     "TRANSFER_CAPACITY",
 ]

@@ -25,12 +25,10 @@ SET_ADMISSION = "set_admission"
 #: value: float admission probability in (0, 1].
 SET_THRESHOLDS = "set_thresholds"
 #: value: (hot_min_count, warm_min_count) tier-assignment thresholds.
-SET_WATERMARK = "set_watermark"
-#: value: float eviction low watermark (eviction depth).
 TRANSFER_CAPACITY = "transfer_capacity"
 #: value: (dim, from_tier, to_tier, fraction) tier byte-share move.
 
-KINDS = (SET_ADMISSION, SET_THRESHOLDS, SET_WATERMARK, TRANSFER_CAPACITY)
+KINDS = (SET_ADMISSION, SET_THRESHOLDS, TRANSFER_CAPACITY)
 
 #: Outcome names, matching the ``autotune.*`` registry counters.
 APPLIED = "applied"
@@ -69,7 +67,6 @@ __all__ = [
     "KINDS",
     "SET_ADMISSION",
     "SET_THRESHOLDS",
-    "SET_WATERMARK",
     "TRANSFER_CAPACITY",
     "APPLIED",
     "SUPPRESSED",

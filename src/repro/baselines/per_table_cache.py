@@ -34,6 +34,8 @@ from ..core.workflow import coupled_query_kernel_spec
 
 #: Host cost of deduplicating one key on the CPU (hash-set insert).
 _HOST_DEDUP_COST_PER_KEY = 4e-9
+#: CPU cost of replaying a captured CUDA graph (one driver call).
+GRAPH_REPLAY_OVERHEAD = 6.0e-6
 #: Residual per-node dispatch cost inside a CUDA graph replay.
 GRAPH_NODE_OVERHEAD = 1.0e-6
 
@@ -51,15 +53,11 @@ class PerTableConfig:
 
     cache_ratio: float = 0.05
     use_cuda_graph: bool = False
-    #: CPU cost of replaying a captured graph (one driver call).
-    graph_replay_overhead: float = 6.0e-6
     seed: int = 0
 
     def __post_init__(self) -> None:
         if not 0.0 < self.cache_ratio <= 1.0:
             raise ConfigError("cache_ratio must be in (0, 1]")
-        if self.graph_replay_overhead < 0:
-            raise ConfigError("graph overheads must be >= 0")
 
 
 class _TableCache:
@@ -171,9 +169,7 @@ class PerTableCacheLayer(EmbeddingCacheScheme):
         # residual per-node dispatch, but everything else stays (§2.2).
         per_kernel_cost = None
         if self.config.use_cuda_graph:
-            executor.host_work(
-                self.config.graph_replay_overhead, Category.MAINTENANCE
-            )
+            executor.host_work(GRAPH_REPLAY_OVERHEAD, Category.MAINTENANCE)
             per_kernel_cost = GRAPH_NODE_OVERHEAD
         lookups = []
         for t, unique in enumerate(unique_per_table):

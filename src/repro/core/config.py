@@ -19,8 +19,9 @@ class FlecheConfig:
         admission_probability: probability-based filter (§3.1): a missing
             embedding is admitted to the cache with this probability, so
             IDs occurring fewer than ``1/p`` times tend to bypass the cache.
-        evict_high_watermark: pool utilisation that triggers eviction.
-        evict_low_watermark: utilisation eviction drives the pool down to.
+        evict_low_watermark: utilisation eviction drives a slab class down
+            to.  Eviction starts when the class cannot satisfy an
+            allocation, i.e. at full utilisation.
         use_fusion: merge per-table query kernels via self-identified
             kernel fusion (§3.2).
         decouple_copy: split indexing and copying into separate kernels and
@@ -39,7 +40,6 @@ class FlecheConfig:
     cache_ratio: float = 0.05
     key_bits: int = 64
     admission_probability: float = 1.0
-    evict_high_watermark: float = 0.95
     evict_low_watermark: float = 0.85
     use_fusion: bool = True
     decouple_copy: bool = True
@@ -56,10 +56,8 @@ class FlecheConfig:
             raise ConfigError("key_bits must be in [8, 64]")
         if not 0.0 < self.admission_probability <= 1.0:
             raise ConfigError("admission_probability must be in (0, 1]")
-        if not 0.0 < self.evict_low_watermark < self.evict_high_watermark <= 1.0:
-            raise ConfigError(
-                "watermarks must satisfy 0 < low < high <= 1"
-            )
+        if not 0.0 < self.evict_low_watermark < 1.0:
+            raise ConfigError("evict_low_watermark must be in (0, 1)")
         if not 0.0 <= self.unified_index_fraction <= 4.0:
             raise ConfigError("unified_index_fraction must be in [0, 4]")
         if not 0.0 < self.index_load_factor <= 1.0:

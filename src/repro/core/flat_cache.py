@@ -168,11 +168,6 @@ class FlatCache(Observable):
         self.unified_entries = 0
         self.unified_capacity = unified_slots if config.use_unified_index else 0
         self._dim_of_table = {s.table_id: s.dim for s in specs}
-        #: Runtime-retunable copy of the config watermark: the adaptive
-        #: controller (:mod:`repro.autotune`) adjusts eviction depth here
-        #: without touching the frozen :class:`FlecheConfig`.  Untouched,
-        #: eviction is byte-identical to the config-driven behaviour.
-        self.evict_low_watermark = config.evict_low_watermark
 
     # ------------------------------------------------------------------ obs
 
@@ -659,15 +654,6 @@ class FlatCache(Observable):
         self.admission.hot_min_count = hot
         self.admission.warm_min_count = warm
 
-    def set_evict_low_watermark(self, low: float) -> None:
-        """Retune eviction depth: lower cuts deeper per eviction pass."""
-        if not 0.0 < low < self.config.evict_high_watermark:
-            raise ConfigError(
-                f"evict_low_watermark must be in (0, "
-                f"{self.config.evict_high_watermark}), got {low}"
-            )
-        self.evict_low_watermark = float(low)
-
     def transfer_tier_capacity(
         self, dim: int, from_tier: str, to_tier: str, fraction: float
     ) -> Tuple[int, int]:
@@ -739,9 +725,9 @@ class FlatCache(Observable):
         """Full-scan eviction (§3.1): drop cold entries of slab class
         ``(dim, tier)``.
 
-        Runs when the slab class cannot satisfy an allocation (utilisation
-        above the high watermark); evicts the coldest entries until
-        utilisation falls to the low watermark (or ``need`` is satisfied).
+        Runs when the slab class cannot satisfy an allocation; evicts the
+        coldest entries until utilisation falls to the low watermark (or
+        ``need`` is satisfied).
         Victim order comes from the configured eviction policy — pure
         recency by default, or a frequency-aware LFU/hybrid score over the
         estimator's counts.  On a mixed-precision pool each (dim, tier)
@@ -767,7 +753,7 @@ class FlatCache(Observable):
             return
 
         capacity = self.pool.capacity_of(dim, tier)
-        target_live = int(capacity * self.evict_low_watermark)
+        target_live = int(capacity * self.config.evict_low_watermark)
         to_evict = max(need, len(class_keys) - target_live)
         to_evict = min(to_evict, len(class_keys))
         policy = self._eviction_policy

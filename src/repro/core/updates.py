@@ -30,17 +30,14 @@ The outcome partitions the batch exactly:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import WorkloadError
-from ..gpusim.executor import Executor
-from ..gpusim.stats import Category
 from .dedup import deduplicate
 from .flat_cache import FlatCache
 from .unified_index import is_dram_pointer, untag
-from .workflow import _copy_kernel_spec, _index_kernel_spec
 
 
 @dataclass(frozen=True)
@@ -97,7 +94,6 @@ class UpdateApplier:
         table_id: int,
         feature_ids: np.ndarray,
         vectors: np.ndarray,
-        executor: Optional[Executor] = None,
     ) -> UpdateOutcome:
         """Refresh one table's updated embeddings inside the cache.
 
@@ -110,18 +106,13 @@ class UpdateApplier:
             feature_ids: updated IDs; duplicates resolve last-write-wins
                 (only the final row per ID touches the cache).
             vectors: the new embedding rows, aligned with ``feature_ids``.
-            executor: when given, the refresh kernels are accounted on the
-                simulated timeline (category OTHER — off the query path).
         """
-        return self.apply_deltas(
-            [(table_id, feature_ids, vectors)], executor=executor
-        )
+        return self.apply_deltas([(table_id, feature_ids, vectors)])
 
     # hot-path: vectorized
     def apply_deltas(
         self,
         deltas: Sequence[Tuple[int, np.ndarray, np.ndarray]],
-        executor: Optional[Executor] = None,
     ) -> UpdateOutcome:
         """Refresh the ``(table_id, feature_ids, vectors)`` deltas of one
         log batch — at most one per table — and return the summed outcome.
@@ -130,8 +121,9 @@ class UpdateApplier:
         dimension are applied in one pass (one index lookup that also
         re-stamps, one pool write, one pointer invalidation) with exactly
         the effect of applying them one after another.  Nothing is touched
-        unless every delta is well-formed.  With an executor, each
-        delta's two refresh kernels are charged in delta order.
+        unless every delta is well-formed.  Nothing is charged to a
+        simulated clock here: serving applies refreshes in idle slots, and
+        :class:`~repro.refresh.RefreshScheduler` prices their two kernels.
         """
         cache = self.cache
         if len({table_id for table_id, _, _ in deltas}) != len(deltas):
@@ -192,23 +184,6 @@ class UpdateApplier:
             if num_dram:
                 pointer_keys += num_dram
                 invalidated += cache.invalidate_dram_pointers(keys[dram])
-
-        if executor is not None:
-            for (table_id, _, _), refreshed in zip(deltas, refreshed_of.tolist()):  # lint: allow-loop (per delta: kernel launches)
-                if refreshed:
-                    executor.launch(
-                        _copy_kernel_spec(
-                            "update_copy", refreshed,
-                            cache._dim_of_table[table_id], executor.hw,
-                        ),
-                        stream=executor.stream("copy"),
-                        category=Category.OTHER,
-                    )
-                    executor.launch(
-                        _index_kernel_spec("update_index", refreshed),
-                        stream=executor.stream("main"),
-                        category=Category.OTHER,
-                    )
 
         refreshed = int(refreshed_of.sum())
         return UpdateOutcome(

@@ -23,9 +23,9 @@ class Timeline:
 
     __slots__ = ("name", "_now", "_active")
 
-    def __init__(self, name: str, start: float = 0.0):
+    def __init__(self, name: str):
         self.name = name
-        self._now = float(start)
+        self._now = 0.0
         self._active = 0.0
 
     @property

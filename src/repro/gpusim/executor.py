@@ -30,7 +30,7 @@ from ..hardware import HardwareSpec
 from .clock import Timeline
 from .kernel import KernelSpec
 from .stats import Category, TimeBreakdown
-from .transfer import CopyEngine, CopyMethod
+from .transfer import CopyEngine
 
 #: Plan operation codes (see :meth:`Executor.run`).
 LAUNCH, COPY, HOST, SYNC = range(4)
@@ -193,16 +193,15 @@ class Executor:
         self,
         nbytes: int,
         category: Category,
-        method: CopyMethod = CopyMethod.AUTO,
         async_stream: Optional[Stream] = None,
     ) -> None:
-        """Copy ``nbytes`` between host and device.
+        """Copy ``nbytes`` between host and device by the cheaper method.
 
         Synchronous copies (``async_stream is None``) block the CPU for
         overhead + wire time.  Asynchronous copies charge only the call
         overhead to the CPU and queue the wire time on the stream.
         """
-        cost = self.copy_engine.cost(nbytes, method)
+        cost = self.copy_engine.cost(nbytes)
         self.stats.count("copies")
         if async_stream is None:
             self.cpu.advance(cost.total)

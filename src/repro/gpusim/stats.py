@@ -55,9 +55,9 @@ class TimeBreakdown:
         """Accumulate ``duration`` seconds under ``category``."""
         self.seconds[category] = self.seconds.get(category, 0.0) + duration
 
-    def count(self, event: str, n: int = 1) -> None:
-        """Increment the ``event`` counter by ``n``."""
-        self.counters[event] += n
+    def count(self, event: str) -> None:
+        """Increment the ``event`` counter by one."""
+        self.counters[event] += 1
 
     def total(self, categories: Iterable[Category] = tuple(Category)) -> float:
         """Sum of the durations accumulated under ``categories``."""

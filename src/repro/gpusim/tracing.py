@@ -26,7 +26,6 @@ from ..errors import SimulationError
 from .executor import Executor, Stream
 from .kernel import KernelSpec, kernel_execution_time
 from .stats import Category
-from .transfer import CopyMethod
 
 
 @dataclass(frozen=True)
@@ -157,10 +156,9 @@ class TraceRecorder:
             ))
 
         def copy(nbytes: int, category: Category,
-                 method: CopyMethod = CopyMethod.AUTO,
                  async_stream: Optional[Stream] = None) -> None:
             start = executor.cpu.now
-            original_copy(nbytes, category, method, async_stream)
+            original_copy(nbytes, category, async_stream)
             recorder.spans.append(Span(
                 track="cpu", name=f"copy:{nbytes}B",
                 start=start, duration=executor.cpu.now - start,

@@ -30,18 +30,17 @@ class HostQueryCost:
 
 
 def host_query_cost(
-    hw: HardwareSpec, num_keys: int, payload_bytes: int, probes_per_key: float = None
+    hw: HardwareSpec, num_keys: int, payload_bytes: int
 ) -> HostQueryCost:
     """DRAM cost of indexing ``num_keys`` and streaming ``payload_bytes``.
 
-    Indexing is latency-bound: each probe is a dependent random DRAM access,
-    overlapped across the store's lookup threads.  The payload copy runs at
-    DRAM's random-gather effective bandwidth.
+    Indexing is latency-bound: each of a key's ``hw.cpu.host_hash_probes``
+    probes is a dependent random DRAM access, overlapped across the
+    store's lookup threads.  The payload copy runs at DRAM's random-gather
+    effective bandwidth.
     """
     cpu = hw.cpu
-    if probes_per_key is None:
-        probes_per_key = cpu.host_hash_probes
-    serial_accesses = num_keys * probes_per_key / cpu.lookup_threads
+    serial_accesses = num_keys * cpu.host_hash_probes / cpu.lookup_threads
     index_time = serial_accesses * cpu.dram_access_latency
     copy_time = payload_bytes / (cpu.dram_bandwidth * cpu.dram_random_efficiency)
     return _cost_of(index_time, copy_time)

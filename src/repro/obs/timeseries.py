@@ -126,6 +126,8 @@ class WindowRecord:
 #: Jensen-Shannon divergence between consecutive windows' per-table hit
 #: distributions above which a window is flagged as a working-set shift.
 DRIFT_THRESHOLD = 0.08
+#: Ring-buffer depth of a collector: the oldest windows are dropped.
+CAPACITY = 512
 
 
 class WindowedCollector:
@@ -133,7 +135,6 @@ class WindowedCollector:
 
     Parameters:
         window: window width in simulated seconds.
-        capacity: ring-buffer depth (oldest windows are dropped).
         sla_budget: per-request latency budget; enables the
             ``sla_attainment`` / ``sla_bad`` series.
         engine: optional :class:`~repro.obs.alerts.SloEngine`, evaluated
@@ -147,21 +148,17 @@ class WindowedCollector:
     def __init__(
         self,
         window: float = 1e-3,
-        capacity: int = 512,
         sla_budget: Optional[float] = None,
         engine=None,
         staleness_versions: Optional[float] = None,
     ) -> None:
         if window <= 0:
             raise ConfigError("collector window must be positive")
-        if capacity < 1:
-            raise ConfigError("collector capacity must be >= 1")
         if sla_budget is not None and sla_budget <= 0:
             raise ConfigError("SLA budget must be positive")
         if staleness_versions is not None and staleness_versions < 0:
             raise ConfigError("staleness budget must be >= 0")
         self.window = float(window)
-        self.capacity = int(capacity)
         self.sla_budget = sla_budget
         self.engine = engine
         self.staleness_versions = staleness_versions
@@ -183,7 +180,7 @@ class WindowedCollector:
         self._tenant_of: Optional[Sequence[str]] = None
         self._tenant_slos: Dict[str, float] = {}
         self._tenant_latencies: Dict[str, List[float]] = {}
-        self.windows: Deque[WindowRecord] = deque(maxlen=self.capacity)
+        self.windows: Deque[WindowRecord] = deque(maxlen=CAPACITY)
         #: ``(window index, divergence)`` of every flagged working-set shift.
         self.drift_events: List[Tuple[int, float]] = []
         #: Total windows ever closed (>= ``len(windows)`` once the ring wraps).
@@ -566,7 +563,7 @@ class WindowedCollector:
         return {
             "kind": "series",
             "window_s": self.window,
-            "capacity": self.capacity,
+            "capacity": self.windows.maxlen,
             "sla_budget_s": _sanitize(
                 self.sla_budget if self.sla_budget is not None else float("nan")
             ),

@@ -204,9 +204,9 @@ class InferenceServer:
             collector.bind(self.engine.obs)
         #: optional :class:`~repro.autotune.AdaptiveController` — the
         #: closed-loop retuner, fed after every batch completion.  ``None``
-        #: (or a disabled controller) leaves every serving code path
-        #: byte-identical to an untuned run: no cache knob is touched and
-        #: no ``autotune.*`` metric is ever created.
+        #: leaves every serving code path byte-identical to an untuned
+        #: run: no cache knob is touched and no ``autotune.*`` metric is
+        #: ever created.
         self.autotuner = autotuner
         if autotuner is not None:
             autotuner.attach(self)

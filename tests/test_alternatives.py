@@ -169,4 +169,4 @@ class TestCudaGraphBaseline:
 
     def test_graph_config_validation(self):
         with pytest.raises(ConfigError):
-            PerTableConfig(graph_replay_overhead=-1.0)
+            PerTableConfig(cache_ratio=0.0, use_cuda_graph=True)

@@ -3,7 +3,8 @@
 Covers the action pipeline (propose -> cooldown -> clamp -> hysteresis
 -> execute -> exactly one outcome), the drift-boost enter/revert cycle,
 the hit-collapse detector, the conservation law, trace spans, and the
-disabled-controller byte-identity contract.
+byte-identity contract of a controller that proposes nothing.  The
+controller's tunables are module constants; tests monkeypatch them.
 """
 
 from types import SimpleNamespace
@@ -17,8 +18,8 @@ from repro.autotune import (
     SET_ADMISSION,
     SUPPRESSED,
     AdaptiveController,
-    ControllerConfig,
 )
+from repro.autotune import controller as ctl
 from repro.baselines.per_table_cache import PerTableCacheLayer, PerTableConfig
 from repro.core.precision import PrecisionConfig
 from repro.core.workflow import FlecheEmbeddingLayer
@@ -91,18 +92,6 @@ def _prime(controller, ema=0.9, windows=5):
 
 
 class TestConfigValidation:
-    def test_rejects_bad_values(self):
-        with pytest.raises(ConfigError):
-            ControllerConfig(cooldown_windows=-1)
-        with pytest.raises(ConfigError):
-            ControllerConfig(hysteresis=1.0)
-        with pytest.raises(ConfigError):
-            ControllerConfig(boost_thresholds=(1, 2))
-        with pytest.raises(ConfigError):
-            ControllerConfig(admission_step=1.0)
-        with pytest.raises(ConfigError):
-            ControllerConfig(hit_collapse_delta=0.0)
-
     def test_attach_requires_collector(self):
         server = _stack()
         server.collector = None
@@ -129,18 +118,14 @@ class TestConfigValidation:
                 collector=WindowedCollector(window=1e-3, sla_budget=1e-3),
                 autotuner=AdaptiveController(),
             )
-        # A disabled controller attaches inertly to any scheme.
-        PipelinedInferenceServer(
-            dataset, layer, hw,
-            autotuner=AdaptiveController(ControllerConfig(enabled=False)),
-        )
 
 
 class TestDisabled:
     def test_disabled_controller_is_inert(self):
+        # A controller no server attached has nothing to read or tune:
+        # the serving loop's poll returns at once.
         server = _stack()
-        controller = AdaptiveController(ControllerConfig(enabled=False))
-        controller.attach(server)
+        controller = AdaptiveController()
         assert controller._cache is None
         controller.on_batch_complete(1.0)
         assert not server.obs.has_prefix("autotune.")
@@ -163,17 +148,13 @@ class TestBoostCycle:
         drift = _healthy(4)
         drift.values["drift_flag"] = 1.0
         controller._on_window(drift)
-        assert controller._boost_remaining == controller.config.boost_windows
+        assert controller._boost_remaining == ctl.BOOST_WINDOWS
         assert cache.admission.probability == 1.0
-        assert cache.admission.hot_min_count == \
-            controller.config.boost_thresholds[0]
+        assert cache.admission.hot_min_count == ctl.BOOST_THRESHOLDS[0]
         reasons = {r.action.reason for r in controller.history}
         assert "drift-boost" in reasons
         # Boost counts down on clean windows, then reverts to cruise.
-        _feed(controller, [
-            _healthy(5 + i)
-            for i in range(controller.config.boost_windows)
-        ])
+        _feed(controller, [_healthy(5 + i) for i in range(ctl.BOOST_WINDOWS)])
         assert controller._boost_remaining == 0
         assert cache.admission.probability == 0.5
         assert any(
@@ -189,12 +170,11 @@ class TestBoostCycle:
         drift.values["drift_flag"] = 1.0
         controller._on_window(drift)
         controller._on_window(_healthy(5))
-        assert controller._boost_remaining == \
-            controller.config.boost_windows - 1
+        assert controller._boost_remaining == ctl.BOOST_WINDOWS - 1
         again = _healthy(6)
         again.values["drift_flag"] = 1.0
         controller._on_window(again)
-        assert controller._boost_remaining == controller.config.boost_windows
+        assert controller._boost_remaining == ctl.BOOST_WINDOWS
 
     def test_hit_collapse_triggers_boost(self):
         server = _stack(admission=0.5)
@@ -237,11 +217,11 @@ class TestActionPipeline:
         assert server.scheme.cache.admission.probability == \
             pytest.approx(0.75)
 
-    def test_hysteresis_suppresses_small_delta(self):
+    def test_hysteresis_suppresses_small_delta(self, monkeypatch):
+        monkeypatch.setattr(ctl, "ADMISSION_STEP", 0.02)
+        monkeypatch.setattr(ctl, "HYSTERESIS", 0.05)
         server = _stack()
-        controller = AdaptiveController(
-            ControllerConfig(admission_step=0.02, hysteresis=0.05)
-        )
+        controller = AdaptiveController()
         controller.attach(server)
         _warmup(controller)
         bad = _healthy(4)
@@ -252,11 +232,11 @@ class TestActionPipeline:
         assert last.detail == "hysteresis"
         assert server.scheme.cache.admission.probability == 1.0
 
-    def test_clamp_resolves_as_clamped(self):
+    def test_clamp_resolves_as_clamped(self, monkeypatch):
+        monkeypatch.setattr(ctl, "HYSTERESIS", 0.01)
+        monkeypatch.setattr(ctl, "MIN_ADMISSION", 0.1)
         server = _stack(admission=0.12)
-        controller = AdaptiveController(
-            ControllerConfig(hysteresis=0.01, min_admission=0.1)
-        )
+        controller = AdaptiveController()
         controller.attach(server)
         _prime(controller)
         bad = _healthy(4)
@@ -269,9 +249,10 @@ class TestActionPipeline:
         assert server.scheme.cache.admission.probability == \
             pytest.approx(0.1)
 
-    def test_recovery_steps_admission_back_up(self):
+    def test_recovery_steps_admission_back_up(self, monkeypatch):
+        monkeypatch.setattr(ctl, "COOLDOWN_WINDOWS", 0)
         server = _stack(admission=0.5)
-        controller = AdaptiveController(ControllerConfig(cooldown_windows=0))
+        controller = AdaptiveController()
         controller.attach(server)
         _warmup(controller)
         _feed(controller, [_healthy(4 + i) for i in range(6)])
@@ -282,21 +263,6 @@ class TestActionPipeline:
             if r.outcome in (APPLIED, CLAMPED)
         }
         assert "recover" in outcomes
-
-    def test_churn_guard_fires_at_low_hit_rate(self):
-        server = _stack()
-        controller = AdaptiveController()
-        controller.attach(server)
-        _feed(controller, [_healthy(i, hit_rate=float("nan"))
-                           for i in range(4)])
-        churn = _window(
-            4, hit_rate=0.05, sla_attainment=1.0,
-            inserts=100.0, evictions=95.0, drift_flag=0.0,
-        )
-        controller._on_window(churn)
-        last = controller.history[-1]
-        assert last.action.reason == "churn-guard"
-        assert last.outcome == APPLIED
 
 
 class TestAccounting:
@@ -371,16 +337,21 @@ class TestServingIntegration:
         report = server.serve(requests)
         return report, server
 
-    def test_disabled_is_byte_identical_to_absent(self):
+    def test_idle_controller_is_byte_identical_to_absent(self):
+        # On this light load the controller proposes nothing: attached,
+        # it must leave hits, latencies and counters exactly as no
+        # controller does.  Only its admission gauge appears.
         base, base_server = self._serve(None)
-        off, off_server = self._serve(
-            AdaptiveController(ControllerConfig(enabled=False))
-        )
+        controller = AdaptiveController()
+        idle, idle_server = self._serve(controller)
+        controller.on_batch_complete(idle.span)
+        assert controller.history == []
         assert [float(x) for x in base.latencies] == \
-            [float(x) for x in off.latencies]
-        assert base.hits == off.hits and base.misses == off.misses
-        for server in (base_server, off_server):
-            assert not server.obs.has_prefix("autotune.")
+            [float(x) for x in idle.latencies]
+        assert base.hits == idle.hits and base.misses == idle.misses
+        assert base_server.obs.counter_state() == \
+            idle_server.obs.counter_state()
+        assert not base_server.obs.has_prefix("autotune.")
 
     def test_enabled_run_consumes_windows_and_audits(self):
         controller = AdaptiveController()

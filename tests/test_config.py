@@ -26,9 +26,9 @@ class TestFlecheConfig:
 
     def test_rejects_bad_watermarks(self):
         with pytest.raises(ConfigError):
-            FlecheConfig(evict_high_watermark=0.5, evict_low_watermark=0.6)
+            FlecheConfig(evict_low_watermark=0.0)
         with pytest.raises(ConfigError):
-            FlecheConfig(evict_high_watermark=1.2)
+            FlecheConfig(evict_low_watermark=1.0)
 
     def test_rejects_bad_admission(self):
         with pytest.raises(ConfigError):

@@ -11,7 +11,10 @@ class TestTimeline:
         assert Timeline("t").now == 0.0
 
     def test_custom_start(self):
-        assert Timeline("t", start=2.5).now == 2.5
+        t = Timeline("t")
+        t.reset(start=2.5)
+        assert t.now == 2.5
+        assert t.active == 0.0
 
     def test_advance_accumulates(self):
         t = Timeline("t")
@@ -38,7 +41,8 @@ class TestTimeline:
         assert t.now == 4.0
 
     def test_advance_to_past_is_noop(self):
-        t = Timeline("t", start=5.0)
+        t = Timeline("t")
+        t.reset(start=5.0)
         t.advance_to(1.0)
         assert t.now == 5.0
 

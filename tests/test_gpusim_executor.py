@@ -92,7 +92,9 @@ class TestHostWork:
 
 class TestCopies:
     def test_sync_copy_blocks_cpu(self, executor, hw):
-        executor.copy(1 << 20, Category.DRAM_COPY, method=CopyMethod.CUDAMEMCPY)
+        # 1 MiB is past the GDRCopy crossover: the copy takes cudaMemcpy.
+        assert executor.copy_engine.cost(1 << 20).method is CopyMethod.CUDAMEMCPY
+        executor.copy(1 << 20, Category.DRAM_COPY)
         expected = hw.interconnect.cudamemcpy_overhead + (1 << 20) / hw.interconnect.pcie_bandwidth
         assert executor.cpu.now == pytest.approx(expected)
 

@@ -30,6 +30,13 @@ class TestHostQueryCost:
         )
 
     def test_custom_probes(self, hw):
+        import dataclasses
+
         base = host_query_cost(hw, 100, 0)
-        deep = host_query_cost(hw, 100, 0, probes_per_key=2 * hw.cpu.host_hash_probes)
+        deeper = dataclasses.replace(
+            hw, cpu=dataclasses.replace(
+                hw.cpu, host_hash_probes=2 * hw.cpu.host_hash_probes
+            )
+        )
+        deep = host_query_cost(deeper, 100, 0)
         assert deep.index_time == pytest.approx(2 * base.index_time)

@@ -47,30 +47,12 @@ _SCENARIO = (
     "classes through build_scenario(name, **overrides), a lookup the scan "
     "cannot follow"
 )
-_CONTROLLER = (
-    "an autotune knob: ROADMAP's prune item (d) weighs autotune against "
-    "the two-knob rule before its knobs are cut"
-)
 _MODEL = "model shape: tests build small models with it"
 _PROBE = "test probe: tests read it to check other behaviour, "
 
 #: ``qualified option -> why it stays`` for options nothing outside
 #: tests sets or reads; the scan treats them as set.
 ALLOWED = {
-    **dict.fromkeys(
-        [
-            f"ControllerConfig.{name}" for name in (
-                "cooldown_windows", "hysteresis", "boost_windows",
-                "boost_admission", "boost_thresholds",
-                "boost_evict_low_watermark", "min_admission",
-                "admission_step", "sla_target", "churn_hit_rate",
-                "churn_ratio", "rebalance_fraction", "rebalance_free_low",
-                "rebalance_free_high", "hit_collapse_delta",
-                "hit_ema_weight", "warmup_windows",
-            )
-        ],
-        _CONTROLLER,
-    ),
     **dict.fromkeys(
         ["Scenario(seed=)"] + [
             f"{cls}({name}=)" for cls, names in (
@@ -137,10 +119,6 @@ ALLOWED = {
         "flat-key width of the size-aware codec; test_rejects_bad_key_bits "
         "checks its bounds"
     ),
-    "PerTableConfig.graph_replay_overhead": (
-        "replay cost of section 2.2's CUDA-graph experiment; "
-        "test_graph_config_validation checks its bound"
-    ),
     "ReductionCache(pooling=)": (
         "the reduction cache's pooling mode; the alternatives tests check "
         "each mode and the unknown-mode error"
@@ -148,34 +126,13 @@ ALLOWED = {
     "run_scenario_drill(crash=)": (
         "crash=False is the scenario drill's fault-free control run"
     ),
-    "UpdateApplier.apply(executor=)": (
-        "charges the refresh kernels to an executor: serving applies "
-        "refreshes in idle slots and charges nothing; the update tests "
-        "check the charge"
-    ),
-    "UpdateApplier.apply_deltas(executor=)": (
-        "charges the refresh kernels to an executor: serving applies "
-        "refreshes in idle slots and charges nothing; the update tests "
-        "check the charge"
-    ),
     "UpdateSubscriber(allow_gap=)": (
         "resync past the log's retention; the only way a test reaches the "
         "stream-conservation law's dropped term"
     ),
-    "Timeline(start=)": "a timeline that starts mid-run; the clock tests",
-    "Executor.copy(method=)": (
-        "forces one copy mechanism; the executor tests check the forced path"
-    ),
-    "TimeBreakdown.count(n=)": "adds n at once; the stats tests",
-    "host_query_cost(probes_per_key=)": (
-        "probe-chain length; test_host_hash checks the cost scales with it"
-    ),
     "TablePartitioner(assignment=)": (
         "an explicit table-to-GPU assignment; the partition property tests "
         "drive it"
-    ),
-    "WindowedCollector(capacity=)": (
-        "ring-buffer depth; tests shrink it to see the oldest windows go"
     ),
     "criteo_tb_replica(scale=)": (
         "corpus compression of the Criteo-TB replica; the workload tests "

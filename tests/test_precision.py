@@ -273,30 +273,6 @@ class TestTieredInsertAndGather:
         )
         assert 0 < byte_sum <= snap.gauge("precision.byte_budget")
 
-    def test_pinned_fp32_cache_identical_to_disabled(self):
-        pinned = PrecisionConfig(
-            fp32_share=1.0, fp16_share=0.0, int8_share=0.0,
-        )
-        a = _cache(PrecisionConfig())
-        b = _cache(pinned)
-        assert not b.quantizing
-        assert b.pool.capacity_of(16) == a.pool.capacity_of(16)
-        keys = np.arange(30, dtype=np.uint64)
-        vecs = np.random.default_rng(5).normal(size=(30, 16)).astype(
-            np.float32
-        )
-        for cache in (a, b):
-            cache.observe_keys(keys)
-            cache.admit_and_insert(keys, vecs, dim=16)
-        out_a = a.index_lookup(keys)
-        out_b = b.index_lookup(keys)
-        np.testing.assert_array_equal(
-            a.gather(out_a.locations), b.gather(out_b.locations)
-        )
-        snap = b.obs.snapshot()
-        names = [n for (n, _) in snap.counters]
-        assert not any(n.startswith("precision.") for n in names)
-
 
 class TestOneTierCache:
     def test_lfu_one_tier_cache_keeps_frequent_keys(self):

@@ -123,17 +123,6 @@ class TestCacheKnobs:
         with pytest.raises(ConfigError):
             cache.set_tier_thresholds(2, 1)
 
-    def test_set_evict_low_watermark(self):
-        cache = _layer().cache
-        cache.set_evict_low_watermark(0.5)
-        assert cache.evict_low_watermark == 0.5
-        with pytest.raises(ConfigError):
-            cache.set_evict_low_watermark(0.0)
-        with pytest.raises(ConfigError):
-            cache.set_evict_low_watermark(
-                cache.config.evict_high_watermark
-            )
-
     def test_transfer_tier_capacity_moves_bytes(self):
         cache = _layer().cache
         pool = cache.pool

@@ -299,7 +299,7 @@ def _keyed_evict(cache, dim, need):
     class_keys = keys[cache_mask][in_class]
     if len(class_keys) == 0:
         return
-    target_live = int(cache.pool.capacity_of(dim) * cache.evict_low_watermark)
+    target_live = int(cache.pool.capacity_of(dim) * cache.config.evict_low_watermark)
     to_evict = min(max(need, len(class_keys) - target_live), len(class_keys))
     victims = np.argsort(stamps[cache_mask][in_class])[:to_evict]
     victim_keys = class_keys[victims]

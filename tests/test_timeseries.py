@@ -18,6 +18,7 @@ from repro.obs import (
     MetricsRegistry,
     jensen_shannon,
 )
+from repro.obs import timeseries
 from repro.obs.timeseries import WindowRecord
 from repro.serving.arrivals import PoissonArrivals
 from repro.serving.batcher import BatchingPolicy
@@ -76,8 +77,6 @@ class TestCollectorConfig:
         with pytest.raises(ConfigError):
             WindowedCollector(window=0.0)
         with pytest.raises(ConfigError):
-            WindowedCollector(capacity=0)
-        with pytest.raises(ConfigError):
             WindowedCollector(sla_budget=-1e-3)
 
     def test_unbound_collector_rejects_recording(self):
@@ -124,8 +123,9 @@ class TestWindowing:
         assert sum(collector.series("hits")) == diff.counter("cache.hits")
         assert sum(collector.series("misses")) == diff.counter("cache.misses")
 
-    def test_ring_buffer_bounds_memory(self):
-        collector = _bound(window=1e-3, capacity=4)
+    def test_ring_buffer_bounds_memory(self, monkeypatch):
+        monkeypatch.setattr(timeseries, "CAPACITY", 4)
+        collector = _bound(window=1e-3)
         for i in range(10):
             collector.registry.inc("cache.hits")
             collector.observe_batch(i * 1e-3 + 0.5e-3)

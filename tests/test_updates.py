@@ -21,10 +21,7 @@ from repro.core.updates import (
     UpdateOutcome,
     _last_occurrence_mask,
 )
-from repro.core.workflow import _copy_kernel_spec, _index_kernel_spec
 from repro.errors import WorkloadError
-from repro.gpusim.executor import Executor
-from repro.gpusim.stats import Category
 from repro.tables.embedding_table import reference_vectors
 from repro.tables.table_spec import make_table_specs
 
@@ -98,16 +95,6 @@ class TestUpdateApplier:
         )
         assert cache.index.stamp_of(key) >= before
 
-    def test_kernel_accounting_when_executor_given(self, cache, hw):
-        _fill(cache, 0, [1, 2])
-        executor = Executor(hw)
-        UpdateApplier(cache).apply(
-            0, np.array([1, 2], np.uint64),
-            np.zeros((2, 16), np.float32), executor=executor,
-        )
-        assert executor.stats.counters.get("kernel:update_copy", 0) == 1
-        assert executor.stats.counters.get("kernel:update_index", 0) == 1
-
     def test_shape_validation(self, cache):
         applier = UpdateApplier(cache)
         with pytest.raises(WorkloadError):
@@ -167,11 +154,10 @@ FUSE_DIMS = (8, 8, 16, 8)
 FUSE_CORPUS = 48
 
 
-def _reference_apply(applier, table_id, feature_ids, vectors, executor=None):
+def _reference_apply(applier, table_id, feature_ids, vectors):
     """The per-table refresh as it was before deltas were fused: its own
     dedup, index lookup, pool write, re-stamp and pointer erase."""
     cache = applier.cache
-    dim = cache._dim_of_table[table_id]
     total = len(feature_ids)
     duplicates = 0
     if total:
@@ -186,15 +172,6 @@ def _reference_apply(applier, table_id, feature_ids, vectors, executor=None):
     if refreshed:
         cache.pool.write(untag(pointers[cached]), vectors[cached])
         cache.index.lookup(keys[cached], stamp=cache._clock)
-        if executor is not None:
-            executor.launch(
-                _copy_kernel_spec("update_copy", refreshed, dim, executor.hw),
-                stream=executor.stream("copy"), category=Category.OTHER,
-            )
-            executor.launch(
-                _index_kernel_spec("update_index", refreshed),
-                stream=executor.stream("main"), category=Category.OTHER,
-            )
     invalidated = 0
     if dram.any():
         invalidated = cache.invalidate_dram_pointers(keys[dram])
@@ -246,10 +223,9 @@ _id_sets = st.lists(
         min_size=len(FUSE_DIMS), max_size=len(FUSE_DIMS),
     ),
     tables=st.sets(st.integers(0, len(FUSE_DIMS) - 1), min_size=1),
-    with_executor=st.booleans(),
 )
 def test_fused_apply_equals_per_table_apply(
-    cached_ids, pointer_ids, delta_ids, tables, with_executor, hw
+    cached_ids, pointer_ids, delta_ids, tables
 ):
     fused_cache = _fuse_cache(cached_ids, pointer_ids)
     seq_cache = copy.deepcopy(fused_cache)
@@ -260,17 +236,10 @@ def test_fused_apply_equals_per_table_apply(
         rows = rng.random((len(ids), FUSE_DIMS[table]), dtype=np.float32)
         deltas.append((table, ids, rows))
 
-    fused_exec = Executor(hw) if with_executor else None
-    seq_exec = Executor(hw) if with_executor else None
     before = fused_cache.obs.snapshot()
-    fused = UpdateApplier(fused_cache).apply_deltas(
-        deltas, executor=fused_exec
-    )
+    fused = UpdateApplier(fused_cache).apply_deltas(deltas)
     reference = UpdateApplier(seq_cache)
-    parts = [
-        _reference_apply(reference, *delta, executor=seq_exec)
-        for delta in deltas
-    ]
+    parts = [_reference_apply(reference, *delta) for delta in deltas]
 
     for field in ("refreshed", "pointers_invalidated", "pointers_skipped",
                   "untracked", "duplicates"):
@@ -295,9 +264,6 @@ def test_fused_apply_equals_per_table_apply(
         fused_cache.obs.snapshot().diff(before).to_dict()
         == seq_cache.obs.snapshot().diff(before).to_dict()
     )
-    if with_executor:
-        assert fused_exec.elapsed() == seq_exec.elapsed()
-        assert fused_exec.stats.counters == seq_exec.stats.counters
 
 
 def test_single_delta_apply_is_the_fused_function(cache):
