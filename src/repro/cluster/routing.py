@@ -85,7 +85,7 @@ class RoutingPolicy:
         """Routing keys of a whole stream as one uint64 array.
 
         When every request carries a row of one shared id cube
-        (``Request.source``), the keys are one gather out of it.
+        (``Request.cube``), the keys are one gather out of it.
         """
         columns = request_columns(requests)
         cube = columns.cube

@@ -193,7 +193,9 @@ def validate_load(load: ScenarioLoad, dataset) -> None:
     Raises :class:`~repro.errors.WorkloadError` on the first violation.
     """
     requests = load.requests
+    fields = dataset.fields
     last = -np.inf
+    cubes = {}
     for i, req in enumerate(requests):  # lint: allow-loop (validation sweep, not serving path)
         if req.request_id != i:
             raise WorkloadError(
@@ -202,16 +204,19 @@ def validate_load(load: ScenarioLoad, dataset) -> None:
         if req.arrival_time < last:
             raise WorkloadError(f"request {i}: arrivals went backwards")
         last = req.arrival_time
-    if requests:
-        cubes = {id(r.source[0]): r.source[0] for r in requests}
-        for cube in cubes.values():  # lint: allow-loop (O(cubes), not per-key)
-            for t, f in enumerate(dataset.fields):  # lint: allow-loop (O(fields))
-                col = cube[:, t, :]
-                if col.size and int(col.max()) >= f.corpus_size:
-                    raise WorkloadError(
-                        f"field {t}: id {int(col.max())} outside corpus "
-                        f"{f.corpus_size}"
-                    )
+        cube = req.cube
+        if cube is None:
+            _check_own_ids(i, req.feature_ids, fields)
+        else:
+            cubes[id(cube)] = cube
+    for cube in cubes.values():  # lint: allow-loop (O(cubes), not per-key)
+        for t, f in enumerate(fields):  # lint: allow-loop (O(fields))
+            col = cube[:, t, :]
+            if col.size and int(col.max()) >= f.corpus_size:
+                raise WorkloadError(
+                    f"field {t}: id {int(col.max())} outside corpus "
+                    f"{f.corpus_size}"
+                )
     if load.tenant_of is not None:
         if len(load.tenant_of) < len(requests):
             raise WorkloadError("tenant_of does not cover every request")
@@ -220,6 +225,22 @@ def validate_load(load: ScenarioLoad, dataset) -> None:
                 raise WorkloadError(
                     f"tenant {tenant!r}: SLO budget must be positive"
                 )
+
+
+def _check_own_ids(i: int, feature_ids, fields) -> None:
+    """The corpus check of :func:`validate_load` for a request that is
+    no row of a cube (it holds its own per-table id arrays)."""
+    if feature_ids is None or len(feature_ids) != len(fields):
+        raise WorkloadError(
+            f"request {i}: needs one id array per field ({len(fields)})"
+        )
+    for t, (ids, f) in enumerate(zip(feature_ids, fields)):  # lint: allow-loop (O(fields))
+        ids = np.asarray(ids)
+        if ids.size and int(ids.max()) >= f.corpus_size:
+            raise WorkloadError(
+                f"request {i}, field {t}: id {int(ids.max())} outside "
+                f"corpus {f.corpus_size}"
+            )
 
 
 __all__ = [

@@ -8,9 +8,9 @@ cache sees realistic locality under load.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import repeat
-from operator import attrgetter, is_, itemgetter
+from operator import attrgetter, is_
 from typing import List, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -23,36 +23,90 @@ from ..workloads.zipf import ZipfSampler
 MAX_REQUESTS = 1_000_000
 
 
-@dataclass(frozen=True, eq=False)
+#: Stores a slot of a frozen :class:`Request` (its ``__setattr__`` refuses).
+_set = object.__setattr__
+
+
+@dataclass(frozen=True, eq=False, init=False, repr=False)
 class Request:
     """One inference request.
+
+    It holds its id, its arrival time and either a row of a shared id
+    cube (``cube`` and ``row``) or its own ``feature_ids``; the slots
+    store nothing per request beyond that.  ``feature_ids`` given as
+    views of the ``source`` cube (its row, as ``dataclasses.replace``
+    passes back, or a tuple of the row's per-table views) are taken to
+    be that row and not stored.
 
     Requests compare and hash by identity: two requests with the same
     ids are still two requests (and arrays have no truth value to
     compare by).
     """
 
+    # ``cube``: the source stream's ``(count, tables, ids)`` id array
+    # this request is a row of, or ``None`` (batch assembly gathers
+    # whole batches from it in one indexing op); ``row``: the request's
+    # row in it; ``_ids``: feature ids of the request's own, or ``None``.
+    # Manual slots: ``dataclass(slots=True)`` needs Python 3.10.
+    __slots__ = ("request_id", "arrival_time", "cube", "row", "_ids")
+
+    # The dataclass fields are the constructor's parameters, so that
+    # ``dataclasses.replace`` rebuilds a request; the last two are
+    # computed (see the properties).
     request_id: int
     arrival_time: float
-    #: per-table feature IDs (``ids_per_field`` each): a tuple of id
-    #: arrays, or — for a request with a ``source`` — the ``(tables,
-    #: ids)`` row of its cube, which indexes, iterates and has a ``len``
-    #: the same way.
     feature_ids: tuple
-    #: optional handle ``(cube, row)``: the source stream's ``(count,
-    #: tables, ids)`` id array plus this request's row in it.  Batch
-    #: assembly gathers whole batches from the cube in one indexing op,
-    #: and ``feature_ids`` is the row itself, one view instead of one
-    #: per table.  ``repr`` ignores it.
-    source: tuple = field(default=None, repr=False)
+    source: Optional[tuple]
 
-    def __post_init__(self):
-        ids, source = self.feature_ids, self.source
-        # A tuple of views of the source cube becomes the one row view.
-        if source is not None and type(ids) is tuple and ids:
+    def __init__(self, request_id: int, arrival_time: float,
+                 feature_ids: tuple, source: tuple = None):
+        cube = row = None
+        if source is not None:
             cube, row = source
-            if isinstance(ids[0], np.ndarray) and ids[0].base is cube:
-                object.__setattr__(self, "feature_ids", cube[row])
+            # A view of the cube (the row, or its per-table views) is
+            # the row: not stored.
+            ids = feature_ids
+            if type(ids) is tuple and ids:
+                ids = ids[0]
+            if isinstance(ids, np.ndarray) and ids.base is cube:
+                feature_ids = None
+        _set(self, "request_id", request_id)
+        _set(self, "arrival_time", arrival_time)
+        _set(self, "cube", cube)
+        _set(self, "row", row)
+        _set(self, "_ids", feature_ids)
+
+    @property
+    def feature_ids(self) -> tuple:
+        """Per-table feature IDs (``ids_per_field`` each): the ``(tables,
+        ids)`` row of ``cube`` — a fresh view on each read, which
+        indexes, iterates and has a ``len`` like a tuple of id arrays —
+        or the request's own tuple of id arrays."""
+        ids = self._ids
+        if ids is None and self.cube is not None:
+            return self.cube[self.row]
+        return ids
+
+    @property
+    def source(self) -> Optional[tuple]:
+        """``(cube, row)``, or ``None`` for a request of no cube."""
+        if self.cube is None:
+            return None
+        return self.cube, self.row
+
+    def __reduce__(self):
+        # The default reduction restores slots through the frozen
+        # ``__setattr__``; a row of the cube pickles as ``None`` ids.
+        return Request, (
+            self.request_id, self.arrival_time, self._ids, self.source
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"Request(request_id={self.request_id!r}, "
+            f"arrival_time={self.arrival_time!r}, "
+            f"feature_ids={self.feature_ids!r})"
+        )
 
 
 class RequestColumns(NamedTuple):
@@ -93,7 +147,8 @@ class RequestStream(list):
 
 _ARRIVAL = attrgetter("arrival_time")
 _REQUEST_ID = attrgetter("request_id")
-_SOURCE = attrgetter("source")
+_CUBE = attrgetter("cube")
+_ROW = attrgetter("row")
 
 
 # hot-path: vectorized
@@ -107,12 +162,13 @@ def request_columns(requests: Sequence[Request]) -> RequestColumns:
     arrivals = np.fromiter(map(_ARRIVAL, requests), np.float64, count=n)
     request_ids = np.fromiter(map(_REQUEST_ID, requests), np.int64, count=n)
     cube = rows = None
-    sources = list(map(_SOURCE, requests))
-    if n and None not in sources:
-        cubes = list(map(itemgetter(0), sources))
-        if cubes[0].ndim == 3 and all(map(is_, cubes, repeat(cubes[0]))):
-            cube = cubes[0]
-            rows = np.fromiter(map(itemgetter(1), sources), np.intp, count=n)
+    first = requests[0].cube if n else None
+    # By identity: arrays compared with ``==`` have no truth value.
+    if first is not None and first.ndim == 3 and all(
+        map(is_, map(_CUBE, requests), repeat(first))
+    ):
+        cube = first
+        rows = np.fromiter(map(_ROW, requests), np.intp, count=n)
     return RequestColumns(arrivals, request_ids, cube, rows)
 
 
@@ -132,10 +188,10 @@ class _FeatureSource:
 
         Each sampler draws ``count * k`` ids in a single vectorised call
         — bit-identical to ``count`` sequential ``k``-draws from the same
-        generator.  Each request's ``feature_ids`` is its row view of the
-        cube, and the cube itself rides along on each :class:`Request`
-        (via ``source``) so batch assembly can gather ids without
-        per-request re-stacking.
+        generator.  Each :class:`Request` stores the cube and its row
+        in it (no per-request view: ``feature_ids`` is computed from
+        them on read), so batch assembly gathers a batch's ids from the
+        cube in one indexing op, without per-request re-stacking.
         """
         k = self.dataset.ids_per_field
         cols = [s.sample(count * k).reshape(count, k) for s in self._samplers]

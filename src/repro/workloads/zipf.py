@@ -7,11 +7,15 @@ popular of ``n`` IDs has probability proportional to ``i**alpha``.
 :class:`ZipfSampler` pre-computes the CDF once and then draws batches with
 a vectorised ``searchsorted``, making million-ID traces cheap.  Popularity
 rank is decoupled from ID value through a deterministic permutation so that
-"hot" IDs are spread across the ID domain, as in real logs.
+"hot" IDs are spread across the ID domain, as in real logs.  Samplers
+alive at once share their CDF and permutation through a weak memo with
+no size cap: a table lives exactly as long as some sampler (or a view of
+it, such as :meth:`ZipfSampler.hottest_ids`) holds it.
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import Optional
 
 import numpy as np
@@ -19,14 +23,13 @@ import numpy as np
 from ..errors import WorkloadError
 
 #: Memoized CDF arrays keyed on ``(corpus_size, alpha)`` — the CDF is a
-#: pure function of those two, so benches building many samplers (one
-#: per table per replica per run) share one array.  Treated as
-#: read-only by construction; bounded to keep long sweeps from
-#: accumulating arrays.
-_CDF_CACHE: dict = {}
-#: Memoized rank->id permutations keyed on ``(corpus_size, seed)``.
-_PERM_CACHE: dict = {}
-_CACHE_CAP = 64
+#: pure function of those two, so samplers alive at once (one per table
+#: per replica per run) share one array.  Treated as read-only by
+#: construction; held weakly (see the module docstring).
+_CDF_CACHE = weakref.WeakValueDictionary()
+#: Memoized rank->id permutations keyed on ``(corpus_size, seed)``,
+#: held weakly too.
+_PERM_CACHE = weakref.WeakValueDictionary()
 
 
 def _cached_cdf(corpus_size: int, alpha: float) -> np.ndarray:
@@ -37,8 +40,6 @@ def _cached_cdf(corpus_size: int, alpha: float) -> np.ndarray:
         weights = ranks ** alpha
         cdf = np.cumsum(weights)
         cdf /= cdf[-1]
-        if len(_CDF_CACHE) >= _CACHE_CAP:
-            _CDF_CACHE.clear()
         _CDF_CACHE[key] = cdf
     return cdf
 
@@ -49,8 +50,6 @@ def _cached_permutation(corpus_size: int, seed: int) -> np.ndarray:
     if perm is None:
         perm_rng = np.random.default_rng(seed ^ 0x5EED)
         perm = perm_rng.permutation(corpus_size).astype(np.uint64)
-        if len(_PERM_CACHE) >= _CACHE_CAP:
-            _PERM_CACHE.clear()
         _PERM_CACHE[key] = perm
     return perm
 

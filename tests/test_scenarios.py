@@ -303,6 +303,38 @@ class TestValidateLoad:
         with pytest.raises(WorkloadError, match="outside corpus"):
             validate_load(self._load(mutate=poison), _dataset())
 
+    @staticmethod
+    def _cubeless(ids):
+        requests = [
+            Request(0, 0.0, (np.array([1], np.uint64),) * 3),
+            Request(1, 1e-4, ids),
+        ]
+        return ScenarioLoad(
+            requests=requests, phases=[Phase("p", 0.0, 1e-3, 1_000.0)],
+        )
+
+    def test_checks_the_ids_of_cubeless_requests(self):
+        ok = (np.array([1_999], np.uint64),) * 3
+        validate_load(self._cubeless(ok), _dataset())
+        # A cube-less request among rows of a cube is checked too.
+        load = self._load()
+        load.requests[1] = Request(1, 1e-4, ok)
+        validate_load(load, _dataset())
+        bad = ok[:2] + (np.array([3, 2_000], np.uint64),)
+        with pytest.raises(WorkloadError, match="request 1, field 2: id 2000"):
+            validate_load(self._cubeless(bad), _dataset())
+        load.requests[1] = Request(1, 1e-4, bad)
+        with pytest.raises(WorkloadError, match="outside corpus"):
+            validate_load(load, _dataset())
+
+    def test_rejects_cubeless_requests_missing_a_field(self):
+        with pytest.raises(WorkloadError, match="one id array per field"):
+            validate_load(
+                self._cubeless((np.array([1], np.uint64),) * 2), _dataset()
+            )
+        with pytest.raises(WorkloadError, match="one id array per field"):
+            validate_load(self._cubeless(None), _dataset())
+
     def test_rejects_short_tenant_attribution(self):
         load = self._load()
         load.tenant_of = ["a"]

@@ -2,9 +2,11 @@
 
 * A deep copy of a dense server shares the model's cross and MLP towers,
   whose arrays are read-only, and computes the same probabilities.
-* A request over a shared id cube holds one ``(tables, ids)`` row view
-  of it as ``feature_ids``, whatever built it, and a tracemalloc budget
-  pins what a request costs.
+* A request over a shared id cube stores the cube and its row in it
+  (slots, no ``__dict__``), whatever built it; ``feature_ids`` is the
+  ``(tables, ids)`` row view computed on read, and a tracemalloc budget
+  pins what a request costs.  It is frozen, and pickling, deep copies
+  and ``dataclasses.replace`` keep its ids.
 * Requests compare and hash by identity.
 * A table's bank numbers its rows at int32.
 """
@@ -22,7 +24,7 @@ from repro.core.workflow import FlecheEmbeddingLayer
 from repro.errors import ConfigError
 from repro.model.dcn import DeepCrossNetwork
 from repro.scenarios import build_scenario
-from repro.serving.arrivals import PoissonArrivals, Request
+from repro.serving.arrivals import PoissonArrivals, Request, request_columns
 from repro.serving.batcher import BatchingPolicy
 from repro.serving.pipeline import PipelinedInferenceServer
 from repro.tables.embedding_table import (
@@ -36,10 +38,12 @@ from repro.workloads.synthetic import uniform_tables_spec
 
 #: Requests the memory budget is measured over.
 BUDGET_REQUESTS = 10_000
-#: Bytes one request over a shared 8-table cube may hold: about 320
-#: measured (the Request, its row view and its ``source`` pair), with 2x
-#: headroom.  A tuple of per-table views costs about 1.2 KB.
-REQUEST_BYTES = 650
+#: Bytes one request over a shared 8-table cube may hold: about 112
+#: measured (the slotted Request, its int id and its list slot), with
+#: ~1.4x headroom.  A request that also stores a row view, a ``(cube,
+#: row)`` pair and a ``__dict__`` costs about 330 B; a tuple of
+#: per-table views about 1.2 KB.
+REQUEST_BYTES = 160
 
 
 def _dataset(tables=4, ids_per_field=1):
@@ -162,8 +166,12 @@ class TestRowView:
         moved = [dataclasses.replace(r, arrival_time=0.5) for r in requests]
         _assert_rows_of(moved, cube, dataset)
         for before, after in zip(requests, moved):
-            assert after.feature_ids is before.feature_ids
+            # ``feature_ids`` is a view made on each read: the same row
+            # of the same cube, not the same object.
+            assert after.cube is before.cube and after.row == before.row
+            assert after.arrival_time == 0.5
         restored = pickle.loads(pickle.dumps(requests))
+        _assert_rows_of(restored, restored[0].cube, dataset)
         for before, after in zip(requests, restored):
             assert after.request_id == before.request_id
             assert np.array_equal(after.feature_ids, before.feature_ids)
@@ -174,10 +182,17 @@ class TestRowView:
         own = (np.array([7]), np.array([8]))
         request = Request(0, 0.0, own, source=(cube, 0))
         assert request.feature_ids is own
+        assert request.source[0] is cube and request.source[1] == 0
         other = np.ones((2, 2, 1), dtype=np.int64)
         foreign = tuple(other[1])
-        assert Request(1, 0.0, foreign, source=(cube, 1)).feature_ids is foreign
+        second = Request(1, 0.0, foreign, source=(cube, 1))
+        assert second.feature_ids is foreign
+        assert second.source[0] is cube and second.source[1] == 1
+        columns = request_columns([request, second])
+        assert columns.cube is cube
+        assert columns.rows.tolist() == [0, 1]
         assert Request(2, 0.0, ()).feature_ids == ()
+        assert Request(2, 0.0, ()).source is None
 
     def test_memory_budget(self):
         """The ledger's form (a tuple of row views plus ``source``)."""
@@ -197,6 +212,86 @@ class TestRowView:
             tracemalloc.stop()
         assert len(requests) == n
         assert held <= REQUEST_BYTES * n, f"{held / n:.0f} B a request"
+
+
+def _three_forms():
+    """A row of a cube, a request of its own ids, and one holding both
+    a cube row and ids of its own."""
+    cube = np.arange(3 * 2 * 2, dtype=np.uint64).reshape(3, 2, 2).copy()
+    own = (np.array([5, 6], np.uint64), np.array([7, 8], np.uint64))
+    return [
+        Request(0, 0.25, tuple(cube[0]), source=(cube, 0)),
+        Request(1, 0.5, own),
+        Request(2, 0.75, own, source=(cube, 2)),
+    ]
+
+
+def _assert_same_request(got, want):
+    assert got is not want
+    assert (got.request_id, got.arrival_time) == (
+        want.request_id, want.arrival_time
+    )
+    assert (got.cube is None) == (want.cube is None)
+    if want.cube is not None:
+        assert got.row == want.row
+        assert got.cube.tobytes() == want.cube.tobytes()
+    assert len(got.feature_ids) == len(want.feature_ids)
+    for mine, theirs in zip(got.feature_ids, want.feature_ids):
+        assert np.array_equal(mine, theirs)
+
+
+class TestSlottedRequest:
+    def test_no_dict_and_a_row_stores_no_view(self):
+        row, own, both = _three_forms()
+        for request in (row, own, both):
+            assert not hasattr(request, "__dict__")
+        assert row._ids is None
+        assert own.cube is None and own.row is None
+        assert both._ids is own._ids and both.cube is row.cube
+
+    @pytest.mark.parametrize(
+        "name", ["request_id", "arrival_time", "cube", "row",
+                 "feature_ids", "source"],
+    )
+    def test_frozen(self, name):
+        request = _three_forms()[0]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(request, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(request, name)
+        assert request.arrival_time == 0.25
+
+    def test_pickle_round_trip(self):
+        requests = _three_forms()
+        restored = pickle.loads(pickle.dumps(requests))
+        for got, want in zip(restored, requests):
+            _assert_same_request(got, want)
+        # One cube for the stream, and its row still stores no view.
+        assert restored[0].cube is restored[2].cube
+        assert restored[0]._ids is None
+
+    def test_deepcopy_round_trip(self):
+        requests = _three_forms()
+        copied = copy.deepcopy(requests)
+        for got, want in zip(copied, requests):
+            _assert_same_request(got, want)
+        assert copied[0].cube is copied[2].cube
+        assert copied[0].cube is not requests[0].cube
+        assert copied[0]._ids is None
+        shallow = copy.copy(requests[0])
+        assert shallow is not requests[0]
+        assert shallow.cube is requests[0].cube and shallow._ids is None
+
+    def test_replace_round_trip(self):
+        for want in _three_forms():
+            got = dataclasses.replace(want)
+            _assert_same_request(got, want)
+            assert got.cube is want.cube
+            assert got._ids is want._ids
+        row = _three_forms()[0]
+        detached = dataclasses.replace(row, source=None)
+        assert detached.cube is None
+        assert np.array_equal(detached.feature_ids, row.feature_ids)
 
 
 class TestIdentity:

@@ -1,9 +1,12 @@
 """Tests for the power-law sampler."""
 
+import gc
+
 import numpy as np
 import pytest
 
 from repro.errors import WorkloadError
+from repro.workloads import zipf
 from repro.workloads.zipf import ZipfSampler
 
 
@@ -77,3 +80,43 @@ class TestZipfSampler:
         rng2 = np.random.default_rng(7)
         b = s.sample(10, rng=rng2)
         np.testing.assert_array_equal(a, b)
+
+
+class TestWeakMemo:
+    """Samplers alive at once share their tables; the last one dropped
+    frees them (``gc`` off: reference counting alone must do it)."""
+
+    CORPUS, ALPHA, SEED = 12_347, -1.37, 77
+
+    def test_live_samplers_share_and_the_last_frees(self):
+        perm_key = (self.CORPUS, self.SEED)
+        cdf_key = (self.CORPUS, self.ALPHA)
+        gc.disable()
+        try:
+            a = ZipfSampler(self.CORPUS, self.ALPHA, seed=self.SEED)
+            b = ZipfSampler(self.CORPUS, self.ALPHA, seed=self.SEED)
+            other_seed = ZipfSampler(self.CORPUS, self.ALPHA, seed=self.SEED + 1)
+            assert a._rank_to_id is b._rank_to_id
+            assert a._cdf is b._cdf is other_seed._cdf
+            assert a._rank_to_id is not other_seed._rank_to_id
+            assert zipf._PERM_CACHE[perm_key] is a._rank_to_id
+            assert zipf._CDF_CACHE[cdf_key] is a._cdf
+            drawn = a.sample(2_000)
+            hottest = a.hottest_ids(50).copy()
+            del a, other_seed
+            assert perm_key in zipf._PERM_CACHE  # b still holds it
+            del b
+            assert perm_key not in zipf._PERM_CACHE
+            assert cdf_key not in zipf._CDF_CACHE
+            again = ZipfSampler(self.CORPUS, self.ALPHA, seed=self.SEED)
+            assert again.sample(2_000).tobytes() == drawn.tobytes()
+            assert again.hottest_ids(50).tobytes() == hottest.tobytes()
+        finally:
+            gc.enable()
+
+    def test_the_memo_has_no_cap(self):
+        samplers = [ZipfSampler(300 + i, seed=i) for i in range(100)]
+        assert all(
+            zipf._PERM_CACHE[(300 + i, i)] is s._rank_to_id
+            for i, s in enumerate(samplers)
+        )
