@@ -624,11 +624,10 @@ class FlatCache(Observable):
     # ----------------------------------------------------------------- retune
     #
     # Validated runtime knobs for the adaptive controller
-    # (:mod:`repro.autotune`).  None of these mutate the frozen
-    # :class:`FlecheConfig` — they act on the live, mutable pieces
-    # (admission filter, eviction watermark, slab-pool capacities) so a
-    # run with the controller disabled stays byte-identical to one where
-    # these methods do not exist.
+    # (:mod:`repro.autotune`).  Neither mutates the frozen
+    # :class:`FlecheConfig` — both act on the live admission filter, so
+    # a run with the controller disabled stays byte-identical to one
+    # where these methods do not exist.
 
     def set_admission_probability(self, probability: float) -> None:
         """Retune the cache-admission probability (insert aggressiveness)."""
@@ -653,42 +652,6 @@ class FlatCache(Observable):
             )
         self.admission.hot_min_count = hot
         self.admission.warm_min_count = warm
-
-    def transfer_tier_capacity(
-        self, dim: int, from_tier: str, to_tier: str, fraction: float
-    ) -> Tuple[int, int]:
-        """Move ~``fraction`` of one tier's byte share to another tier.
-
-        Retires free slots from the donor class and grows the recipient
-        by the byte-equivalent slot count (integer floor — the pool's
-        logical byte footprint never grows).  The donor keeps a 16-slot
-        floor, and only *free* slots move, so live entries are never
-        disturbed.  Returns ``(retired_slots, grown_slots)``; ``(0, 0)``
-        when the donor has nothing spare.
-        """
-        if from_tier == to_tier:
-            raise ConfigError("transfer_tier_capacity: tiers must differ")
-        for tier in (from_tier, to_tier):
-            if tier not in TIERS:
-                raise ConfigError(f"unknown precision tier {tier!r}")
-            if tier not in self.pool.tiers_of(dim):
-                raise ConfigError(
-                    f"dim {dim} has no {tier} slab class to transfer"
-                )
-        if not 0.0 < fraction <= 1.0:
-            raise ConfigError(
-                f"transfer fraction must be in (0, 1], got {fraction}"
-            )
-        src_capacity = self.pool.capacity_of(dim, from_tier)
-        want = min(int(src_capacity * fraction), max(0, src_capacity - 16))
-        retired = self.pool.retire_free(dim, from_tier, want)
-        if retired == 0:
-            return (0, 0)
-        grow = (
-            retired * slot_payload_bytes(dim, from_tier)
-        ) // slot_payload_bytes(dim, to_tier)
-        grown = self.pool.grow_class(dim, to_tier, grow)
-        return (retired, grown)
 
     # hot-path: vectorized
     def _demote_cold(self, count: int) -> None:

@@ -36,7 +36,6 @@ _SLOT_MASK = np.uint64(0xFFFFFFFF)
 #: module load — the packages initialise in either order).
 _TIER_FP32 = "fp32"
 _TIER_CODES = {"fp32": 0, "fp16": 1, "int8": 2}
-_TIER_NAMES = ("fp32", "fp16", "int8")
 _STORAGE_DTYPE = {"fp32": np.float32, "fp16": np.float16, "int8": np.int8}
 
 _quant_fns = None
@@ -109,10 +108,7 @@ class SlabClass:
         # the clone faults in only the rows actually written below.
         storage = np.zeros(self.storage.shape, dtype=self.storage.dtype)
         if self.live:
-            # Sized by the backing array, not capacity: after a
-            # retire_free() shrink, free/retired slot ids can exceed the
-            # (reduced) capacity but never the storage row count.
-            occupied = np.ones(self.storage.shape[0], dtype=bool)
+            occupied = np.ones(self.capacity, dtype=bool)
             if self.free_slots:
                 occupied[np.asarray(self.free_slots, dtype=np.int64)] = False
             rows = np.flatnonzero(occupied)
@@ -211,15 +207,8 @@ class SlabMemoryPool:
 
     @property
     def total_bytes(self) -> int:
-        """Bytes of HBM the pool's *logical* allocation occupies.
-
-        Defined over capacity rather than backing-array sizes: retired
-        slots (:meth:`retire_free`) keep their storage rows — the row is
-        unreachable, but shrinking a numpy matrix in place is impossible
-        — so capacity is the byte budget the cache actually controls.
-        For a never-retuned pool the two definitions are numerically
-        identical (fp32: dim*4, fp16: dim*2, int8: dim+4 incl. scales).
-        """
+        """Bytes of HBM the pool's allocation occupies (fp32: dim*4,
+        fp16: dim*2, int8: dim+4 incl. scales, per slot)."""
         return sum(
             c.capacity * c.slot_bytes for c in self._classes.values()
         )
@@ -246,88 +235,11 @@ class SlabMemoryPool:
     def dims(self) -> List[int]:
         return sorted({dim for dim, _ in self._class_by_key})
 
-    def tiers_of(self, dim: int) -> List[str]:
-        """Tiers with a slab class for ``dim``, hottest first."""
-        return [
-            tier for tier in _TIER_NAMES
-            if (dim, tier) in self._class_by_key
-        ]
-
     def capacity_of(self, dim: int, tier: Optional[str] = None) -> int:
         return sum([s.capacity for s in self._slabs_of(dim, tier)])
 
     def free_of(self, dim: int, tier: Optional[str] = None) -> int:
         return sum([len(s.free_slots) for s in self._slabs_of(dim, tier)])
-
-    # ----------------------------------------------------------------- retune
-    #
-    # Online capacity rebalancing for the adaptive controller
-    # (:mod:`repro.autotune`).  The bulk device allocation is fixed at
-    # boot, so "moving bytes between classes" means retiring free slots
-    # from the donor (their storage rows become unreachable) and growing
-    # the recipient's backing arrays.  Retired slot ids are never reused;
-    # grown slots get fresh ids past the current row count, so live
-    # locations stay valid throughout.
-
-    def retire_free(self, dim: int, tier: str, max_slots: int) -> int:
-        """Permanently retire up to ``max_slots`` *free* slots of a class.
-
-        Returns the number actually retired (bounded by the free list).
-        Capacity drops by that amount; live entries are untouched.
-        """
-        if max_slots <= 0:
-            return 0
-        class_id = self._class_by_key.get((dim, tier))
-        if class_id is None:
-            raise SimulationError(
-                f"retire_free: no slab class for dim={dim} tier={tier}"
-            )
-        slab = self._classes[class_id]
-        retired = min(max_slots, len(slab.free_slots))
-        if retired == 0:
-            return 0
-        del slab.free_slots[-retired:]
-        slab.capacity -= retired
-        self._total_slots -= retired
-        return retired
-
-    def grow_class(self, dim: int, tier: str, extra_slots: int) -> int:
-        """Append ``extra_slots`` fresh slots to a class; returns the count.
-
-        New slot ids start past the current backing-array row count, so
-        they never collide with live or retired slots.
-        """
-        if extra_slots <= 0:
-            return 0
-        class_id = self._class_by_key.get((dim, tier))
-        if class_id is None:
-            raise SimulationError(
-                f"grow_class: no slab class for dim={dim} tier={tier}"
-            )
-        slab = self._classes[class_id]
-        base = slab.storage.shape[0]
-        if base + extra_slots > int(_SLOT_MASK):
-            raise CapacityError(
-                f"grow_class: dim={dim} tier={tier} would exceed the "
-                "32-bit slot-id space"
-            )
-        slab.storage = np.concatenate(
-            [
-                slab.storage,
-                np.zeros((extra_slots, slab.dim), dtype=slab.storage.dtype),
-            ]
-        )
-        if slab.scales is not None:
-            slab.scales = np.concatenate(
-                [slab.scales, np.zeros(extra_slots, dtype=np.float32)]
-            )
-        slab.born = np.concatenate(
-            [slab.born, np.zeros(extra_slots, dtype=np.int8)]
-        )
-        slab.free_slots.extend(range(base, base + extra_slots))
-        slab.capacity += extra_slots
-        self._total_slots += extra_slots
-        return extra_slots
 
     # ------------------------------------------------------------------ alloc
 

@@ -496,12 +496,6 @@ class MetricsRegistry:
     def laws(self) -> List[Conservation]:
         return [self._laws[name] for name in sorted(self._laws)]
 
-    def _resolve(self, name: str) -> float:
-        total = self.total(name)
-        if total == 0 and not any(n == name for (n, _) in self._counters):
-            return sum(v for (n, _), v in self._gauges.items() if n == name)
-        return total
-
     def audit(self) -> List[str]:
         """Run every hook and law; return the violation descriptions."""
         violations = []
@@ -514,10 +508,9 @@ class MetricsRegistry:
                 suffix = f": {detail}" if detail else ""
                 violations.append(f"check {name!r} failed{suffix}")
         # Aggregate name -> total once (hooks above may have moved
-        # gauges), instead of re-scanning every metric per law term:
-        # resolution order matches :meth:`_resolve` — a name with any
-        # counter key (even zero-valued) resolves as a counter total,
-        # otherwise as a gauge sum.
+        # gauges), instead of re-scanning every metric per law term: a
+        # name with any counter key (even zero-valued) resolves as a
+        # counter total, otherwise as a gauge sum.
         totals: Dict[str, float] = {}
         for (n, _), v in self._counters.items():
             totals[n] = totals.get(n, 0) + v
@@ -633,14 +626,6 @@ def install_conservation_laws(registry: MetricsRegistry) -> MetricsRegistry:
          "precision.drift_dn_retired"],
         ["precision.demotions", "precision.drift_up_live",
          "precision.drift_up_retired"])
-    # Adaptive-controller action accounting (counters emitted only when
-    # the autotune controller is attached and enabled — all zero, hence
-    # trivially true, otherwise).  Every proposed action resolves to
-    # exactly one outcome: applied as-is, suppressed (cooldown /
-    # hysteresis), or clamped to bounds and then applied.
-    add("autotune.action-conservation",
-        ["autotune.proposed"],
-        ["autotune.applied", "autotune.suppressed", "autotune.clamped"])
     install_reqtrace_laws(registry)
     return registry
 

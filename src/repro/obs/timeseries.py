@@ -519,20 +519,15 @@ class WindowedCollector:
             ).items()):
                 values[f"rootcause{{cause={cause}}}"] = count
 
-        # Adaptive controller: per-window action-outcome deltas plus the
-        # live admission knob, emitted only once any ``autotune.*``
-        # metric exists (same byte-identity contract as refresh above).
+        # Adaptive controller: boosts opened this window plus the live
+        # admission knob, emitted only once any ``autotune.*`` metric
+        # exists (same byte-identity contract as refresh above).
         if not self._autotune_seen and self._registry.has_prefix(
             "autotune."
         ):
             self._autotune_seen = True
         if self._autotune_seen:
-            values["autotune_proposed"] = self._acc_total("autotune.proposed")
-            values["autotune_applied"] = self._acc_total("autotune.applied")
-            values["autotune_suppressed"] = self._acc_total(
-                "autotune.suppressed"
-            )
-            values["autotune_clamped"] = self._acc_total("autotune.clamped")
+            values["autotune_boosts"] = self._acc_total("autotune.boosts")
             values["autotune_admission_probability"] = self._registry.gauge(
                 "autotune.admission_probability"
             )

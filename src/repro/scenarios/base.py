@@ -174,7 +174,7 @@ def assemble_requests(times: np.ndarray, cube: np.ndarray) -> List[Request]:
         Request(
             request_id=i,
             arrival_time=float(times[i]),
-            feature_ids=cube[i],
+            feature_ids=None,
             source=(cube, i),
         )
         for i in range(len(times))
@@ -205,7 +205,8 @@ def validate_load(load: ScenarioLoad, dataset) -> None:
             raise WorkloadError(f"request {i}: arrivals went backwards")
         last = req.arrival_time
         cube = req.cube
-        if cube is None:
+        if cube is None or req._ids is not None:
+            # Ids of its own are what the request is served.
             _check_own_ids(i, req.feature_ids, fields)
         else:
             cubes[id(cube)] = cube

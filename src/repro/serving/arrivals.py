@@ -33,10 +33,11 @@ class Request:
 
     It holds its id, its arrival time and either a row of a shared id
     cube (``cube`` and ``row``) or its own ``feature_ids``; the slots
-    store nothing per request beyond that.  ``feature_ids`` given as
-    views of the ``source`` cube (its row, as ``dataclasses.replace``
-    passes back, or a tuple of the row's per-table views) are taken to
-    be that row and not stored.
+    store nothing per request beyond that.  ``feature_ids`` of ``None``
+    with a ``source``, or given as views of the ``source`` cube (its
+    row, as ``dataclasses.replace`` passes back, or a tuple of the row's
+    per-table views), are taken to be that row and not stored; any
+    other ids are the request's own, and are what it is served.
 
     Requests compare and hash by identity: two requests with the same
     ids are still two requests (and arrays have no truth value to
@@ -149,13 +150,17 @@ _ARRIVAL = attrgetter("arrival_time")
 _REQUEST_ID = attrgetter("request_id")
 _CUBE = attrgetter("cube")
 _ROW = attrgetter("row")
+_IDS = attrgetter("_ids")
 
 
 # hot-path: vectorized
 def request_columns(requests: Sequence[Request]) -> RequestColumns:
     """Arrival times, request ids and cube rows of ``requests``, read
     once (C-level attribute maps, no Python frame per request) so a
-    serving run slices arrays rather than walking requests again."""
+    serving run slices arrays rather than walking requests again.  The
+    shared cube is reported only when every request is a row of it and
+    carries no ids of its own: a request is served one id set, whatever
+    list it is in."""
     if type(requests) is RequestStream:
         return requests.columns
     n = len(requests)
@@ -166,7 +171,7 @@ def request_columns(requests: Sequence[Request]) -> RequestColumns:
     # By identity: arrays compared with ``==`` have no truth value.
     if first is not None and first.ndim == 3 and all(
         map(is_, map(_CUBE, requests), repeat(first))
-    ):
+    ) and all(map(is_, map(_IDS, requests), repeat(None))):
         cube = first
         rows = np.fromiter(map(_ROW, requests), np.intp, count=n)
     return RequestColumns(arrivals, request_ids, cube, rows)
@@ -216,7 +221,7 @@ class PoissonArrivals:
         times = np.cumsum(gaps).tolist()
         cube = self._features.draw_batch(count)
         return [
-            Request(i, times[i], cube[i], source=(cube, i))
+            Request(i, times[i], None, source=(cube, i))
             for i in range(count)
         ]
 
@@ -244,6 +249,6 @@ class PoissonArrivals:
             raise WorkloadError("horizon too short: no arrivals")
         cube = self._features.draw_batch(len(times))
         return [
-            Request(i, times[i], cube[i], source=(cube, i))
+            Request(i, times[i], None, source=(cube, i))
             for i in range(len(times))
         ]

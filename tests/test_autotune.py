@@ -1,10 +1,9 @@
-"""Tests for the closed-loop adaptive controller.
+"""Tests for the closed-loop adaptive controller (the drift boost).
 
-Covers the action pipeline (propose -> cooldown -> clamp -> hysteresis
--> execute -> exactly one outcome), the drift-boost enter/revert cycle,
-the hit-collapse detector, the conservation law, trace spans, and the
-byte-identity contract of a controller that proposes nothing.  The
-controller's tunables are module constants; tests monkeypatch them.
+Covers the boost's enter / re-arm / restore cycle, the hit-collapse
+detector, the ``autotune.boosts`` counter and its series, trace spans,
+and the byte-identity contract of a controller that opens no boost.
+The controller's tunables are module constants; tests monkeypatch them.
 """
 
 from types import SimpleNamespace
@@ -12,13 +11,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro import FlecheConfig, default_platform
-from repro.autotune import (
-    APPLIED,
-    CLAMPED,
-    SET_ADMISSION,
-    SUPPRESSED,
-    AdaptiveController,
-)
+from repro.autotune import AdaptiveController
 from repro.autotune import controller as ctl
 from repro.baselines.per_table_cache import PerTableCacheLayer, PerTableConfig
 from repro.core.precision import PrecisionConfig
@@ -84,9 +77,14 @@ def _warmup(controller, count=4):
     _feed(controller, [_healthy(i) for i in range(count)])
 
 
+def _drift(index):
+    win = _healthy(index)
+    win.values["drift_flag"] = 1.0
+    return win
+
+
 def _prime(controller, ema=0.9, windows=5):
-    """Skip past warmup without feeding windows (which would trigger the
-    recover guard whenever admission starts below 1.0)."""
+    """Skip past warmup without feeding windows."""
     controller._hit_ema = ema
     controller._windows_into_run = windows
 
@@ -129,7 +127,7 @@ class TestDisabled:
         assert controller._cache is None
         controller.on_batch_complete(1.0)
         assert not server.obs.has_prefix("autotune.")
-        assert controller.history == []
+        assert controller._boost_remaining == 0
 
     def test_enabled_controller_latches_gauge_on_attach(self):
         server = _stack()
@@ -144,37 +142,56 @@ class TestBoostCycle:
         controller = AdaptiveController()
         controller.attach(server)
         cache = server.scheme.cache
+        found = (cache.admission.hot_min_count, cache.admission.warm_min_count)
+        assert found != ctl.BOOST_THRESHOLDS
         _prime(controller)
-        drift = _healthy(4)
-        drift.values["drift_flag"] = 1.0
-        controller._on_window(drift)
+        controller._on_window(_drift(4))
         assert controller._boost_remaining == ctl.BOOST_WINDOWS
-        assert cache.admission.probability == 1.0
-        assert cache.admission.hot_min_count == ctl.BOOST_THRESHOLDS[0]
-        reasons = {r.action.reason for r in controller.history}
-        assert "drift-boost" in reasons
-        # Boost counts down on clean windows, then reverts to cruise.
+        assert cache.admission.probability == ctl.BOOST_ADMISSION
+        assert (cache.admission.hot_min_count,
+                cache.admission.warm_min_count) == ctl.BOOST_THRESHOLDS
+        assert server.obs.gauge("autotune.admission_probability") == \
+            ctl.BOOST_ADMISSION
+        # Boost counts down on clean windows, then restores what it found.
         _feed(controller, [_healthy(5 + i) for i in range(ctl.BOOST_WINDOWS)])
         assert controller._boost_remaining == 0
         assert cache.admission.probability == 0.5
-        assert any(
-            r.action.reason == "boost-expired" for r in controller.history
-        )
+        assert (cache.admission.hot_min_count,
+                cache.admission.warm_min_count) == found
+        assert server.obs.gauge("autotune.admission_probability") == 0.5
 
     def test_re_flagged_drift_re_arms_boost(self):
         server = _stack(admission=0.5)
         controller = AdaptiveController()
         controller.attach(server)
+        cache = server.scheme.cache
         _prime(controller)
-        drift = _healthy(4)
-        drift.values["drift_flag"] = 1.0
-        controller._on_window(drift)
+        controller._on_window(_drift(4))
         controller._on_window(_healthy(5))
         assert controller._boost_remaining == ctl.BOOST_WINDOWS - 1
-        again = _healthy(6)
-        again.values["drift_flag"] = 1.0
-        controller._on_window(again)
+        controller._on_window(_drift(6))
         assert controller._boost_remaining == ctl.BOOST_WINDOWS
+        # A re-arm extends the open boost: no second entry, and the
+        # boost still ends BOOST_WINDOWS clean windows after it.
+        assert server.obs.total("autotune.boosts") == 1
+        _feed(
+            controller, [_healthy(7 + i) for i in range(ctl.BOOST_WINDOWS - 1)]
+        )
+        assert cache.admission.probability == ctl.BOOST_ADMISSION
+        controller._on_window(_healthy(6 + ctl.BOOST_WINDOWS))
+        assert cache.admission.probability == 0.5
+        assert server.obs.total("autotune.boosts") == 1
+
+    def test_one_tier_cache_boosts_admission_only(self):
+        server = _stack(quantizing=False, admission=0.5)
+        controller = AdaptiveController()
+        controller.attach(server)
+        cache = server.scheme.cache
+        _prime(controller)
+        controller._on_window(_drift(4))
+        assert cache.admission.probability == ctl.BOOST_ADMISSION
+        _feed(controller, [_healthy(5 + i) for i in range(ctl.BOOST_WINDOWS)])
+        assert cache.admission.probability == 0.5
 
     def test_hit_collapse_triggers_boost(self):
         server = _stack(admission=0.5)
@@ -197,108 +214,36 @@ class TestBoostCycle:
         assert controller._hit_ema == pytest.approx(0.9)
 
 
-class TestActionPipeline:
-    def test_cooldown_suppresses_repeat_kind(self):
-        server = _stack()
-        controller = AdaptiveController()
-        controller.attach(server)
-        _warmup(controller)
-        bad = _healthy(4)
-        bad.values["sla_attainment"] = 0.5
-        controller._on_window(bad)
-        assert server.scheme.cache.admission.probability == \
-            pytest.approx(0.75)
-        bad2 = _healthy(5)
-        bad2.values["sla_attainment"] = 0.5
-        controller._on_window(bad2)
-        last = controller.history[-1]
-        assert last.outcome == SUPPRESSED
-        assert last.detail == "cooldown"
-        assert server.scheme.cache.admission.probability == \
-            pytest.approx(0.75)
-
-    def test_hysteresis_suppresses_small_delta(self, monkeypatch):
-        monkeypatch.setattr(ctl, "ADMISSION_STEP", 0.02)
-        monkeypatch.setattr(ctl, "HYSTERESIS", 0.05)
-        server = _stack()
-        controller = AdaptiveController()
-        controller.attach(server)
-        _warmup(controller)
-        bad = _healthy(4)
-        bad.values["sla_attainment"] = 0.5
-        controller._on_window(bad)
-        last = controller.history[-1]
-        assert last.outcome == SUPPRESSED
-        assert last.detail == "hysteresis"
-        assert server.scheme.cache.admission.probability == 1.0
-
-    def test_clamp_resolves_as_clamped(self, monkeypatch):
-        monkeypatch.setattr(ctl, "HYSTERESIS", 0.01)
-        monkeypatch.setattr(ctl, "MIN_ADMISSION", 0.1)
-        server = _stack(admission=0.12)
+class TestAccounting:
+    def test_boosts_count_entries(self):
+        server = _stack(admission=0.5)
         controller = AdaptiveController()
         controller.attach(server)
         _prime(controller)
-        bad = _healthy(4)
-        bad.values["sla_attainment"] = 0.5
-        controller._on_window(bad)
-        last = controller.history[-1]
-        assert last.action.kind == SET_ADMISSION
-        assert last.outcome == CLAMPED
-        assert last.executed == pytest.approx(0.1)
-        assert server.scheme.cache.admission.probability == \
-            pytest.approx(0.1)
+        assert server.obs.total("autotune.boosts") == 0
+        index = 4
+        for _ in range(2):
+            controller._on_window(_drift(index))
+            _feed(controller, [
+                _healthy(index + 1 + i) for i in range(ctl.BOOST_WINDOWS)
+            ])
+            index += 1 + ctl.BOOST_WINDOWS
+        assert controller._boost_remaining == 0
+        assert server.obs.total("autotune.boosts") == 2
+        server.obs.check()
 
-    def test_recovery_steps_admission_back_up(self, monkeypatch):
-        monkeypatch.setattr(ctl, "COOLDOWN_WINDOWS", 0)
+    def test_boosts_land_in_the_window_series(self):
         server = _stack(admission=0.5)
         controller = AdaptiveController()
         controller.attach(server)
-        _warmup(controller)
-        _feed(controller, [_healthy(4 + i) for i in range(6)])
-        assert server.scheme.cache.admission.probability == \
-            pytest.approx(1.0)
-        outcomes = {
-            r.action.reason for r in controller.history
-            if r.outcome in (APPLIED, CLAMPED)
-        }
-        assert "recover" in outcomes
-
-
-class TestAccounting:
-    def test_conservation_law_holds(self):
-        server = _stack(admission=0.5)
-        controller = AdaptiveController()
-        controller.attach(server)
-        _warmup(controller)
-        for i in range(4, 16):
-            win = _healthy(i)
-            if i % 4 == 0:
-                win.values["drift_flag"] = 1.0
-            if i % 5 == 0:
-                win.values["sla_attainment"] = 0.5
-            controller._on_window(win)
-        registry = server.obs
-        proposed = registry.total("autotune.proposed")
-        assert proposed > 0
-        assert proposed == (
-            registry.total("autotune.applied")
-            + registry.total("autotune.suppressed")
-            + registry.total("autotune.clamped")
-        )
-        registry.check()   # the declared autotune law must audit clean
-
-    def test_every_history_record_has_one_outcome(self):
-        server = _stack(admission=0.5)
-        controller = AdaptiveController()
-        controller.attach(server)
-        _warmup(controller)
-        drift = _healthy(4)
-        drift.values["drift_flag"] = 1.0
-        controller._on_window(drift)
-        assert controller.history
-        for record in controller.history:
-            assert record.outcome in (APPLIED, SUPPRESSED, CLAMPED)
+        collector = server.collector
+        controller._on_window(_drift(0))
+        collector.observe_batch(0.5e-3, [1e-4])
+        collector.flush(1.5e-3)
+        values = collector.windows[0].values
+        assert values["autotune_boosts"] == 1.0
+        assert values["autotune_admission_probability"] == \
+            ctl.BOOST_ADMISSION
 
     def test_actions_land_as_trace_spans(self):
         server = _stack(admission=0.5)
@@ -306,14 +251,12 @@ class TestAccounting:
         controller = AdaptiveController()
         controller.attach(server)
         _warmup(controller)
-        drift = _healthy(4)
-        drift.values["drift_flag"] = 1.0
-        controller._on_window(drift)
+        controller._on_window(_drift(4))
+        controller._on_window(_drift(5))   # a re-arm records nothing
         spans = [
             s for s in server.tracer.span_list() if s[0] == "autotune"
         ]
-        assert spans
-        assert any(SET_ADMISSION in name for _, name, *_ in spans)
+        assert [name for _, name, *_ in spans] == ["drift-boost"]
 
 
 class TestServingIntegration:
@@ -338,14 +281,14 @@ class TestServingIntegration:
         return report, server
 
     def test_idle_controller_is_byte_identical_to_absent(self):
-        # On this light load the controller proposes nothing: attached,
+        # On this light load the controller opens no boost: attached,
         # it must leave hits, latencies and counters exactly as no
         # controller does.  Only its admission gauge appears.
         base, base_server = self._serve(None)
         controller = AdaptiveController()
         idle, idle_server = self._serve(controller)
         controller.on_batch_complete(idle.span)
-        assert controller.history == []
+        assert idle_server.obs.total("autotune.boosts") == 0
         assert [float(x) for x in base.latencies] == \
             [float(x) for x in idle.latencies]
         assert base.hits == idle.hits and base.misses == idle.misses

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+import re
 
 import pytest
 
@@ -68,8 +69,6 @@ class TestCommands:
         reporting.load_artifact(str(tmp_path / "alerts.json"), kind="alerts")
 
     def test_serve_metrics_endpoint_scrapes(self, capsys):
-        import re
-
         rc = main([
             "serve", "--requests", "200", "--corpus", "2000",
             "--tables", "4", "--rate", "200000",
@@ -488,3 +487,48 @@ def _cluster_serve(replicas, policy="hash"):
     dataset, hw, log, config, requests = _cluster_stream(replicas, policy)
     router = ClusterRouter(dataset, hw, config=config, update_log=log)
     return router.serve(requests), requests
+
+
+class TestScenarioRun:
+    """``repro scenario run`` serves one quantizing cache with and
+    without ``--autotune``, so its two tables differ only by the
+    controller."""
+
+    SMALL = ["scenario", "run", "--tables", "3", "--corpus", "2000"]
+
+    def _row(self, capsys, *flags):
+        """The run's table row, by column name."""
+        assert main([*self.SMALL, *flags]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        # Columns are two or more spaces apart ("239.09 K/s" is one cell).
+        header, row = (re.split(r"\s{2,}", lines[i].strip()) for i in (1, 3))
+        assert header[-1] == "boosts"
+        return dict(zip(header, row))
+
+    def test_a_run_without_a_boost_matches_the_run_without_controller(
+        self, capsys,
+    ):
+        off = self._row(capsys, "--name", "diurnal")
+        on = self._row(capsys, "--name", "diurnal", "--autotune")
+        assert off.pop("boosts") == "-"
+        assert on.pop("boosts") == "0"
+        assert on == off
+
+    def test_autotune_reports_its_boosts(self, capsys):
+        off = self._row(capsys, "--name", "flash_crowd")
+        on = self._row(capsys, "--name", "flash_crowd", "--autotune")
+        assert off["boosts"] == "-"
+        assert int(on["boosts"]) >= 1
+        assert on["requests"] == off["requests"]
+
+    def test_autotune_from_half_admission(self, capsys):
+        full = self._row(capsys, "--name", "flash_crowd", "--autotune")
+        half = self._row(
+            capsys, "--name", "flash_crowd", "--autotune",
+            "--admission", "0.5",
+        )
+        assert int(half["boosts"]) >= 1
+        assert half["requests"] == full["requests"]
+        # The boost restores 0.5 when it expires: the run is not the
+        # admission-1.0 run.
+        assert half["P50"] != full["P50"]

@@ -115,7 +115,33 @@ def test_scenarios_full_mode_meets_its_win_floor(tmp_path, monkeypatch):
     )
     payload = bench["run_bench"](smoke=False)
     assert payload["mode"] == "full"
-    assert bench["check"](payload, smoke=False) == []
+    assert bench["check"](payload) == []
+    assert _floor_unmet_when_inert(bench, payload)
+
+
+def _floor_unmet_when_inert(bench, payload):
+    """Whether ``check`` fails ``payload`` once every adaptive cell is
+    replaced by its admission-1.0 static cell — what an inert controller
+    serves, since the adaptive run starts from admission 1.0."""
+    inert = copy.deepcopy(payload)
+    for cell in inert["scenarios"].values():
+        cell["adaptive"] = dict(cell["static"][bench["BASELINE"]], boosts=0)
+    assert bench["count_wins"](inert["scenarios"]) == 0
+    return any(
+        violation.startswith("adaptive won 0 scenarios")
+        for violation in bench["check"](inert)
+    )
+
+
+def test_an_inert_controller_misses_the_smoke_win_floor():
+    """The win rule measures the controller: on the tracked smoke pin an
+    inert controller scores no win, and the floor reports it."""
+    bench = runpy.run_path(
+        str(BENCHMARKS / "bench_scenarios.py"), run_name="inert_bench"
+    )
+    payload = tracked("BENCH_scenarios")
+    assert bench["check"](payload) == []
+    assert _floor_unmet_when_inert(bench, payload)
 
 
 class TestFirstDifference:

@@ -281,7 +281,7 @@ class TestOneTierCache:
         for policy in ("lfu", "lru"):
             cache = _cache(PrecisionConfig(eviction_policy=policy), ratio=0.05)
             assert not cache.quantizing
-            assert cache.pool.tiers_of(16) == ["fp32"]
+            assert list(cache.pool._class_by_key) == [(16, "fp32")]
             assert (cache._estimator is not None) == (policy == "lfu")
             capacity = cache.pool.capacity_of(16, "fp32")
             keys = cache.encode(0, np.arange(capacity + 8, dtype=np.uint64))

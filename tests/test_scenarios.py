@@ -327,6 +327,16 @@ class TestValidateLoad:
         with pytest.raises(WorkloadError, match="outside corpus"):
             validate_load(load, _dataset())
 
+    def test_checks_the_own_ids_of_a_row_of_a_cube(self):
+        # A row of a cube that carries ids of its own is served those,
+        # so they are what is checked.
+        load = self._load()
+        cube = load.requests[1].cube
+        bad = (np.array([2_000], np.uint64),) * 3
+        load.requests[1] = Request(1, 1e-4, bad, source=(cube, 1))
+        with pytest.raises(WorkloadError, match="request 1, field 0: id 2000"):
+            validate_load(load, _dataset())
+
     def test_rejects_cubeless_requests_missing_a_field(self):
         with pytest.raises(WorkloadError, match="one id array per field"):
             validate_load(

@@ -188,11 +188,37 @@ class TestRowView:
         second = Request(1, 0.0, foreign, source=(cube, 1))
         assert second.feature_ids is foreign
         assert second.source[0] is cube and second.source[1] == 1
+        # Ids of their own take both off the shared cube.
         columns = request_columns([request, second])
-        assert columns.cube is cube
-        assert columns.rows.tolist() == [0, 1]
+        assert columns.cube is None and columns.rows is None
         assert Request(2, 0.0, ()).feature_ids == ()
         assert Request(2, 0.0, ()).source is None
+
+    def test_a_request_is_served_its_own_ids_in_any_list(self, hw):
+        """A request holding a cube row and ids of its own is served its
+        own ids beside a row of the cube and beside a cube-less request
+        alike."""
+        dataset = _dataset(tables=2)
+        server = PipelinedInferenceServer(
+            dataset,
+            FlecheEmbeddingLayer(
+                EmbeddingStore(dataset.table_specs(), hw),
+                FlecheConfig(cache_ratio=0.05), hw,
+            ),
+            hw,
+        )
+        cube = np.zeros((2, 2, 1), dtype=np.int64)
+        own = (np.array([7]), np.array([8]))
+        probe = Request(0, 0.0, own, source=(cube, 0))
+        row = Request(1, 0.0, None, source=(cube, 1))
+        cubeless = Request(1, 0.0, (np.array([3]), np.array([4])))
+        for neighbour, ids in ((row, [0, 0]), (cubeless, [3, 4])):
+            requests = [probe, neighbour]
+            batch = server._to_trace_batch(
+                requests, request_columns(requests), 0, 2
+            )
+            served = [column.tolist() for column in batch.ids_per_table]
+            assert served == [[7, ids[0]], [8, ids[1]]]
 
     def test_memory_budget(self):
         """The ledger's form (a tuple of row views plus ``source``)."""
