@@ -5,7 +5,8 @@ Instead of caching individual embeddings, a reduction cache memoizes the
 IDs recurs, the whole pooling computation is skipped.  The paper declines
 this design because it only works for decomposable pooling (sum/avg/max)
 and therefore restricts model generality; it is built here so the tradeoff
-can be measured (see ``bench_ablation_alternatives``).
+can be measured (the ``alt_reduction_cache`` row of
+``benchmarks/results/claims.json``).
 
 The implementation memoizes per (table, sorted ID group) with LRU
 eviction, and reports how many DRAM/cache lookups the memo hits saved.

@@ -194,6 +194,20 @@ class TestRowView:
         assert Request(2, 0.0, ()).feature_ids == ()
         assert Request(2, 0.0, ()).source is None
 
+    def test_another_row_of_the_cube_is_kept(self):
+        """Ids that are another row of the source cube are the request's
+        own: it is served them, not its source row."""
+        cube = np.arange(3 * 2 * 2, dtype=np.uint64).reshape(3, 2, 2).copy()
+        for ids in (cube[2], tuple(cube[2])):
+            request = Request(0, 0.0, ids, source=(cube, 0))
+            assert request._ids is ids
+            served = [column.tolist() for column in request.feature_ids]
+            assert served == [[8, 9], [10, 11]]
+            assert request_columns([request]).cube is None
+        # The row itself, as one array or one array a table, is not kept.
+        for ids in (cube[0], tuple(cube[0]), None):
+            assert Request(0, 0.0, ids, source=(cube, 0))._ids is None
+
     def test_a_request_is_served_its_own_ids_in_any_list(self, hw):
         """A request holding a cube row and ids of its own is served its
         own ids beside a row of the cube and beside a cube-less request
