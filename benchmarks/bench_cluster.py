@@ -158,15 +158,6 @@ def emit_policy_sweep(cells):
     ))
 
 
-def test_cluster_policy_sweep(hw, run_once):
-    cells = run_once(
-        run_policy_sweep, hw,
-        replica_counts=(2, 4), rate=60_000.0, horizon=0.03,
-    )
-    check_policy_sweep(cells)
-    emit_policy_sweep(cells)
-
-
 # ---------------------------------------------------------------------------
 # The headline drill: kill 1 of N replicas mid-run, routed vs unrouted
 # ---------------------------------------------------------------------------
@@ -353,15 +344,6 @@ def run_drill_determinism(hw, payload, **drill_kwargs):
     }
 
 
-def test_cluster_kill_drill(hw, run_once):
-    kwargs = dict(rate=100_000.0, horizon=0.04)
-    payload, _ = run_once(run_kill_drill, hw, **kwargs)
-    check_kill_drill(payload)
-    determinism = run_drill_determinism(hw, payload, **kwargs)
-    assert determinism["identical"], determinism
-    emit_kill_drill(payload, determinism)
-
-
 # ---------------------------------------------------------------------------
 # Straggler study: cross-replica hedging under a replica slowdown
 # ---------------------------------------------------------------------------
@@ -442,12 +424,6 @@ def emit_hedge_study(result):
             "straggler replica"
         ),
     ))
-
-
-def test_cluster_hedging(hw, run_once):
-    result = run_once(run_hedge_study, hw, rate=60_000.0, horizon=0.03)
-    check_hedge_study(result)
-    emit_hedge_study(result)
 
 
 # ---------------------------------------------------------------------------

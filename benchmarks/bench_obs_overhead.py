@@ -200,12 +200,6 @@ def check_overhead_sweep(results):
     )
 
 
-def test_collector_overhead(hw, run_once):
-    results = run_once(run_overhead_sweep, hw)
-    emit_overhead_sweep(results)
-    check_overhead_sweep(results)
-
-
 # ---------------------------------------------------------------------------
 # Tracing overhead vs sampling interval x depth
 # ---------------------------------------------------------------------------
@@ -307,15 +301,6 @@ def check_tracing_overhead_sweep(rows):
     assert checked, "sweep never measured the default sampling interval"
 
 
-def test_tracing_overhead(hw, run_once):
-    rows = run_once(
-        run_tracing_overhead_sweep, hw,
-        depths=(2,), intervals=(1, DEFAULT_TRACE_INTERVAL),
-    )
-    emit_tracing_overhead_sweep(rows)
-    check_tracing_overhead_sweep(rows)
-
-
 # ---------------------------------------------------------------------------
 # Detection latency vs window size
 # ---------------------------------------------------------------------------
@@ -400,12 +385,6 @@ def check_detection_vs_window(rows):
     for r in rows:
         assert r["ttd_s"] is not None, r
         assert r["ttd_s"] < duration, r
-
-
-def test_detection_vs_window(hw, run_once):
-    rows = run_once(run_detection_vs_window, hw, windows=(2.5e-4, 1e-3))
-    emit_detection_vs_window(rows)
-    check_detection_vs_window(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -143,7 +143,7 @@ def run_refresh_sweep(hw, rates=RATES, quanta=QUANTA,
 
 def check_refresh_sweep(cells, baselines,
                         reference=(REFERENCE_RATE, REFERENCE_QUANTUM)):
-    """The acceptance invariants (shared by pytest and --smoke)."""
+    """The acceptance invariants (of the full and the --smoke sweep)."""
     rate, quantum = reference
     cell = cells[reference]
     base = baselines[rate]
@@ -198,12 +198,6 @@ def emit_refresh_sweep(cells, baselines, rates=RATES, quanta=QUANTA):
         "cells": payload_cells,
     }
     emit_json("BENCH_refresh", artifact)
-
-
-def test_refresh_sla_tradeoff(hw, run_once):
-    cells, baselines = run_once(run_refresh_sweep, hw)
-    emit_refresh_sweep(cells, baselines)
-    check_refresh_sweep(cells, baselines)
 
 
 def main(argv=None):

@@ -124,19 +124,23 @@ def _serve_under_outage(
     return server.serve(requests)
 
 
-def test_serving_fault_sweep(hw, run_once):
-    def experiment():
-        dataset = uniform_tables_spec(
-            num_tables=4, corpus_size=20_000, alpha=-1.2, dim=16,
+def run_fault_sweep(hw, fractions=OUTAGE_FRACTIONS, policies=tuple(POLICIES),
+                    depth=None):
+    """``{(outage fraction, policy): report}`` of one faulty stream per
+    cell; ``depth`` serves it with the pipelined loop."""
+    dataset = uniform_tables_spec(
+        num_tables=4, corpus_size=20_000, alpha=-1.2, dim=16,
+    )
+    return {
+        (fraction, policy): _serve_under_outage(
+            hw, dataset, fraction, policy, depth=depth,
         )
-        table = {}
-        for fraction in OUTAGE_FRACTIONS:
-            for policy in POLICIES:
-                report = _serve_under_outage(hw, dataset, fraction, policy)
-                table[(fraction, policy)] = report
-        return table
+        for policy in policies
+        for fraction in fractions
+    }
 
-    table = run_once(experiment)
+
+def emit_fault_sweep(table):
     rows = []
     for fraction in OUTAGE_FRACTIONS:
         for policy in POLICIES:
@@ -155,7 +159,7 @@ def test_serving_fault_sweep(hw, run_once):
                 report.hedges_fired,
                 format_time(report.breaker_open_time),
             ])
-    report_text = format_table(
+    emit("serving_faults", format_table(
         ["outage", "policy", f"SLA@{SLA_BUDGET * 1e3:.1f}ms", "SLA(fault)",
          "P99", "degraded", "retries", "hedges", "breaker open"],
         rows,
@@ -163,9 +167,10 @@ def test_serving_fault_sweep(hw, run_once):
             "Serving under PS-shard outage: SLA attainment by retry "
             f"policy ({RATE:,.0f}/s offered, stale degradation)"
         ),
-    )
-    emit("serving_faults", report_text)
+    ))
 
+
+def check_fault_sweep(table):
     # Fault-free runs are identical across policies (the resilient path
     # is a strict superset of the happy path).
     base = {p: table[(0.0, p)].sla_attainment(SLA_BUDGET) for p in POLICIES}
@@ -180,28 +185,24 @@ def test_serving_fault_sweep(hw, run_once):
     assert table[(0.2, "resilient")].breaker_open_time > 0.0
 
 
-def test_serving_fault_sweep_pipelined(hw, run_once):
+#: Outage fraction of the pipelined sweep.
+PIPELINED_FRACTION = 0.2
+
+
+def run_pipelined_fault_sweep(hw):
     """The resilient-vs-naive gap survives inter-batch overlap.
 
     Same outage sweep, served by the depth-2 pipelined loop: retry /
     hedge / breaker accounting and the degraded-request attribution must
     stay correct when batches interleave on the shared host thread.
     """
-    fraction = 0.2
+    return run_fault_sweep(
+        hw, fractions=(0.0, PIPELINED_FRACTION),
+        policies=("naive", "resilient"), depth=2,
+    )
 
-    def experiment():
-        dataset = uniform_tables_spec(
-            num_tables=4, corpus_size=20_000, alpha=-1.2, dim=16,
-        )
-        table = {}
-        for policy in ("naive", "resilient"):
-            for frac in (0.0, fraction):
-                table[(frac, policy)] = _serve_under_outage(
-                    hw, dataset, frac, policy, depth=2,
-                )
-        return table
 
-    table = run_once(experiment)
+def emit_pipelined_fault_sweep(table):
     rows = []
     for (frac, policy), report in sorted(table.items()):
         rows.append([
@@ -220,14 +221,16 @@ def test_serving_fault_sweep_pipelined(hw, run_once):
         ),
     ))
 
+
+def check_pipelined_fault_sweep(table):
     # Fault-free runs are identical across policies, and the resilient
     # policy still strictly beats naive under the outage.
     assert (
         table[(0.0, "naive")].sla_attainment(SLA_BUDGET)
         == table[(0.0, "resilient")].sla_attainment(SLA_BUDGET)
     )
-    naive = table[(fraction, "naive")]
-    resilient = table[(fraction, "resilient")]
+    naive = table[(PIPELINED_FRACTION, "naive")]
+    resilient = table[(PIPELINED_FRACTION, "resilient")]
     assert resilient.sla_attainment(SLA_BUDGET) > naive.sla_attainment(
         SLA_BUDGET
     )
@@ -311,12 +314,6 @@ def check_detection_sweep(results):
         assert r["ttd_s"] < r["outage_duration_s"], r
         assert not r["unresolved"], r
         assert r["ttr_s"] is not None, r
-
-
-def test_fault_detection_latency(hw, run_once):
-    results = run_once(run_detection_sweep, hw, fractions=(0.2, 0.4))
-    emit_detection_sweep(results)
-    check_detection_sweep(results)
 
 
 # ---------------------------------------------------------------------------
@@ -451,12 +448,6 @@ def check_refresh_outage(result):
     assert result["final_version_lag"] <= STALENESS_BUDGET, result
 
 
-def test_refresh_staleness_detection(hw, run_once):
-    result = run_once(run_refresh_outage_study, hw)
-    emit_refresh_outage(result)
-    check_refresh_outage(result)
-
-
 def run_recovery_equivalence(hw, rounds=12, kill_after_rounds=5):
     """Kill a replica mid-stream; snapshot + replay must converge.
 
@@ -544,12 +535,6 @@ def check_recovery_equivalence(result):
     assert result["versions_match"], result
 
 
-def test_refresh_recovery_equivalence(hw, run_once):
-    result = run_once(run_recovery_equivalence, hw)
-    emit_recovery_equivalence(result)
-    check_recovery_equivalence(result)
-
-
 def main(argv=None):
     import argparse
 
@@ -564,6 +549,13 @@ def main(argv=None):
 
     mode = "smoke" if args.smoke else "full"
     hw = default_platform()
+    table = run_fault_sweep(hw)
+    emit_fault_sweep(table)
+    check_fault_sweep(table)
+    pipelined = run_pipelined_fault_sweep(hw)
+    emit_pipelined_fault_sweep(pipelined)
+    check_pipelined_fault_sweep(pipelined)
+
     if args.smoke:
         results = run_detection_sweep(
             hw, fractions=(0.2,), policies=("naive", "resilient"),

@@ -14,8 +14,9 @@ saturating load on two dataset replicas: an explicit depth 1 must match
 and/or tail latency through inter-batch overlap.  Machine-readable
 results land in ``benchmarks/results/BENCH_serving.json``.
 
-Runs standalone too: ``python benchmarks/bench_serving_sla.py --smoke``
-executes a reduced sweep with the same invariant checks (the CI smoke).
+``python benchmarks/bench_serving_sla.py`` runs the full depth sweep and
+the SLA study; ``--smoke`` a reduced depth sweep with the same invariant
+checks and no SLA study (the CI smoke).
 """
 
 import copy
@@ -60,43 +61,45 @@ SATURATING_RATE = 2_400_000.0
 SWEEP_DEPTHS = (1, 2, 4)
 
 
-def test_serving_sla_attainment(hw, run_once):
-    def experiment():
-        dataset = uniform_tables_spec(
-            num_tables=12, corpus_size=50_000, alpha=-1.3, dim=32,
+def run_sla_study(hw):
+    """``{(scheme, rate): (SLA attainment, P99, mean batch)}``: HugeCTR's
+    per-table cache against Fleche over one warmed server each."""
+    dataset = uniform_tables_spec(
+        num_tables=12, corpus_size=50_000, alpha=-1.3, dim=32,
+    )
+    store = EmbeddingStore(dataset.table_specs(), hw)
+    model = __import__("repro").DeepCrossNetwork(
+        num_tables=dataset.num_tables, embedding_dim=dataset.dim
+    )
+    policy = BatchingPolicy(max_batch_size=512, max_delay=5e-4)
+    table = {}
+    for name, layer in (
+        ("hugectr", PerTableCacheLayer(
+            store, PerTableConfig(cache_ratio=0.05), hw)),
+        ("fleche", FlecheEmbeddingLayer(
+            store, FlecheConfig(cache_ratio=0.05), hw)),
+    ):
+        server = InferenceServer(
+            dataset, layer, hw, policy=policy, model=model,
+            include_dense=True,
         )
-        store = EmbeddingStore(dataset.table_specs(), hw)
-        model = __import__("repro").DeepCrossNetwork(
-            num_tables=dataset.num_tables, embedding_dim=dataset.dim
-        )
-        policy = BatchingPolicy(max_batch_size=512, max_delay=5e-4)
-        table = {}
-        for name, layer in (
-            ("hugectr", PerTableCacheLayer(
-                store, PerTableConfig(cache_ratio=0.05), hw)),
-            ("fleche", FlecheEmbeddingLayer(
-                store, FlecheConfig(cache_ratio=0.05), hw)),
-        ):
-            server = InferenceServer(
-                dataset, layer, hw, policy=policy, model=model,
-                include_dense=True,
+        # Warm the cache with one preliminary stream.
+        warm = PoissonArrivals(dataset, 200_000.0, seed=1).generate(800)
+        server.serve(warm)
+        for rate in RATES:
+            reqs = PoissonArrivals(dataset, float(rate), seed=2).generate(
+                NUM_REQUESTS
             )
-            # Warm the cache with one preliminary stream.
-            warm = PoissonArrivals(dataset, 200_000.0, seed=1).generate(800)
-            server.serve(warm)
-            for rate in RATES:
-                reqs = PoissonArrivals(dataset, float(rate), seed=2).generate(
-                    NUM_REQUESTS
-                )
-                report = server.serve(reqs)
-                table[(name, rate)] = (
-                    report.sla_attainment(SLA_BUDGET),
-                    report.p99_latency,
-                    report.mean_batch_size,
-                )
-        return table
+            report = server.serve(reqs)
+            table[(name, rate)] = (
+                report.sla_attainment(SLA_BUDGET),
+                report.p99_latency,
+                report.mean_batch_size,
+            )
+    return table
 
-    table = run_once(experiment)
+
+def emit_sla_study(table):
     rows = []
     for rate in RATES:
         for name in ("hugectr", "fleche"):
@@ -105,14 +108,15 @@ def test_serving_sla_attainment(hw, run_once):
                 f"{rate:,}/s", name, f"{sla:.1%}", format_time(p99),
                 f"{mean_batch:.0f}",
             ])
-    report = format_table(
+    emit("serving_sla", format_table(
         ["offered load", "scheme", f"SLA@{SLA_BUDGET * 1e3:.0f}ms",
          "P99", "mean batch"],
         rows,
         title="Serving: SLA attainment under open-loop load (5% cache)",
-    )
-    emit("serving_sla", report)
+    ))
 
+
+def check_sla_study(table):
     # Fleche sustains at least as much SLA attainment at every load, and
     # strictly more at the highest offered load.
     for rate in RATES:
@@ -232,7 +236,7 @@ def run_depth_sweep(hw, replicas=REPLICAS, depths=SWEEP_DEPTHS,
 
 
 def check_depth_sweep(summaries, checks, depths=SWEEP_DEPTHS):
-    """The depth-sweep invariants (shared by pytest and --smoke)."""
+    """The depth-sweep invariants (of the full and the --smoke sweep)."""
     replicas = sorted({rname for rname, _ in summaries})
     for rname in replicas:
         # Depth 1 is the InferenceServer default, bit-for-bit.
@@ -294,12 +298,6 @@ def emit_depth_sweep(summaries, depths=SWEEP_DEPTHS, extra_name=None):
     emit_json("BENCH_serving", artifact)
     if extra_name is not None:
         emit_json(extra_name, artifact)
-
-
-def test_serving_pipeline_depth_sweep(hw, run_once):
-    summaries, checks = run_once(run_depth_sweep, hw)
-    emit_depth_sweep(summaries)
-    check_depth_sweep(summaries, checks)
 
 
 # ---------------------------------------------------------------------------
@@ -380,13 +378,6 @@ def emit_observability_artifacts(report, tracer, collector=None,
           f"{sampled} sampled traces)")
 
 
-def test_serving_observability_artifacts(hw, run_once):
-    report, tracer, collector, reqtracer = run_once(
-        run_traced_observability, hw
-    )
-    emit_observability_artifacts(report, tracer, collector, reqtracer)
-
-
 # ---------------------------------------------------------------------------
 # Standalone smoke mode (CI)
 # ---------------------------------------------------------------------------
@@ -422,6 +413,10 @@ def main(argv=None):
         hw, num_requests=800 if args.smoke else 2_000
     )
     emit_observability_artifacts(report, tracer, collector, reqtracer)
+    if not args.smoke:
+        table = run_sla_study(hw)
+        emit_sla_study(table)
+        check_sla_study(table)
     print("\nserving depth sweep OK "
           f"({mode} mode)")
 

@@ -42,7 +42,8 @@ def frequency_optimal_hit_rate(trace: Trace, capacity: int) -> float:
     if total == 0:
         return 0.0
     keys, counts = np.unique(stream, return_counts=True)
-    order = np.argsort(counts)[::-1]
+    # Most frequent first; ties (the later key first) move no hit count.
+    order = np.argsort(counts, kind="stable")[::-1]
     hot_hits = counts[order[:capacity]].sum()
     return float(hot_hits / total)
 

@@ -1,8 +1,8 @@
 """Benchmark harness: experiment runners and report formatting.
 
-Every table and figure of the paper's evaluation has a runner here; the
-``benchmarks/`` directory wraps them in pytest-benchmark entry points, and
-the runners can also be driven directly (see ``examples/``).
+Every table and figure of the paper's evaluation has a runner here;
+``benchmarks/claims.py`` and the ``benchmarks/bench_*.py`` scripts drive
+them, and so can any caller (see ``examples/``).
 """
 
 from .reporting import format_table, format_rate, format_time

@@ -10,10 +10,9 @@ Usage::
 ``trace`` exports a Chrome-trace JSON of one batch's simulated timeline,
 ``serve`` runs a synthetic stream with live telemetry, ``scenario`` serves
 one adversarial scenario and ``obs`` renders emitted artifacts.  The
-paper's figures and tables, the refresh recovery check and the cluster
-kill drill are reproduced by the benchmarks: ``python
-benchmarks/bench_<x>.py --smoke`` or ``pytest benchmarks/bench_<x>.py
---benchmark-only``.
+paper's figures and tables are reproduced by ``python
+benchmarks/claims.py``, the refresh recovery check and the cluster kill
+drill by ``python benchmarks/bench_<x>.py [--smoke]``.
 """
 
 from __future__ import annotations
@@ -22,7 +21,9 @@ import argparse
 import sys
 from typing import List, Optional
 
-from . import Executor, FlecheConfig, FlecheEmbeddingLayer, default_platform
+from . import (
+    Executor, FlecheConfig, FlecheEmbeddingLayer, SpanTracer, default_platform,
+)
 from .bench.harness import make_context
 from .bench.reporting import format_rate, format_table, format_time
 
@@ -240,8 +241,6 @@ def _cmd_obs(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    from .gpusim.tracing import TraceRecorder
-
     hw = default_platform()
     context = make_context(
         args.dataset, batch_size=args.batch, num_batches=4,
@@ -254,11 +253,11 @@ def _cmd_trace(args) -> int:
     batches = list(context.trace)
     for batch in batches[:3]:
         layer.query(batch, executor)
-    recorder = TraceRecorder.attach(executor)
+    tracer = SpanTracer.attach(executor)
     layer.query(batches[3], executor)
-    path = recorder.export_json(args.out)
-    print(f"wrote {len(recorder.spans)} spans on "
-          f"{len(recorder.tracks())} tracks to {path}")
+    path = tracer.export_json(args.out)
+    print(f"wrote {len(tracer.spans)} spans on "
+          f"{len(tracer.tracks())} tracks to {path}")
     print("open in chrome://tracing or https://ui.perfetto.dev")
     return 0
 

@@ -74,29 +74,16 @@ class RoutingPolicy:
         """
         raise NotImplementedError
 
-    def _routing_key(self, request: Request) -> int:
-        ids = request.feature_ids[0]
-        if len(ids) == 0:
-            return request.request_id
-        return int(ids[0])
-
     # hot-path: vectorized
     def _routing_keys(self, requests: Sequence[Request]) -> np.ndarray:
-        """Routing keys of a whole stream as one uint64 array.
-
-        When every request carries a row of one shared id cube
-        (``Request.cube``), the keys are one gather out of it.
-        """
+        """Routing keys of a whole stream as one uint64 array: each
+        request's first id of table 0, one gather out of the stream's id
+        cube.  Requests with empty id lists route by request id."""
         columns = request_columns(requests)
         cube = columns.cube
-        # An empty id list routes by request id.
-        if cube is not None and cube.shape[2] > 0:
-            return cube[columns.rows, 0, 0].astype(np.uint64, copy=False)
-        return np.fromiter(
-            (self._routing_key(r) for r in requests),  # lint: allow-loop (requests with no shared id cube only)
-            dtype=np.uint64,
-            count=len(requests),
-        )
+        if cube.shape[2] == 0:
+            return columns.request_ids.astype(np.uint64)
+        return cube[columns.rows, 0, 0].astype(np.uint64, copy=False)
 
 
 class ConsistentHashPolicy(RoutingPolicy):

@@ -613,7 +613,8 @@ class FlatCache(Observable):
             slots = self.index.cold_slots()
             _, values, stamps = self.index.slot_entries(slots)
             dram = is_dram_pointer(values)
-            order = np.argsort(stamps[dram])
+            # Oldest pointers first, ties by slot.
+            order = np.argsort(stamps[dram], kind="stable")
             surplus = self.unified_entries - capacity
             self.index.erase_slots(slots[dram][order[:surplus]])
             self.unified_entries = capacity
@@ -661,7 +662,8 @@ class FlatCache(Observable):
         candidates — the paper replaces the cache of *cold* embeddings, so
         freshly inserted or recently hit entries must never be demoted.
         One mask over the raw index columns picks them (occupied, stamp at
-        most ``clock - 2``, untagged); victims are the oldest stamps.
+        most ``clock - 2``, untagged); victims are the oldest stamps, ties
+        by slot.
         """
         if count <= 0:
             return
@@ -672,7 +674,7 @@ class FlatCache(Observable):
         slots = cold.nonzero()[0]
         if not len(slots):
             return
-        victims = slots[stamps[slots].argsort()[:count]]
+        victims = slots[stamps[slots].argsort(kind="stable")[:count]]
         locations = untag(values[victims])
         self.index.retag_slots(
             victims, tag_dram_pointer(keys[victims]), self._clock

@@ -227,13 +227,14 @@ class EvictionPolicy:
 
 
 class LruEviction(EvictionPolicy):
-    """Pure recency: ``argsort(stamps)``."""
+    """Pure recency: oldest stamp first, ties by slot (a stable sort over
+    the candidates, which come in slot order)."""
 
     name = "lru"
     reads_counts = False
 
     def victim_order(self, stamps, counts):
-        return np.argsort(stamps)
+        return np.argsort(stamps, kind="stable")
 
 
 class LfuEviction(EvictionPolicy):

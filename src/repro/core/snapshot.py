@@ -82,10 +82,11 @@ def snapshot(
 def restore(cache: FlatCache, snap: CacheSnapshot) -> int:
     """Load a snapshot into ``cache``; returns the entries restored.
 
-    Entries are inserted hottest-first, so when the target cache is
-    smaller than the snapshot, the coldest tail is the part that does not
-    fit.  The codec must agree on key width (otherwise flat keys would
-    mean different IDs).
+    Entries are inserted hottest-first (equal stamps: the higher slot of
+    the snapshotted index first, the reverse of a stable ascending sort),
+    so when the target cache is smaller than the snapshot, the coldest
+    tail is the part that does not fit.  The codec must agree on key
+    width (otherwise flat keys would mean different IDs).
     """
     if snap.key_bits != cache.codec.key_bits:
         raise WorkloadError(
@@ -99,7 +100,7 @@ def restore(cache: FlatCache, snap: CacheSnapshot) -> int:
             raise WorkloadError(
                 f"snapshot contains dimension {dim} the cache lacks"
             )
-        order = np.argsort(stamps)[::-1]  # hottest first
+        order = np.argsort(stamps, kind="stable")[::-1]  # hottest first
         budget = cache.pool.free_of(dim)
         take = min(budget, len(order))
         chosen = order[:take]

@@ -1,31 +1,21 @@
-"""Timeline tracing for the simulator.
+"""Spans on the simulated clock and their Chrome trace-event export.
 
-A :class:`TraceRecorder` attached to an :class:`~repro.gpusim.Executor`
-captures every accounted interval — kernel launches and executions, host
-work, copies, synchronisations — as spans on named tracks (the CPU thread
-and each CUDA stream).  Traces export to the Chrome trace-event JSON
-format, so a batch's choreography (launch storms, overlap between the
-DRAM query and the copy kernel, sync stalls) can be inspected in
-``chrome://tracing`` / Perfetto.
-
-Usage::
-
-    executor = Executor(hw)
-    recorder = TraceRecorder.attach(executor)
-    layer.query(batch, executor)
-    recorder.export_json("batch.trace.json")
+A :class:`Span` is one traced interval on a named track (the CPU thread,
+a CUDA stream, a pipeline lane).  :class:`~repro.obs.spans.SpanTracer`
+records them — serving stages, or every accounted interval of an
+:class:`~repro.gpusim.Executor` once ``SpanTracer.attach`` wraps it — and
+exports them in the Chrome trace-event JSON format, so a batch's
+choreography (launch storms, overlap between the DRAM query and the copy
+kernel, sync stalls) can be inspected in ``chrome://tracing`` / Perfetto.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 from ..errors import SimulationError
-from .executor import Executor, Stream
-from .kernel import KernelSpec, kernel_execution_time
-from .stats import Category
 
 
 @dataclass(frozen=True)
@@ -63,9 +53,9 @@ def span_tracks(spans: List[Span]) -> List[str]:
 def chrome_trace(spans: List[Span]) -> dict:
     """Render spans as Chrome trace-event JSON (complete 'X' events).
 
-    Shared by :class:`TraceRecorder` (executor-level spans) and
-    :class:`~repro.obs.spans.SpanTracer` (serving-level stage spans), so
-    both export the same format and open in ``chrome://tracing``/Perfetto.
+    What :class:`~repro.obs.spans.SpanTracer` exports, for executor-level
+    and serving-level spans alike; it opens in ``chrome://tracing`` or
+    Perfetto.
     """
     track_ids = {name: i for i, name in enumerate(span_tracks(spans))}
     events = []
@@ -105,103 +95,3 @@ def export_chrome_trace(spans: List[Span], path: str) -> str:
         json.dump(chrome_trace(spans), f, indent=1, sort_keys=True)
         f.write("\n")
     return path
-
-
-@dataclass
-class TraceRecorder:
-    """Records executor activity as spans; see module docstring."""
-
-    spans: List[Span] = field(default_factory=list)
-
-    # ------------------------------------------------------------------ attach
-
-    @classmethod
-    def attach(cls, executor: Executor) -> "TraceRecorder":
-        """Wrap the executor's accounting entry points with span capture.
-
-        The wrapping is purely additive: timing behaviour is unchanged, the
-        recorder only observes clock values around each call.
-        """
-        recorder = cls()
-        original_launch = executor.launch
-        original_host_work = executor.host_work
-        original_copy = executor.copy
-        original_synchronize = executor.synchronize
-
-        def launch(spec: KernelSpec, stream: Optional[Stream] = None,
-                   category: Category = Category.CACHE_INDEX,
-                   launch_cost: Optional[float] = None) -> float:
-            cpu_before = executor.cpu.now
-            end = original_launch(spec, stream, category, launch_cost)
-            target = stream or executor.default_stream
-            exec_time = kernel_execution_time(spec, executor.hw)
-            recorder.spans.append(Span(
-                track="cpu", name=f"launch:{spec.name}",
-                start=cpu_before, duration=executor.cpu.now - cpu_before,
-                category="maintenance",
-            ))
-            recorder.spans.append(Span(
-                track=f"stream:{target.name}", name=spec.name,
-                start=end - exec_time, duration=exec_time,
-                category=category.value,
-            ))
-            return end
-
-        def host_work(duration: float, category: Category) -> None:
-            start = executor.cpu.now
-            original_host_work(duration, category)
-            recorder.spans.append(Span(
-                track="cpu", name=f"host:{category.value}",
-                start=start, duration=duration, category=category.value,
-            ))
-
-        def copy(nbytes: int, category: Category,
-                 async_stream: Optional[Stream] = None) -> None:
-            start = executor.cpu.now
-            original_copy(nbytes, category, async_stream)
-            recorder.spans.append(Span(
-                track="cpu", name=f"copy:{nbytes}B",
-                start=start, duration=executor.cpu.now - start,
-                category=category.value,
-            ))
-
-        def synchronize(stream: Optional[Stream] = None) -> None:
-            start = executor.cpu.now
-            original_synchronize(stream)
-            recorder.spans.append(Span(
-                track="cpu",
-                name=f"sync:{stream.name if stream else 'all'}",
-                start=start, duration=executor.cpu.now - start,
-                category="maintenance",
-            ))
-
-        executor.launch = launch  # type: ignore[method-assign]
-        executor.host_work = host_work  # type: ignore[method-assign]
-        executor.copy = copy  # type: ignore[method-assign]
-        executor.synchronize = synchronize  # type: ignore[method-assign]
-        # A plan is replayed one operation at a time, through the wrappers.
-        executor.run = executor.run_each  # type: ignore[method-assign]
-        return recorder
-
-    # ------------------------------------------------------------------ query
-
-    def tracks(self) -> List[str]:
-        """Track names seen so far, CPU first."""
-        return span_tracks(self.spans)
-
-    def busy_time(self, track: str) -> float:
-        """Total span duration on one track."""
-        return sum(s.duration for s in self.spans if s.track == track)
-
-    def clear(self) -> None:
-        self.spans.clear()
-
-    # ------------------------------------------------------------------ export
-
-    def to_chrome_trace(self) -> dict:
-        """The Chrome trace-event representation (complete 'X' events)."""
-        return chrome_trace(self.spans)
-
-    def export_json(self, path: str) -> str:
-        """Write the Chrome trace JSON; returns the path."""
-        return export_chrome_trace(self.spans, path)

@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from ..errors import WorkloadError
-from ..serving.arrivals import Request
+from ..serving.arrivals import Request, request_columns
 from ..workloads.zipf import ZipfSampler
 
 
@@ -185,8 +185,8 @@ def validate_load(load: ScenarioLoad, dataset) -> None:
     """Structural checks every scenario output must pass.
 
     * request ids are positions (0..n-1) and arrivals are nondecreasing;
-    * every feature id is inside its field's declared corpus — phase
-      boundaries must never emit out-of-spec ids;
+    * every feature id a request is served is inside its field's
+      declared corpus — phase boundaries must never emit out-of-spec ids;
     * tenant attribution (when present) covers every request, and every
       SLO budget is positive.
 
@@ -194,30 +194,33 @@ def validate_load(load: ScenarioLoad, dataset) -> None:
     """
     requests = load.requests
     fields = dataset.fields
-    last = -np.inf
-    cubes = {}
-    for i, req in enumerate(requests):  # lint: allow-loop (validation sweep, not serving path)
-        if req.request_id != i:
+    columns = request_columns(requests)
+    ids = columns.request_ids
+    moved = np.flatnonzero(ids != np.arange(len(ids)))
+    if len(moved):
+        i = int(moved[0])
+        raise WorkloadError(f"request {i}: id {int(ids[i])} is not positional")
+    back = np.flatnonzero(np.diff(columns.arrivals) < 0)
+    if len(back):
+        raise WorkloadError(
+            f"request {int(back[0]) + 1}: arrivals went backwards"
+        )
+    cube = columns.cube
+    if len(ids) and cube.shape[1] != len(fields):
+        raise WorkloadError(
+            f"requests of {cube.shape[1]} tables: need one id array per "
+            f"field ({len(fields)})"
+        )
+    # An empty list's cube has no tables, hence nothing to check.
+    for t, f in enumerate(fields[:cube.shape[1]]):  # lint: allow-loop (O(fields))
+        served = cube[columns.rows, t]
+        over = np.flatnonzero((served >= f.corpus_size).any(axis=1))
+        if len(over):
+            i = int(over[0])
             raise WorkloadError(
-                f"request {i}: id {req.request_id} is not positional"
+                f"request {i}, field {t}: id {int(served[i].max())} "
+                f"outside corpus {f.corpus_size}"
             )
-        if req.arrival_time < last:
-            raise WorkloadError(f"request {i}: arrivals went backwards")
-        last = req.arrival_time
-        cube = req.cube
-        if cube is None or req._ids is not None:
-            # Ids of its own are what the request is served.
-            _check_own_ids(i, req.feature_ids, fields)
-        else:
-            cubes[id(cube)] = cube
-    for cube in cubes.values():  # lint: allow-loop (O(cubes), not per-key)
-        for t, f in enumerate(fields):  # lint: allow-loop (O(fields))
-            col = cube[:, t, :]
-            if col.size and int(col.max()) >= f.corpus_size:
-                raise WorkloadError(
-                    f"field {t}: id {int(col.max())} outside corpus "
-                    f"{f.corpus_size}"
-                )
     if load.tenant_of is not None:
         if len(load.tenant_of) < len(requests):
             raise WorkloadError("tenant_of does not cover every request")
@@ -226,22 +229,6 @@ def validate_load(load: ScenarioLoad, dataset) -> None:
                 raise WorkloadError(
                     f"tenant {tenant!r}: SLO budget must be positive"
                 )
-
-
-def _check_own_ids(i: int, feature_ids, fields) -> None:
-    """The corpus check of :func:`validate_load` for a request that is
-    no row of a cube (it holds its own per-table id arrays)."""
-    if feature_ids is None or len(feature_ids) != len(fields):
-        raise WorkloadError(
-            f"request {i}: needs one id array per field ({len(fields)})"
-        )
-    for t, (ids, f) in enumerate(zip(feature_ids, fields)):  # lint: allow-loop (O(fields))
-        ids = np.asarray(ids)
-        if ids.size and int(ids.max()) >= f.corpus_size:
-            raise WorkloadError(
-                f"request {i}, field {t}: id {int(ids.max())} outside "
-                f"corpus {f.corpus_size}"
-            )
 
 
 __all__ = [

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import repeat
 from operator import attrgetter, is_
-from typing import List, NamedTuple, Optional, Sequence
+from typing import List, NamedTuple, Sequence
 
 import numpy as np
 
@@ -41,21 +41,39 @@ def _is_row(ids, view: np.ndarray) -> bool:
         ids = (ids,)
     try:
         return b"".join(ids) == view.tobytes()
-    except (BufferError, TypeError):  # not arrays, or not contiguous
-        return False
+    except TypeError:  # not arrays, or arrays not contiguous
+        if not all(type(table) is np.ndarray for table in ids):
+            return False
+        return b"".join(map(np.ascontiguousarray, ids)) == view.tobytes()
+
+
+def _one_row_cube(feature_ids) -> np.ndarray:
+    """``feature_ids`` (one equal-length id array a table) as the
+    ``(1, tables, ids)`` ``uint64`` cube of one request."""
+    try:
+        ids = np.array(feature_ids, dtype=np.uint64)
+    except (TypeError, ValueError, OverflowError):
+        ids = None
+    if ids is not None and ids.shape == (0,):
+        ids = ids.reshape(0, 0)  # no tables
+    if ids is None or ids.ndim != 2:
+        raise WorkloadError(
+            "a request's ids are one equal-length id array a table"
+        )
+    return ids[np.newaxis]
 
 
 @dataclass(frozen=True, eq=False, init=False, repr=False)
 class Request:
-    """One inference request.
+    """One inference request: its id, its arrival time and a row of an id
+    cube (``cube`` and ``row``); the slots store nothing per request
+    beyond that.
 
-    It holds its id, its arrival time and either a row of a shared id
-    cube (``cube`` and ``row``) or its own ``feature_ids``; the slots
-    store nothing per request beyond that.  ``feature_ids`` of ``None``
-    with a ``source``, or given as that row's ids (the row array, as
-    ``dataclasses.replace`` passes back, or a tuple of its per-table
-    arrays: the row's shape and bytes), are the row and not stored; any
-    other ids are the request's own, and are what it is served.
+    With a ``source``, ``feature_ids`` is ``None`` or that row's ids (the
+    row array, as ``dataclasses.replace`` passes back, or a tuple of its
+    per-table arrays: the row's shape and bytes); any other ids are
+    refused.  Without one, ``feature_ids`` (one equal-length id array a
+    table) become a one-row ``uint64`` cube of the request's own.
 
     Requests compare and hash by identity: two requests with the same
     ids are still two requests (and arrays have no truth value to
@@ -63,11 +81,10 @@ class Request:
     """
 
     # ``cube``: the source stream's ``(count, tables, ids)`` id array
-    # this request is a row of, or ``None`` (batch assembly gathers
-    # whole batches from it in one indexing op); ``row``: the request's
-    # row in it; ``_ids``: feature ids of the request's own, or ``None``.
+    # this request is a row of (batch assembly gathers whole batches from
+    # it in one indexing op); ``row``: the request's row in it.
     # Manual slots: ``dataclass(slots=True)`` needs Python 3.10.
-    __slots__ = ("request_id", "arrival_time", "cube", "row", "_ids")
+    __slots__ = ("request_id", "arrival_time", "cube", "row")
 
     # The dataclass fields are the constructor's parameters, so that
     # ``dataclasses.replace`` rebuilds a request; the last two are
@@ -75,44 +92,43 @@ class Request:
     request_id: int
     arrival_time: float
     feature_ids: tuple
-    source: Optional[tuple]
+    source: tuple
 
     def __init__(self, request_id: int, arrival_time: float,
                  feature_ids: tuple, source: tuple = None):
-        cube = row = None
-        if source is not None:
+        if source is None:
+            cube, row = _one_row_cube(feature_ids), 0
+        else:
             cube, row = source
-            if feature_ids is not None and _is_row(feature_ids, cube[row]):
-                feature_ids = None
+            if feature_ids is not None and not _is_row(
+                feature_ids, cube[row]
+            ):
+                raise WorkloadError(
+                    f"request {request_id}: ids given beside a source "
+                    "must be its row"
+                )
         _set(self, "request_id", request_id)
         _set(self, "arrival_time", arrival_time)
         _set(self, "cube", cube)
         _set(self, "row", row)
-        _set(self, "_ids", feature_ids)
 
     @property
-    def feature_ids(self) -> tuple:
+    def feature_ids(self) -> np.ndarray:
         """Per-table feature IDs (``ids_per_field`` each): the ``(tables,
         ids)`` row of ``cube`` — a fresh view on each read, which
-        indexes, iterates and has a ``len`` like a tuple of id arrays —
-        or the request's own tuple of id arrays."""
-        ids = self._ids
-        if ids is None and self.cube is not None:
-            return self.cube[self.row]
-        return ids
+        indexes, iterates and has a ``len`` like a tuple of id arrays."""
+        return self.cube[self.row]
 
     @property
-    def source(self) -> Optional[tuple]:
-        """``(cube, row)``, or ``None`` for a request of no cube."""
-        if self.cube is None:
-            return None
+    def source(self) -> tuple:
+        """``(cube, row)``."""
         return self.cube, self.row
 
     def __reduce__(self):
         # The default reduction restores slots through the frozen
-        # ``__setattr__``; a row of the cube pickles as ``None`` ids.
+        # ``__setattr__``; the row pickles as ``None`` ids.
         return Request, (
-            self.request_id, self.arrival_time, self._ids, self.source
+            self.request_id, self.arrival_time, None, self.source
         )
 
     def __repr__(self) -> str:
@@ -128,11 +144,10 @@ class RequestColumns(NamedTuple):
 
     arrivals: np.ndarray
     request_ids: np.ndarray
-    #: The ``(count, tables, ids)`` cube every request has a row of, or
-    #: ``None`` when they do not all share one.
-    cube: Optional[np.ndarray]
-    #: Each request's row in ``cube`` (``None`` with it).
-    rows: Optional[np.ndarray]
+    #: The ``(count, tables, ids)`` cube every request has a row of.
+    cube: np.ndarray
+    #: Each request's row in ``cube``.
+    rows: np.ndarray
 
 
 class RequestStream(list):
@@ -154,8 +169,7 @@ class RequestStream(list):
         columns = self.columns
         return RequestStream(
             map(self.__getitem__, index.tolist()), arrivals,
-            columns.request_ids[index], columns.cube,
-            None if columns.rows is None else columns.rows[index],
+            columns.request_ids[index], columns.cube, columns.rows[index],
         )
 
 
@@ -163,30 +177,41 @@ _ARRIVAL = attrgetter("arrival_time")
 _REQUEST_ID = attrgetter("request_id")
 _CUBE = attrgetter("cube")
 _ROW = attrgetter("row")
-_IDS = attrgetter("_ids")
+_IDS = attrgetter("feature_ids")
 
 
 # hot-path: vectorized
 def request_columns(requests: Sequence[Request]) -> RequestColumns:
     """Arrival times, request ids and cube rows of ``requests``, read
     once (C-level attribute maps, no Python frame per request) so a
-    serving run slices arrays rather than walking requests again.  The
-    shared cube is reported only when every request is a row of it and
-    carries no ids of its own: a request is served one id set, whatever
-    list it is in."""
+    serving run slices arrays rather than walking requests again.  When
+    the requests are rows of more than one cube, their rows are stacked
+    into one ``uint64`` cube (numpy would promote ``int64`` beside
+    ``uint64`` to ``float64``), numbered in list order."""
     if type(requests) is RequestStream:
         return requests.columns
     n = len(requests)
     arrivals = np.fromiter(map(_ARRIVAL, requests), np.float64, count=n)
     request_ids = np.fromiter(map(_REQUEST_ID, requests), np.int64, count=n)
-    cube = rows = None
-    first = requests[0].cube if n else None
+    if not n:
+        return RequestColumns(
+            arrivals, request_ids, np.zeros((0, 0, 0), np.uint64),
+            np.zeros(0, np.intp),
+        )
+    cube = requests[0].cube
     # By identity: arrays compared with ``==`` have no truth value.
-    if first is not None and first.ndim == 3 and all(
-        map(is_, map(_CUBE, requests), repeat(first))
-    ) and all(map(is_, map(_IDS, requests), repeat(None))):
-        cube = first
+    if all(map(is_, map(_CUBE, requests), repeat(cube))):
         rows = np.fromiter(map(_ROW, requests), np.intp, count=n)
+    else:
+        try:
+            cube = np.array(list(map(_IDS, requests)), dtype=np.uint64)
+        except ValueError:
+            cube = None
+        if cube is None or cube.ndim != 3:
+            raise WorkloadError(
+                "requests of one list need rows of one shape"
+            )
+        rows = np.arange(n, dtype=np.intp)
     return RequestColumns(arrivals, request_ids, cube, rows)
 
 

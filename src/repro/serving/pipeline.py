@@ -381,7 +381,7 @@ def serve_staged(
             if rt is not None:
                 trace_rec = rt.begin_batch(i, lo, hi, formed_at[i])
             stages = server.engine.run_batch_stages(
-                server._to_trace_batch(requests, columns, lo, hi), executor,
+                server._to_trace_batch(columns, lo, hi), executor,
                 coalescer=coalescer, trace=trace_rec,
             )
             first_stage = next(stages)  # announce only; no work yet

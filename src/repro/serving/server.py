@@ -218,46 +218,19 @@ class InferenceServer:
 
     # hot-path: vectorized
     def _to_trace_batch(
-        self, requests: Sequence[Request], columns: RequestColumns,
-        start: int, stop: int,
+        self, columns: RequestColumns, start: int, stop: int,
     ) -> TraceBatch:
         """Requests ``start:stop`` of a served list (read as ``columns``)
-        as one trace batch."""
-        num_tables = self.dataset.num_tables
-        cube = columns.cube
-        if cube is not None and cube.shape[1] == num_tables:
-            # Every request is a row of one shared id cube: the batch is
-            # one gather, laid out table-major in one copy.
-            stacked = cube[columns.rows[start:stop]]
-            features = stacked.transpose(1, 0, 2).astype(
-                np.uint64, order="C"
-            ).reshape(-1)
-            return TraceBatch.from_columns(
-                features, [stacked.shape[0] * stacked.shape[2]] * num_tables,
-                stop - start,
-            )
-        requests = requests[start:stop]
-        try:
-            stacked = np.asarray(
-                [r.feature_ids for r in requests],  # lint: allow-loop (no shared id cube only)
-                dtype=np.uint64,
-            )
-        except ValueError:
-            stacked = None
-        if stacked is not None and stacked.ndim == 3:
-            ids_per_table = [
-                stacked[:, table, :].reshape(-1)
-                for table in range(num_tables)
-            ]
-        else:  # ragged per-table id counts: exact per-table fallback
-            ids_per_table = [
-                np.concatenate(
-                    [r.feature_ids[table] for r in requests]  # lint: allow-loop (ragged ids only)
-                ).astype(np.uint64)
-                for table in range(num_tables)
-            ]
-        return TraceBatch(ids_per_table=ids_per_table,
-                          batch_size=len(requests))
+        as one trace batch: one gather from the list's id cube, laid out
+        table-major in one copy."""
+        stacked = columns.cube[columns.rows[start:stop]]
+        count, num_tables, ids_per_field = stacked.shape
+        features = stacked.transpose(1, 0, 2).astype(
+            np.uint64, order="C"
+        ).reshape(-1)
+        return TraceBatch.from_columns(
+            features, [count * ids_per_field] * num_tables, count,
+        )
 
     def _begin_run(self, requests: Sequence[Request]) -> MetricsSnapshot:
         """Audit barrier at run entry; returns the pre-run snapshot.

@@ -251,12 +251,11 @@ class TestRoutingPolicies:
             make_policy("round-robin", 4)
 
     def test_routing_keys_gather_equals_per_request_keys(self, requests):
-        """One gather out of the shared id cube gives the keys the
-        per-request rule gives — and any request off the cube sends the
-        whole stream down the per-request fallback, same keys again."""
+        """One gather out of the stream's id cube gives each request's
+        first id of table 0 — also for a list whose requests are rows of
+        several cubes, or carry ids of their own."""
         policy = make_policy("hash", 4)
-        expect = [policy._routing_key(r) for r in requests]
-        assert requests[0].source is not None
+        expect = [int(r.feature_ids[0][0]) for r in requests]
         gathered = policy._routing_keys(requests)
         assert gathered.dtype == np.uint64
         assert gathered.tolist() == expect

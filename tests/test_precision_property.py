@@ -9,7 +9,8 @@ Hypothesis pins three contracts:
   and fp32/fp16 round trips are idempotent.
 - **Eviction-score ordering**: every policy's ``victim_order`` agrees
   with a plain pure-python reference over (stamp, count) pairs — LRU is
-  exactly ``argsort(stamps)``, LFU sorts by (count, stamp), and all
+  exactly a stable ``argsort(stamps)`` (ties by slot), LFU sorts by
+  (count, stamp), and all
   policies degrade to LRU when no estimator counts are available.
 - **Count-min never under-estimates**: a frequency estimate is an upper
   bound on the true occurrence count against a dict model, and ``age``
@@ -184,6 +185,8 @@ def test_victim_order_matches_reference(pairs, policy):
         key = lambda i: (int(counts[i]), int(stamps[i]))
     else:
         key = lambda i: None  # checked via reference keys below
+    if policy == "lru":
+        assert order.tolist() == expected  # ties by slot
     if policy in ("lru", "lfu"):
         assert [key(i) for i in order] == [key(i) for i in expected]
     else:

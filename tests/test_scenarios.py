@@ -320,30 +320,40 @@ class TestValidateLoad:
         load = self._load()
         load.requests[1] = Request(1, 1e-4, ok)
         validate_load(load, _dataset())
-        bad = ok[:2] + (np.array([3, 2_000], np.uint64),)
+        bad = ok[:2] + (np.array([2_000], np.uint64),)
         with pytest.raises(WorkloadError, match="request 1, field 2: id 2000"):
             validate_load(self._cubeless(bad), _dataset())
         load.requests[1] = Request(1, 1e-4, bad)
         with pytest.raises(WorkloadError, match="outside corpus"):
             validate_load(load, _dataset())
 
-    def test_checks_the_own_ids_of_a_row_of_a_cube(self):
-        # A row of a cube that carries ids of its own is served those,
-        # so they are what is checked.
+    def test_checks_the_rows_requests_are_served(self):
+        # The ids a request is served are checked, whichever cube they
+        # are a row of; a row no request reads is not.
         load = self._load()
-        cube = load.requests[1].cube
-        bad = (np.array([2_000], np.uint64),) * 3
-        load.requests[1] = Request(1, 1e-4, bad, source=(cube, 1))
-        with pytest.raises(WorkloadError, match="request 1, field 0: id 2000"):
+        cube = load.requests[0].cube
+        cube[1, 0, 0] = 2_000
+        load.requests[1] = Request(1, 1e-4, None, source=(cube, 0))
+        validate_load(load, _dataset())
+        other = np.zeros((2, 3, 1), dtype=np.uint64)
+        other[1, 2, 0] = 2_000
+        load.requests[2] = Request(2, 2e-4, None, source=(other, 1))
+        with pytest.raises(WorkloadError, match="request 2, field 2: id 2000"):
             validate_load(load, _dataset())
 
     def test_rejects_cubeless_requests_missing_a_field(self):
+        two = (np.array([1], np.uint64),) * 2
+        load = ScenarioLoad(
+            requests=[Request(0, 0.0, two), Request(1, 1e-4, two)],
+            phases=[Phase("p", 0.0, 1e-3, 1_000.0)],
+        )
         with pytest.raises(WorkloadError, match="one id array per field"):
-            validate_load(
-                self._cubeless((np.array([1], np.uint64),) * 2), _dataset()
-            )
-        with pytest.raises(WorkloadError, match="one id array per field"):
-            validate_load(self._cubeless(None), _dataset())
+            validate_load(load, _dataset())
+        # Rows of two shapes make no one cube, and no ids no request.
+        with pytest.raises(WorkloadError, match="rows of one shape"):
+            validate_load(self._cubeless(two), _dataset())
+        with pytest.raises(WorkloadError, match="id array a table"):
+            self._cubeless(None)
 
     def test_rejects_short_tenant_attribution(self):
         load = self._load()

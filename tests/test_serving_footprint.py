@@ -2,11 +2,13 @@
 
 * A deep copy of a dense server shares the model's cross and MLP towers,
   whose arrays are read-only, and computes the same probabilities.
-* A request over a shared id cube stores the cube and its row in it
-  (slots, no ``__dict__``), whatever built it; ``feature_ids`` is the
-  ``(tables, ids)`` row view computed on read, and a tracemalloc budget
-  pins what a request costs.  It is frozen, and pickling, deep copies
-  and ``dataclasses.replace`` keep its ids.
+* A request is a row of an id cube: it stores the cube and its row in
+  it (four slots, no ``__dict__``), whatever built it; ``feature_ids``
+  is the ``(tables, ids)`` row view computed on read, and a tracemalloc
+  budget pins what a request costs.  Ids of its own become a one-row
+  cube, ids beside a source must be that row, and a list mixing cubes
+  is served as the one cube of its rows.  It is frozen, and pickling,
+  deep copies and ``dataclasses.replace`` keep its ids.
 * Requests compare and hash by identity.
 * A table's bank numbers its rows at int32.
 """
@@ -21,7 +23,7 @@ import pytest
 
 from repro import FlecheConfig
 from repro.core.workflow import FlecheEmbeddingLayer
-from repro.errors import ConfigError
+from repro.errors import ConfigError, WorkloadError
 from repro.model.dcn import DeepCrossNetwork
 from repro.scenarios import build_scenario
 from repro.serving.arrivals import PoissonArrivals, Request, request_columns
@@ -38,12 +40,12 @@ from repro.workloads.synthetic import uniform_tables_spec
 
 #: Requests the memory budget is measured over.
 BUDGET_REQUESTS = 10_000
-#: Bytes one request over a shared 8-table cube may hold: about 112
-#: measured (the slotted Request, its int id and its list slot), with
+#: Bytes one request over a shared 8-table cube may hold: about 104
+#: measured (the four-slot Request, its int id and its list slot), with
 #: ~1.4x headroom.  A request that also stores a row view, a ``(cube,
 #: row)`` pair and a ``__dict__`` costs about 330 B; a tuple of
 #: per-table views about 1.2 KB.
-REQUEST_BYTES = 160
+REQUEST_BYTES = 144
 
 
 def _dataset(tables=4, ids_per_field=1):
@@ -177,62 +179,109 @@ class TestRowView:
             assert np.array_equal(after.feature_ids, before.feature_ids)
             assert np.array_equal(after.source[0], cube)
 
-    def test_a_tuple_not_of_the_cube_is_kept(self):
-        cube = np.zeros((2, 2, 1), dtype=np.int64)
-        own = (np.array([7]), np.array([8]))
-        request = Request(0, 0.0, own, source=(cube, 0))
-        assert request.feature_ids is own
-        assert request.source[0] is cube and request.source[1] == 0
-        other = np.ones((2, 2, 1), dtype=np.int64)
-        foreign = tuple(other[1])
-        second = Request(1, 0.0, foreign, source=(cube, 1))
-        assert second.feature_ids is foreign
-        assert second.source[0] is cube and second.source[1] == 1
-        # Ids of their own take both off the shared cube.
-        columns = request_columns([request, second])
-        assert columns.cube is None and columns.rows is None
-        assert Request(2, 0.0, ()).feature_ids == ()
-        assert Request(2, 0.0, ()).source is None
+    def test_a_tuple_not_of_the_cube_is_refused(self):
+        """Ids beside a source must be that row: a tuple of another
+        cube, or of arrays of no cube, is refused rather than served."""
+        cube = np.arange(3 * 2 * 2, dtype=np.uint64).reshape(3, 2, 2).copy()
+        other = np.ones((3, 2, 2), dtype=np.uint64)
+        for ids in (tuple(other[0]), (np.array([7, 8]), np.array([9, 10]))):
+            with pytest.raises(WorkloadError, match="must be its row"):
+                Request(0, 0.0, ids, source=(cube, 0))
 
-    def test_another_row_of_the_cube_is_kept(self):
-        """Ids that are another row of the source cube are the request's
-        own: it is served them, not its source row."""
+    def test_another_row_of_the_cube_is_refused(self):
+        """Another row of the source cube beside a source is refused;
+        the row itself, in either form, is accepted."""
         cube = np.arange(3 * 2 * 2, dtype=np.uint64).reshape(3, 2, 2).copy()
         for ids in (cube[2], tuple(cube[2])):
-            request = Request(0, 0.0, ids, source=(cube, 0))
-            assert request._ids is ids
-            served = [column.tolist() for column in request.feature_ids]
-            assert served == [[8, 9], [10, 11]]
-            assert request_columns([request]).cube is None
-        # The row itself, as one array or one array a table, is not kept.
+            with pytest.raises(WorkloadError, match="must be its row"):
+                Request(0, 0.0, ids, source=(cube, 0))
+        # The row itself, as one array or one array a table, is accepted.
         for ids in (cube[0], tuple(cube[0]), None):
-            assert Request(0, 0.0, ids, source=(cube, 0))._ids is None
+            request = Request(0, 0.0, ids, source=(cube, 0))
+            assert request.cube is cube and request.row == 0
 
-    def test_a_request_is_served_its_own_ids_in_any_list(self, hw):
-        """A request holding a cube row and ids of its own is served its
-        own ids beside a row of the cube and beside a cube-less request
-        alike."""
-        dataset = _dataset(tables=2)
-        server = PipelinedInferenceServer(
-            dataset,
-            FlecheEmbeddingLayer(
-                EmbeddingStore(dataset.table_specs(), hw),
-                FlecheConfig(cache_ratio=0.05), hw,
-            ),
-            hw,
-        )
-        cube = np.zeros((2, 2, 1), dtype=np.int64)
-        own = (np.array([7]), np.array([8]))
-        probe = Request(0, 0.0, own, source=(cube, 0))
-        row = Request(1, 0.0, None, source=(cube, 1))
-        cubeless = Request(1, 0.0, (np.array([3]), np.array([4])))
-        for neighbour, ids in ((row, [0, 0]), (cubeless, [3, 4])):
-            requests = [probe, neighbour]
-            batch = server._to_trace_batch(
-                requests, request_columns(requests), 0, 2
+    @pytest.mark.parametrize("view", [
+        lambda cube: cube[:, :, ::2],
+        lambda cube: cube.transpose(0, 2, 1),
+    ])
+    def test_a_row_of_a_strided_cube_is_its_row(self, view):
+        """A row of a cube that is not contiguous is still its row:
+        ``dataclasses.replace`` passes it back, in either form."""
+        cube = view(np.arange(3 * 2 * 4, dtype=np.uint64).reshape(3, 2, 4))
+        assert not cube.flags.c_contiguous
+        request = Request(1, 0.0, None, source=(cube, 1))
+        moved = dataclasses.replace(request, arrival_time=0.5)
+        assert moved.cube is cube and moved.row == 1
+        for ids in (cube[1], tuple(cube[1])):
+            assert Request(1, 0.0, ids, source=(cube, 1)).row == 1
+        with pytest.raises(WorkloadError, match="must be its row"):
+            Request(1, 0.0, cube[2], source=(cube, 1))
+
+    def test_own_ids_become_a_one_row_cube(self):
+        ids = (np.array([7, 8], np.int64), np.array([9, 10], np.int64))
+        request = Request(3, 0.5, ids)
+        assert request.cube.shape == (1, 2, 2)
+        assert request.cube.dtype == np.uint64 and request.row == 0
+        assert request.feature_ids.tolist() == [[7, 8], [9, 10]]
+        assert request.source[0] is request.cube
+        empty = Request(4, 0.0, ())
+        assert empty.cube.shape == (1, 0, 0) and len(empty.feature_ids) == 0
+
+    @pytest.mark.parametrize("ids", [
+        (np.array([1, 2]), np.array([3])),  # ragged per-table ids
+        (np.array([1]), 2),                 # not an array a table
+        np.array([1, 2]),                   # no table axis
+        None,
+    ])
+    def test_ragged_or_malformed_ids_are_refused(self, ids):
+        with pytest.raises(WorkloadError, match="id array a table"):
+            Request(0, 0.0, ids)
+
+    def test_a_mixed_list_is_served_as_one_cube(self, hw):
+        """Rows of two cubes beside a cube-less request are served
+        bit-identically to the same ids as rows of one cube: latencies,
+        probabilities and counters."""
+        dataset = _dataset(tables=3, ids_per_field=2)
+        whole = PoissonArrivals(dataset, 200_000.0, seed=6).generate(240)
+        cube = whole[0].cube
+        split = 120
+        # The second half moves to a cube of its own (int64, unlike the
+        # uint64 cube of the first), and one request carries its ids.
+        second = cube[split:].astype(np.int64)
+        mixed = [
+            Request(r.request_id, r.arrival_time, None, source=(cube, r.row))
+            for r in whole[:split]
+        ] + [
+            Request(r.request_id, r.arrival_time, None,
+                    source=(second, r.row - split))
+            for r in whole[split:]
+        ]
+        mixed[7] = Request(7, whole[7].arrival_time,
+                           tuple(np.array(cube[7])))
+        columns = request_columns(mixed)
+        assert columns.cube.dtype == np.uint64
+        assert columns.cube.tobytes() == cube.astype(np.uint64).tobytes()
+
+        def serve(requests):
+            server = PipelinedInferenceServer(
+                dataset,
+                FlecheEmbeddingLayer(
+                    EmbeddingStore(dataset.table_specs(), hw),
+                    FlecheConfig(cache_ratio=0.05), hw,
+                ),
+                hw, depth=2,
+                policy=BatchingPolicy(max_batch_size=32, max_delay=2e-4),
+                model=DeepCrossNetwork(
+                    num_tables=3, embedding_dim=8, hidden_units=(16,)
+                ),
+                include_dense=True,
             )
-            served = [column.tolist() for column in batch.ids_per_table]
-            assert served == [[7, ids[0]], [8, ids[1]]]
+            return server.serve(requests)
+
+        want, got = serve(whole), serve(mixed)
+        assert got.latencies.tobytes() == want.latencies.tobytes()
+        assert got.probabilities.tobytes() == want.probabilities.tobytes()
+        assert got.metrics.to_dict() == want.metrics.to_dict()
 
     def test_memory_budget(self):
         """The ledger's form (a tuple of row views plus ``source``)."""
@@ -254,47 +303,42 @@ class TestRowView:
         assert held <= REQUEST_BYTES * n, f"{held / n:.0f} B a request"
 
 
-def _three_forms():
-    """A row of a cube, a request of its own ids, and one holding both
-    a cube row and ids of its own."""
+def _two_forms():
+    """A row of a shared cube, a request of its own ids (a one-row cube),
+    and another row of the shared cube (no ids given beside it)."""
     cube = np.arange(3 * 2 * 2, dtype=np.uint64).reshape(3, 2, 2).copy()
     own = (np.array([5, 6], np.uint64), np.array([7, 8], np.uint64))
     return [
         Request(0, 0.25, tuple(cube[0]), source=(cube, 0)),
         Request(1, 0.5, own),
-        Request(2, 0.75, own, source=(cube, 2)),
+        Request(2, 0.75, None, source=(cube, 2)),
     ]
 
 
 def _assert_same_request(got, want):
     assert got is not want
-    assert (got.request_id, got.arrival_time) == (
-        want.request_id, want.arrival_time
+    assert (got.request_id, got.arrival_time, got.row) == (
+        want.request_id, want.arrival_time, want.row
     )
-    assert (got.cube is None) == (want.cube is None)
-    if want.cube is not None:
-        assert got.row == want.row
-        assert got.cube.tobytes() == want.cube.tobytes()
-    assert len(got.feature_ids) == len(want.feature_ids)
-    for mine, theirs in zip(got.feature_ids, want.feature_ids):
-        assert np.array_equal(mine, theirs)
+    assert got.cube.tobytes() == want.cube.tobytes()
+    assert np.array_equal(got.feature_ids, want.feature_ids)
 
 
 class TestSlottedRequest:
     def test_no_dict_and_a_row_stores_no_view(self):
-        row, own, both = _three_forms()
-        for request in (row, own, both):
+        assert Request.__slots__ == ("request_id", "arrival_time", "cube",
+                                     "row")
+        row, own, other = _two_forms()
+        for request in (row, own, other):
             assert not hasattr(request, "__dict__")
-        assert row._ids is None
-        assert own.cube is None and own.row is None
-        assert both._ids is own._ids and both.cube is row.cube
+        assert own.cube.shape == (1, 2, 2) and own.row == 0
 
     @pytest.mark.parametrize(
         "name", ["request_id", "arrival_time", "cube", "row",
                  "feature_ids", "source"],
     )
     def test_frozen(self, name):
-        request = _three_forms()[0]
+        request = _two_forms()[0]
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(request, name, None)
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -302,35 +346,33 @@ class TestSlottedRequest:
         assert request.arrival_time == 0.25
 
     def test_pickle_round_trip(self):
-        requests = _three_forms()
+        requests = _two_forms()
         restored = pickle.loads(pickle.dumps(requests))
         for got, want in zip(restored, requests):
             _assert_same_request(got, want)
-        # One cube for the stream, and its row still stores no view.
+        # A stream's rows come back sharing one cube.
         assert restored[0].cube is restored[2].cube
-        assert restored[0]._ids is None
 
     def test_deepcopy_round_trip(self):
-        requests = _three_forms()
+        requests = _two_forms()
         copied = copy.deepcopy(requests)
         for got, want in zip(copied, requests):
             _assert_same_request(got, want)
+            assert got.cube is not want.cube
         assert copied[0].cube is copied[2].cube
-        assert copied[0].cube is not requests[0].cube
-        assert copied[0]._ids is None
         shallow = copy.copy(requests[0])
         assert shallow is not requests[0]
-        assert shallow.cube is requests[0].cube and shallow._ids is None
+        assert shallow.cube is requests[0].cube
 
     def test_replace_round_trip(self):
-        for want in _three_forms():
+        for want in _two_forms():
             got = dataclasses.replace(want)
             _assert_same_request(got, want)
             assert got.cube is want.cube
-            assert got._ids is want._ids
-        row = _three_forms()[0]
+        row = _two_forms()[0]
         detached = dataclasses.replace(row, source=None)
-        assert detached.cube is None
+        assert detached.cube is not row.cube
+        assert detached.cube.shape == (1,) + row.feature_ids.shape
         assert np.array_equal(detached.feature_ids, row.feature_ids)
 
 

@@ -261,7 +261,8 @@ def test_slot_retag_and_erase_equal_keyed_insert_and_erase(
 
 
 # The flat cache's maintenance passes as they were when they copied the
-# scanned columns and re-probed every victim through insert / erase.
+# scanned columns and re-probed every victim through insert / erase
+# (victims the oldest stamps, ties by slot).
 
 
 def _keyed_demote_cold(cache, count):
@@ -269,7 +270,7 @@ def _keyed_demote_cold(cache, count):
     cold = ~is_dram_pointer(values) & (stamps <= cache._clock - 2)
     if count <= 0 or not cold.any():
         return
-    victims = np.argsort(stamps[cold])[:count]
+    victims = np.argsort(stamps[cold], kind="stable")[:count]
     cache.index.insert(
         keys[cold][victims], tag_dram_pointer(keys[cold][victims]),
         stamp=cache._clock,
@@ -283,7 +284,7 @@ def _keyed_set_unified_capacity(cache, capacity):
     if capacity < cache.unified_entries:
         keys, values, stamps = cache.index.scan()
         dram = is_dram_pointer(values)
-        order = np.argsort(stamps[dram])
+        order = np.argsort(stamps[dram], kind="stable")
         cache.index.erase(keys[dram][order[:cache.unified_entries - capacity]])
         cache.unified_entries = capacity
     elif capacity > cache.unified_entries:
@@ -301,7 +302,9 @@ def _keyed_evict(cache, dim, need):
         return
     target_live = int(cache.pool.capacity_of(dim) * cache.config.evict_low_watermark)
     to_evict = min(max(need, len(class_keys) - target_live), len(class_keys))
-    victims = np.argsort(stamps[cache_mask][in_class])[:to_evict]
+    victims = np.argsort(
+        stamps[cache_mask][in_class], kind="stable"
+    )[:to_evict]
     victim_keys = class_keys[victims]
     demote = min(
         max(0, cache.unified_capacity - cache.unified_entries),

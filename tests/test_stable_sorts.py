@@ -9,12 +9,10 @@ alias ``"mergesort"``) orders ties by position on every machine.
 ``np.sort`` needs no such rule: equal values are indistinguishable.
 
 An AST scan finds each ``argsort`` call -- ``np.argsort(a, ...)`` or
-``a.argsort(...)`` -- and requires a stable ``kind``.  The sorts that run
-without one today sit in :data:`ALLOWED`, by file and enclosing
-function: a stable tie break changes which equal-stamp entry goes first,
-which moves the goldens and the pinned payloads, so switching them is a
-re-pinning change of its own.  An allowance whose sort became stable, or
-went, fails too, so the list cannot go stale.
+``a.argsort(...)`` -- and requires a stable ``kind``.  A sort that must
+run without one would sit in :data:`ALLOWED`, by file and enclosing
+function, with its reason; none does.  An allowance whose sort became
+stable, or went, fails too, so the list cannot go stale.
 
 Run alone: ``PYTHONPATH=src python -m pytest tests/test_stable_sorts.py``
 prints ``file:line: function`` for each unstable ``argsort``.
@@ -28,19 +26,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "repro"
 
-_REPIN = (
-    "a stable tie break moves the goldens and the pinned payloads; it "
-    "lands in its own re-pinning change"
-)
-
-#: ``file::function -> why its argsort has no stable kind yet``.
-ALLOWED = {
-    "core/precision.py::LruEviction.victim_order": _REPIN,
-    "core/flat_cache.py::FlatCache.set_unified_capacity": _REPIN,
-    "core/flat_cache.py::FlatCache._demote_cold": _REPIN,
-    "core/snapshot.py::restore": _REPIN,
-    "baselines/optimal_cache.py::frequency_optimal_hit_rate": _REPIN,
-}
+#: ``file::function -> why its argsort has no stable kind``: none since
+#: every victim and ranking sort breaks ties by slot.
+ALLOWED = {}
 
 STABLE = {"stable", "mergesort"}
 

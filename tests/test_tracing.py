@@ -7,7 +7,8 @@ import pytest
 from repro.gpusim.executor import Executor
 from repro.gpusim.kernel import KernelSpec
 from repro.gpusim.stats import Category
-from repro.gpusim.tracing import Span, TraceRecorder
+from repro.gpusim.tracing import Span
+from repro.obs.spans import SpanTracer
 from repro.errors import SimulationError
 
 
@@ -18,7 +19,7 @@ def _kernel(name="k", threads=1024, nbytes=1 << 20):
 @pytest.fixture()
 def traced(hw):
     executor = Executor(hw)
-    recorder = TraceRecorder.attach(executor)
+    recorder = SpanTracer.attach(executor)
     return executor, recorder
 
 
@@ -62,7 +63,7 @@ class TestSpanCapture:
     def test_timing_unchanged_by_tracing(self, hw):
         plain = Executor(hw)
         traced = Executor(hw)
-        TraceRecorder.attach(traced)
+        SpanTracer.attach(traced)
         for executor in (plain, traced):
             executor.launch(_kernel())
             executor.host_work(5e-5, Category.OTHER)
@@ -184,7 +185,7 @@ class TestChromeExport:
 
         layer = FlecheEmbeddingLayer(small_store, FlecheConfig(cache_ratio=0.2), hw)
         executor = Executor(hw)
-        recorder = TraceRecorder.attach(executor)
+        recorder = SpanTracer.attach(executor)
         ids = [rng.integers(0, s.corpus_size, 32).astype(np.uint64)
                for s in small_store.specs]
         layer.query(TraceBatch(ids_per_table=ids, batch_size=32), executor)
