@@ -1,21 +1,15 @@
-"""Observability cost study: collector overhead and detection latency.
+"""Observability cost study: collector and request-tracing overhead on
+the host wall clock.
 
-Two questions gate turning the windowed collector on by default:
-
-1. **What does it cost?**  The collector folds a registry counter delta
-   per completed batch — real Python work on the *host* wall clock, even
-   though the windows themselves live on the simulated clock.  The sweep
-   serves the same pipelined request stream with no collector and with
-   collectors at several window sizes, and reports the wall-clock
-   overhead; at the default window it must stay under
+1. **What does the collector cost?**  The collector folds a registry
+   counter delta per completed batch — real Python work on the *host*
+   wall clock, even though the windows themselves live on the simulated
+   clock.  The sweep serves the same pipelined request stream with no
+   collector and with collectors at several window sizes, and reports
+   the wall-clock overhead; at the default window it must stay under
    :data:`OVERHEAD_LIMIT` (5%) of serving throughput.
 
-2. **What does window size buy?**  Finer windows detect an injected
-   shard outage sooner (the burn-rate rules see the bad ratio earlier)
-   but cost more closes; the detection sweep prints time-to-detect /
-   time-to-recover per window size for the same outage.
-
-3. **What does request tracing cost?**  The per-request tracer records
+2. **What does request tracing cost?**  The per-request tracer records
    one ``BatchTraceRecord`` per batch and materializes full traces only
    for the sampled set, so its cost should track the head-sampling
    interval, not the request count.  The tracing sweep pairs traced and
@@ -24,6 +18,8 @@ Two questions gate turning the windowed collector on by default:
    under :data:`TRACE_OVERHEAD_LIMIT` (5%).
 
 Runs standalone: ``python benchmarks/bench_obs_overhead.py --smoke``.
+What window size buys in detection latency is on the simulated clock,
+so it is a row of the claims table (``benchmarks/claims.py``).
 """
 
 import gc
@@ -31,17 +27,8 @@ import statistics
 import time
 
 from repro import FlecheConfig
-from repro.bench.reporting import emit, format_table, format_time
+from repro.bench.reporting import emit, format_table
 from repro.core.workflow import FlecheEmbeddingLayer
-from repro.faults import (
-    DegradeConfig,
-    FaultInjector,
-    FaultSchedule,
-    RetryPolicy,
-    ShardOutage,
-)
-from repro.multitier.hierarchy import TieredParameterStore
-from repro.multitier.remote_ps import RemoteParameterServer
 from repro.obs import (
     RequestTracer,
     TraceConfig,
@@ -54,7 +41,6 @@ from repro.serving.pipeline import PipelinedInferenceServer
 from repro.tables.store import EmbeddingStore
 from repro.workloads.synthetic import uniform_tables_spec
 
-US = 1e-6
 SLA_BUDGET = 2e-3
 #: Window widths swept (simulated seconds); the serving default is 1 ms.
 WINDOW_SIZES = (2.5e-4, 1e-3, 4e-3)
@@ -74,13 +60,6 @@ TRACE_OVERHEAD_LIMIT = 0.05
 
 #: Offered load for the overhead sweep (saturating, like the depth sweep).
 RATE = 2_400_000.0
-
-#: Outage geometry for the detection sweep.
-FAULT_RATE = 40_000.0
-FAULT_HORIZON = 0.08
-FAULT_SLA = 2.5e-3
-OUTAGE_FRACTION = 0.2
-NUM_SHARDS = 4
 
 
 # ---------------------------------------------------------------------------
@@ -302,92 +281,6 @@ def check_tracing_overhead_sweep(rows):
 
 
 # ---------------------------------------------------------------------------
-# Detection latency vs window size
-# ---------------------------------------------------------------------------
-
-
-def _serve_faulty(hw, dataset, window):
-    """One outage run with the SLO engine attached; returns the engine."""
-    outage_start = 0.4 * FAULT_HORIZON
-    duration = OUTAGE_FRACTION * FAULT_HORIZON
-    remote = RemoteParameterServer(
-        dataset.table_specs(),
-        injector=FaultInjector(FaultSchedule([
-            ShardOutage(shard=s, start=outage_start, duration=duration)
-            for s in range(NUM_SHARDS)
-        ]), seed=17),
-        retry_policy=RetryPolicy.naive(timeout=1e-3),
-        breaker=None,
-    )
-    store = TieredParameterStore(
-        dataset.table_specs(), hw, dram_capacity=1_200, remote=remote,
-        degrade=DegradeConfig(policy="stale"),
-    )
-    layer = FlecheEmbeddingLayer(store, FlecheConfig(cache_ratio=0.05), hw)
-    engine = default_serving_slos(FAULT_SLA)
-    collector = WindowedCollector(
-        window=window, sla_budget=FAULT_SLA, engine=engine,
-    )
-    server = PipelinedInferenceServer(
-        dataset, layer, hw, depth=2,
-        policy=BatchingPolicy(max_batch_size=64, max_delay=5e-4),
-        collector=collector,
-    )
-    requests = PoissonArrivals(
-        dataset, FAULT_RATE, seed=5
-    ).generate_until(FAULT_HORIZON)
-    server.serve(requests)
-    return engine, collector
-
-
-def run_detection_vs_window(hw, windows=WINDOW_SIZES):
-    """Time-to-detect / time-to-recover of one outage per window size."""
-    dataset = uniform_tables_spec(
-        num_tables=4, corpus_size=20_000, alpha=-1.2, dim=16,
-    )
-    outage_start = 0.4 * FAULT_HORIZON
-    outage_end = outage_start + OUTAGE_FRACTION * FAULT_HORIZON
-    rows = []
-    for window in windows:
-        engine, collector = _serve_faulty(hw, dataset, window)
-        rows.append({
-            "window_s": window,
-            "windows_closed": collector.closed_windows,
-            "ttd_s": engine.time_to_detect(outage_start),
-            "ttr_s": engine.time_to_recover(outage_end),
-            "alerts": len(engine.alerts),
-        })
-    return rows
-
-
-def emit_detection_vs_window(rows):
-    table_rows = []
-    for r in rows:
-        table_rows.append([
-            format_time(r["window_s"]), r["windows_closed"],
-            "-" if r["ttd_s"] is None else format_time(r["ttd_s"]),
-            "-" if r["ttr_s"] is None else format_time(r["ttr_s"]),
-            r["alerts"],
-        ])
-    emit("obs_detection_window", format_table(
-        ["window", "closed", "time-to-detect", "time-to-recover", "alerts"],
-        table_rows,
-        title=(
-            "Burn-rate detection latency vs collector window "
-            f"({OUTAGE_FRACTION:.0%} outage of a "
-            f"{FAULT_HORIZON * 1e3:.0f} ms run)"
-        ),
-    ))
-
-
-def check_detection_vs_window(rows):
-    duration = OUTAGE_FRACTION * FAULT_HORIZON
-    for r in rows:
-        assert r["ttd_s"] is not None, r
-        assert r["ttd_s"] < duration, r
-
-
-# ---------------------------------------------------------------------------
 # Standalone smoke mode (CI)
 # ---------------------------------------------------------------------------
 
@@ -411,17 +304,13 @@ def main(argv=None):
         trace_rows = run_tracing_overhead_sweep(
             hw, depths=(2,), intervals=(1, DEFAULT_TRACE_INTERVAL),
         )
-        rows = run_detection_vs_window(hw, windows=(1e-3,))
     else:
         results = run_overhead_sweep(hw)
         trace_rows = run_tracing_overhead_sweep(hw)
-        rows = run_detection_vs_window(hw)
     emit_overhead_sweep(results)
     check_overhead_sweep(results)
     emit_tracing_overhead_sweep(trace_rows)
     check_tracing_overhead_sweep(trace_rows)
-    emit_detection_vs_window(rows)
-    check_detection_vs_window(rows)
     print(f"\nobservability overhead sweep OK ({mode} mode)")
 
 

@@ -90,7 +90,6 @@ HOT_PATH_FILES = {
     "src/repro/core/admission.py": 2,      # sketch observe / estimate
     "src/repro/obs/reqtrace.py": 1,        # sample_masks
     "src/repro/scenarios/base.py": 1,      # draw_feature_cube
-    "src/repro/autotune/controller.py": 1,  # on_batch_complete
 }
 
 MARKER = "# hot-path: vectorized"

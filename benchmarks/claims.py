@@ -1,26 +1,30 @@
 """The paper's claims, measured: ``PYTHONPATH=src python
 benchmarks/claims.py`` runs every experiment of the evaluation (Tables
 1-2, Figures 3-4, Exp #1-#12, and the ablations and studies built on
-them), writes one row per claim to ``benchmarks/results/claims.json``
-and rewrites EXPERIMENTS.md's tables between its ``<!-- claims: SOURCE
--->`` and ``<!-- /claims -->`` lines.  A row's verdict is
-``reproduced`` when its values lie in the paper's band widened by 10 %
-at each end (or the paper's shape holds), ``shape-only`` when only the
-shape holds, ``not reproduced`` otherwise.  When one of a row's
+them) and every extension study (serving, refresh, cluster, precision
+tiers, scenarios, faults), writes one row per claim to
+``benchmarks/results/claims.json`` and rewrites EXPERIMENTS.md's tables
+between its ``<!-- claims: SOURCE -->`` and ``<!-- /claims -->`` lines.
+A row's verdict is ``reproduced`` when its values lie in the paper's
+band widened by 10 % at each end (or the paper's shape holds; for an
+extension row, when the subsystem beats its baseline), ``shape-only``
+when only the shape holds, ``not reproduced`` otherwise.  When one of a row's
 ``must_hold`` checks fails, the run still writes both files, then names
 the row and the check and exits 1.
 """
 
 from __future__ import annotations
 
+import copy
 import dataclasses
+import hashlib
 import json
 import math
 import re
 import sys
 import time
 from pathlib import Path
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -41,17 +45,50 @@ from repro.baselines.persistent_kernel import (
 from repro.baselines.reduction_cache import (
     ReductionCache, co_occurrence_workload,
 )
-from repro.bench.harness import make_context, run_scheme, scheme_factory
-from repro.bench.reporting import format_time
+from repro.bench import reporting
+from repro.bench.harness import (
+    alert_timing, canonical_json, emit_rootcause, fault_window, make_context,
+    payload_digest, run_scheme, scheme_factory, shard_outage_events,
+)
+from repro.bench.reporting import (
+    emit_observability, emit_timeseries, format_time,
+)
+from repro.cluster import (
+    POLICY_NAMES, ClusterConfig, ClusterRouter, hot_head_victim,
+    run_scenario_drill,
+)
 from repro.core.cache_base import HitRateAccumulator
+from repro.core.precision import (
+    PrecisionConfig, dequantize_rows, quantize_rows,
+)
+from repro.faults import (
+    BreakerConfig, DegradeConfig, FaultInjector, FaultSchedule,
+    ReplicaCrash, ReplicaSlowdown, RetryPolicy, UpdateLogOutage,
+)
 from repro.gpusim.kernel import kernel_execution_time
 from repro.gpusim.transfer import CopyEngine, CopyMethod
 from repro.model.attention import SelfAttentionInteraction
 from repro.model.deepfm import DeepFM
 from repro.model.mlp import MLP
-from repro.model.trainer import CollisionAucStudy, SyntheticCtrTask
+from repro.model.trainer import (
+    CollisionAucStudy, EmbeddingDeltaTrainer, SyntheticCtrTask,
+)
 from repro.multigpu.model_parallel import MultiGpuFlatCache
 from repro.multitier.hierarchy import TieredParameterStore
+from repro.multitier.remote_ps import RemoteParameterServer
+from repro.obs import (
+    RequestTracer, SpanTracer, TraceConfig, WindowedCollector,
+    default_refresh_slos, default_serving_slos,
+)
+from repro.refresh import (
+    RefreshScheduler, UpdateLog, UpdatePublisher, UpdateSubscriber,
+    fingerprint,
+)
+from repro.scenarios import SCENARIOS, build_scenario, validate_load
+from repro.serving.arrivals import PoissonArrivals
+from repro.serving.batcher import BatchingPolicy
+from repro.serving.pipeline import PipelinedInferenceServer
+from repro.serving.server import InferenceServer
 from repro.tables.embedding_table import reference_vectors
 from repro.tables.table_spec import make_table_specs
 from repro.workloads.datasets import PAPER_CACHE_RATIOS
@@ -71,7 +108,8 @@ CACHES = (0.10, 0.05)
 @dataclasses.dataclass
 class Claim:
     """One row of the claims table; ``checks`` maps each must-hold
-    check's text to whether it held on this run."""
+    check's text to whether it held on this run, and ``pinned`` (an
+    extension row's) holds the exact values behind ``measured``."""
 
     id: str
     source: str
@@ -80,11 +118,15 @@ class Claim:
     measured: str
     verdict: str
     checks: Dict[str, bool] = dataclasses.field(default_factory=dict)
+    pinned: Optional[dict] = None
 
     def row(self) -> dict:
         """The row as ``claims.json`` stores it."""
         row = dataclasses.asdict(self)
         row["must_hold"] = list(row.pop("checks"))
+        pinned = row.pop("pinned")
+        if pinned is not None:
+            row["pinned"] = pinned
         return row
 
 
@@ -1178,6 +1220,1112 @@ EXPERIMENTS = (
 )
 
 
+# ---- Extensions: what each subsystem built on Fleche buys ----------------
+#
+# One section per study.  A row's ``paper`` column names the baseline the
+# subsystem beats, and its ``pinned`` field holds the exact values behind
+# its ``measured`` text: tests/test_pinned_payloads.py recomputes every
+# section and compares each row leaf for leaf.  The serving and cluster
+# sections also write the observability artifacts CI uploads.
+
+US = 1e-6
+#: Latency budget of the serving, refresh and cluster studies.
+SLA = 2e-3
+#: Saturating offered load of the depth sweep and the traced run.
+SATURATING_RATE = 2_400_000.0
+
+
+def ext(id_, claim, baseline, measured, beats, checks, pinned,
+        exact=None) -> Claim:
+    """An ``Extension`` row: ``beats`` is whether the subsystem beat its
+    baseline on this run (``shape-only`` when ``exact`` says some of the
+    study did not)."""
+    exact = beats if exact is None else beats and exact
+    return Claim(id_, "Extension", claim, f"baseline: {baseline}", measured,
+                 judged(exact, beats), checks, pinned)
+
+
+def ms(seconds) -> str:
+    return "-" if seconds is None else format_time(seconds)
+
+
+def _batching(size=512):
+    return BatchingPolicy(max_batch_size=size, max_delay=5e-4)
+
+
+def _dcn(dataset):
+    return DeepCrossNetwork(num_tables=dataset.num_tables,
+                            embedding_dim=dataset.dim)
+
+
+def _fleche(store, hw):
+    return FlecheEmbeddingLayer(store, FlecheConfig(cache_ratio=0.05), hw)
+
+
+def _delta_trainer(dataset, keys_per_round=64, seed=11):
+    specs = dataset.table_specs()
+    return EmbeddingDeltaTrainer(
+        [spec.corpus_size for spec in specs], [spec.dim for spec in specs],
+        keys_per_round=keys_per_round, seed=seed)
+
+
+def _published(log, trainer, rounds, horizon, quantum=512, obs=None):
+    """``log`` with ``rounds`` trainer rounds spread evenly over
+    ``horizon``."""
+    publisher = UpdatePublisher(log, max_batch_keys=quantum)
+    if obs is not None:
+        publisher.bind_observability(obs)
+    for i in range(rounds):
+        publisher.drain(trainer, now=horizon * (i + 1) / (rounds + 1))
+    return log
+
+
+# ---- Pipelined serving, the SLA study, the traced run --------------------
+
+DEPTH_REPLICAS = (
+    ("replica_a", dict(num_tables=12, corpus_size=50_000, alpha=-1.3, dim=32)),
+    ("replica_b", dict(num_tables=8, corpus_size=80_000, alpha=-1.1, dim=64)),
+)
+
+
+def _depth_cell(report, depth) -> dict:
+    return {
+        "depth": depth,
+        "span_s": report.span,
+        "throughput_rps": report.throughput,
+        "throughput_at_sla_rps":
+            int((report.latencies <= SLA).sum()) / report.span,
+        "sla_attainment": report.sla_attainment(SLA),
+        "p50_s": report.median_latency,
+        "p99_s": report.p99_latency,
+        "hits": report.hits,
+        "misses": report.misses,
+        "unified_hits": report.unified_hits,
+        "coalesced_keys": report.coalesced_keys,
+    }
+
+
+def _depth_sweep(hw, sweep, depths, num_requests):
+    """The sequential server against pipelined depths on two replicas
+    under saturating load; returns ``(payload, checks)``."""
+    replicas, checks = {}, {}
+    for name, spec in DEPTH_REPLICAS:
+        dataset = uniform_tables_spec(**spec)
+        model = _dcn(dataset)
+        warm = PoissonArrivals(dataset, 200_000.0, seed=1).generate(800)
+        reqs = PoissonArrivals(dataset, SATURATING_RATE, seed=2).generate(
+            num_requests)
+        # Serve the warm stream once and deep-copy the warmed engine into
+        # every server: each would replay the same warm stream through
+        # the same deterministic engine.  Store, model and the kernel-spec
+        # memo are pure, so the copies share them.
+        store = EmbeddingStore(dataset.table_specs(), hw)
+        proto = InferenceServer(dataset, _fleche(store, hw), hw,
+                                policy=_batching(), model=model,
+                                include_dense=True)
+        proto.serve(warm)
+        memo = proto.engine.scheme._spec_memo
+
+        def serve(cls, **kwargs):
+            server = cls(dataset, _fleche(store, hw), hw, policy=_batching(),
+                         model=model, include_dense=True, **kwargs)
+            server.engine = copy.deepcopy(proto.engine, {
+                id(store): store, id(model): model, id(hw): hw,
+                id(memo): memo})
+            server.scheme = server.engine.scheme
+            return server.serve(reqs)
+
+        seq = serve(InferenceServer)
+        cells = {"sequential": _depth_cell(seq, 0)}
+        for depth in depths:
+            report = serve(PipelinedInferenceServer, depth=depth)
+            cells[f"depth{depth}"] = _depth_cell(report, depth)
+            if depth == 1:
+                same = f"{sweep} {name}: depth 1 equals the sequential server's"
+                checks[f"{same} latencies"] = bool(np.array_equal(
+                    seq.latencies, report.latencies))
+                checks[f"{same} probabilities"] = bool(np.array_equal(
+                    seq.probabilities, report.probabilities))
+                checks[f"{same} hits, misses and unified hits"] = (
+                    (seq.hits, seq.misses, seq.unified_hits)
+                    == (report.hits, report.misses, report.unified_hits))
+        overlapped = [cells[f"depth{d}"] for d in depths if d >= 2]
+        checks[f"{sweep} {name}: the sweep has a depth >= 2"] = bool(
+            overlapped)
+        best = max(overlapped, key=lambda c: c["throughput_at_sla_rps"])
+        base = cells["sequential"]
+        checks[f"{sweep} {name}: the best depth >= 2 has > 1.05 × the "
+               "sequential throughput at SLA or < 0.95 × its P99"] = (
+            best["throughput_at_sla_rps"] > 1.05 * base["throughput_at_sla_rps"]
+            or best["p99_s"] < 0.95 * base["p99_s"])
+        replicas[name] = cells
+    checks[f"{sweep}: the in-flight miss table coalesces keys"] = sum(
+        c["coalesced_keys"] for cells in replicas.values()
+        for c in cells.values()) > 0
+    return {"sla_budget_s": SLA, "offered_rate_rps": SATURATING_RATE,
+            "depths": list(depths), "replicas": replicas}, checks
+
+
+def _sla_study(hw):
+    """HugeCTR's per-table cache against Fleche behind one warmed server
+    each: ``{rate: {scheme: cell}}``."""
+    dataset = uniform_tables_spec(num_tables=12, corpus_size=50_000,
+                                  alpha=-1.3, dim=32)
+    store = EmbeddingStore(dataset.table_specs(), hw)
+    model = _dcn(dataset)
+    table: Dict[str, dict] = {}
+    for name, layer in (("hugectr", _hugectr(store, 0.05, hw)),
+                        ("fleche", _fleche(store, hw))):
+        server = InferenceServer(dataset, layer, hw, policy=_batching(),
+                                 model=model, include_dense=True)
+        server.serve(PoissonArrivals(dataset, 200_000.0, seed=1).generate(800))
+        for rate in (200_000, 800_000, 2_400_000):
+            report = server.serve(PoissonArrivals(
+                dataset, float(rate), seed=2).generate(6_000))
+            table.setdefault(str(rate), {})[name] = {
+                "sla_attainment": report.sla_attainment(SLA),
+                "p99_s": report.p99_latency,
+                "mean_batch_size": report.mean_batch_size,
+            }
+    return table
+
+
+def _traced_run(hw):
+    """One depth-2 run with every observer attached; writes the metrics,
+    span, series, alert and request-trace artifacts."""
+    num_requests = 800
+    dataset = uniform_tables_spec(num_tables=8, corpus_size=20_000,
+                                  alpha=-1.2, dim=32)
+    store = EmbeddingStore(dataset.table_specs(), hw)
+    tracer = SpanTracer()
+    collector = WindowedCollector(window=1e-3, sla_budget=SLA,
+                                  engine=default_serving_slos(SLA))
+    server = PipelinedInferenceServer(
+        dataset, _fleche(store, hw), hw, depth=2, policy=_batching(),
+        model=_dcn(dataset), include_dense=True, tracer=tracer,
+        collector=collector)
+    server.serve(PoissonArrivals(dataset, 200_000.0, seed=1).generate(400))
+    tracer.clear()
+    # Attached after the warm run (one tracer traces one run), with tail
+    # capture at the SLA budget so every violator is kept.
+    reqtracer = RequestTracer(TraceConfig(sla_budget=SLA))
+    server.reqtracer = reqtracer
+    report = server.serve(PoissonArrivals(
+        dataset, SATURATING_RATE, seed=2).generate(num_requests))
+    paths = [*emit_observability(report.metrics, tracer),
+             *emit_timeseries(collector),
+             *emit_rootcause("reqtrace", reqtracer.to_payload())]
+    spans = len(tracer.span_list())
+    checks = {
+        "the registry audit finds no violation": not server.obs.audit(),
+        "the report carries a metrics snapshot": report.metrics is not None,
+        "the traced run recorded spans": spans > 0,
+        "the collector closed windows": collector.closed_windows > 0,
+        "every request was traced":
+            report.traced_requests == num_requests,
+        "the tracer sampled requests": report.sampled_traces > 0,
+    }
+    interval = reqtracer.config.head_interval
+    return ext(
+        "ext_serving_traced",
+        "A traced, windowed depth-2 run passes its registry audit and "
+        "keeps every SLA violator besides its head sample",
+        f"head sampling alone (1 in {interval} requests)",
+        f"{report.sampled_traces} of {num_requests} requests sampled, "
+        f"{spans} spans, {collector.closed_windows} windows, audit clean",
+        report.sampled_traces >= num_requests / interval, checks,
+        {"requests": num_requests, "sampled": report.sampled_traces,
+         "spans": spans, "windows": collector.closed_windows,
+         "artifacts": {
+             Path(p).name: hashlib.sha256(Path(p).read_bytes()).hexdigest()
+             for p in paths}})
+
+
+def _full_depth_sweep(hw):
+    """The depth sweep over depths 1, 2 and 4: the serving section's
+    costliest part, which tier-1 also recomputes on its own."""
+    return _depth_sweep(hw, "full", (1, 2, 4), 4_000)
+
+
+def serving(hw) -> List[Claim]:
+    full, full_checks = _full_depth_sweep(hw)
+    short, short_checks = _depth_sweep(hw, "short", (1, 2), 1_500)
+    table = _sla_study(hw)
+    top = table[str(2_400_000)]
+    gains = {
+        name: cells["depth2"]["throughput_at_sla_rps"]
+        / cells["sequential"]["throughput_at_sla_rps"]
+        for name, cells in full["replicas"].items()
+    }
+    sla_checks = {
+        f"Fleche's SLA is within 2 pts of HugeCTR's or above at {rate}/s":
+            cells["fleche"]["sla_attainment"]
+            >= cells["hugectr"]["sla_attainment"] - 0.02
+        for rate, cells in table.items()
+    }
+    sla_checks["Fleche's SLA beats HugeCTR's at 2400000/s"] = (
+        top["fleche"]["sla_attainment"] > top["hugectr"]["sla_attainment"])
+    return [
+        ext("ext_serving_depth",
+            "Pipelining batches (depth ≥ 2) raises throughput at a 2 ms "
+            "SLA under saturating load; depth 1 is the sequential server "
+            "bit for bit (2.4 M req/s, 2 replicas)",
+            "the sequential InferenceServer",
+            "depth 2: " + " / ".join(
+                f"{x(g)} tput@SLA on {name}" for name, g in gains.items()),
+            all(full_checks.values()) and all(short_checks.values()),
+            {**full_checks, **short_checks},
+            {"full": full, "short": short}),
+        ext("ext_serving_sla",
+            "Fleche sustains more SLA attainment than HugeCTR at the "
+            "highest offered load and no less at lower loads (5 % cache)",
+            "HugeCTR's per-table cache behind the same server",
+            "SLA@2ms at 0.2 / 0.8 / 2.4 M req/s: Fleche " + " / ".join(
+                pct(c["fleche"]["sla_attainment"]) for c in table.values())
+            + ", HugeCTR " + " / ".join(
+                pct(c["hugectr"]["sla_attainment"]) for c in table.values()),
+            all(sla_checks.values()), sla_checks, table),
+        _traced_run(hw),
+    ]
+
+
+# ---- Model refresh in idle slots ----------------------------------------
+
+def _refresh_cell(report, refresher=None, published=0) -> dict:
+    applied = (int(report.metrics.total("refresh.applied_keys"))
+               if report.metrics is not None else 0)
+    return {
+        "sla_attainment": report.sla_attainment(SLA),
+        "p99_s": report.p99_latency,
+        "throughput_rps": report.throughput,
+        "applied_keys": applied,
+        "published_keys": published,
+        "apply_rate_keys_s": applied / report.span if report.span else 0.0,
+        "refresh_busy_s": refresher.busy_time if refresher else 0.0,
+    }
+
+
+def refresh(hw) -> List[Claim]:
+    """Update quantum × offered load, each against the same load with no
+    refresh; the reference cell is 400 K req/s at quantum 512."""
+    rates, quanta, reference = (400_000, 800_000), (128, 512), (400_000, 512)
+    dataset = uniform_tables_spec(num_tables=8, corpus_size=20_000,
+                                  alpha=-1.2, dim=32)
+    warm = PoissonArrivals(dataset, 200_000.0, seed=1).generate(800)
+
+    def server():
+        store = EmbeddingStore(dataset.table_specs(), hw)
+        layer = _fleche(store, hw)
+        served = PipelinedInferenceServer(
+            dataset, layer, hw, depth=2, policy=_batching(),
+            model=_dcn(dataset), include_dense=True)
+        served.serve(warm)
+        return served, layer
+
+    baselines, cells = {}, {}
+    for rate in rates:
+        reqs = PoissonArrivals(dataset, float(rate), seed=2).generate(1_200)
+        baselines[str(rate)] = _refresh_cell(server()[0].serve(reqs))
+        for quantum in quanta:
+            # The trainer seed is fixed: every cell consumes the same
+            # stream, and differs only in how much fits the idle slots.
+            served, layer = server()
+            log = _published(
+                UpdateLog(retention=4096),
+                _delta_trainer(dataset, keys_per_round=192, seed=7), 8,
+                reqs[-1].arrival_time, quantum, served.obs)
+            subscriber = UpdateSubscriber(log, layer.cache,
+                                          host_store=layer.store)
+            subscriber.bind_observability(served.obs)
+            served.refresher = RefreshScheduler(subscriber, hw,
+                                                quantum_keys=quantum)
+            cells[f"{rate}x{quantum}"] = _refresh_cell(
+                served.serve(reqs), served.refresher, log.total_keys)
+    cell = cells["{}x{}".format(*reference)]
+    base = baselines[str(reference[0])]
+    checks = {
+        "the reference cell's SLA is within 2 pts of no refresh":
+            cell["sla_attainment"] >= base["sla_attainment"] - 0.02,
+        "the reference cell applies keys": cell["applied_keys"] > 0,
+        "the reference cell's apply rate is positive":
+            cell["apply_rate_keys_s"] > 0,
+        "no cell's SLA is more than 2 pts below no refresh": all(
+            c["sla_attainment"]
+            >= baselines[key.split("x")[0]]["sla_attainment"] - 0.02
+            for key, c in cells.items()),
+    }
+    return [ext(
+        "ext_refresh_idle_slots",
+        "Model updates applied in idle device slots keep the serving SLA "
+        "while the stream lands (400 K req/s, quantum 512)",
+        "the same load served with no refresh",
+        f"SLA@2ms {pct(cell['sla_attainment'])} vs "
+        f"{pct(base['sla_attainment'])}, {cell['applied_keys']:,} of "
+        f"{cell['published_keys']:,} keys applied "
+        f"({cell['apply_rate_keys_s'] / 1e3:.0f} K keys/s)",
+        all(checks.values()), checks,
+        {"sla_budget_s": SLA, "reference_rate_rps": reference[0],
+         "reference_quantum": reference[1], "rates": list(rates),
+         "quanta": list(quanta), "baselines": baselines, "cells": cells})]
+
+
+# ---- The cluster: kill drill, hedging, policy sweep ----------------------
+
+#: Each replica's breaker in the drill: it opens after a handful of lost
+#: dispatches, so the undetected-dead window stops paying the timeout.
+DRILL_BREAKER = BreakerConfig(failure_threshold=0.5, window=8, min_samples=4,
+                              cooldown=5_000 * US)
+
+
+def _small_tables():
+    return uniform_tables_spec(num_tables=4, corpus_size=20_000, alpha=-1.2,
+                               dim=16)
+
+
+def _router(dataset, hw, horizon, schedule=None, trace=None, **config):
+    return ClusterRouter(
+        dataset, hw, ClusterConfig(hot_keys=256, **config),
+        schedule=schedule,
+        update_log=_published(UpdateLog(retention=1_000_000),
+                              _delta_trainer(dataset), 40, horizon),
+        warm_seed=5, trace=trace)
+
+
+def _policy_sweep(hw, rate=60_000.0, horizon=0.03):
+    """Fault-free cells: each routing policy at 2 and 4 replicas."""
+    dataset = _small_tables()
+    requests = PoissonArrivals(dataset, rate, seed=5).generate_until(horizon)
+    cells = {}
+    for count in (2, 4):
+        for policy in POLICY_NAMES:
+            report = _router(dataset, hw, horizon, num_replicas=count,
+                             policy=policy).serve(requests)
+            cells[f"{policy}x{count}"] = {
+                "replicas": count,
+                "policy": policy,
+                "requests": len(requests),
+                "served": report.served,
+                "shed": report.shed,
+                "failovers": report.disposition_counts()["failover"],
+                "sla_attainment": report.sla_attainment(SLA),
+                "p50_s": report.percentile(50),
+                "p99_s": report.percentile(99),
+            }
+    return cells
+
+
+def _kill_drill(hw, rate=100_000.0, horizon=0.04, replicas=4):
+    """Kill the hot-head owner from 30 % to 80 % of the run, routed and
+    unrouted over the same ``(schedule, seed)``; returns the drill
+    payload (the full sampled-trace set enters it as a digest) and the
+    routed run's trace payload."""
+    dataset = _small_tables()
+    victim = hot_head_victim(dataset, 5, replicas)
+    start, duration, end = fault_window(horizon, 0.3, 0.5)
+    schedule = FaultSchedule([ReplicaCrash(replica=victim, start=start,
+                                           duration=duration)])
+    requests = PoissonArrivals(dataset, rate, seed=5).generate_until(horizon)
+    # The routed run traces every request: tail capture must keep (and
+    # root-cause) all of its SLA violators.
+    routed = _router(dataset, hw, horizon, schedule,
+                     TraceConfig(sla_budget=SLA), num_replicas=replicas,
+                     policy="hash", failover=True,
+                     breaker=DRILL_BREAKER).serve(requests)
+    unrouted = _router(dataset, hw, horizon, schedule, num_replicas=replicas,
+                       policy="hash", failover=False).serve(requests)
+    episode = routed.episodes[0]
+    counters = routed.metrics.to_dict().get("counters", {})
+    payload = {
+        "sla_budget_s": SLA,
+        "rate_rps": rate,
+        "horizon_s": horizon,
+        "num_replicas": replicas,
+        "policy": "hash",
+        "crash": {"replica": victim, "start_s": start, "duration_s": duration,
+                  "detect_s": episode.detect_at,
+                  "rejoin_s": episode.rejoin_at},
+        "routed_sla": routed.sla_attainment(SLA),
+        "unrouted_sla": unrouted.sla_attainment(SLA),
+        "routed_outage_sla": routed.sla_attainment(
+            SLA, start=start, end=episode.rejoin_at),
+        "post_rejoin_sla": routed.sla_attainment(SLA,
+                                                 start=episode.rejoin_at),
+        "unrouted_shed": unrouted.shed,
+        "routed_shed": routed.shed,
+        **{key: int(counters.get(f"cluster.{key}", 0)) for key in (
+            "failovers_dispatched", "lost_inflight", "breaker_rejections",
+            "replayed_batches")},
+        "alert_timing": alert_timing(routed.alerts, start, end),
+        "convergence": {
+            key: routed.per_replica[victim][key]
+            for key in ("applied_version", "version_lag")},
+        "routed": routed.to_payload(SLA),
+        "unrouted": unrouted.to_payload(SLA),
+        "rootcause": routed.rootcause,
+    }
+    reqtrace = routed.trace_payload(SLA)
+    payload["reqtrace_digest"] = payload_digest(reqtrace)
+    return payload, reqtrace
+
+
+def _hedge_study(hw, rate=60_000.0, horizon=0.03, slow_factor=6.0,
+                 hedge_delay=500 * US):
+    """The hot-head owner runs ``slow_factor`` × slower from 25 % to
+    75 % of the run, with and without cross-replica hedging."""
+    dataset = _small_tables()
+    start, duration, _ = fault_window(horizon, 0.25, 0.5)
+    schedule = FaultSchedule([ReplicaSlowdown(
+        replica=hot_head_victim(dataset, 5, 4), start=start,
+        duration=duration, factor=slow_factor)])
+    requests = PoissonArrivals(dataset, rate, seed=5).generate_until(horizon)
+    hedged, unhedged = (
+        _router(dataset, hw, horizon, schedule, num_replicas=4,
+                hedge_delay=delay).serve(requests)
+        for delay in (hedge_delay, None))
+    counters = hedged.metrics.to_dict().get("counters", {})
+    return {
+        "slow_factor": slow_factor,
+        "hedge_delay_s": hedge_delay,
+        "hedged_p99_s": hedged.percentile(99),
+        "unhedged_p99_s": unhedged.percentile(99),
+        "hedged_sla": hedged.sla_attainment(SLA),
+        "unhedged_sla": unhedged.sla_attainment(SLA),
+        "hedges_fired": int(counters.get("cluster.hedges_fired", 0)),
+        "hedge_wins": int(counters.get("cluster.hedge_wins", 0)),
+    }
+
+
+def cluster(hw) -> List[Claim]:
+    sweep = _policy_sweep(hw)
+    drill, reqtrace = _kill_drill(hw)
+    replay, _ = _kill_drill(hw)
+    determinism = {
+        "identical": canonical_json(drill) == canonical_json(replay),
+        "digest": payload_digest(drill),
+        "replay_digest": payload_digest(replay),
+    }
+    # CI uploads the raw sampled traces and their root-cause analysis.
+    emit_rootcause("cluster_reqtrace", reqtrace)
+    hedging = _hedge_study(hw)
+
+    timing, rootcause = drill["alert_timing"], drill["rootcause"]
+    conservation = rootcause["conservation"]
+    kill_checks = {
+        "fault-free: no cell sheds": all(
+            c["shed"] == 0 for c in sweep.values()),
+        "fault-free: no cell fails over": all(
+            c["failovers"] == 0 for c in sweep.values()),
+        "fault-free: every cell serves every request": all(
+            c["served"] == c["requests"] for c in sweep.values()),
+        "routed SLA ≥ 90 %": drill["routed_sla"] >= 0.90,
+        "unrouted SLA ≤ routed SLA − 5 pts":
+            drill["unrouted_sla"] <= drill["routed_sla"] - 0.05,
+        "the routed run sheds nothing": drill["routed_shed"] == 0,
+        "the unrouted run sheds": drill["unrouted_shed"] > 0,
+        "an alert detects the crash": timing["ttd_s"] is not None,
+        "no alert fires before the crash": timing["early_alerts"] == 0,
+        "the alerts recover": timing["ttr_s"] is not None,
+        "no alert is left firing": not timing["unresolved"],
+        "the victim rejoins at the version frontier":
+            drill["convergence"]["version_lag"] == 0,
+        "failovers are dispatched": drill["failovers_dispatched"] > 0,
+        "post-rejoin SLA ≥ 90 %": drill["post_rejoin_sla"] >= 0.90,
+        "every SLA violator carries a root cause":
+            rootcause["coverage"] == 1.0,
+        "sampled traces are checked for conservation":
+            conservation["checked"] > 0,
+        "every checked trace's segments sum to its latency":
+            conservation["ok"] == conservation["checked"],
+        "a replay from (schedule, seed) is byte-identical":
+            determinism["identical"],
+    }
+    hedge_checks = {
+        "hedges fire": hedging["hedges_fired"] > 0,
+        "hedges win": hedging["hedge_wins"] > 0,
+        "no more wins than hedges":
+            hedging["hedge_wins"] <= hedging["hedges_fired"],
+        "hedged P99 ≤ unhedged P99":
+            hedging["hedged_p99_s"] <= hedging["unhedged_p99_s"],
+    }
+    return [
+        ext("ext_cluster_kill",
+            "Health-checked routing with failover holds the SLA while the "
+            "hot-head owner of 4 replicas is down for half the run "
+            "(100 K req/s)",
+            "the same crash with no router failover (unrouted)",
+            f"SLA@2ms {pct(drill['routed_sla'])} vs "
+            f"{pct(drill['unrouted_sla'])}; {drill['unrouted_shed']} "
+            f"requests shed unrouted, 0 routed; detect "
+            f"{ms(timing['ttd_s'])}, recover {ms(timing['ttr_s'])}",
+            drill["routed_sla"] > drill["unrouted_sla"], kill_checks,
+            {"sla_budget_s": SLA, "sweep": sweep, "drill": drill,
+             "determinism": determinism}),
+        ext("ext_cluster_hedging",
+            "Cross-replica hedging holds a straggler replica's tail "
+            f"({hedging['slow_factor']:.0f}× slowdown, 60 K req/s)",
+            "the same slowdown with no hedging",
+            f"P99 {ms(hedging['hedged_p99_s'])} vs "
+            f"{ms(hedging['unhedged_p99_s'])}; {hedging['hedge_wins']} of "
+            f"{hedging['hedges_fired']} hedges won",
+            hedging["hedged_p99_s"] < hedging["unhedged_p99_s"],
+            hedge_checks, {"hedging": hedging}),
+    ]
+
+
+# ---- Precision tiers -----------------------------------------------------
+
+#: Byte budget (cache ratio) the mixed splits run at; the fp32 curve
+#: starts there and widens upward.
+BASE_RATIO = 0.02
+SPLITS = {
+    "default": {"fp32": 0.25, "fp16": 0.25, "int8": 0.5, "policy": "lru"},
+    "tail-heavy": {"fp32": 0.1, "fp16": 0.1, "int8": 0.8, "policy": "lfu"},
+}
+#: The effective-capacity multiplier the best split must reach.
+MIN_EFFECTIVE_X = 2.0
+#: Most the held-out AUC may move when the tail is int8-quantized.
+AUC_EPSILON = 0.01
+
+
+def _precision_run(hw, ratio, split=None):
+    """The fleche scheme over the Avazu replica at ``ratio``; ``split``
+    gives its precision tiers (fp32 only without one)."""
+    tiers = {} if split is None else {"precision": PrecisionConfig(
+        fp32_share=split["fp32"], fp16_share=split["fp16"],
+        int8_share=split["int8"], eviction_policy=split["policy"])}
+    context = make_context("avazu", batch_size=256, num_batches=12,
+                           cache_ratio=ratio, scale=0.02, hw=hw, warmup=4)
+    return run_scheme(context, "fleche", **tiers)
+
+
+def _auc_proxy() -> dict:
+    """Held-out AUC of a hashed logistic model before and after
+    int8-quantizing the weights of its least frequent 90 % of keys."""
+    task = SyntheticCtrTask(corpus_sizes=[64, 256, 1024], num_train=4_000,
+                            num_test=1_500, alpha=-0.8, seed=3)
+    study = CollisionAucStudy(task, epochs=4)
+    codec = SizeAwareCodec(list(task.corpus_sizes), key_bits=32)
+    baseline = study.auc_with_codec(codec)
+    keys = np.zeros(task.train_features.shape, dtype=np.uint64)
+    for t in range(task.train_features.shape[1]):
+        keys[:, t] = codec.encode(t, task.train_features[:, t])
+    flat, counts = np.unique(keys, return_counts=True)
+    hot = set(flat[counts >= np.quantile(counts, 0.9)].tolist())
+
+    def tail_int8(weight_keys, weights):
+        mask = np.array([int(k) not in hot for k in weight_keys], dtype=bool)
+        out = weights.astype(np.float64).copy()
+        tail = weights[mask].astype(np.float32)
+        if len(tail):
+            payload, scales = quantize_rows(tail[None, :], "int8")
+            out[mask] = dequantize_rows(payload, scales, "int8")[0].astype(
+                np.float64)
+        return out
+
+    quantized = study.auc_with_codec(codec, weight_transform=tail_int8)
+    return {"baseline": baseline, "int8_tail": quantized,
+            "delta": abs(baseline - quantized), "epsilon": AUC_EPSILON}
+
+
+def precision(hw) -> List[Claim]:
+    curve = {r: _precision_run(hw, r).hit_rate
+             for r in (0.02, 0.03, 0.04, 0.05)}
+    ratios = np.asarray(sorted(curve), dtype=np.float64)
+    hits = np.asarray([curve[r] for r in ratios], dtype=np.float64)
+    order = np.argsort(hits, kind="stable")
+    splits = {}
+    for name, split in sorted(SPLITS.items()):
+        result = _precision_run(hw, BASE_RATIO, split)
+        # The fp32 budget that reaches the same hit rate, interpolated on
+        # the curve and clamped to its largest budget.
+        effective = float(np.interp(result.hit_rate, hits[order],
+                                    ratios[order]))
+        splits[name] = {
+            "hit_rate": result.hit_rate,
+            "fp32_hit_rate_here": curve[BASE_RATIO],
+            "effective_ratio": effective,
+            "effective_capacity_x": effective / BASE_RATIO,
+            "promotions": int(result.promotions),
+            "demotions": int(result.demotions),
+        }
+    policies = {
+        policy: _precision_run(
+            hw, BASE_RATIO, dict(SPLITS["tail-heavy"], policy=policy)).hit_rate
+        for policy in ("lru", "lfu", "hybrid")
+    }
+    auc = _auc_proxy()
+    best = max(cell["effective_capacity_x"] for cell in splits.values())
+    capacity_checks = {
+        f"the {MIN_EFFECTIVE_X}× effective capacity is reached":
+            best >= MIN_EFFECTIVE_X,
+        **{f"split {name} hits no less than fp32 at the same bytes":
+           cell["hit_rate"] >= cell["fp32_hit_rate_here"]
+           for name, cell in splits.items()},
+    }
+    return [
+        ext("ext_precision_capacity",
+            "fp16/int8 tiers hold more embeddings in the same bytes "
+            f"(Avazu, {BASE_RATIO * 100:g} % budget, default and tail-heavy "
+            "splits)",
+            "the fp32 cache's hit-rate curve over budgets",
+            " / ".join(x(splits[name]["effective_capacity_x"])
+                       for name in sorted(splits)) + " effective capacity",
+            best > 1.0, capacity_checks,
+            {"base_ratio": BASE_RATIO, "min_effective_x": MIN_EFFECTIVE_X,
+             "fp32_curve": {f"{r:g}": hit for r, hit in sorted(curve.items())},
+             "splits": splits, "policies": policies}),
+        ext("ext_precision_auc",
+            "int8-quantizing the rarest 90 % of keys barely moves the "
+            "held-out AUC (hashed logistic model)",
+            "the same model with fp32 weights",
+            f"AUC {auc['baseline']:.4f} → {auc['int8_tail']:.4f}",
+            auc["delta"] <= auc["epsilon"],
+            {f"the AUC moves ≤ {AUC_EPSILON}": auc["delta"] <= auc["epsilon"]},
+            {"auc": auc}),
+    ]
+
+
+# ---- Adversarial scenarios -----------------------------------------------
+
+#: Scenario overrides: rates sized so each stress phase pushes the
+#: pipeline near saturation at the tight 0.6 ms budget.
+SCENARIO_PARAMS = {
+    "flash_crowd": {"base_rate": 150_000.0, "intensity": 3.0},
+    "diurnal": {"mean_rate": 220_000.0, "amplitude": 0.9},
+    "multi_tenant": {},
+    "cold_start_flood": {"base_rate": 150_000.0, "flood_size": 1024,
+                         "flood_share": 0.85},
+}
+SCENARIO_SLA = 6e-4
+
+
+def _serve_scenario(name, dataset, hw, admission) -> dict:
+    """One pipelined run of scenario ``name`` over a quantizing cache."""
+    load = build_scenario(name, dataset, seed=7,
+                          **SCENARIO_PARAMS[name]).build()
+    validate_load(load, dataset)
+    store = EmbeddingStore(dataset.table_specs(), hw)
+    layer = FlecheEmbeddingLayer(store, FlecheConfig(
+        cache_ratio=0.02, precision=PrecisionConfig(
+            fp32_share=0.25, fp16_share=0.25, int8_share=0.5)), hw)
+    if admission < 1.0:
+        layer.cache.set_admission_probability(admission)
+    collector = WindowedCollector(window=1e-3, sla_budget=SCENARIO_SLA)
+    if load.tenant_of is not None:
+        collector.set_tenancy(load.tenant_of, load.tenant_slos)
+    server = PipelinedInferenceServer(dataset, layer, hw, depth=2,
+                                      policy=_batching(), collector=collector)
+    if load.update_log is not None:
+        subscriber = UpdateSubscriber(load.update_log, layer.cache,
+                                      host_store=layer.store)
+        subscriber.bind_observability(server.obs)
+        server.refresher = RefreshScheduler(subscriber, hw)
+    report = server.serve(load.requests)
+    server.obs.check()  # the conservation laws
+    looked_up = report.hits + report.misses
+    return {
+        "served": int(report.served),
+        "hit_rate": report.hits / looked_up if looked_up else 0.0,
+        "sla": report.sla_attainment(SCENARIO_SLA),
+        "p99_ms": report.p99_latency * 1e3,
+        "windows": collector.closed_windows,
+    }
+
+
+def scenarios(hw) -> List[Claim]:
+    """Each catalogue scenario at admission 1.0 and 0.5, plus a flash
+    crowd through three replicas with its hot-head owner crashed."""
+    dataset = uniform_tables_spec(num_tables=6, corpus_size=12_000,
+                                  alpha=-1.2, dim=16)
+    grid = {
+        name: {"static": {f"{admission:g}": _serve_scenario(
+            name, dataset, hw, admission) for admission in (1.0, 0.5)}}
+        for name in sorted(SCENARIOS)
+    }
+    result = run_scenario_drill(dataset, hw, scenario="flash_crowd", seed=7,
+                                sla_budget=SLA, base_rate=60_000.0)
+    drill = {
+        "victim": result.victim,
+        "served": int(result.report.served),
+        "shed": int(result.report.shed),
+        "sla": result.sla_attainment,
+        "stress_sla": result.stress_sla_attainment,
+    }
+    checks = {
+        f"{name}: admission 1.0 is no worse on hit rate and SLA": all(
+            cells["static"]["1"][m] >= cells["static"]["0.5"][m]
+            for m in ("hit_rate", "sla"))
+        for name, cells in grid.items()
+    }
+    checks["the cluster drill serves requests"] = drill["served"] > 0
+    return [ext(
+        "ext_scenarios_admission",
+        "Admitting every miss beats a 0.5 admission filter on each "
+        "adversarial scenario; a flash crowd survives its hot-head "
+        "owner's crash (3 replicas)",
+        "the same scenarios at admission 0.5",
+        "hit rate " + ", ".join(
+            f"{name} {pct(cells['static']['1']['hit_rate'])} vs "
+            f"{pct(cells['static']['0.5']['hit_rate'])}"
+            for name, cells in grid.items())
+        + f"; drill stress-phase SLA@2ms {pct(drill['stress_sla'])}",
+        all(checks.values()), checks,
+        {"sla_budget": SCENARIO_SLA, "scenarios": grid, "drill": drill})]
+
+
+# ---- Shard outages, burn-rate alerts, refresh resilience ------------------
+
+FAULT_SLA = 2.5e-3
+FAULT_HORIZON = 0.08
+RETRY = dict(max_attempts=3, attempt_timeout=400 * US, backoff_base=50 * US,
+             backoff_cap=400 * US, jitter=0.2)
+#: The remote tier's client: ``naive`` waits out a 1 ms timeout and
+#: retries once; ``retry`` backs off with per-attempt timeouts;
+#: ``resilient`` adds hedged requests and a per-shard breaker.
+FETCH_POLICIES = {
+    "naive": dict(retry_policy=RetryPolicy.naive(timeout=1e-3), breaker=None),
+    "retry": dict(retry_policy=RetryPolicy(**RETRY), breaker=None),
+    "resilient": dict(
+        retry_policy=RetryPolicy(**RETRY, hedge_delay=150 * US),
+        breaker=BreakerConfig(failure_threshold=0.5, window=8, min_samples=4,
+                              cooldown=5_000 * US)),
+}
+
+
+def _outage_window(fraction):
+    """``(start, duration, end)`` of an all-shard outage covering
+    ``fraction`` of the run from 40 % of it."""
+    return fault_window(FAULT_HORIZON, 0.4, fraction)
+
+
+def _serve_under_outage(hw, dataset, fraction, policy, depth=None,
+                        collector=None):
+    """Fleche over the tiered store with every PS shard dark for
+    ``fraction`` of the run (stale degradation); ``depth`` serves with
+    the pipelined loop, ``collector`` windows the run."""
+    start, duration, _ = _outage_window(fraction)
+    remote = RemoteParameterServer(
+        dataset.table_specs(),
+        injector=FaultInjector(FaultSchedule(
+            shard_outage_events(4, start, duration)), seed=17),
+        **FETCH_POLICIES[policy])
+    store = TieredParameterStore(dataset.table_specs(), hw,
+                                 dram_capacity=1_200, remote=remote,
+                                 degrade=DegradeConfig(policy="stale"))
+    layer = _fleche(store, hw)
+    if depth is None:
+        server = InferenceServer(dataset, layer, hw, policy=_batching(64),
+                                 collector=collector)
+    else:
+        server = PipelinedInferenceServer(dataset, layer, hw,
+                                          policy=_batching(64), depth=depth,
+                                          collector=collector)
+    return server.serve(PoissonArrivals(dataset, 40_000.0, seed=5)
+                        .generate_until(FAULT_HORIZON))
+
+
+def _outage_cell(report, fraction) -> dict:
+    return {
+        "sla_attainment": report.sla_attainment(FAULT_SLA),
+        "faulty_sla_attainment": report.sla_attainment(
+            FAULT_SLA, window="faulty") if fraction > 0 else None,
+        "p99_s": report.p99_latency,
+        "degraded_requests": report.degraded_requests,
+        "retries": report.retries,
+        "hedges_fired": report.hedges_fired,
+        "breaker_open_s": report.breaker_open_time,
+    }
+
+
+def _outage_sweep(hw, dataset, fractions, policies, depth=None):
+    """One faulty stream per (outage, client) cell: ``(table, sla,
+    checks)`` with ``table[fraction][policy]`` the cell, ``sla`` its SLA
+    attainment, and the checks every sweep makes: with no outage every
+    client serves alike, under each outage resilient beats naive."""
+    table: Dict[str, dict] = {}
+    for policy in policies:
+        for fraction in fractions:
+            report = _serve_under_outage(hw, dataset, fraction, policy, depth)
+            table.setdefault(f"{fraction:g}", {})[policy] = _outage_cell(
+                report, fraction)
+    sla = {f: {p: c["sla_attainment"] for p, c in cells.items()}
+           for f, cells in table.items()}
+    checks = {
+        "fault-free, every policy serves alike":
+            len(set(sla["0"].values())) == 1,
+        **{f"{float(f):.0%} outage: resilient SLA > naive SLA":
+           sla[f]["resilient"] > sla[f]["naive"] for f in list(sla)[1:]},
+    }
+    return table, sla, checks
+
+
+def _resilient_row(hw, dataset) -> Claim:
+    table, sla, checks = _outage_sweep(hw, dataset, (0.0, 0.1, 0.2, 0.4),
+                                       tuple(FETCH_POLICIES))
+    checks["20% outage: the resilient breaker opens"] = (
+        table["0.2"]["resilient"]["breaker_open_s"] > 0.0)
+    faulty = list(sla)[1:]
+    return ext(
+        "ext_faults_resilient",
+        "Retry, hedging and a per-shard breaker with stale degradation "
+        "hold the SLA while every PS shard is dark (40 K req/s)",
+        "the naive client (a 1 ms timeout, one retry)",
+        "SLA@2.5ms at 10 / 20 / 40 % outage: " + ", ".join(
+            f"{policy} " + " / ".join(pct(sla[f][policy]) for f in faulty)
+            for policy in ("resilient", "naive", "retry")),
+        all(sla[f]["resilient"] > sla[f]["naive"] for f in faulty),
+        checks, {"sla_budget_s": FAULT_SLA, "outages": table})
+
+
+def _pipelined_row(hw, dataset) -> Claim:
+    table, sla, checks = _outage_sweep(hw, dataset, (0.0, 0.2),
+                                       ("naive", "resilient"), depth=2)
+    for policy in ("naive", "resilient"):
+        checks[f"20% outage: {policy} requests are degraded"] = (
+            table["0.2"][policy]["degraded_requests"] > 0)
+    return ext(
+        "ext_faults_pipelined",
+        "The resilient client's lead survives inter-batch overlap (depth "
+        "2, 20 % outage)",
+        "the naive client on the same pipeline",
+        f"SLA@2.5ms {pct(sla['0.2']['resilient'])} vs "
+        f"{pct(sla['0.2']['naive'])}",
+        sla["0.2"]["resilient"] > sla["0.2"]["naive"], checks,
+        {"sla_budget_s": FAULT_SLA, "depth": 2, "outages": table})
+
+
+def _detection_row(hw, dataset) -> Claim:
+    """Every outage × policy with the serving SLOs windowed at 1 ms."""
+    cells = {}
+    for fraction in (0.1, 0.2, 0.4):
+        start, duration, end = _outage_window(fraction)
+        for policy in FETCH_POLICIES:
+            engine = default_serving_slos(FAULT_SLA)
+            _serve_under_outage(hw, dataset, fraction, policy,
+                                collector=WindowedCollector(
+                                    window=1e-3, sla_budget=FAULT_SLA,
+                                    engine=engine))
+            cells[f"{fraction:.0%} {policy}"] = {
+                "outage_start_s": start, "outage_duration_s": duration,
+                **alert_timing(engine.alerts, start, end)}
+
+    def missed(cell):
+        if cell["ttd_s"] is None:
+            return "no alert"
+        if cell["ttd_s"] >= cell["outage_duration_s"]:
+            return (f"detected at {ms(cell['ttd_s'])} on a "
+                    f"{ms(cell['outage_duration_s'])} outage")
+        if cell["unresolved"] or cell["ttr_s"] is None:
+            return "alerts never resolve"
+        return None
+
+    misses = {key: missed(cell) for key, cell in cells.items()
+              if missed(cell)}
+    checks = {}
+    for key in ("20% naive", "20% resilient"):
+        cell = cells[key]
+        checks.update({
+            f"{key}: an alert detects the outage": cell["ttd_s"] is not None,
+            f"{key}: detected within the outage": cell["ttd_s"] is not None
+            and cell["ttd_s"] < cell["outage_duration_s"],
+            f"{key}: no alert is left firing": not cell["unresolved"],
+            f"{key}: the alerts recover": cell["ttr_s"] is not None,
+        })
+    return ext(
+        "ext_faults_detection",
+        "Burn-rate alerts detect a PS-shard outage before it ends and "
+        "resolve after it (1 ms windows; 3 outages × 3 clients)",
+        "the outage's own length",
+        "detect / recover at 20 %: " + ", ".join(
+            f"{key.split()[1]} {ms(cells[key]['ttd_s'])} / "
+            f"{ms(cells[key]['ttr_s'])}" for key in ("20% naive",
+                                                     "20% resilient"))
+        + "; missed: " + "; ".join(f"{key} ({why})"
+                                   for key, why in misses.items()),
+        all(checks.values()), checks,
+        {"sla_budget_s": FAULT_SLA, "cells": cells}, exact=not misses)
+
+
+def _refresh_replica(hw, dataset, collector=None, warm=None):
+    """A depth-2 replica over a plain store, and its layer."""
+    layer = _fleche(EmbeddingStore(dataset.table_specs(), hw), hw)
+    server = PipelinedInferenceServer(dataset, layer, hw,
+                                      policy=_batching(64), depth=2,
+                                      collector=collector)
+    if warm is not None:
+        server.serve(warm)
+    return server, layer
+
+
+#: Version lag past which a closed window counts as stale.
+STALENESS_BUDGET = 2.0
+
+
+def _staleness_row(hw, dataset) -> Claim:
+    """Serve a live update stream while the log is dark from 35 % to
+    65 % of the run: the staleness burn-rate rule must fire during the
+    outage and resolve once the idle-slot refresher catches up."""
+    start, duration = 0.35 * FAULT_HORIZON, 0.3 * FAULT_HORIZON
+    schedule = FaultSchedule([UpdateLogOutage(start=start,
+                                              duration=duration)])
+    engine = default_refresh_slos(FAULT_SLA)
+    collector = WindowedCollector(window=1e-3, sla_budget=FAULT_SLA,
+                                  engine=engine,
+                                  staleness_versions=STALENESS_BUDGET)
+    server, layer = _refresh_replica(hw, dataset, collector)
+    log = _published(UpdateLog(retention=4096, schedule=schedule),
+                     _delta_trainer(dataset), 40, FAULT_HORIZON,
+                     obs=server.obs)
+    subscriber = UpdateSubscriber(log, layer.cache, host_store=layer.store)
+    subscriber.bind_observability(server.obs)
+    server.refresher = RefreshScheduler(subscriber, hw, quantum_keys=512,
+                                        schedule=schedule)
+    report = server.serve(PoissonArrivals(dataset, 40_000.0, seed=5)
+                          .generate_until(FAULT_HORIZON))
+    timing = alert_timing(engine.history("staleness-fast"), start,
+                          start + duration)
+    result = {
+        "outage_start_s": start,
+        "outage_duration_s": duration,
+        "published_keys": log.total_keys,
+        "applied_keys": int(report.metrics.total("refresh.applied_keys")),
+        "outage_polls": int(report.metrics.total("refresh.outage_polls")),
+        "final_version_lag": subscriber.version_lag(FAULT_HORIZON),
+        "ttd_s": timing["ttd_s"],
+        "ttr_s": timing["ttr_s"],
+        "early_alerts": timing["early_alerts"],
+        "stale_alerts": timing["alerts"],
+        "unresolved": [alert.rule for alert in engine.firing],
+        "sla_attainment": report.sla_attainment(FAULT_SLA),
+    }
+    checks = {
+        "no staleness alert before the outage": result["early_alerts"] == 0,
+        "an alert detects the outage": result["ttd_s"] is not None,
+        "detected within the outage": result["ttd_s"] is not None
+        and result["ttd_s"] < duration,
+        "the alerts recover": result["ttr_s"] is not None,
+        "no alert is left firing": not result["unresolved"],
+        "the subscriber polls the dark log": result["outage_polls"] > 0,
+        "updates are applied": result["applied_keys"] > 0,
+        f"the final lag is ≤ {STALENESS_BUDGET:g} versions":
+            result["final_version_lag"] <= STALENESS_BUDGET,
+    }
+    return ext(
+        "ext_faults_staleness",
+        "The staleness SLO detects a stuck update stream and clears "
+        "once the replica catches up (24 ms log outage)",
+        "the log outage's own length",
+        f"detect {ms(result['ttd_s'])}, recover {ms(result['ttr_s'])}; "
+        f"{result['applied_keys']:,} of {result['published_keys']:,} keys "
+        f"applied, final lag {result['final_version_lag']}",
+        all(checks.values()), checks, result)
+
+
+def _recovery_row(hw, dataset, rounds=8, kill_after=5) -> Claim:
+    """Replica A consumes the whole stream; replica B dies after
+    ``kill_after`` versions, leaving its stamped snapshot; a cold
+    replacement restores it and replays the log.  Its cache fingerprint
+    must equal A's."""
+    log = UpdateLog(retention=4096)
+    publisher = UpdatePublisher(log, max_batch_keys=256)
+    trainer = _delta_trainer(dataset)
+    for i in range(rounds):
+        publisher.drain(trainer, now=float(i + 1))
+    horizon = float(rounds + 1)
+    warm = PoissonArrivals(dataset, 40_000.0, seed=3).generate(600)
+
+    _, layer_a = _refresh_replica(hw, dataset, warm=warm)
+    sub_a = UpdateSubscriber(log, layer_a.cache, host_store=layer_a.store)
+    sub_a.catch_up(horizon)
+    fp_a = fingerprint(layer_a.cache)
+
+    _, layer_b = _refresh_replica(hw, dataset, warm=warm)
+    sub_b = UpdateSubscriber(log, layer_b.cache, host_store=layer_b.store)
+    sub_b.catch_up(kill_after + 0.5)
+    snap = sub_b.snapshot()
+    stale_at_kill = fingerprint(layer_b.cache) != fp_a
+    del layer_b, sub_b  # the crash
+
+    _, layer_c = _refresh_replica(hw, dataset)
+    sub_c = UpdateSubscriber.from_snapshot(snap, layer_c.cache, log,
+                                           host_store=layer_c.store)
+    replayed = sub_c.catch_up(horizon)
+    result = {
+        "entries": len(fp_a),
+        "killed_at_offset": snap.log_offset,
+        "killed_at_version": snap.model_version,
+        "final_version": sub_a.applied_version,
+        "replayed_batches": replayed,
+        "stale_at_kill": stale_at_kill,
+        "converged": fp_a == fingerprint(layer_c.cache),
+        "offsets_match": sub_a.applied_offset == sub_c.applied_offset,
+        "versions_match": sub_a.applied_version == sub_c.applied_version,
+    }
+    checks = {
+        "the cache holds entries": result["entries"] > 0,
+        "the replay applies batches": result["replayed_batches"] > 0,
+        "the killed replica was stale": result["stale_at_kill"],
+        "the restored cache equals the uninterrupted one":
+            result["converged"],
+        "the log offsets match": result["offsets_match"],
+        "the model versions match": result["versions_match"],
+    }
+    return ext(
+        "ext_faults_recovery",
+        "A replica killed mid-stream converges by snapshot + log replay",
+        "the cache fingerprint of a replica that never crashed",
+        f"killed at v{result['killed_at_version']}, "
+        f"{result['replayed_batches']} batches replayed to "
+        f"v{result['final_version']}; {result['entries']} entries "
+        + ("identical" if result["converged"] else "differ"),
+        result["converged"], checks, result)
+
+
+def _detection_window_row(hw, dataset) -> Claim:
+    """The 20 % outage under the naive client, served at depth 2 with the
+    serving SLOs windowed at 1 ms."""
+    start, duration, end = _outage_window(0.2)
+    engine = default_serving_slos(FAULT_SLA)
+    collector = WindowedCollector(window=1e-3, sla_budget=FAULT_SLA,
+                                  engine=engine)
+    _serve_under_outage(hw, dataset, 0.2, "naive", 2, collector)
+    result = {
+        "window_s": 1e-3,
+        "windows_closed": collector.closed_windows,
+        "ttd_s": engine.time_to_detect(start),
+        "ttr_s": engine.time_to_recover(end),
+        "alerts": len(engine.alerts),
+    }
+    checks = {
+        "an alert detects the outage": result["ttd_s"] is not None,
+        "detected within the outage": result["ttd_s"] is not None
+        and result["ttd_s"] < duration,
+    }
+    return ext(
+        "ext_faults_detection_window",
+        "A 1 ms collector window detects a 20 % shard outage on the "
+        "pipelined server before it ends",
+        "the outage's own length",
+        f"detect {ms(result['ttd_s'])}, recover {ms(result['ttr_s'])} "
+        f"after a {ms(duration)} outage ({result['alerts']} alerts)",
+        all(checks.values()), checks, result)
+
+
+def faults(hw) -> List[Claim]:
+    dataset = _small_tables()
+    return [
+        _resilient_row(hw, dataset),
+        _pipelined_row(hw, dataset),
+        _detection_row(hw, dataset),
+        _staleness_row(hw, dataset),
+        _recovery_row(hw, dataset),
+        _detection_window_row(hw, dataset),
+    ]
+
+
+EXTENSIONS = (serving, refresh, cluster, precision, scenarios, faults)
+
+
 # ---- The generated tables ------------------------------------------------
 
 BLOCK = re.compile(
@@ -1209,8 +2357,9 @@ def render(rows: List[dict], doc: str) -> str:
 
 def main() -> int:
     hw = default_platform()
+    reporting.RESULTS_DIR = str(CLAIMS.parent)
     claims: List[Claim] = []
-    for experiment in EXPERIMENTS:
+    for experiment in EXPERIMENTS + EXTENSIONS:
         start = time.perf_counter()
         claims.extend(experiment(hw))
         print(f"{experiment.__name__:<14} {time.perf_counter() - start:6.1f}"

@@ -1,8 +1,8 @@
 """Benchmark harness: experiment runners and report formatting.
 
 Every table and figure of the paper's evaluation has a runner here;
-``benchmarks/claims.py`` and the ``benchmarks/bench_*.py`` scripts drive
-them, and so can any caller (see ``examples/``).
+``benchmarks/claims.py`` drives them, and so can any caller (see
+``examples/``).
 """
 
 from .reporting import format_table, format_rate, format_time

@@ -167,9 +167,9 @@ def sweep(
 
 # --------------------------------------------------------------------------
 # Drill harness: fault-window setup, alert timing, deterministic artifacts.
-# Shared by bench_serving_faults.py and bench_cluster.py so every chaos
-# drill measures detection/recovery the same way and emits comparable,
-# byte-stable artifacts.
+# Shared by the fault and cluster sections of benchmarks/claims.py so
+# every chaos drill measures detection/recovery the same way and emits
+# comparable, byte-stable artifacts.
 
 def fault_window(
     horizon: float, start_fraction: float, duration_fraction: float

@@ -4,15 +4,15 @@ Usage::
 
     python -m repro trace --out batch.trace.json
     python -m repro serve --metrics-port 0
-    python -m repro scenario run --name flash_crowd --autotune
+    python -m repro scenario run --name flash_crowd
     python -m repro obs render --metrics benchmarks/results/metrics.json
 
 ``trace`` exports a Chrome-trace JSON of one batch's simulated timeline,
 ``serve`` runs a synthetic stream with live telemetry, ``scenario`` serves
 one adversarial scenario and ``obs`` renders emitted artifacts.  The
-paper's figures and tables are reproduced by ``python
-benchmarks/claims.py``, the refresh recovery check and the cluster kill
-drill by ``python benchmarks/bench_<x>.py [--smoke]``.
+paper's figures and tables, and the extension studies (refresh
+recovery, the cluster kill drill, ...), are reproduced by ``python
+benchmarks/claims.py``.
 """
 
 from __future__ import annotations
@@ -115,7 +115,6 @@ def _cmd_scenario(args) -> int:
                            title="Adversarial scenario catalogue"))
         return 0
 
-    from .autotune import AdaptiveController
     from .core.precision import PrecisionConfig
     from .core.workflow import FlecheEmbeddingLayer as Layer
     from .obs import WindowedCollector, default_serving_slos
@@ -138,9 +137,7 @@ def _cmd_scenario(args) -> int:
     load = scenario.build()
     validate_load(load, dataset)
 
-    # The quantizing layout with and without the controller, so that the
-    # two runs differ only by it (the boost's tier-threshold step needs
-    # precision tiers to act on).
+    # The quantizing layout: the scenarios stress its precision tiers.
     config = FlecheConfig(
         cache_ratio=args.ratio,
         precision=PrecisionConfig(
@@ -157,12 +154,10 @@ def _cmd_scenario(args) -> int:
     )
     if load.tenant_of is not None:
         collector.set_tenancy(load.tenant_of, load.tenant_slos)
-    autotuner = AdaptiveController() if args.autotune else None
     server = PipelinedInferenceServer(
         dataset, layer, hw, depth=2,
         policy=BatchingPolicy(max_batch_size=512, max_delay=5e-4),
         collector=collector,
-        autotuner=autotuner,
     )
     if load.update_log is not None:
         from .refresh import RefreshScheduler, UpdateSubscriber
@@ -179,14 +174,13 @@ def _cmd_scenario(args) -> int:
         format_time(report.median_latency), format_time(report.p99_latency),
         f"{report.sla_attainment(args.sla):.1%}",
         collector.closed_windows,
-        int(server.obs.total("autotune.boosts")) if args.autotune else "-",
     ]]
     print(format_table(
         ["requests", "throughput", "P50", "P99",
-         f"SLA@{args.sla * 1e3:g}ms", "windows", "boosts"],
+         f"SLA@{args.sla * 1e3:g}ms", "windows"],
         rows,
         title=(f"Scenario {args.name!r} (seed {args.seed}, "
-               f"controller {'on' if args.autotune else 'off'})"),
+               f"admission {args.admission:g})"),
     ))
     for phase in load.phases:
         note = f"  [{phase.note}]" if phase.note else ""
@@ -327,12 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="collector window (simulated seconds)")
     q.add_argument("--sla", type=float, default=2e-3,
                    help="per-request latency budget (seconds)")
-    q.add_argument("--autotune", action="store_true",
-                   help="attach the closed-loop adaptive controller")
     q.add_argument("--admission", type=float, default=1.0,
-                   help="admission probability (with --autotune, a "
-                        "drift boost raises it for a few windows and "
-                        "then restores it)")
+                   help="admission probability of the cache")
     q.add_argument("--emit", action="store_true",
                    help="persist series.json under benchmarks/results")
 

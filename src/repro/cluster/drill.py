@@ -44,8 +44,8 @@ def hot_head_victim(dataset, seed: int, replicas: int) -> int:
     """The replica owning the workload's hottest key under hash routing.
 
     Crashing the hot-head owner maximises the failed-over hot traffic.
-    The kill drill of ``benchmarks/bench_cluster.py`` picks its victim
-    here too; the head comes from the shared
+    The claims runner's kill drill (``benchmarks/claims.py``) picks its
+    victim here too; the head comes from the shared
     :func:`~repro.workloads.zipf.zipf_head_ids` helper.
     """
     hottest = zipf_head_ids(dataset.fields[:1], seed, 1)[0]

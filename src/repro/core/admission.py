@@ -28,7 +28,8 @@ SKETCH_DEPTH = 2
 #: Estimated count at or above which a key gets the fp32 tier.
 HOT_MIN_COUNT = 8
 #: Count at or above which a key is at least fp16; below it, int8.
-#: ``FlatCache.set_tier_thresholds`` moves both at run time.
+#: A cache's ``admission.hot_min_count`` / ``warm_min_count`` hold the
+#: live values (tests move them).
 WARM_MIN_COUNT = 2
 
 _MIX1 = np.uint64(0xFF51AFD7ED558CCD)

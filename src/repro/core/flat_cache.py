@@ -623,36 +623,16 @@ class FlatCache(Observable):
         self.unified_capacity = capacity
 
     # ----------------------------------------------------------------- retune
-    #
-    # Validated runtime knobs for the adaptive controller
-    # (:mod:`repro.autotune`).  Neither mutates the frozen
-    # :class:`FlecheConfig` — both act on the live admission filter, so
-    # a run with the controller disabled stays byte-identical to one
-    # where these methods do not exist.
 
     def set_admission_probability(self, probability: float) -> None:
-        """Retune the cache-admission probability (insert aggressiveness)."""
+        """Retune the cache-admission probability (insert aggressiveness)
+        on the live admission filter; the frozen :class:`FlecheConfig`
+        is untouched."""
         if not 0.0 < probability <= 1.0:
             raise ConfigError(
                 f"admission probability must be in (0, 1], got {probability}"
             )
         self.admission.probability = float(probability)
-
-    def set_tier_thresholds(self, hot_min_count: int, warm_min_count: int) -> None:
-        """Retune the frequency thresholds assigning precision tiers."""
-        if self._estimator is None:
-            raise ConfigError(
-                "tier thresholds need a mixed-precision cache "
-                "(no frequency estimator configured)"
-            )
-        hot, warm = int(hot_min_count), int(warm_min_count)
-        if not 0 < warm <= hot:
-            raise ConfigError(
-                f"need 0 < warm_min_count <= hot_min_count, got "
-                f"warm={warm} hot={hot}"
-            )
-        self.admission.hot_min_count = hot
-        self.admission.warm_min_count = warm
 
     # hot-path: vectorized
     def _demote_cold(self, count: int) -> None:

@@ -13,27 +13,20 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from ..errors import SimulationError
 
 
 @dataclass(frozen=True)
 class Span:
-    """One traced interval on a track.
-
-    ``args`` optionally carries trace-event arguments (e.g. the
-    ``request_id``/``dispatch`` stamps the request tracer uses to group
-    one request's copies across replica tracks); arg-less spans
-    serialise exactly as before, so existing traces stay byte-identical.
-    """
+    """One traced interval on a track."""
 
     track: str
     name: str
     start: float
     duration: float
     category: str
-    args: Optional[dict] = None
 
     def __post_init__(self) -> None:
         if self.duration < 0:
@@ -77,8 +70,6 @@ def chrome_trace(spans: List[Span]) -> dict:
             "ts": span.start * 1e6 + 0.0,
             "dur": span.duration * 1e6 + 0.0,
         }
-        if span.args:
-            event["args"] = span.args
         events.append(event)
     return {"traceEvents": events, "displayTimeUnit": "ms"}
 

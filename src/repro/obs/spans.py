@@ -120,17 +120,11 @@ class SpanTracer:
         start: float,
         end: float,
         category: str,
-        args: dict = None,
     ) -> None:
-        """Record one closed interval ``[start, end]`` on ``track``.
-
-        ``args`` (optional) lands in the Chrome trace event's ``args``
-        field — the request tracer stamps ``request_id``/``dispatch``
-        there so one request's copies group across replica tracks.
-        """
+        """Record one closed interval ``[start, end]`` on ``track``."""
         self.spans.append(
             Span(track=track, name=name, start=start,
-                 duration=end - start, category=category, args=args)
+                 duration=end - start, category=category)
         )
 
     # ------------------------------------------------------------- querying

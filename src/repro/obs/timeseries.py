@@ -170,10 +170,6 @@ class WindowedCollector:
         #: only when a RequestTracer has folded counters into the
         #: registry, keeping tracing-free ``series.json`` byte-identical.
         self._reqtrace_seen = False
-        #: Same latch for the adaptive controller: ``autotune_*`` series
-        #: appear only once any ``autotune.*`` metric exists, so
-        #: controller-off runs produce byte-identical ``series.json``.
-        self._autotune_seen = False
         #: Multi-tenant attribution: request position -> tenant name, and
         #: per-tenant SLA budgets.  ``None`` (the default) emits no
         #: per-tenant series at all.
@@ -223,7 +219,6 @@ class WindowedCollector:
         self._last_dist = None
         self._refresh_seen = False
         self._reqtrace_seen = False
-        self._autotune_seen = False
         self._tenant_latencies = {}
 
     def begin_run(self, first_arrival: float) -> None:
@@ -518,19 +513,6 @@ class WindowedCollector:
                 "reqtrace.rootcause", "cause"
             ).items()):
                 values[f"rootcause{{cause={cause}}}"] = count
-
-        # Adaptive controller: boosts opened this window plus the live
-        # admission knob, emitted only once any ``autotune.*`` metric
-        # exists (same byte-identity contract as refresh above).
-        if not self._autotune_seen and self._registry.has_prefix(
-            "autotune."
-        ):
-            self._autotune_seen = True
-        if self._autotune_seen:
-            values["autotune_boosts"] = self._acc_total("autotune.boosts")
-            values["autotune_admission_probability"] = self._registry.gauge(
-                "autotune.admission_probability"
-            )
 
         # Hotspot drift: per-table hit distribution when the backend
         # attributes hits to tables, else the per-table traffic itself.

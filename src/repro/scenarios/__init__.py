@@ -3,9 +3,8 @@
 Composable phased loads layered on :mod:`repro.workloads`: flash-crowd
 hot-key storms, diurnal arrival envelopes, multi-tenant skew mixes with
 per-tenant SLOs, and post-refresh cold-start floods.  Each produces a
-:class:`ScenarioLoad` that plugs directly into the serving loop and —
-paired with the :mod:`repro.autotune` controller — exercises exactly the
-knobs static configuration gets wrong.
+:class:`ScenarioLoad` that plugs directly into the serving loop and
+stresses exactly the knobs a static configuration has to get right.
 """
 
 from .base import (

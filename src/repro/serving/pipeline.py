@@ -485,8 +485,6 @@ def serve_staged(
                     (chosen.ready_at - arrival_arr[lo:hi]).tolist(),
                     first_request=int(lo),
                 )
-            if server.autotuner is not None:
-                server.autotuner.on_batch_complete(chosen.ready_at)
             completed[chosen.index] = True
             while frontier < n and completed[frontier]:  # lint: allow-loop (per completed batch)
                 frontier += 1

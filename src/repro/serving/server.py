@@ -161,7 +161,6 @@ class InferenceServer:
         include_dense: bool = False,
         tracer: Optional[SpanTracer] = None,
         collector: Optional[WindowedCollector] = None,
-        autotuner=None,
         depth: int = 1,
         coalesce: bool = True,
     ):
@@ -202,14 +201,6 @@ class InferenceServer:
         self.collector = collector
         if collector is not None:
             collector.bind(self.engine.obs)
-        #: optional :class:`~repro.autotune.AdaptiveController` — the
-        #: closed-loop retuner, fed after every batch completion.  ``None``
-        #: leaves every serving code path byte-identical to an untuned
-        #: run: no cache knob is touched and no ``autotune.*`` metric is
-        #: ever created.
-        self.autotuner = autotuner
-        if autotuner is not None:
-            autotuner.attach(self)
 
     @property
     def obs(self) -> MetricsRegistry:

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -100,3 +104,14 @@ def mixed_dim_specs():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture(scope="session")
+def claims():
+    """The claims runner, ``benchmarks/claims.py``, as a module."""
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "claims.py"
+    spec = importlib.util.spec_from_file_location("claims", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look the module up
+    spec.loader.exec_module(module)
+    return module

@@ -1,31 +1,17 @@
-"""The paper's claims table, ``benchmarks/results/claims.json``, and the
+"""The claims table, ``benchmarks/results/claims.json``, and the
 EXPERIMENTS.md tables generated from it.  No experiment runs here:
-``python benchmarks/claims.py`` regenerates the table."""
+``python benchmarks/claims.py`` regenerates the table, and
+``tests/test_pinned_payloads.py`` recomputes its extension rows."""
 
 from __future__ import annotations
 
-import importlib.util
 import json
-import sys
-from pathlib import Path
 
 import pytest
 
 from repro import default_platform
 
-ROOT = Path(__file__).resolve().parents[1]
 FIELDS = ("id", "source", "claim", "paper", "measured", "verdict")
-
-
-@pytest.fixture(scope="module")
-def claims():
-    spec = importlib.util.spec_from_file_location(
-        "claims", ROOT / "benchmarks" / "claims.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look the module up
-    spec.loader.exec_module(module)
-    return module
 
 
 @pytest.fixture(scope="module")
@@ -36,11 +22,25 @@ def rows(claims):
 def test_rows_are_well_formed(claims, rows):
     assert rows
     for row in rows:
-        assert list(row) == [*FIELDS, "must_hold"], row.get("id")
+        pinned = ["pinned"] if row.get("source") == "Extension" else []
+        assert list(row) == [*FIELDS, "must_hold", *pinned], row.get("id")
         assert all(isinstance(row[f], str) and row[f] for f in FIELDS), row
         assert row["verdict"] in claims.VERDICTS, row["id"]
         assert all(isinstance(check, str) for check in row["must_hold"])
     assert len({row["id"] for row in rows}) == len(rows)
+
+
+def test_extension_rows_name_a_baseline_and_pin_their_values(rows):
+    """An extension row says what it beats, and carries the exact values
+    behind its ``measured`` text."""
+    extensions = [row for row in rows if row["source"] == "Extension"]
+    assert extensions
+    for row in extensions:
+        assert row["id"].startswith("ext_"), row["id"]
+        assert row["paper"].startswith("baseline: "), row["id"]
+        assert len(row["paper"]) > len("baseline: "), row["id"]
+        assert isinstance(row["pinned"], dict) and row["pinned"], row["id"]
+        assert row["must_hold"], row["id"]
 
 
 def test_experiments_md_is_rendered_from_the_table(claims, rows):

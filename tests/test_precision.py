@@ -198,7 +198,7 @@ class TestTieredInsertAndGather:
             fp32_share=0.2, fp16_share=0.2, int8_share=0.6,
         )
         cache = _cache(precision, ratio=0.1)
-        cache.set_tier_thresholds(1, 1)
+        cache.admission.hot_min_count = cache.admission.warm_min_count = 1
         fp32_cap = cache.pool.capacity_of(16, "fp32")
         n = fp32_cap + 10
         keys = np.arange(n, dtype=np.uint64)

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from repro import DeepCrossNetwork
-from repro.autotune import AdaptiveController
 from repro.baselines.per_table_cache import PerTableCacheLayer, PerTableConfig
 from repro.cluster import ClusterConfig, ClusterRouter, hot_head_victim
 from repro.core.config import FlecheConfig
@@ -662,7 +661,7 @@ def tiered_stack(dataset, hw, horizon):
 
 def observed_stack(dataset, hw, horizon):
     """A dense server on a mixed-precision cache with every observer:
-    windowed collector + SLO engine, autotuner, span and request tracer."""
+    windowed collector + SLO engine, span and request tracer."""
     config = FlecheConfig(
         cache_ratio=0.05,
         precision=PrecisionConfig(
@@ -683,7 +682,6 @@ def observed_stack(dataset, hw, horizon):
             window=window, sla_budget=2e-3,
             engine=default_serving_slos(2e-3),
         ),
-        autotuner=AdaptiveController(),
     )
     server.reqtracer = RequestTracer(TraceConfig(sla_budget=2e-3))
     return server
@@ -738,7 +736,7 @@ class TestRestoredServer:
         collector off and then dropped, the server (router), every scheme
         and every store it holds are gone at once.  A store holds its
         layer's pointer invalidator weakly, the DRAM tier keeps no
-        callbacks and the autotuner no back-reference to its server."""
+        callbacks."""
         requests = PoissonArrivals(dataset, 50_000.0, seed=4).generate(800)
         horizon = requests[-1].arrival_time
         gc.collect()

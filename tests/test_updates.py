@@ -307,7 +307,7 @@ def test_refresh_spans_precision_tiers_of_one_dimension():
             fp32_share=0.25, fp16_share=0.25, int8_share=0.5
         ),
     ))
-    cache.set_tier_thresholds(3, 2)
+    cache.admission.hot_min_count, cache.admission.warm_min_count = 3, 2
     cache.tick()
     ids = np.arange(40, dtype=np.uint64)
     keys = cache.encode(0, ids)
