@@ -56,8 +56,9 @@ HOT_PATH_FILES = {
     "src/repro/faults/schedule.py": 2,    # crashed_many / slow_factor_many
     "src/repro/serving/batcher.py": 1,    # batch_bounds
     # lookup / insert / _insert_spilled (its loop: the rounds after a
-    # bucket's first eviction) / erase
-    "src/repro/hashindex/slab_hash.py": 4,
+    # bucket's first eviction) / erase / _compact (a recency queue rebuilt
+    # from its live entries) / oldest (its loop: the runs a pop reaches)
+    "src/repro/hashindex/slab_hash.py": 6,
     # index_lookup / gather / admit_and_insert (its loop: one group per
     # tier class of the dimension) / _demote_cold
     "src/repro/core/flat_cache.py": 4,

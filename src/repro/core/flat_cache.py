@@ -25,7 +25,8 @@ import numpy as np
 from ..coding.size_aware import SizeAwareCodec
 from ..errors import ConfigError
 from ..hashindex.slab_hash import (
-    EMPTY_KEY,
+    CACHE_KIND,
+    DRAM_KIND,
     InsertResult,
     ProbeStats,
     SlabHashIndex,
@@ -147,7 +148,11 @@ class FlatCache(Observable):
         self.index = SlabHashIndex(
             capacity=total_slots + unified_slots,
             load_factor=config.index_load_factor,
+            recency=True,
         )
+        #: Whether the pool is one slab class (one dimension, one tier):
+        #: then every cached entry is a victim candidate of every eviction.
+        self._one_class = len(class_capacities) == 1
         self._estimator = (
             FrequencyEstimator(seed=config.seed)
             if precision.needs_estimator else None
@@ -591,12 +596,10 @@ class FlatCache(Observable):
     def clear_unified_index(self) -> int:
         """Drop every DRAM pointer (the tuner's reset action).
 
-        Returns the number of entries removed.  Implemented as the same
-        full-table scan the eviction pass uses.
+        Returns the number of entries removed: every live entry of the
+        index's DRAM-pointer queue.
         """
-        slots = self.index.cold_slots()
-        _, values, _ = self.index.slot_entries(slots)
-        pointers = slots[is_dram_pointer(values)]
+        pointers = self.index.live_slots(DRAM_KIND)
         self.index.erase_slots(pointers)
         self.unified_entries = 0
         return len(pointers)
@@ -610,13 +613,9 @@ class FlatCache(Observable):
         """
         capacity = max(0, int(capacity))
         if capacity < self.unified_entries:
-            slots = self.index.cold_slots()
-            _, values, stamps = self.index.slot_entries(slots)
-            dram = is_dram_pointer(values)
             # Oldest pointers first, ties by slot.
-            order = np.argsort(stamps[dram], kind="stable")
             surplus = self.unified_entries - capacity
-            self.index.erase_slots(slots[dram][order[:surplus]])
+            self.index.erase_slots(self.index.oldest(DRAM_KIND, surplus))
             self.unified_entries = capacity
         elif capacity > self.unified_entries:
             self._demote_cold(capacity - self.unified_entries)
@@ -641,24 +640,19 @@ class FlatCache(Observable):
         Only entries that have not been touched for a couple of batches are
         candidates — the paper replaces the cache of *cold* embeddings, so
         freshly inserted or recently hit entries must never be demoted.
-        One mask over the raw index columns picks them (occupied, stamp at
-        most ``clock - 2``, untagged); victims are the oldest stamps, ties
-        by slot.
+        Victims come from the front of the index's cached-entry queue
+        (stamp at most ``clock - 2``): the oldest stamps, ties by slot.
         """
         if count <= 0:
             return
-        keys, values, stamps = self.index.columns()
-        cold = stamps <= self._clock - 2
-        cold &= keys != EMPTY_KEY
-        cold &= ~is_dram_pointer(values)
-        slots = cold.nonzero()[0]
-        if not len(slots):
-            return
-        victims = slots[stamps[slots].argsort(kind="stable")[:count]]
-        locations = untag(values[victims])
-        self.index.retag_slots(
-            victims, tag_dram_pointer(keys[victims]), self._clock
+        victims = self.index.oldest(
+            CACHE_KIND, count, newest=self._clock - 2
         )
+        if not len(victims):
+            return
+        keys, values, _ = self.index.slot_entries(victims)
+        locations = untag(values)
+        self.index.retag_slots(victims, tag_dram_pointer(keys), self._clock)
         self._record_entry_death(locations)
         self.reclaimer.retire(locations)
         self.unified_entries += len(victims)
@@ -667,47 +661,39 @@ class FlatCache(Observable):
     # ------------------------------------------------------------------ evict
 
     def _evict(self, dim: int, tier: str, need: int) -> None:
-        """Full-scan eviction (§3.1): drop cold entries of slab class
+        """Watermark eviction (§3.1): drop cold entries of slab class
         ``(dim, tier)``.
 
         Runs when the slab class cannot satisfy an allocation; evicts the
         coldest entries until utilisation falls to the low watermark (or
-        ``need`` is satisfied).
-        Victim order comes from the configured eviction policy — pure
-        recency by default, or a frequency-aware LFU/hybrid score over the
-        estimator's counts.  On a mixed-precision pool each (dim, tier)
-        class evicts independently; a one-tier pool's class is the whole
-        dimension, so only the dimension filters.  Freed slots are retired through the epoch
-        reclaimer, so concurrent readers never observe reuse
-        (read-after-delete safety).
+        ``need`` is satisfied).  The class's live entries are counted from
+        the pool (occupied slots less those awaiting reclamation).  The
+        simulated clock charges the paper's full-scan kernel; on the host,
+        pure-recency victims (the default policy) come from the front of
+        the index's cached-entry queue, filtered by class when the pool
+        has several, and the frequency-aware LFU / hybrid policies order a
+        scan of the class by estimator counts (:meth:`_scan_victims`).
+        On a mixed-precision pool each (dim, tier) class evicts
+        independently; a one-tier pool's class is the whole dimension.
+        Freed slots are retired through the epoch reclaimer, so
+        concurrent readers never observe reuse (read-after-delete safety).
         """
-        slots = self.index.cold_slots()
-        keys, values, stamps = self.index.slot_entries(slots)
-        cache_mask = ~is_dram_pointer(values)
-        locations = untag(values[cache_mask])
-        dims = self.pool.dim_of_locations(locations)
-        in_class = dims == dim
-        if len(self._tiers) > 1:
-            tier_codes = self.pool.tier_codes_of_locations(locations)
-            in_class &= tier_codes == TIER_CODES[tier]
-        #: positions, in the scanned columns, of this class's entries.
-        members = np.flatnonzero(cache_mask)[in_class]
-        class_keys = keys[members]
-        class_stamps = stamps[members]
-        if len(class_keys) == 0:
+        live = self._class_live(dim, tier)
+        if live == 0:
             return
-
         capacity = self.pool.capacity_of(dim, tier)
         target_live = int(capacity * self.config.evict_low_watermark)
-        to_evict = max(need, len(class_keys) - target_live)
-        to_evict = min(to_evict, len(class_keys))
-        policy = self._eviction_policy
-        counts = (
-            self._estimator.estimate(class_keys)
-            if policy.reads_counts and self._estimator is not None else None
-        )
-        order = policy.victim_order(class_stamps, counts)
-        victims = members[order[:to_evict]]
+        to_evict = min(max(need, live - target_live), live)
+        if self._eviction_policy.reads_counts:
+            victims = self._scan_victims(dim, tier, to_evict)
+        else:
+            victims = self.index.oldest(
+                CACHE_KIND, to_evict,
+                keep=None if self._one_class else (
+                    lambda values: self._in_class(dim, tier, untag(values))
+                ),
+            )
+        keys, values, _ = self.index.slot_entries(victims)
 
         # Demote as many victims as the unified-index budget allows: their
         # index entries become DRAM pointers instead of disappearing (§3.3,
@@ -717,13 +703,13 @@ class FlatCache(Observable):
             len(victims),
         )
         if demote:
-            demoted = victims[:demote]
             self.index.retag_slots(
-                slots[demoted], tag_dram_pointer(keys[demoted]), self._clock
+                victims[:demote], tag_dram_pointer(keys[:demote]),
+                self._clock,
             )
             self.unified_entries += demote
-        self.index.erase_slots(slots[victims[demote:]])
-        self.reclaimer.retire(untag(values[victims]))
+        self.index.erase_slots(victims[demote:])
+        self.reclaimer.retire(untag(values))
         self.obs.inc("cache.evictions", len(victims))
         if demote:
             self.obs.inc("cache.demotions", demote)
@@ -733,6 +719,43 @@ class FlatCache(Observable):
         freed = self.reclaimer.collect()
         if len(freed):
             self.pool.release(freed)
+
+    def _in_class(
+        self, dim: int, tier: str, locations: np.ndarray
+    ) -> np.ndarray:
+        """Mask of pool ``locations`` in slab class ``(dim, tier)``."""
+        mask = self.pool.dim_of_locations(locations) == dim
+        if len(self._tiers) > 1:
+            codes = self.pool.tier_codes_of_locations(locations)
+            mask &= codes == TIER_CODES[tier]
+        return mask
+
+    def _class_live(self, dim: int, tier: str) -> int:
+        """Cached entries of slab class ``(dim, tier)``: its occupied pool
+        slots less those retired and not yet reclaimed (the
+        ``flatcache.pool-accounting`` audit equates the two counts with a
+        scan)."""
+        pending = self.reclaimer.pending
+        if pending and not self._one_class:
+            pending = int(np.count_nonzero(
+                self._in_class(dim, tier, self.reclaimer.pending_locations())
+            ))
+        return (
+            self.pool.capacity_of(dim, tier) - self.pool.free_of(dim, tier)
+            - pending
+        )
+
+    def _scan_victims(self, dim: int, tier: str, count: int) -> np.ndarray:
+        """The first ``count`` slots of class ``(dim, tier)`` in the
+        frequency-aware policy's order, from a full scan of the index."""
+        slots = self.index.cold_slots()
+        keys, values, stamps = self.index.slot_entries(slots)
+        members = ~is_dram_pointer(values)
+        members[members] = self._in_class(dim, tier, untag(values[members]))
+        order = self._eviction_policy.victim_order(
+            stamps[members], self._estimator.estimate(keys[members])
+        )
+        return slots[members][order[:count]]
 
     # ------------------------------------------------------------------ debug
 

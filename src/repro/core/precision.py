@@ -206,18 +206,18 @@ def roundtrip_error_bound(rows: np.ndarray, tier: str) -> np.ndarray:
 
 
 class EvictionPolicy:
-    """Victim-ordering policy of the flat cache's full-scan eviction.
+    """Victim-ordering policy of the flat cache's watermark eviction.
 
     ``victim_order`` returns indices into the candidate arrays, coldest
     first; the cache evicts a prefix of that order.  ``counts`` is the
-    frequency estimate per candidate key, or ``None`` when the policy
-    does not read it (``reads_counts`` false) or the cache keeps no
-    estimator.
+    frequency estimate per candidate key.  The cache asks only a policy
+    that reads counts: pure-recency victims come from the index's
+    recency queue, in the order :class:`LruEviction` gives a scan.
     """
 
     name = "abstract"
-    #: Whether ``victim_order`` reads ``counts``: the cache estimates the
-    #: candidates' frequencies only for a policy that does.
+    #: Whether ``victim_order`` reads ``counts``: the cache scans the
+    #: class and estimates its frequencies only for a policy that does.
     reads_counts = True
 
     def victim_order(

@@ -24,8 +24,12 @@ from typing import Optional
 import numpy as np
 
 from ..errors import ConfigError
+from ..hashindex.slab_hash import KIND_BIT
 
-_TAG_BIT = np.uint64(1)
+#: The tag bit is the index's payload-kind bit: untagged locations are
+#: its ``CACHE_KIND``, tagged pointers its ``DRAM_KIND``, one recency
+#: queue each.
+_TAG_BIT = KIND_BIT
 
 #: Batch latencies the tuner averages into one window (smooths batch
 #: noise and the cache-warmup transient).

@@ -14,6 +14,12 @@ arrays and performs batched, vectorised operations:
   tagged CPU-DRAM pointer for Fleche's unified index);
 * ``stamps`` — per-slot logical timestamp.
 
+An index built with ``recency=True`` also keeps, per payload kind, an LRU
+queue of the ``(stamp, slot)`` writes (:class:`StampRuns`), so the flat
+cache's maintenance passes find their victims without a whole-index scan.
+A payload's kind is its low bit (:data:`KIND_BIT`), the unified index's
+tag: :data:`CACHE_KIND` a pool location, :data:`DRAM_KIND` a DRAM pointer.
+
 Every batched operation returns :class:`ProbeStats` describing how many
 random memory transactions and dependent hops the equivalent GPU kernel
 would execute; callers feed these into :class:`repro.gpusim.KernelSpec`.
@@ -23,7 +29,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -39,6 +45,11 @@ _SLAB_BITS = 4
 SLAB_SLOTS = 1 << _SLAB_BITS
 
 _HASH_MULT = np.uint64(0x9E3779B97F4A7C15)
+
+#: The payload bit that splits the recency queues.
+KIND_BIT = np.uint64(1)
+#: Payload kinds, the values of :data:`KIND_BIT`.
+CACHE_KIND, DRAM_KIND = 0, 1
 
 
 def _bucket_of(keys: np.ndarray, num_buckets: int) -> np.ndarray:
@@ -97,6 +108,66 @@ class ProbeStats:
 probe_stats = functools.lru_cache(maxsize=4096, typed=True)(ProbeStats)
 
 
+class StampRuns:
+    """LRU queue of one payload kind: an index's stamp writes, one run per
+    stamp, runs in stamp order.
+
+    A run is a list of the slot chunks written at its stamp (unsorted,
+    maybe repeated, maybe dead) until a pop reaches it; it is then
+    settled into one sorted array of its distinct live slots.  An entry
+    is live while its slot still holds that stamp, is occupied and holds
+    a payload of the queue's kind, so every such slot has exactly one
+    live entry: the one in the run of its stamp.  The live entries read
+    from the front are in ``(stamp, slot)`` order, what a stable argsort
+    of the scanned stamps gives.
+    """
+
+    __slots__ = ("kind", "stamps", "runs", "entries")
+
+    def __init__(self, kind: int):
+        #: :data:`KIND_BIT` of the entries this queue keeps.
+        self.kind = np.uint64(kind)
+        #: Run stamps, ascending.
+        self.stamps: List[int] = []
+        #: Per run, its chunks (a list) or, once settled, one array.
+        self.runs: List[Union[List[np.ndarray], np.ndarray]] = []
+        #: Entries held, dead ones included.
+        self.entries = 0
+
+    def push(self, slots: np.ndarray, stamp: int) -> None:
+        """Record ``slots`` stamped ``stamp``, the newest stamp yet.
+        Writes at one stamp fold into one run, however far apart (an
+        eviction between them included): two runs of one stamp could
+        each hold a slot live."""
+        stamps = self.stamps
+        if stamps and stamps[-1] == stamp:
+            run = self.runs[-1]
+            if isinstance(run, list):
+                run.append(slots)
+            else:
+                self.runs[-1] = [run, slots]
+        elif stamps and stamps[-1] > stamp:
+            raise SimulationError(
+                f"stamp {stamp} written after stamp {stamps[-1]}: a "
+                "recency-keeping index needs a clock that never goes back"
+            )
+        else:
+            stamps.append(stamp)
+            self.runs.append([slots])
+        self.entries += len(slots)
+
+
+def _distinct_sorted(slots: np.ndarray) -> np.ndarray:
+    """``slots`` (an array the caller owns) sorted in place, repeats
+    dropped."""
+    slots.sort()
+    if len(slots) > 1:
+        repeat = slots[1:] == slots[:-1]
+        if np.count_nonzero(repeat):
+            return slots[np.concatenate(([True], ~repeat))]
+    return slots
+
+
 class SlabHashIndex:
     """A bucketed slab hash mapping flat keys to 64-bit payloads.
 
@@ -105,7 +176,9 @@ class SlabHashIndex:
     eviction does.
     """
 
-    def __init__(self, capacity: int, load_factor: float = 0.75):
+    def __init__(
+        self, capacity: int, load_factor: float = 0.75, recency: bool = False
+    ):
         if capacity <= 0:
             raise SimulationError("slab hash capacity must be positive")
         if not 0.0 < load_factor <= 1.0:
@@ -119,6 +192,11 @@ class SlabHashIndex:
         self._values = np.zeros(self.slots, dtype=np.uint64)
         self._stamps = np.zeros(self.slots, dtype=np.int64)
         self._size = 0
+        #: Per payload kind, its queue of stamp writes (:meth:`oldest`),
+        #: or None: an index nothing pops from keeps no runs.
+        self._recency = (
+            (StampRuns(CACHE_KIND), StampRuns(DRAM_KIND)) if recency else None
+        )
 
     # ------------------------------------------------------------------ basics
 
@@ -159,9 +237,12 @@ class SlabHashIndex:
         found = np.zeros(n, dtype=bool)
         found[rows] = True
         values = np.zeros(n, dtype=np.uint64)
-        values[rows] = self._values[slot]
+        held = self._values[slot]
+        values[rows] = held
         if stamp is not None:
             self._stamps[slot] = stamp
+            if self._recency is not None:
+                self._note(slot, held, stamp)
         return found, values, probe_stats(n, n, 1.0)
 
     def _probe(self, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -340,6 +421,10 @@ class SlabHashIndex:
         else:
             self._values[fresh_slots] = values[fresh]
         self._stamps[slots] = stamp
+        if self._recency is not None:
+            self._note(
+                slots, values if overwrite else self._values[slots], stamp
+            )
 
     # ------------------------------------------------------------------ erase
 
@@ -361,20 +446,14 @@ class SlabHashIndex:
     # ------------------------------------------------------------------ slots
     #
     # Maintenance passes (eviction, demotion to DRAM pointers, unified-index
-    # shrink) stream the table once, pick victims by slot, and rewrite those
-    # slots in place: the scan already knows where every entry lives, so
-    # nothing is re-probed by key.
+    # shrink and clear) pick victims by slot and rewrite those slots in
+    # place: the picker already knows where every entry lives, so nothing
+    # is re-probed by key.
 
     def cold_slots(self) -> np.ndarray:
         """Occupied slot numbers in ascending order — the full-table scan
         (§3.1)."""
         return (self._keys != EMPTY_KEY).nonzero()[0]
-
-    def columns(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The raw ``(keys, values, stamps)`` columns over every slot,
-        vacant ones included — a full-table scan that copies nothing.
-        Callers must not write through them."""
-        return self._keys, self._values, self._stamps
 
     def slot_entries(
         self, slots: np.ndarray
@@ -390,6 +469,8 @@ class SlabHashIndex:
         keys with new values does, minus the probe."""
         self._values[slots] = values
         self._stamps[slots] = stamp
+        if self._recency is not None:
+            self._note(slots, values, stamp)
 
     def erase_slots(self, slots: np.ndarray) -> None:
         """Vacate occupied, distinct ``slots``."""
@@ -397,6 +478,122 @@ class SlabHashIndex:
         self._values[slots] = 0
         self._stamps[slots] = 0
         self._size -= len(slots)
+
+    # ---------------------------------------------------------------- recency
+    #
+    # The victims of an LRU maintenance pass are the oldest entries of one
+    # payload kind, ties by slot.  An index built with ``recency=True``
+    # reads them from the front of that kind's :class:`StampRuns`, which
+    # every stamp write (``lookup(stamp=)``, ``insert``, ``retag_slots``)
+    # feeds.
+
+    def _note(
+        self, slots: np.ndarray, values: np.ndarray, stamp: int
+    ) -> None:
+        """Push ``slots``, stamped ``stamp`` and now holding ``values``,
+        into the queues of their kinds.  A queue holding more than twice
+        the occupancy plus one entry per bucket, whose dead entries
+        therefore outnumber its live ones, is compacted."""
+        dram = (values & KIND_BIT).astype(bool)
+        count = int(np.count_nonzero(dram))
+        cache_queue, dram_queue = self._recency
+        if count < len(slots):
+            cache_queue.push(slots[~dram] if count else slots, stamp)
+        if count:
+            dram_queue.push(slots[dram] if count < len(slots) else slots, stamp)
+        bound = 2 * self._size + self.num_buckets
+        if cache_queue.entries > bound:
+            self._compact(cache_queue)
+        if dram_queue.entries > bound:
+            self._compact(dram_queue)
+
+    def _settle(self, queue: StampRuns, at: int) -> np.ndarray:
+        """Run ``at`` of ``queue`` as one sorted array of its live,
+        distinct slots (stored back as the run)."""
+        run = queue.runs[at]
+        unsettled = isinstance(run, list)
+        if unsettled:
+            run = run[0] if len(run) == 1 else np.concatenate(run)
+        live = self._stamps[run] == queue.stamps[at]
+        live &= self._keys[run] != EMPTY_KEY
+        live &= (self._values[run] & KIND_BIT) == queue.kind
+        slots = run[live]
+        if unsettled:
+            slots = _distinct_sorted(slots)
+        queue.runs[at] = slots
+        queue.entries -= len(run) - len(slots)
+        return slots
+
+    # hot-path: vectorized
+    def _compact(self, queue: StampRuns) -> np.ndarray:
+        """Rebuild ``queue`` from its live entries, one settled run per
+        stamp; returns them in queue order.  Each occupied slot of the
+        queue's kind has an entry in the run of its stamp, so the live
+        entries are the queue's distinct occupied slots of that kind (a
+        slot a pop just handed out may come back, until its caller
+        erases or retags it)."""
+        chunks = [
+            chunk for run in queue.runs
+            for chunk in (run if isinstance(run, list) else (run,))
+        ]
+        if not chunks:
+            return np.zeros(0, dtype=np.int64)
+        slots = _distinct_sorted(np.concatenate(chunks))
+        live = self._keys[slots] != EMPTY_KEY
+        live &= (self._values[slots] & KIND_BIT) == queue.kind
+        slots = slots[live]
+        stamps = self._stamps[slots]
+        order = stamps.argsort(kind="stable")
+        slots, stamps = slots[order], stamps[order]
+        starts = np.flatnonzero(stamps[1:] != stamps[:-1]) + 1
+        queue.stamps = stamps[:1].tolist() + stamps[starts].tolist()
+        queue.runs = np.split(slots, starts) if len(slots) else []
+        queue.entries = len(slots)
+        return slots
+
+    # hot-path: vectorized
+    def oldest(
+        self,
+        kind: int,
+        count: int,
+        newest: Optional[int] = None,
+        keep: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+    ) -> np.ndarray:
+        """Up to ``count`` live slots of payload ``kind``, oldest stamp
+        first and ties by slot — the order
+        ``stamps[cold_slots()].argsort(kind="stable")`` gives.  Only
+        entries stamped at most ``newest`` count, and ``keep(payloads)``
+        masks each run's live slots.  The caller retags or erases every
+        slot it is given: without ``keep`` they leave the queue at once,
+        with it the queue drops them as it next passes.
+        """
+        queue = self._recency[kind]
+        picked, taken, at = [], 0, 0
+        while taken < count and at < len(queue.stamps):  # lint: allow-loop (per run reached: runs per call, not keys)
+            if newest is not None and queue.stamps[at] > newest:
+                break
+            slots = self._settle(queue, at)
+            if keep is not None:
+                slots = slots[keep(self._values[slots])]
+            else:
+                queue.runs[at] = slots[count - taken:]
+                queue.entries -= min(len(slots), count - taken)
+            if len(queue.runs[at]):
+                at += 1
+            else:
+                del queue.stamps[at], queue.runs[at]
+            picked.append(slots[:count - taken])
+            taken += len(picked[-1])
+        if len(picked) == 1:
+            return picked[0]
+        if not picked:
+            return np.zeros(0, dtype=np.int64)
+        return np.concatenate(picked)
+
+    def live_slots(self, kind: int) -> np.ndarray:
+        """Every live slot of payload ``kind``, in :meth:`oldest`'s
+        order (the queue compacted on the way)."""
+        return self._compact(self._recency[kind])
 
     def scan(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Full-table scan: (keys, values, stamps) of occupied slots."""

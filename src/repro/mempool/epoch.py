@@ -66,6 +66,13 @@ class EpochReclaimer:
         """Number of locations retired but not yet reclaimable."""
         return sum(len(a) for chunk in self._retired.values() for a in chunk)
 
+    def pending_locations(self) -> np.ndarray:
+        """The locations retired but not yet reclaimable."""
+        chunks = [a for chunk in self._retired.values() for a in chunk]
+        if not chunks:
+            return np.zeros(0, dtype=np.uint64)
+        return np.concatenate(chunks)
+
     def collect(self) -> np.ndarray:
         """Return every location whose grace period has elapsed.
 

@@ -9,7 +9,11 @@ from repro.baselines.per_table_cache import (
     _TableCache,
 )
 from repro.gpusim.executor import Executor
+from repro.serving.arrivals import PoissonArrivals
+from repro.serving.server import InferenceServer
 from repro.tables.embedding_table import reference_vectors
+from repro.tables.store import EmbeddingStore
+from repro.workloads.synthetic import uniform_tables_spec
 from repro.workloads.trace import TraceBatch
 
 
@@ -98,6 +102,24 @@ class TestPerTableCacheLayer:
             return executor.stats.maintenance_time
 
         assert run(16) > 2 * run(2)
+
+    def test_serving_keeps_no_recency_runs(self, hw):
+        """Nothing pops victims from the baseline's indexes (bucket LRU
+        displaces in place), so none keeps the flat cache's stamp runs."""
+        dataset = uniform_tables_spec(
+            num_tables=4, corpus_size=2_000, alpha=-1.2, dim=16,
+        )
+        layer = PerTableCacheLayer(
+            EmbeddingStore(dataset.table_specs(), hw), PerTableConfig(0.05),
+            hw,
+        )
+        server = InferenceServer(dataset, layer, hw, depth=2)
+        report = server.serve(
+            PoissonArrivals(dataset, 50_000.0, seed=1).generate(300)
+        )
+        assert len(report.batch_sizes) > 1
+        assert all(len(cache.index) for cache in layer.caches)
+        assert all(cache.index._recency is None for cache in layer.caches)
 
     def test_memory_usage_per_table(self, small_store, hw):
         layer = PerTableCacheLayer(small_store, PerTableConfig(0.1), hw)

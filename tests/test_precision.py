@@ -308,7 +308,8 @@ class TestLruEviction:
     ):
         """LRU orders victims by recency alone, so a mixed-split LRU
         cache's eviction never estimates its candidates' frequencies —
-        and evicts the same victims as a cache that still estimates."""
+        and evicts, from its recency queue, the same victims as a cache
+        that still scans and estimates."""
         callers = []
         estimate = FrequencyEstimator.estimate
 
@@ -339,7 +340,7 @@ class TestLruEviction:
                 missing = keys[~cache.contains_cached(keys)]
                 vecs = np.zeros((len(missing), 16), dtype=np.float32)
                 cache.admit_and_insert(missing, vecs, 16)
-            evict_estimates.append(callers.count("_evict"))
+            evict_estimates.append(callers.count("_scan_victims"))
         assert evict_estimates[0] == 0 < evict_estimates[1]
         every = lean.encode(0, np.arange(1000, dtype=np.uint64))
         np.testing.assert_array_equal(

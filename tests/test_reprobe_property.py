@@ -110,8 +110,10 @@ def _run_interleaved(layer, hw, rounds):
 
 
 def _assert_same_cache(got, want):
-    for a, b in zip(got.index.columns(), want.index.columns()):
-        np.testing.assert_array_equal(a, b)
+    for column in ("_keys", "_values", "_stamps"):
+        np.testing.assert_array_equal(
+            getattr(got.index, column), getattr(want.index, column)
+        )
     assert len(got.index) == len(want.index)
     assert got.unified_entries == want.unified_entries
     assert got.reclaimer.pending == want.reclaimer.pending

@@ -173,6 +173,26 @@ class TestScan:
         assert len(keys) == 0
 
 
+class TestRecency:
+    def test_pops_oldest_first_ties_by_slot(self):
+        idx = SlabHashIndex(100, recency=True)
+        keys = keys_of(*range(1, 9))
+        idx.insert(keys[:4], keys[:4] << np.uint64(1), stamp=1)
+        idx.insert(keys[4:], keys[4:] << np.uint64(1), stamp=2)
+        idx.lookup(keys[:2], stamp=3)
+        slots = idx.cold_slots()
+        _, _, stamps = idx.slot_entries(slots)
+        want = slots[stamps.argsort(kind="stable")]
+        assert idx.oldest(0, 5).tolist() == want[:5].tolist()
+        assert not len(idx.oldest(1, 5))  # no payload has its low bit set
+
+    def test_clock_may_not_go_back(self):
+        idx = SlabHashIndex(100, recency=True)
+        idx.insert(keys_of(1), keys_of(2), stamp=5)
+        with pytest.raises(SimulationError):
+            idx.lookup(keys_of(1), stamp=4)
+
+
 class TestProbeStats:
     def test_lookup_one_transaction_per_key(self):
         idx = SlabHashIndex(1000)

@@ -3,13 +3,21 @@
 import copy
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import FlecheConfig
 from repro.core.flat_cache import FlatCache
-from repro.core.unified_index import is_dram_pointer, tag_dram_pointer, untag
+from repro.core.precision import PrecisionConfig
+from repro.core.unified_index import (
+    is_dram_pointer,
+    tag_dram_pointer,
+    untag,
+)
 from repro.hashindex.slab_hash import (
+    CACHE_KIND,
+    DRAM_KIND,
     EMPTY_KEY,
     SLAB_SLOTS,
     SlabHashIndex,
@@ -226,8 +234,8 @@ def test_insert_equals_one_key_at_a_time(case, overwrite):
 def test_slot_retag_and_erase_equal_keyed_insert_and_erase(
     keys, stamps, before, count
 ):
-    """Victims picked from one mask over the raw columns, rewritten in
-    place, leave the index exactly as re-probing them by key did."""
+    """Victims picked by slot, rewritten in place, leave the index
+    exactly as re-probing them by key did."""
     slotted = SlabHashIndex(capacity=128)
     for key, stamp in zip(keys, stamps):
         one = np.array([key], dtype=np.uint64)
@@ -242,10 +250,10 @@ def test_slot_retag_and_erase_equal_keyed_insert_and_erase(
     keyed.insert(k[cold][retag], k[cold][retag] | np.uint64(1), stamp=7)
     keyed.erase(k[cold][drop])
 
-    # New: one mask over the raw columns, same slot order, same argsort,
-    # no probe.
-    keys_col, _, stamps_col = slotted.columns()
-    slots = ((keys_col != EMPTY_KEY) & (stamps_col <= before)).nonzero()[0]
+    # New: the occupied slots in slot order, one mask, same argsort, no
+    # probe.
+    occupied = slotted.cold_slots()
+    slots = occupied[slotted.slot_entries(occupied)[2] <= before]
     k2, v2, s2 = slotted.slot_entries(slots)
     np.testing.assert_array_equal(k2, k[cold])
     np.testing.assert_array_equal(v2, v[cold])
@@ -387,3 +395,198 @@ def test_flat_cache_maintenance_equals_scan_and_reprobe(fills, steps):
         assert cache.pool.free_of(dim) == keyed.pool.free_of(dim)
         assert cache.reclaimer.pending == keyed.reclaimer.pending
     assert cache.obs.snapshot().to_dict() == keyed.obs.snapshot().to_dict()
+
+
+# ---------------------------------------------------------------------------
+# LRU victims from the recency queues == the scan + stable-argsort pickers
+# ---------------------------------------------------------------------------
+
+
+def _scan_oldest(index, kind, count=None, newest=None, keep=None):
+    """The pickers as they were: scan every occupied slot, mask the kind
+    (and stamp, and class), stable-argsort the stamps: ties by slot."""
+    slots = index.cold_slots()
+    _, values, stamps = index.slot_entries(slots)
+    mask = (values & np.uint64(1)) == np.uint64(kind)
+    if newest is not None:
+        mask &= stamps <= newest
+    if keep is not None:
+        mask[mask] = keep(values[mask])
+    order = stamps[mask].argsort(kind="stable")
+    return slots[mask][order][:count]
+
+
+class _CheckedIndex(SlabHashIndex):
+    """Every pop checked against the scan picker it replaces."""
+
+    pops = 0
+
+    def oldest(self, kind, count, newest=None, keep=None):
+        want = _scan_oldest(self, kind, count, newest, keep)
+        got = super().oldest(kind, count, newest, keep)
+        assert got.tolist() == want.tolist(), (kind, count, newest)
+        _CheckedIndex.pops += len(got) > 0
+        return got
+
+    def live_slots(self, kind):
+        want = _scan_oldest(self, kind)
+        got = super().live_slots(kind)
+        assert got.tolist() == want.tolist(), kind
+        _CheckedIndex.pops += len(got) > 0
+        return got
+
+
+class _CheckedCache(FlatCache):
+    """Every eviction's pool-derived live count checked against a scan."""
+
+    def _evict(self, dim, tier, need):
+        slots = self.index.cold_slots()
+        _, values, _ = self.index.slot_entries(slots)
+        cached = untag(values[~is_dram_pointer(values)])
+        scanned = int(np.count_nonzero(self._in_class(dim, tier, cached)))
+        assert self._class_live(dim, tier) == scanned
+        super()._evict(dim, tier, need)
+
+
+#: One slab class; two dimensions; two precision tiers of one dimension.
+_CACHES = {
+    "one class": ([300], [8], PrecisionConfig()),
+    "two dims": ([300, 300], [8, 4], PrecisionConfig()),
+    "two tiers": ([300], [8], PrecisionConfig(fp32_share=0.5,
+                                              fp16_share=0.5)),
+}
+
+_ids = st.lists(st.integers(0, 599), max_size=40)
+_cache_steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("tick"), st.just(0), st.just([])),
+        st.tuples(st.just("lookup"), st.just(0), _ids),
+        st.tuples(st.just("insert"), st.just(0), _ids),
+        # A mid-batch eviction, then inserts at the same clock.
+        st.tuples(st.just("evict"), st.integers(1, 40), _ids),
+        st.tuples(st.just("publish"), st.just(0), _ids),
+        st.tuples(st.just("demote"), st.integers(1, 40), st.just([])),
+        st.tuples(st.just("shrink"), st.integers(0, 40), st.just([])),
+        st.tuples(st.just("clear"), st.just(0), st.just([])),
+        st.tuples(st.just("retag"), st.integers(1, 40), st.just([])),
+        st.tuples(st.just("copy"), st.just(0), st.just([])),
+    ),
+    min_size=1, max_size=30,
+)
+
+
+def _groups(cache, ids):
+    """``ids`` as distinct flat keys and reference rows per dimension."""
+    n = len(cache.specs)
+    ids = np.array(ids, dtype=np.int64)
+    groups = {}
+    for spec in cache.specs:
+        features = np.unique(
+            (ids[ids % n == spec.table_id] // n).astype(np.uint64)
+        )
+        keys = cache.encode(spec.table_id, features)
+        rows = reference_vectors(spec.table_id, features, spec.dim)
+        old_keys, old_rows = groups.get(spec.dim, (keys[:0], rows[:0]))
+        groups[spec.dim] = (
+            np.concatenate([old_keys, keys]), np.concatenate([old_rows, rows])
+        )
+    return groups
+
+
+def _insert(cache, ids):
+    for dim, (keys, rows) in _groups(cache, ids).items():
+        fresh = ~cache.contains_cached(keys)
+        cache.admit_and_insert(keys[fresh], rows[fresh], dim)
+
+
+def _lookup(cache, ids):
+    """A batch's stamped probe, feeding the estimator and retiering hits."""
+    for dim, (keys, _) in _groups(cache, ids).items():
+        cache.observe_keys(keys)
+        outcome = cache.index_lookup(keys)
+        hit = outcome.cache_hit
+        locations = outcome.locations[hit]
+        cache.retier_hits(
+            keys[hit], locations, cache.gather(locations), dim
+        )
+
+
+def _run_cache_steps(shape, fill, steps):
+    corpora, dims, precision = _CACHES[shape]
+    cache = _CheckedCache(
+        make_table_specs(corpora, dims),
+        FlecheConfig(cache_ratio=0.3, unified_index_fraction=0.5,
+                     precision=precision),
+    )
+    cache.index.__class__ = _CheckedIndex
+    classes = [(dim, tier) for dim in sorted(set(dims))
+               for tier in cache._tiers]
+    cache.tick()
+    _insert(cache, fill)
+    for action, amount, ids in steps:
+        if action == "tick":
+            cache.tick()
+        elif action == "lookup":
+            _lookup(cache, ids)
+        elif action == "insert":
+            _insert(cache, ids)
+        elif action == "evict":
+            dim, tier = classes[amount % len(classes)]
+            cache._evict(dim, tier, need=amount)
+            _insert(cache, ids)
+        elif action == "publish":
+            for keys, _ in _groups(cache, ids).values():
+                cache.publish_dram_pointers(keys, keys)
+        elif action == "demote":
+            cache.set_unified_capacity(cache.unified_entries + amount)
+        elif action == "shrink":
+            cache.set_unified_capacity(min(amount, cache.unified_entries))
+        elif action == "clear":
+            cache.clear_unified_index()
+        elif action == "retag":
+            # Restamp entries with their own payloads at this clock.
+            slots = cache.index.cold_slots()[:amount]
+            _, values, _ = cache.index.slot_entries(slots)
+            cache.index.retag_slots(slots, values, cache._clock)
+        else:
+            cache = copy.deepcopy(cache)
+    # Every live entry of both kinds, once, in the pickers' order.
+    cache.index.live_slots(CACHE_KIND)
+    cache.index.live_slots(DRAM_KIND)
+    ok, detail = cache._audit_pool()
+    assert ok, detail
+
+
+@settings(max_examples=120, deadline=None)
+@given(shape=st.sampled_from(sorted(_CACHES)), fill=_ids,
+       steps=_cache_steps)
+def test_recency_queues_pop_the_scan_pickers_victims(shape, fill, steps):
+    _run_cache_steps(shape, fill, steps)
+
+
+@pytest.mark.parametrize("shape", sorted(_CACHES))
+def test_recency_queues_pop_in_every_shape(shape):
+    """Each step of the property above pops real victims: demotion,
+    shrink, a mid-batch eviction and the clear."""
+    steps = [("tick", 0, []), ("tick", 0, []), ("demote", 20, []),
+             ("shrink", 5, []), ("evict", 30, list(range(1, 200, 2))),
+             ("clear", 0, [])]
+    before = _CheckedIndex.pops
+    _run_cache_steps(shape, list(range(0, 600, 2)), steps)
+    assert _CheckedIndex.pops - before >= 4
+
+
+def test_recency_queues_stay_bounded():
+    """Restamping the same entries batch after batch: each queue holds at
+    most twice the occupancy plus one entry per bucket."""
+    cache = FlatCache(
+        make_table_specs([300], [8]), FlecheConfig(cache_ratio=0.3)
+    )
+    cache.tick()
+    _insert(cache, list(range(0, 600, 2)))
+    bound = 2 * len(cache.index) + cache.index.num_buckets
+    for _ in range(200):
+        cache.tick()
+        _lookup(cache, list(range(0, 600, 2)))
+        assert all(q.entries <= bound for q in cache.index._recency)
+    assert len(cache.index._recency[CACHE_KIND].stamps) < 200
