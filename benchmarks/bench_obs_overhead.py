@@ -1,18 +1,21 @@
 """Observability cost study: collector and request-tracing overhead on
 the host wall clock.
 
-1. **What does the collector cost?**  The collector folds a registry
-   counter delta per completed batch — real Python work on the *host*
-   wall clock, even though the windows themselves live on the simulated
-   clock.  The sweep serves the same pipelined request stream with no
-   collector and with collectors at several window sizes, and reports
-   the wall-clock overhead; at the default window it must stay under
-   :data:`OVERHEAD_LIMIT` (5%) of serving throughput.
+An observed run builds one :class:`~repro.obs.record.ServingRecord`
+(one row per batch: its instants, stages and registry delta) and every
+observer reads it when the run ends; an unobserved run builds none.
+Both studies time the record plus its reader on the *host* wall clock,
+even though what they compute lives on the simulated clock.
 
-2. **What does request tracing cost?**  The per-request tracer records
-   one ``BatchTraceRecord`` per batch and materializes full traces only
-   for the sampled set, so its cost should track the head-sampling
-   interval, not the request count.  The tracing sweep pairs traced and
+1. **What does the collector cost?**  The sweep serves the same
+   pipelined request stream with no observer and with collectors at
+   several window sizes, and reports the wall-clock overhead; at the
+   default window it must stay under :data:`OVERHEAD_LIMIT` (5%) of
+   serving throughput.
+
+2. **What does request tracing cost?**  The tracer materializes full
+   traces from the record only for the sampled set, so its cost should
+   track the head-sampling interval, not the request count.  The tracing sweep pairs traced and
    untraced runs across sampling interval x pipeline depth and reports
    the median wall-clock ratio; at the default interval it must stay
    under :data:`TRACE_OVERHEAD_LIMIT` (5%).
@@ -90,13 +93,14 @@ def _serve_once(hw, dataset, requests, warm, window=None, depth=2,
     server = PipelinedInferenceServer(
         dataset, layer, hw, depth=depth,
         policy=BatchingPolicy(max_batch_size=512, max_delay=5e-4),
-        collector=collector,
     )
+    if collector is not None:
+        server.observers.append(collector)
     server.serve(warm)
     if trace_interval is not None:
-        server.reqtracer = RequestTracer(TraceConfig(
+        server.observers.append(RequestTracer(TraceConfig(
             head_interval=trace_interval, sla_budget=SLA_BUDGET,
-        ))
+        )))
     # GC control around the timed section (pyperf-style): collect the
     # previous run's garbage (each run builds a fresh ~10 MB store), then
     # keep the cyclic collector from firing mid-measurement — its pauses

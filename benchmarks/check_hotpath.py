@@ -89,7 +89,14 @@ HOT_PATH_FILES = {
     "src/repro/refresh/subscriber.py": 1,  # apply_next
     "src/repro/core/precision.py": 2,      # quantize / dequantize rows
     "src/repro/core/admission.py": 2,      # sketch observe / estimate
-    "src/repro/obs/reqtrace.py": 1,        # sample_masks
+    # The serving record and its readers: ServingRecord.append (the
+    # loop's one call per observed batch) / .latencies; the collector's
+    # observe (its loop: per batch), stage_spans, request_trace (per
+    # stage) and sample_masks
+    "src/repro/obs/record.py": 2,
+    "src/repro/obs/timeseries.py": 1,
+    "src/repro/obs/spans.py": 1,
+    "src/repro/obs/reqtrace.py": 2,
     "src/repro/scenarios/base.py": 1,      # draw_feature_cube
 }
 

@@ -1402,14 +1402,14 @@ def _traced_run(hw):
                                   engine=default_serving_slos(SLA))
     server = PipelinedInferenceServer(
         dataset, _fleche(store, hw), hw, depth=2, policy=_batching(),
-        model=_dcn(dataset), include_dense=True, tracer=tracer,
-        collector=collector)
+        model=_dcn(dataset), include_dense=True)
+    server.observers += [tracer, collector]
     server.serve(PoissonArrivals(dataset, 200_000.0, seed=1).generate(400))
     tracer.clear()
     # Attached after the warm run (one tracer traces one run), with tail
     # capture at the SLA budget so every violator is kept.
     reqtracer = RequestTracer(TraceConfig(sla_budget=SLA))
-    server.reqtracer = reqtracer
+    server.observers.append(reqtracer)
     report = server.serve(PoissonArrivals(
         dataset, SATURATING_RATE, seed=2).generate(num_requests))
     paths = [*emit_observability(report.metrics, tracer),
@@ -1914,7 +1914,8 @@ def _serve_scenario(name, dataset, hw, admission) -> dict:
     if load.tenant_of is not None:
         collector.set_tenancy(load.tenant_of, load.tenant_slos)
     server = PipelinedInferenceServer(dataset, layer, hw, depth=2,
-                                      policy=_batching(), collector=collector)
+                                      policy=_batching())
+    server.observers.append(collector)
     if load.update_log is not None:
         subscriber = UpdateSubscriber(load.update_log, layer.cache,
                                       host_store=layer.store)
@@ -2014,12 +2015,12 @@ def _serve_under_outage(hw, dataset, fraction, policy, depth=None,
                                  degrade=DegradeConfig(policy="stale"))
     layer = _fleche(store, hw)
     if depth is None:
-        server = InferenceServer(dataset, layer, hw, policy=_batching(64),
-                                 collector=collector)
+        server = InferenceServer(dataset, layer, hw, policy=_batching(64))
     else:
         server = PipelinedInferenceServer(dataset, layer, hw,
-                                          policy=_batching(64), depth=depth,
-                                          collector=collector)
+                                          policy=_batching(64), depth=depth)
+    if collector is not None:
+        server.observers.append(collector)
     return server.serve(PoissonArrivals(dataset, 40_000.0, seed=5)
                         .generate_until(FAULT_HORIZON))
 
@@ -2150,8 +2151,9 @@ def _refresh_replica(hw, dataset, collector=None, warm=None):
     """A depth-2 replica over a plain store, and its layer."""
     layer = _fleche(EmbeddingStore(dataset.table_specs(), hw), hw)
     server = PipelinedInferenceServer(dataset, layer, hw,
-                                      policy=_batching(64), depth=2,
-                                      collector=collector)
+                                      policy=_batching(64), depth=2)
+    if collector is not None:
+        server.observers.append(collector)
     if warm is not None:
         server.serve(warm)
     return server, layer

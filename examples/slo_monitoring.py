@@ -81,8 +81,8 @@ def main() -> None:
     server = PipelinedInferenceServer(
         dataset, layer, hw, depth=2,
         policy=BatchingPolicy(max_batch_size=64, max_delay=5e-4),
-        collector=collector,
     )
+    server.observers.append(collector)
     requests = PoissonArrivals(dataset, 40_000.0, seed=5).generate_until(HORIZON)
     server.serve(requests)
 

@@ -58,8 +58,8 @@ def _cmd_serve(args) -> int:
     server = PipelinedInferenceServer(
         dataset, layer, hw, depth=args.depth,
         policy=BatchingPolicy(max_batch_size=512, max_delay=5e-4),
-        collector=collector,
     )
+    server.observers.append(collector)
     http = None
     if args.metrics_port is not None:
         http = MetricsHttpServer(
@@ -157,8 +157,8 @@ def _cmd_scenario(args) -> int:
     server = PipelinedInferenceServer(
         dataset, layer, hw, depth=2,
         policy=BatchingPolicy(max_batch_size=512, max_delay=5e-4),
-        collector=collector,
     )
+    server.observers.append(collector)
     if load.update_log is not None:
         from .refresh import RefreshScheduler, UpdateSubscriber
 

@@ -112,21 +112,6 @@ class ClusterReplica:
         )
         self.subscriber.catch_up(now)
 
-    def attach_reqtracer(self, tracer) -> None:
-        """Attach (or detach, with ``None``) a per-stream request tracer.
-
-        The router attaches a fresh non-finalizing
-        :class:`~repro.obs.reqtrace.RequestTracer` around each
-        ``(replica, incarnation)`` stream it executes, then detaches it
-        — the tracer's batch records outlive the attachment, so winner
-        traces can be materialized at merge time.
-        """
-        if self.server is None:
-            raise ConfigError(
-                f"replica {self.replica_id} is crashed; recover() first"
-            )
-        self.server.reqtracer = tracer
-
     def take_snapshot(self):
         """Stamp cache contents + log position; survives a later crash."""
         if self.subscriber is None:

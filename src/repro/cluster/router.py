@@ -54,13 +54,14 @@ from ..errors import ConfigError, WorkloadError
 from ..faults.retry import BreakerConfig, CircuitBreaker
 from ..faults.schedule import FaultSchedule
 from ..obs.alerts import FIRING, RESOLVED, Alert
+from ..obs.record import RecordLog, ServingRecord
 from ..obs.registry import MetricsRegistry, Observable, install_reqtrace_laws
 from ..obs.reqtrace import (
     RequestTrace,
-    RequestTracer,
     TraceConfig,
     TraceContext,
     cause_counts,
+    request_trace,
     sample_traces,
 )
 from ..serving.arrivals import RequestStream, request_columns
@@ -597,11 +598,13 @@ class ClusterRouter(Observable):
         requests: RequestStream,
         table: _DispatchTable,
         rows: np.ndarray,
-        tracers: Dict[Tuple[int, int], RequestTracer],
+        records: Dict[Tuple[int, int], ServingRecord],
     ) -> None:
         """Serve table ``rows`` through their ``(replica, incarnation)``
         streams, each ordered by ``(at, request_id)``, and stamp
-        ``finish = at + latency x slow_factor``."""
+        ``finish = at + latency x slow_factor``.  When tracing, each
+        stream's serving record is kept under its key (a row's ``pos``
+        indexes into it) for the traces built at merge time."""
         streams = plan_primary_streams(
             table.replica[rows] * 2 + table.incarnation[rows],
             table.at[rows], requests.columns.request_ids[table.index[rows]],
@@ -614,17 +617,12 @@ class ClusterRouter(Observable):
             # re-sent copy's, not the request's own arrival.
             stream = requests.take(index, at)
             if self.trace_config is not None:
-                # One non-finalizing tracer per stream: it records batch
-                # timing only (no sampling, no counters); the router
-                # materializes winner traces from it at merge time.  The
-                # row's ``pos`` indexes into its records.
-                tracer = tracers[divmod(key, 2)] = RequestTracer(
-                    self.trace_config, finalize_on_serve=False
-                )
-                replica.attach_reqtracer(tracer)
+                kept = RecordLog()
+                replica.server.observers.append(kept)
             report = replica.serve(stream)
             if self.trace_config is not None:
-                replica.attach_reqtracer(None)
+                replica.server.observers.remove(kept)
+                records[divmod(key, 2)] = kept.records[0]
             table.finish[sent] = at + (
                 np.asarray(report.latencies, np.float64)
                 * self.schedule.slow_factor_many(replica.replica_id, at)
@@ -637,7 +635,7 @@ class ClusterRouter(Observable):
         requests: RequestStream,
         table: _DispatchTable,
         episodes: Dict[int, _CrashEpisode],
-    ) -> Dict[Tuple[int, int], RequestTracer]:
+    ) -> Dict[Tuple[int, int], ServingRecord]:
         """Run every stream, crash victims first.
 
         A victim's pre-crash stream runs before anything else so the
@@ -647,13 +645,13 @@ class ClusterRouter(Observable):
         """
         cfg = self.config
         reg = self.obs
-        tracers: Dict[Tuple[int, int], RequestTracer] = {}
+        records: Dict[Tuple[int, int], ServingRecord] = {}
         for victim in sorted(episodes, key=lambda r: episodes[r].start):
             episode = episodes[victim]
             rows = np.flatnonzero(
                 (table.replica == victim) & (table.incarnation == 0)
             )
-            self._run_streams(requests, table, rows, tracers)
+            self._run_streams(requests, table, rows, records)
             # In flight when the replica died: the response never
             # arrives.  The router only learns at detection, so the
             # retry dispatches then.
@@ -687,14 +685,14 @@ class ClusterRouter(Observable):
         spent = np.isin(table.replica, list(episodes)) & (
             table.incarnation == 0
         )
-        self._run_streams(requests, table, np.flatnonzero(~spent), tracers)
+        self._run_streams(requests, table, np.flatnonzero(~spent), records)
         sent = np.bincount(table.kind_rank, minlength=len(_KIND_RANK))
         reg.inc(
             "cluster.failovers_dispatched",
             int(sent[_KIND_RANK[DISPATCH_FAILOVER]]),
         )
         reg.inc("cluster.hedges_fired", int(sent[_KIND_RANK[DISPATCH_HEDGE]]))
-        return tracers
+        return records
 
     # ------------------------------------------------------------ merging
 
@@ -774,7 +772,7 @@ class ClusterRouter(Observable):
         ]) if cfg.failover else np.ones((cfg.num_replicas, n), bool)
         owners = self.policy.primary_many(requests, routable)
         table = self._plan_arrays(owners, arrivals, routable, episodes)
-        tracers = self._execute(requests, table, episodes)
+        records = self._execute(requests, table, episodes)
         latencies, winner = self._merge(table, arrivals)
 
         rank = np.full(n, _DISPOSITIONS.index(SHED))
@@ -794,7 +792,7 @@ class ClusterRouter(Observable):
         traces = rootcause = None
         if self.trace_config is not None:
             traces, rootcause = self._assemble_traces(
-                request_ids, arrivals, latencies, rank, table, winner, tracers
+                request_ids, arrivals, latencies, rank, table, winner, records
             )
 
         alerts = (
@@ -838,9 +836,10 @@ class ClusterRouter(Observable):
         rank: np.ndarray,
         table: _DispatchTable,
         winner: np.ndarray,
-        stream_tracers: Dict[Tuple[int, int], "RequestTracer"],
+        records: Dict[Tuple[int, int], ServingRecord],
     ):
-        """Sample and materialize the run's traces from the stream tracers.
+        """Sample and materialize the run's traces from the streams'
+        serving records.
 
         Sampling happens here — at the only level where the end-to-end
         latency (across failover/hedge copies) exists: shed requests
@@ -871,8 +870,8 @@ class ClusterRouter(Observable):
             incarnation = int(table.incarnation[row])
             kind = _DISPOSITIONS[rank[i]]
             at = float(table.at[row])
-            trace = stream_tracers[(replica, incarnation)].trace_for(
-                int(table.pos[row])
+            trace = request_trace(
+                records[(replica, incarnation)], int(table.pos[row])
             )
             trace.context = TraceContext(
                 request_id=int(ids[i]),

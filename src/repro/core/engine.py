@@ -135,7 +135,6 @@ class InferenceEngine:
         batch: TraceBatch,
         executor: Executor,
         coalescer=None,
-        trace=None,
     ):
         """Staged variant of :meth:`run_batch` for pipelined serving.
 
@@ -149,12 +148,6 @@ class InferenceEngine:
         caller decides when to read (and thereby wait for) the values.
         Driving the generator to exhaustion with no scheduling in between
         performs exactly the sequential batch.
-
-        ``trace`` (optional) is the batch's request-tracing record
-        (:class:`~repro.obs.reqtrace.BatchTraceRecord`); the engine
-        stamps the query's coalesced-miss attribution into it at the
-        same choke point that feeds the metrics registry, so the trace
-        sees exactly the numbers the counters see.
         """
         query = yield from self.scheme.query_stages(
             batch, executor, coalescer=coalescer
@@ -164,8 +157,6 @@ class InferenceEngine:
             yield STAGE_DENSE
             dense = self._run_dense(batch, query, executor)
         record_query_metrics(self.obs, query, batch=batch)
-        if trace is not None:
-            trace.note_query(query)
         return query, dense
 
     def run_batch(self, batch: TraceBatch, executor: Executor) -> tuple:

@@ -12,7 +12,7 @@ run is therefore replayable from ``(schedule, seed)`` alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -176,6 +176,12 @@ class HeartbeatLoss(FaultEvent):
             raise ConfigError("replica index must be >= 0")
 
 
+def _level(event: FaultEvent) -> float:
+    """An active event's strength: its factor or timeout probability,
+    1.0 for an event that is only up or down."""
+    return getattr(event, "factor", getattr(event, "probability", 1.0))
+
+
 class FaultSchedule:
     """An immutable, queryable collection of fault events."""
 
@@ -184,9 +190,8 @@ class FaultSchedule:
             if not isinstance(event, FaultEvent):
                 raise ConfigError(f"not a fault event: {event!r}")
         self.events: Tuple[FaultEvent, ...] = tuple(events)
-        #: ``(event type, replica) -> (breaks, levels)`` step functions
-        #: behind the ``*_many`` queries, built on first use (the event
-        #: set never changes, so neither do they).
+        #: ``(event type, target field, target) -> (breaks, levels)``
+        #: step functions behind every query (see :meth:`_timeline`).
         self._timelines: Dict[tuple, Tuple[np.ndarray, np.ndarray]] = {}
 
     def __len__(self) -> int:
@@ -196,58 +201,71 @@ class FaultSchedule:
         return f"FaultSchedule({list(self.events)!r})"
 
     # ------------------------------------------------------------ queries
+    #
+    # Every "what is broken at ``now``?" query reads one cached step
+    # function per (event type, target): the scalar queries and the
+    # ``*_many`` array forms answer from the same table.
+
+    def _timeline(self, kind: type, attr: Optional[str], target):
+        """``(breaks, levels)`` of the ``kind`` events on ``target``.
+
+        ``attr`` names the event field holding the target (``"shard"``,
+        ``"replica"``) or is ``None`` for schedule-wide events.
+        ``levels[k]`` is the strongest active event's level (its
+        ``factor`` or ``probability``; 1.0 for event types with neither;
+        0.0 when nothing is active) on ``[breaks[k-1], breaks[k])``, so a
+        right-sided search gives the scalar queries' ``start <= now <
+        end`` edges.  Built on first use: the event set never changes.
+        """
+        key = (kind, attr, target)
+        if key not in self._timelines:
+            events = [
+                e for e in self.events
+                if isinstance(e, kind)
+                and (attr is None or getattr(e, attr) == target)
+            ]
+            breaks = sorted({b for e in events for b in (e.start, e.end)})
+            levels = [0.0] + [
+                max((_level(e) for e in events if e.active(b)), default=0.0)
+                for b in breaks
+            ]
+            self._timelines[key] = (
+                np.array(breaks, dtype=np.float64), np.array(levels),
+            )
+        return self._timelines[key]
+
+    def _at(self, kind: type, attr: Optional[str], target,
+               now: float) -> float:
+        breaks, levels = self._timeline(kind, attr, target)
+        return float(levels[breaks.searchsorted(now, side="right")])
 
     def timeout_probability(self, now: float) -> float:
         """Per-attempt transient-timeout probability at ``now``."""
-        active = [
-            e.probability for e in self.events
-            if isinstance(e, TransientTimeout) and e.active(now)
-        ]
-        return max(active) if active else 0.0
+        return self._at(TransientTimeout, None, None, now)
 
     def link_factor(self, now: float) -> float:
         """Latency multiplier on the network path at ``now``."""
-        active = [
-            e.factor for e in self.events
-            if isinstance(e, DegradedLink) and e.active(now)
-        ]
-        return max(active) if active else 1.0
+        return max(self._at(DegradedLink, None, None, now), 1.0)
 
     def shard_down(self, shard: int, now: float) -> bool:
         """Whether PS shard ``shard`` is inside an outage window."""
-        return any(
-            e.shard == shard and e.active(now)
-            for e in self.events if isinstance(e, ShardOutage)
-        )
+        return self._at(ShardOutage, "shard", shard, now) > 0.0
 
     def dram_down(self, now: float) -> bool:
         """Whether the DRAM tier is inside a failure window."""
-        return any(
-            e.active(now)
-            for e in self.events if isinstance(e, DramTierFailure)
-        )
+        return self._at(DramTierFailure, None, None, now) > 0.0
 
     def update_log_down(self, now: float) -> bool:
         """Whether the model-update log is inside an outage window."""
-        return any(
-            e.active(now)
-            for e in self.events if isinstance(e, UpdateLogOutage)
-        )
+        return self._at(UpdateLogOutage, None, None, now) > 0.0
 
     def subscriber_slow_factor(self, now: float) -> float:
         """Slowdown multiplier on the update-apply path at ``now``."""
-        active = [
-            e.factor for e in self.events
-            if isinstance(e, SlowSubscriber) and e.active(now)
-        ]
-        return max(active) if active else 1.0
+        return max(self._at(SlowSubscriber, None, None, now), 1.0)
 
     def replica_crashed(self, replica: int, now: float) -> bool:
         """Whether serving replica ``replica`` is inside a crash window."""
-        return any(
-            e.replica == replica and e.active(now)
-            for e in self.events if isinstance(e, ReplicaCrash)
-        )
+        return self._at(ReplicaCrash, "replica", replica, now) > 0.0
 
     def replica_crash_windows(
         self, replica: int
@@ -261,42 +279,15 @@ class FaultSchedule:
 
     def replica_slow_factor(self, replica: int, now: float) -> float:
         """Service-time multiplier on replica ``replica`` at ``now``."""
-        active = [
-            e.factor for e in self.events
-            if isinstance(e, ReplicaSlowdown) and e.replica == replica
-            and e.active(now)
-        ]
-        return max(active) if active else 1.0
+        return max(
+            self._at(ReplicaSlowdown, "replica", replica, now), 1.0
+        )
 
     def _levels_many(
         self, kind: type, replica: int, times: np.ndarray
     ) -> np.ndarray:
-        """Strongest active ``kind`` event on ``replica`` at each instant.
-
-        The windows are folded once into a step function: ``levels[k]``
-        is the largest ``factor`` (1.0 for event types without one; 0.0
-        when nothing is active) on ``[breaks[k-1], breaks[k])``, so one
-        right-sided ``searchsorted`` answers a whole array with the
-        scalar queries' ``start <= now < end`` edges.
-        """
-        key = (kind, replica)
-        if key not in self._timelines:
-            events = [
-                e for e in self.events
-                if isinstance(e, kind) and e.replica == replica
-            ]
-            breaks = sorted({b for e in events for b in (e.start, e.end)})
-            levels = [0.0] + [
-                max(
-                    (getattr(e, "factor", 1.0) for e in events if e.active(b)),
-                    default=0.0,
-                )
-                for b in breaks
-            ]
-            self._timelines[key] = (
-                np.array(breaks, dtype=np.float64), np.array(levels),
-            )
-        breaks, levels = self._timelines[key]
+        """Strongest active ``kind`` event on ``replica`` at each instant."""
+        breaks, levels = self._timeline(kind, "replica", replica)
         return levels[np.searchsorted(breaks, times, side="right")]
 
     # hot-path: vectorized
@@ -318,10 +309,7 @@ class FaultSchedule:
         also misses beats, but callers distinguish the two (crash loses
         state; heartbeat loss is a detector false positive).
         """
-        return any(
-            e.replica == replica and e.active(now)
-            for e in self.events if isinstance(e, HeartbeatLoss)
-        )
+        return self._at(HeartbeatLoss, "replica", replica, now) > 0.0
 
     def fault_windows(self) -> List[Tuple[float, float]]:
         """Merged ``(start, end)`` intervals during which any fault is live.

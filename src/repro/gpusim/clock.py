@@ -54,9 +54,10 @@ class Timeline:
             self._now = instant
         return self._now
 
-    def reset(self, start: float = 0.0) -> None:
-        """Rewind the clock (only meaningful between independent experiments)."""
-        self._now = float(start)
+    def reset(self) -> None:
+        """Rewind the clock to 0 (only meaningful between independent
+        experiments)."""
+        self._now = 0.0
         self._active = 0.0
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

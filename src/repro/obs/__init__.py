@@ -1,5 +1,6 @@
-"""Unified observability: metrics registry, invariant audits, span tracing,
-windowed time-series, OpenMetrics exposition and SLO burn-rate alerting.
+"""Unified observability: metrics registry, invariant audits, the serving
+record and its readers (span tracing, windowed time-series, SLO burn-rate
+alerting, request traces), and OpenMetrics exposition.
 
 See ``docs/observability.md`` for the registry API, the counter/span
 taxonomy, the invariant catalogue and the window/series/alert layer.
@@ -28,6 +29,7 @@ from .critical_path import (
     dominant_segments,
     top_table_rows,
 )
+from .record import RecordLog, ServingRecord
 from .registry import (
     Conservation,
     HistogramStats,
@@ -39,7 +41,6 @@ from .registry import (
     render_key,
 )
 from .reqtrace import (
-    BatchTraceRecord,
     RequestTrace,
     RequestTracer,
     TraceConfig,
@@ -56,7 +57,6 @@ from .timeseries import (
 
 __all__ = [
     "Alert",
-    "BatchTraceRecord",
     "BurnRateRule",
     "CAUSE_PRIORITY",
     "Conservation",
@@ -66,10 +66,12 @@ __all__ = [
     "MetricsRegistry",
     "MetricsSnapshot",
     "Observable",
+    "RecordLog",
     "RequestTrace",
     "RequestTracer",
     "SEGMENTS",
     "Slo",
+    "ServingRecord",
     "SloEngine",
     "SpanTracer",
     "TraceConfig",

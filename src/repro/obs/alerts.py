@@ -25,7 +25,7 @@ deterministically, and the whole history serialises to ``alerts.json``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Sequence
 
 from ..errors import ConfigError
@@ -59,14 +59,6 @@ class Slo:
     def error_budget(self) -> float:
         return 1.0 - self.objective
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "objective": self.objective,
-            "bad_series": self.bad_series,
-            "total_series": self.total_series,
-        }
-
 
 @dataclass(frozen=True)
 class BurnRateRule:
@@ -88,15 +80,6 @@ class BurnRateRule:
             raise ConfigError(
                 f"rule {self.name!r}: resolve_after must be >= 1"
             )
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "slo": self.slo,
-            "lookback": self.lookback,
-            "threshold": self.threshold,
-            "resolve_after": self.resolve_after,
-        }
 
 
 @dataclass
@@ -260,8 +243,8 @@ class SloEngine:
         """JSON-ready artifact body (``alerts.json``)."""
         return {
             "kind": "alerts",
-            "slos": [s.to_dict() for s in self.slos.values()],
-            "rules": [r.to_dict() for r in self.rules],
+            "slos": [asdict(s) for s in self.slos.values()],
+            "rules": [asdict(r) for r in self.rules],
             "firing": [a.rule for a in self.firing],
             "alerts": [a.to_dict() for a in self.alerts],
         }

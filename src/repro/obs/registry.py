@@ -437,31 +437,18 @@ class MetricsRegistry:
     def gauge(self, name: str, **labels: object) -> float:
         return self._gauges.get((name, _labelset(labels)), 0.0)
 
-    def has_prefix(self, prefix: str) -> bool:
-        """Whether any counter or gauge name starts with ``prefix``.
-
-        Lets optional-subsystem consumers (e.g. the windowed collector's
-        refresh series) detect activity without creating metric keys —
-        reading through :meth:`gauge`/:meth:`total` cannot distinguish
-        "absent" from "zero".
-        """
-        return any(
-            n.startswith(prefix) for (n, _) in self._counters
-        ) or any(n.startswith(prefix) for (n, _) in self._gauges)
-
     def histogram(self, name: str, **labels: object) -> HistogramStats:
         return self._histograms.get((name, _labelset(labels)), HistogramStats())
 
     def total(self, name: str) -> Union[int, float]:
         return sum(v for (n, _), v in self._counters.items() if n == name)
 
-    def counter_state(self) -> Dict[MetricKey, Union[int, float]]:
-        """A shallow copy of every counter (no gauges/histograms).
-
-        The windowed collector diffs this per batch; it is deliberately
-        cheaper than a full :meth:`snapshot`.
-        """
-        return dict(self._counters)
+    def state(self) -> Tuple[Dict[MetricKey, Union[int, float]],
+                             Dict[MetricKey, float]]:
+        """Shallow copies of every counter and every gauge: what a
+        :class:`~repro.obs.record.ServingRecord` diffs once per batch,
+        cheaper than a full :meth:`snapshot`."""
+        return dict(self._counters), dict(self._gauges)
 
     def snapshot(self) -> MetricsSnapshot:
         return MetricsSnapshot(

@@ -1,12 +1,11 @@
 """Per-request distributed tracing with bounded-overhead sampling.
 
-The serving loop already computes every instant a trace needs — batch
-dispatch, per-stage stalls and executor elapsed deltas, batch finish —
-so tracing records them instead of re-deriving them: a
-:class:`RequestTracer` attached to a server collects **one record per
-batch** (O(1) per stage per batch, never per-request work in the hot
-loop), and only *materializes* per-request traces for the sampled set
-at finalize time.  Sampling is deterministic and two-sided:
+Request traces are a function of the run's
+:class:`~repro.obs.record.ServingRecord`: the serving loop records each
+batch's dispatch, per-stage waits and executor time and finish once,
+and a :class:`RequestTracer` observing the server *materializes*
+per-request traces for the sampled set when the run ends
+(:func:`request_trace`).  Sampling is deterministic and two-sided:
 
 * **head sampling** — ``request_id % head_interval == 0`` keeps an
   unbiased deterministic slice of all traffic;
@@ -18,13 +17,9 @@ at finalize time.  Sampling is deterministic and two-sided:
 A materialized :class:`RequestTrace` carries the
 :class:`TraceContext` (request id, dispatch copy, replica
 incarnation) and the exclusive segment decomposition from
-:mod:`~repro.obs.critical_path`.
-
-Nothing here runs when no tracer is attached: the serving loop guards
-every call site on ``reqtracer is not None``, and all ``reqtrace.*``
-counters are incremented only inside :func:`sample_traces` —
-a run without tracing is byte-identical to one built before this
-module existed (zero ``reqtrace.*`` metrics, identical goldens).
+:mod:`~repro.obs.critical_path`.  All ``reqtrace.*`` counters are
+incremented inside :func:`sample_traces`, so a run without tracing has
+none of them.
 """
 
 from __future__ import annotations
@@ -41,7 +36,6 @@ from ..errors import ConfigError
 from .critical_path import CONSERVATION_TOL, classify, conserves, decompose
 
 __all__ = [
-    "BatchTraceRecord",
     "RequestTrace",
     "RequestTracer",
     "TraceConfig",
@@ -82,46 +76,6 @@ class TraceContext:
     dispatch: str = "primary"
     replica: Optional[int] = None
     incarnation: int = 0
-
-
-class BatchTraceRecord:
-    """One batch's trip through the serving loop (the O(1) hot-loop unit).
-
-    The serving loop owns exactly one live record per in-flight batch
-    and calls :meth:`dispatched` / :meth:`stage` with values it already
-    computed; the engine stamps coalescing attribution via
-    :meth:`note_query` when the batch's query result returns.  All
-    instants are on the serving replica's own clock.
-    """
-
-    __slots__ = (
-        "index", "lo", "hi", "formed_at", "dispatch_at", "stages",
-        "finish", "coalesced_keys", "coalesce_sources",
-    )
-
-    def __init__(self, index: int, lo: int, hi: int, formed_at: float):
-        self.index = index
-        self.lo = lo
-        self.hi = hi
-        self.formed_at = formed_at
-        self.dispatch_at = formed_at
-        #: ``(stage name, inter-stage wait, exec seconds)`` per stage.
-        self.stages: List[Tuple[str, float, float]] = []
-        self.finish = formed_at
-        self.coalesced_keys = 0
-        self.coalesce_sources: Dict[int, int] = {}
-
-    def dispatched(self, at: float) -> None:
-        self.dispatch_at = at
-
-    def stage(self, name: str, wait: float, exec_s: float) -> None:
-        self.stages.append((name, wait, exec_s))
-
-    def note_query(self, query) -> None:
-        """Stamp the batch's coalesced-miss join (engine calls this)."""
-        self.coalesced_keys = int(query.coalesced_keys)
-        if query.coalesce_sources:
-            self.coalesce_sources = dict(query.coalesce_sources)
 
 
 @dataclass
@@ -292,119 +246,60 @@ def cause_counts(traces: Iterable[RequestTrace]) -> Dict[str, int]:
     return {cause: counts[cause] for cause in sorted(counts)}
 
 
-class RequestTracer:
-    """Per-run request tracer: batch records in, sampled traces out.
+# hot-path: vectorized
+def request_trace(record, position: int) -> RequestTrace:
+    """Materialize request ``position`` of a run from its record (no
+    counters).
 
-    One tracer serves one run.  Standalone servers own the whole
-    lifecycle (``finalize_on_serve=True``): the serving loop calls
-    :meth:`finalize` before its report snapshot, which samples,
-    materializes, classifies, and increments the ``reqtrace.*``
-    counters on the server's registry.  The cluster router instead
-    attaches one tracer per ``(replica, incarnation)`` stream with
-    ``finalize_on_serve=False`` — streams only *record* — and hands
-    :func:`sample_traces` a materialiser that wraps :meth:`trace_for`,
-    so sampling decisions (and counters) happen once, at router level,
-    where the end-to-end latency is known.
+    Replica-clock view: ``arrival`` is the stream arrival (the dispatch
+    instant for re-dispatched copies) and ``latency`` the replica-side
+    latency; the router rewrites both when it wraps the trace with its
+    routing hop and slowdown scale.
+    """
+    row = record.row_of(position)
+    arrival = float(record.arrivals[position])
+    stages = []
+    elapsed_before = 0.0
+    for _, stage, _, wait, elapsed, _ in record.stages[row]:  # lint: allow-loop (per stage)
+        stages.append((stage, wait, elapsed - elapsed_before))
+        elapsed_before = elapsed
+    return RequestTrace(
+        context=TraceContext(request_id=int(record.request_ids[position])),
+        arrival=arrival,
+        latency=record.finish[row] - arrival,
+        batch_index=record.batch[row],
+        queue=record.dispatch[row] - arrival,
+        stages=tuple(stages),
+        coalesced_keys=record.coalesced_keys[row],
+        coalesce_sources=dict(record.coalesce_sources[row]),
+    )
+
+
+class RequestTracer:
+    """Samples each observed run: head slice plus every SLA violator.
+
+    :meth:`observe` runs when the run ends, before the report's exit
+    snapshot, so the ``reqtrace.*`` delta lands inside the report and
+    the conservation laws audit it at the exit barrier.  The cluster
+    router samples at its own level instead (where the end-to-end
+    latency is known), from the records its replicas kept.
     """
 
-    def __init__(
-        self,
-        config: Optional[TraceConfig] = None,
-        finalize_on_serve: bool = True,
-    ):
+    def __init__(self, config: Optional[TraceConfig] = None):
         self.config = config or TraceConfig()
-        self.finalize_on_serve = finalize_on_serve
-        self.batches: List[BatchTraceRecord] = []
+        self.record = None
         self.traces: List[RequestTrace] = []
-        self._ids: Optional[np.ndarray] = None
-        self._arrivals: Optional[np.ndarray] = None
-        self._batch_of: Optional[np.ndarray] = None
 
-    # ------------------------------------------------------- recording
-
-    def begin_run(
-        self, request_ids: np.ndarray, arrivals: np.ndarray
-    ) -> None:
-        """Reset and bind the run's request identity/arrival arrays."""
-        self.batches = []
-        self.traces = []
-        self._ids = np.asarray(request_ids, dtype=np.int64)
-        self._arrivals = np.asarray(arrivals, dtype=np.float64)
-        self._batch_of = None
-
-    def begin_batch(
-        self, index: int, lo: int, hi: int, formed_at: float
-    ) -> BatchTraceRecord:
-        record = BatchTraceRecord(index, lo, hi, formed_at)
-        self.batches.append(record)
-        return record
-
-    def finish_batch(
-        self, record: BatchTraceRecord, finish: float
-    ) -> None:
-        record.finish = finish
-
-    # ---------------------------------------------------- finalization
-
-    def latencies(self) -> np.ndarray:
-        """Per-request latencies replayed from the batch records.
-
-        ``finish - arrival`` per batch slice — the same float op, on
-        the same operands, as the serving loop's own bookkeeping.
-        """
-        if self._arrivals is None:
-            raise ConfigError("begin_run was never called on this tracer")
-        out = np.zeros(len(self._arrivals), dtype=np.float64)
-        for record in self.batches:  # lint: allow-loop (per batch)
-            out[record.lo:record.hi] = (
-                record.finish - self._arrivals[record.lo:record.hi]
-            )
-        return out
-
-    def _record_for(self, position: int) -> BatchTraceRecord:
-        if self._batch_of is None:
-            batch_of = np.zeros(len(self._arrivals), dtype=np.intp)
-            for k, record in enumerate(self.batches):  # lint: allow-loop (per batch)
-                batch_of[record.lo:record.hi] = k
-            self._batch_of = batch_of
-        return self.batches[int(self._batch_of[position])]
-
-    def trace_for(self, position: int) -> RequestTrace:
-        """Materialize one request by stream position (no counters).
-
-        Replica-clock view: ``arrival`` is the stream arrival (the
-        dispatch instant for re-dispatched copies) and ``latency`` the
-        replica-side latency; the router rewrites both when it wraps
-        the trace with its routing hop and slowdown scale.
-        """
-        record = self._record_for(position)
-        arrival = float(self._arrivals[position])
-        return RequestTrace(
-            context=TraceContext(request_id=int(self._ids[position])),
-            arrival=arrival,
-            latency=record.finish - arrival,
-            batch_index=record.index,
-            queue=record.dispatch_at - arrival,
-            stages=tuple(record.stages),
-            coalesced_keys=record.coalesced_keys,
-            coalesce_sources=dict(record.coalesce_sources),
-        )
-
-    def finalize(self, registry) -> List[RequestTrace]:
-        """Sample, materialize, classify; fold counters into ``registry``.
-
-        Called once per standalone run, after the last batch finishes
-        and before the report's exit snapshot, so the ``reqtrace.*``
-        delta lands inside the report and the conservation laws audit
-        it at the exit barrier.
-        """
+    def observe(self, record) -> None:
+        """Sample, materialize and classify one run; count on its
+        registry."""
+        self.record = record
+        ids = np.asarray(record.request_ids, dtype=np.int64)
         self.traces = sample_traces(
-            self.config, registry, self._ids, self.latencies(),
-            np.zeros(len(self._ids), dtype=bool), self.trace_for,
+            self.config, record.registry, ids, record.latencies(),
+            np.zeros(len(ids), dtype=bool),
+            lambda position: request_trace(record, position),
         )
-        return self.traces
-
-    # -------------------------------------------------------- exports
 
     def to_payload(self) -> dict:
         """Deterministic JSON artifact (``kind: reqtrace``)."""
@@ -415,7 +310,7 @@ class RequestTracer:
             "sla_budget_s": cfg.sla_budget,
             "capture_tail": CAPTURE_TAIL,
             "requests": (
-                0 if self._arrivals is None else int(len(self._arrivals))
+                0 if self.record is None else len(self.record.arrivals)
             ),
             "sampled": len(self.traces),
             "rootcause": {"causes": cause_counts(self.traces)},

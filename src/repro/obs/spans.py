@@ -1,8 +1,9 @@
 """Span tracing on the simulated clock.
 
-A :class:`SpanTracer` captures *serving* activity across a whole run: one
-span per (batch, stage) — index / fetch / copy / dense — plus queueing
-spans, all stamped with absolute simulated-clock times.  Attached to an
+A :class:`SpanTracer` observing a server captures *serving* activity
+across a whole run: one span per (batch, stage) — index / fetch / copy /
+dense — plus queueing spans, all stamped with absolute simulated-clock
+times.  Attached to an
 executor (:meth:`SpanTracer.attach`) it captures *executor* activity
 instead: every kernel launch and execution, host work, copy and sync
 inside a batch.  Either exports Chrome trace-event JSON via
@@ -17,7 +18,9 @@ overlapping the copy kernel, sync stalls) opens directly in
     layer.query(batch, executor)
     tracer.export_json("batch.trace.json")
 
-Span taxonomy used by the serving loop:
+Serving spans are a function of the run's
+:class:`~repro.obs.record.ServingRecord` (:func:`stage_spans`), in the
+order the loop executed the stages:
 
 * track ``lane{k}`` — pipeline lane ``batch_index % depth`` (``lane0``
   alone at depth 1);
@@ -113,19 +116,9 @@ class SpanTracer:
         executor.run = executor.run_each  # type: ignore[method-assign]
         return tracer
 
-    def record(
-        self,
-        track: str,
-        name: str,
-        start: float,
-        end: float,
-        category: str,
-    ) -> None:
-        """Record one closed interval ``[start, end]`` on ``track``."""
-        self.spans.append(
-            Span(track=track, name=name, start=start,
-                 duration=end - start, category=category)
-        )
+    def observe(self, record) -> None:
+        """Add a finished run's serving spans (:func:`stage_spans`)."""
+        self.spans.extend(stage_spans(record))
 
     # ------------------------------------------------------------- querying
 
@@ -154,3 +147,27 @@ class SpanTracer:
 
     def export_json(self, path: str) -> str:
         return export_chrome_trace(self.spans, path)
+
+
+# hot-path: vectorized
+def stage_spans(record) -> List[Span]:
+    """A run's serving spans: per batch, its queue wait (seal to
+    dispatch, when it waited) and one span per stage, in execution
+    order."""
+    keyed = []
+    for row, index in enumerate(record.batch):  # lint: allow-loop (per batch)
+        lane = f"lane{index % record.depth}"
+        stages = record.stages[row]
+        formed_at, dispatch = record.formed_at[row], record.dispatch[row]
+        if dispatch > formed_at:
+            keyed.append((stages[0][0], 0, Span(
+                track=lane, name=f"b{index}:queue", start=formed_at,
+                duration=dispatch - formed_at, category="queue",
+            )))
+        for seq, stage, start, _, _, end in stages:  # lint: allow-loop (per stage)
+            keyed.append((seq, 1, Span(
+                track=lane, name=f"b{index}:{stage}", start=start,
+                duration=end - start, category=stage,
+            )))
+    keyed.sort(key=lambda item: item[:2])
+    return [span for _, _, span in keyed]

@@ -1,34 +1,31 @@
-"""Windowed time-series collection over the metrics registry.
+"""Windowed time series over a serving run's record.
 
-The :class:`~repro.obs.registry.MetricsRegistry` (PR 3) is a *point in
-time*: it can say how many hits a run produced, but not whether the hit
-rate decayed mid-run — which is exactly the drift the paper's §3.1
-motivates (embedding hotspots shift across tables over time).  The
-:class:`WindowedCollector` closes that gap: driven by the **simulated
-clock** (never wall time, so the series are byte-deterministic), it
-slices a serving run into fixed windows and captures, per window,
+The :class:`~repro.obs.registry.MetricsRegistry` is a *point in time*:
+it can say how many hits a run produced, but not whether the hit rate
+decayed mid-run — the drift the paper's §3.1 motivates (embedding
+hotspots shift across tables over time).  A :class:`WindowedCollector`
+slices runs into fixed windows of the **simulated clock** (so the series
+are byte-deterministic) and keeps, per window,
 
 * the delta of every registry counter (hits, misses, inserts, evictions,
   coalesced keys, tier traffic, fault-path activity, ...);
 * the per-request latency distribution (p50/p99/mean) and SLA attainment
-  against a configured budget;
-* per-table traffic and hit distributions (from the labelled
-  ``cache.table_*`` counters the engine records);
+  against a configured budget, per tenant too (:meth:`set_tenancy`);
+* per-table traffic and hit distributions (the labelled
+  ``cache.table_*`` counters);
 * a **hotspot-drift** score: the Jensen-Shannon divergence between this
   window's per-table hit distribution and the previous one, flagged when
   it exceeds a threshold — a working-set shift detector.
 
-Windows land in a bounded ring buffer (:attr:`WindowedCollector.windows`)
-so a long run keeps constant memory; an attached
-:class:`~repro.obs.alerts.SloEngine` is evaluated at every window
-boundary, giving burn-rate alerts a deterministic time axis.
-
-Attribution convention: a batch's counter activity belongs to the window
-containing its **completion instant** — the serving loop calls
-:meth:`observe_batch` once per finished batch, in nondecreasing completion
-order, and the collector folds the counter delta since the previous call.
-Summed over windows, the deltas reproduce the run's registry diff exactly
-(no activity is dropped or double counted).
+The windows are a function of the run's
+:class:`~repro.obs.record.ServingRecord`: :meth:`WindowedCollector.observe`
+folds its rows in completion order, each batch's counter delta into the
+window containing its **completion instant**, then the record's tail,
+and closes the trailing partial window at the run's end.  Summed over
+windows, the deltas reproduce the run's registry diff exactly.  Windows
+land in a bounded ring buffer (:attr:`WindowedCollector.windows`); an
+attached :class:`~repro.obs.alerts.SloEngine` is evaluated at every
+window close.
 """
 
 from __future__ import annotations
@@ -36,12 +33,12 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..errors import ConfigError, SimulationError
-from .registry import MetricKey, MetricsRegistry
+from ..errors import ConfigError
+from .registry import MetricKey
 
 #: Series derived purely from the request stream — arrival times, batch
 #: composition, per-request latencies, and the cache traffic those
@@ -131,7 +128,7 @@ CAPACITY = 512
 
 
 class WindowedCollector:
-    """Captures per-window registry deltas on the simulated clock.
+    """Windows of serving runs on the simulated clock.
 
     Parameters:
         window: window width in simulated seconds.
@@ -162,90 +159,45 @@ class WindowedCollector:
         self.sla_budget = sla_budget
         self.engine = engine
         self.staleness_versions = staleness_versions
-        #: Latches once any ``refresh.*`` metric appears in the registry;
-        #: the refresh series are emitted only then, so runs without the
-        #: refresh subsystem produce byte-identical ``series.json``.
-        self._refresh_seen = False
-        #: Same latch for request tracing: ``reqtrace_*`` series appear
-        #: only when a RequestTracer has folded counters into the
-        #: registry, keeping tracing-free ``series.json`` byte-identical.
-        self._reqtrace_seen = False
         #: Multi-tenant attribution: request position -> tenant name, and
         #: per-tenant SLA budgets.  ``None`` (the default) emits no
         #: per-tenant series at all.
         self._tenant_of: Optional[Sequence[str]] = None
         self._tenant_slos: Dict[str, float] = {}
-        self._tenant_latencies: Dict[str, List[float]] = {}
         self.windows: Deque[WindowRecord] = deque(maxlen=CAPACITY)
         #: ``(window index, divergence)`` of every flagged working-set shift.
         self.drift_events: List[Tuple[int, float]] = []
-        #: Total windows ever closed (>= ``len(windows)`` once the ring wraps).
-        self.closed_windows = 0
-        self._registry: Optional[MetricsRegistry] = None
-        self._prev: Dict[MetricKey, Union[int, float]] = {}
-        self._acc: Dict[MetricKey, float] = {}
-        self._latencies: List[float] = []
-        self._win_start = 0.0
-        self._index = 0
-        self.watermark = 0.0
-        self._last_dist: Optional[Dict[str, float]] = None
+        self._reset(0.0)
 
-    # ----------------------------------------------------------------- setup
-
-    @property
-    def registry(self) -> Optional[MetricsRegistry]:
-        """The bound registry, or ``None`` before :meth:`bind`."""
-        return self._registry
-
-    def bind(self, registry: MetricsRegistry) -> "WindowedCollector":
-        """Attach to ``registry`` and reset the window grid to 0."""
-        self._registry = registry
-        self.reset()
-        return self
-
-    def reset(self, start: float = 0.0) -> None:
+    def _reset(self, start: float) -> None:
         """Clear every window and re-anchor the grid at ``start``."""
-        if self._registry is None:
-            raise ConfigError("collector is not bound to a registry")
         self.windows.clear()
         self.drift_events.clear()
+        #: Total windows ever closed (>= ``len(windows)`` once the ring wraps).
         self.closed_windows = 0
-        self._acc = {}
-        self._latencies = []
-        self._prev = self._registry.counter_state()
+        self._acc: Dict[MetricKey, float] = {}
+        self._latencies: List[float] = []
+        self._tenant_latencies: Dict[str, List[float]] = {}
         self._win_start = math.floor(start / self.window) * self.window
         self._index = 0
         self.watermark = start
-        self._last_dist = None
+        self._last_dist: Optional[Dict[str, float]] = None
+        #: Registry state as of the instant being folded: gauge levels
+        #: and every metric key seen.  The refresh and request-tracing
+        #: series latch on once a ``refresh.*`` / ``reqtrace.*`` key
+        #: exists, so runs without those subsystems keep byte-identical
+        #: series.
+        self._gauges: Dict[MetricKey, float] = {}
+        self._keys: set = set()
         self._refresh_seen = False
         self._reqtrace_seen = False
-        self._tenant_latencies = {}
-
-    def begin_run(self, first_arrival: float) -> None:
-        """Align the collector with a serving run starting at
-        ``first_arrival``.
-
-        Serving runs are independent simulations whose clocks restart near
-        zero; when time regresses below the watermark the collector
-        re-anchors (fresh series), otherwise it keeps accumulating — so a
-        request stream split across several ``serve`` calls stays one
-        continuous series.
-        """
-        if self._registry is None:
-            raise ConfigError("collector is not bound to a registry")
-        if first_arrival < self.watermark:
-            self.reset(first_arrival)
-        else:
-            # Counter activity between runs (e.g. warmup audits) must not
-            # leak into the first window of this run.
-            self._prev = self._registry.counter_state()
 
     def set_tenancy(
         self,
         tenant_of: Optional[Sequence[str]],
         slos: Optional[Dict[str, float]] = None,
     ) -> None:
-        """Enable per-tenant SLA attribution for the next serving run.
+        """Enable per-tenant SLA attribution for the runs observed next.
 
         Args:
             tenant_of: tenant name per request *position* (request ids are
@@ -253,14 +205,10 @@ class WindowedCollector:
                 tenancy entirely (no per-tenant series emitted).
             slos: per-tenant latency budgets; tenants without an entry
                 fall back to the collector-wide ``sla_budget``.
-
-        Serving loops must then pass ``first_request`` to
-        :meth:`observe_batch` so each batch's latencies can be attributed.
         """
         if tenant_of is None:
             self._tenant_of = None
             self._tenant_slos = {}
-            self._tenant_latencies = {}
             return
         slos = dict(slos or {})
         for tenant, budget in slos.items():
@@ -270,87 +218,63 @@ class WindowedCollector:
                 )
         self._tenant_of = tenant_of
         self._tenant_slos = slos
-        self._tenant_latencies = {}
 
-    # ------------------------------------------------------------- recording
+    # ------------------------------------------------------------- reading
 
-    def observe_batch(
-        self,
-        now: float,
-        latencies: Sequence[float] = (),
-        first_request: Optional[int] = None,
-    ) -> None:
-        """Fold one completed batch: registry delta + request latencies.
+    # hot-path: vectorized
+    def observe(self, record) -> None:
+        """Fold one finished run's :class:`~repro.obs.record.ServingRecord`.
 
-        ``now`` is the batch's completion instant on the simulated clock;
-        calls must be nondecreasing in ``now`` (the serving loop completes
-        batches in clock order on the serial GPU resource).
-        ``first_request`` is the arrival-stream position of the batch's
-        first request — needed only under :meth:`set_tenancy`, where
-        ``latencies[j]`` is attributed to ``tenant_of[first_request + j]``
-        (batches partition the stream contiguously in arrival order).
+        Runs are independent simulations whose clocks restart near zero:
+        when a run's first arrival precedes the watermark the series
+        restart, otherwise they continue, so a request stream split
+        across several runs stays one continuous series.
         """
-        if self._registry is None:
-            raise ConfigError("collector is not bound to a registry")
-        if now < self.watermark - 1e-12:
-            raise SimulationError(
-                f"collector time went backwards: {now:g} < {self.watermark:g}"
-            )
-        self._roll(now)
-        self._fold_delta()
-        self._latencies.extend(float(v) for v in latencies)
-        if self._tenant_of is not None and first_request is not None:
-            buckets = self._tenant_latencies
-            tenant_of = self._tenant_of
-            for j, value in enumerate(latencies):
-                tenant = tenant_of[first_request + j]
-                buckets.setdefault(tenant, []).append(float(value))
-        self.watermark = max(self.watermark, now)
-
-    def advance(self, now: float) -> None:
-        """Advance the clock without folding a batch (idle time)."""
-        if self._registry is None:
-            raise ConfigError("collector is not bound to a registry")
-        if now <= self.watermark:
-            return
-        self._roll(now)
-        self.watermark = now
-
-    def flush(self, now: Optional[float] = None) -> None:
-        """Close every complete window up to ``now`` plus the trailing
-        partial one (if it saw any time), so run-final state — e.g. an
-        alert resolving right before the stream ends — is visible.
-
-        Residual counter activity since the last batch (retire sweeps,
-        audit hooks) is folded into the window containing the watermark
-        *before* any window closes, so the summed window deltas reproduce
-        the run's registry diff exactly — even when ``now`` lands on a
-        window boundary and no trailing partial window remains.
-        """
-        if self._registry is None:
-            raise ConfigError("collector is not bound to a registry")
-        end = self.watermark if now is None else max(now, self.watermark)
-        self._fold_delta()
+        first = float(record.arrivals.min())
+        if first < self.watermark:
+            self._reset(first)
+        self._gauges = dict(record.start_gauges)
+        self._keys = set(record.start_keys)
+        tenant_of = self._tenant_of
+        for row, now in enumerate(record.finish):  # lint: allow-loop (per batch)
+            self._moved(record.counters[row], record.gauges[row])
+            # A batch's activity belongs to the window of its completion.
+            self._roll(now)
+            self._fold(record.counters[row])
+            lo, hi = record.lo[row], record.hi[row]
+            latencies = (now - record.arrivals[lo:hi]).tolist()
+            self._latencies.extend(latencies)
+            if tenant_of is not None:
+                buckets = self._tenant_latencies
+                for j, value in enumerate(latencies):  # lint: allow-loop (per request, tenancy runs only)
+                    buckets.setdefault(tenant_of[lo + j], []).append(value)
+            self.watermark = max(self.watermark, now)
+        # The tail (retire sweeps, closing gauges) folds into the window
+        # holding the watermark before any window closes, so the summed
+        # deltas reproduce the run's diff even when the run ends on a
+        # window boundary.
+        counters, gauges = record.tail
+        self._moved(counters, gauges)
+        end = max(record.end, self.watermark)
+        self._fold(counters)
         self._roll(end)
         self.watermark = end
         if end > self._win_start:
             self._close(end, partial=True)
 
-    # --------------------------------------------------------------- windows
+    def _moved(self, counters, gauges) -> None:
+        self._gauges.update(gauges)
+        self._keys.update(counters)
+        self._keys.update(gauges)
 
-    def _fold_delta(self) -> None:
-        """Accumulate the registry counter delta since the previous fold."""
-        current = self._registry.counter_state()
-        previous = self._prev
+    def _fold(self, counters) -> None:
         acc = self._acc
-        for key, value in current.items():
-            delta = value - previous.get(key, 0)
+        for key, delta in counters.items():  # lint: allow-loop (per counter key)
             if delta:
                 acc[key] = acc.get(key, 0) + delta
-        self._prev = current
 
     def _roll(self, now: float) -> None:
-        while now >= self._win_start + self.window:
+        while now >= self._win_start + self.window:  # lint: allow-loop (per window)
             self._close(self._win_start + self.window, partial=False)
 
     def _close(self, end: float, partial: bool) -> None:
@@ -370,6 +294,9 @@ class WindowedCollector:
         self._tenant_latencies = {}
         if self.engine is not None:
             self.engine.evaluate(self.windows)
+
+    def _seen(self, prefix: str) -> bool:
+        return any(name.startswith(prefix) for name, _ in self._keys)
 
     # ---------------------------------------------------------------- series
 
@@ -473,7 +400,7 @@ class WindowedCollector:
 
         # Model-refresh stream: emitted only once any refresh.* metric
         # exists, so refresh-free runs keep byte-identical series.
-        if not self._refresh_seen and self._registry.has_prefix("refresh."):
+        if not self._refresh_seen and self._seen("refresh."):
             self._refresh_seen = True
         if self._refresh_seen:
             applied = self._acc_total("refresh.applied_keys")
@@ -485,10 +412,10 @@ class WindowedCollector:
                 "refresh.dropped_keys"
             )
             values["refresh_apply_rate"] = applied / span if span > 0 else nan
-            lag = self._registry.gauge("refresh.version_lag")
+            lag = self._gauges.get(("refresh.version_lag", ()), 0.0)
             values["refresh_version_lag"] = lag
-            values["refresh_staleness_s"] = self._registry.gauge(
-                "refresh.staleness_s"
+            values["refresh_staleness_s"] = self._gauges.get(
+                ("refresh.staleness_s", ()), 0.0
             )
             if self.staleness_versions is not None:
                 values["refresh_observed"] = 1.0
@@ -499,9 +426,7 @@ class WindowedCollector:
         # Request tracing: sampling pressure + per-cause SLA-miss
         # attribution, emitted only once a tracer has folded counters in
         # (same byte-identity contract as the refresh series above).
-        if not self._reqtrace_seen and self._registry.has_prefix(
-            "reqtrace."
-        ):
+        if not self._reqtrace_seen and self._seen("reqtrace."):
             self._reqtrace_seen = True
         if self._reqtrace_seen:
             values["reqtrace_sampled"] = self._acc_total("reqtrace.sampled")

@@ -53,6 +53,7 @@ from ..core.cache_base import (
 )
 from ..errors import WorkloadError
 from ..gpusim.executor import Executor, SharedResource
+from ..obs.record import ServingRecord
 from ..obs.registry import Observable
 from .arrivals import Request, request_columns
 from .batcher import batch_bounds
@@ -129,10 +130,10 @@ class InFlightMissTable(Observable):
         self._size = 0
         self._owner = None
         self.stats = CoalescingStats()
-        #: When on (a request tracer is attached), :meth:`match` also
-        #: accumulates ``leader batch -> matched key count`` so traces
-        #: can attribute a follower's coalesce-wait to the batch whose
-        #: fetch it joined.  Off by default: zero hot-loop cost.
+        #: When on (the run is recorded for an observer), :meth:`match`
+        #: also accumulates ``leader batch -> matched key count`` so
+        #: traces can attribute a follower's coalesce-wait to the batch
+        #: whose fetch it joined.  Off by default: zero hot-loop cost.
         self.track_sources = False
         self._match_owners: Dict[int, int] = {}
 
@@ -252,11 +253,11 @@ class _InFlightBatch:
 
     __slots__ = (
         "index", "formed_at", "size", "stages", "executor", "next_stage",
-        "ready_at", "start", "stall", "trace", "last_elapsed",
+        "ready_at", "start", "stall", "log",
     )
 
     def __init__(self, index: int, formed_at: float, size: int, stages,
-                 executor, next_stage: str, ready_at: float, trace=None):
+                 executor, next_stage: str, ready_at: float):
         self.index = index
         #: Instant the batch was sealed.
         self.formed_at = formed_at
@@ -272,11 +273,9 @@ class _InFlightBatch:
         #: an uncontended batch's finish is bit-for-bit ``start +
         #: service_time`` (stall stays exactly 0.0).
         self.stall = 0.0
-        #: Request-tracing record (None unless a tracer is attached).
-        self.trace = trace
-        #: Executor elapsed after the previous stage — the trace's
-        #: per-stage exec is the delta, telescoping exactly to elapsed.
-        self.last_elapsed = 0.0
+        #: ``(seq, stage, start, wait, executor elapsed, end)`` per stage
+        #: run so far: the batch's stage columns of the serving record.
+        self.log: list = []
 
 
 @dataclass
@@ -320,16 +319,16 @@ def serve_staged(
         InFlightMissTable() if server.coalesce and depth > 1 else None
     )
     obs = server.obs
-    rt = server.reqtracer
-    tracer = server.tracer
     store = server.engine.scheme.store
+    before = server._begin_run(requests)
+    # Observers read one record of the run; without one none is built.
+    record = (
+        ServingRecord(obs, columns.request_ids, columns.arrivals, depth)
+        if server.observers else None
+    )
     if coalescer is not None:
         coalescer.bind_observability(obs)
-        coalescer.track_sources = rt is not None
-    before = server._begin_run(requests)
-    collector = server.collector
-    if collector is not None:
-        collector.begin_run(float(columns.arrivals.min()))
+        coalescer.track_sources = record is not None
 
     n = len(stops)
     # Batches partition ``requests`` contiguously in order, so per-batch
@@ -339,8 +338,6 @@ def serve_staged(
     offsets[1:] = stops
     sizes_arr = np.diff(offsets)
     bounds = [0] + stops
-    if rt is not None:
-        rt.begin_run(columns.request_ids, arrival_arr)
     #: Latest occupied instant across every shared resource; the gap
     #: up to the next dispatch is a provably idle slot the refresher
     #: may fill.  Refresh work is hard-capped at the dispatch instant
@@ -361,6 +358,7 @@ def serve_staged(
     completed = [False] * n
     frontier = 0  # smallest batch index not yet completed
     unretired: List[int] = []  # owners whose table entries are live
+    seq = 0  # stage executions so far, across batches
 
     def admit() -> int:
         """Admit batches while the in-flight window has room."""
@@ -377,17 +375,14 @@ def serve_staged(
                 executor.reset()
             else:
                 executor = Executor(server.hw)
-            trace_rec = None
-            if rt is not None:
-                trace_rec = rt.begin_batch(i, lo, hi, formed_at[i])
             stages = server.engine.run_batch_stages(
                 server._to_trace_batch(columns, lo, hi), executor,
-                coalescer=coalescer, trace=trace_rec,
+                coalescer=coalescer,
             )
             first_stage = next(stages)  # announce only; no work yet
             in_flight.append(_InFlightBatch(
                 i, formed_at[i], hi - lo, stages, executor, first_stage,
-                max(formed_at[i], floor), trace_rec,
+                max(formed_at[i], floor),
             ))
             next_index += 1
             admitted += 1
@@ -424,13 +419,6 @@ def serve_staged(
             # First stage: the wait for a free host thread is absorbed
             # into the dispatch instant itself, not counted as stall.
             chosen.start = chosen_start
-            if chosen.trace is not None:
-                chosen.trace.dispatched(chosen_start)
-            if tracer is not None and chosen_start > chosen.formed_at:
-                tracer.record(
-                    f"lane{chosen.index % depth}", f"b{chosen.index}:queue",
-                    chosen.formed_at, chosen_start, "queue",
-                )
         else:
             wait = chosen_start - chosen.ready_at
             chosen.stall += wait
@@ -446,27 +434,17 @@ def serve_staged(
         except StopIteration as stop:
             query, batch_dense = stop.value
             finished = True
-        end = chosen.start + (chosen.stall + chosen.executor.elapsed())
-        if chosen.trace is not None:
-            elapsed = chosen.executor.elapsed()
-            chosen.trace.stage(
-                stage_name, wait, elapsed - chosen.last_elapsed
-            )
-            chosen.last_elapsed = elapsed
+        elapsed = chosen.executor.elapsed()
+        end = chosen.start + (chosen.stall + elapsed)
+        chosen.log.append((seq, stage_name, chosen_start, wait, elapsed, end))
+        seq += 1
         for resource in needs:  # lint: allow-loop (per resource a stage holds)
             resource.occupy(chosen_start, end)
         busy_until = max(busy_until, end)
         chosen.ready_at = end
-        if tracer is not None:
-            tracer.record(
-                f"lane{chosen.index % depth}", f"b{chosen.index}:{stage_name}",
-                chosen_start, end, stage_name,
-            )
 
         if finished:
             finish_times[chosen.index] = chosen.ready_at
-            if chosen.trace is not None:
-                rt.finish_batch(chosen.trace, chosen.ready_at)
             dense_results[chosen.index] = batch_dense
             obs.inc("serving.batches")
             obs.inc("serving.batched_requests", chosen.size)
@@ -474,16 +452,15 @@ def serve_staged(
             # served a stale or default vector.
             if query.degraded_keys > 0:
                 obs.inc("serving.degraded_requests", chosen.size)
-            if collector is not None:
-                # Completion instants are nondecreasing: the dense
-                # stage holds the serial GPU resource through each
-                # batch's finish, so this batch's counter delta folds
-                # into the window containing its completion.
-                lo, hi = offsets[chosen.index], offsets[chosen.index + 1]
-                collector.observe_batch(
-                    chosen.ready_at,
-                    (chosen.ready_at - arrival_arr[lo:hi]).tolist(),
-                    first_request=int(lo),
+            if record is not None:
+                # The run's one observer branch per batch.  Rows land in
+                # completion order, which is nondecreasing in time: the
+                # dense stage holds the serial GPU through each finish.
+                record.append(
+                    chosen.index, bounds[chosen.index],
+                    bounds[chosen.index + 1], chosen.formed_at, chosen.start,
+                    chosen.ready_at, chosen.log, query.coalesced_keys,
+                    query.coalesce_sources,
                 )
             completed[chosen.index] = True
             while frontier < n and completed[frontier]:  # lint: allow-loop (per completed batch)
@@ -516,16 +493,16 @@ def serve_staged(
         # Close the books: staleness gauges reflect the run's end even
         # when the pipeline never left an idle slot.
         server.refresher.subscriber.refresh_gauges(max(finish_times))
-    if collector is not None:
-        collector.flush(max(finish_times))
+    if record is not None:
+        record.close(max(finish_times))
+        for observer in server.observers:  # lint: allow-loop (per observer)
+            observer.observe(record)
 
     # Flatten per-request latencies in batch (= request) order: repeat
     # each batch's finish over its contiguous request slice and subtract
     # arrivals.
     finish_arr = np.asarray(finish_times, dtype=np.float64)
     latencies = np.repeat(finish_arr, sizes_arr) - arrival_arr
-    if rt is not None and rt.finalize_on_serve:
-        rt.finalize(obs)
 
     report = server._finalize_report(
         latencies, arrival_arr, sizes_arr.tolist(), max(finish_times), before,

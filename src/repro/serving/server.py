@@ -26,8 +26,7 @@ from ..errors import ConfigError, WorkloadError
 from ..hardware import HardwareSpec
 from ..model.dcn import DeepCrossNetwork
 from ..obs.registry import MetricsRegistry, MetricsSnapshot
-from ..obs.spans import SpanTracer
-from ..obs.timeseries import DEFAULT_LATENCY_BUCKETS, WindowedCollector
+from ..obs.timeseries import DEFAULT_LATENCY_BUCKETS
 from ..workloads.spec import DatasetSpec
 from ..workloads.trace import TraceBatch
 from .arrivals import Request, RequestColumns
@@ -78,7 +77,7 @@ class ServingReport:
     #: Per-request arrival times, aligned with ``latencies``.
     arrival_times: Optional[np.ndarray] = None
     #: Request-tracing summary (zero / empty unless a
-    #: :class:`~repro.obs.reqtrace.RequestTracer` is attached): requests
+    #: :class:`~repro.obs.reqtrace.RequestTracer` observes the run): requests
     #: covered by trace recording, traces actually materialized under the
     #: sampling policy, and the SLA-miss root-cause breakdown
     #: (``cause -> violating request count``).
@@ -146,9 +145,13 @@ class InferenceServer:
 
     The staged loop keeps ``depth`` batches in flight (1, the default: one
     at a time); ``coalesce`` shares in-flight miss fetches between
-    overlapping batches (none at depth 1, so no table is built).  The two
-    participants of the loop, :attr:`refresher` and :attr:`reqtracer`,
-    are attached by assigning the attribute.
+    overlapping batches (none at depth 1, so no table is built).  A model
+    refresher joins the loop by assigning :attr:`refresher`.  Observers —
+    a :class:`~repro.obs.spans.SpanTracer`, a
+    :class:`~repro.obs.timeseries.WindowedCollector`, a
+    :class:`~repro.obs.reqtrace.RequestTracer` — attach one way, by
+    appending to :attr:`observers`: each reads the run's
+    :class:`~repro.obs.record.ServingRecord` when the run ends.
     """
 
     def __init__(
@@ -159,8 +162,6 @@ class InferenceServer:
         policy: Optional[BatchingPolicy] = None,
         model: Optional[DeepCrossNetwork] = None,
         include_dense: bool = False,
-        tracer: Optional[SpanTracer] = None,
-        collector: Optional[WindowedCollector] = None,
         depth: int = 1,
         coalesce: bool = True,
     ):
@@ -178,14 +179,11 @@ class InferenceServer:
         #: when set, model-update quanta run in the provably idle slots
         #: between stages, never past the next dispatch instant.
         self.refresher = None
-        #: optional serving-level span tracer (one span per batch stage on
-        #: the absolute simulated clock; exports Chrome trace JSON).
-        self.tracer = tracer
-        #: optional :class:`~repro.obs.reqtrace.RequestTracer` — per-request
-        #: distributed tracing with bounded-overhead sampling.  ``None``
-        #: (the default) leaves every serving code path byte-identical to
-        #: an untraced run: no ``reqtrace.*`` counter is ever incremented.
-        self.reqtracer = None
+        #: Objects with an ``observe(record)`` method, shown each run's
+        #: :class:`~repro.obs.record.ServingRecord` after its last batch
+        #: (and before the report's exit snapshot), in list order.  Empty,
+        #: a run builds no record.
+        self.observers: list = []
         self.engine = InferenceEngine(
             scheme,
             hw,
@@ -196,11 +194,6 @@ class InferenceServer:
         self.engine.obs.declare_buckets(
             "serving.latency", DEFAULT_LATENCY_BUCKETS
         )
-        #: optional windowed time-series collector, fed at each batch's
-        #: completion instant on the simulated clock.
-        self.collector = collector
-        if collector is not None:
-            collector.bind(self.engine.obs)
 
     @property
     def obs(self) -> MetricsRegistry:

@@ -115,3 +115,44 @@ def claims():
     sys.modules[spec.name] = module  # dataclasses look the module up
     spec.loader.exec_module(module)
     return module
+
+
+class HandRun:
+    """One serving run driven by hand, for observer unit tests.
+
+    Registry activity between :meth:`batch` calls is that batch's counter
+    delta, as in ``serve_staged``; each batch's requests arrive
+    ``latencies`` before its ``finish``.  :meth:`close` seals the record
+    at ``end`` and shows it to ``observer``.
+    """
+
+    def __init__(self, observer, registry=None, requests=64):
+        from repro.obs import MetricsRegistry, ServingRecord
+
+        self.observer = observer
+        self.registry = registry if registry is not None else MetricsRegistry()
+        self.arrivals = np.zeros(requests)
+        self.record = ServingRecord(
+            self.registry, np.arange(requests), self.arrivals, 1,
+        )
+        self.served = 0
+
+    def batch(self, finish, latencies=()):
+        lo, hi = self.served, self.served + len(latencies)
+        self.arrivals[lo:hi] = finish - np.asarray(latencies, dtype=float)
+        self.served = hi
+        index = len(self.record)
+        self.record.append(index, lo, hi, finish, finish, finish,
+                           [(index, "index", finish, 0.0, 0.0, finish)],
+                           0, {})
+
+    def close(self, end=None):
+        """Seal at ``end`` (the last finish by default) and observe."""
+        # A run serves at least one request: a batch-free hand run holds
+        # one arriving at time 0.
+        self.record.arrivals = self.arrivals[:max(self.served, 1)]
+        finish = self.record.finish
+        self.record.close(end if end is not None else
+                          (finish[-1] if finish else 0.0))
+        self.observer.observe(self.record)
+        return self

@@ -185,8 +185,8 @@ class TestOutageDetection:
         server = PipelinedInferenceServer(
             dataset, layer, hw, depth=2,
             policy=BatchingPolicy(max_batch_size=64, max_delay=5e-4),
-            collector=collector,
         )
+        server.observers.append(collector)
         requests = PoissonArrivals(
             dataset, 40_000.0, seed=5
         ).generate_until(self.HORIZON)

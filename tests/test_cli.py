@@ -131,7 +131,7 @@ class TestCommands:
             dataset, layer, hw,
             policy=BatchingPolicy(max_batch_size=64, max_delay=5e-4),
         )
-        server.reqtracer = tracer
+        server.observers.append(tracer)
         server.serve(PoissonArrivals(
             dataset, 80_000.0, seed=9
         ).generate(300))

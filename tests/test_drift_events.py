@@ -7,8 +7,9 @@ once per change (the transition window), then resolve — and the strict
 threshold never flags.
 """
 
-from repro.obs import MetricsRegistry, WindowedCollector, jensen_shannon
+from repro.obs import WindowedCollector, jensen_shannon
 from repro.obs import timeseries
+from conftest import HandRun
 
 #: Two phase distributions with a large divergence between them.
 PHASE_A = {0: 80, 1: 15, 2: 5}
@@ -16,27 +17,26 @@ PHASE_B = {3: 70, 4: 20, 5: 10}
 
 
 def _bound():
-    collector = WindowedCollector(window=1e-3)
-    return collector.bind(MetricsRegistry())
+    return WindowedCollector(window=1e-3)
 
 
-def _feed_window(collector, index, dist):
+def _feed_window(run, index, dist):
     """One window of per-table hits following ``dist``."""
-    registry = collector.registry
     for table, count in dist.items():
-        registry.inc("cache.table_hits", count, table=table)
-        registry.inc("cache.table_lookups", count, table=table)
-    collector.observe_batch((index + 0.5) * 1e-3)
+        run.registry.inc("cache.table_hits", count, table=table)
+        run.registry.inc("cache.table_lookups", count, table=table)
+    run.batch((index + 0.5) * 1e-3)
 
 
 def _run_phases(collector, phases):
     """``phases`` is a list of (distribution, window count)."""
+    run = HandRun(collector)
     index = 0
     for dist, windows in phases:
         for _ in range(windows):
-            _feed_window(collector, index, dist)
+            _feed_window(run, index, dist)
             index += 1
-    collector.flush(index * 1e-3)
+    run.close(index * 1e-3)
     return collector
 
 

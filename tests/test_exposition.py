@@ -28,6 +28,7 @@ from repro.serving.arrivals import PoissonArrivals
 from repro.serving.batcher import BatchingPolicy
 from repro.serving.pipeline import PipelinedInferenceServer
 from repro.tables.store import EmbeddingStore
+from conftest import HandRun
 from repro.workloads.synthetic import uniform_tables_spec
 
 
@@ -74,9 +75,10 @@ class TestRendering:
         engine.evaluate([WindowRecord(
             0, 0.0, 1e-3, values={"sla_bad": 50.0, "requests": 100.0},
         )])
-        collector = WindowedCollector().bind(MetricsRegistry())
-        collector.observe_batch(1.5e-3)
-        collector.flush(2e-3)
+        collector = WindowedCollector()
+        run = HandRun(collector)
+        run.batch(1.5e-3)
+        run.close(2e-3)
         text = render_openmetrics(
             _registry().snapshot(), engine=engine, collector=collector,
         )
@@ -158,9 +160,10 @@ class TestHttpServer:
     @pytest.fixture()
     def served(self):
         registry = _registry()
-        collector = WindowedCollector(sla_budget=2e-3).bind(registry)
-        collector.observe_batch(0.5e-3, [1e-3])
-        collector.flush(1e-3)
+        collector = WindowedCollector(sla_budget=2e-3)
+        run = HandRun(collector, registry)
+        run.batch(0.5e-3, [0.5e-3])
+        run.close(1e-3)
         engine = SloEngine([Slo("latency", objective=0.99)], [])
         with MetricsHttpServer(
             registry, collector=collector, engine=engine,

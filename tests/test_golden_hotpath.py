@@ -94,9 +94,9 @@ def _serving_fixture(hw, cls, precision=None, **kwargs):
     server = cls(
         dataset, layer, hw,
         policy=BatchingPolicy(max_batch_size=128, max_delay=5e-4),
-        model=model, include_dense=True, tracer=tracer,
-        collector=collector, **kwargs,
+        model=model, include_dense=True, **kwargs,
     )
+    server.observers += [tracer, collector]
     warm = PoissonArrivals(dataset, 200_000.0, seed=1).generate(200)
     server.serve(warm)
     tracer.clear()

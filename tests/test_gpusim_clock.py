@@ -12,7 +12,7 @@ class TestTimeline:
 
     def test_custom_start(self):
         t = Timeline("t")
-        t.reset(start=2.5)
+        t.advance_to(2.5)
         assert t.now == 2.5
         assert t.active == 0.0
 
@@ -42,7 +42,7 @@ class TestTimeline:
 
     def test_advance_to_past_is_noop(self):
         t = Timeline("t")
-        t.reset(start=5.0)
+        t.advance_to(5.0)
         t.advance_to(1.0)
         assert t.now == 5.0
 

@@ -53,6 +53,7 @@ from repro.faults import (
     ShardOutage,
 )
 from repro.gpusim.executor import Executor
+from repro.gpusim.tracing import Span
 from repro.multitier.hierarchy import TieredParameterStore
 from repro.multitier.remote_ps import RemoteParameterServer
 from repro.obs.registry import Observable, render_key
@@ -383,9 +384,11 @@ class TestInvariantAudits:
 class TestSpanTracer:
     def test_record_and_query(self):
         tr = SpanTracer()
-        tr.record("lane0", "b0:index", 0.0, 1.5, "index")
-        tr.record("lane1", "b1:fetch", 1.0, 3.0, "fetch")
-        tr.record("lane0", "b2:copy", 2.0, 2.5, "copy")
+        tr.spans += [
+            Span("lane0", "b0:index", 0.0, 1.5, "index"),
+            Span("lane1", "b1:fetch", 1.0, 2.0, "fetch"),
+            Span("lane0", "b2:copy", 2.0, 0.5, "copy"),
+        ]
         assert len(tr) == 3
         assert tr.tracks() == ["lane0", "lane1"]
         assert tr.busy_time("lane0") == pytest.approx(2.0)
@@ -396,11 +399,11 @@ class TestSpanTracer:
     def test_rejects_negative_duration(self):
         tr = SpanTracer()
         with pytest.raises(SimulationError):
-            tr.record("t", "x", 2.0, 1.0, "index")
+            tr.spans.append(Span("t", "x", 2.0, -1.0, "index"))
 
     def test_chrome_trace_shape(self, tmp_path):
         tr = SpanTracer()
-        tr.record("serving", "b0:index", 0.0, 1e-3, "index")
+        tr.spans.append(Span("serving", "b0:index", 0.0, 1e-3, "index"))
         trace = tr.to_chrome_trace()
         events = trace["traceEvents"]
         kinds = {e["ph"] for e in events}
@@ -547,9 +550,10 @@ class TestDeterminism:
         layer = FlecheEmbeddingLayer(store, FlecheConfig(cache_ratio=0.05), hw)
         tracer = SpanTracer()
         server = PipelinedInferenceServer(
-            dataset, layer, hw, depth=3, tracer=tracer,
+            dataset, layer, hw, depth=3,
             policy=BatchingPolicy(max_batch_size=64, max_delay=5e-4),
         )
+        server.observers.append(tracer)
         reqs = PoissonArrivals(dataset, 400_000.0, seed=5).generate(500)
         report = server.serve(reqs)
         return report, tracer
@@ -572,3 +576,70 @@ class TestDeterminism:
         assert counters["serving.degraded_requests"] > 0
         assert counters.get("cache.coalesced_keys", 0) > 0
         assert len(tracer_a.span_list()) > 0
+
+
+def _catalogue():
+    registry = MetricsRegistry()
+    install_conservation_laws(registry)
+    return registry
+
+
+def _side_totals(registry, law):
+    totals = {}
+    for (name, _), value in registry.snapshot().counters.items():
+        totals[name] = totals.get(name, 0) + value
+    return (sum(totals.get(n, 0) for n in law.lhs),
+            sum(totals.get(n, 0) for n in law.rhs))
+
+
+def _restore_others(registry, keep):
+    """Raise the short side of every violated law but ``keep``, never
+    touching a metric ``keep`` names, until only ``keep`` can fail."""
+    own = set(keep.lhs) | set(keep.rhs) if keep is not None else set()
+    for _ in range(len(registry.laws) * 2):
+        broken = [law for law in registry.laws if law is not keep
+                  and f"law {law.name!r}" in " ".join(registry.audit())]
+        if not broken:
+            return
+        for law in broken:
+            left, right = _side_totals(registry, law)
+            short = law.rhs if left > right else law.lhs
+            name = next(n for n in short if n not in own)
+            registry.inc(name, abs(left - right))
+    raise AssertionError("the catalogue did not settle")
+
+
+def _consistent_state():
+    """Every law's every metric nonzero, every law holding."""
+    registry = _catalogue()
+    for law in registry.laws:
+        for name in law.lhs + law.rhs:
+            registry.inc(name, 3)
+    _restore_others(registry, None)
+    assert registry.audit() == []
+    return registry
+
+
+_LAWS = [law.name for law in _catalogue().laws]
+
+
+def test_the_catalogue_has_its_29_laws():
+    assert len(_LAWS) == 29
+
+
+@pytest.mark.parametrize("name", _LAWS)
+def test_every_installed_law_trips(name):
+    """Moving one side of any installed law breaks that law alone, and
+    ``check`` raises on it."""
+    registry = _consistent_state()
+    law = next(law for law in registry.laws if law.name == name)
+    left, right = _side_totals(registry, law)
+    # Grow the side the law bounds from above past the other side.
+    grown = law.rhs if law.op == ">=" else law.lhs
+    registry.inc(grown[0], abs(left - right) + 1)
+    _restore_others(registry, law)
+    violations = registry.audit()
+    assert len(violations) == 1 and f"law {name!r}" in violations[0]
+    with pytest.raises(AuditError):
+        registry.check()
+

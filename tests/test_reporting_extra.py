@@ -142,17 +142,15 @@ class TestArtifactSchema:
             reporting.load_artifact(path, kind="alerts")
 
     def test_emit_timeseries_writes_series_and_alerts(self):
-        from repro.obs import (
-            MetricsRegistry,
-            WindowedCollector,
-            default_serving_slos,
-        )
+        from conftest import HandRun
+        from repro.obs import WindowedCollector, default_serving_slos
 
         collector = WindowedCollector(
             sla_budget=1e-3, engine=default_serving_slos(1e-3),
-        ).bind(MetricsRegistry())
-        collector.observe_batch(0.5e-3, [5e-4])
-        collector.flush(1e-3)
+        )
+        run = HandRun(collector)
+        run.batch(0.5e-3, [5e-4])
+        run.close(1e-3)
         paths = reporting.emit_timeseries(collector)
         assert [os.path.basename(p) for p in paths] == [
             "series.json", "alerts.json",

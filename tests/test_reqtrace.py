@@ -62,7 +62,7 @@ def dataset():
     )
 
 
-def make_server(dataset, hw, pipelined=True, reqtracer=None):
+def make_server(dataset, hw, pipelined=True, tracer=None):
     store = EmbeddingStore(dataset.table_specs(), hw)
     layer = FlecheEmbeddingLayer(store, FlecheConfig(cache_ratio=0.1), hw)
     cls = PipelinedInferenceServer if pipelined else InferenceServer
@@ -70,7 +70,8 @@ def make_server(dataset, hw, pipelined=True, reqtracer=None):
         dataset, layer, hw,
         policy=BatchingPolicy(max_batch_size=64, max_delay=5e-4),
     )
-    server.reqtracer = reqtracer
+    if tracer is not None:
+        server.observers.append(tracer)
     return server
 
 
@@ -252,7 +253,7 @@ class TestServingIntegration:
         tracer = RequestTracer(TraceConfig(
             head_interval=16, sla_budget=2e-3,
         ))
-        server = make_server(dataset, hw, pipelined, reqtracer=tracer)
+        server = make_server(dataset, hw, pipelined, tracer=tracer)
         report = server.serve(reqs)
         assert report.traced_requests == len(reqs)
         assert report.sampled_traces == len(tracer.traces) > 0
@@ -273,7 +274,7 @@ class TestServingIntegration:
         plain = make_server(dataset, hw, pipelined).serve(reqs)
         traced = make_server(
             dataset, hw, pipelined,
-            reqtracer=RequestTracer(TraceConfig(sla_budget=2e-3)),
+            tracer=RequestTracer(TraceConfig(sla_budget=2e-3)),
         ).serve(reqs)
         assert np.array_equal(plain.latencies, traced.latencies)
         assert reqtrace_counters(plain) == {}
@@ -285,7 +286,7 @@ class TestServingIntegration:
         tracer = RequestTracer(TraceConfig(
             head_interval=0, sla_budget=1e-6,  # everything violates
         ))
-        report = make_server(dataset, hw, reqtracer=tracer).serve(reqs)
+        report = make_server(dataset, hw, tracer=tracer).serve(reqs)
         assert report.sampled_traces == len(reqs)
         assert all(t.rootcause for t in tracer.traces)
         assert sum(report.rootcause.values()) == len(reqs)

@@ -677,13 +677,15 @@ def observed_stack(dataset, hw, horizon):
             num_tables=dataset.num_tables, embedding_dim=dataset.dim
         ),
         include_dense=True,
-        tracer=SpanTracer(),
-        collector=WindowedCollector(
+    )
+    server.observers += [
+        SpanTracer(),
+        WindowedCollector(
             window=window, sla_budget=2e-3,
             engine=default_serving_slos(2e-3),
         ),
-    )
-    server.reqtracer = RequestTracer(TraceConfig(sla_budget=2e-3))
+        RequestTracer(TraceConfig(sla_budget=2e-3)),
+    ]
     return server
 
 
@@ -757,8 +759,11 @@ class TestRestoredServer:
                 assert stack.obs.total("refresh.applied_keys") > 0
                 assert report.degraded_requests > 0
             elif build is observed_stack:
-                assert stack.collector.closed_windows > 1
-                assert stack.reqtracer.traces
+                spans, collector, tracer = stack.observers
+                assert len(spans) > 0
+                assert collector.closed_windows > 1
+                assert tracer.traces
+                del spans, collector, tracer
             else:
                 assert report.disposition_counts()["failover"] > 0
             del stack, report, servers, parts, server

@@ -11,7 +11,7 @@ import pytest
 
 from repro import FlecheConfig
 from repro.core.workflow import FlecheEmbeddingLayer
-from repro.errors import ConfigError, SimulationError
+from repro.errors import ConfigError
 from repro.obs import (
     WORKLOAD_SERIES,
     WindowedCollector,
@@ -24,12 +24,8 @@ from repro.serving.arrivals import PoissonArrivals
 from repro.serving.batcher import BatchingPolicy
 from repro.serving.pipeline import PipelinedInferenceServer
 from repro.tables.store import EmbeddingStore
+from conftest import HandRun
 from repro.workloads.synthetic import uniform_tables_spec
-
-
-def _bound(collector=None, **kwargs):
-    collector = collector or WindowedCollector(**kwargs)
-    return collector.bind(MetricsRegistry())
 
 
 class TestJensenShannon:
@@ -79,68 +75,57 @@ class TestCollectorConfig:
         with pytest.raises(ConfigError):
             WindowedCollector(sla_budget=-1e-3)
 
-    def test_unbound_collector_rejects_recording(self):
-        collector = WindowedCollector()
-        assert collector.registry is None
-        with pytest.raises(ConfigError):
-            collector.observe_batch(0.0)
-        with pytest.raises(ConfigError):
-            collector.begin_run(0.0)
-
-    def test_time_going_backwards_rejected(self):
-        collector = _bound(window=1e-3)
-        collector.observe_batch(5e-3)
-        with pytest.raises(SimulationError):
-            collector.observe_batch(1e-3)
-
 
 class TestWindowing:
     def test_deltas_attributed_to_completion_window(self):
-        collector = _bound(window=1e-3)
-        registry = collector.registry
-        registry.inc("cache.hits", 10)
-        collector.observe_batch(0.5e-3)      # window 0
-        registry.inc("cache.hits", 7)
-        collector.observe_batch(1.5e-3)      # closes window 0, lands in 1
-        collector.flush(2e-3)
+        collector = WindowedCollector(window=1e-3)
+        run = HandRun(collector)
+        run.registry.inc("cache.hits", 10)
+        run.batch(0.5e-3)                    # window 0
+        run.registry.inc("cache.hits", 7)
+        run.batch(1.5e-3)                    # lands in window 1
+        run.close(2e-3)
         hits = collector.series("hits")
         assert hits == [10.0, 7.0]
         assert [w.index for w in collector.windows] == [0, 1]
         assert not collector.windows[0].partial
 
     def test_summed_deltas_reproduce_registry_diff(self):
-        collector = _bound(window=1e-3)
-        registry = collector.registry
+        collector = WindowedCollector(window=1e-3)
+        run = HandRun(collector)
+        registry = run.registry
         before = registry.snapshot()
         for i in range(7):
             registry.inc("cache.hits", 3 * i)
             registry.inc("cache.misses", i)
-            collector.observe_batch(i * 0.4e-3)
+            run.batch(i * 0.4e-3)
         # Residual activity after the last batch (e.g. retire sweeps).
         registry.inc("cache.misses", 5)
-        collector.flush(3e-3)
+        run.close(3e-3)
         diff = registry.snapshot().diff(before)
         assert sum(collector.series("hits")) == diff.counter("cache.hits")
         assert sum(collector.series("misses")) == diff.counter("cache.misses")
 
     def test_ring_buffer_bounds_memory(self, monkeypatch):
         monkeypatch.setattr(timeseries, "CAPACITY", 4)
-        collector = _bound(window=1e-3)
+        collector = WindowedCollector(window=1e-3)
+        run = HandRun(collector)
         for i in range(10):
-            collector.registry.inc("cache.hits")
-            collector.observe_batch(i * 1e-3 + 0.5e-3)
-        collector.flush()
+            run.registry.inc("cache.hits")
+            run.batch(i * 1e-3 + 0.5e-3)
+        run.close()
         assert collector.closed_windows >= 9
         assert len(collector.windows) == 4
         # The retained windows are the newest ones.
         assert collector.windows[-1].index == collector.closed_windows - 1
 
     def test_idle_gap_produces_empty_windows(self):
-        collector = _bound(window=1e-3, sla_budget=1e-3)
-        collector.registry.inc("cache.hits", 4)
-        collector.observe_batch(0.5e-3, [5e-4])
-        collector.observe_batch(3.5e-3)      # 2 idle windows roll past
-        collector.flush(4e-3)
+        collector = WindowedCollector(window=1e-3, sla_budget=1e-3)
+        run = HandRun(collector)
+        run.registry.inc("cache.hits", 4)
+        run.batch(0.5e-3, [5e-4])
+        run.batch(3.5e-3)                    # 2 idle windows roll past
+        run.close(4e-3)
         empty = collector.windows[1]
         assert empty.value("requests") == 0.0
         assert empty.value("hits") == 0.0
@@ -148,37 +133,44 @@ class TestWindowing:
         assert math.isnan(empty.values["sla_attainment"])
 
     def test_flush_closes_trailing_partial_window(self):
-        collector = _bound(window=1e-3)
-        collector.registry.inc("cache.hits", 2)
-        collector.observe_batch(1.2e-3)
-        collector.flush(1.6e-3)
+        collector = WindowedCollector(window=1e-3)
+        run = HandRun(collector)
+        run.registry.inc("cache.hits", 2)
+        run.batch(1.2e-3)
+        run.close(1.6e-3)
         assert collector.windows[-1].partial
         assert collector.windows[-1].end == pytest.approx(1.6e-3)
 
     def test_begin_run_absorbs_interrun_noise(self):
-        collector = _bound(window=1e-3)
-        registry = collector.registry
+        collector = WindowedCollector(window=1e-3)
+        registry = MetricsRegistry()
         registry.inc("cache.hits", 100)      # warmup noise between runs
-        collector.begin_run(0.0)
+        run = HandRun(collector, registry)   # the record starts here
         registry.inc("cache.hits", 6)
-        collector.observe_batch(0.5e-3)
-        collector.flush(1e-3)
+        run.batch(0.5e-3)
+        run.close(1e-3)
         assert sum(collector.series("hits")) == 6.0
 
     def test_begin_run_resets_when_clock_restarts(self):
-        collector = _bound(window=1e-3)
-        collector.registry.inc("cache.hits", 2)
-        collector.observe_batch(5e-3)
-        collector.flush()
-        assert collector.closed_windows > 0
-        collector.begin_run(0.0)             # simulated clock restarted
-        assert collector.closed_windows == 0
-        assert not collector.windows
+        collector = WindowedCollector(window=1e-3)
+        run = HandRun(collector)
+        run.registry.inc("cache.hits", 2)
+        run.batch(5e-3)
+        run.close()
+        assert collector.closed_windows == 5
+        # The next run's clock restarts below the watermark: the series
+        # restart with it.
+        again = HandRun(collector, run.registry)
+        again.batch(0.5e-3, [0.5e-3])
+        again.close(0.7e-3)
+        assert collector.closed_windows == 1
+        assert collector.windows[0].value("requests") == 1.0
 
     def test_sla_series(self):
-        collector = _bound(window=1e-3, sla_budget=1e-3)
-        collector.observe_batch(0.5e-3, [5e-4, 9e-4, 2e-3, 3e-3])
-        collector.flush(1e-3)
+        collector = WindowedCollector(window=4e-3, sla_budget=1e-3)
+        run = HandRun(collector)
+        run.batch(3.5e-3, [5e-4, 9e-4, 2e-3, 3e-3])
+        run.close(4e-3)
         window = collector.windows[0]
         assert window.value("requests") == 4.0
         assert window.value("sla_bad") == 2.0
@@ -193,21 +185,22 @@ class TestWindowing:
 
 class TestDriftDetector:
     def test_hotspot_shift_flagged(self):
-        collector = _bound(window=1e-3)
-        registry = collector.registry
+        collector = WindowedCollector(window=1e-3)
+        run = HandRun(collector)
+        registry = run.registry
         # Window 0: traffic concentrated on table 0.
         registry.inc("cache.table_hits", 90, table="0")
         registry.inc("cache.table_hits", 10, table="1")
-        collector.observe_batch(0.5e-3)
+        run.batch(0.5e-3)
         # Window 1: same distribution -> low divergence, no flag.
         registry.inc("cache.table_hits", 88, table="0")
         registry.inc("cache.table_hits", 12, table="1")
-        collector.observe_batch(1.5e-3)
+        run.batch(1.5e-3)
         # Window 2: hotspot jumps to table 1 -> flagged.
         registry.inc("cache.table_hits", 5, table="0")
         registry.inc("cache.table_hits", 95, table="1")
-        collector.observe_batch(2.5e-3)
-        collector.flush(3e-3)
+        run.batch(2.5e-3)
+        run.close(3e-3)
         drift = collector.series("hotspot_drift")
         assert math.isnan(drift[0])          # nothing to compare against
         assert drift[1] < 0.08 < drift[2]
@@ -215,13 +208,13 @@ class TestDriftDetector:
         assert collector.series("drift_flag")[2] == 1.0
 
     def test_falls_back_to_lookup_distribution(self):
-        collector = _bound(window=1e-3)
-        registry = collector.registry
-        registry.inc("cache.table_lookups", 50, table="0")
-        collector.observe_batch(0.5e-3)
-        registry.inc("cache.table_lookups", 50, table="3")
-        collector.observe_batch(1.5e-3)
-        collector.flush(2e-3)
+        collector = WindowedCollector(window=1e-3)
+        run = HandRun(collector)
+        run.registry.inc("cache.table_lookups", 50, table="0")
+        run.batch(0.5e-3)
+        run.registry.inc("cache.table_lookups", 50, table="3")
+        run.batch(1.5e-3)
+        run.close(2e-3)
         assert collector.series("hotspot_drift")[1] == pytest.approx(1.0)
         assert collector.drift_events
 
@@ -240,8 +233,8 @@ class _ServingRuns:
         server = PipelinedInferenceServer(
             dataset, layer, hw, depth=depth,
             policy=BatchingPolicy(max_batch_size=64, max_delay=5e-4),
-            collector=collector,
         )
+        server.observers.append(collector)
         requests = PoissonArrivals(dataset, rate, seed=3).generate(
             num_requests
         )
