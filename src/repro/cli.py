@@ -299,14 +299,14 @@ def build_parser() -> argparse.ArgumentParser:
     from .scenarios import SCENARIOS
 
     p = sub.add_parser(
-        "scenario", help="adversarial scenarios + adaptive tiering"
+        "scenario", help="the adversarial scenario catalogue"
     )
     scenario_sub = p.add_subparsers(dest="scenario_command", required=True)
     scenario_sub.add_parser("list", help="list the scenario catalogue")
     q = scenario_sub.add_parser(
         "run",
-        help="serve one adversarial scenario, optionally with the "
-             "adaptive controller closed-loop",
+        help="serve one adversarial scenario through the pipelined "
+             "server over a quantizing cache",
     )
     q.add_argument("--name", default="flash_crowd",
                    choices=sorted(SCENARIOS))

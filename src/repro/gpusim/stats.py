@@ -71,17 +71,19 @@ class TimeBreakdown:
     @property
     def execution_time(self) -> float:
         """Device kernel execution time (Figure 4's lower band)."""
-        return self.total(EXECUTION_CATEGORIES)
+        return self.total(categories=EXECUTION_CATEGORIES)
 
     @property
     def cache_query_time(self) -> float:
         """Cache index + cache copy time (Figure 16's "Cache Query")."""
-        return self.total((Category.CACHE_INDEX, Category.CACHE_COPY))
+        return self.total(
+            categories=(Category.CACHE_INDEX, Category.CACHE_COPY)
+        )
 
     @property
     def dram_query_time(self) -> float:
         """DRAM index + DRAM copy time (Figure 16's "DRAM Query")."""
-        return self.total((Category.DRAM_INDEX, Category.DRAM_COPY))
+        return self.total(categories=(Category.DRAM_INDEX, Category.DRAM_COPY))
 
     def merged_with(self, other: "TimeBreakdown") -> "TimeBreakdown":
         """Return a new breakdown combining ``self`` and ``other``."""

@@ -80,5 +80,5 @@ class CopyEngine:
 
     def cost(self, nbytes: int, method: CopyMethod = CopyMethod.AUTO) -> CopyCost:
         """Cost of copying ``nbytes`` between host and device."""
-        overhead, wire_time, resolved = self.split(nbytes, method)
+        overhead, wire_time, resolved = self.split(nbytes, method=method)
         return CopyCost(overhead=overhead, wire_time=wire_time, method=resolved)

@@ -83,7 +83,7 @@ class UpdatePublisher(Observable):
         version, updates = trainer.next_round()
         for table_id, (ids, vectors) in updates.items():
             self.stage(table_id, ids, vectors)
-        self.publish(version, now)
+        self.publish(version, now=now)
         return version
 
     # ------------------------------------------------------------ publishing

@@ -19,7 +19,7 @@ Four stressors, each targeting a different subsystem seam:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
@@ -35,6 +35,24 @@ from .base import (
 )
 
 
+#: When the flash crowd's storm and the cold-start flood open and how
+#: long each lasts, and the calm after either (seconds of simulated time).
+STORM_START = 8e-3
+STORM_DURATION = 6e-3
+FLOOD_START = 8e-3
+FLOOD_DURATION = 6e-3
+COOLDOWN = 6e-3
+#: Share of storm traffic on the rotated head, and the sampler seed
+#: offset that rotates it.
+STORM_SHARE = 0.85
+ROTATION_OFFSET = 101
+#: Length of the diurnal and multi-tenant loads; the diurnal period and
+#: the constant-rate segments each period is cut into.
+DURATION = 20e-3
+PERIOD = 10e-3
+SEGMENTS_PER_PERIOD = 16
+
+
 class FlashCrowdScenario(Scenario):
     """Hot-key storm: head rotation plus a rate spike for one phase."""
 
@@ -45,38 +63,26 @@ class FlashCrowdScenario(Scenario):
         dataset,
         seed: int = 0,
         base_rate: float = 80_000.0,
-        storm_start: float = 8e-3,
-        storm_duration: float = 6e-3,
-        cooldown: float = 6e-3,
         intensity: float = 3.0,
-        storm_share: float = 0.85,
-        rotation_offset: int = 101,
     ):
         super().__init__(dataset, seed)
         if intensity < 1.0:
             raise WorkloadError("storm intensity must be >= 1")
-        if not 0.0 < storm_share <= 1.0:
-            raise WorkloadError("storm_share must be in (0, 1]")
         self.base_rate = float(base_rate)
-        self.storm_start = float(storm_start)
-        self.storm_duration = float(storm_duration)
-        self.cooldown = float(cooldown)
         self.intensity = float(intensity)
-        self.storm_share = float(storm_share)
-        self.rotation_offset = int(rotation_offset)
 
     def phases(self) -> List[Phase]:
-        s, d = self.storm_start, self.storm_duration
+        s, d = STORM_START, STORM_DURATION
         return [
             Phase("calm", 0.0, s, self.base_rate),
             Phase(
                 "storm", s, s + d, self.base_rate * self.intensity,
                 note=(
-                    f"head rotated (offset {self.rotation_offset}), "
-                    f"{self.storm_share:.0%} of traffic on the new head"
+                    f"head rotated (offset {ROTATION_OFFSET}), "
+                    f"{STORM_SHARE:.0%} of traffic on the new head"
                 ),
             ),
-            Phase("cooldown", s + d, s + d + self.cooldown, self.base_rate),
+            Phase("cooldown", s + d, s + d + COOLDOWN, self.base_rate),
         ]
 
     def build(self) -> ScenarioLoad:
@@ -86,13 +92,13 @@ class FlashCrowdScenario(Scenario):
         n = len(times)
         k = self.dataset.ids_per_field
         cube = draw_feature_cube(self.field_samplers(), n, k)
-        in_storm = (times >= self.storm_start) & (
-            times < self.storm_start + self.storm_duration
+        in_storm = (times >= STORM_START) & (
+            times < STORM_START + STORM_DURATION
         )
-        storm_mask = in_storm & (rng.random(n) < self.storm_share)
+        storm_mask = in_storm & (rng.random(n) < STORM_SHARE)
         count = int(storm_mask.sum())
         if count:
-            rotated = self.field_samplers(seed_offset=self.rotation_offset)
+            rotated = self.field_samplers(seed_offset=ROTATION_OFFSET)
             cube[storm_mask] = draw_feature_cube(rotated, count, k)
         return ScenarioLoad(
             requests=assemble_requests(times, cube),
@@ -111,31 +117,21 @@ class DiurnalScenario(Scenario):
         seed: int = 0,
         mean_rate: float = 80_000.0,
         amplitude: float = 0.8,
-        period: float = 10e-3,
-        duration: float = 20e-3,
-        segments_per_period: int = 16,
     ):
         super().__init__(dataset, seed)
         if not 0.0 <= amplitude < 1.0:
             raise WorkloadError("amplitude must be in [0, 1)")
-        if period <= 0 or duration <= 0:
-            raise WorkloadError("period and duration must be positive")
-        if segments_per_period < 4:
-            raise WorkloadError("need >= 4 segments per period")
         self.mean_rate = float(mean_rate)
         self.amplitude = float(amplitude)
-        self.period = float(period)
-        self.duration = float(duration)
-        self.segments_per_period = int(segments_per_period)
 
     def phases(self) -> List[Phase]:
-        seg = self.period / self.segments_per_period
-        edges = np.arange(0.0, self.duration + seg / 2, seg)
+        seg = PERIOD / SEGMENTS_PER_PERIOD
+        edges = np.arange(0.0, DURATION + seg / 2, seg)
         phases = []
         for j in range(len(edges) - 1):
             mid = (edges[j] + edges[j + 1]) / 2.0
             rate = self.mean_rate * (
-                1.0 + self.amplitude * np.sin(2.0 * np.pi * mid / self.period)
+                1.0 + self.amplitude * np.sin(2.0 * np.pi * mid / PERIOD)
             )
             phases.append(
                 Phase(f"diurnal[{j}]", float(edges[j]), float(edges[j + 1]),
@@ -185,29 +181,14 @@ class MultiTenantScenario(Scenario):
 
     name = "multi_tenant"
 
-    def __init__(
-        self,
-        dataset,
-        seed: int = 0,
-        tenants: Optional[Dict[str, TenantSpec]] = None,
-        duration: float = 20e-3,
-    ):
-        super().__init__(dataset, seed)
-        self.tenants = dict(tenants or DEFAULT_TENANTS)
-        if not self.tenants:
-            raise WorkloadError("need at least one tenant")
-        if duration <= 0:
-            raise WorkloadError("duration must be positive")
-        self.duration = float(duration)
-
     def phases(self) -> List[Phase]:
-        total = sum(t.rate for t in self.tenants.values())
+        total = sum(t.rate for t in DEFAULT_TENANTS.values())
         return [
             Phase(
-                "mixed", 0.0, self.duration, total,
+                "mixed", 0.0, DURATION, total,
                 note=", ".join(
                     f"{name}: {spec.rate:g}/s alpha={spec.alpha:g}"
-                    for name, spec in sorted(self.tenants.items())
+                    for name, spec in sorted(DEFAULT_TENANTS.items())
                 ),
             )
         ]
@@ -215,10 +196,10 @@ class MultiTenantScenario(Scenario):
     def build(self) -> ScenarioLoad:
         k = self.dataset.ids_per_field
         all_times, all_cubes, all_tenants = [], [], []
-        for t_idx, (name, spec) in enumerate(sorted(self.tenants.items())):
+        for t_idx, (name, spec) in enumerate(sorted(DEFAULT_TENANTS.items())):
             rng = self._rng(salt=3 + t_idx)
             times = poisson_arrival_times(
-                rng, [Phase(name, 0.0, self.duration, spec.rate)]
+                rng, [Phase(name, 0.0, DURATION, spec.rate)]
             )
             cube = draw_feature_cube(
                 self.field_samplers(
@@ -238,7 +219,7 @@ class MultiTenantScenario(Scenario):
             requests=assemble_requests(times, cube),
             phases=self.phases(),
             tenant_of=list(tenants),
-            tenant_slos={n: s.slo for n, s in self.tenants.items()},
+            tenant_slos={n: s.slo for n, s in DEFAULT_TENANTS.items()},
         )
 
 
@@ -260,9 +241,6 @@ class ColdStartFloodScenario(Scenario):
         dataset,
         seed: int = 0,
         base_rate: float = 80_000.0,
-        flood_start: float = 8e-3,
-        flood_duration: float = 6e-3,
-        cooldown: float = 6e-3,
         flood_size: int = 512,
         flood_share: float = 0.7,
     ):
@@ -275,14 +253,11 @@ class ColdStartFloodScenario(Scenario):
         if not 0.0 < flood_share <= 1.0:
             raise WorkloadError("flood_share must be in (0, 1]")
         self.base_rate = float(base_rate)
-        self.flood_start = float(flood_start)
-        self.flood_duration = float(flood_duration)
-        self.cooldown = float(cooldown)
         self.flood_size = int(flood_size)
         self.flood_share = float(flood_share)
 
     def phases(self) -> List[Phase]:
-        s, d = self.flood_start, self.flood_duration
+        s, d = FLOOD_START, FLOOD_DURATION
         return [
             Phase("warm", 0.0, s, self.base_rate,
                   note=f"corpus restricted by {self.flood_size} tail ids"),
@@ -291,7 +266,7 @@ class ColdStartFloodScenario(Scenario):
                       f"{self.flood_share:.0%} of traffic on the "
                       f"{self.flood_size} freshly published ids"
                   )),
-            Phase("settle", s + d, s + d + self.cooldown, self.base_rate),
+            Phase("settle", s + d, s + d + COOLDOWN, self.base_rate),
         ]
 
     def _flood_log(self) -> UpdateLog:
@@ -307,7 +282,7 @@ class ColdStartFloodScenario(Scenario):
             updates[spec.table_id] = (ids, vectors)
         # Published an instant before the flood phase opens: the refresh
         # subscriber sees the new version exactly when the cold ids land.
-        log.append(1, updates, published_at=max(0.0, self.flood_start - 1e-6))
+        log.append(1, updates, published_at=max(0.0, FLOOD_START - 1e-6))
         return log
 
     def build(self) -> ScenarioLoad:
@@ -319,8 +294,8 @@ class ColdStartFloodScenario(Scenario):
         min_corpus = min(f.corpus_size for f in self.dataset.fields)
         base = self.field_samplers(corpus_limit=min_corpus - self.flood_size)
         cube = draw_feature_cube(base, n, k)
-        in_flood = (times >= self.flood_start) & (
-            times < self.flood_start + self.flood_duration
+        in_flood = (times >= FLOOD_START) & (
+            times < FLOOD_START + FLOOD_DURATION
         )
         flood_mask = in_flood & (rng.random(n) < self.flood_share)
         count = int(flood_mask.sum())

@@ -140,6 +140,9 @@ class TestTieredParameterStore:
         np.testing.assert_array_equal(
             result.vectors, reference_vectors(0, ids, 16)
         )
+        # Its write-through reaches only the DRAM tier: a snapshot of its
+        # refreshed rows carries none.
+        assert store.written_rows() == {}
 
     def test_remote_cost_appears_only_on_dram_miss(self, specs, hw):
         store = TieredParameterStore(specs, hw, dram_capacity=500)

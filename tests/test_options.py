@@ -6,15 +6,20 @@ every field of a ``*Config`` dataclass.  An option passes when a call
 outside ``tests/`` -- in a module under ``src/``, in ``benchmarks/``
 (the ledger included) or in ``examples/`` -- passes it by keyword or by
 position.  Calls resolve by name: ``f(...)`` and ``obj.f(...)`` both
-reach every definition called ``f``; ``Cls(...)`` reaches the
-constructor ``Cls`` has or inherits; ``super().__init__(...)`` reaches
-the bases' constructors; ``replace(obj, field=...)`` reaches every
-dataclass field of that name; and ``functools.partial(f, ...)`` is a
-call of ``f``.  A call that forwards its function's ``**kwargs`` passes
-on whatever that function's callers pass; any other ``**mapping``
-passes the keys of the dict literals and ``dict(...)`` calls in its
-file.  A value only passed on -- the calling function's own option, or
-a ``*Config`` field read as ``anything.field`` -- sets the option only
+reach every definition called ``f``, but where several classes define a
+method ``m``, ``obj.m(...)`` sets its options by keyword only;
+``Cls(...)`` reaches the constructor ``Cls`` has or inherits;
+``super().__init__(...)`` reaches the bases' constructors;
+``replace(obj, field=...)`` reaches every dataclass field of that name;
+``functools.partial(f, ...)`` is a call of ``f``; and a call of a local
+looked up in a module-level registry (``cls = SCENARIOS.get(name)``)
+calls every name the registry lists.  A call that forwards its
+function's ``**kwargs`` passes on whatever that function's callers pass;
+``**NAME`` or ``**NAME[key]``, with ``NAME`` a module-level dict literal
+(of dict literals), passes their keys; any other ``**mapping`` passes
+the keys of the dict literals and ``dict(...)`` calls in its file.  A
+value only passed on -- the calling function's own option, or a
+``*Config`` field read as ``anything.field`` -- sets the option only
 where that option or field is set.
 
 An option with no effect fails as well: a ``*Config`` field, a defaulted
@@ -32,20 +37,15 @@ option nothing sets or reads.
 from __future__ import annotations
 
 import ast
+import textwrap
 from collections import defaultdict, namedtuple
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-PACKAGE = ROOT / "src" / "repro"
 
 _SEED = (
     "a seed: a caller wanting another random stream passes one; the "
     "default is the stream every pinned result was drawn from"
-)
-_SCENARIO = (
-    "a scenario keyword: the CLI and the scenario bench reach scenario "
-    "classes through build_scenario(name, **overrides), a lookup the scan "
-    "cannot follow"
 )
 _MODEL = "model shape: tests build small models with it"
 _PROBE = "test probe: tests read it to check other behaviour, "
@@ -53,28 +53,6 @@ _PROBE = "test probe: tests read it to check other behaviour, "
 #: ``qualified option -> why it stays`` for options nothing outside
 #: tests sets or reads; the scan treats them as set.
 ALLOWED = {
-    **dict.fromkeys(
-        ["Scenario(seed=)"] + [
-            f"{cls}({name}=)" for cls, names in (
-                ("FlashCrowdScenario", (
-                    "seed", "base_rate", "storm_start", "storm_duration",
-                    "cooldown", "intensity", "storm_share",
-                    "rotation_offset",
-                )),
-                ("DiurnalScenario", (
-                    "seed", "mean_rate", "amplitude", "period", "duration",
-                    "segments_per_period",
-                )),
-                ("MultiTenantScenario", ("seed", "tenants", "duration")),
-                ("ColdStartFloodScenario", (
-                    "seed", "base_rate", "flood_start", "flood_duration",
-                    "cooldown", "flood_size", "flood_share",
-                )),
-            )
-            for name in names
-        ],
-        _SCENARIO,
-    ),
     **dict.fromkeys(
         [
             "FlecheConfig.seed", "PerTableConfig.seed",
@@ -259,7 +237,8 @@ def _builders(classes: dict) -> dict:
     return builders
 
 
-def _class_options(node: ast.ClassDef, path: Path, builders: set):
+def _class_options(node: ast.ClassDef, path: Path, builders: set,
+                   shared: set):
     if "dataclass" in _decorators(node):
         config = node.name.endswith("Config")
         for position, (field, defaulted, line) in enumerate(_fields(node)):
@@ -283,20 +262,31 @@ def _class_options(node: ast.ClassDef, path: Path, builders: set):
                     line, True, kept.get(param),
                 )
         elif not member.name.startswith("_"):
+            # ``obj.m(...)`` names no class: where several define ``m``,
+            # only a keyword says whose option it sets.
+            ambiguous = member.name in shared
             for param, index, line in _parameters(member, bound):
                 yield Option(
                     f"{node.name}.{member.name}({param}=)", {member.name},
-                    param, index, path, line, True, None,
+                    param, None if ambiguous else index, path, line, True,
+                    None,
                 )
 
 
 def options(trees: dict):
     """Every option of every public definition in ``trees``."""
     classes = {}
+    definers = defaultdict(int)
     for tree in trees.values():
-        for node in tree.body:
+        for node in ast.walk(tree):
             if isinstance(node, ast.ClassDef):
-                classes.setdefault(node.name, node)
+                if node in tree.body:
+                    classes.setdefault(node.name, node)
+                for member in node.body:
+                    if isinstance(member, (ast.FunctionDef,
+                                           ast.AsyncFunctionDef)):
+                        definers[member.name] += 1
+    shared = {name for name, count in definers.items() if count > 1}
     builders = _builders(classes)
     for path, tree in trees.items():
         for node in tree.body:
@@ -309,7 +299,9 @@ def options(trees: dict):
                         path, line, True, None,
                     )
             elif isinstance(node, ast.ClassDef):
-                yield from _class_options(node, path, builders[node.name])
+                yield from _class_options(
+                    node, path, builders[node.name], shared
+                )
 
 
 def _mapping_keys(tree: ast.Module) -> set:
@@ -330,11 +322,11 @@ def _mapping_keys(tree: ast.Module) -> set:
     return keys
 
 
-def _callee(func: ast.AST, owner) -> list:
+def _callee(func: ast.AST, owner, dispatch) -> list:
     if isinstance(func, ast.Name):
         if func.id == "cls" and owner is not None:
             return [owner.name]
-        return [func.id]
+        return sorted(dispatch.get(func.id, [func.id]))
     if not isinstance(func, ast.Attribute):
         return []
     if (
@@ -345,6 +337,59 @@ def _callee(func: ast.AST, owner) -> list:
     ):
         return [b.id for b in owner.bases if isinstance(b, ast.Name)]
     return [func.attr]
+
+
+def _globals(tree: ast.Module) -> dict:
+    """``name -> value`` of each module-level assignment to one name."""
+    return {
+        node.targets[0].id: node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and len(node.targets) == 1
+        and isinstance(node.targets[0], ast.Name)
+    }
+
+
+def _dispatch(function, registries: dict) -> dict:
+    """``local -> names`` for each local of ``function`` looked up in a
+    module-level registry (``cls = REGISTRY.get(name)``): calling it
+    calls every name the registry lists."""
+    found = {}
+    for node in ast.walk(function):
+        if not (
+            isinstance(node, ast.Assign)
+            and len(node.targets) == 1
+            and isinstance(node.targets[0], ast.Name)
+        ):
+            continue
+        value = node.value
+        if isinstance(value, ast.Call):
+            getter = value.func
+            value = (
+                getter.value
+                if isinstance(getter, ast.Attribute) and getter.attr == "get"
+                else None
+            )
+        elif isinstance(value, ast.Subscript):
+            value = value.value
+        if isinstance(value, ast.Name) and value.id in registries:
+            found[node.targets[0].id] = registries[value.id]
+    return found
+
+
+def _unpacked(value: ast.AST, globals_: dict):
+    """The keys a ``**value`` passes when ``value`` is a module-level dict
+    literal, or one entry of a dict of them; ``None`` when unknown."""
+    nested = isinstance(value, ast.Subscript)
+    if nested:
+        value = value.value
+    mapping = globals_.get(value.id) if isinstance(value, ast.Name) else None
+    if not isinstance(mapping, ast.Dict):
+        return None
+    entries = mapping.values if nested else [mapping]
+    if not all(isinstance(entry, ast.Dict) for entry in entries):
+        return None
+    return set().union(*(_mapping_keys(entry) for entry in entries))
 
 
 def _qualified(owner, function, param: str) -> str:
@@ -374,6 +419,11 @@ def _calls(tree: ast.Module, known: set, fields: dict):
     config field).  ``caller`` names the enclosing function when the call
     forwards that function's ``**kwargs``."""
     mapping = _mapping_keys(tree)
+    globals_ = _globals(tree)
+    registries = {
+        name: {n.id for n in ast.walk(value) if isinstance(n, ast.Name)}
+        for name, value in globals_.items()
+    }
     found = []
 
     def condition(value, owner, function):
@@ -384,16 +434,17 @@ def _calls(tree: ast.Module, known: set, fields: dict):
             return fields.get(value.attr)
         return None
 
-    def visit(node, owner, functions):
+    def visit(node, owner, functions, dispatch):
         if isinstance(node, ast.ClassDef):
             owner, functions = node, ()
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             functions = functions + (node,)
+            dispatch = {**dispatch, **_dispatch(node, registries)}
         function = functions[-1] if functions else None
         if isinstance(node, ast.Call):
-            names, args = _callee(node.func, owner), node.args
+            names, args = _callee(node.func, owner, dispatch), node.args
             if names == ["partial"] and args:
-                names, args = _callee(args[0], owner), args[1:]
+                names, args = _callee(args[0], owner, dispatch), args[1:]
             positional, starred = [], None
             for arg in args:
                 if isinstance(arg, ast.Starred):
@@ -408,6 +459,9 @@ def _calls(tree: ast.Module, known: set, fields: dict):
                     )
                 elif isinstance(keyword.value, ast.Dict):
                     keywords.update(dict.fromkeys(_mapping_keys(keyword.value)))
+                elif _unpacked(keyword.value, globals_) is not None:
+                    unpacked = _unpacked(keyword.value, globals_)
+                    keywords.update(dict.fromkeys(unpacked))
                 else:
                     forwarder = _forwarder(functions, keyword.value)
                     if forwarder is None:
@@ -427,9 +481,9 @@ def _calls(tree: ast.Module, known: set, fields: dict):
                     (name, tuple(positional), keywords, caller, star)
                 )
         for child in ast.iter_child_nodes(node):
-            visit(child, owner, functions)
+            visit(child, owner, functions, dispatch)
 
-    visit(tree, None, ())
+    visit(tree, None, (), {})
     return found
 
 
@@ -452,11 +506,13 @@ def _reads(tree: ast.Module) -> set:
     return found
 
 
-def scan(allowed=()):
+def scan(allowed=(), root=ROOT):
     """``(path, line, qualified option, why)`` of every option nothing
-    outside tests sets or reads.  Options in ``allowed`` count as set, so
-    what they pass on counts as set too."""
-    trees = {path: _parse(path) for path in _python_files(PACKAGE)}
+    outside tests sets or reads under ``root``.  Options in ``allowed``
+    count as set, so what they pass on counts as set too."""
+    trees = {
+        path: _parse(path) for path in _python_files(root / "src" / "repro")
+    }
     every = list(options(trees))
     known = {option.qualified for option in every}
     fields = defaultdict(set)
@@ -466,7 +522,7 @@ def scan(allowed=()):
     fields = {name: frozenset(owners) for name, owners in fields.items()}
     callers = list(trees.values()) + [
         _parse(path)
-        for path in _python_files(ROOT / "benchmarks", ROOT / "examples")
+        for path in _python_files(root / "benchmarks", root / "examples")
     ]
     calls = defaultdict(set)
     forwards = []
@@ -528,7 +584,7 @@ def scan(allowed=()):
         else:
             continue
         unset.append(
-            (option.path.relative_to(ROOT), option.line, option.qualified, why)
+            (option.path.relative_to(root), option.line, option.qualified, why)
         )
     return unset
 
@@ -545,3 +601,29 @@ def test_every_option_has_a_caller_that_sets_it():
 def test_every_allowance_is_still_needed():
     stale = set(ALLOWED) - {name for _, _, name, _ in scan()}
     assert not stale, f"callers exist now; drop from ALLOWED: {sorted(stale)}"
+
+
+def test_a_shared_method_name_is_set_only_by_keyword(tmp_path):
+    package = tmp_path / "src" / "repro"
+    package.mkdir(parents=True)
+
+    def unset(call):
+        (package / "shared.py").write_text(textwrap.dedent(f"""
+            class Window:
+                def reset(self, first=0.0):
+                    return first
+
+            class Timeline:
+                def reset(self, start=0.0):
+                    return start
+
+            def run(window):
+                return {call}
+        """))
+        return {name for _, _, name, _ in scan(root=tmp_path)}
+
+    # ``window.reset(1.0)`` names no class: it sets neither option.
+    assert {"Window.reset(first=)", "Timeline.reset(start=)"} <= unset(
+        "window.reset(1.0)"
+    )
+    assert unset("window.reset(first=1.0)") == {"Timeline.reset(start=)"}

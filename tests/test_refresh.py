@@ -12,6 +12,7 @@ from repro.model.trainer import EmbeddingDeltaTrainer, delta_vectors
 from repro.obs import MetricsRegistry, install_conservation_laws
 from repro.refresh import (
     RefreshScheduler,
+    TableDelta,
     UpdateLog,
     UpdatePublisher,
     UpdateSubscriber,
@@ -97,6 +98,9 @@ class TestUpdateLog:
         assert log.keys_between(0, 3) == 8
         assert log.keys_between(0, 0) == 2
         assert log.total_keys == 8
+        # Bounds outside [0, head] are clamped.
+        assert log.keys_between(-3, 3) == 8
+        assert log.keys_between(1, 9) == 6
 
     def test_replay_is_deterministic(self):
         log = UpdateLog()
@@ -121,6 +125,7 @@ class TestUpdateLog:
 
     def test_version_queries_are_time_gated(self):
         log = UpdateLog()
+        assert log.latest_version() == 0
         log.append(1, delta(0, [1]), published_at=1.0)
         log.append(5, delta(0, [2], version=5), published_at=3.0)
         assert log.latest_version(0.5) == 0
@@ -154,7 +159,7 @@ class TestUpdatePublisher:
         publisher = UpdatePublisher(log)
         ids = np.array([7], np.uint64)
         publisher.stage(0, ids, np.ones((1, DIM), np.float32))
-        publisher.stage(0, ids, np.full((1, DIM), 2.0, np.float32))
+        publisher.stage(0, [7], [[2.0] * DIM])  # lists stage alike
         publisher.publish(1, now=0.0)
         batch = log.read(0)
         np.testing.assert_array_equal(
@@ -169,6 +174,8 @@ class TestUpdatePublisher:
         offsets = publisher.publish(1)
         assert offsets == [0, 1, 2]
         assert [log.read(o).num_keys for o in offsets] == [3, 3, 2]
+        with pytest.raises(ConfigError):
+            UpdatePublisher(log, max_batch_keys=0)
 
     def test_coalesce_counter_identity(self):
         registry = MetricsRegistry()
@@ -204,6 +211,8 @@ class TestUpdatePublisher:
             publisher.stage(
                 0, np.array([1], np.uint64), np.zeros((2, DIM), np.float32)
             )
+        with pytest.raises(RefreshError, match="length mismatch"):
+            TableDelta(0, np.array([1], np.uint64), np.zeros((2, DIM)))
         publisher.stage(
             0, np.array([1], np.uint64), np.zeros((1, DIM), np.float32)
         )
@@ -293,6 +302,11 @@ class TestUpdateSubscriber:
         assert registry.total("refresh.applied_keys") == 2
         # carried + applied + dropped == keys through applied_offset.
         assert registry.audit() == []
+        subscriber._dropped_keys += 1  # a miscount trips the hook
+        assert registry.audit() == [
+            "check 'refresh.stream-conservation' failed: carried(0) + "
+            "applied(2) + dropped(5) = 7, log says 6 keys through offset 2"
+        ]
 
     def test_outage_polls_counted_and_stream_resumes(self):
         registry = MetricsRegistry()

@@ -16,6 +16,7 @@ from repro import default_platform
 from repro.cluster.drill import run_scenario_drill
 from repro.core.workflow import FlecheEmbeddingLayer
 from repro.errors import WorkloadError
+from repro.scenarios import catalogue
 from repro.scenarios import (
     SCENARIOS,
     ColdStartFloodScenario,
@@ -39,14 +40,25 @@ from repro.workloads.synthetic import uniform_tables_spec
 FAST_OVERRIDES = {
     "flash_crowd": {"base_rate": 20_000.0},
     "diurnal": {"mean_rate": 20_000.0},
-    "multi_tenant": {
-        "tenants": {
-            "hot": TenantSpec(rate=12_000.0, alpha=-1.4, slo=2e-3),
-            "flat": TenantSpec(rate=8_000.0, alpha=-0.8, slo=4e-3),
-        },
-    },
+    "multi_tenant": {},
     "cold_start_flood": {"base_rate": 20_000.0, "flood_size": 128},
 }
+
+
+@pytest.fixture(autouse=True)
+def short_loads(monkeypatch):
+    """Shorter phases, the whole storm or flood on its ids, and a lighter
+    tenant mix: the catalogue's fixed settings, patched."""
+    for name, value in (
+        ("STORM_START", 4e-3), ("STORM_DURATION", 4e-3),
+        ("FLOOD_START", 4e-3), ("FLOOD_DURATION", 4e-3), ("COOLDOWN", 2e-3),
+        ("STORM_SHARE", 1.0), ("DURATION", 16e-3), ("PERIOD", 8e-3),
+    ):
+        monkeypatch.setattr(catalogue, name, value)
+    monkeypatch.setattr(catalogue, "DEFAULT_TENANTS", {
+        "hot": TenantSpec(rate=12_000.0, alpha=-1.4, slo=2e-3),
+        "flat": TenantSpec(rate=8_000.0, alpha=-0.8, slo=4e-3),
+    })
 
 
 def _dataset(corpus=2_000, tables=3, dim=8):
@@ -97,10 +109,7 @@ class TestCatalogue:
 
 class TestFlashCrowd:
     def _scenario(self, **overrides):
-        params = dict(
-            base_rate=30_000.0, storm_start=4e-3, storm_duration=4e-3,
-            cooldown=2e-3, storm_share=1.0,
-        )
+        params = dict(base_rate=30_000.0)
         params.update(overrides)
         return FlashCrowdScenario(_dataset(), seed=2, **params)
 
@@ -116,21 +125,16 @@ class TestFlashCrowd:
         base_head = int(scenario.field_samplers()[0].hottest_ids(1)[0])
         rotated_head = int(
             scenario.field_samplers(
-                seed_offset=scenario.rotation_offset
+                seed_offset=catalogue.ROTATION_OFFSET
             )[0].hottest_ids(1)[0]
         )
         assert base_head != rotated_head
         load = scenario.build()
+        start, end = load.phases[1].start, load.phases[1].end
         in_storm = [
-            r for r in load.requests
-            if scenario.storm_start
-            <= r.arrival_time
-            < scenario.storm_start + scenario.storm_duration
+            r for r in load.requests if start <= r.arrival_time < end
         ]
-        calm = [
-            r for r in load.requests
-            if r.arrival_time < scenario.storm_start
-        ]
+        calm = [r for r in load.requests if r.arrival_time < start]
         storm_hits = sum(
             int(np.count_nonzero(_ids_of(r) == rotated_head))
             for r in in_storm
@@ -144,20 +148,15 @@ class TestFlashCrowd:
     def test_parameter_validation(self):
         with pytest.raises(WorkloadError):
             self._scenario(intensity=0.5)
-        with pytest.raises(WorkloadError):
-            self._scenario(storm_share=0.0)
-        with pytest.raises(WorkloadError):
-            self._scenario(storm_share=1.5)
 
 
 class TestDiurnal:
     def test_envelope_oscillates_around_mean(self):
         scenario = DiurnalScenario(
             _dataset(), seed=3, mean_rate=40_000.0, amplitude=0.8,
-            period=8e-3, duration=16e-3,
         )
         phases = scenario.phases()
-        assert len(phases) == 2 * scenario.segments_per_period
+        assert len(phases) == 2 * catalogue.SEGMENTS_PER_PERIOD
         rates = [p.rate for p in phases]
         assert max(rates) > 40_000.0 > min(rates)
         assert max(rates) <= 40_000.0 * 1.8 + 1e-6
@@ -167,10 +166,6 @@ class TestDiurnal:
         dataset = _dataset()
         with pytest.raises(WorkloadError):
             DiurnalScenario(dataset, amplitude=1.0)
-        with pytest.raises(WorkloadError):
-            DiurnalScenario(dataset, period=0.0)
-        with pytest.raises(WorkloadError):
-            DiurnalScenario(dataset, segments_per_period=2)
 
 
 class TestMultiTenant:
@@ -182,19 +177,8 @@ class TestMultiTenant:
         with pytest.raises(WorkloadError):
             TenantSpec(rate=1.0, alpha=-1.2, slo=0.0)
 
-    def test_empty_tenants_fall_back_to_defaults(self):
-        scenario = MultiTenantScenario(_dataset(), tenants={})
-        assert set(scenario.tenants) == {"hot", "flat", "bursty"}
-
-    def test_duration_must_be_positive(self):
-        with pytest.raises(WorkloadError):
-            MultiTenantScenario(_dataset(), duration=0.0)
-
     def test_attribution_covers_every_request(self):
-        load = MultiTenantScenario(
-            _dataset(), seed=4, duration=6e-3,
-            tenants=FAST_OVERRIDES["multi_tenant"]["tenants"],
-        ).build()
+        load = MultiTenantScenario(_dataset(), seed=4).build()
         assert len(load.tenant_of) == len(load.requests)
         assert set(load.tenant_of) == {"hot", "flat"}
         assert set(load.tenant_slos) == {"hot", "flat"}
@@ -204,10 +188,7 @@ class TestMultiTenant:
 
 class TestColdStartFlood:
     def _scenario(self, **overrides):
-        params = dict(
-            base_rate=30_000.0, flood_start=4e-3, flood_duration=4e-3,
-            cooldown=2e-3, flood_size=128, flood_share=1.0,
-        )
+        params = dict(base_rate=30_000.0, flood_size=128, flood_share=1.0)
         params.update(overrides)
         return ColdStartFloodScenario(_dataset(), seed=6, **params)
 
@@ -216,7 +197,7 @@ class TestColdStartFlood:
         load = scenario.build()
         lo = 2_000 - scenario.flood_size
         for request in load.requests:
-            if request.arrival_time < scenario.flood_start:
+            if request.arrival_time < catalogue.FLOOD_START:
                 assert int(_ids_of(request).max()) < lo
 
     def test_flood_traffic_lands_on_tail_ids(self):
@@ -225,9 +206,9 @@ class TestColdStartFlood:
         lo = 2_000 - scenario.flood_size
         flood = [
             r for r in load.requests
-            if scenario.flood_start
+            if catalogue.FLOOD_START
             <= r.arrival_time
-            < scenario.flood_start + scenario.flood_duration
+            < catalogue.FLOOD_START + catalogue.FLOOD_DURATION
         ]
         assert flood
         for request in flood:
@@ -239,7 +220,7 @@ class TestColdStartFlood:
         log = load.update_log
         assert log is not None and len(log) == 1
         batch = log.read(0)
-        assert batch.published_at < scenario.flood_start
+        assert batch.published_at < catalogue.FLOOD_START
         lo = 2_000 - scenario.flood_size
         assert len(batch.deltas) == 3
         for delta in batch.deltas:
@@ -377,10 +358,7 @@ class TestServing:
         layer = FlecheEmbeddingLayer(
             store, FlecheConfig(cache_ratio=0.05), hw,
         )
-        load = FlashCrowdScenario(
-            dataset, seed=2, base_rate=25_000.0,
-            storm_start=3e-3, storm_duration=3e-3, cooldown=2e-3,
-        ).build()
+        load = FlashCrowdScenario(dataset, seed=2, base_rate=25_000.0).build()
         validate_load(load, dataset)
         server = PipelinedInferenceServer(
             dataset, layer, hw, depth=2,
@@ -401,9 +379,6 @@ class TestScenarioDrill:
             crash=crash,
             sla_budget=2e-3,
             base_rate=15_000.0,
-            storm_start=3e-3,
-            storm_duration=3e-3,
-            cooldown=2e-3,
         )
 
     def test_no_crash_baseline(self):

@@ -14,10 +14,11 @@ Hypothesis sweeps the parameter space the unit tests only spot-check:
 """
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.scenarios import build_scenario, validate_load
+from repro.scenarios import build_scenario, catalogue, validate_load
 from repro.workloads.spec import FieldSpec
 from repro.workloads.synthetic import _DriftingField, uniform_tables_spec
 from repro.workloads.zipf import ZipfSampler
@@ -124,14 +125,16 @@ class TestScenarioGenerators:
         overrides = {
             "flash_crowd": {"base_rate": 5_000.0},
             "diurnal": {"mean_rate": 5_000.0},
-            "multi_tenant": {"duration": 5e-3},
+            "multi_tenant": {},
             "cold_start_flood": {
                 "base_rate": 5_000.0,
                 "flood_size": min(64, corpus - 1),
             },
         }[name]
-        scenario = build_scenario(name, dataset, seed=seed, **overrides)
-        load = scenario.build()
+        with pytest.MonkeyPatch.context() as patch:
+            if name == "multi_tenant":  # its fixed length, cut to 5 ms
+                patch.setattr(catalogue, "DURATION", 5e-3)
+            load = build_scenario(name, dataset, seed=seed, **overrides).build()
         validate_load(load, dataset)
         phases = load.phases
         assert phases[0].start == 0.0

@@ -114,6 +114,7 @@ class TestEmbeddingStore:
         result = query_table(store, 0, np.array([1, 2], np.uint64))
         assert result.vectors.shape == (2, 16)
         assert result.cost.total > 0
+        assert store.fault_windows() == []  # it holds every row
 
     def test_unified_index_fraction_reduces_index_time(self, hw, mixed_dim_specs):
         store = EmbeddingStore(mixed_dim_specs, hw)
@@ -132,11 +133,17 @@ class TestEmbeddingStore:
         assert result.vectors.shape == (3, 16)
         expect0 = reference_vectors(0, np.array([5, 7], np.uint64), 16)
         np.testing.assert_array_equal(result.vectors[[0, 2]], expect0)
+        # Plain lists are accepted and read alike.
+        np.testing.assert_array_equal(
+            store.query_many([0, 1, 0], [5, 6, 7]).vectors, result.vectors
+        )
 
     def test_query_many_rejects_mixed_dims(self, hw, mixed_dim_specs):
         store = EmbeddingStore(mixed_dim_specs, hw)
         with pytest.raises(WorkloadError):
             store.query_many(np.array([0, 2]), np.array([1, 1], np.uint64))
+        with pytest.raises(WorkloadError, match="shape"):
+            store.query_many(np.array([0, 1]), np.array([1], np.uint64))
 
     def test_query_many_indexed_mask(self, hw, mixed_dim_specs):
         store = EmbeddingStore(mixed_dim_specs, hw)
@@ -151,6 +158,8 @@ class TestEmbeddingStore:
         bad = [TableSpec(1, 10, 4)]
         with pytest.raises(WorkloadError):
             EmbeddingStore(bad, hw)
+        with pytest.raises(WorkloadError, match="at least one table"):
+            EmbeddingStore([], hw)
 
     def test_query_many_rejects_out_of_corpus_ids(self, hw, mixed_dim_specs):
         store = EmbeddingStore(mixed_dim_specs, hw)

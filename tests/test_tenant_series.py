@@ -10,7 +10,7 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.obs import WindowedCollector
-from repro.scenarios import MultiTenantScenario, validate_load
+from repro.scenarios import MultiTenantScenario, catalogue, validate_load
 from repro.workloads.synthetic import uniform_tables_spec
 from conftest import HandRun
 
@@ -98,13 +98,12 @@ class TestAttribution:
 
 
 class TestScenarioIntegration:
-    def test_multi_tenant_load_declares_consistent_tenancy(self):
+    def test_multi_tenant_load_declares_consistent_tenancy(self, monkeypatch):
         dataset = uniform_tables_spec(
             num_tables=2, corpus_size=1_000, alpha=-1.2, dim=8,
         )
-        load = MultiTenantScenario(
-            dataset, seed=3, duration=4e-3,
-        ).build()
+        monkeypatch.setattr(catalogue, "DURATION", 4e-3)
+        load = MultiTenantScenario(dataset, seed=3).build()
         validate_load(load, dataset)
         assert load.tenant_of is not None
         assert len(load.tenant_of) == len(load.requests)
