@@ -3,7 +3,7 @@
 Three steps::
 
     python benchmarks/mutants.py map     # reach map (~2.5 min)
-    python benchmarks/mutants.py run     # kill matrix (~1 h on 2 cores)
+    python benchmarks/mutants.py run     # kill matrix (~2 h on 2 cores)
     python benchmarks/mutants.py --check src/repro/tables/row_map.py
 
 ``map`` runs tier-1 once in this process under a profile hook and
@@ -13,36 +13,41 @@ and teardown included) and its duration.  It writes
 
 ``run`` rewrites each target function's ``ast`` in five ways
 (``OPERATORS``), at most ``PER_OPERATOR`` sites per operator and
-function, applies each mutant to a private copy of ``src/`` and runs
-only the tests that reach the function (the ``kept_first`` tests, then
-the others, each group fastest first) with ``-x``, Hypothesis
-derandomized, one hash seed, under a timeout that kills the run's
-process group (the dense worker child too), at most ``os.cpu_count()``
-runs at a time.  A mutant is killed by the first test that fails; a
-survivor is ``equivalent`` when ``EQUIVALENT`` says why no test can see
-it, else a ``gap``.  The targets are the functions
-``benchmarks/check_hotpath.py`` marks, every function of
-``TARGET_FILES`` / ``TARGET_DIRS``, every function an example test (one
-not ``kept_first``) reaches, and every function the matrix already
+function (the first in ``ast.walk`` order: the shallowest), applies each
+mutant to a private copy of ``src/`` and runs only the tests that reach
+the function (the ``kept_first`` tests, then the others, each group
+fastest first) with ``-x``, Hypothesis derandomized, one hash seed,
+under a timeout that kills the run's process group (the dense worker
+child too), at most ``os.cpu_count()`` runs at a time.  A mutant is
+killed by the first test that fails; a survivor is ``equivalent`` when
+``EQUIVALENT`` says why no test can see it, else a ``gap``.  The targets
+are the functions ``benchmarks/check_hotpath.py`` marks, every function
+of ``TARGET_FILES`` / ``TARGET_DIRS``, every function an example test
+(one not ``kept_first``) reaches, and every function the matrix already
 lists, so a rerun mutates the same set.  ``--module M`` re-runs one
-module's mutants and updates their entries.
+module's mutants and updates their entries.  Every test the reach map
+names must still exist, or the run stops before its first mutant.
 
 The matrix, ``benchmarks/results/mutants.json``, maps each mutant id to
-its function, operator and killer, and lists as ``redundant`` the
-example tests no mutant names as its killer.  Since every mutant is
-offered its tests in one fixed order, each kill of such a test is made
-by a test ordered before it: deleting all of them together leaves the
-killed set as it is.
+its function, operator, line, a digest of the mutated function and its
+killer; ``unmutated`` counts, per function and operator, the sites left
+out by ``PER_OPERATOR``; ``redundant`` lists the example tests no mutant
+names as its killer and that reach no function with unmutated sites.
+Since every mutant is offered its tests in one fixed order, each kill of
+such a test is made by a test ordered before it: deleting all of them
+together leaves the killed set as it is.
 
 ``--check MODULE...`` re-runs each killed mutant of the modules against
-the test the matrix names as its killer, exits 1 if one survives, and
-writes nothing.
+the test the matrix names as its killer, exits 1 if one survives, if a
+killer no longer exists or if a mutant is no longer the one recorded
+(its line, operator or digest moved), and writes nothing.
 """
 
 import argparse
 import ast
 import copy
 import functools
+import hashlib
 import importlib.util
 import json
 import os
@@ -55,6 +60,7 @@ import sys
 import tempfile
 import threading
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -66,7 +72,7 @@ MATRIX = ROOT / "benchmarks" / "results" / "mutants.json"
 #: Files whose every function is a target, beside the hot-path marks.
 TARGET_FILES = ("src/repro/tables/store.py", "src/repro/cluster/router.py")
 TARGET_DIRS = ("src/repro/refresh",)
-#: Sites mutated per operator and function, in source order.
+#: Sites mutated per operator and function, in ``ast.walk`` order.
 PER_OPERATOR = 2
 #: Test files never weighed for deletion (see kept_first).
 KEEP_FIRST = ("golden", "pin", "budget", "_property", "test_options",
@@ -222,7 +228,7 @@ class _Reach:
         return self._names[code]
 
 
-def build_map(args=()):
+def build_map():
     """Run tier-1 in process under the profile hook; write the reach map.
 
     A test the previous map holds keeps its duration there, so a rebuilt
@@ -232,7 +238,7 @@ def build_map(args=()):
 
     sys.path.insert(0, str(SRC))
     plugin = _Reach()
-    code = pytest.main(args=["-q", "-p", "no:cacheprovider", *args],
+    code = pytest.main(args=["-q", "-p", "no:cacheprovider"],
                        plugins=[plugin])
     if code not in (0, 1):
         sys.exit(f"tier-1 did not run (pytest exit {code})")
@@ -343,21 +349,28 @@ def _droppable(parent, field, i, stmt):
 OPERATORS = ("compare", "slice", "drop", "mask", "stable")
 
 
-def mutants(keys):
-    """``{mutant id: (function key, operator, line, mutated module
-    text)}``.  The module is unparsed whole, so every string keeps its
-    value; comments and layout do not survive, behaviour does."""
+def _by_file(keys):
+    """``{module path: {qualname: FunctionDef}}`` of the function keys
+    that still name a function."""
     out = {}
-    by_file = {}
     for key in sorted(keys):
         rel, qual = key.split("::")
-        by_file.setdefault(rel, []).append(qual)
-    for rel, quals in by_file.items():
+        if rel not in out:
+            out[rel] = (_functions(_parse(ROOT / rel))
+                        if (ROOT / rel).exists() else {})
+    return {rel: {q: f for q, f in funcs.items() if f"{rel}::{q}" in keys}
+            for rel, funcs in out.items()}
+
+
+def mutants(keys):
+    """``{mutant id: (function key, operator, line, digest, mutated
+    module text)}``; the digest hashes the mutated function's source.
+    The module is unparsed whole, so every string keeps its value;
+    comments and layout do not survive, behaviour does."""
+    out = {}
+    for rel, funcs in _by_file(keys).items():
         module = _parse(ROOT / rel)
-        for qual in quals:
-            func = _functions(module).get(qual)
-            if func is None:
-                continue
+        for qual, func in funcs.items():
             counts = dict.fromkeys(OPERATORS, 0)
             for index, (operator, line, _) in enumerate(list(_sites(func))):
                 if counts[operator] == PER_OPERATOR:
@@ -365,9 +378,26 @@ def mutants(keys):
                 mid = f"{rel}::{qual}::{operator}#{counts[operator]}"
                 counts[operator] += 1
                 tree = copy.deepcopy(module)
-                list(_sites(_functions(tree)[qual]))[index][2]()
-                out[mid] = (f"{rel}::{qual}", operator, line,
+                mutated = _functions(tree)[qual]
+                list(_sites(mutated))[index][2]()
+                digest = hashlib.sha1(
+                    ast.unparse(mutated).encode()).hexdigest()[:12]
+                out[mid] = (f"{rel}::{qual}", operator, line, digest,
                             ast.unparse(ast.fix_missing_locations(tree)))
+    return out
+
+
+def unmutated_sites(keys):
+    """``{function key: {operator: sites}}`` of the sites that
+    ``PER_OPERATOR`` leaves out (``operator#2`` on, for two)."""
+    out = {}
+    for rel, funcs in _by_file(keys).items():
+        for qual, func in funcs.items():
+            counts = Counter(operator for operator, _, _ in _sites(func))
+            left = {op: n - PER_OPERATOR for op, n in counts.items()
+                    if n > PER_OPERATOR}
+            if left:
+                out[f"{rel}::{qual}"] = left
     return out
 
 
@@ -388,8 +418,27 @@ class _Slots:
             self.free.put(copy_dir)
 
 
+def _collected(tests):
+    """The ids among ``tests`` that pytest collects on the unmutated
+    tree."""
+    files = sorted({t.split("::")[0] for t in tests
+                    if (ROOT / t.split("::")[0]).is_file()})
+    if not files:
+        return set()
+    out = subprocess.run(
+        [sys.executable, "-m", "pytest", "--collect-only", "-q",
+         "-o", "addopts=", "-p", "no:cacheprovider", *files],
+        cwd=ROOT, env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True, text=True).stdout
+    return set(out.splitlines()) & set(tests)
+
+
 def _run_one(slot, rel, text, tests, timeout):
-    """Run ``tests`` with ``text`` as ``rel``; return the killer or None."""
+    """Run ``tests`` with ``text`` as ``rel``; return the killer or None.
+
+    Every id in ``tests`` is collected on the unmutated tree (the callers
+    check with ``_collected``), so one pytest cannot collect here is one
+    the mutant took away."""
     target = slot / rel
     original = target.read_text()
     log = slot / "started.log"
@@ -411,7 +460,7 @@ def _run_one(slot, rel, text, tests, timeout):
             out, _ = proc.communicate(timeout=timeout)
             code = proc.returncode
         except subprocess.TimeoutExpired:
-            os.killpg(proc.pid, signal.SIGKILL)
+            kill_group(proc.pid)
             proc.communicate()
             code, out = "timeout", ""
     finally:
@@ -432,6 +481,26 @@ def _run_one(slot, rel, text, tests, timeout):
             if test.split("[")[0] in broken or test.split("::")[0] in broken:
                 return test
     raise RuntimeError(f"pytest exit {code} on {rel}:\n{out[-2000:]}")
+
+
+def kill_group(pgid):
+    """SIGKILL a process group and unlink the shared-memory segments its
+    processes map (the dense worker's), which no killed process can
+    unlink itself."""
+    segments = set()
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            if int(stat.read_text().rsplit(")", 1)[1].split()[2]) != pgid:
+                continue
+            maps = (stat.parent / "maps").read_text().splitlines()
+        except (OSError, IndexError, ValueError):
+            continue  # gone, or not ours to read
+        segments.update(fields[5] for fields in map(str.split, maps)
+                        if len(fields) == 6
+                        and fields[5].startswith("/dev/shm/"))
+    os.killpg(pgid, signal.SIGKILL)
+    for segment in segments:
+        Path(segment).unlink(missing_ok=True)
 
 
 def _uncollected(out):
@@ -497,6 +566,10 @@ def run_matrix(reach, modules=()):
     for test, entry in reach.items():
         for f in entry["functions"]:
             reaches.setdefault(f, []).append(test)
+    missing = sorted(set(reach) - _collected(reach))
+    if missing:
+        sys.exit(f"{len(missing)} tests of the reach map no longer exist "
+                 f"(rerun `map`): {missing[:5]}")
     keys = {k for k in targets(reach)
             if not modules or k.split("::")[0] in modules}
     muts = mutants(keys)
@@ -509,7 +582,7 @@ def run_matrix(reach, modules=()):
         slots = _Slots(os.cpu_count() or 1, workdir)
 
         def work(mid):
-            function, operator, line, text = muts[mid]
+            function, operator, line, digest, text = muts[mid]
             tests = _order(reach, reaches.get(function, []))
             killer = error = None
             if tests:
@@ -523,7 +596,7 @@ def run_matrix(reach, modules=()):
                 finally:
                     slots.free.put(slot)
             entry = {"function": function, "operator": operator,
-                     "line": line}
+                     "line": line, "digest": digest}
             if error is not None:
                 entry["error"] = error
             elif killer is not None:
@@ -542,10 +615,11 @@ def run_matrix(reach, modules=()):
 
 
 def write_matrix(results, reach):
-    """Write the matrix: counts, the example tests no mutant names as its
-    killer (each one's kills, if any, a test ordered before it makes too),
-    and the mutants.  A survivor is labelled from ``EQUIVALENT`` and
-    counts the tests that reach its function."""
+    """Write the matrix: counts, the sites left unmutated, the example
+    tests no mutant names as its killer that reach some function and only
+    fully mutated ones (each one's kills, if any, a test ordered before
+    it makes too), and the mutants.  A survivor is labelled from
+    ``EQUIVALENT`` and counts the tests that reach its function."""
     reached = {}
     for entry in reach.values():
         for f in entry["functions"]:
@@ -565,17 +639,39 @@ def write_matrix(results, reach):
         "gap": sum(e["survived"] == "gap" for e in survivors),
     }
     keys = {e["function"] for e in results.values()}
+    unmutated = unmutated_sites(keys)
+    whole = keys - set(unmutated)
     named = {k for e in results.values() for k in e.get("killers", ())}
     redundant = sorted(
         test for test, entry in reach.items()
         if not kept_first(test) and test not in named
-        and set(entry["functions"]) <= keys
+        and entry["functions"] and set(entry["functions"]) <= whole
     )
-    MATRIX.write_text(json.dumps(
-        {"counts": counts, "redundant": redundant,
-         "mutants": dict(sorted(results.items()))},
-        indent=1, sort_keys=True) + "\n")
-    print(json.dumps(counts), f"{len(redundant)} redundant example tests")
+    _write_json(MATRIX, {"counts": counts, "unmutated": unmutated,
+                         "redundant": redundant, "mutants": results})
+    left = sum(n for ops in unmutated.values() for n in ops.values())
+    print(json.dumps(counts), f"{left} sites of "
+          f"{len(unmutated)} functions unmutated, {len(redundant)} "
+          f"redundant example tests")
+
+
+def _write_json(path, sections):
+    """JSON with one line per list item or mapping entry, keys sorted, so
+    a diff of the matrix shows which mutants moved."""
+    parts = []
+    for name, value in sections.items():
+        if isinstance(value, dict):
+            items = [f"{json.dumps(k)}: {json.dumps(v, sort_keys=True)}"
+                     for k, v in sorted(value.items())]
+            brackets = "{}"
+        else:
+            items = [json.dumps(v) for v in value]
+            brackets = "[]"
+        body = ",".join(f"\n  {item}" for item in items)
+        close = "\n " if items else ""
+        parts.append(f" {json.dumps(name)}: {brackets[0]}{body}{close}"
+                     f"{brackets[1]}")
+    path.write_text("{\n" + ",\n".join(parts) + "\n}\n")
 
 
 # -- the CI check -------------------------------------------------------------
@@ -590,9 +686,20 @@ def check(modules):
     if not killed:
         sys.exit(f"the matrix holds no killed mutant of {sorted(rels)}")
     muts = mutants({e["function"] for e in killed.values()})
-    missing = sorted(set(killed) - set(muts))
-    if missing:
-        sys.exit(f"mutants no longer generated (rerun `run`): {missing}")
+    moved = sorted(
+        mid for mid, e in killed.items()
+        if muts.get(mid, (None,) * 4)[1:4]
+        != (e["operator"], e["line"], e.get("digest")))
+    for mid in moved:
+        print(f"MOVED {mid}: not the mutant the matrix records")
+    killers = {k for e in killed.values() for k in e["killers"]}
+    gone = [] if moved else sorted(killers - _collected(killers))
+    for test in gone:
+        print(f"GONE {test}: a recorded killer pytest cannot collect")
+    if moved or gone:
+        print("rebuild the entries: " + ("`map`, then " if gone else "")
+              + "`run --module` for " + " ".join(sorted(rels)))
+        return 1
     failures = []
     with tempfile.TemporaryDirectory(prefix="mutants-") as workdir:
         slots = _Slots(os.cpu_count() or 1, workdir)
@@ -600,7 +707,7 @@ def check(modules):
         def work(mid):
             slot = slots.free.get()
             try:
-                killer = _run_one(slot, mid.split("::")[0], muts[mid][3],
+                killer = _run_one(slot, mid.split("::")[0], muts[mid][4],
                                   killed[mid]["killers"], 300)
             except RuntimeError as exc:
                 print(exc)
@@ -626,12 +733,11 @@ def main(argv=None):
     parser.add_argument("--module", action="append", default=[],
                         help="run: re-run this module's mutants only and "
                              "update their entries")
-    parser.add_argument("pytest_args", nargs="*")
     args = parser.parse_args(argv)
     if args.check:
         return check(args.check)
     if args.step == "map":
-        build_map(args.pytest_args)
+        build_map()
     elif args.step == "run":
         reach = json.loads(REACH.read_text())
         results = run_matrix(reach, set(args.module))

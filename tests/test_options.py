@@ -37,6 +37,8 @@ option nothing sets or reads.
 from __future__ import annotations
 
 import ast
+import functools
+import tempfile
 import textwrap
 from collections import defaultdict, namedtuple
 from pathlib import Path
@@ -506,10 +508,11 @@ def _reads(tree: ast.Module) -> set:
     return found
 
 
-def scan(allowed=(), root=ROOT):
-    """``(path, line, qualified option, why)`` of every option nothing
-    outside tests sets or reads under ``root``.  Options in ``allowed``
-    count as set, so what they pass on counts as set too."""
+@functools.cache
+def _facts(root):
+    """``(options, conditions, reads)`` under ``root``, whatever a scan
+    allows: each option, the conditions of the calls that pass it, and
+    the attributes code reads."""
     trees = {
         path: _parse(path) for path in _python_files(root / "src" / "repro")
     }
@@ -565,6 +568,14 @@ def scan(allowed=(), root=ROOT):
                     conditions[option.qualified].append(
                         positional[option.index]
                     )
+    return every, conditions, reads
+
+
+def scan(allowed=(), root=ROOT):
+    """``(path, line, qualified option, why)`` of every option nothing
+    outside tests sets or reads under ``root``.  Options in ``allowed``
+    count as set, so what they pass on counts as set too."""
+    every, conditions, reads = _facts(root)
     passed = set(allowed)
     changed = True
     while changed:
@@ -604,10 +615,11 @@ def test_every_allowance_is_still_needed():
 
 
 def test_a_shared_method_name_is_set_only_by_keyword(tmp_path):
-    package = tmp_path / "src" / "repro"
-    package.mkdir(parents=True)
-
     def unset(call):
+        # A tree of its own: a root's facts are read once.
+        root = Path(tempfile.mkdtemp(dir=tmp_path))
+        package = root / "src" / "repro"
+        package.mkdir(parents=True)
         (package / "shared.py").write_text(textwrap.dedent(f"""
             class Window:
                 def reset(self, first=0.0):
@@ -620,7 +632,7 @@ def test_a_shared_method_name_is_set_only_by_keyword(tmp_path):
             def run(window):
                 return {call}
         """))
-        return {name for _, _, name, _ in scan(root=tmp_path)}
+        return {name for _, _, name, _ in scan(root=root)}
 
     # ``window.reset(1.0)`` names no class: it sets neither option.
     assert {"Window.reset(first=)", "Timeline.reset(start=)"} <= unset(
